@@ -88,6 +88,28 @@ pub struct Inventory {
     pub interior_fields: Vec<InteriorField>,
 }
 
+/// Non-test code size of one crate (the umbrella package is `caldera-repro`).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CrateSize {
+    pub name: String,
+    /// Lines carrying a code token outside `#[cfg(test)]`/`#[test]` items
+    /// (blank and comment-only lines do not count).
+    pub non_test_loc: usize,
+    /// `pub fn` items outside test code.
+    pub pub_fns: usize,
+}
+
+/// The sizes ROADMAP aim 2 tracks from PR to PR. Informational: no gate.
+#[derive(Debug, Default)]
+pub struct Size {
+    /// Per-crate sizes, in crate order.
+    pub crates: Vec<CrateSize>,
+    /// Fields of `CalderaConfig`: the engine's independently settable knobs.
+    pub config_fields: usize,
+    /// Well-formed `h2tap: allow(..)` annotations.
+    pub allows: usize,
+}
+
 /// Full analysis output over one root.
 #[derive(Debug)]
 pub struct Analysis {
@@ -97,6 +119,7 @@ pub struct Analysis {
     pub lock_edges: Vec<LockEdge>,
     pub lock_cycles: Vec<LockCycle>,
     pub inventory: Inventory,
+    pub size: Size,
 }
 
 impl Analysis {
@@ -158,6 +181,7 @@ pub fn analyze(root: &Path) -> io::Result<Analysis> {
         lock_edges: Vec::new(),
         lock_cycles: Vec::new(),
         inventory: Inventory::default(),
+        size: Size::default(),
     };
     for (abs, rel, crate_name) in files {
         let src = fs::read_to_string(&abs)?;
@@ -176,6 +200,16 @@ pub fn analyze(root: &Path) -> io::Result<Analysis> {
             analysis.findings.extend(lints::error_swallows(&file));
         }
         lints::inventory(&file, &mut analysis.inventory.mut_self_methods, &mut analysis.inventory.interior_fields);
+        let size = &mut analysis.size;
+        if size.crates.last().is_none_or(|c| c.name != crate_name) {
+            size.crates.push(CrateSize { name: crate_name.clone(), ..CrateSize::default() });
+        }
+        if let Some(krate) = size.crates.last_mut() {
+            krate.non_test_loc += file.non_test_loc();
+            krate.pub_fns += file.pub_fns();
+        }
+        size.config_fields += file.struct_fields("CalderaConfig");
+        size.allows += file.lexed.allows.values().map(Vec::len).sum::<usize>();
         for (line, msg) in &file.lexed.malformed_allows {
             analysis.findings.push(Finding {
                 lint: Lint::AllowSyntax,

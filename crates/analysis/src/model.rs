@@ -54,6 +54,37 @@ impl SourceFile {
             .find(|a| a.lint == lint)
     }
 
+    /// Lines carrying at least one code token outside test code.
+    pub fn non_test_loc(&self) -> usize {
+        let mut lines: Vec<u32> = self.tokens().iter().map(|t| t.line).filter(|&l| !self.in_test_code(l)).collect();
+        lines.dedup();
+        lines.len()
+    }
+
+    /// `pub fn` items (through `const`/`unsafe`/`async`) outside test code.
+    pub fn pub_fns(&self) -> usize {
+        let toks = self.tokens();
+        (0..toks.len())
+            .filter(|&i| toks[i].is_ident("pub") && !self.in_test_code(toks[i].line))
+            .filter(|&i| {
+                let qualifier = |t: &&Token| ["const", "unsafe", "async"].iter().any(|q| t.is_ident(q));
+                toks[i + 1..].iter().find(|t| !qualifier(t)).is_some_and(|t| t.is_ident("fn"))
+            })
+            .count()
+    }
+
+    /// Fields of `struct <name> { .. }` if this file defines it, else 0: the
+    /// `ident :` pairs inside its braces that are not path separators.
+    pub fn struct_fields(&self, name: &str) -> usize {
+        let toks = self.tokens();
+        let is_def = |i: usize| toks[i - 2].is_ident("struct") && toks[i - 1].is_ident(name) && toks[i].is_punct('{');
+        let Some(open) = (2..toks.len()).find(|&i| is_def(i)) else { return 0 };
+        (open + 1..matching_brace(toks, open))
+            .filter(|&i| toks[i].ident().is_some() && toks[i + 1].is_punct(':'))
+            .filter(|&i| !toks[i + 2].is_punct(':') && !toks[i - 1].is_punct(':'))
+            .count()
+    }
+
     /// The innermost function whose body contains token index `idx`.
     pub fn enclosing_function(&self, idx: usize) -> Option<&Function> {
         self.functions
@@ -224,6 +255,18 @@ mod tests {
         assert_eq!(names, vec!["a", "b", "c"]);
         assert!(f.functions[0].body.is_some());
         assert!(f.functions[1].body.is_none());
+    }
+
+    #[test]
+    fn size_counts_skip_comments_blanks_and_test_code() {
+        let f = file(
+            "// comment\n\npub struct Cfg {\n    pub a: u32,\n    pub b: Vec<(u8, u8)>,\n}\npub const fn one() -> u32 {\n    1\n}\n\
+             pub(crate) fn hidden() {}\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n",
+        );
+        assert_eq!(f.non_test_loc(), 8, "struct (4 lines) + one (3) + hidden (1)");
+        assert_eq!(f.pub_fns(), 1, "`pub const fn` counts; `pub(crate)` and test code do not");
+        assert_eq!(f.struct_fields("Cfg"), 2, "type-level colons and generics are not fields");
+        assert_eq!(f.struct_fields("Missing"), 0);
     }
 
     #[test]

@@ -111,7 +111,27 @@ pub fn render_json(a: &Analysis) -> String {
             f.line,
         );
     }
-    j.push_str("    ]\n  }\n}\n");
+    j.push_str("    ]\n  },\n");
+    // Size: the shrink (or creep) of the workspace, PR over PR.
+    j.push_str("  \"size\": {\n    \"crates\": [\n");
+    for (i, c) in a.size.crates.iter().enumerate() {
+        let comma = if i + 1 == a.size.crates.len() { "" } else { "," };
+        let _ = writeln!(
+            j,
+            "      {{\"crate\": \"{}\", \"non_test_loc\": {}, \"pub_fns\": {}}}{comma}",
+            esc(&c.name),
+            c.non_test_loc,
+            c.pub_fns,
+        );
+    }
+    let _ = writeln!(
+        j,
+        "    ],\n    \"non_test_loc\": {},\n    \"pub_fns\": {},\n    \"caldera_config_fields\": {},\n    \"h2tap_allows\": {}\n  }}\n}}",
+        a.size.crates.iter().map(|c| c.non_test_loc).sum::<usize>(),
+        a.size.crates.iter().map(|c| c.pub_fns).sum::<usize>(),
+        a.size.config_fields,
+        a.size.allows,
+    );
     j
 }
 
@@ -129,6 +149,14 @@ pub fn render_summary(a: &Analysis) -> String {
         "  inventory    {:>4} &mut self ExecutionSite methods, {} interior-mutability fields",
         a.inventory.mut_self_methods.len(),
         a.inventory.interior_fields.len(),
+    );
+    let _ = writeln!(
+        s,
+        "  size         {:>4} non-test LOC, {} pub fns, {} CalderaConfig fields, {} h2tap allows",
+        a.size.crates.iter().map(|c| c.non_test_loc).sum::<usize>(),
+        a.size.crates.iter().map(|c| c.pub_fns).sum::<usize>(),
+        a.size.config_fields,
+        a.size.allows,
     );
     let unannotated = a.unannotated();
     if unannotated.is_empty() {

@@ -101,4 +101,7 @@ fn workspace_has_no_unannotated_findings() {
     // execution roadmap item; it must actually see the ExecutionSite impls.
     assert!(!a.inventory.mut_self_methods.is_empty(), "inventory missed ExecutionSite impls");
     assert!(!a.inventory.interior_fields.is_empty(), "inventory missed interior-mutability fields");
+    // The size report sees every crate and the engine's config struct.
+    assert!(a.size.crates.iter().any(|c| c.name == "olap" && c.non_test_loc > 1_000 && c.pub_fns > 0));
+    assert!(a.size.config_fields > 0, "size report missed CalderaConfig");
 }

@@ -2,17 +2,17 @@
 //!
 //! * [`silo`] — a Silo-style shared-everything OCC engine (Figures 8, 9),
 //! * [`sn_silo`] — one Silo instance per core with a two-phase-commit layer
-//!   for multi-site transactions (Figure 9),
-//! * [`cpu_olap`] — MonetDB-like and "DBMS-C"-like CPU columnar scan engines
-//!   (Figure 4).
+//!   for multi-site transactions (Figure 9).
+//!
+//! The Figure-4 CPU column stores are not here: they are Caldera's own CPU
+//! execution site (`h2tap_olap::CpuOlapEngine`) under its two
+//! `CpuScanProfile`s.
 //!
 //! The baselines answer the same workloads as Caldera over the same data so
 //! that every comparison in the benchmark harness is apples-to-apples.
 
-pub mod cpu_olap;
 pub mod silo;
 pub mod sn_silo;
 
-pub use cpu_olap::{CpuEngineKind, CpuOlapEngine, CpuOlapResult, CpuSpec};
 pub use silo::{SiloDb, SiloGenerator, SiloRuntime, SiloTxn, SiloWindow};
 pub use sn_silo::{run_sn_silo_benchmark, SnSilo, SnSiloGenerator, SnSiloWindow};

@@ -107,21 +107,18 @@ fn hostperf_json(s: &exp::HostPerfSummary) -> String {
         .map(|r| {
             format!(
                 "  {{\"workload\":\"{}\",\"lineitem_rows\":{},\"queries\":{},\"reference_ms\":{:.3},\
-                 \"pr5_cold_ms\":{:.3},\"vectorized_cold_ms\":{:.3},\"vectorized_cached_ms\":{:.3},\
-                 \"cold_speedup\":{:.3},\"cached_speedup\":{:.3},\"simd_speedup\":{:.3},\
-                 \"latency\":{{\"reference\":{},\"pr5_cold\":{},\"vectorized_cold\":{},\"vectorized_cached\":{}}}}}",
+                 \"vectorized_cold_ms\":{:.3},\"vectorized_cached_ms\":{:.3},\
+                 \"cold_speedup\":{:.3},\"cached_speedup\":{:.3},\
+                 \"latency\":{{\"reference\":{},\"vectorized_cold\":{},\"vectorized_cached\":{}}}}}",
                 r.workload,
                 r.lineitem_rows,
                 r.queries,
                 r.reference_ms,
-                r.pr5_cold_ms,
                 r.vectorized_cold_ms,
                 r.vectorized_cached_ms,
                 r.cold_speedup,
                 r.cached_speedup,
-                r.simd_speedup,
                 r.reference_latency.json(),
-                r.pr5_latency.json(),
                 r.vectorized_cold_latency.json(),
                 r.vectorized_cached_latency.json()
             )
@@ -133,13 +130,12 @@ fn hostperf_json(s: &exp::HostPerfSummary) -> String {
     let counters = s.cache.counters();
     let gauges = s.cache.gauges();
     format!(
-        "{{\n\"min_cold_speedup\": {:.3},\n\"min_cached_speedup\": {:.3},\n\"min_simd_speedup\": {:.3},\n\"cache\": \
+        "{{\n\"min_cold_speedup\": {:.3},\n\"min_cached_speedup\": {:.3},\n\"cache\": \
          {{\"counters\": {{\"column_hits\": {}, \"column_misses\": {}, \"hash_hits\": {}, \"hash_misses\": {}, \
          \"invalidations\": {}, \"evictions\": {}}}, \"gauges\": {{\"occupancy_bytes\": {}, \"budget_bytes\": \
          {}}}}},\n\"rows\": [\n{}\n]\n}}\n",
         s.min_cold_speedup,
         s.min_cached_speedup,
-        s.min_simd_speedup,
         counters.column_hits,
         counters.column_misses,
         counters.hash_hits,
@@ -386,35 +382,24 @@ fn main() {
     }
 
     if wants("hostperf") {
-        header("Host path: real wall-clock, reference vs scalar batch vs SIMD vs cached (repeated-query stream)");
+        header("Host path: real wall-clock, reference vs SIMD cold vs cached (repeated-query stream)");
         println!(
-            "{:<12} {:>10} {:>8} {:>14} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8}",
-            "workload",
-            "rows",
-            "queries",
-            "reference ms",
-            "scalar ms",
-            "simd ms",
-            "cached ms",
-            "cold x",
-            "cached x",
-            "simd x"
+            "{:<12} {:>10} {:>8} {:>14} {:>12} {:>12} {:>8} {:>8}",
+            "workload", "rows", "queries", "reference ms", "simd ms", "cached ms", "cold x", "cached x"
         );
         let (rows, parts, repeats) = if quick { (120_000, 5_000, 6) } else { (scale.lineitem_rows, 20_000, 10) };
         let s = exp::fig_hostperf(rows, parts, repeats);
         for r in &s.rows {
             println!(
-                "{:<12} {:>10} {:>8} {:>14.2} {:>12.2} {:>12.2} {:>12.2} {:>8.2} {:>8.2} {:>8.2}",
+                "{:<12} {:>10} {:>8} {:>14.2} {:>12.2} {:>12.2} {:>8.2} {:>8.2}",
                 r.workload,
                 r.lineitem_rows,
                 r.queries,
                 r.reference_ms,
-                r.pr5_cold_ms,
                 r.vectorized_cold_ms,
                 r.vectorized_cached_ms,
                 r.cold_speedup,
-                r.cached_speedup,
-                r.simd_speedup
+                r.cached_speedup
             );
             println!(
                 "  {:<10} latency (cached path): p50 {:.3} ms | p95 {:.3} ms | p99 {:.3} ms | max {:.3} ms",
@@ -426,11 +411,10 @@ fn main() {
             );
         }
         println!(
-            "-> worst-case speedups: {:.2}x cold (vectorization alone), {:.2}x cached, {:.2}x simd-over-scalar | \
+            "-> worst-case speedups: {:.2}x cold (vectorization alone), {:.2}x cached | \
              cache: {} hits / {} misses / {} evictions / {} occupancy bytes",
             s.min_cold_speedup,
             s.min_cached_speedup,
-            s.min_simd_speedup,
             s.cache.hits(),
             s.cache.misses(),
             s.cache.evictions,
@@ -449,11 +433,6 @@ fn main() {
                 s.min_cached_speedup > 1.5,
                 "the warm cache must amortise derivation: {:.2}x",
                 s.min_cached_speedup
-            );
-            assert!(
-                s.min_simd_speedup >= 1.2,
-                "the SIMD cold path must beat the scalar batch path by >= 1.2x: {:.2}x",
-                s.min_simd_speedup
             );
         }
         if json {

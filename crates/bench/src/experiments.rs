@@ -7,11 +7,11 @@
 //! in minutes on a laptop; the scale knobs are explicit parameters.
 
 use caldera::{Caldera, CalderaConfig, DataPlacement, DeviceLossPoint, FaultPlan, OlapTarget, SnapshotPolicy};
-use h2tap_baselines::{CpuEngineKind, CpuOlapEngine, SiloDb, SiloRuntime, SnSilo};
+use h2tap_baselines::{SiloDb, SiloRuntime, SnSilo};
 use h2tap_common::stats::Histogram;
-use h2tap_common::{SimDuration, TableId};
+use h2tap_common::{OlapPlan, SimDuration, TableId};
 use h2tap_gpu_sim::{AccessMode, AccessPattern, GpuDevice, GpuSpec, KernelDesc, TransferDirection};
-use h2tap_olap::GpuOlapEngine;
+use h2tap_olap::{CpuOlapEngine, CpuScanProfile, ExecutionSite, GpuOlapEngine};
 use h2tap_oltp::OltpConfig;
 use h2tap_storage::Layout;
 use h2tap_workloads::layoutbench;
@@ -156,8 +156,8 @@ pub struct Fig4Row {
 /// Runs Figure 4: Q6 on Caldera and on the two CPU baselines, without
 /// concurrent transactions. The Caldera bar goes through `Caldera::run_olap_on`
 /// — the exact dispatch path production queries take — and the CPU baselines
-/// are thin wrappers over the same shared scan engine as Caldera's CPU site,
-/// so every bar exercises first-class code.
+/// are Caldera's own CPU site engine under the two scan profiles, so every
+/// bar exercises first-class code.
 pub fn fig4(rows: u64) -> Vec<Fig4Row> {
     let mut config = CalderaConfig::with_workers(1);
     config.snapshot_policy = SnapshotPolicy::Manual;
@@ -177,13 +177,9 @@ pub fn fig4(rows: u64) -> Vec<Fig4Row> {
     // The baselines answer the same query over a snapshot of the same data.
     let snap = caldera.database().snapshot();
     let frozen = snap.table(table).unwrap();
-    for kind in [CpuEngineKind::DbmsCLike, CpuEngineKind::MonetLike] {
-        let result = CpuOlapEngine::new(kind).execute(frozen, &query).unwrap();
-        rows_out.push(Fig4Row {
-            engine: kind.label().into(),
-            seconds: result.sim_time.as_secs_f64(),
-            revenue: result.value,
-        });
+    for (engine, profile) in [("DBMS-C", CpuScanProfile::materializing()), ("MonetDB", CpuScanProfile::vectorized())] {
+        let result = CpuOlapEngine::new(profile).execute_scan(frozen, &query).unwrap();
+        rows_out.push(Fig4Row { engine: engine.into(), seconds: result.sim_time.as_secs_f64(), revenue: result.value });
     }
     let _ = caldera.database().release_snapshot(&snap);
     caldera.shutdown();
@@ -839,7 +835,10 @@ pub fn fig10(rows: u64, attribute_counts: &[usize]) -> Vec<LayoutRow> {
         let engine = GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
         let handle = engine.register_table(frozen, "dataset").unwrap();
         for &n in attribute_counts {
-            let outcome = engine.execute(handle, frozen, &layoutbench::sum_query(n)).unwrap();
+            let outcome = engine
+                .execute(handle, frozen, None, &OlapPlan::scan(&layoutbench::sum_query(n)))
+                .unwrap()
+                .into_scan_outcome();
             out.push(LayoutRow {
                 layout: layout.label().to_string(),
                 attributes: n,
@@ -863,7 +862,10 @@ pub fn fig11(rows: u64) -> Vec<LayoutRow> {
             let frozen = snap.table(table).unwrap();
             let engine = GpuOlapEngine::new(GpuDevice::new(spec.clone()), DataPlacement::DeviceResident);
             let handle = engine.register_table(frozen, "dataset").unwrap();
-            let outcome = engine.execute(handle, frozen, &layoutbench::sum_query(2)).unwrap();
+            let outcome = engine
+                .execute(handle, frozen, None, &OlapPlan::scan(&layoutbench::sum_query(2)))
+                .unwrap()
+                .into_scan_outcome();
             out.push(LayoutRow {
                 layout: layout.label().to_string(),
                 attributes: 2,
@@ -922,19 +924,15 @@ pub struct HostPerfRow {
     pub lineitem_rows: u64,
     /// Queries in the repeated stream (per code path).
     pub queries: u32,
-    /// Total wall-clock of the retained pre-PR path: row-at-a-time chunk
+    /// Total wall-clock of the retained oracle path: row-at-a-time chunk
     /// evaluation, per-query O(chunk) zonemap recomputation, and a fresh
     /// materialisation + hash build per query.
     pub reference_ms: f64,
-    /// Total wall-clock of the previous release's vectorized path cold:
-    /// scalar batch kernels plus the serial two-pass materialisation, a
-    /// fresh derivation per query. The baseline the explicit SIMD kernels
-    /// and the fused parallel materialisation must beat.
-    pub pr5_cold_ms: f64,
-    /// Total wall-clock of the vectorized path with a *cold* cache (every
-    /// query re-derives its plan data): isolates the vectorization win.
+    /// Total wall-clock of the production (SIMD) path with a *cold* cache
+    /// (every query re-derives its plan data): isolates the vectorization
+    /// win.
     pub vectorized_cold_ms: f64,
-    /// Total wall-clock of the vectorized path against a *warm* shared
+    /// Total wall-clock of the production path against a *warm* shared
     /// plan-data cache: every query reuses the snapshot's materialised
     /// columns, zonemap stats and join hash table.
     pub vectorized_cached_ms: f64,
@@ -942,17 +940,11 @@ pub struct HostPerfRow {
     pub cold_speedup: f64,
     /// `reference_ms / vectorized_cached_ms`.
     pub cached_speedup: f64,
-    /// `pr5_cold_ms / vectorized_cold_ms` — the raw-speed-floor win of the
-    /// explicit SIMD kernels plus parallel materialisation over the scalar
-    /// batch path, both cold.
-    pub simd_speedup: f64,
     /// Per-query latency percentiles of the reference path.
     pub reference_latency: LatencyPercentiles,
-    /// Per-query latency percentiles of the scalar batch (pr5) path.
-    pub pr5_latency: LatencyPercentiles,
-    /// Per-query latency percentiles of the SIMD path, cold cache.
+    /// Per-query latency percentiles of the production path, cold cache.
     pub vectorized_cold_latency: LatencyPercentiles,
-    /// Per-query latency percentiles of the SIMD path, warm cache.
+    /// Per-query latency percentiles of the production path, warm cache.
     pub vectorized_cached_latency: LatencyPercentiles,
 }
 
@@ -966,23 +958,23 @@ pub struct HostPerfSummary {
     pub min_cold_speedup: f64,
     /// Smallest cached speedup across workloads.
     pub min_cached_speedup: f64,
-    /// Smallest SIMD-over-scalar-batch cold speedup across workloads.
-    pub min_simd_speedup: f64,
     /// Hit/miss counters of the warm cache after the cached runs.
     pub cache: h2tap_common::PlanCacheStats,
 }
 
 /// Measures **real wall-clock** (not simulated) execution of the shared
-/// host data path over a repeated-query workload — Q6 (selective scan) and
-/// the brand-revenue join plan — on three code paths: the retained
-/// row-at-a-time reference, the vectorized path cold (fresh derivation per
-/// query), and the vectorized path against the warm snapshot-keyed cache.
-/// All three paths must produce bit-identical answers (asserted here), so
-/// the only thing that differs is time. This is the first entry of the
-/// repository's measured performance trajectory.
+/// host data path over a repeated-query workload — Q6 (selective scan, run
+/// as the scan-shaped plan it is) and the brand-revenue join plan — on three
+/// code paths: the retained row-at-a-time reference, the production path
+/// cold (fresh derivation per query), and the production path against the
+/// warm snapshot-keyed cache. All three paths must produce bit-identical
+/// answers (asserted here), so the only thing that differs is time. This is
+/// the first entry of the repository's measured performance trajectory.
 pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPerfSummary {
+    use h2tap_common::GroupRow;
     use h2tap_olap::operators as ops;
     use h2tap_olap::PlanDataCache;
+    use h2tap_storage::SnapshotTable;
     use std::time::Instant;
 
     // Load both tables once; every path queries the same frozen snapshot.
@@ -1001,7 +993,7 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
     // of the tracked artifacts.
     // Alongside the total, every per-query time feeds a histogram so the
     // artifact also reports the latency *distribution* of each path.
-    let time_stream = |mut query_once: Box<dyn FnMut() + '_>| -> (f64, LatencyPercentiles) {
+    let time_stream = |query_once: &mut dyn FnMut()| -> (f64, LatencyPercentiles) {
         let mut best = f64::INFINITY;
         let mut hist = Histogram::new();
         for _ in 0..repeats {
@@ -1014,176 +1006,88 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
         (best * f64::from(repeats) * 1e3, LatencyPercentiles::from_secs_histogram(&hist))
     };
 
-    let mut rows = Vec::new();
-
-    // ---- Workload 1: Q6, the selective scan-and-aggregate. -------------
-    let query = q6();
-    // Pre-PR path: fresh materialisation *without* zonemap statistics
-    // (they did not exist), O(chunk) zonemap recomputation per chunk per
-    // query, row-at-a-time evaluation. (One residual deviation understates
-    // the win: the reference's hash build below uses the new multiply-shift
-    // hasher rather than the old SipHash.)
-    let scan_reference = || -> (f64, u64) {
-        let mat = ops::MaterializedColumns::new_without_zonemaps(fact, query.columns_accessed()).unwrap();
-        let mut kept = Vec::new();
-        for i in 0..mat.chunk_count() {
-            let range = mat.chunk_range(i);
-            if ops::scan_chunk_can_qualify_reference(&mat, &query.predicates, range.clone()) {
-                kept.push(ops::scan_chunk_reference(&mat, &query, range));
-            }
-        }
-        ops::merge_scan_partials(kept)
-    };
-    // The previous release's cold path: serial two-pass materialisation
-    // plus the scalar batch kernels, zonemap skipping enabled. (Its hash
-    // build shares today's zonemap-free build-side materialisation, which
-    // slightly *understates* the SIMD win.)
-    let scan_pr5 = || -> (f64, u64) {
-        let mat = ops::MaterializedColumns::new_serial(fact, query.columns_accessed()).unwrap();
-        let mut kept = Vec::new();
-        for i in 0..mat.chunk_count() {
-            if ops::scan_chunk_can_qualify(&mat, &query.predicates, i) {
-                kept.push(ops::scan_chunk_scalar(&mat, &query, mat.chunk_range(i)));
-            }
-        }
-        ops::merge_scan_partials(kept)
-    };
-    let scan_vectorized = |cache: &PlanDataCache| -> (f64, u64) {
-        let mat = cache.materialized(fact, query.columns_accessed()).unwrap();
-        let mut kept = Vec::new();
-        for i in 0..mat.chunk_count() {
-            if ops::scan_chunk_can_qualify(&mat, &query.predicates, i) {
-                kept.push(ops::scan_chunk(&mat, &query, mat.chunk_range(i)));
-            }
-        }
-        ops::merge_scan_partials(kept)
-    };
-    let want = scan_reference();
-    assert_eq!(scan_pr5().0.to_bits(), want.0.to_bits(), "scalar batch scan must be bit-identical");
-    let cold_cache = PlanDataCache::new();
-    assert_eq!(scan_vectorized(&cold_cache).0.to_bits(), want.0.to_bits(), "vectorized scan must be bit-identical");
-    let warm_cache = PlanDataCache::new();
-    assert_eq!(scan_vectorized(&warm_cache).0.to_bits(), want.0.to_bits());
-
-    let (reference_ms, reference_latency) = time_stream(Box::new(|| {
-        scan_reference();
-    }));
-    let (pr5_cold_ms, pr5_latency) = time_stream(Box::new(|| {
-        scan_pr5();
-    }));
-    let (vectorized_cold_ms, vectorized_cold_latency) = time_stream(Box::new(|| {
-        cold_cache.invalidate();
-        scan_vectorized(&cold_cache);
-    }));
-    // The warm cache already holds the snapshot's derivation (warmed by the
-    // equivalence check above): this is the repeated-query, cache-hit regime.
-    let (vectorized_cached_ms, vectorized_cached_latency) = time_stream(Box::new(|| {
-        scan_vectorized(&warm_cache);
-    }));
-    rows.push(HostPerfRow {
-        workload: "q6-scan".into(),
-        lineitem_rows,
-        queries: repeats,
-        reference_ms,
-        pr5_cold_ms,
-        vectorized_cold_ms,
-        vectorized_cached_ms,
-        cold_speedup: reference_ms / vectorized_cold_ms.max(1e-9),
-        cached_speedup: reference_ms / vectorized_cached_ms.max(1e-9),
-        simd_speedup: pr5_cold_ms / vectorized_cold_ms.max(1e-9),
-        reference_latency,
-        pr5_latency,
-        vectorized_cold_latency,
-        vectorized_cached_latency,
-    });
-
-    // ---- Workload 2: the brand-revenue join + group-by plan. -----------
-    let plan = tpch::brand_revenue_plan(30);
-    let group_col = ops::check_plan(&plan, true).unwrap();
-    let join_reference = || -> (Vec<h2tap_common::GroupRow>, u64) {
-        let hash = ops::build_hash_table(dim, plan.join.as_ref().unwrap(), group_col).unwrap();
+    // The oracle path: fresh materialisation *without* zonemap statistics,
+    // O(chunk) zonemap recomputation per chunk per query, a fresh hash
+    // build, row-at-a-time evaluation. (One residual deviation understates
+    // the win: the hash build uses the multiply-shift hasher rather than
+    // the SipHash the row-at-a-time era had.)
+    let reference = |plan: &OlapPlan, build: Option<&SnapshotTable>| -> (Vec<GroupRow>, u64) {
+        let group_col = ops::check_plan(plan, build.is_some()).unwrap();
+        let hash = plan.join.as_ref().zip(build).map(|(join, b)| ops::build_hash_table(b, join, group_col).unwrap());
         let mat = ops::MaterializedColumns::new_without_zonemaps(fact, plan.probe_columns_accessed()).unwrap();
         let partials: Vec<_> = (0..mat.chunk_count())
-            .map(|i| ops::process_chunk_reference(&mat, &plan, Some(&hash), mat.chunk_range(i)))
+            .map(|i| mat.chunk_range(i))
+            .filter(|range| ops::scan_chunk_can_qualify_reference(&mat, &plan.predicates, range.clone()))
+            .map(|range| ops::process_chunk_reference(&mat, plan, hash.as_ref(), range))
             .collect();
-        let (groups, totals) = ops::merge_partials(&plan, partials);
+        let (groups, totals) = ops::merge_partials(plan, partials);
         (groups, totals.joined)
     };
-    let join_pr5 = || -> (Vec<h2tap_common::GroupRow>, u64) {
-        let hash = ops::build_hash_table(dim, plan.join.as_ref().unwrap(), group_col).unwrap();
-        let mat = ops::MaterializedColumns::new_serial(fact, plan.probe_columns_accessed()).unwrap();
-        let partials: Vec<_> = (0..mat.chunk_count())
-            .map(|i| ops::process_chunk_scalar(&mat, &plan, Some(&hash), mat.chunk_range(i)))
-            .collect();
-        let (groups, totals) = ops::merge_partials(&plan, partials);
-        (groups, totals.joined)
-    };
-    let join_vectorized = |cache: &PlanDataCache| -> (Vec<h2tap_common::GroupRow>, u64) {
-        let data = cache.prepare_plan(fact, Some(dim), &plan).unwrap();
+    // The production path: cached preparation, zonemap-statistics skipping,
+    // SIMD kernels — what the CPU site's pipeline runs per query.
+    let vectorized = |cache: &PlanDataCache, plan: &OlapPlan, build: Option<&SnapshotTable>| {
+        let data = cache.prepare_plan(fact, build, plan).unwrap();
         let partials: Vec<_> = (0..data.mat.chunk_count())
-            .map(|i| ops::process_chunk(&data.mat, &plan, data.hash.as_deref(), data.mat.chunk_range(i)))
+            .filter(|&i| ops::scan_chunk_can_qualify(&data.mat, &plan.predicates, i))
+            .map(|i| ops::process_chunk(&data.mat, plan, data.hash.as_deref(), data.mat.chunk_range(i)))
             .collect();
-        let (groups, totals) = ops::merge_partials(&plan, partials);
+        let (groups, totals) = ops::merge_partials(plan, partials);
         (groups, totals.joined)
     };
-    let want = join_reference();
-    // Bitwise comparison (f64 `==` would both miss a -0.0/+0.0 drift and
-    // spuriously reject bit-identical NaN aggregates).
-    let assert_bit_identical = |(groups, joined): (Vec<h2tap_common::GroupRow>, u64)| {
-        assert_eq!(joined, want.1, "vectorized join plan must agree on joined rows");
-        assert_eq!(groups.len(), want.0.len());
-        for (g, w) in groups.iter().zip(&want.0) {
-            assert_eq!((g.key, g.rows), (w.key, w.rows));
-            for (x, y) in g.values.iter().zip(&w.values) {
-                assert_eq!(x.to_bits(), y.to_bits(), "vectorized join plan must be bit-identical: {x} vs {y}");
-            }
-        }
-    };
-    cold_cache.invalidate();
-    assert_bit_identical(join_pr5());
-    assert_bit_identical(join_vectorized(&cold_cache));
-    assert_bit_identical(join_vectorized(&warm_cache));
 
-    let (reference_ms, reference_latency) = time_stream(Box::new(|| {
-        join_reference();
-    }));
-    let (pr5_cold_ms, pr5_latency) = time_stream(Box::new(|| {
-        join_pr5();
-    }));
-    let (vectorized_cold_ms, vectorized_cold_latency) = time_stream(Box::new(|| {
+    let cold_cache = PlanDataCache::new();
+    let warm_cache = PlanDataCache::new();
+    let mut rows = Vec::new();
+    for (workload, plan, build) in
+        [("q6-scan", OlapPlan::scan(&q6()), None), ("brand-join", tpch::brand_revenue_plan(30), Some(dim))]
+    {
+        let want = reference(&plan, build);
+        // Bitwise comparison (f64 `==` would both miss a -0.0/+0.0 drift and
+        // spuriously reject bit-identical NaN aggregates).
+        let assert_bit_identical = |(groups, joined): (Vec<GroupRow>, u64)| {
+            assert_eq!(joined, want.1, "{workload}: the production path must agree on qualifying rows");
+            assert_eq!(groups.len(), want.0.len());
+            for (g, w) in groups.iter().zip(&want.0) {
+                assert_eq!((g.key, g.rows), (w.key, w.rows));
+                for (x, y) in g.values.iter().zip(&w.values) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{workload}: must be bit-identical: {x} vs {y}");
+                }
+            }
+        };
         cold_cache.invalidate();
-        join_vectorized(&cold_cache);
-    }));
-    let (vectorized_cached_ms, vectorized_cached_latency) = time_stream(Box::new(|| {
-        join_vectorized(&warm_cache);
-    }));
-    rows.push(HostPerfRow {
-        workload: "brand-join".into(),
-        lineitem_rows,
-        queries: repeats,
-        reference_ms,
-        pr5_cold_ms,
-        vectorized_cold_ms,
-        vectorized_cached_ms,
-        cold_speedup: reference_ms / vectorized_cold_ms.max(1e-9),
-        cached_speedup: reference_ms / vectorized_cached_ms.max(1e-9),
-        simd_speedup: pr5_cold_ms / vectorized_cold_ms.max(1e-9),
-        reference_latency,
-        pr5_latency,
-        vectorized_cold_latency,
-        vectorized_cached_latency,
-    });
+        assert_bit_identical(vectorized(&cold_cache, &plan, build));
+        // This also warms the warm cache with the snapshot's derivation.
+        assert_bit_identical(vectorized(&warm_cache, &plan, build));
+
+        let (reference_ms, reference_latency) = time_stream(&mut || {
+            reference(&plan, build);
+        });
+        let (vectorized_cold_ms, vectorized_cold_latency) = time_stream(&mut || {
+            cold_cache.invalidate();
+            vectorized(&cold_cache, &plan, build);
+        });
+        // The repeated-query, cache-hit regime.
+        let (vectorized_cached_ms, vectorized_cached_latency) = time_stream(&mut || {
+            vectorized(&warm_cache, &plan, build);
+        });
+        rows.push(HostPerfRow {
+            workload: workload.into(),
+            lineitem_rows,
+            queries: repeats,
+            reference_ms,
+            vectorized_cold_ms,
+            vectorized_cached_ms,
+            cold_speedup: reference_ms / vectorized_cold_ms.max(1e-9),
+            cached_speedup: reference_ms / vectorized_cached_ms.max(1e-9),
+            reference_latency,
+            vectorized_cold_latency,
+            vectorized_cached_latency,
+        });
+    }
 
     let min_cold = rows.iter().map(|r| r.cold_speedup).fold(f64::INFINITY, f64::min);
     let min_cached = rows.iter().map(|r| r.cached_speedup).fold(f64::INFINITY, f64::min);
-    let min_simd = rows.iter().map(|r| r.simd_speedup).fold(f64::INFINITY, f64::min);
-    HostPerfSummary {
-        cache: warm_cache.stats(),
-        rows,
-        min_cold_speedup: min_cold,
-        min_cached_speedup: min_cached,
-        min_simd_speedup: min_simd,
-    }
+    HostPerfSummary { cache: warm_cache.stats(), rows, min_cold_speedup: min_cold, min_cached_speedup: min_cached }
 }
 
 // ---------------------------------------------------------------------------
@@ -1611,7 +1515,7 @@ mod tests {
     #[test]
     fn hostperf_vectorized_and_cached_paths_beat_the_reference() {
         // Small scale to stay fast in CI; fig_hostperf itself asserts the
-        // four code paths are bit-identical. The thresholds here are
+        // three code paths are bit-identical. The thresholds here are
         // deliberately looser than the full-scale acceptance figures
         // (>= 1.5x cold, >= 3x cached) to tolerate noisy shared runners.
         let s = fig_hostperf(60_000, 4_000, 4);
@@ -1627,17 +1531,6 @@ mod tests {
                 s.min_cached_speedup > 1.5,
                 "the warm cache must amortise derivation: {:.2}x",
                 s.min_cached_speedup
-            );
-            // Only a sanity bound on the raw-speed floor here: when
-            // `cargo test --release` runs this alongside sibling tests on
-            // a small core count, context-switch thrash flattens the SIMD
-            // margin (it holds >= 1.9x in a dedicated process at this
-            // scale). The full >= 1.2x acceptance gate runs in the
-            // hostperf smoke binary, which CI executes serially.
-            assert!(
-                s.min_simd_speedup > 0.6,
-                "the SIMD cold path must not lose badly to the scalar batch path: {:.2}x",
-                s.min_simd_speedup
             );
             for r in &s.rows {
                 assert!(

@@ -1,10 +1,13 @@
 //! The running Caldera engine: both archipelagos over one shared database.
 //!
-//! Analytical queries are not hard-wired to a device: `run_olap` builds
-//! [`PlacementHints`] from live state (query scan footprint, GPU residency,
-//! the CPU cores the data-parallel archipelago currently owns), asks
-//! [`place_olap_query`] for a target, and dispatches to the matching
-//! [`ExecutionSite`] — the simulated GPU or the archipelago's CPU cores.
+//! Analytical queries are not hard-wired to a device. [`OlapPlan`] is the
+//! only IR below the public API — `run_olap` is a shim that runs a
+//! [`ScanAggQuery`] as the degenerate plan [`OlapPlan::scan`] — and the one
+//! dispatch path builds [`PlacementHints`] from live state (the plan's scan
+//! footprint and access-pattern features, GPU residency, the CPU cores the
+//! data-parallel archipelago currently owns), asks
+//! [`place_olap_query_sites`] for a target, and dispatches to the matching
+//! [`ExecutionSite`] — a simulated GPU site or the archipelago's CPU cores.
 //!
 //! # Concurrency
 //!
@@ -489,46 +492,6 @@ impl Caldera {
         }
     }
 
-    /// Records one completed dispatch with the calibrator and returns the
-    /// updated report for the migration-policy hook. Runs under the meta
-    /// lock; the policy itself is applied after the lock is released. The
-    /// sites' enumerated capabilities supply the streaming feature of the
-    /// site that actually answered (per-device specs and shard fractions for
-    /// the GPU family), so each site's terms calibrate against its own mix.
-    #[allow(clippy::too_many_arguments)]
-    fn record_observation(
-        &self,
-        meta: &mut OlapMeta,
-        capabilities: &[SiteCapability],
-        hints: &PlacementHints,
-        forced: bool,
-        chosen: OlapTarget,
-        site: OlapTarget,
-        time: SimDuration,
-        breakdown: h2tap_common::ExecBreakdown,
-        query_seq: u64,
-    ) -> CalibrationReport {
-        let observation = PlacementObservation {
-            site,
-            forced,
-            hints: *hints,
-            predicted_secs: estimate_target_secs(capabilities, site, hints),
-            actual_secs: time.as_secs_f64(),
-            breakdown: Some(breakdown),
-        };
-        meta.calibrator.observe_sites(capabilities, &observation);
-        // Explain the dispatch against the freshly calibrated model: every
-        // site's estimate, the regret of the executing site vs the best, and
-        // the running regret summary `CalibrationReport::regret` exposes.
-        meta.calibrator.explain_dispatch(capabilities, chosen, &observation, query_seq);
-        self.metrics.counter_add("olap.queries", 1);
-        self.metrics.counter_add(&format!("olap.queries.{}", site_key(site)), 1);
-        let secs = time.as_secs_f64();
-        self.metrics.observe_secs("olap.latency.secs", secs);
-        self.metrics.observe_secs(&format!("olap.latency.{}", site_key(site)), secs);
-        meta.calibrator.report()
-    }
-
     /// Executes a transaction on an explicitly chosen home worker.
     pub fn execute_txn_on(&self, home: PartitionId, proc: TxnProc) -> Result<()> {
         self.scheduler.record_dispatch(ArchipelagoKind::TaskParallel, 1.0);
@@ -592,23 +555,26 @@ impl Caldera {
     }
 
     /// Runs an analytical query against `table` on the data-parallel
-    /// archipelago, refreshing the snapshot according to the configured
-    /// [`SnapshotPolicy`] and dispatching to the execution site the
-    /// scheduler's placement heuristic picks from live hints.
+    /// archipelago: [`Caldera::run_olap_plan`] over the scan-shaped plan
+    /// [`OlapPlan::scan`], with the single global group flattened back to a
+    /// scalar.
     pub fn run_olap(&self, table: TableId, query: &ScanAggQuery) -> Result<OlapOutcome> {
-        self.run_olap_dispatch(table, query, None)
+        self.run_olap_plan(table, None, &OlapPlan::scan(query)).map(PlanOutcome::into_scan_outcome)
     }
 
     /// Like [`Caldera::run_olap`] but forces the execution site, bypassing
     /// the placement heuristic (used by experiments and site-equivalence
     /// tests; production queries should go through `run_olap`).
     pub fn run_olap_on(&self, table: TableId, query: &ScanAggQuery, target: OlapTarget) -> Result<OlapOutcome> {
-        self.run_olap_dispatch(table, query, Some(target))
+        self.run_olap_plan_on(table, None, &OlapPlan::scan(query), target).map(PlanOutcome::into_scan_outcome)
     }
 
     /// Runs a relational plan (filter → optional hash join on `build` →
     /// optional group-by, see [`OlapPlan`]) on the data-parallel
-    /// archipelago. Placement uses the plan's access-pattern features —
+    /// archipelago, refreshing the snapshot according to the configured
+    /// [`SnapshotPolicy`] and dispatching to the execution site the
+    /// scheduler's placement heuristic picks from live hints.
+    /// Placement uses the plan's access-pattern features —
     /// probe-side random bytes and hash-table footprint against free device
     /// memory — on top of the scan hints, so a join plan can route
     /// differently than a scan of the same table.
@@ -661,39 +627,43 @@ impl Caldera {
         Ok((QueryGuard::Exclusive(snap), snapshot, index + 1))
     }
 
-    /// Base placement hints every analytical query shares: residency and
-    /// core count from live engine state, cost constants from the
-    /// **calibrated** model (seeded by configuration, then continuously
-    /// re-estimated from measured site times — the feedback loop that keeps
-    /// hand-tuned constants from silently drifting away from what the
-    /// engines actually report).
-    fn base_hints(&self, snap: &SnapshotGate, cpu_cores: u32) -> PlacementHints {
-        let model = self.meta.lock().calibrator.model();
-        let gpu_resident = snap.slot(OlapTarget::Gpu).map_or(0.0, |slot| slot.site.resident_fraction());
-        model.apply_to(PlacementHints {
-            gpu_resident_fraction: gpu_resident,
-            available_cpu_cores: cpu_cores,
-            ..PlacementHints::default()
-        })
-    }
-
-    /// Folds one finished dispatch into the meta bookkeeping and returns
-    /// the calibration report for the migration-policy hook.
-    #[allow(clippy::too_many_arguments)]
-    fn account_dispatch(
+    /// Folds one finished dispatch into the meta bookkeeping and records it
+    /// with the calibrator, returning the updated report for the
+    /// migration-policy hook (the policy itself is applied after the meta
+    /// lock is released). The sites' enumerated capabilities supply the
+    /// streaming feature of the site that actually answered (per-device
+    /// specs and shard fractions for the GPU family), so each site's terms
+    /// calibrate against its own mix.
+    fn account_outcome(
         &self,
         capabilities: &[SiteCapability],
         hints: &PlacementHints,
         forced: bool,
         chosen: OlapTarget,
-        site: OlapTarget,
-        time: SimDuration,
-        breakdown: h2tap_common::ExecBreakdown,
+        outcome: &PlanOutcome,
         query_seq: u64,
     ) -> CalibrationReport {
+        let (site, secs) = (outcome.site, outcome.time.as_secs_f64());
+        let observation = PlacementObservation {
+            site,
+            forced,
+            hints: *hints,
+            predicted_secs: estimate_target_secs(capabilities, site, hints),
+            actual_secs: secs,
+            breakdown: Some(outcome.breakdown),
+        };
+        self.metrics.counter_add("olap.queries", 1);
+        self.metrics.counter_add(&format!("olap.queries.{}", site_key(site)), 1);
+        self.metrics.observe_secs("olap.latency.secs", secs);
+        self.metrics.observe_secs(&format!("olap.latency.{}", site_key(site)), secs);
         let mut meta = self.meta.lock();
-        meta.total_time += time;
-        self.record_observation(&mut meta, capabilities, hints, forced, chosen, site, time, breakdown, query_seq)
+        meta.total_time += outcome.time;
+        meta.calibrator.observe_sites(capabilities, &observation);
+        // Explain the dispatch against the freshly calibrated model: every
+        // site's estimate, the regret of the executing site vs the best, and
+        // the running regret summary `CalibrationReport::regret` exposes.
+        meta.calibrator.explain_dispatch(capabilities, chosen, &observation, query_seq);
+        meta.calibrator.report()
     }
 
     /// Health-aware placement: consults every site's circuit breaker so
@@ -773,15 +743,15 @@ impl Caldera {
     /// site-equivalence tests rely on seeing its error. All successful paths
     /// return bit-identical results because every site computes the same
     /// fixed-chunked, chunk-ordered answer.
-    fn run_resilient<T>(
+    fn run_resilient(
         &self,
         snap: &SnapshotGate,
         capabilities: &[SiteCapability],
         hints: &PlacementHints,
         forced: bool,
         initial: OlapTarget,
-        mut attempt: impl FnMut(OlapTarget) -> Result<T>,
-    ) -> Result<T> {
+        mut attempt: impl FnMut(OlapTarget) -> Result<PlanOutcome>,
+    ) -> Result<PlanOutcome> {
         let deadline = self.config.olap_query_deadline.map(|d| Instant::now() + d);
         let mut target = initial;
         let mut excluded: Vec<OlapTarget> = Vec::new();
@@ -863,57 +833,6 @@ impl Caldera {
         }
     }
 
-    fn run_olap_dispatch(
-        &self,
-        table: TableId,
-        query: &ScanAggQuery,
-        forced: Option<OlapTarget>,
-    ) -> Result<OlapOutcome> {
-        self.scheduler.record_dispatch(ArchipelagoKind::DataParallel, 1.0);
-        let (snap, snapshot, query_seq) = self.snapshot_for_query()?;
-        let table_meta = self.db.table_meta(table)?;
-        let frozen = snapshot.table(table)?;
-
-        // Live placement inputs: the query's scan footprint, how much of the
-        // data already sits in device memory, and the CPU cores the
-        // data-parallel archipelago owns right now (core migration included).
-        // Hints are built for forced dispatches too: a forced run is ground
-        // truth about its site and must still feed the calibrator — it just
-        // never consults the placement heuristic.
-        let cpu_cores = self.scheduler.archipelago(ArchipelagoKind::DataParallel).core_count() as u32;
-        let hints = PlacementHints {
-            bytes_to_scan: query.scan_bytes(&frozen.schema, frozen.row_count()),
-            rows: frozen.row_count(),
-            ..self.base_hints(&snap, cpu_cores)
-        };
-        let capabilities = snap.capabilities();
-        self.tracer.set_query(query_seq);
-        let placing = self.tracer.start();
-        let target = forced.unwrap_or_else(|| self.place_with_health(&snap, &capabilities, &hints));
-        self.tracer.record_wall(SpanEvent::new(SpanKind::Placement).site(target), placing);
-
-        let admission_timeout = self.config.olap_admission_timeout;
-        let outcome = self.run_resilient(&snap, &capabilities, &hints, forced.is_some(), target, |t| {
-            Self::execute_on_slot(&snap, t, cpu_cores, table, frozen, &table_meta.name, query, admission_timeout)
-        })?;
-        // Close the loop: predicted vs site-reported time recalibrates the
-        // cost model (outcome.site, not target — an OOM fallback is a CPU
-        // observation), then the migration policy sees the fresh report.
-        let report = self.account_dispatch(
-            &capabilities,
-            &hints,
-            forced.is_some(),
-            target,
-            outcome.site,
-            outcome.time,
-            outcome.breakdown,
-            query_seq,
-        );
-        drop(snap);
-        self.apply_migration_policy(&report);
-        Ok(outcome)
-    }
-
     fn run_olap_plan_dispatch(
         &self,
         probe: TableId,
@@ -930,17 +849,26 @@ impl Caldera {
             None => None,
         };
 
-        // Plan placement adds the access-pattern features to the scan hints:
-        // how many bytes the hash probes gather at random, and whether the
-        // hash state fits in free device memory at all. As in the scan path,
-        // the hints are built even for forced dispatches so they can feed
-        // the calibrator.
+        // Live placement inputs: the plan's scan footprint, how much of the
+        // data already sits in device memory, and the CPU cores the
+        // data-parallel archipelago owns right now (core migration
+        // included), plus the access-pattern features: how many bytes the
+        // hash probes gather at random, and whether the hash state fits in
+        // free device memory at all. Hints are built for forced dispatches
+        // too: a forced run is ground truth about its site and must still
+        // feed the calibrator — it just never consults the placement
+        // heuristic.
         let cpu_cores = self.scheduler.archipelago(ArchipelagoKind::DataParallel).core_count() as u32;
         let probe_rows = probe_frozen.row_count();
         let build_bytes =
             build_parts.as_ref().map_or(0, |(_, frozen, _)| plan.build_scan_bytes(&frozen.schema, frozen.row_count()));
-        let gpu_free = snap.slot(OlapTarget::Gpu).and_then(|slot| slot.site.free_device_bytes());
-        let hints = PlacementHints {
+        let gpu_slot = snap.slot(OlapTarget::Gpu);
+        // Cost constants come from the **calibrated** model (seeded by
+        // configuration, then continuously re-estimated from measured site
+        // times — the feedback loop that keeps hand-tuned constants from
+        // silently drifting away from what the engines actually report).
+        let model = self.meta.lock().calibrator.model();
+        let hints = model.apply_to(PlacementHints {
             bytes_to_scan: plan.probe_scan_bytes(&probe_frozen.schema, probe_rows) + build_bytes,
             rows: probe_rows,
             random_access_bytes: plan.random_access_bytes(probe_rows),
@@ -950,9 +878,11 @@ impl Caldera {
             // None (a host-DRAM "device") means unbounded headroom. The
             // multi-GPU site's per-device free memory travels through the
             // enumerated capabilities instead (min-per-shard footprint).
-            gpu_free_bytes: gpu_free.unwrap_or(u64::MAX),
-            ..self.base_hints(&snap, cpu_cores)
-        };
+            gpu_free_bytes: gpu_slot.and_then(|slot| slot.site.free_device_bytes()).unwrap_or(u64::MAX),
+            gpu_resident_fraction: gpu_slot.map_or(0.0, |slot| slot.site.resident_fraction()),
+            available_cpu_cores: cpu_cores,
+            ..PlacementHints::default()
+        });
         let capabilities = snap.capabilities();
         self.tracer.set_query(query_seq);
         let placing = self.tracer.start();
@@ -962,11 +892,15 @@ impl Caldera {
         let admission_timeout = self.config.olap_admission_timeout;
         let run = |target: OlapTarget| -> Result<PlanOutcome> {
             let slot = snap.require_slot(target)?;
-            // The permit spans registration + execution; dropping it on the
-            // error path frees this site's slot before the fallback competes
-            // for the next site's gate.
+            // RAII admission: held for registration + execution, released on
+            // every path — an OOM error frees this site's slot before the
+            // fallback competes for the next site's gate. A configured
+            // timeout bounds the queue wait so a wedged site cannot strand
+            // clients (the ladder then tries another site).
             let _permit = slot.admission.admit_timeout(admission_timeout)?;
             if target == OlapTarget::Cpu {
+                // A query placed on CPU must see the archipelago's current
+                // core count, not the count at construction time.
                 slot.site.set_cores(cpu_cores.max(1));
             }
             // Track tables this attempt registers: if the attempt fails
@@ -976,14 +910,14 @@ impl Caldera {
             // does not inherit stranded device buffers.
             let mut newly: Vec<TableId> = Vec::new();
             let attempt = (|| {
-                let probe_handle = Self::handle_for(slot, probe, probe_frozen, &probe_meta.name, Some(&mut newly))?;
+                let probe_handle = Self::handle_for(slot, probe, probe_frozen, &probe_meta.name, &mut newly)?;
                 let build_pair = match &build_parts {
                     Some((id, frozen, meta)) => {
-                        Some((Self::handle_for(slot, *id, frozen, &meta.name, Some(&mut newly))?, *frozen))
+                        Some((Self::handle_for(slot, *id, frozen, &meta.name, &mut newly)?, *frozen))
                     }
                     None => None,
                 };
-                slot.site.execute_plan(probe_handle, probe_frozen, build_pair, plan)
+                slot.site.execute(probe_handle, probe_frozen, build_pair, plan)
             })();
             match attempt {
                 Ok(outcome) => {
@@ -1004,16 +938,10 @@ impl Caldera {
         };
 
         let outcome = self.run_resilient(&snap, &capabilities, &hints, forced.is_some(), target, run)?;
-        let report = self.account_dispatch(
-            &capabilities,
-            &hints,
-            forced.is_some(),
-            target,
-            outcome.site,
-            outcome.time,
-            outcome.breakdown,
-            query_seq,
-        );
+        // Close the loop: predicted vs site-reported time recalibrates the
+        // cost model (outcome.site, not target — an OOM fallback is a CPU
+        // observation), then the migration policy sees the fresh report.
+        let report = self.account_outcome(&capabilities, &hints, forced.is_some(), target, &outcome, query_seq);
         drop(snap);
         self.apply_migration_policy(&report);
         Ok(outcome)
@@ -1022,15 +950,15 @@ impl Caldera {
     /// Returns the slot's handle for `table`, registering the frozen image
     /// with the site on first use within the current snapshot. The
     /// registration map's lock is held across `register_table`, so racing
-    /// first users register exactly once. When `track` is given, a table
-    /// registered by this call is appended to it so the caller can roll the
-    /// registration back if its overall attempt fails.
+    /// first users register exactly once. A table registered by this call
+    /// is appended to `newly` so the caller can roll the registration back
+    /// if its overall attempt fails.
     fn handle_for(
         slot: &SiteSlot,
         table: TableId,
         frozen: &h2tap_storage::SnapshotTable,
         label: &str,
-        track: Option<&mut Vec<TableId>>,
+        newly: &mut Vec<TableId>,
     ) -> Result<RegisteredTable> {
         let mut registered = slot.registered.lock();
         if let Some(h) = registered.get(&table) {
@@ -1038,40 +966,8 @@ impl Caldera {
         }
         let h = slot.site.register_table(frozen, label)?;
         registered.insert(table, h);
-        if let Some(track) = track {
-            track.push(table);
-        }
+        newly.push(table);
         Ok(h)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute_on_slot(
-        snap: &SnapshotGate,
-        target: OlapTarget,
-        cpu_cores: u32,
-        table: TableId,
-        frozen: &h2tap_storage::SnapshotTable,
-        label: &str,
-        query: &ScanAggQuery,
-        admission_timeout: Option<Duration>,
-    ) -> Result<OlapOutcome> {
-        let slot = snap.require_slot(target)?;
-        // RAII admission: held for registration + execution, released on
-        // every path — an OOM error frees this site's slot before the
-        // caller's fallback competes for the next site's gate. A configured
-        // timeout bounds the queue wait so a wedged site cannot strand
-        // clients (the ladder then tries another site).
-        let _permit = slot.admission.admit_timeout(admission_timeout)?;
-        if target == OlapTarget::Cpu {
-            // A query placed on CPU must see the archipelago's current core
-            // count, not the count at construction time.
-            slot.site.set_cores(cpu_cores.max(1));
-        }
-        let handle = Self::handle_for(slot, table, frozen, label, None)?;
-        let outcome = slot.site.execute(handle, frozen, query)?;
-        slot.queries.fetch_add(1, Ordering::Relaxed);
-        *slot.time.lock() += outcome.time;
-        Ok(outcome)
     }
 
     /// Combined statistics across both archipelagos.
@@ -1841,6 +1737,31 @@ mod tests {
         assert!(stats.olap_queries_on(OlapTarget::Gpu) >= 1, "the device served queries before it died");
         assert!(stats.olap_queries_on(OlapTarget::Cpu) >= 1, "the CPU site must absorb the re-routed queries");
         assert_eq!(stats.olap_queries, 30);
+    }
+
+    #[test]
+    fn a_failed_forced_gpu_scan_rolls_its_registration_back() {
+        // The device dies on the scan's first kernel launch — after the
+        // attempt registered (and, device-resident, allocated) the table.
+        // Scans dispatch as plans, so they inherit the plan path's
+        // registration rollback: the failed attempt must leave the site's
+        // free device memory exactly where it started.
+        let mut config = CalderaConfig::with_workers(2);
+        config.olap_device.placement = DataPlacement::DeviceResident;
+        config.olap_retry_max = 0;
+        let mut plan = h2tap_gpu_sim::FaultPlan::quiet(17);
+        plan.device_loss_at = Some(DeviceLossPoint { site: "gpu".into(), device: 0, launch: 0 });
+        config.fault_plan = Some(plan);
+        let (caldera, t) = engine_with_config(config, 50_000);
+        let free_device_bytes = || caldera.snap.read().slot(OlapTarget::Gpu).and_then(|s| s.site.free_device_bytes());
+        let before = free_device_bytes().expect("the GPU site reports its device memory");
+        let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));
+        let err = caldera.run_olap_on(t, &q, OlapTarget::Gpu).unwrap_err();
+        assert!(matches!(err, H2Error::Fault { transient: false, .. }), "expected the device loss, got {err:?}");
+        assert_eq!(free_device_bytes(), Some(before), "the failed scan must not strand its table on the device");
+        // The CPU site still answers from host DRAM.
+        assert_eq!(caldera.run_olap_on(t, &q, OlapTarget::Cpu).unwrap().value, 50_000.0);
+        caldera.shutdown();
     }
 
     #[test]

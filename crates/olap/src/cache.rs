@@ -423,9 +423,13 @@ impl PlanDataCache {
         }
     }
 
-    /// The cached counterpart of [`operators::prepare_plan`]: identical
-    /// validation and identical `PlanData`, but the materialised probe
-    /// columns and the join hash table are shared through the cache.
+    /// The shared preamble of plan execution: validates the plan against
+    /// its tables ([`operators::check_plan_tables`]), then derives — or
+    /// shares through the cache — the join hash table of the filtered build
+    /// side and the materialised probe columns. Every site calls this, so
+    /// their data paths, and their error behaviour on malformed or empty
+    /// inputs, cannot drift apart; what remains site-specific is how the
+    /// chunks are scheduled and what the pipeline is charged.
     pub fn prepare_plan(
         &self,
         probe_table: &SnapshotTable,
@@ -738,7 +742,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_plan_matches_the_uncached_preamble() {
+    fn prepare_plan_matches_a_fresh_derivation() {
         let (db, fact) = db_with_rows(500);
         let dim = db.create_table("dim", Schema::homogeneous("d", 2, AttrType::Int64), Layout::Dsm).unwrap();
         for i in 0..20i64 {
@@ -755,7 +759,10 @@ mod tests {
         };
         let cache = PlanDataCache::new();
         let cached = cache.prepare_plan(probe, Some(build), &plan).unwrap();
-        let uncached = operators::prepare_plan(probe, Some(build), &plan).unwrap();
+        let uncached = PlanData {
+            mat: Arc::new(MaterializedColumns::new(probe, plan.probe_columns_accessed()).unwrap()),
+            hash: Some(Arc::new(operators::build_hash_table(build, plan.join.as_ref().unwrap(), Some(1)).unwrap())),
+        };
         let run = |data: &PlanData| {
             let partials: Vec<_> = (0..data.mat.chunk_count())
                 .map(|i| operators::process_chunk(&data.mat, &plan, data.hash.as_deref(), data.mat.chunk_range(i)))
@@ -766,10 +773,9 @@ mod tests {
         let (b, tb) = run(&uncached);
         assert_eq!(a, b);
         assert_eq!(ta.joined, tb.joined);
-        // Error behaviour is shared too: a join plan without a build table
-        // is rejected identically.
+        // A join plan without a build table is rejected before any
+        // derivation.
         assert!(cache.prepare_plan(probe, None, &plan).is_err());
-        assert!(operators::prepare_plan(probe, None, &plan).is_err());
     }
 
     /// Polls `cond` for up to ~2s of 1ms naps.

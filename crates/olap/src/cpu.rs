@@ -1,20 +1,20 @@
 //! The CPU execution site: a zonemap-skipping vectorised scan engine running
 //! on the CPU cores of the data-parallel archipelago.
 //!
-//! This engine started life as the Figure-4 "MonetDB-like" baseline in
-//! `h2tap-baselines` and was promoted here so that placement decisions have a
-//! real CPU target: `Caldera::run_olap` dispatches to it through
-//! [`crate::ExecutionSite`] whenever [`h2tap_scheduler::place_olap_query`]
-//! picks the CPU, and the Figure-4 baselines are now thin wrappers over the
-//! same code path. Like the GPU engine, it computes **exact** answers over
-//! the real data while charging time to the same simulated-hardware frame of
-//! reference (the paper's dual-socket 24-core server by default).
+//! This engine started life as the Figure-4 "MonetDB-like" baseline and was
+//! promoted here so that placement decisions have a real CPU target: the
+//! engine dispatches to it through [`crate::ExecutionSite`] whenever
+//! [`h2tap_scheduler::place_olap_query_sites`] picks the CPU, and the
+//! Figure-4 CPU bars are this same engine under its two
+//! [`CpuScanProfile`]s. Like the GPU engine, it computes **exact** answers
+//! over the real data while charging time to the same simulated-hardware
+//! frame of reference (the paper's dual-socket 24-core server by default).
 //!
 //! Execution model: accessed columns are materialised into fixed
 //! [`h2tap_common::PLAN_CHUNK_ROWS`] chunks (column-at-a-time vectorised
-//! execution) that both the scan and the plan pipeline evaluate **on a scoped
-//! thread pool sized by the archipelago's current core count**; per-chunk
-//! min/max zonemaps skip chunks that cannot satisfy the predicates, and the
+//! execution) that the one plan pipeline evaluates **on a scoped thread pool
+//! sized by the archipelago's current core count**; per-chunk min/max
+//! zonemaps skip chunks that cannot satisfy the probe predicates, and the
 //! analytical time model treats the work as memory-bandwidth bound with
 //! per-tuple work spread over the cores the archipelago currently owns — so
 //! core migration changes both the simulated and the wall-clock query times.
@@ -23,9 +23,8 @@
 //! perturb a single bit of the f64 results.
 
 use crate::cache::PlanDataCache;
-use crate::engine::{OlapOutcome, PlanOutcome, RegisteredTable};
-use crate::operators::{self, ChunkPartial, ScanChunkPartial};
-use crate::pool::{run_chunked, MAX_PLAN_THREADS};
+use crate::engine::{PlanOutcome, RegisteredTable};
+use crate::operators;
 use crate::site::{emit_execution_spans, ExecutionSite};
 use h2tap_common::{ExecBreakdown, GroupRow, H2Error, OlapPlan, Result, ScanAggQuery, SimDuration};
 use h2tap_obs::Tracer;
@@ -44,7 +43,7 @@ const HASH_PROBE_NS: f64 = 24.0;
 /// the accumulators) in nanoseconds.
 const GROUP_UPDATE_NS: f64 = 12.0;
 
-/// How the engine executes a scan: per-tuple cost and whether zonemaps are
+/// How the engine executes a plan: per-tuple cost and whether zonemaps are
 /// consulted before each chunk.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuScanProfile {
@@ -98,8 +97,8 @@ impl CpuSpec {
     }
 }
 
-/// Result of running a query on the CPU engine, with scan-level detail the
-/// compact [`OlapOutcome`] does not carry.
+/// [`CpuPlanResult`] of a scan-shaped plan, with the single global group
+/// flattened to a scalar — what [`CpuOlapEngine::execute_scan`] returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpuOlapResult {
     /// The aggregate value.
@@ -129,6 +128,10 @@ pub struct CpuPlanResult {
     pub groups: Vec<GroupRow>,
     /// Rows that reached the aggregation (post filter and join).
     pub qualifying_rows: u64,
+    /// Probe rows actually scanned (after zonemap skipping).
+    pub rows_scanned: u64,
+    /// Probe chunks skipped thanks to zonemaps.
+    pub chunks_skipped: u64,
     /// Worker threads the chunk pipeline actually used.
     pub threads_used: usize,
     /// Modelled execution time on the configured server spec.
@@ -165,20 +168,6 @@ pub struct CpuOlapEngine {
     tracer: Tracer,
 }
 
-impl Clone for CpuOlapEngine {
-    fn clone(&self) -> Self {
-        Self {
-            profile: self.profile,
-            spec: Mutex::new(self.spec()),
-            per_core_bandwidth_gbps: self.per_core_bandwidth_gbps,
-            registered: Mutex::new(self.registered.lock().clone()),
-            next_tag: AtomicUsize::new(self.next_tag.load(Ordering::Relaxed)),
-            cache: self.cache.clone(),
-            tracer: self.tracer.clone(),
-        }
-    }
-}
-
 impl CpuOlapEngine {
     /// Creates an engine with the given profile on the default server spec.
     pub fn new(profile: CpuScanProfile) -> Self {
@@ -212,93 +201,26 @@ impl CpuOlapEngine {
         }
     }
 
-    /// Overrides the hardware spec (used by ablation benches).
-    #[must_use]
-    pub fn with_spec(mut self, spec: CpuSpec) -> Self {
-        *self.spec.get_mut() = spec;
-        self.per_core_bandwidth_gbps = spec.per_core_bandwidth_gbps();
-        self
-    }
-
-    /// The execution profile.
-    pub fn profile(&self) -> CpuScanProfile {
-        self.profile
-    }
-
     /// The current hardware spec (a copy — migration may change it).
     pub fn spec(&self) -> CpuSpec {
         *self.spec.lock()
     }
 
-    /// Executes `query` over a frozen table, returning the exact result and
-    /// modelled/measured costs. This is the shared scan kernel behind both
-    /// the [`ExecutionSite`] impl and the Figure-4 CPU baselines.
-    ///
-    /// The scan runs on the same scoped thread pool as the plan pipeline:
-    /// fixed [`h2tap_common::PLAN_CHUNK_ROWS`] chunks are evaluated by up to
-    /// `cores` workers (per-chunk min/max zonemaps skip chunks that cannot
-    /// qualify first) and the per-chunk partials merge in ascending chunk
-    /// order. Because the chunk evaluation and merge order come from the
-    /// shared [`operators`] data path, `ScanAggQuery` f64 answers are
-    /// byte-identical to the GPU site's, for any thread count.
+    /// [`CpuOlapEngine::execute_plan_pipeline`] over [`OlapPlan::scan`],
+    /// with the global group flattened to a scalar. Kept only because the
+    /// frozen `benchmark/` package calls it; the engine itself runs scans as
+    /// plans.
     pub fn execute_scan(&self, table: &SnapshotTable, query: &ScanAggQuery) -> Result<CpuOlapResult> {
-        let started = Instant::now();
-        // Copy the spec out: core migration may change it mid-scan, and the
-        // whole scan must be costed against one consistent spec.
-        let spec = self.spec();
-        let cols = query.columns_accessed();
-        let total_rows = table.row_count();
-        let mat = self.cache.materialized(table, cols.clone())?;
-        let chunks = mat.chunk_count();
-        let threads = (spec.cores as usize).clamp(1, MAX_PLAN_THREADS).min(chunks);
-        let use_zonemaps = self.profile.use_zonemaps && !query.predicates.is_empty();
-        let evaluated: Vec<Option<ScanChunkPartial>> = run_chunked(chunks, threads, |i| {
-            if use_zonemaps && !operators::scan_chunk_can_qualify(&mat, &query.predicates, i) {
-                // Zonemap skip: the chunk provably holds no qualifying row
-                // (judged in O(#predicates) from the stats built at
-                // materialisation time), so its partial is exactly zero and
-                // omitting it from the merge cannot change the f64 answer.
-                return None;
-            }
-            Some(operators::scan_chunk(&mat, query, mat.chunk_range(i)))
-        });
-        let mut rows_scanned = 0u64;
-        let mut chunks_skipped = 0u64;
-        let mut kept: Vec<ScanChunkPartial> = Vec::with_capacity(chunks);
-        for (i, partial) in evaluated.into_iter().enumerate() {
-            match partial {
-                Some(p) => {
-                    rows_scanned += mat.chunk_range(i).len() as u64;
-                    kept.push(p);
-                }
-                None => chunks_skipped += 1,
-            }
-        }
-        let (value, qualifying) = operators::merge_scan_partials(kept);
-
-        // Analytical time model: the scan is memory-bandwidth bound; zonemap
-        // skipping reduces the bytes moved (predicate columns of skipped
-        // chunks are still summarised by the index, charged at 1% of their
-        // size), and per-tuple work is spread over all cores.
-        let accessed_width: u64 =
-            cols.iter().map(|&c| table.schema.attr(c).map(|a| a.ty.width() as u64).unwrap_or(8)).sum();
-        let scanned_bytes = rows_scanned * accessed_width;
-        let skipped_bytes = (total_rows - rows_scanned.min(total_rows)) * accessed_width;
-        let bytes_moved = scanned_bytes + skipped_bytes / 100;
-        let bandwidth_time = bytes_moved as f64 / (spec.mem_bandwidth_gbps * 1e9);
-        let cpu_time = rows_scanned as f64 * self.profile.per_tuple_ns * 1e-9 / f64::from(spec.cores.max(1));
-        let breakdown = ExecBreakdown::new(bandwidth_time, cpu_time, 0.0);
-        let sim_time = SimDuration::from_secs_f64(overlap_secs(bandwidth_time, cpu_time));
-
+        let plan = self.execute_plan_pipeline(table, None, &OlapPlan::scan(query))?;
         Ok(CpuOlapResult {
-            value,
-            qualifying_rows: qualifying,
-            rows_scanned,
-            chunks_skipped,
-            threads_used: threads,
-            sim_time,
-            breakdown,
-            wall_time: started.elapsed(),
+            value: plan.groups[0].values[0],
+            qualifying_rows: plan.qualifying_rows,
+            rows_scanned: plan.rows_scanned,
+            chunks_skipped: plan.chunks_skipped,
+            threads_used: plan.threads_used,
+            sim_time: plan.sim_time,
+            breakdown: plan.breakdown,
+            wall_time: plan.wall_time,
         })
     }
 
@@ -306,12 +228,14 @@ impl CpuOlapEngine {
     /// table from the filtered build side, then runs the probe/aggregate
     /// pipeline chunk-by-chunk **on a scoped thread pool sized by the
     /// engine's current core count**, so wall-clock time scales with
-    /// migrated cores and not only the simulated cost. Chunk boundaries and
-    /// the merge order are fixed by the plan IR (see
-    /// [`h2tap_common::plan`]), which is why the parallel schedule cannot
-    /// perturb the f64 aggregates: every chunk's partial is deterministic
-    /// and partials merge in ascending chunk order regardless of which
-    /// thread produced them.
+    /// migrated cores and not only the simulated cost. Chunks whose zonemap
+    /// rules out the probe predicates are skipped when the profile says so.
+    /// Chunk boundaries and the merge order are fixed by the plan IR (see
+    /// [`h2tap_common::plan`]), which is why neither the parallel schedule
+    /// nor the skipping can perturb the f64 aggregates: every chunk's
+    /// partial is deterministic, a skipped chunk's would be empty, and
+    /// partials merge in ascending chunk order regardless of which thread
+    /// produced them.
     pub fn execute_plan_pipeline(
         &self,
         probe_table: &SnapshotTable,
@@ -319,23 +243,23 @@ impl CpuOlapEngine {
         plan: &OlapPlan,
     ) -> Result<CpuPlanResult> {
         let started = Instant::now();
+        // Copy the spec out: core migration may change it mid-plan, and the
+        // whole plan must be costed against one consistent spec.
         let spec = self.spec();
         let rows = probe_table.row_count();
-        let operators::PlanData { mat, hash } = self.cache.prepare_plan(probe_table, build_table, plan)?;
-        let chunks = mat.chunk_count();
-        let threads = (spec.cores as usize).clamp(1, MAX_PLAN_THREADS).min(chunks);
+        let data = self.cache.prepare_plan(probe_table, build_table, plan)?;
+        let eval = operators::evaluate_plan(&data, plan, spec.cores as usize, self.profile.use_zonemaps);
+        let (totals, rows_scanned) = (eval.totals, eval.rows_scanned);
 
-        let partials: Vec<ChunkPartial> =
-            run_chunked(chunks, threads, |i| operators::process_chunk(&mat, plan, hash.as_deref(), mat.chunk_range(i)));
-        let (groups, totals) = operators::merge_partials(plan, partials);
-
-        // Analytical time model, same frame of reference as the scan path:
-        // streamed column bytes plus cache-line-granular random traffic for
-        // hash probes and group updates, overlapped with per-tuple work
-        // spread across the cores.
-        let mut bytes_moved = plan.probe_scan_bytes(&probe_table.schema, rows);
-        let mut tuple_ns = rows as f64 * self.profile.per_tuple_ns;
-        if let (Some(hash), Some(build)) = (hash.as_ref(), build_table) {
+        // Analytical time model: streamed column bytes (zonemap skipping
+        // reduces them — the columns of skipped chunks are still summarised
+        // by the index, charged at 1% of their size) plus cache-line-granular
+        // random traffic for hash probes and group updates, overlapped with
+        // per-tuple work spread across the cores.
+        let skipped_bytes = plan.probe_scan_bytes(&probe_table.schema, rows - rows_scanned.min(rows));
+        let mut bytes_moved = plan.probe_scan_bytes(&probe_table.schema, rows_scanned) + skipped_bytes / 100;
+        let mut tuple_ns = rows_scanned as f64 * self.profile.per_tuple_ns;
+        if let (Some(hash), Some(build)) = (data.hash.as_ref(), build_table) {
             bytes_moved += plan.build_scan_bytes(&build.schema, build.row_count());
             tuple_ns += hash.build_rows_in as f64 * self.profile.per_tuple_ns;
             bytes_moved += totals.selected * CPU_CACHE_LINE_BYTES;
@@ -351,9 +275,11 @@ impl CpuOlapEngine {
         let sim_time = SimDuration::from_secs_f64(overlap_secs(bandwidth_time, cpu_time));
 
         Ok(CpuPlanResult {
-            groups,
+            groups: eval.groups,
             qualifying_rows: totals.joined,
-            threads_used: threads,
+            rows_scanned,
+            chunks_skipped: eval.chunks_skipped,
+            threads_used: eval.threads_used,
             sim_time,
             breakdown,
             wall_time: started.elapsed(),
@@ -387,44 +313,16 @@ impl ExecutionSite for CpuOlapEngine {
         self.registered.lock().remove(&handle.tag());
     }
 
-    fn execute(&self, handle: RegisteredTable, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome> {
-        if !self.registered.lock().contains(&handle.tag()) {
-            return Err(H2Error::InvalidKernel("table not registered with the CPU site".into()));
-        }
-        if table.row_count() == 0 {
-            return Err(H2Error::InvalidKernel("cannot execute a query over an empty table".into()));
-        }
-        let result = self.execute_scan(table, query)?;
-        let out = OlapOutcome {
-            value: result.value,
-            qualifying_rows: result.qualifying_rows,
-            time: result.sim_time,
-            kernels: Vec::new(),
-            interconnect_bytes: 0,
-            breakdown: result.breakdown,
-            site: OlapTarget::Cpu,
-        };
-        emit_execution_spans(&self.tracer, out.site, &out.kernels, &out.breakdown, out.time, out.interconnect_bytes);
-        Ok(out)
-    }
-
-    fn execute_plan(
+    fn execute(
         &self,
         probe: RegisteredTable,
         probe_table: &SnapshotTable,
         build: Option<(RegisteredTable, &SnapshotTable)>,
         plan: &OlapPlan,
     ) -> Result<PlanOutcome> {
-        {
-            let registered = self.registered.lock();
-            if !registered.contains(&probe.tag()) {
-                return Err(H2Error::InvalidKernel("probe table not registered with the CPU site".into()));
-            }
-            if let Some((handle, _)) = build {
-                if !registered.contains(&handle.tag()) {
-                    return Err(H2Error::InvalidKernel("build table not registered with the CPU site".into()));
-                }
-            }
+        let handles = [Some(probe), build.map(|(handle, _)| handle)];
+        if !handles.iter().flatten().all(|handle| self.registered.lock().contains(&handle.tag())) {
+            return Err(H2Error::InvalidKernel("table not registered with the CPU site".into()));
         }
         let result = self.execute_plan_pipeline(probe_table, build.map(|(_, t)| t), plan)?;
         let out = PlanOutcome {
@@ -437,7 +335,7 @@ impl ExecutionSite for CpuOlapEngine {
             breakdown: result.breakdown,
             site: OlapTarget::Cpu,
         };
-        emit_execution_spans(&self.tracer, out.site, &out.kernels, &out.breakdown, out.time, out.interconnect_bytes);
+        emit_execution_spans(&self.tracer, &out);
         Ok(out)
     }
 
@@ -541,9 +439,9 @@ mod tests {
         let query = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 1]));
         let site = CpuOlapEngine::archipelago_default(2);
         let handle = site.register_table(&t, "t").unwrap();
-        let slow = ExecutionSite::execute(&site, handle, &t, &query).unwrap().time;
+        let slow = site.execute(handle, &t, None, &OlapPlan::scan(&query)).unwrap().time;
         site.set_cores(16);
-        let fast = ExecutionSite::execute(&site, handle, &t, &query).unwrap().time;
+        let fast = site.execute(handle, &t, None, &OlapPlan::scan(&query)).unwrap().time;
         assert!(fast < slow, "16 cores {fast} should beat 2 cores {slow}");
     }
 
@@ -554,7 +452,7 @@ mod tests {
         let handle = site.register_table(&t, "t").unwrap();
         site.reset_tables();
         let query = ScanAggQuery::aggregate_only(AggExpr::Count);
-        assert!(ExecutionSite::execute(&site, handle, &t, &query).is_err());
+        assert!(site.execute(handle, &t, None, &OlapPlan::scan(&query)).is_err());
     }
 
     /// Dimension table: key = i, size = i % 7, class = i % 4.
@@ -661,6 +559,29 @@ mod tests {
     }
 
     #[test]
+    fn join_plans_inherit_zonemap_skipping_without_changing_a_bit() {
+        // col0 is inserted in sorted order, so a predicate on it is
+        // clustered: the zonemaps rule out every chunk past the first.
+        let fact = fact_table(300_000);
+        let dim = dim_table(50);
+        let plan = h2tap_common::OlapPlan { predicates: vec![Predicate::between(0, 0.0, 9_999.0)], ..class_plan() };
+        let skipping =
+            CpuOlapEngine::new(CpuScanProfile::vectorized()).execute_plan_pipeline(&fact, Some(&dim), &plan).unwrap();
+        let full = CpuOlapEngine::new(CpuScanProfile::materializing())
+            .execute_plan_pipeline(&fact, Some(&dim), &plan)
+            .unwrap();
+        assert!(skipping.chunks_skipped > 0, "clustered predicate must skip chunks of a join plan too");
+        assert_eq!(full.chunks_skipped, 0);
+        assert_eq!(full.rows_scanned, 300_000);
+        assert!(skipping.rows_scanned < full.rows_scanned);
+        // A skipped chunk contributes an empty partial: identical groups.
+        assert_eq!(skipping.groups, full.groups);
+        assert_eq!(skipping.qualifying_rows, full.qualifying_rows);
+        assert!(!skipping.groups.is_empty());
+        assert!(skipping.sim_time < full.sim_time, "skipped chunks are charged at 1% of their bytes");
+    }
+
+    #[test]
     fn plan_wall_clock_benefits_from_more_threads() {
         // Not a timing assertion (CI noise): just check the pool is sized by
         // set_cores through the ExecutionSite surface.
@@ -679,6 +600,6 @@ mod tests {
         assert!(sixteen.sim_time < two.sim_time, "more cores must lower the simulated time");
         // The ExecutionSite wrapper enforces registration.
         site.reset_tables();
-        assert!(ExecutionSite::execute_plan(&site, ph, &fact, Some((bh, &dim)), &plan).is_err());
+        assert!(site.execute(ph, &fact, Some((bh, &dim)), &plan).is_err());
     }
 }

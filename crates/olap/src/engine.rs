@@ -6,19 +6,20 @@
 //! operator by executing the corresponding CUDA kernels one at a time while
 //! using UVA to store all input, intermediate, and output data."
 //!
-//! [`GpuOlapEngine`] follows that model: a [`ScanAggQuery`] becomes one
+//! [`GpuOlapEngine`] follows that model: an [`OlapPlan`] becomes one
 //! selection kernel per predicate (each producing/consuming a selection
-//! bitmap) followed by one aggregation kernel. Every kernel computes its real
-//! answer on the host while its cost is charged to the [`GpuDevice`] model
-//! according to the table's layout (coalesced for DSM/PAX, strided for NSM)
-//! and the configured access mode (memcpy / UVA / UM / device-resident).
+//! bitmap), hash build/probe kernels for a join, and an aggregation stage —
+//! one register-reducing `aggregate` kernel for a scan-shaped plan, a
+//! `partial_aggregate` + `merge_groups` pair over a group arena otherwise.
+//! The real answer is computed on the host while every kernel's cost is
+//! charged to the [`GpuDevice`] model according to the table's layout
+//! (coalesced for DSM/PAX, strided for NSM) and the configured access mode
+//! (memcpy / UVA / UM / device-resident).
 
 use crate::cache::PlanDataCache;
-use crate::operators::{self, ChunkPartial};
+use crate::operators;
 use crate::site::{emit_execution_spans, ExecutionSite};
-use h2tap_common::{
-    ExecBreakdown, GroupRow, H2Error, OlapPlan, PlanColumn, Result, ScanAggQuery, SimDuration, HASH_ENTRY_BYTES,
-};
+use h2tap_common::{ExecBreakdown, GroupRow, H2Error, OlapPlan, PlanColumn, Result, SimDuration, HASH_ENTRY_BYTES};
 use h2tap_gpu_sim::{
     AccessMode, AccessPattern, BufferId, GpuDevice, KernelDesc, KernelMetrics, MemoryManager, Residency,
     TransferDirection,
@@ -41,7 +42,8 @@ pub enum DataPlacement {
     DeviceResident,
 }
 
-/// Result of one analytical query execution.
+/// Result of one [`h2tap_common::ScanAggQuery`]: the [`PlanOutcome`] of its
+/// scan-shaped plan with the single global group flattened to a scalar.
 #[derive(Debug, Clone)]
 pub struct OlapOutcome {
     /// The aggregate value (exact, computed over the real data).
@@ -94,6 +96,21 @@ impl PlanOutcome {
         self.groups.iter().find(|g| g.key == key)
     }
 
+    /// The outcome of a scan-shaped plan as the scalar [`OlapOutcome`] the
+    /// `ScanAggQuery` API returns. Plans without `group_by` always produce
+    /// exactly one global group, whose first aggregate is the scan's value.
+    pub fn into_scan_outcome(self) -> OlapOutcome {
+        OlapOutcome {
+            value: self.single_value().unwrap_or(0.0),
+            qualifying_rows: self.qualifying_rows,
+            time: self.time,
+            kernels: self.kernels,
+            interconnect_bytes: self.interconnect_bytes,
+            breakdown: self.breakdown,
+            site: self.site,
+        }
+    }
+
     /// First aggregate of the single global group — the scan-plan
     /// equivalent of [`OlapOutcome::value`]. Plans without `group_by` always
     /// produce exactly one global group (zeroed when nothing qualified), so
@@ -110,18 +127,120 @@ impl PlanOutcome {
     }
 }
 
-/// Accumulates one registered buffer's `(total, device-resident)` bytes —
-/// the residency arithmetic every GPU-family site shares for its
-/// UnifiedMemory accounting, factored out so the sites' residency hints
-/// cannot silently diverge.
-pub(crate) fn accumulate_residency(mem: &MemoryManager, id: BufferId, total: &mut u64, resident: &mut u64) {
-    let Ok(info) = mem.info(id) else { return };
-    *total += info.bytes;
-    *resident += match info.residency {
-        Residency::Device => info.bytes,
-        Residency::HostUm { resident_pages, .. } => (resident_pages * mem.page_bytes()).min(info.bytes),
-        Residency::HostUva => 0,
-    };
+/// The fraction of a GPU-family site's registered bytes already resident in
+/// device memory — the data-locality term of the placement heuristic, shared
+/// by the sites so their residency hints cannot silently diverge. Explicit
+/// copies re-pay the transfer every query batch, so memcpy placement counts
+/// as non-resident like UVA; under Unified Memory `buffers` (every
+/// registered buffer with the memory manager that owns it) is weighed.
+pub(crate) fn resident_fraction<'a>(
+    placement: DataPlacement,
+    buffers: impl Iterator<Item = (&'a MemoryManager, BufferId)>,
+) -> f64 {
+    let DataPlacement::Host(mode) = placement else { return 1.0 };
+    if mode != AccessMode::UnifiedMemory {
+        return 0.0;
+    }
+    let (mut total, mut resident) = (0u64, 0u64);
+    for (mem, id) in buffers {
+        let Ok(info) = mem.info(id) else { continue };
+        total += info.bytes;
+        resident += match info.residency {
+            Residency::Device => info.bytes,
+            Residency::HostUm { resident_pages, .. } => (resident_pages * mem.page_bytes()).min(info.bytes),
+            Residency::HostUva => 0,
+        };
+    }
+    if total == 0 {
+        0.0
+    } else {
+        resident as f64 / total as f64
+    }
+}
+
+/// Registers `bytes` of table or scratch data with `device` under the site's
+/// data placement.
+pub(crate) fn register_bytes(
+    device: &mut GpuDevice,
+    placement: DataPlacement,
+    label: &str,
+    bytes: u64,
+) -> Result<BufferId> {
+    match placement {
+        DataPlacement::Host(mode) => device.register_buffer(label, bytes, mode),
+        DataPlacement::DeviceResident => device.register_device_buffer(label, bytes),
+    }
+}
+
+/// The useful bytes and access pattern of a kernel streaming `attr` over
+/// `rows` rows of `table`, by storage layout: row-major tables are one
+/// buffer the kernel strides over, columns read sequentially, and PAX
+/// minipages coalesce like DSM but pay a small page-interleave overhead,
+/// modelled as 3% extra traffic.
+pub(crate) fn layout_read(table: &SnapshotTable, rows: u64, attr: usize) -> Result<(u64, AccessPattern)> {
+    let width = table.schema.attr(attr)?.ty.width() as u64;
+    Ok(match table.layout {
+        Layout::Nsm => {
+            let stride_bytes = table.schema.record_width() as u32;
+            (rows * width, AccessPattern::Strided { stride_bytes, elem_bytes: width as u32 })
+        }
+        Layout::Dsm => (rows * width, AccessPattern::Sequential),
+        Layout::Pax { .. } => (rows * width * 103 / 100, AccessPattern::Sequential),
+    })
+}
+
+/// Bytes an explicit-copy (memcpy) placement moves host→device for `rows`
+/// rows of `table` of which a plan reads `column_bytes`: a columnar layout
+/// copies just the accessed columns, but a row-major table is one buffer of
+/// whole records, so the copy moves every attribute whatever the plan reads.
+pub(crate) fn explicit_copy_bytes(table: &SnapshotTable, rows: u64, column_bytes: u64) -> u64 {
+    match table.layout {
+        Layout::Nsm => rows * table.schema.record_width() as u64,
+        Layout::Dsm | Layout::Pax { .. } => column_bytes,
+    }
+}
+
+/// The GPU-family charge rule for the aggregation stage, keyed on the plan's
+/// shape: an ungrouped, unjoined aggregate reduces in registers — one
+/// `aggregate` kernel writes the scalars, with no group arena to allocate
+/// and no merge kernel to fold it. Every other plan accumulates into a
+/// per-chunk arena (`partial_aggregate`) that `merge_groups` folds.
+pub(crate) fn reduces_in_registers(plan: &OlapPlan) -> bool {
+    plan.join.is_none() && plan.group_by.is_none()
+}
+
+/// The register-reducing `aggregate` kernel over `rows` rows: streams every
+/// aggregate input (plus the selection bitmap when the plan filters) and
+/// writes one f64 per aggregate. `read_plan` resolves an attribute to the
+/// buffer, useful bytes and access pattern the calling site reads it with.
+pub(crate) fn register_aggregate_desc(
+    name: String,
+    rows: u64,
+    plan: &OlapPlan,
+    read_plan: impl Fn(usize) -> Result<(BufferId, u64, AccessPattern)>,
+) -> Result<KernelDesc> {
+    let agg_cols: Vec<usize> = plan.aggregates.iter().flat_map(|a| a.columns()).collect();
+    let bitmap_flops = if plan.predicates.is_empty() { 1.0 } else { 2.0 };
+    let mut desc = KernelDesc::new(name, rows)
+        .flops_per_element(bitmap_flops + agg_cols.len() as f64)
+        .write(8 * plan.aggregates.len() as u64);
+    for attr in agg_cols {
+        let (buffer, useful, pattern) = read_plan(attr)?;
+        desc = desc.read(buffer, useful, pattern);
+    }
+    Ok(desc)
+}
+
+/// Probe columns the `partial_aggregate` kernel streams: every aggregate
+/// input plus a probe-side group key, deduplicated and sorted.
+pub(crate) fn arena_aggregate_columns(plan: &OlapPlan) -> Vec<usize> {
+    let mut cols: Vec<usize> = plan.aggregates.iter().flat_map(|a| a.columns()).collect();
+    if let Some(PlanColumn::Probe(c)) = plan.group_by {
+        cols.push(c);
+    }
+    cols.sort_unstable();
+    cols.dedup();
+    cols
 }
 
 /// The device model plus the registration maps it owns — everything one
@@ -139,13 +258,6 @@ struct GpuSiteState {
 }
 
 impl GpuSiteState {
-    fn register_bytes(&mut self, placement: DataPlacement, label: &str, bytes: u64) -> Result<BufferId> {
-        match placement {
-            DataPlacement::Host(mode) => self.device.register_buffer(label, bytes, mode),
-            DataPlacement::DeviceResident => self.device.register_device_buffer(label, bytes),
-        }
-    }
-
     /// The buffer and access pattern a kernel uses to read `attr` of `table`.
     fn read_plan(
         &self,
@@ -153,37 +265,13 @@ impl GpuSiteState {
         table: &SnapshotTable,
         attr: usize,
     ) -> Result<(BufferId, u64, AccessPattern)> {
-        let rows = table.row_count();
-        let width = table.schema.attr(attr)?.ty.width() as u64;
-        match table.layout {
-            Layout::Nsm => {
-                let buffer = *self
-                    .nsm_buffers
-                    .get(&handle.tag)
-                    .ok_or_else(|| H2Error::InvalidKernel("table not registered".into()))?;
-                let pattern = AccessPattern::Strided {
-                    stride_bytes: table.schema.record_width() as u32,
-                    elem_bytes: width as u32,
-                };
-                Ok((buffer, rows * width, pattern))
-            }
-            Layout::Dsm => {
-                let buffer = *self
-                    .buffers
-                    .get(&(handle.tag, attr))
-                    .ok_or_else(|| H2Error::InvalidKernel("column not registered".into()))?;
-                Ok((buffer, rows * width, AccessPattern::Sequential))
-            }
-            Layout::Pax { .. } => {
-                let buffer = *self
-                    .buffers
-                    .get(&(handle.tag, attr))
-                    .ok_or_else(|| H2Error::InvalidKernel("column not registered".into()))?;
-                // Minipages coalesce like DSM but pay a small page-interleave
-                // overhead, modelled as 3% extra traffic.
-                Ok((buffer, rows * width * 103 / 100, AccessPattern::Sequential))
-            }
-        }
+        let buffer = match table.layout {
+            Layout::Nsm => self.nsm_buffers.get(&handle.tag),
+            Layout::Dsm | Layout::Pax { .. } => self.buffers.get(&(handle.tag, attr)),
+        };
+        let buffer = *buffer.ok_or_else(|| H2Error::InvalidKernel("table not registered".into()))?;
+        let (useful, pattern) = layout_read(table, table.row_count(), attr)?;
+        Ok((buffer, useful, pattern))
     }
 }
 
@@ -192,7 +280,7 @@ impl GpuSiteState {
 /// Concurrent: the device model and registration maps live behind one
 /// mutex ([`GpuSiteState`]), held only across kernel-charge bookkeeping;
 /// the host-side data path runs between lock sessions (see
-/// [`GpuOlapEngine::execute_plan`]).
+/// [`GpuOlapEngine::execute`]).
 pub struct GpuOlapEngine {
     placement: DataPlacement,
     dev: Mutex<GpuSiteState>,
@@ -250,127 +338,56 @@ impl GpuOlapEngine {
         }
     }
 
-    /// The configured placement.
-    pub fn placement(&self) -> DataPlacement {
-        self.placement
-    }
-
     /// Bytes currently allocated on the simulated device (registered tables
     /// plus any live scratch).
     pub fn device_used_bytes(&self) -> u64 {
         self.dev.lock().device.memory().used_bytes()
     }
 
-    /// Registers the columns of `table` with the device according to the
-    /// placement policy. Must be called once per snapshot table before
-    /// queries run against it. Registration is all-or-nothing: if any column
-    /// fails (device out of memory), the columns registered so far are freed
-    /// again — callers retry on every OOM fallback, so a partial
-    /// registration must not keep eating capacity until the next snapshot
-    /// refresh.
-    pub fn register_table(&self, table: &SnapshotTable, label: &str) -> Result<RegisteredTable> {
-        let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-        let rows = table.row_count();
-        let arity = table.schema.arity();
-        let explicit_copy = matches!(self.placement, DataPlacement::Host(AccessMode::Memcpy));
-        let mut state = self.dev.lock();
-        match table.layout {
-            Layout::Nsm => {
-                // Row-major storage is one big buffer; kernels stride over it.
-                let bytes = rows * table.schema.record_width() as u64;
-                let id = state.register_bytes(self.placement, &format!("{label}.rows"), bytes)?;
-                state.nsm_buffers.insert(tag, id);
-            }
-            Layout::Dsm | Layout::Pax { .. } => {
-                for attr in 0..arity {
-                    let registered = table.schema.attr(attr).map(|a| a.ty.width() as u64).and_then(|width| {
-                        state.register_bytes(self.placement, &format!("{label}.col{attr}"), rows * width)
-                    });
-                    match registered {
-                        Ok(id) => {
-                            state.buffers.insert((tag, attr), id);
-                        }
-                        Err(err) => {
-                            for a in 0..attr {
-                                if let Some(id) = state.buffers.remove(&(tag, a)) {
-                                    // h2tap: allow(error_swallow) — rollback of a failed registration: the original allocation error is the one to surface, not a secondary free failure.
-                                    let _ = state.device.memory_mut().free(id);
-                                }
-                            }
-                            return Err(err);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(RegisteredTable { tag, explicit_copy })
-    }
+    fn execute_inner(
+        &self,
+        probe: RegisteredTable,
+        probe_table: &SnapshotTable,
+        build: Option<(RegisteredTable, &SnapshotTable)>,
+        plan: &OlapPlan,
+        scratch: &mut Vec<BufferId>,
+    ) -> Result<PlanOutcome> {
+        operators::check_plan_tables(probe_table, build.map(|(_, t)| t), plan)?;
+        let rows = probe_table.row_count();
 
-    /// Frees every registered buffer (device memory and UM residency) so a
-    /// new snapshot's tables can be registered without leaking the old ones.
-    pub fn reset_tables(&self) {
-        let mut state = self.dev.lock();
-        for (_, id) in std::mem::take(&mut state.buffers) {
-            // h2tap: allow(error_swallow) — teardown: every id comes from the live registration map and a failed free is unactionable mid-reset.
-            let _ = state.device.memory_mut().free(id);
-        }
-        for (_, id) in std::mem::take(&mut state.nsm_buffers) {
-            // h2tap: allow(error_swallow) — teardown: every id comes from the live registration map and a failed free is unactionable mid-reset.
-            let _ = state.device.memory_mut().free(id);
-        }
-    }
-
-    /// Frees the buffers of one registered table (see
-    /// [`ExecutionSite::unregister_table`]).
-    pub fn unregister_table(&self, handle: RegisteredTable) {
-        let mut state = self.dev.lock();
-        if let Some(id) = state.nsm_buffers.remove(&handle.tag) {
-            // h2tap: allow(error_swallow) — unregister is best-effort: the id was minted by register_table and a failed free has no caller-visible remedy.
-            let _ = state.device.memory_mut().free(id);
-        }
-        let cols: Vec<(usize, usize)> = state.buffers.keys().filter(|(tag, _)| *tag == handle.tag).copied().collect();
-        for key in cols {
-            if let Some(id) = state.buffers.remove(&key) {
-                // h2tap: allow(error_swallow) — unregister is best-effort: the id was minted by register_table and a failed free has no caller-visible remedy.
-                let _ = state.device.memory_mut().free(id);
-            }
-        }
-    }
-
-    /// Executes `query` against a registered snapshot table: one selection
-    /// kernel per predicate (each producing a selection bitmap) followed by
-    /// one aggregation kernel, each charged to the device model. The real
-    /// answer is computed on the host through the shared chunked scan path
-    /// ([`operators::scan_chunk`] over fixed [`h2tap_common::PLAN_CHUNK_ROWS`]
-    /// chunks, merged in ascending chunk order), so `ScanAggQuery` f64
-    /// answers are **byte-identical** to the CPU site's for the same
-    /// snapshot — the same contract relational plans already have.
-    pub fn execute(&self, handle: RegisteredTable, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome> {
-        let rows = table.row_count();
-        if rows == 0 {
-            return Err(H2Error::InvalidKernel("cannot execute a query over an empty table".into()));
-        }
         let mut kernels = Vec::new();
         let mut total = SimDuration::ZERO;
         let mut interconnect_bytes = 0u64;
         let mut breakdown = ExecBreakdown::default();
 
-        // Every kernel of a scan is row-count-dependent, so the whole charge
-        // pass runs in one device-lock session, *before* the host compute.
+        // ---- Device-lock session 1: everything row-count-dependent. ----
         let mut state = self.dev.lock();
 
-        // Explicit-copy placement pays the host-to-device transfer of every
-        // accessed column before the first kernel (the "memcpy" bars of
-        // Figure 1).
-        if handle.explicit_copy {
-            let mut bytes = 0u64;
-            for &attr in &query.columns_accessed() {
-                let width = table.schema.attr(attr)?.ty.width() as u64;
-                bytes += match table.layout {
-                    Layout::Nsm => rows * table.schema.record_width() as u64 / query.columns_accessed().len() as u64,
-                    _ => rows * width,
-                };
+        // Reserve the join's hash scratch up front at its worst-case size
+        // (one entry per build row — the same bound the placement heuristic
+        // uses): an out-of-memory device fails here, *before* the host-side
+        // join is computed, so the dispatch-level CPU fallback does not pay
+        // for the work twice.
+        let hash_buf = match build {
+            Some((_, build_table)) if plan.join.is_some() => {
+                let bytes = plan.hash_table_bytes(build_table.row_count()).max(HASH_ENTRY_BYTES);
+                let id = register_bytes(&mut state.device, self.placement, "plan.hash", bytes)?;
+                scratch.push(id);
+                Some((id, bytes))
             }
+            _ => None,
+        };
+
+        // Explicit-copy placement pays the host-to-device transfer of both
+        // tables before the first kernel (the "memcpy" bars of Figure 1).
+        let probe_upload = probe
+            .explicit_copy
+            .then(|| explicit_copy_bytes(probe_table, rows, plan.probe_scan_bytes(&probe_table.schema, rows)));
+        let build_upload = build.filter(|(handle, _)| handle.explicit_copy).map(|(_, table)| {
+            let rows = table.row_count();
+            explicit_copy_bytes(table, rows, plan.build_scan_bytes(&table.schema, rows))
+        });
+        for bytes in [probe_upload, build_upload].into_iter().flatten() {
             let copy = state.device.memcpy(bytes, TransferDirection::HostToDevice);
             total += copy;
             breakdown.stream_secs += copy.as_secs_f64();
@@ -390,160 +407,8 @@ impl GpuOlapEngine {
             Ok(())
         };
 
-        // Selection kernels: one per predicate, producing a selection bitmap.
-        for (i, pred) in query.predicates.iter().enumerate() {
-            let (buffer, useful, pattern) = state.read_plan(handle, table, pred.column)?;
-            let desc = KernelDesc::new(format!("select_{i}"), rows)
-                .flops_per_element(2.0)
-                .read(buffer, useful, pattern)
-                // The bitmap write (1 bit per row, byte-packed here).
-                .write(rows.div_ceil(8));
-            charge(&mut state.device, &desc)?;
-        }
-
-        // Aggregation kernel.
-        let agg_cols = query.aggregate.columns();
-        let mut desc = KernelDesc::new("aggregate", rows).flops_per_element(1.0 + agg_cols.len() as f64);
-        for &attr in &agg_cols {
-            let (buffer, useful, pattern) = state.read_plan(handle, table, attr)?;
-            desc = desc.read(buffer, useful, pattern);
-        }
-        if !query.predicates.is_empty() {
-            // The aggregation kernel also streams the selection bitmap.
-            desc = desc.flops_per_element(2.0 + agg_cols.len() as f64);
-        }
-        desc = desc.write(8);
-        charge(&mut state.device, &desc)?;
-        drop(state);
-
-        // Host-side data path, shared with the CPU site: same chunking, same
-        // per-chunk row order, same merge order — bit-equal answers. The
-        // materialised columns come from the shared plan-data cache, so a
-        // repeat of this query (on any site) skips the re-materialisation.
-        // Runs with the device lock *released*: this is the real wall-clock
-        // work, and concurrent queries must overlap here.
-        let mat = self.cache.materialized(table, query.columns_accessed())?;
-        let partials = (0..mat.chunk_count()).map(|i| operators::scan_chunk(&mat, query, mat.chunk_range(i)));
-        let (value, qualifying_rows) = operators::merge_scan_partials(partials);
-
-        // Explicit-copy placement copies the (tiny) result back.
-        if handle.explicit_copy {
-            let copy = self.dev.lock().device.memcpy(8, TransferDirection::DeviceToHost);
-            total += copy;
-            breakdown.stream_secs += copy.as_secs_f64();
-        }
-
-        Ok(OlapOutcome {
-            value,
-            qualifying_rows,
-            time: total,
-            kernels,
-            interconnect_bytes,
-            breakdown,
-            site: OlapTarget::Gpu,
-        })
-    }
-
-    /// Executes a relational plan kernel-at-a-time: selection kernels over
-    /// the probe predicates, a hash-build kernel over the (filtered) build
-    /// table, a hash-probe kernel whose table lookups are data-dependent
-    /// [`AccessPattern::Random`] reads — the pattern whose coalescing penalty
-    /// separates plan placement from scan placement — and per-chunk partial
-    /// aggregation plus a merge kernel. The hash table and the partial-group
-    /// arena are registered as scratch buffers under the engine's data
-    /// placement (the Caldera prototype keeps "all input, intermediate, and
-    /// output data" in UVA), so under host placement every probe crosses the
-    /// interconnect while device-resident placement pays only the capped
-    /// device-transaction waste.
-    ///
-    /// The real answer is computed on the host through the shared
-    /// [`operators`] data path (fixed chunking, chunk-ordered merge), so the
-    /// groups are byte-identical to the CPU site's.
-    pub fn execute_plan(
-        &self,
-        probe: RegisteredTable,
-        probe_table: &SnapshotTable,
-        build: Option<(RegisteredTable, &SnapshotTable)>,
-        plan: &OlapPlan,
-    ) -> Result<PlanOutcome> {
-        let mut scratch: Vec<BufferId> = Vec::new();
-        let result = self.execute_plan_inner(probe, probe_table, build, plan, &mut scratch);
-        // Scratch (hash table, partial-group arena) lives only for the query;
-        // free it even on error so an OOM mid-plan does not leak capacity.
-        let mut state = self.dev.lock();
-        for id in scratch {
-            // h2tap: allow(error_swallow) — scratch cleanup must not mask the query result (including a mid-plan OOM) with a secondary free failure.
-            let _ = state.device.memory_mut().free(id);
-        }
-        drop(state);
-        result
-    }
-
-    fn execute_plan_inner(
-        &self,
-        probe: RegisteredTable,
-        probe_table: &SnapshotTable,
-        build: Option<(RegisteredTable, &SnapshotTable)>,
-        plan: &OlapPlan,
-        scratch: &mut Vec<BufferId>,
-    ) -> Result<PlanOutcome> {
-        operators::check_plan(plan, build.is_some())?;
-        let rows = probe_table.row_count();
-
-        let mut kernels = Vec::new();
-        let mut total = SimDuration::ZERO;
-        let mut interconnect_bytes = 0u64;
-        let mut breakdown = ExecBreakdown::default();
-
-        // ---- Device-lock session 1: everything row-count-dependent. ----
-        let mut state = self.dev.lock();
-
-        // Reserve the join's hash scratch up front at its worst-case size
-        // (one entry per build row — the same bound the placement heuristic
-        // uses): an out-of-memory device fails here, *before* the host-side
-        // join is computed, so the dispatch-level CPU fallback does not pay
-        // for the work twice.
-        let hash_buf = match build {
-            Some((_, build_table)) if plan.join.is_some() => {
-                let bytes = plan.hash_table_bytes(build_table.row_count()).max(HASH_ENTRY_BYTES);
-                let id = state.register_bytes(self.placement, "plan.hash", bytes)?;
-                scratch.push(id);
-                Some((id, bytes))
-            }
-            _ => None,
-        };
-
-        // Explicit-copy placement pays the host-to-device transfer of every
-        // accessed column of both tables before the first kernel.
-        if probe.explicit_copy {
-            let bytes = plan.probe_scan_bytes(&probe_table.schema, rows);
-            let copy = state.device.memcpy(bytes, TransferDirection::HostToDevice);
-            total += copy;
-            breakdown.stream_secs += copy.as_secs_f64();
-            interconnect_bytes += bytes;
-        }
-        if let Some((build_handle, build_table)) = build {
-            if build_handle.explicit_copy {
-                let bytes = plan.build_scan_bytes(&build_table.schema, build_table.row_count());
-                let copy = state.device.memcpy(bytes, TransferDirection::HostToDevice);
-                total += copy;
-                breakdown.stream_secs += copy.as_secs_f64();
-                interconnect_bytes += bytes;
-            }
-        }
-
-        let mut charge = |device: &mut GpuDevice, desc: &KernelDesc| -> Result<()> {
-            let metrics = device.account(desc)?;
-            total += metrics.time;
-            interconnect_bytes += metrics.interconnect_bytes;
-            breakdown.overhead_secs += metrics.launch_overhead.as_secs_f64();
-            breakdown.stream_secs += metrics.time.saturating_sub(metrics.launch_overhead).as_secs_f64();
-            breakdown.compute_secs += metrics.compute_time.as_secs_f64();
-            kernels.push(metrics);
-            Ok(())
-        };
-
-        // Selection kernels: one per probe predicate, producing a bitmap.
+        // Selection kernels: one per probe predicate, producing a bitmap
+        // (1 bit per row, byte-packed here).
         for (i, pred) in plan.predicates.iter().enumerate() {
             let (buffer, useful, pattern) = state.read_plan(probe, probe_table, pred.column)?;
             let desc = KernelDesc::new(format!("select_{i}"), rows)
@@ -572,15 +437,9 @@ impl GpuOlapEngine {
         // kernels around it charge the simulated cost of this same pipeline.
         // Runs with the device lock *released*: this is the real wall-clock
         // work, and concurrent queries must overlap here.
-        let operators::PlanData { mat, hash } = self.cache.prepare_plan(probe_table, build.map(|(_, t)| t), plan)?;
-        let partials: Vec<ChunkPartial> = (0..mat.chunk_count())
-            .map(|i| operators::process_chunk(&mat, plan, hash.as_deref(), mat.chunk_range(i)))
-            .collect();
-        let (groups, totals) = operators::merge_partials(plan, partials);
-        let n_chunks = mat.chunk_count() as u64;
-        let n_groups = groups.len().max(1) as u64;
-        // One group slot holds the key, one f64 per aggregate, and the count.
-        let group_entry_bytes = (2 + plan.aggregates.len() as u64) * 8;
+        let data = self.cache.prepare_plan(probe_table, build.map(|(_, t)| t), plan)?;
+        let eval = operators::evaluate_plan(&data, plan, 1, false);
+        let totals = eval.totals;
 
         // ---- Device-lock session 2: everything selectivity-dependent. ----
         let mut state = self.dev.lock();
@@ -600,51 +459,58 @@ impl GpuOlapEngine {
             charge(&mut state.device, &probe_desc)?;
         }
 
-        // Partial aggregation: every surviving row updates its group's
-        // accumulators. With a real group-by the accumulator slot is
-        // data-dependent (random); the global aggregate of a plain scan stays
-        // in registers. Partials land in a per-chunk arena that the merge
-        // kernel folds in chunk order.
-        let arena_buf = state.register_bytes(self.placement, "plan.groups", n_chunks * n_groups * group_entry_bytes)?;
-        scratch.push(arena_buf);
-        let mut agg_desc = KernelDesc::new("partial_aggregate", rows)
-            .flops_per_element(2.0 + plan.aggregates.len() as f64)
-            .write(n_chunks * n_groups * group_entry_bytes);
-        let mut agg_cols: Vec<usize> = plan.aggregates.iter().flat_map(|a| a.columns()).collect();
-        if let Some(PlanColumn::Probe(c)) = plan.group_by {
-            agg_cols.push(c);
-        }
-        agg_cols.sort_unstable();
-        agg_cols.dedup();
-        for &attr in &agg_cols {
-            let (buffer, useful, pattern) = state.read_plan(probe, probe_table, attr)?;
-            agg_desc = agg_desc.read(buffer, useful, pattern);
-        }
-        if plan.group_by.is_some() {
-            agg_desc = agg_desc.read(
-                arena_buf,
-                totals.joined * group_entry_bytes,
-                AccessPattern::Random { elem_bytes: group_entry_bytes as u32 },
-            );
-        }
-        charge(&mut state.device, &agg_desc)?;
+        let result_bytes = if reduces_in_registers(plan) {
+            let desc = register_aggregate_desc("aggregate".into(), rows, plan, |attr| {
+                state.read_plan(probe, probe_table, attr)
+            })?;
+            charge(&mut state.device, &desc)?;
+            desc.write_bytes
+        } else {
+            // Partial aggregation: every surviving row updates its group's
+            // accumulators, at a data-dependent (random) slot when there is
+            // a real group-by. Partials land in a per-chunk arena that the
+            // merge kernel folds in chunk order.
+            let n_chunks = data.mat.chunk_count() as u64;
+            let n_groups = eval.groups.len().max(1) as u64;
+            // One group slot holds the key, one f64 per aggregate, the count.
+            let group_entry_bytes = (2 + plan.aggregates.len() as u64) * 8;
+            let arena_bytes = n_chunks * n_groups * group_entry_bytes;
+            let arena_buf = register_bytes(&mut state.device, self.placement, "plan.groups", arena_bytes)?;
+            scratch.push(arena_buf);
+            let mut agg_desc = KernelDesc::new("partial_aggregate", rows)
+                .flops_per_element(2.0 + plan.aggregates.len() as f64)
+                .write(arena_bytes);
+            for attr in arena_aggregate_columns(plan) {
+                let (buffer, useful, pattern) = state.read_plan(probe, probe_table, attr)?;
+                agg_desc = agg_desc.read(buffer, useful, pattern);
+            }
+            if plan.group_by.is_some() {
+                agg_desc = agg_desc.read(
+                    arena_buf,
+                    totals.joined * group_entry_bytes,
+                    AccessPattern::Random { elem_bytes: group_entry_bytes as u32 },
+                );
+            }
+            charge(&mut state.device, &agg_desc)?;
 
-        let merge_desc = KernelDesc::new("merge_groups", (n_chunks * n_groups).max(1))
-            .flops_per_element(1.0 + plan.aggregates.len() as f64)
-            .read(arena_buf, n_chunks * n_groups * group_entry_bytes, AccessPattern::Sequential)
-            .write(n_groups * group_entry_bytes);
-        charge(&mut state.device, &merge_desc)?;
+            let merge_desc = KernelDesc::new("merge_groups", (n_chunks * n_groups).max(1))
+                .flops_per_element(1.0 + plan.aggregates.len() as f64)
+                .read(arena_buf, arena_bytes, AccessPattern::Sequential)
+                .write(n_groups * group_entry_bytes);
+            charge(&mut state.device, &merge_desc)?;
+            merge_desc.write_bytes
+        };
 
-        // Explicit-copy placement copies the (small) group table back.
+        // Explicit-copy placement copies the (small) result back.
         if probe.explicit_copy {
-            let copy = state.device.memcpy(n_groups * group_entry_bytes, TransferDirection::DeviceToHost);
+            let copy = state.device.memcpy(result_bytes, TransferDirection::DeviceToHost);
             total += copy;
             breakdown.stream_secs += copy.as_secs_f64();
         }
         drop(state);
 
         Ok(PlanOutcome {
-            groups,
+            groups: eval.groups,
             qualifying_rows: totals.joined,
             grouped: plan.group_by.is_some(),
             time: total,
@@ -653,31 +519,6 @@ impl GpuOlapEngine {
             breakdown,
             site: OlapTarget::Gpu,
         })
-    }
-
-    /// Fraction of this engine's registered bytes already resident in device
-    /// memory — the data-locality term of the placement heuristic. Explicit
-    /// copies re-pay the transfer every query batch, so memcpy placement
-    /// counts as non-resident.
-    pub fn resident_fraction(&self) -> f64 {
-        match self.placement {
-            DataPlacement::DeviceResident => 1.0,
-            DataPlacement::Host(AccessMode::Memcpy) | DataPlacement::Host(AccessMode::Uva) => 0.0,
-            DataPlacement::Host(AccessMode::UnifiedMemory) => {
-                let state = self.dev.lock();
-                let mem = state.device.memory();
-                let mut total = 0u64;
-                let mut resident = 0u64;
-                for id in state.buffers.values().chain(state.nsm_buffers.values()) {
-                    accumulate_residency(mem, *id, &mut total, &mut resident);
-                }
-                if total == 0 {
-                    0.0
-                } else {
-                    resident as f64 / total as f64
-                }
-            }
-        }
     }
 }
 
@@ -690,33 +531,114 @@ impl ExecutionSite for GpuOlapEngine {
         "gpu"
     }
 
+    /// Registers the columns of `table` with the device according to the
+    /// placement policy. Must be called once per snapshot table before
+    /// queries run against it. Registration is all-or-nothing: if any column
+    /// fails (device out of memory), the columns registered so far are freed
+    /// again — callers retry on every OOM fallback, so a partial
+    /// registration must not keep eating capacity until the next snapshot
+    /// refresh.
     fn register_table(&self, table: &SnapshotTable, label: &str) -> Result<RegisteredTable> {
-        GpuOlapEngine::register_table(self, table, label)
+        let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
+        let rows = table.row_count();
+        let arity = table.schema.arity();
+        let explicit_copy = matches!(self.placement, DataPlacement::Host(AccessMode::Memcpy));
+        let mut state = self.dev.lock();
+        match table.layout {
+            Layout::Nsm => {
+                // Row-major storage is one big buffer; kernels stride over it.
+                let bytes = rows * table.schema.record_width() as u64;
+                let id = register_bytes(&mut state.device, self.placement, &format!("{label}.rows"), bytes)?;
+                state.nsm_buffers.insert(tag, id);
+            }
+            Layout::Dsm | Layout::Pax { .. } => {
+                for attr in 0..arity {
+                    let registered = table.schema.attr(attr).map(|a| a.ty.width() as u64).and_then(|width| {
+                        register_bytes(&mut state.device, self.placement, &format!("{label}.col{attr}"), rows * width)
+                    });
+                    match registered {
+                        Ok(id) => {
+                            state.buffers.insert((tag, attr), id);
+                        }
+                        Err(err) => {
+                            for a in 0..attr {
+                                if let Some(id) = state.buffers.remove(&(tag, a)) {
+                                    // h2tap: allow(error_swallow) — rollback of a failed registration: the original allocation error is the one to surface, not a secondary free failure.
+                                    let _ = state.device.memory_mut().free(id);
+                                }
+                            }
+                            return Err(err);
+                        }
+                    }
+                }
+            }
+        }
+        Ok(RegisteredTable { tag, explicit_copy })
     }
 
+    /// Frees every registered buffer (device memory and UM residency) so a
+    /// new snapshot's tables can be registered without leaking the old ones.
     fn reset_tables(&self) {
-        GpuOlapEngine::reset_tables(self);
+        let mut state = self.dev.lock();
+        for (_, id) in std::mem::take(&mut state.buffers) {
+            // h2tap: allow(error_swallow) — teardown: every id comes from the live registration map and a failed free is unactionable mid-reset.
+            let _ = state.device.memory_mut().free(id);
+        }
+        for (_, id) in std::mem::take(&mut state.nsm_buffers) {
+            // h2tap: allow(error_swallow) — teardown: every id comes from the live registration map and a failed free is unactionable mid-reset.
+            let _ = state.device.memory_mut().free(id);
+        }
     }
 
     fn unregister_table(&self, handle: RegisteredTable) {
-        GpuOlapEngine::unregister_table(self, handle);
+        let mut state = self.dev.lock();
+        if let Some(id) = state.nsm_buffers.remove(&handle.tag) {
+            // h2tap: allow(error_swallow) — unregister is best-effort: the id was minted by register_table and a failed free has no caller-visible remedy.
+            let _ = state.device.memory_mut().free(id);
+        }
+        let cols: Vec<(usize, usize)> = state.buffers.keys().filter(|(tag, _)| *tag == handle.tag).copied().collect();
+        for key in cols {
+            if let Some(id) = state.buffers.remove(&key) {
+                // h2tap: allow(error_swallow) — unregister is best-effort: the id was minted by register_table and a failed free has no caller-visible remedy.
+                let _ = state.device.memory_mut().free(id);
+            }
+        }
     }
 
-    fn execute(&self, handle: RegisteredTable, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome> {
-        let out = GpuOlapEngine::execute(self, handle, table, query)?;
-        emit_execution_spans(&self.tracer, out.site, &out.kernels, &out.breakdown, out.time, out.interconnect_bytes);
-        Ok(out)
-    }
-
-    fn execute_plan(
+    /// Executes a relational plan kernel-at-a-time: selection kernels over
+    /// the probe predicates, a hash-build kernel over the (filtered) build
+    /// table, a hash-probe kernel whose table lookups are data-dependent
+    /// [`AccessPattern::Random`] reads — the pattern whose coalescing penalty
+    /// separates plan placement from scan placement — and the aggregation
+    /// stage. The hash table and the partial-group arena are registered as
+    /// scratch buffers under the engine's data placement (the Caldera
+    /// prototype keeps "all input, intermediate, and output data" in UVA),
+    /// so under host placement every probe crosses the interconnect while
+    /// device-resident placement pays only the capped device-transaction
+    /// waste.
+    ///
+    /// The real answer is computed on the host through the shared
+    /// [`operators`] data path (fixed chunking, chunk-ordered merge), so the
+    /// groups are byte-identical to the CPU site's.
+    fn execute(
         &self,
         probe: RegisteredTable,
         probe_table: &SnapshotTable,
         build: Option<(RegisteredTable, &SnapshotTable)>,
         plan: &OlapPlan,
     ) -> Result<PlanOutcome> {
-        let out = GpuOlapEngine::execute_plan(self, probe, probe_table, build, plan)?;
-        emit_execution_spans(&self.tracer, out.site, &out.kernels, &out.breakdown, out.time, out.interconnect_bytes);
+        let mut scratch: Vec<BufferId> = Vec::new();
+        let result = self.execute_inner(probe, probe_table, build, plan, &mut scratch);
+        // Scratch (hash table, partial-group arena) lives only for the query;
+        // free it even on error so an OOM mid-plan does not leak capacity.
+        let mut state = self.dev.lock();
+        for id in scratch {
+            // h2tap: allow(error_swallow) — scratch cleanup must not mask the query result (including a mid-plan OOM) with a secondary free failure.
+            let _ = state.device.memory_mut().free(id);
+        }
+        drop(state);
+        let out = result?;
+        emit_execution_spans(&self.tracer, &out);
         Ok(out)
     }
 
@@ -725,7 +647,9 @@ impl ExecutionSite for GpuOlapEngine {
     }
 
     fn resident_fraction(&self) -> f64 {
-        GpuOlapEngine::resident_fraction(self)
+        let state = self.dev.lock();
+        let mem = state.device.memory();
+        resident_fraction(self.placement, state.buffers.values().chain(state.nsm_buffers.values()).map(|id| (mem, *id)))
     }
 
     fn capability(&self) -> SiteCapability {
@@ -738,7 +662,7 @@ impl ExecutionSite for GpuOlapEngine {
             devices: vec![GpuDeviceCapability {
                 spec,
                 shard_fraction: 1.0,
-                resident_fraction: GpuOlapEngine::resident_fraction(self),
+                resident_fraction: self.resident_fraction(),
                 free_bytes: Some(free_bytes),
             }],
         }
@@ -757,7 +681,7 @@ impl ExecutionSite for GpuOlapEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, Schema, Value};
+    use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, ScanAggQuery, Schema, Value};
     use h2tap_gpu_sim::GpuSpec;
     use h2tap_storage::{Database, Layout};
 
@@ -784,6 +708,16 @@ mod tests {
         GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), placement)
     }
 
+    /// Runs `query` as the scan-shaped plan it is.
+    fn scan(
+        eng: &GpuOlapEngine,
+        handle: RegisteredTable,
+        table: &SnapshotTable,
+        query: &ScanAggQuery,
+    ) -> Result<OlapOutcome> {
+        eng.execute(handle, table, None, &OlapPlan::scan(query)).map(PlanOutcome::into_scan_outcome)
+    }
+
     fn bucket_query() -> ScanAggQuery {
         ScanAggQuery { predicates: vec![Predicate::between(1, 0.0, 4.0)], aggregate: AggExpr::SumProduct(1, 2) }
     }
@@ -793,7 +727,7 @@ mod tests {
         let table = snapshot_table(Layout::Dsm, 1000);
         let eng = engine(DataPlacement::Host(AccessMode::Uva));
         let handle = eng.register_table(&table, "t").unwrap();
-        let out = eng.execute(handle, &table, &bucket_query()).unwrap();
+        let out = scan(&eng, handle, &table, &bucket_query()).unwrap();
         let expected: f64 = (0..1000).map(|i| i % 10).filter(|b| *b <= 4).map(|b| b as f64 * 2.5).sum();
         assert_eq!(out.value, expected);
         assert_eq!(out.qualifying_rows, 500);
@@ -809,7 +743,7 @@ mod tests {
             let table = snapshot_table(layout, 500);
             let eng = engine(DataPlacement::Host(AccessMode::Uva));
             let handle = eng.register_table(&table, "t").unwrap();
-            answers.push(eng.execute(handle, &table, &query).unwrap().value);
+            answers.push(scan(&eng, handle, &table, &query).unwrap().value);
         }
         assert!(answers.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-9), "{answers:?}");
     }
@@ -822,7 +756,7 @@ mod tests {
             let table = snapshot_table(layout, 200_000);
             let eng = engine(DataPlacement::Host(AccessMode::Uva));
             let handle = eng.register_table(&table, "t").unwrap();
-            times.push(eng.execute(handle, &table, &query).unwrap().time.as_secs_f64());
+            times.push(scan(&eng, handle, &table, &query).unwrap().time.as_secs_f64());
         }
         assert!(times[1] > 1.5 * times[0], "NSM {} DSM {}", times[1], times[0]);
     }
@@ -835,7 +769,7 @@ mod tests {
             let table = snapshot_table(layout, 200_000);
             let eng = engine(DataPlacement::Host(AccessMode::Uva));
             let handle = eng.register_table(&table, "t").unwrap();
-            times.push(eng.execute(handle, &table, &query).unwrap().time.as_secs_f64());
+            times.push(scan(&eng, handle, &table, &query).unwrap().time.as_secs_f64());
         }
         let ratio = times[1] / times[0];
         assert!((0.95..1.2).contains(&ratio), "PAX/DSM ratio {ratio}");
@@ -847,8 +781,8 @@ mod tests {
         let eng = engine(DataPlacement::Host(AccessMode::UnifiedMemory));
         let handle = eng.register_table(&table, "t").unwrap();
         let q = bucket_query();
-        let first = eng.execute(handle, &table, &q).unwrap();
-        let second = eng.execute(handle, &table, &q).unwrap();
+        let first = scan(&eng, handle, &table, &q).unwrap();
+        let second = scan(&eng, handle, &table, &q).unwrap();
         assert_eq!(first.value, second.value);
         assert!(first.time > second.time, "first {} second {}", first.time, second.time);
         assert_eq!(second.interconnect_bytes, 0);
@@ -860,10 +794,10 @@ mod tests {
         let table = snapshot_table(Layout::Dsm, 500_000);
         let uva = engine(DataPlacement::Host(AccessMode::Uva));
         let h1 = uva.register_table(&table, "t").unwrap();
-        let t_uva = uva.execute(h1, &table, &q).unwrap().time;
+        let t_uva = scan(&uva, h1, &table, &q).unwrap().time;
         let dev = engine(DataPlacement::DeviceResident);
         let h2 = dev.register_table(&table, "t").unwrap();
-        let t_dev = dev.execute(h2, &table, &q).unwrap().time;
+        let t_dev = scan(&dev, h2, &table, &q).unwrap().time;
         assert!(t_dev < t_uva, "device {} uva {}", t_dev, t_uva);
     }
 
@@ -872,7 +806,7 @@ mod tests {
         let table = snapshot_table(Layout::Dsm, 100_000);
         let eng = engine(DataPlacement::Host(AccessMode::Memcpy));
         let handle = eng.register_table(&table, "t").unwrap();
-        let out = eng.execute(handle, &table, &bucket_query()).unwrap();
+        let out = scan(&eng, handle, &table, &bucket_query()).unwrap();
         assert!(out.interconnect_bytes > 0);
     }
 
@@ -884,7 +818,7 @@ mod tests {
         let table = snap.table(t).unwrap().clone();
         let eng = engine(DataPlacement::Host(AccessMode::Uva));
         let handle = eng.register_table(&table, "t").unwrap();
-        assert!(eng.execute(handle, &table, &bucket_query()).is_err());
+        assert!(scan(&eng, handle, &table, &bucket_query()).is_err());
     }
 
     /// Build table keyed 0..10: key = i, size = i, brand = i % 3.
@@ -945,7 +879,7 @@ mod tests {
         eng.unregister_table(h2);
         assert_eq!(eng.device_used_bytes(), after_first, "only t2's buffers are freed");
         // t1 stays fully queryable.
-        let out = eng.execute(h1, &t1, &bucket_query()).unwrap();
+        let out = scan(&eng, h1, &t1, &bucket_query()).unwrap();
         assert_eq!(out.qualifying_rows, 5_000);
     }
 
@@ -956,7 +890,7 @@ mod tests {
         let eng = engine(DataPlacement::Host(AccessMode::Uva));
         let ph = eng.register_table(&probe, "fact").unwrap();
         let bh = eng.register_table(&build, "dim").unwrap();
-        let out = eng.execute_plan(ph, &probe, Some((bh, &build)), &join_plan()).unwrap();
+        let out = eng.execute(ph, &probe, Some((bh, &build)), &join_plan()).unwrap();
         // Buckets 0..=4 join (size <= 4); brands of keys 0..=4 are
         // 0 -> {0,3}, 1 -> {1,4}, 2 -> {2}; 100 rows per bucket.
         assert_eq!(out.qualifying_rows, 500);
@@ -980,8 +914,8 @@ mod tests {
         let eng = engine(DataPlacement::Host(AccessMode::Uva));
         let ph = eng.register_table(&probe, "fact").unwrap();
         let bh = eng.register_table(&build, "dim").unwrap();
-        let join_time = eng.execute_plan(ph, &probe, Some((bh, &build)), &plan).unwrap().time.as_secs_f64();
-        let scan_time = eng.execute_plan(ph, &probe, None, &scan_equivalent).unwrap().time.as_secs_f64();
+        let join_time = eng.execute(ph, &probe, Some((bh, &build)), &plan).unwrap().time.as_secs_f64();
+        let scan_time = eng.execute(ph, &probe, None, &scan_equivalent).unwrap().time.as_secs_f64();
         // Every probe gathers a full interconnect transaction: the join costs
         // far more than streaming the same probe columns.
         assert!(join_time > 3.0 * scan_time, "join {join_time} scan {scan_time}");
@@ -991,7 +925,7 @@ mod tests {
         let dev = engine(DataPlacement::DeviceResident);
         let ph = dev.register_table(&probe, "fact").unwrap();
         let bh = dev.register_table(&build, "dim").unwrap();
-        let dev_join = dev.execute_plan(ph, &probe, Some((bh, &build)), &plan).unwrap().time.as_secs_f64();
+        let dev_join = dev.execute(ph, &probe, Some((bh, &build)), &plan).unwrap().time.as_secs_f64();
         assert!(dev_join < join_time / 3.0, "device {dev_join} uva {join_time}");
     }
 
@@ -1003,7 +937,7 @@ mod tests {
         let ph = eng.register_table(&probe, "fact").unwrap();
         let bh = eng.register_table(&build, "dim").unwrap();
         let before = eng.device_used_bytes();
-        eng.execute_plan(ph, &probe, Some((bh, &build)), &join_plan()).unwrap();
+        eng.execute(ph, &probe, Some((bh, &build)), &join_plan()).unwrap();
         assert_eq!(eng.device_used_bytes(), before, "hash/group scratch must be freed");
     }
 
@@ -1015,23 +949,9 @@ mod tests {
         let ph = eng.register_table(&probe, "fact").unwrap();
         let bh = eng.register_table(&build, "dim").unwrap();
         // Join without a build table.
-        assert!(eng.execute_plan(ph, &probe, None, &join_plan()).is_err());
+        assert!(eng.execute(ph, &probe, None, &join_plan()).is_err());
         // Build table without a join.
         let scan = OlapPlan { predicates: vec![], join: None, group_by: None, aggregates: vec![AggExpr::Count] };
-        assert!(eng.execute_plan(ph, &probe, Some((bh, &build)), &scan).is_err());
-    }
-
-    #[test]
-    fn scan_plan_matches_the_scan_query_answer() {
-        let probe = snapshot_table(Layout::Dsm, 5_000);
-        let query = bucket_query();
-        let plan = OlapPlan::scan(&query);
-        let eng = engine(DataPlacement::Host(AccessMode::Uva));
-        let handle = eng.register_table(&probe, "t").unwrap();
-        let scan = eng.execute(handle, &probe, &query).unwrap();
-        let planned = eng.execute_plan(handle, &probe, None, &plan).unwrap();
-        assert_eq!(planned.qualifying_rows, scan.qualifying_rows);
-        let value = planned.single_value().expect("global group");
-        assert!((value - scan.value).abs() < 1e-9, "plan {value} scan {}", scan.value);
+        assert!(eng.execute(ph, &probe, Some((bh, &build)), &scan).is_err());
     }
 }

@@ -17,8 +17,8 @@
 //!   which device produced them or when it finished.
 //!
 //! Because the host-side data path is the shared [`operators`] pipeline over
-//! all chunks in ascending order, `ScanAggQuery` f64 answers and plan group
-//! rows are **byte-identical** to the CPU and single-GPU sites for any
+//! all chunks in ascending order, plan group rows (a scan's scalar included)
+//! are **byte-identical** to the CPU and single-GPU sites for any
 //! device mix and shard count. What differs is the simulated cost: each
 //! device is charged its own kernels over its own shard, the devices run
 //! concurrently, and the site reports the **critical path** — the slowest
@@ -34,12 +34,14 @@
 //! against the **minimum per-device** free memory, not the sum.
 
 use crate::cache::PlanDataCache;
-use crate::engine::{DataPlacement, OlapOutcome, PlanOutcome, RegisteredTable};
-use crate::operators::{self, ChunkPartial};
+use crate::engine::{
+    arena_aggregate_columns, explicit_copy_bytes, layout_read, reduces_in_registers, register_aggregate_desc,
+    register_bytes, resident_fraction, DataPlacement, PlanOutcome, RegisteredTable,
+};
+use crate::operators;
 use crate::site::{emit_execution_spans, ExecutionSite};
 use h2tap_common::{
-    chunk_shard, ExecBreakdown, H2Error, OlapPlan, PlanColumn, Result, ScanAggQuery, SimDuration, HASH_ENTRY_BYTES,
-    PLAN_CHUNK_ROWS,
+    chunk_shard, ExecBreakdown, H2Error, OlapPlan, Result, SimDuration, HASH_ENTRY_BYTES, PLAN_CHUNK_ROWS,
 };
 use h2tap_gpu_sim::{AccessMode, AccessPattern, BufferId, GpuDevice, KernelDesc, KernelMetrics, TransferDirection};
 use h2tap_obs::Tracer;
@@ -103,14 +105,6 @@ struct MultiGpuSiteState {
 }
 
 impl MultiGpuSiteState {
-    fn register_bytes(&mut self, d: usize, placement: DataPlacement, label: &str, bytes: u64) -> Result<BufferId> {
-        let device = &mut self.devices[d];
-        match placement {
-            DataPlacement::Host(mode) => device.register_buffer(label, bytes, mode),
-            DataPlacement::DeviceResident => device.register_device_buffer(label, bytes),
-        }
-    }
-
     /// Frees every buffer one table registered, across all devices.
     fn free_tag(&mut self, tag: usize) {
         let cols: Vec<(usize, usize, usize)> = self.buffers.keys().filter(|(t, _, _)| *t == tag).copied().collect();
@@ -137,7 +131,8 @@ impl MultiGpuSiteState {
     }
 
     /// The buffer and access pattern device `d`'s kernels use to read `attr`
-    /// of its shard of the table.
+    /// of its shard of the table — same layout model as the single-GPU
+    /// site, over the shard's rows.
     fn read_plan(
         &self,
         handle: RegisteredTable,
@@ -149,36 +144,13 @@ impl MultiGpuSiteState {
             .device_shard_rows(handle)?
             .get(device)
             .ok_or_else(|| H2Error::InvalidKernel("device index out of range".into()))?;
-        let width = table.schema.attr(attr)?.ty.width() as u64;
-        match table.layout {
-            Layout::Nsm => {
-                let buffer = *self
-                    .nsm_buffers
-                    .get(&(handle.tag(), device))
-                    .ok_or_else(|| H2Error::InvalidKernel("shard not registered".into()))?;
-                let pattern = AccessPattern::Strided {
-                    stride_bytes: table.schema.record_width() as u32,
-                    elem_bytes: width as u32,
-                };
-                Ok((buffer, rows * width, pattern))
-            }
-            Layout::Dsm => {
-                let buffer = *self
-                    .buffers
-                    .get(&(handle.tag(), device, attr))
-                    .ok_or_else(|| H2Error::InvalidKernel("shard column not registered".into()))?;
-                Ok((buffer, rows * width, AccessPattern::Sequential))
-            }
-            Layout::Pax { .. } => {
-                let buffer = *self
-                    .buffers
-                    .get(&(handle.tag(), device, attr))
-                    .ok_or_else(|| H2Error::InvalidKernel("shard column not registered".into()))?;
-                // Minipages coalesce like DSM but pay the 3% page-interleave
-                // overhead — same model as the single-GPU site.
-                Ok((buffer, rows * width * 103 / 100, AccessPattern::Sequential))
-            }
-        }
+        let buffer = match table.layout {
+            Layout::Nsm => self.nsm_buffers.get(&(handle.tag(), device)),
+            Layout::Dsm | Layout::Pax { .. } => self.buffers.get(&(handle.tag(), device, attr)),
+        };
+        let buffer = *buffer.ok_or_else(|| H2Error::InvalidKernel("shard not registered".into()))?;
+        let (useful, pattern) = layout_read(table, rows, attr)?;
+        Ok((buffer, useful, pattern))
     }
 }
 
@@ -233,85 +205,6 @@ impl MultiGpuOlapEngine {
         self.devs.lock().devices.iter().map(|d| d.memory().used_bytes()).collect()
     }
 
-    /// Number of devices (= shards per table).
-    pub fn device_count(&self) -> usize {
-        self.device_count
-    }
-
-    /// The configured placement.
-    pub fn placement(&self) -> DataPlacement {
-        self.placement
-    }
-
-    /// The smallest free device memory across the mix — the headroom any
-    /// *replicated* per-device structure (the join hash table) must fit.
-    /// Deliberately a minimum, never a sum: device capacities do not pool,
-    /// and summing would let one unknown device saturate the aggregate.
-    pub fn min_free_device_bytes(&self) -> u64 {
-        self.devs.lock().devices.iter().map(|d| d.memory().free_bytes()).min().unwrap_or(0)
-    }
-
-    /// Registers the columns of `table`, sharded chunk-wise across the
-    /// devices. Registration is all-or-nothing across the whole mix: if any
-    /// device rejects its shard (out of memory), everything registered so
-    /// far — on every device — is freed again, so an OOM fallback cannot
-    /// strand device memory until the next snapshot refresh.
-    pub fn register_table(&self, table: &SnapshotTable, label: &str) -> Result<RegisteredTable> {
-        let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-        let per_device = shard_rows(table.row_count(), self.device_count);
-        let explicit_copy = matches!(self.placement, DataPlacement::Host(AccessMode::Memcpy));
-        let arity = table.schema.arity();
-        let placement = self.placement;
-        let mut state = self.devs.lock();
-        let registered = (|| -> Result<()> {
-            for (d, &rows) in per_device.iter().enumerate() {
-                if rows == 0 {
-                    continue;
-                }
-                match table.layout {
-                    Layout::Nsm => {
-                        let bytes = rows * table.schema.record_width() as u64;
-                        let id = state.register_bytes(d, placement, &format!("{label}.d{d}.rows"), bytes)?;
-                        state.nsm_buffers.insert((tag, d), id);
-                    }
-                    Layout::Dsm | Layout::Pax { .. } => {
-                        for attr in 0..arity {
-                            let width = table.schema.attr(attr)?.ty.width() as u64;
-                            let id =
-                                state.register_bytes(d, placement, &format!("{label}.d{d}.col{attr}"), rows * width)?;
-                            state.buffers.insert((tag, d, attr), id);
-                        }
-                    }
-                }
-            }
-            Ok(())
-        })();
-        match registered {
-            Ok(()) => {
-                state.shard_rows.insert(tag, per_device);
-                Ok(RegisteredTable::site(tag, explicit_copy))
-            }
-            Err(err) => {
-                state.free_tag(tag);
-                Err(err)
-            }
-        }
-    }
-
-    /// Frees every registration on every device (snapshot refresh).
-    pub fn reset_tables(&self) {
-        let mut state = self.devs.lock();
-        let tags: Vec<usize> = state.shard_rows.keys().copied().collect();
-        for tag in tags {
-            state.free_tag(tag);
-        }
-    }
-
-    /// Frees one table's buffers across the mix (failed-attempt rollback).
-    pub fn unregister_table(&self, handle: RegisteredTable) {
-        self.devs.lock().free_tag(handle.tag());
-    }
-
     /// Charges one kernel to device `d`'s running totals.
     fn charge(
         device: &mut GpuDevice,
@@ -344,140 +237,7 @@ impl MultiGpuOlapEngine {
         *interconnect_bytes += bytes;
     }
 
-    /// Executes `query`: each device runs the selection and aggregation
-    /// kernels over its own shard concurrently, the site charges the slowest
-    /// device, and the exact answer is computed on the host through the
-    /// shared chunked scan path over **all** chunks in ascending order — so
-    /// the f64 answer is byte-identical to the CPU and single-GPU sites.
-    pub fn execute(&self, handle: RegisteredTable, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome> {
-        if table.row_count() == 0 {
-            return Err(H2Error::InvalidKernel("cannot execute a query over an empty table".into()));
-        }
-        let mut kernels = Vec::new();
-        let mut interconnect_bytes = 0u64;
-        let mut critical = DeviceRun::default();
-
-        // Scan charges depend only on shard row counts: one lock session
-        // covers every device, then the host-side answer computes unlocked.
-        let mut state = self.devs.lock();
-        let per_device = state.device_shard_rows(handle)?.clone();
-
-        for (d, &rows_d) in per_device.iter().enumerate() {
-            if rows_d == 0 {
-                continue;
-            }
-            let mut run = DeviceRun::default();
-
-            // Explicit-copy placement pays each device's shard transfer
-            // up front (the devices copy over their own links, in parallel).
-            if handle.explicit_copy() {
-                let mut bytes = 0u64;
-                for &attr in &query.columns_accessed() {
-                    let width = table.schema.attr(attr)?.ty.width() as u64;
-                    bytes += match table.layout {
-                        Layout::Nsm => {
-                            rows_d * table.schema.record_width() as u64 / query.columns_accessed().len() as u64
-                        }
-                        _ => rows_d * width,
-                    };
-                }
-                Self::charge_transfer(
-                    &mut state.devices[d],
-                    bytes,
-                    TransferDirection::HostToDevice,
-                    &mut run,
-                    &mut interconnect_bytes,
-                );
-            }
-
-            // Selection kernels over the shard: one per predicate.
-            for (i, pred) in query.predicates.iter().enumerate() {
-                let (buffer, useful, pattern) = state.read_plan(handle, table, d, pred.column)?;
-                let desc = KernelDesc::new(format!("select_{i}.d{d}"), rows_d)
-                    .flops_per_element(2.0)
-                    .read(buffer, useful, pattern)
-                    .write(rows_d.div_ceil(8));
-                Self::charge(&mut state.devices[d], &desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
-            }
-
-            // Aggregation kernel over the shard.
-            let agg_cols = query.aggregate.columns();
-            let mut desc =
-                KernelDesc::new(format!("aggregate.d{d}"), rows_d).flops_per_element(1.0 + agg_cols.len() as f64);
-            for &attr in &agg_cols {
-                let (buffer, useful, pattern) = state.read_plan(handle, table, d, attr)?;
-                desc = desc.read(buffer, useful, pattern);
-            }
-            if !query.predicates.is_empty() {
-                desc = desc.flops_per_element(2.0 + agg_cols.len() as f64);
-            }
-            desc = desc.write(8);
-            Self::charge(&mut state.devices[d], &desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
-
-            if handle.explicit_copy() {
-                Self::charge_transfer(
-                    &mut state.devices[d],
-                    8,
-                    TransferDirection::DeviceToHost,
-                    &mut run,
-                    &mut interconnect_bytes,
-                );
-            }
-
-            if run.time > critical.time {
-                critical = run;
-            }
-        }
-        drop(state);
-
-        // Host-side data path shared with every other site: same chunking,
-        // same per-chunk row order, same ascending merge — bit-equal answers
-        // regardless of device mix or completion order. The materialisation
-        // comes from the shared plan-data cache.
-        let mat = self.cache.materialized(table, query.columns_accessed())?;
-        let partials = (0..mat.chunk_count()).map(|i| operators::scan_chunk(&mat, query, mat.chunk_range(i)));
-        let (value, qualifying_rows) = operators::merge_scan_partials(partials);
-
-        Ok(OlapOutcome {
-            value,
-            qualifying_rows,
-            time: critical.time,
-            kernels,
-            interconnect_bytes,
-            breakdown: critical.breakdown,
-            site: OlapTarget::MultiGpu,
-        })
-    }
-
-    /// Executes a relational plan with the replicated-build multi-GPU join:
-    /// per-device selection over the probe shard, local hash build over the
-    /// build shard, an all-gather that replicates the hash table on every
-    /// device (interconnect traffic for the remote fraction), per-device
-    /// random-access probes and partial aggregation, and a chunk-ordered
-    /// merge. The group rows are byte-identical to the other sites because
-    /// the real answer comes from the shared [`operators`] pipeline over all
-    /// chunks in ascending order.
-    pub fn execute_plan(
-        &self,
-        probe: RegisteredTable,
-        probe_table: &SnapshotTable,
-        build: Option<(RegisteredTable, &SnapshotTable)>,
-        plan: &OlapPlan,
-    ) -> Result<PlanOutcome> {
-        let mut scratch: Vec<(usize, BufferId)> = Vec::new();
-        let result = self.execute_plan_inner(probe, probe_table, build, plan, &mut scratch);
-        // Scratch (hash replicas, partial-group arenas) lives only for the
-        // query; free it even on error so an OOM mid-plan does not leak.
-        let mut state = self.devs.lock();
-        for (d, id) in scratch {
-            // h2tap: allow(error_swallow) — scratch cleanup must not mask the query result (including a mid-plan OOM) with a secondary free failure.
-            let _ = state.devices[d].memory_mut().free(id);
-        }
-        drop(state);
-        result
-    }
-
-    fn execute_plan_inner(
+    fn execute_inner(
         &self,
         probe: RegisteredTable,
         probe_table: &SnapshotTable,
@@ -485,7 +245,7 @@ impl MultiGpuOlapEngine {
         plan: &OlapPlan,
         scratch: &mut Vec<(usize, BufferId)>,
     ) -> Result<PlanOutcome> {
-        operators::check_plan(plan, build.is_some())?;
+        operators::check_plan_tables(probe_table, build.map(|(_, t)| t), plan)?;
         let n = self.device_count;
 
         // ---- Device-lock session 1: the up-front reservations. ----
@@ -516,7 +276,7 @@ impl MultiGpuOlapEngine {
                 if per_probe[d] == 0 {
                     continue;
                 }
-                let id = state.register_bytes(d, placement, &format!("plan.hash.d{d}"), bytes)?;
+                let id = register_bytes(&mut state.devices[d], placement, &format!("plan.hash.d{d}"), bytes)?;
                 scratch.push((d, id));
                 *slot = Some(id);
             }
@@ -531,21 +291,18 @@ impl MultiGpuOlapEngine {
         // device would process. Runs with the device lock *released*: this
         // is the real wall-clock work, and concurrent queries must overlap
         // here.
-        let operators::PlanData { mat, hash } = self.cache.prepare_plan(probe_table, build.map(|(_, t)| t), plan)?;
-        let chunk_partials: Vec<ChunkPartial> = (0..mat.chunk_count())
-            .map(|i| operators::process_chunk(&mat, plan, hash.as_deref(), mat.chunk_range(i)))
-            .collect();
+        let data = self.cache.prepare_plan(probe_table, build.map(|(_, t)| t), plan)?;
+        let eval = operators::evaluate_plan(&data, plan, 1, false);
         let mut selected_d = vec![0u64; n];
         let mut joined_d = vec![0u64; n];
         let mut chunks_d = vec![0u64; n];
-        for (i, partial) in chunk_partials.iter().enumerate() {
+        for (i, chunk) in eval.chunk_totals.iter().enumerate() {
             let d = chunk_shard(i, n);
-            selected_d[d] += partial.selected;
-            joined_d[d] += partial.joined;
+            selected_d[d] += chunk.selected;
+            joined_d[d] += chunk.joined;
             chunks_d[d] += 1;
         }
-        let (groups, totals) = operators::merge_partials(plan, chunk_partials);
-        let n_groups = groups.len().max(1) as u64;
+        let n_groups = eval.groups.len().max(1) as u64;
         let group_entry_bytes = (2 + plan.aggregates.len() as u64) * 8;
         let build_rows_total: u64 = per_build.as_ref().map_or(0, |p| p.iter().sum());
 
@@ -566,7 +323,8 @@ impl MultiGpuOlapEngine {
 
             // Explicit-copy placement pays each device's shard transfers.
             if probe.explicit_copy() && rows_d > 0 {
-                let bytes = plan.probe_scan_bytes(&probe_table.schema, rows_d);
+                let bytes =
+                    explicit_copy_bytes(probe_table, rows_d, plan.probe_scan_bytes(&probe_table.schema, rows_d));
                 Self::charge_transfer(
                     &mut state.devices[d],
                     bytes,
@@ -577,7 +335,11 @@ impl MultiGpuOlapEngine {
             }
             if let Some((build_handle, build_table)) = build {
                 if build_handle.explicit_copy() && build_rows_d > 0 {
-                    let bytes = plan.build_scan_bytes(&build_table.schema, build_rows_d);
+                    let bytes = explicit_copy_bytes(
+                        build_table,
+                        build_rows_d,
+                        plan.build_scan_bytes(&build_table.schema, build_rows_d),
+                    );
                     Self::charge_transfer(
                         &mut state.devices[d],
                         bytes,
@@ -653,49 +415,55 @@ impl MultiGpuOlapEngine {
                 }
             }
 
-            // Partial aggregation over the probe shard into a per-device
-            // arena, then a per-device merge of its chunk partials. The
-            // (tiny) per-device group tables merge on the host in ascending
-            // chunk order.
+            // Aggregation over the probe shard: a register reduction for a
+            // scan-shaped plan, otherwise partial aggregation into a
+            // per-device arena plus a per-device merge of its chunk
+            // partials. The (tiny) per-device results merge on the host in
+            // ascending chunk order.
             if rows_d > 0 {
-                let arena_bytes = chunks_d[d].max(1) * n_groups * group_entry_bytes;
-                let arena_buf = {
-                    let id = state.register_bytes(d, self.placement, &format!("plan.groups.d{d}"), arena_bytes)?;
-                    scratch.push((d, id));
-                    id
-                };
-                let mut agg_desc = KernelDesc::new(format!("partial_aggregate.d{d}"), rows_d)
-                    .flops_per_element(2.0 + plan.aggregates.len() as f64)
-                    .write(arena_bytes);
-                let mut agg_cols: Vec<usize> = plan.aggregates.iter().flat_map(|a| a.columns()).collect();
-                if let Some(PlanColumn::Probe(c)) = plan.group_by {
-                    agg_cols.push(c);
-                }
-                agg_cols.sort_unstable();
-                agg_cols.dedup();
-                for &attr in &agg_cols {
-                    let (buffer, useful, pattern) = state.read_plan(probe, probe_table, d, attr)?;
-                    agg_desc = agg_desc.read(buffer, useful, pattern);
-                }
-                if plan.group_by.is_some() {
-                    agg_desc = agg_desc.read(
-                        arena_buf,
-                        joined_d[d].max(1) * group_entry_bytes,
-                        AccessPattern::Random { elem_bytes: group_entry_bytes as u32 },
-                    );
-                }
-                Self::charge(&mut state.devices[d], &agg_desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+                let result_bytes = if reduces_in_registers(plan) {
+                    let desc = register_aggregate_desc(format!("aggregate.d{d}"), rows_d, plan, |attr| {
+                        state.read_plan(probe, probe_table, d, attr)
+                    })?;
+                    Self::charge(&mut state.devices[d], &desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+                    desc.write_bytes
+                } else {
+                    let arena_bytes = chunks_d[d].max(1) * n_groups * group_entry_bytes;
+                    let arena_buf = register_bytes(
+                        &mut state.devices[d],
+                        self.placement,
+                        &format!("plan.groups.d{d}"),
+                        arena_bytes,
+                    )?;
+                    scratch.push((d, arena_buf));
+                    let mut agg_desc = KernelDesc::new(format!("partial_aggregate.d{d}"), rows_d)
+                        .flops_per_element(2.0 + plan.aggregates.len() as f64)
+                        .write(arena_bytes);
+                    for attr in arena_aggregate_columns(plan) {
+                        let (buffer, useful, pattern) = state.read_plan(probe, probe_table, d, attr)?;
+                        agg_desc = agg_desc.read(buffer, useful, pattern);
+                    }
+                    if plan.group_by.is_some() {
+                        agg_desc = agg_desc.read(
+                            arena_buf,
+                            joined_d[d].max(1) * group_entry_bytes,
+                            AccessPattern::Random { elem_bytes: group_entry_bytes as u32 },
+                        );
+                    }
+                    Self::charge(&mut state.devices[d], &agg_desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
 
-                let merge_desc = KernelDesc::new(format!("merge_groups.d{d}"), (chunks_d[d] * n_groups).max(1))
-                    .flops_per_element(1.0 + plan.aggregates.len() as f64)
-                    .read(arena_buf, arena_bytes, AccessPattern::Sequential)
-                    .write(n_groups * group_entry_bytes);
-                Self::charge(&mut state.devices[d], &merge_desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+                    let merge_desc = KernelDesc::new(format!("merge_groups.d{d}"), (chunks_d[d] * n_groups).max(1))
+                        .flops_per_element(1.0 + plan.aggregates.len() as f64)
+                        .read(arena_buf, arena_bytes, AccessPattern::Sequential)
+                        .write(n_groups * group_entry_bytes);
+                    Self::charge(&mut state.devices[d], &merge_desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+                    merge_desc.write_bytes
+                };
 
                 if probe.explicit_copy() {
                     Self::charge_transfer(
                         &mut state.devices[d],
-                        n_groups * group_entry_bytes,
+                        result_bytes,
                         TransferDirection::DeviceToHost,
                         &mut run,
                         &mut interconnect_bytes,
@@ -712,8 +480,8 @@ impl MultiGpuOlapEngine {
         debug_assert_eq!(per_probe.iter().sum::<u64>(), probe_rows_total, "the shard is a partition of the rows");
 
         Ok(PlanOutcome {
-            groups,
-            qualifying_rows: totals.joined,
+            groups: eval.groups,
+            qualifying_rows: eval.totals.joined,
             grouped: plan.group_by.is_some(),
             time: critical.time,
             kernels,
@@ -721,33 +489,6 @@ impl MultiGpuOlapEngine {
             breakdown: critical.breakdown,
             site: OlapTarget::MultiGpu,
         })
-    }
-
-    /// Fraction of registered bytes resident next to the devices' compute —
-    /// weighted across the whole mix for Unified Memory placements.
-    pub fn resident_fraction(&self) -> f64 {
-        match self.placement {
-            DataPlacement::DeviceResident => 1.0,
-            DataPlacement::Host(AccessMode::Memcpy) | DataPlacement::Host(AccessMode::Uva) => 0.0,
-            DataPlacement::Host(AccessMode::UnifiedMemory) => {
-                let state = self.devs.lock();
-                let mut total = 0u64;
-                let mut resident = 0u64;
-                let ids = state
-                    .buffers
-                    .iter()
-                    .map(|((_, d, _), id)| (*d, *id))
-                    .chain(state.nsm_buffers.iter().map(|((_, d), id)| (*d, *id)));
-                for (d, id) in ids {
-                    crate::engine::accumulate_residency(state.devices[d].memory(), id, &mut total, &mut resident);
-                }
-                if total == 0 {
-                    0.0
-                } else {
-                    resident as f64 / total as f64
-                }
-            }
-        }
     }
 }
 
@@ -760,50 +501,123 @@ impl ExecutionSite for MultiGpuOlapEngine {
         "multi-gpu"
     }
 
+    /// Registers the columns of `table`, sharded chunk-wise across the
+    /// devices. Registration is all-or-nothing across the whole mix: if any
+    /// device rejects its shard (out of memory), everything registered so
+    /// far — on every device — is freed again, so an OOM fallback cannot
+    /// strand device memory until the next snapshot refresh.
     fn register_table(&self, table: &SnapshotTable, label: &str) -> Result<RegisteredTable> {
-        MultiGpuOlapEngine::register_table(self, table, label)
+        let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
+        let per_device = shard_rows(table.row_count(), self.device_count);
+        let explicit_copy = matches!(self.placement, DataPlacement::Host(AccessMode::Memcpy));
+        let arity = table.schema.arity();
+        let placement = self.placement;
+        let mut state = self.devs.lock();
+        let registered = (|| -> Result<()> {
+            for (d, &rows) in per_device.iter().enumerate() {
+                if rows == 0 {
+                    continue;
+                }
+                match table.layout {
+                    Layout::Nsm => {
+                        let bytes = rows * table.schema.record_width() as u64;
+                        let id =
+                            register_bytes(&mut state.devices[d], placement, &format!("{label}.d{d}.rows"), bytes)?;
+                        state.nsm_buffers.insert((tag, d), id);
+                    }
+                    Layout::Dsm | Layout::Pax { .. } => {
+                        for attr in 0..arity {
+                            let width = table.schema.attr(attr)?.ty.width() as u64;
+                            let id = register_bytes(
+                                &mut state.devices[d],
+                                placement,
+                                &format!("{label}.d{d}.col{attr}"),
+                                rows * width,
+                            )?;
+                            state.buffers.insert((tag, d, attr), id);
+                        }
+                    }
+                }
+            }
+            Ok(())
+        })();
+        match registered {
+            Ok(()) => {
+                state.shard_rows.insert(tag, per_device);
+                Ok(RegisteredTable::site(tag, explicit_copy))
+            }
+            Err(err) => {
+                state.free_tag(tag);
+                Err(err)
+            }
+        }
     }
 
+    /// Frees every registration on every device (snapshot refresh).
     fn reset_tables(&self) {
-        MultiGpuOlapEngine::reset_tables(self);
+        let mut state = self.devs.lock();
+        let tags: Vec<usize> = state.shard_rows.keys().copied().collect();
+        for tag in tags {
+            state.free_tag(tag);
+        }
     }
 
+    /// Frees one table's buffers across the mix (failed-attempt rollback).
     fn unregister_table(&self, handle: RegisteredTable) {
-        MultiGpuOlapEngine::unregister_table(self, handle);
+        self.devs.lock().free_tag(handle.tag());
     }
 
-    fn execute(&self, handle: RegisteredTable, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome> {
-        let out = MultiGpuOlapEngine::execute(self, handle, table, query)?;
-        emit_execution_spans(&self.tracer, out.site, &out.kernels, &out.breakdown, out.time, out.interconnect_bytes);
-        Ok(out)
-    }
-
-    fn execute_plan(
+    /// Executes a relational plan with the replicated-build multi-GPU join:
+    /// per-device selection over the probe shard, local hash build over the
+    /// build shard, an all-gather that replicates the hash table on every
+    /// device (interconnect traffic for the remote fraction), per-device
+    /// random-access probes and aggregation, and a chunk-ordered merge. The
+    /// devices run concurrently, so the site charges the slowest one. The
+    /// group rows are byte-identical to the other sites because the real
+    /// answer comes from the shared [`operators`] pipeline over all chunks
+    /// in ascending order.
+    fn execute(
         &self,
         probe: RegisteredTable,
         probe_table: &SnapshotTable,
         build: Option<(RegisteredTable, &SnapshotTable)>,
         plan: &OlapPlan,
     ) -> Result<PlanOutcome> {
-        let out = MultiGpuOlapEngine::execute_plan(self, probe, probe_table, build, plan)?;
-        emit_execution_spans(&self.tracer, out.site, &out.kernels, &out.breakdown, out.time, out.interconnect_bytes);
+        let mut scratch: Vec<(usize, BufferId)> = Vec::new();
+        let result = self.execute_inner(probe, probe_table, build, plan, &mut scratch);
+        // Scratch (hash replicas, partial-group arenas) lives only for the
+        // query; free it even on error so an OOM mid-plan does not leak.
+        let mut state = self.devs.lock();
+        for (d, id) in scratch {
+            // h2tap: allow(error_swallow) — scratch cleanup must not mask the query result (including a mid-plan OOM) with a secondary free failure.
+            let _ = state.devices[d].memory_mut().free(id);
+        }
+        drop(state);
+        let out = result?;
+        emit_execution_spans(&self.tracer, &out);
         Ok(out)
     }
 
-    /// The *minimum* per-device free memory — never a sum, so one device
-    /// reporting "unknown" can never saturate the figure (the satellite
-    /// semantics of multi-device `gpu_free_bytes`).
+    /// The smallest free device memory across the mix — the headroom any
+    /// *replicated* per-device structure (the join hash table) must fit.
+    /// Deliberately a minimum, never a sum: device capacities do not pool,
+    /// and summing would let one device reporting "unknown" saturate the
+    /// aggregate (the multi-device semantics of `gpu_free_bytes`).
     fn free_device_bytes(&self) -> Option<u64> {
-        Some(self.min_free_device_bytes())
+        Some(self.devs.lock().devices.iter().map(|d| d.memory().free_bytes()).min().unwrap_or(0))
     }
 
+    /// Weighted across the whole mix for Unified Memory placements.
     fn resident_fraction(&self) -> f64 {
-        MultiGpuOlapEngine::resident_fraction(self)
+        let state = self.devs.lock();
+        let columns = state.buffers.iter().map(|((_, d, _), id)| (*d, *id));
+        let shards = columns.chain(state.nsm_buffers.iter().map(|((_, d), id)| (*d, *id)));
+        resident_fraction(self.placement, shards.map(|(d, id)| (state.devices[d].memory(), id)))
     }
 
     fn capability(&self) -> SiteCapability {
         let n = self.device_count as f64;
-        let resident = MultiGpuOlapEngine::resident_fraction(self);
+        let resident = self.resident_fraction();
         let state = self.devs.lock();
         SiteCapability::Gpu {
             target: OlapTarget::MultiGpu,
@@ -837,7 +651,7 @@ impl ExecutionSite for MultiGpuOlapEngine {
 mod tests {
     use super::*;
     use crate::engine::GpuOlapEngine;
-    use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, Schema, Value};
+    use h2tap_common::{AggExpr, AttrType, PartitionId, PlanColumn, Predicate, ScanAggQuery, Schema, Value};
     use h2tap_gpu_sim::GpuSpec;
     use h2tap_storage::{Database, Layout};
 
@@ -860,6 +674,16 @@ mod tests {
         }
         let snap = db.snapshot();
         snap.table(t).unwrap().clone()
+    }
+
+    /// Runs `query` as the scan-shaped plan it is, on either GPU-family site.
+    fn scan(
+        site: &dyn ExecutionSite,
+        handle: RegisteredTable,
+        table: &SnapshotTable,
+        query: &ScanAggQuery,
+    ) -> Result<crate::engine::OlapOutcome> {
+        site.execute(handle, table, None, &OlapPlan::scan(query)).map(PlanOutcome::into_scan_outcome)
     }
 
     fn bucket_query() -> ScanAggQuery {
@@ -892,11 +716,11 @@ mod tests {
         let query = bucket_query();
         let single = GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
         let h = single.register_table(&table, "t").unwrap();
-        let reference = single.execute(h, &table, &query).unwrap();
+        let reference = scan(&single, h, &table, &query).unwrap();
         for n in 1..=5 {
             let multi = MultiGpuOlapEngine::new(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
             let mh = multi.register_table(&table, "t").unwrap();
-            let out = multi.execute(mh, &table, &query).unwrap();
+            let out = scan(&multi, mh, &table, &query).unwrap();
             assert_eq!(out.value.to_bits(), reference.value.to_bits(), "{n} devices");
             assert_eq!(out.qualifying_rows, reference.qualifying_rows);
             assert_eq!(out.site, OlapTarget::MultiGpu);
@@ -911,7 +735,7 @@ mod tests {
             let devices = (0..n).map(|_| GpuDevice::new(GpuSpec::gtx_980())).collect();
             let eng = MultiGpuOlapEngine::new(devices, DataPlacement::DeviceResident).unwrap();
             let h = eng.register_table(&table, "t").unwrap();
-            eng.execute(h, &table, &query).unwrap().time.as_secs_f64()
+            scan(&eng, h, &table, &query).unwrap().time.as_secs_f64()
         };
         let one = time(1);
         let four = time(4);
@@ -925,7 +749,7 @@ mod tests {
         let time = |specs: Vec<GpuSpec>| {
             let eng = MultiGpuOlapEngine::from_specs(specs, DataPlacement::DeviceResident).unwrap();
             let h = eng.register_table(&table, "t").unwrap();
-            eng.execute(h, &table, &query).unwrap().time.as_secs_f64()
+            scan(&eng, h, &table, &query).unwrap().time.as_secs_f64()
         };
         let fast_pair = time(vec![GpuSpec::gtx_980_ti(), GpuSpec::gtx_980_ti()]);
         let mixed_pair = time(vec![GpuSpec::gtx_980_ti(), GpuSpec::gtx_580()]);
@@ -992,12 +816,12 @@ mod tests {
         let single = GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
         let ph = single.register_table(&probe, "fact").unwrap();
         let bh = single.register_table(&build, "dim").unwrap();
-        let reference = single.execute_plan(ph, &probe, Some((bh, &build)), &plan).unwrap();
+        let reference = single.execute(ph, &probe, Some((bh, &build)), &plan).unwrap();
         for n in [2usize, 3, 5] {
             let multi = MultiGpuOlapEngine::new(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
             let mph = multi.register_table(&probe, "fact").unwrap();
             let mbh = multi.register_table(&build, "dim").unwrap();
-            let out = multi.execute_plan(mph, &probe, Some((mbh, &build)), &plan).unwrap();
+            let out = multi.execute(mph, &probe, Some((mbh, &build)), &plan).unwrap();
             assert_eq!(out.groups, reference.groups, "{n} devices");
             assert_eq!(out.qualifying_rows, reference.qualifying_rows);
         }
@@ -1043,7 +867,7 @@ mod tests {
             group_by: Some(PlanColumn::Build(2)),
             aggregates: vec![AggExpr::Count],
         };
-        let out = eng.execute_plan(ph, &probe, Some((bh, &build)), &plan).unwrap();
+        let out = eng.execute(ph, &probe, Some((bh, &build)), &plan).unwrap();
         assert_eq!(out.qualifying_rows, 1_000, "every probe row joins a unique build key");
     }
 
@@ -1063,7 +887,7 @@ mod tests {
             group_by: Some(PlanColumn::Probe(1)),
             aggregates: vec![AggExpr::SumColumns(vec![2])],
         };
-        eng.execute_plan(h, &probe, None, &plan).unwrap();
+        eng.execute(h, &probe, None, &plan).unwrap();
         let after = eng.device_used_bytes();
         assert_eq!(before, after, "group arenas must be freed on every device");
         eng.unregister_table(h);
@@ -1075,7 +899,7 @@ mod tests {
         let table = snapshot_table(Layout::Dsm, 0);
         let eng = MultiGpuOlapEngine::new(mix(2), DataPlacement::Host(AccessMode::Uva)).unwrap();
         let h = eng.register_table(&table, "t").unwrap();
-        assert!(eng.execute(h, &table, &bucket_query()).is_err());
+        assert!(scan(&eng, h, &table, &bucket_query()).is_err());
     }
 
     #[test]

@@ -12,28 +12,29 @@
 //! thread blocks, but because every site uses these functions over the same
 //! materialised columns, the numbers that come out are bit-equal.
 //!
-//! # Vectorized batch execution and explicit SIMD kernels
+//! # One production kernel set, one oracle
 //!
-//! Within a chunk, the hot functions ([`scan_chunk`], [`process_chunk`])
-//! execute **vectorized**: rows are processed in fixed
-//! [`VECTOR_BATCH_ROWS`]-row batches, predicate evaluation fills a
-//! *selection vector*, hash probes compact it, and aggregate accumulation
-//! runs one specialised loop per [`AggExpr`] variant instead of a per-row
-//! `match`. The inner loops are **explicit SIMD kernels** ([`crate::simd`]):
-//! hand-unrolled 4/8-lane structs (the toolchain is stable Rust, so no
-//! `std::simd`) monomorphised per column type through [`with_decoder!`] —
-//! predicate masks, probe-key decodes and per-row aggregate staging are
-//! lane-parallel, while every f64 *accumulation* stays sequential in
-//! ascending row order. None of this changes a single bit of the results:
-//! a selection vector only *skips* rows a predicate rejected (exactly the
-//! rows the row-at-a-time loop `continue`d past), staged per-row values are
-//! computed by the very expressions the reference evaluates, and each
-//! accumulator receives the same additions in the same order. Two oracles
-//! are retained and property-tested bit-identical: the row-at-a-time
-//! references ([`scan_chunk_reference`], [`process_chunk_reference`]) and
-//! the pre-SIMD scalar batch path ([`scan_chunk_scalar`],
-//! [`process_chunk_scalar`]), which the `hostperf` benchmark also times as
-//! the prior-PR baseline.
+//! Within a chunk, [`process_chunk`] executes **vectorized**: rows are
+//! processed in fixed [`VECTOR_BATCH_ROWS`]-row batches, predicate
+//! evaluation fills a *selection vector*, hash probes compact it, and
+//! aggregate accumulation runs one specialised loop per [`AggExpr`] variant
+//! instead of a per-row `match`. The inner loops are **explicit SIMD
+//! kernels** ([`crate::simd`]): hand-unrolled 4/8-lane structs (the
+//! toolchain is stable Rust, so no `std::simd`) monomorphised per column
+//! type through [`with_decoder!`] — predicate masks, probe-key decodes and
+//! per-row aggregate staging are lane-parallel, while every f64
+//! *accumulation* stays sequential in ascending row order. None of this
+//! changes a single bit of the results: a selection vector only *skips* rows
+//! a predicate rejected (exactly the rows the row-at-a-time loop `continue`d
+//! past), staged per-row values are computed by the very expressions the
+//! reference evaluates, and each accumulator receives the same additions in
+//! the same order. The row-at-a-time [`process_chunk_reference`] is the one
+//! retained oracle, property-tested bit-identical (`tests/host_path.rs`).
+//!
+//! A [`ScanAggQuery`] is the degenerate plan [`OlapPlan::scan`] — no join,
+//! no group-by, one aggregate — and runs through exactly this path;
+//! [`evaluate_plan`] is the one "evaluate chunks in order, merge in order"
+//! routine every execution site calls.
 //!
 //! # Zonemap statistics and parallel materialisation
 //!
@@ -44,9 +45,8 @@
 //! pool ([`crate::pool`]), preserving chunk order in the output.
 //! [`scan_chunk_can_qualify`] then answers in O(#predicates) per chunk
 //! instead of re-scanning the chunk's values per predicate per query (the
-//! old behaviour is retained as [`scan_chunk_can_qualify_reference`], and
-//! the prior single-threaded two-pass build as
-//! [`MaterializedColumns::new_serial`]). Because the stats live on the
+//! old behaviour is retained as the oracle
+//! [`scan_chunk_can_qualify_reference`]). Because the stats live on the
 //! materialised columns, the snapshot-keyed plan-data cache
 //! ([`crate::cache::PlanDataCache`]) shares them across queries and across
 //! execution sites for free.
@@ -117,27 +117,6 @@ struct ColumnZonemap {
     maxs: Vec<f64>,
 }
 
-#[inline(always)]
-fn zonemap_min_max<D: Fn(u64) -> f64>(decode: D, cells: &[u64]) -> (f64, f64) {
-    // Plain comparisons, not `f64::min`/`max`: NaN fails both (so NaN cells
-    // are ignored, exactly like the `min`/`max` fold the O(chunk) reference
-    // check uses), the rarely-taken branches predict perfectly, and the
-    // loop auto-vectorises. `-0.0` vs `0.0` ties may resolve differently
-    // than `f64::min`, but the bounds are only ever *compared* numerically,
-    // where the two zeros are equal.
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &cell in cells {
-        let v = decode(cell);
-        if v < lo {
-            lo = v;
-        }
-        if v > hi {
-            hi = v;
-        }
-    }
-    (lo, hi)
-}
-
 /// Accessed columns of a table, materialised as raw 64-bit cells in storage
 /// order, with per-chunk zonemap statistics built in the same pass. Chunked
 /// operators index rows directly, which an iterator over pages cannot do.
@@ -206,41 +185,12 @@ impl MaterializedColumns {
         Ok(Self { cols, types, data, zonemaps, rows })
     }
 
-    /// The prior single-threaded two-pass build — copy every column, then
-    /// re-scan each column per chunk for the zonemap — retained as the
-    /// equivalence oracle for [`MaterializedColumns::new`] and as the
-    /// prior-PR cold path the `hostperf` benchmark prices the fused
-    /// parallel build against.
-    pub fn new_serial(table: &SnapshotTable, cols: Vec<usize>) -> Result<Self> {
-        let mut mat = Self::new_without_zonemaps(table, cols)?;
-        let rows = mat.rows;
-        let chunks = mat.chunk_count();
-        mat.zonemaps = mat
-            .types
-            .iter()
-            .zip(&mat.data)
-            .map(|(&ty, col)| {
-                let mut zm = ColumnZonemap { mins: Vec::with_capacity(chunks), maxs: Vec::with_capacity(chunks) };
-                for chunk in 0..chunks {
-                    let lo = chunk * PLAN_CHUNK_ROWS;
-                    let hi = ((chunk + 1) * PLAN_CHUNK_ROWS).min(rows);
-                    let (min, max) = with_decoder!(ty, zonemap_min_max(&col[lo.min(rows)..hi]));
-                    zm.mins.push(min);
-                    zm.maxs.push(max);
-                }
-                zm
-            })
-            .collect();
-        Ok(mat)
-    }
-
     /// Materialises without building zonemap statistics, single-threaded —
     /// used where the statistics would be pure waste (the build side of a
-    /// hash join is consumed exactly once, at build time) and as the
-    /// `hostperf` reference baseline, which pays exactly what the
-    /// row-at-a-time path used to pay. [`scan_chunk_can_qualify`]
-    /// transparently falls back to the O(chunk) recomputation on such an
-    /// instance.
+    /// hash join is consumed exactly once, at build time) and as the plain
+    /// serial copy the `hostperf` reference path and the materialisation
+    /// oracle test pay. [`scan_chunk_can_qualify`] transparently falls back
+    /// to the O(chunk) recomputation on such an instance.
     pub fn new_without_zonemaps(table: &SnapshotTable, cols: Vec<usize>) -> Result<Self> {
         let types = Self::check_dims(table, &cols)?;
         let data: Vec<Vec<u64>> = cols.iter().map(|&c| table.column(c)).collect();
@@ -419,83 +369,17 @@ pub struct PlanTotals {
 }
 
 #[inline(always)]
-fn fill_selection<D: Fn(u64) -> f64>(decode: D, col: &[u64], pred: &Predicate, base: usize, sel: &mut Vec<u32>) {
-    // Branchless compaction: write the candidate index unconditionally and
-    // advance the cursor by the predicate's boolean — no data-dependent
-    // branch for the predictor to miss on selective data.
-    sel.resize(col.len(), 0);
-    let mut k = 0usize;
-    for (i, &cell) in col.iter().enumerate() {
-        sel[k] = (base + i) as u32;
-        k += usize::from(pred.matches(decode(cell)));
-    }
-    sel.truncate(k);
-}
-
-#[inline(always)]
-fn refine_selection<D: Fn(u64) -> f64>(decode: D, col: &[u64], pred: &Predicate, sel: &mut Vec<u32>) {
-    let mut kept = 0usize;
-    for k in 0..sel.len() {
-        let row = sel[k];
-        sel[kept] = row;
-        kept += usize::from(pred.matches(decode(col[row as usize])));
-    }
-    sel.truncate(kept);
-}
-
-/// Fills `sel` with the chunk-relative indexes of the rows of
-/// `batch` (a subrange of the chunk, both relative to the start of the
-/// materialised columns) that satisfy every predicate, in ascending order.
-/// One tight monomorphised loop per predicate: the first fills, the rest
-/// compact in place.
-#[inline]
-fn select_batch(
-    mat: &MaterializedColumns,
-    predicates: &[Predicate],
-    pred_pos: &[usize],
-    batch: Range<usize>,
-    sel: &mut Vec<u32>,
-) {
-    sel.clear();
-    let mut first = true;
-    for (pred, &pos) in predicates.iter().zip(pred_pos) {
-        let ty = mat.types[pos];
-        let col = &mat.data[pos];
-        if first {
-            with_decoder!(ty, fill_selection(&col[batch.clone()], pred, batch.start, sel));
-            first = false;
-        } else {
-            with_decoder!(ty, refine_selection(col, pred, sel));
-        }
-        if sel.is_empty() {
-            return;
-        }
-    }
-}
-
-/// Which inner-loop kernels a chunk evaluation uses. The public entry
-/// points pin the flavour: [`scan_chunk`]/[`process_chunk`] run `Simd`,
-/// [`scan_chunk_scalar`]/[`process_chunk_scalar`] the retained pre-SIMD
-/// scalar batch loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernels {
-    /// Explicit lane kernels ([`crate::simd`]).
-    Simd,
-    /// The retained scalar batch loops (the prior-PR vectorized path).
-    Scalar,
-}
-
-#[inline(always)]
 fn group_between_mask<D: Fn(u64) -> f64>(decode: D, cells: &[u64], pred: &Predicate) -> u32 {
     F64x8::decode(&decode, cells).between_mask(pred.lo, pred.hi)
 }
 
-/// SIMD flavour of [`select_batch`]: per 8-lane group, AND together every
-/// predicate's lane mask (with an early out once a group's mask is empty),
-/// then compact the surviving lanes branchlessly. The result is exactly the
-/// fill+refine cascade's — the ascending set of rows every predicate
-/// accepts — the per-predicate intermediate selections simply never
-/// materialise, which also spares re-gathering rows per refine pass.
+/// Fills `sel` with the indexes of the rows of `batch` (relative to the
+/// start of the materialised columns) that satisfy every predicate, in
+/// ascending order: per 8-lane group, AND together every predicate's lane
+/// mask (with an early out once a group's mask is empty), then compact the
+/// surviving lanes branchlessly — no data-dependent branch for the
+/// predictor to miss on selective data, and no per-predicate intermediate
+/// selection ever materialises.
 #[inline]
 fn select_batch_simd(
     mat: &MaterializedColumns,
@@ -583,7 +467,7 @@ fn stage_add_column<D: Fn(u64) -> f64>(decode: D, col: &[u64], sel: &[u32], out:
 
 /// Stages each selected row's per-row aggregate input into `out[i]` (one
 /// slot per selected row, in selection order) with lane kernels. The staged
-/// value is computed by the very expression the scalar loops evaluate —
+/// value is computed by the very expression the reference evaluates —
 /// `SumProduct` is the two-column product, `SumColumns` folds from `0.0`
 /// through the columns in column order exactly like the per-row
 /// `sum::<f64>()` (so `0.0 + -0.0` stays `+0.0`) — which is what lets the
@@ -606,9 +490,12 @@ fn stage_rows_simd(mat: &MaterializedColumns, agg: &AggExpr, pos: &[usize], sel:
     }
 }
 
-/// SIMD flavour of [`accumulate_selected`]: lane kernels stage the per-row
-/// inputs, then one sequential fold adds them in ascending row order — the
-/// same additions in the same order as the scalar loop, bit for bit.
+/// Accumulates one aggregate over the selected rows into `acc`: lane kernels
+/// stage the per-row inputs, then one sequential fold adds them in ascending
+/// row order — the same additions in the same order as the row-at-a-time
+/// reference, bit for bit. (Counting sums exact small integers: adding 1.0
+/// per row and adding the exactly representable batch total are the same
+/// f64.)
 #[inline]
 fn accumulate_selected_simd(
     mat: &MaterializedColumns,
@@ -669,10 +556,10 @@ fn stage_add_column_dense<D: Fn(u64) -> f64>(decode: D, col: &[u64], out: &mut [
     }
 }
 
-/// SIMD flavour of [`accumulate_dense`] (no predicates): streams the
-/// columns 8 lanes at a time in [`VECTOR_BATCH_ROWS`] batches (bounding the
-/// staging scratch), folding each batch sequentially in ascending row
-/// order.
+/// Like [`accumulate_selected_simd`] for a dense row range (every row
+/// qualifies, so there is nothing to select or gather): streams the columns
+/// 8 lanes at a time in [`VECTOR_BATCH_ROWS`] batches (bounding the staging
+/// scratch), folding each batch sequentially in ascending row order.
 #[inline]
 fn accumulate_dense_simd(
     mat: &MaterializedColumns,
@@ -708,53 +595,6 @@ fn accumulate_dense_simd(
             *acc += v;
         }
         lo = hi;
-    }
-}
-
-/// Accumulates one aggregate over the selected rows into `acc`, visiting
-/// rows in ascending order. The per-row expressions are verbatim those of
-/// the row-at-a-time reference, so each accumulator receives bit-identical
-/// additions in the same order — only the per-row `match` on the aggregate
-/// variant is hoisted out of the loop.
-#[inline]
-fn accumulate_selected(mat: &MaterializedColumns, agg: &AggExpr, pos: &[usize], sel: &[u32], acc: &mut f64) {
-    match agg {
-        AggExpr::SumProduct(..) => {
-            for &row in sel {
-                *acc += mat.value(pos[0], row as usize) * mat.value(pos[1], row as usize);
-            }
-        }
-        AggExpr::SumColumns(_) => {
-            for &row in sel {
-                *acc += pos.iter().map(|&p| mat.value(p, row as usize)).sum::<f64>();
-            }
-        }
-        AggExpr::Count => {
-            // Counting sums exact small integers: adding 1.0 per row and
-            // adding the (exactly representable) batch total are the same
-            // f64, bit for bit.
-            *acc += sel.len() as f64;
-        }
-    }
-}
-
-/// Like [`accumulate_selected`] for a dense row range (no predicates).
-#[inline]
-fn accumulate_dense(mat: &MaterializedColumns, agg: &AggExpr, pos: &[usize], rows: Range<usize>, acc: &mut f64) {
-    match agg {
-        AggExpr::SumProduct(..) => {
-            for row in rows {
-                *acc += mat.value(pos[0], row) * mat.value(pos[1], row);
-            }
-        }
-        AggExpr::SumColumns(_) => {
-            for row in rows {
-                *acc += pos.iter().map(|&p| mat.value(p, row)).sum::<f64>();
-            }
-        }
-        AggExpr::Count => {
-            *acc += rows.len() as f64;
-        }
     }
 }
 
@@ -806,35 +646,13 @@ impl GroupArena {
 /// staging kernels feed sequential accumulation into the group arena. Rows
 /// are processed in ascending storage order; this function is
 /// deterministic, side-effect free and bit-identical to
-/// [`process_chunk_reference`] and [`process_chunk_scalar`], so chunks can
-/// be evaluated on any thread in any order.
+/// [`process_chunk_reference`], so chunks can be evaluated on any thread in
+/// any order.
 pub fn process_chunk(
     probe: &MaterializedColumns,
     plan: &OlapPlan,
     hash: Option<&JoinHashTable>,
     rows: Range<usize>,
-) -> ChunkPartial {
-    process_chunk_with(probe, plan, hash, rows, Kernels::Simd)
-}
-
-/// The retained pre-SIMD scalar batch path of [`process_chunk`] — the
-/// prior-PR vectorized implementation, kept as a second oracle and as the
-/// baseline the `hostperf` benchmark prices the SIMD kernels against.
-pub fn process_chunk_scalar(
-    probe: &MaterializedColumns,
-    plan: &OlapPlan,
-    hash: Option<&JoinHashTable>,
-    rows: Range<usize>,
-) -> ChunkPartial {
-    process_chunk_with(probe, plan, hash, rows, Kernels::Scalar)
-}
-
-fn process_chunk_with(
-    probe: &MaterializedColumns,
-    plan: &OlapPlan,
-    hash: Option<&JoinHashTable>,
-    rows: Range<usize>,
-    kernels: Kernels,
 ) -> ChunkPartial {
     let pred_pos: Vec<usize> = plan.predicates.iter().map(|p| probe.pos(p.column)).collect();
     let probe_key_pos = plan.join.as_ref().map(|j| probe.pos(j.probe_column));
@@ -848,17 +666,34 @@ fn process_chunk_with(
         plan.aggregates.iter().map(|a| a.columns().iter().map(|&c| probe.pos(c)).collect()).collect();
 
     let mut partial = ChunkPartial::default();
-    let mut arena = GroupArena::new(plan.aggregates.len());
     // The global group's accumulators live outside the arena: no per-row
     // key lookup, and the accumulation order is unchanged (same additions,
     // same order, one accumulator).
     let mut global = GroupAcc { values: vec![0.0; plan.aggregates.len()], rows: 0 };
+    let mut scratch: Vec<f64> = Vec::new();
 
+    // Dense plans — no predicate, no join, one global group — select every
+    // row: stream the columns directly instead of filling an identity
+    // selection vector and gathering through it. Each accumulator still
+    // receives the same per-row values in the same ascending order.
+    if plan.predicates.is_empty() && probe_key_pos.is_none() && matches!(mode, GroupMode::Global) {
+        partial.selected = rows.len() as u64;
+        partial.joined = partial.selected;
+        if !rows.is_empty() {
+            global.rows = partial.selected;
+            for (slot, (agg, pos)) in plan.aggregates.iter().zip(&agg_pos).enumerate() {
+                accumulate_dense_simd(probe, agg, pos, rows.clone(), &mut scratch, &mut global.values[slot]);
+            }
+            partial.groups.insert(0, global);
+        }
+        return partial;
+    }
+
+    let mut arena = GroupArena::new(plan.aggregates.len());
     let mut sel: Vec<u32> = Vec::with_capacity(VECTOR_BATCH_ROWS);
     let mut payloads: Vec<u64> = Vec::new();
     let mut slots: Vec<u32> = Vec::new();
     let mut key_bits: Vec<u64> = Vec::new();
-    let mut scratch: Vec<f64> = Vec::new();
 
     let mut lo = rows.start;
     while lo < rows.end {
@@ -869,10 +704,7 @@ fn process_chunk_with(
             sel.clear();
             sel.extend((lo..hi).map(|r| r as u32));
         } else {
-            match kernels {
-                Kernels::Simd => select_batch_simd(probe, &plan.predicates, &pred_pos, lo..hi, &mut sel),
-                Kernels::Scalar => select_batch(probe, &plan.predicates, &pred_pos, lo..hi, &mut sel),
-            }
+            select_batch_simd(probe, &plan.predicates, &pred_pos, lo..hi, &mut sel);
         }
         partial.selected += sel.len() as u64;
         lo = hi;
@@ -882,36 +714,20 @@ fn process_chunk_with(
 
         // 2. Hash probe: compact the selection vector to the rows that
         //    found a partner, collecting payloads for build-side grouping.
-        //    The SIMD flavour stages the key decodes lanewise first; the
-        //    map lookups themselves are scalar either way, over the same
-        //    key bit patterns in the same order.
+        //    The key decodes are staged lanewise; the map lookups themselves
+        //    are scalar, over the key bit patterns in ascending row order.
         if let Some(key_pos) = probe_key_pos {
             // h2tap: allow(panic) — prepare_plan populates `hash` exactly when the plan has a join, and probe_key_pos is derived from that same join; the two cannot disagree.
             let table = hash.expect("join plans carry a hash table");
             payloads.clear();
+            let col = &probe.data[key_pos];
+            with_decoder!(probe.types[key_pos], stage_key_bits(col, &sel, &mut key_bits));
             let mut kept = 0usize;
-            match kernels {
-                Kernels::Simd => {
-                    let col = &probe.data[key_pos];
-                    with_decoder!(probe.types[key_pos], stage_key_bits(col, &sel, &mut key_bits));
-                    for k in 0..sel.len() {
-                        let Some(payload) = table.get(key_bits[k]) else { continue };
-                        sel[kept] = sel[k];
-                        kept += 1;
-                        payloads.push(payload);
-                    }
-                }
-                Kernels::Scalar => {
-                    for k in 0..sel.len() {
-                        let row = sel[k];
-                        let Some(payload) = table.get(probe.value(key_pos, row as usize).to_bits()) else {
-                            continue;
-                        };
-                        sel[kept] = row;
-                        kept += 1;
-                        payloads.push(payload);
-                    }
-                }
+            for k in 0..sel.len() {
+                let Some(payload) = table.get(key_bits[k]) else { continue };
+                sel[kept] = sel[k];
+                kept += 1;
+                payloads.push(payload);
             }
             sel.truncate(kept);
         }
@@ -926,12 +742,7 @@ fn process_chunk_with(
             GroupMode::Global => {
                 global.rows += sel.len() as u64;
                 for (slot, (agg, pos)) in plan.aggregates.iter().zip(&agg_pos).enumerate() {
-                    match kernels {
-                        Kernels::Simd => {
-                            accumulate_selected_simd(probe, agg, pos, &sel, &mut scratch, &mut global.values[slot])
-                        }
-                        Kernels::Scalar => accumulate_selected(probe, agg, pos, &sel, &mut global.values[slot]),
-                    }
+                    accumulate_selected_simd(probe, agg, pos, &sel, &mut scratch, &mut global.values[slot]);
                 }
             }
             GroupMode::Probe(group_pos) => {
@@ -941,12 +752,7 @@ fn process_chunk_with(
                     arena.accs[slot as usize].rows += 1;
                     slots.push(slot);
                 }
-                match kernels {
-                    Kernels::Simd => {
-                        accumulate_grouped_simd(probe, plan, &agg_pos, &sel, &slots, &mut scratch, &mut arena)
-                    }
-                    Kernels::Scalar => accumulate_grouped(probe, plan, &agg_pos, &sel, &slots, &mut arena),
-                }
+                accumulate_grouped_simd(probe, plan, &agg_pos, &sel, &slots, &mut scratch, &mut arena);
             }
             GroupMode::Build => {
                 slots.clear();
@@ -955,12 +761,7 @@ fn process_chunk_with(
                     arena.accs[slot as usize].rows += 1;
                     slots.push(slot);
                 }
-                match kernels {
-                    Kernels::Simd => {
-                        accumulate_grouped_simd(probe, plan, &agg_pos, &sel, &slots, &mut scratch, &mut arena)
-                    }
-                    Kernels::Scalar => accumulate_grouped(probe, plan, &agg_pos, &sel, &slots, &mut arena),
-                }
+                accumulate_grouped_simd(probe, plan, &agg_pos, &sel, &slots, &mut scratch, &mut arena);
             }
         }
     }
@@ -972,47 +773,12 @@ fn process_chunk_with(
     partial
 }
 
-/// Runs one specialised accumulation loop per aggregate over the selected
-/// rows, each adding into its row's arena slot. Rows are visited in
-/// ascending order per loop, so every `(group, aggregate)` accumulator sees
-/// the same addition sequence as the row-at-a-time reference.
-#[inline]
-fn accumulate_grouped(
-    probe: &MaterializedColumns,
-    plan: &OlapPlan,
-    agg_pos: &[Vec<usize>],
-    sel: &[u32],
-    slots: &[u32],
-    arena: &mut GroupArena,
-) {
-    for (agg_slot, (agg, pos)) in plan.aggregates.iter().zip(agg_pos).enumerate() {
-        match agg {
-            AggExpr::SumProduct(..) => {
-                for (&row, &slot) in sel.iter().zip(slots) {
-                    arena.accs[slot as usize].values[agg_slot] +=
-                        probe.value(pos[0], row as usize) * probe.value(pos[1], row as usize);
-                }
-            }
-            AggExpr::SumColumns(_) => {
-                for (&row, &slot) in sel.iter().zip(slots) {
-                    arena.accs[slot as usize].values[agg_slot] +=
-                        pos.iter().map(|&p| probe.value(p, row as usize)).sum::<f64>();
-                }
-            }
-            AggExpr::Count => {
-                for &slot in slots {
-                    arena.accs[slot as usize].values[agg_slot] += 1.0;
-                }
-            }
-        }
-    }
-}
-
-/// SIMD flavour of [`accumulate_grouped`]: per aggregate, lane kernels
-/// stage the per-row inputs, then a sequential scatter adds each staged
-/// value into its row's arena slot. Every `(group, aggregate)` accumulator
-/// sees the same addition sequence as the scalar loop — staging changes
-/// where the per-row value is computed, not what is added or in what order.
+/// Per aggregate, lane kernels stage the per-row inputs, then a sequential
+/// scatter adds each staged value into its row's arena slot. Rows are
+/// visited in ascending order, so every `(group, aggregate)` accumulator
+/// sees the same addition sequence as the row-at-a-time reference — staging
+/// changes where the per-row value is computed, not what is added or in
+/// what order.
 #[inline]
 fn accumulate_grouped_simd(
     probe: &MaterializedColumns,
@@ -1037,10 +803,10 @@ fn accumulate_grouped_simd(
     }
 }
 
-/// The retained row-at-a-time implementation of [`process_chunk`] — the
+/// The retained row-at-a-time implementation of [`process_chunk`] — the one
 /// reference oracle the vectorized path is property-tested bit-identical
-/// against, and the "pre-vectorization" code path of the `hostperf`
-/// benchmark.
+/// against (scans included, as [`OlapPlan::scan`]), and the
+/// "pre-vectorization" code path of the `hostperf` benchmark.
 pub fn process_chunk_reference(
     probe: &MaterializedColumns,
     plan: &OlapPlan,
@@ -1122,7 +888,7 @@ pub fn merge_partials(plan: &OlapPlan, partials: Vec<ChunkPartial>) -> (Vec<Grou
     (groups, totals)
 }
 
-/// The result of evaluating one scan chunk of a [`ScanAggQuery`].
+/// One chunk's answer to a [`ScanAggQuery`], as [`scan_chunk`] reports it.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ScanChunkPartial {
     /// Partial aggregate over the chunk's qualifying rows.
@@ -1177,108 +943,26 @@ pub fn scan_chunk_can_qualify_reference(
     true
 }
 
-/// Evaluates a [`ScanAggQuery`] over one chunk of the materialised columns —
-/// the scan-side counterpart of [`process_chunk`], vectorized the same way:
-/// per-batch lane-parallel predicate selection into a selection vector,
-/// then SIMD staging + sequential accumulation per aggregate variant. Rows
-/// are visited in ascending storage order, so a chunk's partial is
-/// deterministic (and bit-identical to [`scan_chunk_reference`] and
-/// [`scan_chunk_scalar`]) regardless of which thread or simulated thread
-/// block evaluates it; [`merge_scan_partials`] then pins the merge order,
-/// which together makes `ScanAggQuery` f64 answers **byte-identical across
-/// execution sites**.
+/// [`process_chunk`] over [`OlapPlan::scan`], reshaped to a scalar partial.
+/// Kept only because the frozen `benchmark/` package calls it; the engine
+/// itself evaluates scans as plans.
 pub fn scan_chunk(mat: &MaterializedColumns, query: &ScanAggQuery, rows: Range<usize>) -> ScanChunkPartial {
-    scan_chunk_with(mat, query, rows, Kernels::Simd)
+    let partial = process_chunk(mat, &OlapPlan::scan(query), None, rows);
+    ScanChunkPartial { value: partial.groups.get(&0).map_or(0.0, |g| g.values[0]), qualifying: partial.joined }
 }
 
-/// The retained pre-SIMD scalar batch path of [`scan_chunk`] — the prior-PR
-/// vectorized implementation, kept as a second oracle and as the baseline
-/// the `hostperf` benchmark prices the SIMD kernels against.
-pub fn scan_chunk_scalar(mat: &MaterializedColumns, query: &ScanAggQuery, rows: Range<usize>) -> ScanChunkPartial {
-    scan_chunk_with(mat, query, rows, Kernels::Scalar)
-}
-
-fn scan_chunk_with(
-    mat: &MaterializedColumns,
-    query: &ScanAggQuery,
-    rows: Range<usize>,
-    kernels: Kernels,
-) -> ScanChunkPartial {
-    let pred_pos: Vec<usize> = query.predicates.iter().map(|p| mat.pos(p.column)).collect();
-    let agg_pos: Vec<usize> = query.aggregate.columns().iter().map(|&c| mat.pos(c)).collect();
-    let mut partial = ScanChunkPartial::default();
-    let mut scratch: Vec<f64> = Vec::new();
-    if query.predicates.is_empty() {
-        partial.qualifying = rows.len() as u64;
-        match kernels {
-            Kernels::Simd => {
-                accumulate_dense_simd(mat, &query.aggregate, &agg_pos, rows, &mut scratch, &mut partial.value)
-            }
-            Kernels::Scalar => accumulate_dense(mat, &query.aggregate, &agg_pos, rows, &mut partial.value),
-        }
-        return partial;
-    }
-    let mut sel: Vec<u32> = Vec::with_capacity(VECTOR_BATCH_ROWS);
-    let mut lo = rows.start;
-    while lo < rows.end {
-        let hi = (lo + VECTOR_BATCH_ROWS).min(rows.end);
-        match kernels {
-            Kernels::Simd => {
-                select_batch_simd(mat, &query.predicates, &pred_pos, lo..hi, &mut sel);
-                partial.qualifying += sel.len() as u64;
-                accumulate_selected_simd(mat, &query.aggregate, &agg_pos, &sel, &mut scratch, &mut partial.value);
-            }
-            Kernels::Scalar => {
-                select_batch(mat, &query.predicates, &pred_pos, lo..hi, &mut sel);
-                partial.qualifying += sel.len() as u64;
-                accumulate_selected(mat, &query.aggregate, &agg_pos, &sel, &mut partial.value);
-            }
-        }
-        lo = hi;
-    }
-    partial
-}
-
-/// The retained row-at-a-time implementation of [`scan_chunk`] — the
-/// reference oracle for the vectorized path and the "pre-vectorization"
-/// code path of the `hostperf` benchmark.
-pub fn scan_chunk_reference(mat: &MaterializedColumns, query: &ScanAggQuery, rows: Range<usize>) -> ScanChunkPartial {
-    let pred_pos: Vec<usize> = query.predicates.iter().map(|p| mat.pos(p.column)).collect();
-    let agg_pos: Vec<usize> = query.aggregate.columns().iter().map(|&c| mat.pos(c)).collect();
-    let mut partial = ScanChunkPartial::default();
-    for row in rows {
-        if query.predicates.iter().zip(&pred_pos).any(|(p, &pos)| !p.matches(mat.value(pos, row))) {
-            continue;
-        }
-        partial.qualifying += 1;
-        partial.value += match &query.aggregate {
-            AggExpr::SumProduct(..) => mat.value(agg_pos[0], row) * mat.value(agg_pos[1], row),
-            AggExpr::SumColumns(_) => agg_pos.iter().map(|&p| mat.value(p, row)).sum(),
-            AggExpr::Count => 1.0,
-        };
-    }
-    partial
-}
-
-/// Merges scan-chunk partials **in the order given** (callers pass ascending
-/// chunk order) into the query's `(value, qualifying_rows)` answer. Chunks a
-/// zonemap proved empty may simply be omitted: their partial is exactly
-/// `0.0`, and `x + 0.0` is the f64 identity, so skipping preserves
-/// bit-equality with a site that evaluated every chunk.
+/// Folds [`scan_chunk`] partials **in the order given** into the query's
+/// `(value, qualifying_rows)` — [`merge_partials`] for the single global
+/// group. Kept only because the frozen `benchmark/` package calls it.
 pub fn merge_scan_partials(partials: impl IntoIterator<Item = ScanChunkPartial>) -> (f64, u64) {
-    let mut value = 0.0f64;
-    let mut qualifying = 0u64;
-    for p in partials {
-        value += p.value;
-        qualifying += p.qualifying;
-    }
-    (value, qualifying)
+    partials.into_iter().fold((0.0, 0), |(value, rows), p| (value + p.value, rows + p.qualifying))
 }
 
-/// Everything both sites need before they can evaluate a plan's chunks: the
-/// materialised probe columns and the (optional) join hash table. Both are
-/// shared (`Arc`) so the snapshot-keyed plan-data cache can hand the same
-/// instances to every site and every query of a snapshot.
+/// Everything a site needs before it can evaluate a plan's chunks: the
+/// materialised probe columns and the (optional) join hash table, as
+/// [`crate::cache::PlanDataCache::prepare_plan`] derives them. Both are
+/// shared (`Arc`) so the snapshot-keyed cache can hand the same instances
+/// to every site and every query of a snapshot.
 #[derive(Debug, Clone)]
 pub struct PlanData {
     /// Accessed probe columns, materialised in storage order.
@@ -1287,33 +971,11 @@ pub struct PlanData {
     pub hash: Option<Arc<JoinHashTable>>,
 }
 
-/// The shared preamble of plan execution: validates the plan against the
-/// presence of a build table, rejects empty tables, builds the join hash
-/// table from the filtered build side and materialises the accessed probe
-/// columns. Both sites call this so their data paths — and their error
-/// behaviour on malformed or empty inputs — cannot drift apart; what remains
-/// site-specific is how the chunks are scheduled and what the pipeline is
-/// charged. (Sites that hold a [`crate::cache::PlanDataCache`] go through
-/// [`crate::cache::PlanDataCache::prepare_plan`] instead, which produces the
-/// same `PlanData` but shares it across queries and sites.)
-pub fn prepare_plan(
-    probe_table: &SnapshotTable,
-    build_table: Option<&SnapshotTable>,
-    plan: &OlapPlan,
-) -> Result<PlanData> {
-    let build_group_col = check_plan_tables(probe_table, build_table, plan)?;
-    let hash = match (&plan.join, build_table) {
-        (Some(join), Some(build)) => Some(Arc::new(build_hash_table(build, join, build_group_col)?)),
-        _ => None,
-    };
-    let mat = Arc::new(MaterializedColumns::new(probe_table, plan.probe_columns_accessed())?);
-    Ok(PlanData { mat, hash })
-}
-
-/// The validation half of [`prepare_plan`]: checks the plan/table pairing
-/// and rejects empty tables, returning the build-side group column (if
-/// any). Shared with the cached preparation path so cached and uncached
-/// execution reject malformed inputs identically.
+/// Validates a plan against the tables it is about to run over: checks the
+/// plan/table pairing and rejects empty tables, returning the build-side
+/// group column (if any). Every site calls it before touching a device and
+/// [`crate::cache::PlanDataCache::prepare_plan`] before deriving anything,
+/// so all of them reject malformed inputs identically.
 pub fn check_plan_tables(
     probe_table: &SnapshotTable,
     build_table: Option<&SnapshotTable>,
@@ -1345,6 +1007,60 @@ pub fn check_plan(plan: &OlapPlan, has_build: bool) -> Result<Option<usize>> {
         Some(PlanColumn::Build(c)) => Some(c),
         _ => None,
     })
+}
+
+/// What [`evaluate_plan`] computed: the plan's answer plus the counters the
+/// sites' cost models charge from.
+#[derive(Debug, Clone)]
+pub(crate) struct PlanEvaluation {
+    /// Result groups in ascending raw-key order.
+    pub groups: Vec<GroupRow>,
+    /// Plan-wide row counters.
+    pub totals: PlanTotals,
+    /// Row counters per chunk, in ascending chunk order (what a sharded
+    /// site attributes to the device that owns the chunk).
+    pub chunk_totals: Vec<PlanTotals>,
+    /// Rows of the chunks that were actually evaluated.
+    pub rows_scanned: u64,
+    /// Chunks a zonemap proved empty.
+    pub chunks_skipped: u64,
+    /// Worker threads the chunks ran on.
+    pub threads_used: usize,
+}
+
+/// The one "evaluate chunks in order, merge in order" routine behind every
+/// execution site: runs [`process_chunk`] over each fixed chunk of the
+/// prepared probe columns on up to `threads` scoped workers and merges the
+/// partials in ascending chunk order, so the groups are byte-identical for
+/// any thread count. With `skip_by_zonemap`, a chunk whose zonemap proves no
+/// row can satisfy the probe predicates is not evaluated; its partial would
+/// be empty, so the groups do not change by a bit.
+pub(crate) fn evaluate_plan(data: &PlanData, plan: &OlapPlan, threads: usize, skip_by_zonemap: bool) -> PlanEvaluation {
+    let PlanData { mat, hash } = data;
+    let chunks = mat.chunk_count();
+    let threads_used = threads.clamp(1, pool::MAX_PLAN_THREADS).min(chunks);
+    let skip = skip_by_zonemap && !plan.predicates.is_empty();
+    let evaluated: Vec<Option<ChunkPartial>> = pool::run_chunked(chunks, threads_used, |i| {
+        if skip && !scan_chunk_can_qualify(mat, &plan.predicates, i) {
+            return None;
+        }
+        Some(process_chunk(mat, plan, hash.as_deref(), mat.chunk_range(i)))
+    });
+    let mut rows_scanned = 0u64;
+    let mut chunks_skipped = 0u64;
+    let mut chunk_totals = Vec::with_capacity(chunks);
+    let mut partials = Vec::with_capacity(chunks);
+    for (i, partial) in evaluated.into_iter().enumerate() {
+        match &partial {
+            Some(_) => rows_scanned += mat.chunk_range(i).len() as u64,
+            None => chunks_skipped += 1,
+        }
+        let partial = partial.unwrap_or_default();
+        chunk_totals.push(PlanTotals { selected: partial.selected, joined: partial.joined });
+        partials.push(partial);
+    }
+    let (groups, totals) = merge_partials(plan, partials);
+    PlanEvaluation { groups, totals, chunk_totals, rows_scanned, chunks_skipped, threads_used }
 }
 
 #[cfg(test)]
@@ -1505,19 +1221,16 @@ mod tests {
             };
             let mat = MaterializedColumns::new(&probe, plan.probe_columns_accessed()).unwrap();
             for i in 0..mat.chunk_count() {
-                let simd = process_chunk(&mat, &plan, hash.as_ref(), mat.chunk_range(i));
-                let scalar = process_chunk_scalar(&mat, &plan, hash.as_ref(), mat.chunk_range(i));
+                let fast = process_chunk(&mat, &plan, hash.as_ref(), mat.chunk_range(i));
                 let slow = process_chunk_reference(&mat, &plan, hash.as_ref(), mat.chunk_range(i));
-                for fast in [&simd, &scalar] {
-                    assert_eq!(fast.selected, slow.selected);
-                    assert_eq!(fast.joined, slow.joined);
-                    assert_eq!(fast.groups.len(), slow.groups.len());
-                    for ((fk, fa), (sk, sa)) in fast.groups.iter().zip(&slow.groups) {
-                        assert_eq!(fk, sk);
-                        assert_eq!(fa.rows, sa.rows);
-                        for (x, y) in fa.values.iter().zip(&sa.values) {
-                            assert_eq!(x.to_bits(), y.to_bits(), "chunk {i} group {fk}: {x} vs {y}");
-                        }
+                assert_eq!(fast.selected, slow.selected);
+                assert_eq!(fast.joined, slow.joined);
+                assert_eq!(fast.groups.len(), slow.groups.len());
+                for ((fk, fa), (sk, sa)) in fast.groups.iter().zip(&slow.groups) {
+                    assert_eq!(fk, sk);
+                    assert_eq!(fa.rows, sa.rows);
+                    for (x, y) in fa.values.iter().zip(&sa.values) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "chunk {i} group {fk}: {x} vs {y}");
                     }
                 }
             }
@@ -1592,55 +1305,26 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_scan_chunks_are_bit_identical_to_the_reference() {
-        let (probe, _) = tables(200_000);
-        let queries = [
-            ScanAggQuery { predicates: vec![Predicate::between(1, 10.0, 59.0)], aggregate: AggExpr::SumProduct(1, 2) },
-            ScanAggQuery {
-                predicates: vec![Predicate::between(1, 10.0, 59.0), Predicate::between(0, 1_000.0, 180_000.0)],
-                aggregate: AggExpr::SumColumns(vec![0, 2]),
-            },
-            ScanAggQuery { predicates: vec![], aggregate: AggExpr::SumColumns(vec![2]) },
-            ScanAggQuery { predicates: vec![Predicate::between(2, 0.0, 5_000.5)], aggregate: AggExpr::Count },
-            ScanAggQuery { predicates: vec![Predicate::between(0, 1e9, 2e9)], aggregate: AggExpr::SumProduct(0, 2) },
-        ];
-        for query in queries {
-            let mat = MaterializedColumns::new(&probe, query.columns_accessed()).unwrap();
-            for i in 0..mat.chunk_count() {
-                let simd = scan_chunk(&mat, &query, mat.chunk_range(i));
-                let scalar = scan_chunk_scalar(&mat, &query, mat.chunk_range(i));
-                let slow = scan_chunk_reference(&mat, &query, mat.chunk_range(i));
-                for fast in [simd, scalar] {
-                    assert_eq!(fast.qualifying, slow.qualifying, "chunk {i}");
-                    assert_eq!(
-                        fast.value.to_bits(),
-                        slow.value.to_bits(),
-                        "chunk {i}: {} vs {}",
-                        fast.value,
-                        slow.value
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_materialisation_matches_the_serial_two_pass_build() {
-        // Cell data must be byte-identical (it is a pure copy); zonemap
-        // bounds must be numerically equal (the lane-split min/max may pick
-        // a different -0.0/+0.0 tie representative, which numeric equality
+    fn parallel_materialisation_matches_a_serial_copy_and_fold() {
+        // Cell data must be byte-identical to the plain serial copy (it is
+        // a pure copy); zonemap bounds must be numerically equal to a
+        // min/max fold over the chunk (the lane-split min/max may pick a
+        // different -0.0/+0.0 tie representative, which numeric equality
         // deliberately admits). Row counts cross chunk and lane boundaries.
         for rows in [1i64, 7, 1024, PLAN_CHUNK_ROWS as i64, PLAN_CHUNK_ROWS as i64 + 9, 200_000] {
             let (probe, _) = tables(rows);
             let cols = vec![0usize, 1, 2];
             let par = MaterializedColumns::new(&probe, cols.clone()).unwrap();
-            let ser = MaterializedColumns::new_serial(&probe, cols).unwrap();
+            let ser = MaterializedColumns::new_without_zonemaps(&probe, cols).unwrap();
             assert_eq!(par.rows, ser.rows);
             assert_eq!(par.data, ser.data, "{rows} rows: copied cells must be byte-identical");
-            assert_eq!(par.zonemaps.len(), ser.zonemaps.len());
-            for (pz, sz) in par.zonemaps.iter().zip(&ser.zonemaps) {
-                assert_eq!(pz.mins, sz.mins, "{rows} rows");
-                assert_eq!(pz.maxs, sz.maxs, "{rows} rows");
+            for (pos, zm) in par.zonemaps.iter().enumerate() {
+                for chunk in 0..par.chunk_count() {
+                    let values = par.chunk_range(chunk).map(|row| ser.value(pos, row));
+                    let (lo, hi) =
+                        values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| (lo.min(v), hi.max(v)));
+                    assert_eq!((zm.mins[chunk], zm.maxs[chunk]), (lo, hi), "{rows} rows, column {pos}, chunk {chunk}");
+                }
             }
         }
     }

@@ -8,8 +8,14 @@
 //! needs both targets behind one dispatchable interface: the GPU
 //! kernel-at-a-time executor ([`crate::GpuOlapEngine`]) and the CPU
 //! vectorised scan engine ([`crate::CpuOlapEngine`]) both implement
-//! [`ExecutionSite`], and `Caldera::run_olap` picks between them per query
-//! with [`h2tap_scheduler::place_olap_query`].
+//! [`ExecutionSite`], and the engine's one dispatch path picks between them
+//! per query with [`h2tap_scheduler::place_olap_query_sites`].
+//!
+//! [`OlapPlan`] is the only IR a site sees: a
+//! [`h2tap_common::ScanAggQuery`] reaches it as the degenerate plan
+//! [`OlapPlan::scan`] (no join, no group-by, one aggregate), which every
+//! site answers through the same shared data path and charges by the
+//! plan's shape.
 //!
 //! Besides execution, a site exposes the *cost and capability hints* the
 //! placement heuristic consumes: which [`OlapTarget`] it serves, what
@@ -18,9 +24,8 @@
 //! migration ([`ExecutionSite::set_cores`]).
 
 use crate::cache::PlanDataCache;
-use crate::engine::{OlapOutcome, PlanOutcome, RegisteredTable};
-use h2tap_common::{ExecBreakdown, OlapPlan, Result, ScanAggQuery, SimDuration};
-use h2tap_gpu_sim::KernelMetrics;
+use crate::engine::{PlanOutcome, RegisteredTable};
+use h2tap_common::{OlapPlan, Result};
 use h2tap_obs::{SpanEvent, SpanKind, Tracer};
 use h2tap_scheduler::{OlapTarget, SiteCapability};
 use h2tap_storage::SnapshotTable;
@@ -35,9 +40,9 @@ use h2tap_storage::SnapshotTable;
 ///
 /// Every method takes `&self`: sites are **concurrent** — the engine serves
 /// analytical queries from many client threads at once, so each impl owns
-/// its mutable state behind interior mutability and must keep `execute` /
-/// `execute_plan` safe (and, for throughput, actually parallel — don't hold
-/// a site-wide lock across host compute) under simultaneous calls.
+/// its mutable state behind interior mutability and must keep `execute`
+/// safe (and, for throughput, actually parallel — don't hold a site-wide
+/// lock across host compute) under simultaneous calls.
 pub trait ExecutionSite: Send + Sync {
     /// Which placement target this site serves.
     fn target(&self) -> OlapTarget;
@@ -58,17 +63,13 @@ pub trait ExecutionSite: Send + Sync {
     /// strand device memory until the next snapshot refresh.
     fn unregister_table(&self, handle: RegisteredTable);
 
-    /// Executes `query` against a registered snapshot table, returning the
-    /// exact answer and the site's simulated cost.
-    fn execute(&self, handle: RegisteredTable, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome>;
-
     /// Executes a relational plan (filter → optional hash join → optional
     /// group-by) against a registered probe table and, for join plans, a
     /// registered build table. Sites must return **byte-identical**
     /// [`h2tap_common::GroupRow`]s for the same plan over the same snapshot
     /// (see [`h2tap_common::plan`] for the evaluation-order contract); only
     /// the simulated cost differs.
-    fn execute_plan(
+    fn execute(
         &self,
         probe: RegisteredTable,
         probe_table: &SnapshotTable,
@@ -124,32 +125,25 @@ pub trait ExecutionSite: Send + Sync {
 /// A site without per-kernel metrics (the CPU pipeline) gets one `Kernel`
 /// span covering its whole execution. Shared by all three sites so their
 /// traces cannot drift apart in shape.
-pub(crate) fn emit_execution_spans(
-    tracer: &Tracer,
-    site: OlapTarget,
-    kernels: &[KernelMetrics],
-    breakdown: &ExecBreakdown,
-    total: SimDuration,
-    interconnect_bytes: u64,
-) {
+pub(crate) fn emit_execution_spans(tracer: &Tracer, out: &PlanOutcome) {
     if !tracer.enabled() {
         return;
     }
-    if kernels.is_empty() {
+    if out.kernels.is_empty() {
         tracer.record(
             SpanEvent::new(SpanKind::Kernel)
-                .site(site)
-                .dur_secs(total.as_secs_f64())
-                .bytes(interconnect_bytes)
-                .breakdown(*breakdown),
+                .site(out.site)
+                .dur_secs(out.time.as_secs_f64())
+                .bytes(out.interconnect_bytes)
+                .breakdown(out.breakdown),
         );
         return;
     }
-    for (i, k) in kernels.iter().enumerate() {
+    for (i, k) in out.kernels.iter().enumerate() {
         let kind = if k.name.starts_with("merge") { SpanKind::Merge } else { SpanKind::Kernel };
-        let mut event = SpanEvent::new(kind).site(site).dur_secs(k.time.as_secs_f64()).bytes(k.interconnect_bytes);
-        if i + 1 == kernels.len() {
-            event = event.breakdown(*breakdown);
+        let mut event = SpanEvent::new(kind).site(out.site).dur_secs(k.time.as_secs_f64()).bytes(k.interconnect_bytes);
+        if i + 1 == out.kernels.len() {
+            event = event.breakdown(out.breakdown);
         }
         tracer.record(event);
     }
@@ -160,7 +154,7 @@ mod tests {
     use super::*;
     use crate::cpu::CpuOlapEngine;
     use crate::engine::{DataPlacement, GpuOlapEngine};
-    use h2tap_common::{AggExpr, AttrType, PartitionId, Schema, Value};
+    use h2tap_common::{AggExpr, AttrType, PartitionId, ScanAggQuery, Schema, Value};
     use h2tap_gpu_sim::{GpuDevice, GpuSpec};
     use h2tap_storage::{Database, Layout};
 
@@ -195,9 +189,9 @@ mod tests {
         let mut answers = Vec::new();
         for site in sites() {
             let handle = site.register_table(&table, "t").unwrap();
-            let out = site.execute(handle, &table, &query).unwrap();
+            let out = site.execute(handle, &table, None, &OlapPlan::scan(&query)).unwrap();
             assert_eq!(out.site, site.target());
-            answers.push(out.value);
+            answers.push(out.single_value().unwrap());
             site.reset_tables();
         }
         assert!(answers.windows(2).all(|w| w[0].to_bits() == w[1].to_bits()), "{answers:?}");
@@ -235,7 +229,7 @@ mod tests {
         for site in sites() {
             let ph = site.register_table(&probe, "fact").unwrap();
             let bh = site.register_table(&build, "dim").unwrap();
-            let out = site.execute_plan(ph, &probe, Some((bh, &build)), &plan).unwrap();
+            let out = site.execute(ph, &probe, Some((bh, &build)), &plan).unwrap();
             assert_eq!(out.site, site.target());
             results.push(out);
             site.reset_tables();

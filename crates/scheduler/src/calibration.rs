@@ -650,7 +650,7 @@ impl CoreMigrationPolicy for SaturationMigrationPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::{cpu_term_secs, gpu_streaming_secs, GpuDeviceCapability};
+    use crate::placement::{cpu_term_secs, gpu_site_stream_feature, GpuDeviceCapability};
 
     /// Emulates a CPU site whose true constants differ from the model seeds:
     /// builds the observation a dispatch over `rows`/`bytes` would produce.
@@ -715,7 +715,13 @@ mod tests {
                 available_cpu_cores: 24,
                 ..PlacementHints::default()
             });
-            let stream_feature = gpu_streaming_secs(&gpu, &hints);
+            let device = GpuDeviceCapability {
+                spec: gpu.clone(),
+                shard_fraction: 1.0,
+                resident_fraction: 0.0,
+                free_bytes: None,
+            };
+            let stream_feature = gpu_site_stream_feature(&[device], &hints);
             let actual_stream = TRUE_SCALE * stream_feature;
             let obs = PlacementObservation {
                 site: OlapTarget::Gpu,

@@ -20,8 +20,7 @@ pub use calibration::{
     SiteSecsEstimate, RECENT_PLACEMENTS_CAP,
 };
 pub use placement::{
-    cpu_term_secs, estimate_site_secs, estimate_site_times, estimate_target_secs, gpu_footprint_blocks,
-    gpu_site_stream_feature, gpu_streaming_secs, min_free_shard_bytes, overlap_secs, place_olap_query,
-    place_olap_query_sites, GpuDeviceCapability, OlapTarget, PlacementHints, SiteCapability, SiteEstimate,
-    CPU_CACHE_LINE_BYTES, DEFAULT_GPU_DISPATCH_OVERHEAD_SECS, GPU_SCRATCH_HEADROOM_BYTES,
+    cpu_term_secs, estimate_site_secs, estimate_target_secs, gpu_footprint_blocks, gpu_site_stream_feature,
+    min_free_shard_bytes, overlap_secs, place_olap_query_sites, GpuDeviceCapability, OlapTarget, PlacementHints,
+    SiteCapability, CPU_CACHE_LINE_BYTES, DEFAULT_GPU_DISPATCH_OVERHEAD_SECS, GPU_SCRATCH_HEADROOM_BYTES,
 };

@@ -92,41 +92,6 @@ pub struct PlacementHints {
 /// relying on the (expensive) OOM fallback.
 pub const GPU_SCRATCH_HEADROOM_BYTES: u64 = 1 << 20;
 
-/// Closed-form per-site time estimates for one query's placement hints — the
-/// reusable predictor behind [`place_olap_query`]. The calibration feedback
-/// loop compares these predictions against the times the sites actually
-/// report.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SiteEstimate {
-    /// Predicted execution time on the GPU site, in seconds.
-    pub gpu_secs: f64,
-    /// Predicted execution time on the CPU site, in seconds.
-    pub cpu_secs: f64,
-}
-
-impl SiteEstimate {
-    /// The faster target under this estimate (ties go to the GPU, the
-    /// Caldera prototype's static choice).
-    pub fn faster(&self) -> OlapTarget {
-        if self.cpu_secs < self.gpu_secs {
-            OlapTarget::Cpu
-        } else {
-            OlapTarget::Gpu
-        }
-    }
-
-    /// The predicted time for `target`, in seconds. `SiteEstimate` is the
-    /// legacy CPU-vs-single-GPU pair; the multi-GPU site is estimated through
-    /// [`estimate_site_secs`] / [`estimate_target_secs`], so `MultiGpu` here
-    /// falls back to the single-GPU figure.
-    pub fn secs_for(&self, target: OlapTarget) -> f64 {
-        match target {
-            OlapTarget::Gpu | OlapTarget::MultiGpu => self.gpu_secs,
-            OlapTarget::Cpu => self.cpu_secs,
-        }
-    }
-}
-
 /// Cache-line granularity of CPU random access: every hash probe touches one
 /// 64-byte line of the table regardless of entry size.
 pub const CPU_CACHE_LINE_BYTES: u64 = 64;
@@ -241,9 +206,9 @@ impl SiteCapability {
     }
 
     /// The capability of the classic single-GPU site, reconstructed from the
-    /// legacy scalar hint fields (`gpu_resident_fraction`, `gpu_free_bytes`
-    /// with `u64::MAX` meaning unknown). Bridges the 2-way API onto the
-    /// N-way one.
+    /// scalar hint fields (`gpu_resident_fraction`, `gpu_free_bytes` with
+    /// `u64::MAX` meaning unknown) — for callers that hold hints but no
+    /// live site to enumerate.
     pub fn single_gpu(spec: &GpuSpec, hints: &PlacementHints) -> Self {
         SiteCapability::Gpu {
             target: OlapTarget::Gpu,
@@ -276,19 +241,12 @@ fn device_streaming_secs(spec: &GpuSpec, resident_fraction: f64, hints: &Placeme
             / (spec.interconnect.kind.bandwidth_gbps() * 1e9)
 }
 
-/// Spec-derived GPU streaming time at `gpu_bandwidth_scale == 1.0`: resident
-/// bytes stream at device bandwidth, the rest crosses the interconnect, and
-/// random bytes pay the coalescing waste. This is the bandwidth *feature* of
-/// the GPU cost model — the calibrator fits an overhead intercept and a
-/// bandwidth scale on top of it.
-pub fn gpu_streaming_secs(gpu: &GpuSpec, hints: &PlacementHints) -> f64 {
-    device_streaming_secs(gpu, hints.gpu_resident_fraction, hints)
-}
-
-/// The streaming feature of a (possibly multi-device) GPU site: each device
-/// streams its shard of the bytes concurrently, so the site is bound by its
-/// critical — slowest — device. With one device at `shard_fraction == 1.0`
-/// this is exactly [`gpu_streaming_secs`]; with a fast+slow mix the slow
+/// The streaming feature of a (possibly multi-device) GPU site — the
+/// bandwidth *feature* of the GPU cost model, on top of which the calibrator
+/// fits an overhead intercept and a bandwidth scale. Each device streams its
+/// shard of the bytes concurrently, so the site is bound by its critical —
+/// slowest — device: one device at `shard_fraction == 1.0` costs its own
+/// spec-derived streaming time, while in a fast+slow mix the slow
 /// generation's shard dominates, which is what makes heterogeneous mixes
 /// slower than their aggregate bandwidth suggests.
 pub fn gpu_site_stream_feature(devices: &[GpuDeviceCapability], hints: &PlacementHints) -> f64 {
@@ -347,20 +305,15 @@ pub fn overlap_secs(stream: f64, compute: f64) -> f64 {
     stream.max(compute) + stream.min(compute) * 0.25
 }
 
-/// The closed-form predictor: estimates both sites' execution times from the
-/// (sanitized) hints. Total for any input — NaN/negative fields degrade to
-/// defaults rather than making both estimates NaN.
-pub fn estimate_site_times(gpu: &GpuSpec, hints: &PlacementHints) -> SiteEstimate {
-    let hints = hints.sanitized();
-    let gpu_secs = hints.gpu_dispatch_overhead_secs + hints.gpu_bandwidth_scale * gpu_streaming_secs(gpu, &hints);
-    let (stream, tuple) = cpu_term_secs(&hints);
-    SiteEstimate { gpu_secs, cpu_secs: overlap_secs(stream, tuple) }
-}
-
-/// The closed-form time estimate for one enumerated site. CPU sites use the
-/// overlap of the hints' streaming and per-tuple terms; GPU sites pay their
-/// target's calibrated dispatch intercept plus the calibrated bandwidth
-/// scale times the site's streaming feature (critical device's shard time).
+/// The closed-form time estimate for one enumerated site — the reusable
+/// predictor behind [`place_olap_query_sites`], which the calibration
+/// feedback loop compares against the times the sites actually report.
+/// Total for any input: the hints are sanitized first, so NaN/negative
+/// fields degrade to defaults rather than poisoning the estimate. CPU sites
+/// use the overlap of the hints' streaming and per-tuple terms; GPU sites pay
+/// their target's calibrated dispatch intercept plus the calibrated
+/// bandwidth scale times the site's streaming feature (critical device's
+/// shard time).
 pub fn estimate_site_secs(site: &SiteCapability, hints: &PlacementHints) -> f64 {
     let hints = hints.sanitized();
     match site {
@@ -422,21 +375,19 @@ pub fn place_olap_query_sites(sites: &[SiteCapability], hints: &PlacementHints) 
     best.map_or(OlapTarget::Gpu, |(target, _)| target)
 }
 
-/// Estimates GPU and CPU scan times and picks the faster target. Ties (and
-/// the degenerate no-CPU case) go to the GPU, which is the Caldera
-/// prototype's static choice. This is the classic 2-way decision, expressed
-/// as the N-way [`place_olap_query_sites`] over the CPU site and a
-/// single-GPU site reconstructed from the legacy hint fields.
-pub fn place_olap_query(gpu: &GpuSpec, hints: &PlacementHints) -> OlapTarget {
-    place_olap_query_sites(
-        &[SiteCapability::single_gpu(gpu, hints), SiteCapability::Cpu { cores: hints.available_cpu_cores }],
-        hints,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The classic CPU-vs-one-GPU decision, expressed as the N-way argmin
+    /// over the CPU site and a single-GPU site reconstructed from the scalar
+    /// hint fields.
+    fn place_two_way(gpu: &GpuSpec, hints: &PlacementHints) -> OlapTarget {
+        place_olap_query_sites(
+            &[SiteCapability::single_gpu(gpu, hints), SiteCapability::Cpu { cores: hints.available_cpu_cores }],
+            hints,
+        )
+    }
 
     #[test]
     fn gpu_wins_when_data_is_resident() {
@@ -447,7 +398,7 @@ mod tests {
             cpu_core_bandwidth_gbps: 3.0,
             ..PlacementHints::default()
         };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &hints), OlapTarget::Gpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &hints), OlapTarget::Gpu);
     }
 
     #[test]
@@ -461,7 +412,7 @@ mod tests {
             cpu_core_bandwidth_gbps: 3.0,
             ..PlacementHints::default()
         };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &hints), OlapTarget::Cpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &hints), OlapTarget::Cpu);
     }
 
     #[test]
@@ -473,13 +424,13 @@ mod tests {
             cpu_core_bandwidth_gbps: 3.0,
             ..PlacementHints::default()
         };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &hints), OlapTarget::Gpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &hints), OlapTarget::Gpu);
     }
 
     #[test]
     fn no_cpu_cores_defaults_to_gpu() {
         let hints = PlacementHints { bytes_to_scan: 1 << 20, ..PlacementHints::default() };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &hints), OlapTarget::Gpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &hints), OlapTarget::Gpu);
     }
 
     #[test]
@@ -492,11 +443,11 @@ mod tests {
             available_cpu_cores: 4,
             ..PlacementHints::default()
         };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &hints), OlapTarget::Cpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &hints), OlapTarget::Cpu);
         // Without the overhead term the same tiny resident scan goes to the
         // GPU (224 GB/s of device bandwidth beats 12 GB/s of CPU bandwidth).
         let no_overhead = PlacementHints { gpu_dispatch_overhead_secs: 0.0, ..hints };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &no_overhead), OlapTarget::Gpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &no_overhead), OlapTarget::Gpu);
     }
 
     #[test]
@@ -512,14 +463,14 @@ mod tests {
             cpu_per_tuple_ns: 93.0,
             ..PlacementHints::default()
         };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &scan), OlapTarget::Gpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &scan), OlapTarget::Gpu);
         let join =
             PlacementHints { random_access_bytes: (4 << 20) * HASH_ENTRY_BYTES, hash_table_bytes: 1 << 20, ..scan };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &join), OlapTarget::Cpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &join), OlapTarget::Cpu);
         // Fully device-resident, the same probes ride the capped device
         // transaction waste and the GPU stays ahead.
         let resident_join = PlacementHints { gpu_resident_fraction: 1.0, ..join };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &resident_join), OlapTarget::Gpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &resident_join), OlapTarget::Gpu);
     }
 
     #[test]
@@ -532,20 +483,20 @@ mod tests {
             gpu_free_bytes: 4 << 30,
             ..PlacementHints::default()
         };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &hints), OlapTarget::Cpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &hints), OlapTarget::Cpu);
         // The same footprint with room to spare keeps the GPU.
         let fits = PlacementHints { gpu_free_bytes: 16 << 30, ..hints };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &fits), OlapTarget::Gpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &fits), OlapTarget::Gpu);
         // Unknown headroom (the u64::MAX default) disables the check rather
         // than guessing.
         let unknown = PlacementHints { gpu_free_bytes: u64::MAX, ..hints };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &unknown), OlapTarget::Gpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &unknown), OlapTarget::Gpu);
         // A genuinely full device (0 free bytes) routes joins to the CPU.
         let full = PlacementHints { gpu_free_bytes: 0, ..hints };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &full), OlapTarget::Cpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &full), OlapTarget::Cpu);
         // With no CPU cores the footprint check cannot help.
         let no_cores = PlacementHints { available_cpu_cores: 0, ..hints };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &no_cores), OlapTarget::Gpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &no_cores), OlapTarget::Gpu);
     }
 
     #[test]
@@ -562,19 +513,19 @@ mod tests {
             gpu_free_bytes: 4 << 30,
             ..PlacementHints::default()
         };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &hints), OlapTarget::Cpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &hints), OlapTarget::Cpu);
         // One byte short of the scratch headroom still routes to the CPU …
         let just_short = PlacementHints { gpu_free_bytes: (4 << 30) + GPU_SCRATCH_HEADROOM_BYTES - 1, ..hints };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &just_short), OlapTarget::Cpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &just_short), OlapTarget::Cpu);
         // … and exactly hash table + headroom fits.
         let fits = PlacementHints { gpu_free_bytes: (4 << 30) + GPU_SCRATCH_HEADROOM_BYTES, ..hints };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &fits), OlapTarget::Gpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &fits), OlapTarget::Gpu);
         // A saturating footprint near u64::MAX must not wrap around the
         // headroom addition, and MAX-as-unknown still disables the check.
         let huge = PlacementHints { hash_table_bytes: u64::MAX - 1, gpu_free_bytes: u64::MAX - 1, ..hints };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &huge), OlapTarget::Cpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &huge), OlapTarget::Cpu);
         let unknown = PlacementHints { gpu_free_bytes: u64::MAX, ..huge };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &unknown), OlapTarget::Gpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &unknown), OlapTarget::Gpu);
     }
 
     #[test]
@@ -597,32 +548,18 @@ mod tests {
         assert_eq!(clean.cpu_per_tuple_ns, 0.0);
         assert_eq!(clean.gpu_bandwidth_scale, 1.0);
         // The predictor is total: finite estimates even on the raw hints.
-        let est = estimate_site_times(&GpuSpec::gtx_980(), &poisoned);
-        assert!(est.cpu_secs.is_finite() && est.gpu_secs.is_finite(), "{est:?}");
-        assert_eq!(est, estimate_site_times(&GpuSpec::gtx_980(), &clean));
+        for site in [SiteCapability::single_gpu(&GpuSpec::gtx_980(), &clean), SiteCapability::Cpu { cores: 24 }] {
+            let est = estimate_site_secs(&site, &poisoned);
+            assert!(est.is_finite(), "{site:?}: {est}");
+            assert_eq!(est, estimate_site_secs(&site, &clean));
+        }
         // NaN resident fraction must not poison the decision: the sanitized
         // hints behave like the explicit-zero-residency hints.
         let zeroed = PlacementHints { gpu_resident_fraction: 0.0, ..clean };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &poisoned), place_olap_query(&GpuSpec::gtx_980(), &zeroed));
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &poisoned), place_two_way(&GpuSpec::gtx_980(), &zeroed));
         // Negative residency clamps instead of producing negative time.
         let negative = PlacementHints { gpu_resident_fraction: -3.0, ..clean }.sanitized();
         assert_eq!(negative.gpu_resident_fraction, 0.0);
-    }
-
-    #[test]
-    fn placement_agrees_with_the_reusable_estimator() {
-        let hints = PlacementHints {
-            bytes_to_scan: 1 << 28,
-            gpu_resident_fraction: 0.4,
-            available_cpu_cores: 12,
-            rows: 1 << 22,
-            cpu_per_tuple_ns: 93.0,
-            ..PlacementHints::default()
-        };
-        let est = estimate_site_times(&GpuSpec::gtx_980(), &hints);
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &hints), est.faster());
-        assert_eq!(est.secs_for(OlapTarget::Cpu), est.cpu_secs);
-        assert_eq!(est.secs_for(OlapTarget::Gpu), est.gpu_secs);
     }
 
     fn resident_device(spec: GpuSpec, shard_fraction: f64) -> GpuDeviceCapability {
@@ -675,8 +612,7 @@ mod tests {
         let mixed_feature = gpu_site_stream_feature(&mixed, &hints);
         let fast_feature = gpu_site_stream_feature(&fast_only, &hints);
         assert!(mixed_feature > fast_feature, "mixed {mixed_feature} vs fast {fast_feature}");
-        let slow_share =
-            0.5 * gpu_streaming_secs(&GpuSpec::gtx_580(), &PlacementHints { gpu_resident_fraction: 1.0, ..hints });
+        let slow_share = 0.5 * gpu_site_stream_feature(&[resident_device(GpuSpec::gtx_580(), 1.0)], &hints);
         assert!((mixed_feature - slow_share).abs() < 1e-12, "the slow shard is the critical path");
     }
 
@@ -721,7 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn the_two_way_wrapper_matches_the_n_way_argmin_and_estimator() {
+    fn placement_is_the_argmin_of_the_per_site_estimator() {
         let hints = PlacementHints {
             bytes_to_scan: 1 << 28,
             gpu_resident_fraction: 0.4,
@@ -734,13 +670,12 @@ mod tests {
         };
         let gpu = GpuSpec::gtx_980();
         let sites = [SiteCapability::single_gpu(&gpu, &hints), SiteCapability::Cpu { cores: 12 }];
-        assert_eq!(place_olap_query(&gpu, &hints), place_olap_query_sites(&sites, &hints));
-        // The per-site estimator reproduces the legacy pair exactly.
-        let est = estimate_site_times(&gpu, &hints);
-        assert_eq!(estimate_site_secs(&sites[0], &hints), est.gpu_secs);
-        assert_eq!(estimate_site_secs(&sites[1], &hints), est.cpu_secs);
-        assert_eq!(estimate_target_secs(&sites, OlapTarget::Gpu, &hints), est.gpu_secs);
-        assert_eq!(estimate_target_secs(&sites, OlapTarget::Cpu, &hints), est.cpu_secs);
+        // The decision is the argmin of the reusable per-site estimator.
+        let (gpu_secs, cpu_secs) = (estimate_site_secs(&sites[0], &hints), estimate_site_secs(&sites[1], &hints));
+        let faster = if cpu_secs < gpu_secs { OlapTarget::Cpu } else { OlapTarget::Gpu };
+        assert_eq!(place_olap_query_sites(&sites, &hints), faster);
+        assert_eq!(estimate_target_secs(&sites, OlapTarget::Gpu, &hints), gpu_secs);
+        assert_eq!(estimate_target_secs(&sites, OlapTarget::Cpu, &hints), cpu_secs);
         // A target with no site is unplaceable.
         assert_eq!(estimate_target_secs(&sites, OlapTarget::MultiGpu, &hints), f64::INFINITY);
     }
@@ -757,8 +692,8 @@ mod tests {
             cpu_per_tuple_ns: 93.0,
             ..PlacementHints::default()
         };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &hints), OlapTarget::Gpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &hints), OlapTarget::Gpu);
         let streaming_only = PlacementHints { cpu_per_tuple_ns: 0.0, ..hints };
-        assert_eq!(place_olap_query(&GpuSpec::gtx_980(), &streaming_only), OlapTarget::Cpu);
+        assert_eq!(place_two_way(&GpuSpec::gtx_980(), &streaming_only), OlapTarget::Cpu);
     }
 }

@@ -1,8 +1,9 @@
 //! The vectorized host data path and the snapshot-keyed plan-data cache:
 //! property tests pinning the explicit-SIMD batch execution bit-identical
-//! to both the retained scalar batch path and the row-at-a-time reference
-//! across layouts, chunk- and lane-boundary row counts and adversarial
-//! values (NaN-bit group keys, negative zero), plus cache semantics through
+//! to the row-at-a-time reference — scans included, as the scan-shaped
+//! plans they are — across layouts, chunk- and lane-boundary row counts and
+//! adversarial values (NaN-bit group keys, negative zero), plus cache
+//! semantics through
 //! the production engine (epoch invalidation, hit/miss accounting,
 //! cross-site sharing).
 
@@ -84,28 +85,30 @@ fn boundary_row_counts() -> Vec<u64> {
     ]
 }
 
+/// A scan is the degenerate plan `OlapPlan::scan`: the `scan_chunk` adapter,
+/// the plan kernel's global group and the row-at-a-time reference must agree
+/// bit for bit on every chunk.
 fn assert_scan_bit_identical(mat: &ops::MaterializedColumns, query: &ScanAggQuery, label: &str) {
+    let plan = OlapPlan::scan(query);
     for i in 0..mat.chunk_count() {
         let range = mat.chunk_range(i);
         let fast = ops::scan_chunk(mat, query, range.clone());
-        let scalar = ops::scan_chunk_scalar(mat, query, range.clone());
-        let slow = ops::scan_chunk_reference(mat, query, range.clone());
-        assert_eq!(fast.qualifying, slow.qualifying, "{label} chunk {i}");
-        assert_eq!(fast.value.to_bits(), slow.value.to_bits(), "{label} chunk {i}: {} vs {}", fast.value, slow.value);
-        assert_eq!(fast.qualifying, scalar.qualifying, "{label} chunk {i}: simd vs scalar batch");
-        assert_eq!(
-            fast.value.to_bits(),
-            scalar.value.to_bits(),
-            "{label} chunk {i}: simd {} vs scalar batch {}",
-            fast.value,
-            scalar.value
-        );
+        let planned = ops::process_chunk(mat, &plan, None, range.clone());
+        let slow = ops::process_chunk_reference(mat, &plan, None, range.clone());
+        let slow_value = slow.groups.get(&0).map_or(0.0, |g| g.values[0]);
+        assert_eq!(fast.qualifying, slow.joined, "{label} chunk {i}");
+        assert_eq!(fast.value.to_bits(), slow_value.to_bits(), "{label} chunk {i}: {} vs {slow_value}", fast.value);
+        assert_eq!(planned.joined, slow.joined, "{label} chunk {i}: plan kernel vs reference");
+        assert_eq!(planned.groups.keys().collect::<Vec<_>>(), slow.groups.keys().collect::<Vec<_>>());
+        let planned_value = planned.groups.get(&0).map_or(0.0, |g| g.values[0]);
+        assert_eq!(fast.value.to_bits(), planned_value.to_bits(), "{label} chunk {i}: adapter vs plan kernel");
         // The zonemap-stats answer must agree with the O(chunk) recompute,
         // and a skip must truly be a zero partial.
         let can = ops::scan_chunk_can_qualify(mat, &query.predicates, i);
         assert_eq!(can, ops::scan_chunk_can_qualify_reference(mat, &query.predicates, range), "{label} chunk {i}");
         if !can {
             assert_eq!(fast, ops::ScanChunkPartial::default(), "{label} chunk {i}: skipped chunk must be zero");
+            assert_eq!(planned, ops::ChunkPartial::default(), "{label} chunk {i}: skipped chunk must be empty");
         }
     }
 }
@@ -118,21 +121,17 @@ fn assert_plan_bit_identical(
 ) {
     let fast: Vec<_> =
         (0..mat.chunk_count()).map(|i| ops::process_chunk(mat, plan, hash, mat.chunk_range(i))).collect();
-    let scalar: Vec<_> =
-        (0..mat.chunk_count()).map(|i| ops::process_chunk_scalar(mat, plan, hash, mat.chunk_range(i))).collect();
     let slow: Vec<_> =
         (0..mat.chunk_count()).map(|i| ops::process_chunk_reference(mat, plan, hash, mat.chunk_range(i))).collect();
-    for (pair, other) in [("simd vs reference", &slow), ("simd vs scalar batch", &scalar)] {
-        for (i, (f, s)) in fast.iter().zip(other).enumerate() {
-            assert_eq!(f.selected, s.selected, "{label} chunk {i} ({pair})");
-            assert_eq!(f.joined, s.joined, "{label} chunk {i} ({pair})");
-            assert_eq!(f.groups.len(), s.groups.len(), "{label} chunk {i} ({pair})");
-            for ((fk, fa), (sk, sa)) in f.groups.iter().zip(&s.groups) {
-                assert_eq!(fk, sk, "{label} chunk {i} ({pair}): group keys");
-                assert_eq!(fa.rows, sa.rows, "{label} chunk {i} ({pair}) group {fk:#x}");
-                for (x, y) in fa.values.iter().zip(&sa.values) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{label} chunk {i} ({pair}) group {fk:#x}: {x} vs {y}");
-                }
+    for (i, (f, s)) in fast.iter().zip(&slow).enumerate() {
+        assert_eq!(f.selected, s.selected, "{label} chunk {i}");
+        assert_eq!(f.joined, s.joined, "{label} chunk {i}");
+        assert_eq!(f.groups.len(), s.groups.len(), "{label} chunk {i}");
+        for ((fk, fa), (sk, sa)) in f.groups.iter().zip(&s.groups) {
+            assert_eq!(fk, sk, "{label} chunk {i}: group keys");
+            assert_eq!(fa.rows, sa.rows, "{label} chunk {i} group {fk:#x}");
+            for (x, y) in fa.values.iter().zip(&sa.values) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{label} chunk {i} group {fk:#x}: {x} vs {y}");
             }
         }
     }
@@ -176,6 +175,31 @@ fn property_vectorized_scans_match_the_reference_bitwise() {
             let query = ScanAggQuery { predicates, aggregate };
             let mat = ops::MaterializedColumns::new(&table, query.columns_accessed()).unwrap();
             assert_scan_bit_identical(&mat, &query, &format!("{layout:?}/{rows} rows/query {q}"));
+        }
+    }
+}
+
+/// The dense branch of the plan kernel — no predicate, no join, one global
+/// group, so every row qualifies and the columns stream without a selection
+/// vector — is bit-identical to the reference with one, two and three
+/// aggregates over the NaN- and negative-zero-salted column, at every
+/// boundary row count (the empty table included).
+#[test]
+fn property_dense_plans_match_the_reference_bitwise() {
+    let aggregates = [AggExpr::SumProduct(2, 1), AggExpr::SumColumns(vec![0, 2, 3]), AggExpr::Count];
+    for (case, &rows) in boundary_row_counts().iter().enumerate() {
+        let layout = [Layout::Nsm, Layout::PAPER_PAX, Layout::Dsm][case % 3];
+        let table = random_table(layout, rows, 0xDE5E + case as u64);
+        for n in 1..=aggregates.len() {
+            let plan =
+                OlapPlan { predicates: vec![], join: None, group_by: None, aggregates: aggregates[..n].to_vec() };
+            let mat = ops::MaterializedColumns::new(&table, plan.probe_columns_accessed()).unwrap();
+            assert_plan_bit_identical(&mat, &plan, None, &format!("{layout:?}/{rows} rows/{n} dense aggregates"));
+            // One aggregate is exactly a predicate-free scan.
+            if n == 1 {
+                let query = ScanAggQuery::aggregate_only(aggregates[0].clone());
+                assert_scan_bit_identical(&mat, &query, &format!("{layout:?}/{rows} rows/dense scan"));
+            }
         }
     }
 }

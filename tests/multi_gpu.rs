@@ -10,7 +10,7 @@
 //! and the boundary tables (empty, one chunk, exact chunk multiple).
 
 use caldera::{Caldera, CalderaConfig, DataPlacement, OlapMultiGpuConfig, OlapTarget, SnapshotPolicy};
-use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, ScanAggQuery, Schema, Value, PLAN_CHUNK_ROWS};
+use h2tap_common::{AggExpr, AttrType, OlapPlan, PartitionId, Predicate, ScanAggQuery, Schema, Value, PLAN_CHUNK_ROWS};
 use h2tap_gpu_sim::{table1_mix, AccessMode, GpuDevice, GpuSpec};
 use h2tap_olap::{CpuOlapEngine, ExecutionSite, GpuOlapEngine, MultiGpuOlapEngine};
 use h2tap_storage::{Database, Layout, SnapshotTable};
@@ -49,7 +49,7 @@ fn multi_engine(n: usize, placement: DataPlacement) -> MultiGpuOlapEngine {
 /// site identically).
 fn scan_bits(site: &mut dyn ExecutionSite, table: &SnapshotTable, query: &ScanAggQuery) -> Option<(u64, u64)> {
     let handle = site.register_table(table, "t").unwrap();
-    let out = site.execute(handle, table, query).ok()?;
+    let out = site.execute(handle, table, None, &OlapPlan::scan(query)).ok()?.into_scan_outcome();
     Some((out.value.to_bits(), out.qualifying_rows))
 }
 
@@ -107,7 +107,7 @@ fn scan_answers_are_byte_identical_on_nsm_and_pax_layouts() {
 
 #[test]
 fn join_group_by_plans_are_byte_identical_across_sites_and_mixes() {
-    let plan = h2tap_common::OlapPlan {
+    let plan = OlapPlan {
         predicates: vec![Predicate::between(0, 0.0, 149_999.0)],
         join: Some(h2tap_common::JoinSpec {
             probe_column: 1,
@@ -136,20 +136,20 @@ fn join_group_by_plans_are_byte_identical_across_sites_and_mixes() {
         let cpu = CpuOlapEngine::archipelago_default(8);
         let cp = cpu.register_table(&probe, "fact").unwrap();
         let cb = cpu.register_table(&build, "dim").unwrap();
-        let reference = cpu.execute_plan(cp, &probe, Some((cb, &build)), &plan).unwrap();
+        let reference = cpu.execute(cp, &probe, Some((cb, &build)), &plan).unwrap();
         assert!(!reference.groups.is_empty());
 
         let gpu = GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
         let gp = gpu.register_table(&probe, "fact").unwrap();
         let gb = gpu.register_table(&build, "dim").unwrap();
-        let gpu_out = gpu.execute_plan(gp, &probe, Some((gb, &build)), &plan).unwrap();
+        let gpu_out = gpu.execute(gp, &probe, Some((gb, &build)), &plan).unwrap();
         assert_eq!(gpu_out.groups, reference.groups, "{layout:?}: single GPU");
 
         for n in [2usize, 4] {
             let multi = multi_engine(n, DataPlacement::Host(AccessMode::Uva));
             let mp = multi.register_table(&probe, "fact").unwrap();
             let mb = multi.register_table(&build, "dim").unwrap();
-            let out = multi.execute_plan(mp, &probe, Some((mb, &build)), &plan).unwrap();
+            let out = multi.execute(mp, &probe, Some((mb, &build)), &plan).unwrap();
             assert_eq!(out.groups, reference.groups, "{layout:?}: {n}-device mix");
             assert_eq!(out.qualifying_rows, reference.qualifying_rows, "{layout:?}: {n}-device mix");
         }
