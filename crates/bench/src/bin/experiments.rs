@@ -129,11 +129,23 @@ fn hostperf_json(s: &exp::HostPerfSummary) -> String {
     // across PRs, the gauges are point-in-time samples.
     let counters = s.cache.counters();
     let gauges = s.cache.gauges();
+    let refresh: Vec<String> = s
+        .refresh
+        .iter()
+        .map(|r| {
+            format!(
+                "  {{\"dirty_pct\":{},\"dirty_chunks\":{},\"chunks\":{},\"rebuild_ms\":{:.3},\"cold_ms\":{:.3},\
+                 \"chunks_reused\":{},\"chunks_rebuilt\":{}}}",
+                r.dirty_pct, r.dirty_chunks, r.chunks, r.rebuild_ms, r.cold_ms, r.chunks_reused, r.chunks_rebuilt
+            )
+        })
+        .collect();
     format!(
         "{{\n\"min_cold_speedup\": {:.3},\n\"min_cached_speedup\": {:.3},\n\"cache\": \
          {{\"counters\": {{\"column_hits\": {}, \"column_misses\": {}, \"hash_hits\": {}, \"hash_misses\": {}, \
-         \"invalidations\": {}, \"evictions\": {}}}, \"gauges\": {{\"occupancy_bytes\": {}, \"budget_bytes\": \
-         {}}}}},\n\"rows\": [\n{}\n]\n}}\n",
+         \"invalidations\": {}, \"evictions\": {}, \"chunks_reused\": {}, \"chunks_rebuilt\": {}, \
+         \"hashes_carried\": {}}}, \"gauges\": {{\"occupancy_bytes\": {}, \"budget_bytes\": \
+         {}}}}},\n\"rows\": [\n{}\n],\n\"refresh\": [\n{}\n]\n}}\n",
         s.min_cold_speedup,
         s.min_cached_speedup,
         counters.column_hits,
@@ -142,9 +154,13 @@ fn hostperf_json(s: &exp::HostPerfSummary) -> String {
         counters.hash_misses,
         counters.invalidations,
         counters.evictions,
+        counters.chunks_reused,
+        counters.chunks_rebuilt,
+        counters.hashes_carried,
         gauges.occupancy_bytes,
         gauges.budget_bytes.map_or("null".into(), |b| b.to_string()),
-        items.join(",\n")
+        items.join(",\n"),
+        refresh.join(",\n")
     )
 }
 
@@ -420,6 +436,21 @@ fn main() {
             s.cache.evictions,
             s.cache.occupancy_bytes
         );
+        println!(
+            "{:<12} {:>14} {:>12} {:>10} {:>10} {:>10}",
+            "refresh", "dirty chunks", "rebuild ms", "cold ms", "reused", "rebuilt"
+        );
+        for r in &s.refresh {
+            println!(
+                "{:<12} {:>14} {:>12.3} {:>10.3} {:>10} {:>10}",
+                format!("{}% dirty", r.dirty_pct),
+                format!("{} of {}", r.dirty_chunks, r.chunks),
+                r.rebuild_ms,
+                r.cold_ms,
+                r.chunks_reused,
+                r.chunks_rebuilt
+            );
+        }
         // Release-mode acceptance gate: this binary is a dedicated process
         // (CI runs it as the hostperf smoke step), so the min-based stream
         // timings are clean and the thresholds are enforceable. Debug
@@ -434,6 +465,22 @@ fn main() {
                 "the warm cache must amortise derivation: {:.2}x",
                 s.min_cached_speedup
             );
+            // A refresh costs what was written: nothing dirty is a page walk,
+            // everything dirty is no slower than never having had a base.
+            for r in &s.refresh {
+                let limit = match r.dirty_pct {
+                    0 => 0.25,
+                    100 => 1.10,
+                    _ => continue,
+                };
+                assert!(
+                    r.rebuild_ms <= limit * r.cold_ms,
+                    "refresh with {}% of chunks dirty took {:.3} ms, over {limit} x the cold {:.3} ms",
+                    r.dirty_pct,
+                    r.rebuild_ms,
+                    r.cold_ms
+                );
+            }
         }
         if json {
             let path = "BENCH_hostperf.json";

@@ -948,12 +948,37 @@ pub struct HostPerfRow {
     pub vectorized_cached_latency: LatencyPercentiles,
 }
 
+/// One point of hostperf's `refresh` leg: what re-materialising Q6's columns
+/// for a new snapshot costs when `dirty_chunks` of the table's chunks were
+/// written since the base snapshot, beside a from-scratch materialisation of
+/// the same snapshot.
+#[derive(Debug, Clone, Serialize)]
+pub struct RefreshRow {
+    /// Share of the chunks asked to be dirtied, in percent.
+    pub dirty_pct: u32,
+    /// Chunks written between the base snapshot and the measured one.
+    pub dirty_chunks: u64,
+    /// Chunks the table has.
+    pub chunks: u64,
+    /// Fastest `MaterializedColumns::build` from the base, fresh snapshot
+    /// (page walk included) per repeat.
+    pub rebuild_ms: f64,
+    /// Fastest `MaterializedColumns::new` under the same conditions.
+    pub cold_ms: f64,
+    /// Column chunks the rebuild shared with the base.
+    pub chunks_reused: u64,
+    /// Column chunks the rebuild gathered.
+    pub chunks_rebuilt: u64,
+}
+
 /// Result of the hostperf experiment: per-workload rows plus the worst-case
 /// speedups (the acceptance figures) and the warm cache's counters.
 #[derive(Debug, Clone)]
 pub struct HostPerfSummary {
     /// Per-workload measurements.
     pub rows: Vec<HostPerfRow>,
+    /// The `refresh` leg: 0 %, 25 % and 100 % of the chunks dirty.
+    pub refresh: Vec<RefreshRow>,
     /// Smallest cold (vectorization-only) speedup across workloads.
     pub min_cold_speedup: f64,
     /// Smallest cached speedup across workloads.
@@ -971,7 +996,7 @@ pub struct HostPerfSummary {
 /// answers (asserted here), so the only thing that differs is time. This is
 /// the first entry of the repository's measured performance trajectory.
 pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPerfSummary {
-    use h2tap_common::GroupRow;
+    use h2tap_common::{GroupRow, PartitionId, RecordId};
     use h2tap_olap::operators as ops;
     use h2tap_olap::PlanDataCache;
     use h2tap_storage::SnapshotTable;
@@ -1085,9 +1110,65 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
         });
     }
 
+    // The refresh leg: a base materialisation of Q6's columns, then writes
+    // to a share of the chunks (one row each, rewritten with the values it
+    // holds — enough to shadow-copy a page and dirty the chunk), then per
+    // repeat a fresh snapshot re-materialised from the base and from
+    // scratch. A fresh snapshot per timing, so each pays its page walk as a
+    // real refresh does. Dirty pages stay dirty relative to the base, so the
+    // legs run in ascending order on the one database.
+    let db = builder.database();
+    let cols = q6().columns_accessed();
+    let base_snap = db.snapshot();
+    let base = ops::MaterializedColumns::new(base_snap.table(lineitem).unwrap(), cols.clone()).unwrap();
+    let chunks = base.chunk_count() as u64;
+    let mut dirtied = 0u64;
+    let mut refresh = Vec::new();
+    for dirty_pct in [0u32, 25, 100] {
+        let dirty_chunks = (chunks * u64::from(dirty_pct)).div_ceil(100);
+        for chunk in dirtied..dirty_chunks {
+            let rid = RecordId::new(PartitionId(0), lineitem, base.chunk_range(chunk as usize).start as u64);
+            db.update(rid, &db.read(rid).unwrap()).unwrap();
+        }
+        dirtied = dirtied.max(dirty_chunks);
+        // Rebuild and cold timings alternate, so machine drift hits both.
+        let timed = |derive: &dyn Fn(&SnapshotTable) -> ops::MaterializedColumns| {
+            let snap = db.snapshot();
+            let started = Instant::now();
+            let mat = derive(snap.table(lineitem).unwrap());
+            let secs = started.elapsed().as_secs_f64();
+            let work = mat.work();
+            drop(mat);
+            db.release_snapshot(&snap).unwrap();
+            (secs, work)
+        };
+        let (mut rebuild_secs, mut cold_secs, mut work) = (f64::INFINITY, f64::INFINITY, ops::BuildWork::default());
+        for _ in 0..repeats {
+            let (secs, did) = timed(&|t| ops::MaterializedColumns::build(t, cols.clone(), &[&base]).unwrap());
+            rebuild_secs = rebuild_secs.min(secs);
+            work = did;
+            cold_secs = cold_secs.min(timed(&|t| ops::MaterializedColumns::new(t, cols.clone()).unwrap()).0);
+        }
+        refresh.push(RefreshRow {
+            dirty_pct,
+            dirty_chunks,
+            chunks,
+            rebuild_ms: rebuild_secs * 1e3,
+            cold_ms: cold_secs * 1e3,
+            chunks_reused: work.chunks_reused,
+            chunks_rebuilt: work.chunks_rebuilt,
+        });
+    }
+
     let min_cold = rows.iter().map(|r| r.cold_speedup).fold(f64::INFINITY, f64::min);
     let min_cached = rows.iter().map(|r| r.cached_speedup).fold(f64::INFINITY, f64::min);
-    HostPerfSummary { cache: warm_cache.stats(), rows, min_cold_speedup: min_cold, min_cached_speedup: min_cached }
+    HostPerfSummary {
+        cache: warm_cache.stats(),
+        rows,
+        refresh,
+        min_cold_speedup: min_cold,
+        min_cached_speedup: min_cached,
+    }
 }
 
 // ---------------------------------------------------------------------------

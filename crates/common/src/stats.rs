@@ -252,8 +252,8 @@ pub struct PlanCacheStats {
     pub hash_hits: u64,
     /// Join-hash-table requests that had to build.
     pub hash_misses: u64,
-    /// Entries evicted because a newer snapshot epoch superseded them (or
-    /// the whole cache was invalidated on a snapshot refresh).
+    /// Entries dropped because a version derived from a newer snapshot
+    /// replaced them (or the cache was reset by hand).
     pub invalidations: u64,
     /// Entries evicted by the byte-budget LRU policy (distinct from
     /// `invalidations`, which counts correctness-driven drops).
@@ -263,6 +263,15 @@ pub struct PlanCacheStats {
     /// racing to build a duplicate. Zero under serial workloads; under a
     /// concurrent same-table mix this counts the de-duplicated work.
     pub shared_scan_attaches: u64,
+    /// Column chunks a versioned rebuild shared with the version cached for
+    /// an older snapshot instead of gathering them again.
+    pub chunks_reused: u64,
+    /// Column chunks gathered from pages (every chunk of a from-scratch
+    /// materialisation, the written chunks of a versioned rebuild).
+    pub chunks_rebuilt: u64,
+    /// Join hash tables carried forward whole to a newer snapshot because
+    /// their build table had not been written since.
+    pub hashes_carried: u64,
     /// Bytes currently held by cached entries. **A point-in-time gauge**,
     /// sampled when the stats are read: it can go *down* between two samples
     /// (eviction, invalidation) while every other field in this struct is a
@@ -293,6 +302,12 @@ pub struct PlanCacheCounters {
     pub evictions: u64,
     /// Requests that attached to an in-flight derivation (shared scans).
     pub shared_scan_attaches: u64,
+    /// Column chunks shared with an older snapshot's version.
+    pub chunks_reused: u64,
+    /// Column chunks gathered from pages.
+    pub chunks_rebuilt: u64,
+    /// Join hash tables carried forward to a newer snapshot.
+    pub hashes_carried: u64,
 }
 
 /// The point-in-time-gauge half of [`PlanCacheStats`]: values sampled at
@@ -335,6 +350,9 @@ impl PlanCacheStats {
             invalidations: self.invalidations,
             evictions: self.evictions,
             shared_scan_attaches: self.shared_scan_attaches,
+            chunks_reused: self.chunks_reused,
+            chunks_rebuilt: self.chunks_rebuilt,
+            hashes_carried: self.hashes_carried,
         }
     }
 
@@ -551,6 +569,9 @@ mod tests {
             invalidations: 4,
             evictions: 6,
             shared_scan_attaches: 7,
+            chunks_reused: 8,
+            chunks_rebuilt: 9,
+            hashes_carried: 10,
             occupancy_bytes: 4096,
             budget_bytes: Some(8192),
         };
@@ -565,6 +586,9 @@ mod tests {
                 invalidations: 4,
                 evictions: 6,
                 shared_scan_attaches: 7,
+                chunks_reused: 8,
+                chunks_rebuilt: 9,
+                hashes_carried: 10,
             }
         );
         let g = stats.gauges();
@@ -578,6 +602,9 @@ mod tests {
             invalidations: c.invalidations,
             evictions: c.evictions,
             shared_scan_attaches: c.shared_scan_attaches,
+            chunks_reused: c.chunks_reused,
+            chunks_rebuilt: c.chunks_rebuilt,
+            hashes_carried: c.hashes_carried,
             occupancy_bytes: g.occupancy_bytes,
             budget_bytes: g.budget_bytes,
         };

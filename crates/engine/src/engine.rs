@@ -276,8 +276,8 @@ pub struct Caldera {
     /// Dispatch bookkeeping (see [`OlapMeta`]). Lock order: `snap` before
     /// `meta`, never the reverse.
     meta: Mutex<OlapMeta>,
-    /// The plan-data cache shared by every site; invalidated on snapshot
-    /// refresh so a stale snapshot's derived state is never retained.
+    /// The plan-data cache shared by every site. Its entries are versioned
+    /// by snapshot epoch, so a refresh leaves it alone.
     plan_cache: PlanDataCache,
     scheduler: Scheduler,
     next_home: AtomicU64,
@@ -427,6 +427,9 @@ impl Caldera {
         self.metrics.counter_set("plan_cache.invalidations", counters.invalidations);
         self.metrics.counter_set("plan_cache.evictions", counters.evictions);
         self.metrics.counter_set("plan_cache.shared_scan_attaches", counters.shared_scan_attaches);
+        self.metrics.counter_set("plan_cache.chunks_reused", counters.chunks_reused);
+        self.metrics.counter_set("plan_cache.chunks_rebuilt", counters.chunks_rebuilt);
+        self.metrics.counter_set("plan_cache.hashes_carried", counters.hashes_carried);
         let gauges = cache.gauges();
         self.metrics.gauge_set("plan_cache.occupancy_bytes", gauges.occupancy_bytes as f64);
         if let Some(budget) = gauges.budget_bytes {
@@ -523,30 +526,28 @@ impl Caldera {
     /// queries to drain, so no query ever loses its tables mid-execution.
     pub fn refresh_snapshot(&self) -> Result<()> {
         let mut snap = self.snap.write();
-        Self::refresh_gate(&self.db, &mut snap, &self.plan_cache)?;
+        Self::refresh_gate(&self.db, &mut snap)?;
         // h2tap: allow(lock_order) — ordering rule: `snap` is always acquired before `meta`, never the reverse; the meta guard here is a statement temporary that cannot outlive the snap guard.
         self.meta.lock().snapshots_taken += 1;
         Ok(())
     }
 
     /// Replaces the gate's snapshot: resets every site's registrations,
-    /// drops the old snapshot's derived plan data, releases the old
-    /// snapshot and takes a new one. Requires the gate's write side.
+    /// releases the old snapshot and takes a new one. Requires the gate's
+    /// write side. The plan-data cache is left alone: its entries are
+    /// versioned by snapshot epoch, and the new snapshot's first queries
+    /// rebuild from them only the chunks written since.
     ///
     /// A failed release is a real accounting bug (the snapshot was already
     /// released behind the engine's back) and is propagated, not swallowed;
     /// the gate is left without a snapshot, so the next query — or retry —
     /// starts clean instead of double-counting against the broken one.
-    fn refresh_gate(db: &Arc<Database>, snap: &mut SnapshotGate, plan_cache: &PlanDataCache) -> Result<()> {
+    fn refresh_gate(db: &Arc<Database>, snap: &mut SnapshotGate) -> Result<()> {
         let old = snap.snapshot.take();
         for slot in &snap.sites {
             slot.site.reset_tables();
             slot.registered.lock().clear();
         }
-        // The old snapshot's derived plan data can never be served again
-        // (fresh epoch, fresh cache keys); drop it eagerly so its column
-        // copies and hash tables do not outlive the snapshot itself.
-        plan_cache.invalidate();
         if let Some(old) = old {
             db.release_snapshot(&old)?;
         }
@@ -618,7 +619,7 @@ impl Caldera {
         }
         let mut snap = self.snap.write();
         if policy_fired || snap.snapshot.is_none() {
-            Self::refresh_gate(&self.db, &mut snap, &self.plan_cache)?;
+            Self::refresh_gate(&self.db, &mut snap)?;
             // h2tap: allow(lock_order) — ordering rule: `snap` is always acquired before `meta`, never the reverse; the meta guard here is a statement temporary that cannot outlive the snap guard.
             self.meta.lock().snapshots_taken += 1;
         }
@@ -1309,7 +1310,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_is_shared_across_sites_and_invalidated_on_refresh() {
+    fn plan_cache_is_shared_across_sites_and_versioned_across_refreshes() {
         let (caldera, t) = engine_with_rows(2, 5_000, SnapshotPolicy::EveryN { queries: 100 });
         let q = ScanAggQuery {
             predicates: vec![h2tap_common::Predicate::between(0, 0.0, 2_000.0)],
@@ -1326,8 +1327,10 @@ mod tests {
         let after_second = caldera.stats().plan_cache;
         assert_eq!(after_second.column_misses, 1, "the CPU site reuses the GPU dispatch's materialisation");
         assert_eq!(after_second.column_hits, 1);
-        // A transaction plus an explicit refresh: the stale derivation is
-        // dropped and the fresh snapshot recomputes — and sees the update.
+        // A transaction plus an explicit refresh: the refresh itself leaves
+        // the cache alone; the fresh snapshot's first query rebuilds the
+        // written chunk from the stale version, replaces it — and sees the
+        // update.
         caldera
             .execute_txn(Arc::new(move |ctx| {
                 let mut rec = ctx.read_for_update(t, 7)?;
@@ -1336,12 +1339,19 @@ mod tests {
             }))
             .unwrap();
         caldera.refresh_snapshot().unwrap();
+        assert_eq!(caldera.stats().plan_cache, after_second, "a refresh drops nothing and derives nothing");
         let fresh = caldera.run_olap_on(t, &q, OlapTarget::Cpu).unwrap();
         assert_eq!(fresh.value, cpu.value + 41.0, "a stale cached materialisation must never be served");
         let stats = caldera.shutdown();
-        assert!(stats.plan_cache.invalidations >= 1);
-        assert_eq!(stats.plan_cache.column_misses, 2);
-        assert_eq!(stats.plan_cache.hit_rate(), Some(1.0 / 3.0));
+        let cache = stats.plan_cache;
+        assert_eq!(cache.invalidations, 1, "the stale version went when its successor landed");
+        assert_eq!(cache.column_misses, 2);
+        assert_eq!(cache.hit_rate(), Some(1.0 / 3.0));
+        // One chunk, two columns: gathered once per version, nothing shared.
+        assert_eq!((cache.chunks_rebuilt, cache.chunks_reused, cache.hashes_carried), (4, 0, 0));
+        assert_eq!(stats.metrics.counter("plan_cache.chunks_rebuilt"), Some(4));
+        assert_eq!(stats.metrics.counter("plan_cache.chunks_reused"), Some(0));
+        assert_eq!(stats.metrics.counter("plan_cache.hashes_carried"), Some(0));
     }
 
     #[test]

@@ -59,10 +59,10 @@
 use crate::pool;
 use crate::simd::{min_max_lanes, stage_key_bits, F64x4, F64x8, SimdF64};
 use h2tap_common::{
-    AggExpr, AttrType, GroupRow, H2Error, JoinSpec, OlapPlan, PlanColumn, Predicate, Result, ScanAggQuery,
+    AggExpr, AttrType, Epoch, GroupRow, H2Error, JoinSpec, OlapPlan, PlanColumn, Predicate, Result, ScanAggQuery,
     PLAN_CHUNK_ROWS,
 };
-use h2tap_storage::{decode_cell_f64, SnapshotTable};
+use h2tap_storage::{decode_cell_f64, SnapshotTable, SnapshotTableId};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -107,26 +107,89 @@ macro_rules! with_decoder {
     };
 }
 
-/// Per-chunk min/max of one materialised column — the zonemap ("secondary
-/// index") statistics, computed once at materialisation time.
-#[derive(Debug, Clone, Default)]
-struct ColumnZonemap {
-    /// Minimum value per chunk (`+inf` for an empty chunk).
-    mins: Vec<f64>,
-    /// Maximum value per chunk (`-inf` for an empty chunk).
-    maxs: Vec<f64>,
+/// `PLAN_CHUNK_ROWS` is a power of two, so a row's chunk and its offset in
+/// the chunk are a shift and a mask.
+const CHUNK_SHIFT: u32 = PLAN_CHUNK_ROWS.trailing_zeros();
+const _: () = assert!(PLAN_CHUNK_ROWS.is_power_of_two());
+
+/// One chunk of one materialised column: its raw cells in storage order and
+/// the chunk's zonemap ("secondary index") bounds, computed in the same pass.
+/// Immutable once built and shared behind `Arc`, so the materialisation of a
+/// newer snapshot can keep the blocks of every chunk nobody wrote to.
+#[derive(Debug)]
+struct ColumnBlock {
+    cells: Vec<u64>,
+    /// Minimum value of the chunk (`+inf` when built without statistics).
+    min: f64,
+    /// Maximum value of the chunk (`-inf` when built without statistics).
+    max: f64,
+}
+
+/// What building one [`MaterializedColumns`] cost, in column chunks (one
+/// chunk of one column): how many were shared with a base and how many were
+/// gathered from pages.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BuildWork {
+    /// Column chunks shared with a base materialisation.
+    pub chunks_reused: u64,
+    /// Column chunks gathered from the table's pages.
+    pub chunks_rebuilt: u64,
+    /// Bytes of cells gathered.
+    pub bytes_gathered: u64,
+}
+
+/// The blocks of one chunk, one slice per materialised column, with rows
+/// numbered from the chunk's first row: what the chunk kernels index.
+struct ChunkView<'a> {
+    types: &'a [AttrType],
+    cols: Vec<&'a [u64]>,
+}
+
+impl ChunkView<'_> {
+    /// Numeric interpretation of the cell at chunk-relative `row`.
+    #[inline(always)]
+    fn value(&self, col_pos: usize, row: usize) -> f64 {
+        decode_cell_f64(self.types[col_pos], self.cols[col_pos][row])
+    }
 }
 
 /// Accessed columns of a table, materialised as raw 64-bit cells in storage
-/// order, with per-chunk zonemap statistics built in the same pass. Chunked
-/// operators index rows directly, which an iterator over pages cannot do.
+/// order — one [`PLAN_CHUNK_ROWS`]-row block per column and chunk — with
+/// per-chunk zonemap statistics built in the same pass. Chunked operators
+/// index rows directly, which an iterator over pages cannot do.
 #[derive(Debug, Clone)]
 pub struct MaterializedColumns {
     cols: Vec<usize>,
     types: Vec<AttrType>,
-    data: Vec<Vec<u64>>,
-    zonemaps: Vec<ColumnZonemap>,
+    /// `blocks[col_pos][chunk]`.
+    blocks: Vec<Vec<Arc<ColumnBlock>>>,
     rows: usize,
+    /// Whether the blocks carry zonemap bounds.
+    zonemapped: bool,
+    /// The frozen image this was derived from, and its rows per partition:
+    /// what [`MaterializedColumns::build`] needs to know of a base.
+    origin: SnapshotTableId,
+    partition_rows: Vec<u64>,
+    work: BuildWork,
+}
+
+/// Row range of chunk `chunk` of a `rows`-row table.
+fn chunk_rows(chunk: usize, rows: usize) -> Range<usize> {
+    chunk * PLAN_CHUNK_ROWS..((chunk + 1) * PLAN_CHUNK_ROWS).min(rows)
+}
+
+/// Leading storage-order rows that sit at the same (partition, page, slot)
+/// in two images of a table with these per-partition row counts. Partitions
+/// are concatenated, so an insert shifts every row behind its partition.
+fn stable_rows(base: &[u64], new: &[u64]) -> usize {
+    let mut rows = 0u64;
+    for (b, n) in base.iter().zip(new) {
+        rows += b.min(n);
+        if b != n {
+            break;
+        }
+    }
+    rows as usize
 }
 
 impl MaterializedColumns {
@@ -144,45 +207,37 @@ impl MaterializedColumns {
         cols.iter().map(|&c| table.schema.attr(c).map(|a| a.ty)).collect()
     }
 
+    /// Materialises `cols` (attribute indexes) of `table` from scratch:
+    /// [`MaterializedColumns::build`] without a base.
+    pub fn new(table: &SnapshotTable, cols: Vec<usize>) -> Result<Self> {
+        Self::build(table, cols, &[])
+    }
+
     /// Materialises `cols` (attribute indexes) of `table` and builds their
     /// per-chunk zonemap statistics — the cold-path critical path of plan
-    /// preparation. Column copy and zonemap min/max run **fused** (the
-    /// lane-parallel min/max reads each chunk while it is still
-    /// cache-resident from the copy, instead of re-streaming the whole
-    /// column from memory) and the per-(column, chunk) tasks run on the
-    /// shared scoped pool, preserving chunk order in the output.
-    pub fn new(table: &SnapshotTable, cols: Vec<usize>) -> Result<Self> {
-        let types = Self::check_dims(table, &cols)?;
-        let rows = table.row_count() as usize;
-        let chunks = rows.div_ceil(PLAN_CHUNK_ROWS).max(1);
-        let mut data: Vec<Vec<u64>> = cols.iter().map(|_| vec![0u64; rows]).collect();
-        // One task per (column, chunk): an exclusive slice of that column's
-        // output buffer plus the indexes to scatter the bounds back with.
-        let mut tasks: Vec<(usize, usize, &mut [u64])> = Vec::with_capacity(cols.len() * chunks);
-        for (pos, col) in data.iter_mut().enumerate() {
-            for (chunk, out) in col.chunks_mut(PLAN_CHUNK_ROWS).enumerate() {
-                tasks.push((pos, chunk, out));
-            }
-        }
-        let threads = pool::host_threads(tasks.len());
-        let bounds = pool::run_tasks(tasks, threads, |(pos, chunk, out)| {
-            let lo = chunk * PLAN_CHUNK_ROWS;
-            table.column_into(cols[pos], lo..lo + out.len(), out);
-            let (min, max) = with_decoder!(types[pos], min_max_lanes(out));
-            (pos, chunk, min, max)
-        });
-        // `(+inf, -inf)` is both the empty-chunk zonemap and the identity
-        // the bounds fold from, so a zero-row table (which produces no
-        // tasks but still has `chunk_count() == 1`) needs no special case.
-        let mut zonemaps: Vec<ColumnZonemap> = cols
-            .iter()
-            .map(|_| ColumnZonemap { mins: vec![f64::INFINITY; chunks], maxs: vec![f64::NEG_INFINITY; chunks] })
-            .collect();
-        for (pos, chunk, min, max) in bounds {
-            zonemaps[pos].mins[chunk] = min;
-            zonemaps[pos].maxs[chunk] = max;
-        }
-        Ok(Self { cols, types, data, zonemaps, rows })
+    /// preparation — keeping every column chunk of `bases` that is provably
+    /// unchanged.
+    ///
+    /// `bases` are materialisations (of any column sets) of **this or older
+    /// snapshots of the same table**; anything else in the list is ignored.
+    /// Each column takes the newest base that holds it, and shares that
+    /// base's block of chunk `c` — cells and zonemap bounds — when
+    ///
+    /// 1. every page holding a row of the chunk is stamped at or before the
+    ///    base's snapshot epoch — by the stamp contract of
+    ///    [`h2tap_storage::Page::epoch`] such a page is cell-identical to the
+    ///    page at its position in the base's snapshot — and
+    /// 2. the chunk's rows sit at the same positions in both images: no
+    ///    partition at or before them changed its row count (an insert
+    ///    shifts every storage-order row behind its partition).
+    ///
+    /// Every other column chunk is gathered: column copy and zonemap min/max
+    /// run **fused** (the lane-parallel min/max reads each chunk while it is
+    /// still cache-resident from the copy) as per-(column, chunk) tasks on
+    /// the shared scoped pool. The result is byte-identical to a from-scratch
+    /// build of the same snapshot.
+    pub fn build(table: &SnapshotTable, cols: Vec<usize>, bases: &[&Self]) -> Result<Self> {
+        Self::derive(table, cols, bases, true)
     }
 
     /// Materialises without building zonemap statistics, single-threaded —
@@ -192,10 +247,85 @@ impl MaterializedColumns {
     /// oracle test pay. [`scan_chunk_can_qualify`] transparently falls back
     /// to the O(chunk) recomputation on such an instance.
     pub fn new_without_zonemaps(table: &SnapshotTable, cols: Vec<usize>) -> Result<Self> {
+        Self::derive(table, cols, &[], false)
+    }
+
+    fn derive(table: &SnapshotTable, cols: Vec<usize>, bases: &[&Self], zonemapped: bool) -> Result<Self> {
         let types = Self::check_dims(table, &cols)?;
-        let data: Vec<Vec<u64>> = cols.iter().map(|&c| table.column(c)).collect();
         let rows = table.row_count() as usize;
-        Ok(Self { cols, types, data, zonemaps: Vec::new(), rows })
+        let origin = table.identity;
+        let chunks = rows.div_ceil(PLAN_CHUNK_ROWS);
+        let chunk_rows = |chunk: usize| chunk_rows(chunk, rows);
+
+        // Per column: the newest base holding it — the image, the column's
+        // position there, and how many leading rows have not moved since.
+        let sources: Vec<Option<(&Self, usize, usize)>> = cols
+            .iter()
+            .map(|col| {
+                bases
+                    .iter()
+                    .filter(|b| {
+                        (b.origin.source, b.origin.table) == (origin.source, origin.table)
+                            && b.origin.epoch <= origin.epoch
+                            && b.zonemapped
+                    })
+                    .filter_map(|b| b.cols.iter().position(|c| c == col).map(|pos| (*b, pos)))
+                    .max_by_key(|(b, _)| b.origin.epoch)
+                    .map(|(b, pos)| (b, pos, stable_rows(&b.partition_rows, table.partition_rows())))
+            })
+            .collect();
+        // The table's side of the reuse rule, the same for every column.
+        let stamps: Vec<Epoch> = if sources.iter().any(Option::is_some) {
+            (0..chunks).map(|chunk| table.newest_stamp(chunk_rows(chunk))).collect()
+        } else {
+            Vec::new()
+        };
+        let shared = |pos: usize, chunk: usize| -> Option<&Arc<ColumnBlock>> {
+            let (base, base_pos, stable) = sources[pos]?;
+            let range = chunk_rows(chunk);
+            // A base of this very snapshot is the same image, whatever the
+            // stamps say (a page can be stamped past its own snapshot).
+            let unwritten = base.origin.epoch == origin.epoch || stamps[chunk] <= base.origin.epoch;
+            (unwritten && range.end <= stable && base.chunk_range(chunk) == range)
+                .then(|| &base.blocks[base_pos][chunk])
+        };
+
+        // One task per gathered (column, chunk), in (column, chunk) order.
+        let tasks: Vec<(usize, usize)> = (0..cols.len())
+            .flat_map(|pos| (0..chunks).map(move |chunk| (pos, chunk)))
+            .filter(|&(pos, chunk)| shared(pos, chunk).is_none())
+            .collect();
+        let chunks_rebuilt = tasks.len() as u64;
+        let bytes_gathered = tasks.iter().map(|&(_, chunk)| chunk_rows(chunk).len() as u64 * 8).sum();
+        let threads = if zonemapped { pool::host_threads(tasks.len()) } else { 1 };
+        let mut gathered = pool::run_tasks(tasks, threads, |(pos, chunk)| {
+            let range = chunk_rows(chunk);
+            let mut cells = vec![0u64; range.len()];
+            table.column_into(cols[pos], range, &mut cells);
+            let (min, max) = if zonemapped {
+                with_decoder!(types[pos], min_max_lanes(&cells))
+            } else {
+                (f64::INFINITY, f64::NEG_INFINITY)
+            };
+            Arc::new(ColumnBlock { cells, min, max })
+        })
+        .into_iter();
+        let blocks: Vec<Vec<Arc<ColumnBlock>>> = (0..cols.len())
+            .map(|pos| {
+                (0..chunks)
+                    .map(|chunk| match shared(pos, chunk) {
+                        Some(block) => Arc::clone(block),
+                        // h2tap: allow(panic) — `gathered` holds exactly one block per task, and the tasks are the unshared (column, chunk) pairs in the order this loop visits them.
+                        None => gathered.next().expect("one gathered block per unshared chunk"),
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let work =
+            BuildWork { chunks_reused: (cols.len() * chunks) as u64 - chunks_rebuilt, chunks_rebuilt, bytes_gathered };
+        let partition_rows = table.partition_rows().to_vec();
+        Ok(Self { cols, types, blocks, rows, zonemapped, origin, partition_rows, work })
     }
 
     /// Number of rows.
@@ -204,9 +334,15 @@ impl MaterializedColumns {
     }
 
     /// Bytes of raw cells this materialisation holds (the figure the
-    /// plan-data cache reports for sizing).
+    /// plan-data cache reports for sizing). Blocks shared with another
+    /// materialisation count in full.
     pub fn cell_bytes(&self) -> u64 {
-        self.data.iter().map(|col| (col.len() * 8) as u64).sum()
+        (self.cols.len() * self.rows * 8) as u64
+    }
+
+    /// What building this materialisation cost.
+    pub fn work(&self) -> BuildWork {
+        self.work
     }
 
     /// Number of [`PLAN_CHUNK_ROWS`]-sized chunks covering the rows.
@@ -216,8 +352,7 @@ impl MaterializedColumns {
 
     /// Row range of chunk `idx`.
     pub fn chunk_range(&self, idx: usize) -> Range<usize> {
-        let lo = idx * PLAN_CHUNK_ROWS;
-        lo..((idx + 1) * PLAN_CHUNK_ROWS).min(self.rows)
+        chunk_rows(idx, self.rows)
     }
 
     fn pos(&self, col: usize) -> usize {
@@ -225,14 +360,32 @@ impl MaterializedColumns {
         self.cols.iter().position(|&c| c == col).expect("column was materialised")
     }
 
+    /// The blocks of the chunk `rows` lies in, and `rows` renumbered from
+    /// that chunk's first row. A zero-row table has one (empty) chunk and no
+    /// blocks; its view is empty slices.
+    fn chunk_view(&self, rows: &Range<usize>) -> (ChunkView<'_>, Range<usize>) {
+        let chunk = rows.start >> CHUNK_SHIFT;
+        let first = chunk << CHUNK_SHIFT;
+        assert!(rows.end <= first + PLAN_CHUNK_ROWS, "rows {rows:?} span more than one chunk");
+        let cols = self.blocks.iter().map(|col| col.get(chunk).map_or(&[][..], |block| &block.cells[..])).collect();
+        (ChunkView { types: &self.types, cols }, rows.start - first..rows.end.max(rows.start) - first)
+    }
+
+    /// Zonemap `(min, max)` of column position `col_pos` over chunk `chunk`
+    /// (`(+inf, -inf)`, the empty bounds, for the one chunk of a zero-row
+    /// table).
+    fn zonemap(&self, col_pos: usize, chunk: usize) -> (f64, f64) {
+        self.blocks[col_pos].get(chunk).map_or((f64::INFINITY, f64::NEG_INFINITY), |block| (block.min, block.max))
+    }
+
     /// Raw cell of attribute `col` at `row`.
     fn raw(&self, col_pos: usize, row: usize) -> u64 {
-        self.data[col_pos][row]
+        self.blocks[col_pos][row >> CHUNK_SHIFT].cells[row & (PLAN_CHUNK_ROWS - 1)]
     }
 
     /// Numeric interpretation of attribute `col` at `row`.
     fn value(&self, col_pos: usize, row: usize) -> f64 {
-        decode_cell_f64(self.types[col_pos], self.data[col_pos][row])
+        decode_cell_f64(self.types[col_pos], self.raw(col_pos, row))
     }
 }
 
@@ -283,6 +436,8 @@ pub struct JoinHashTable {
     map: JoinKeyMap,
     /// Build rows considered (before build predicates).
     pub build_rows_in: u64,
+    /// Rows per partition of the build table image this was built from.
+    partition_rows: Vec<u64>,
 }
 
 impl JoinHashTable {
@@ -299,6 +454,15 @@ impl JoinHashTable {
     /// Payload for `key` (the bit pattern of the numeric join key value).
     pub fn get(&self, key: u64) -> Option<u64> {
         self.map.get(&key).copied()
+    }
+
+    /// Whether this table — built with the same parameters from the snapshot
+    /// of `build`'s table frozen at `built_at` — is exactly what building
+    /// from `build` would yield: no partition changed its row count and no
+    /// page carries a stamp after `built_at` (the stamp contract of
+    /// [`h2tap_storage::Page::epoch`]).
+    pub(crate) fn still_describes(&self, build: &SnapshotTable, built_at: Epoch) -> bool {
+        build.partition_rows() == self.partition_rows && build.newest_stamp(0..build.row_count() as usize) <= built_at
     }
 }
 
@@ -334,7 +498,7 @@ pub fn build_hash_table(build: &SnapshotTable, join: &JoinSpec, group_col: Optio
             )));
         }
     }
-    Ok(JoinHashTable { map, build_rows_in: mat.rows() as u64 })
+    Ok(JoinHashTable { map, build_rows_in: mat.rows() as u64, partition_rows: build.partition_rows().to_vec() })
 }
 
 /// Per-group accumulator: one f64 per aggregate plus the contributing row
@@ -374,7 +538,7 @@ fn group_between_mask<D: Fn(u64) -> f64>(decode: D, cells: &[u64], pred: &Predic
 }
 
 /// Fills `sel` with the indexes of the rows of `batch` (relative to the
-/// start of the materialised columns) that satisfy every predicate, in
+/// start of the chunk) that satisfy every predicate, in
 /// ascending order: per 8-lane group, AND together every predicate's lane
 /// mask (with an early out once a group's mask is empty), then compact the
 /// surviving lanes branchlessly — no data-dependent branch for the
@@ -382,7 +546,7 @@ fn group_between_mask<D: Fn(u64) -> f64>(decode: D, cells: &[u64], pred: &Predic
 /// selection ever materialises.
 #[inline]
 fn select_batch_simd(
-    mat: &MaterializedColumns,
+    chunk: &ChunkView<'_>,
     predicates: &[Predicate],
     pred_pos: &[usize],
     batch: Range<usize>,
@@ -395,8 +559,8 @@ fn select_batch_simd(
     while i + F64x8::LANES <= batch.end {
         let mut mask = (1u32 << F64x8::LANES) - 1;
         for (pred, &pos) in predicates.iter().zip(pred_pos) {
-            let cells = &mat.data[pos][i..i + F64x8::LANES];
-            mask &= with_decoder!(mat.types[pos], group_between_mask(cells, pred));
+            let cells = &chunk.cols[pos][i..i + F64x8::LANES];
+            mask &= with_decoder!(chunk.types[pos], group_between_mask(cells, pred));
             if mask == 0 {
                 break;
             }
@@ -409,7 +573,7 @@ fn select_batch_simd(
     }
     for row in i..batch.end {
         sel[k] = row as u32;
-        let keep = predicates.iter().zip(pred_pos).all(|(p, &pos)| p.matches(mat.value(pos, row)));
+        let keep = predicates.iter().zip(pred_pos).all(|(p, &pos)| p.matches(chunk.value(pos, row)));
         k += usize::from(keep);
     }
     sel.truncate(k);
@@ -473,17 +637,17 @@ fn stage_add_column<D: Fn(u64) -> f64>(decode: D, col: &[u64], sel: &[u32], out:
 /// `sum::<f64>()` (so `0.0 + -0.0` stays `+0.0`) — which is what lets the
 /// caller's sequential fold over `out` reproduce the reference bit for bit.
 #[inline]
-fn stage_rows_simd(mat: &MaterializedColumns, agg: &AggExpr, pos: &[usize], sel: &[u32], out: &mut Vec<f64>) {
+fn stage_rows_simd(chunk: &ChunkView<'_>, agg: &AggExpr, pos: &[usize], sel: &[u32], out: &mut Vec<f64>) {
     out.clear();
     out.resize(sel.len(), 0.0);
     match agg {
         AggExpr::SumProduct(..) => {
-            let (c0, c1) = (&mat.data[pos[0]], &mat.data[pos[1]]);
-            with_decoder!(mat.types[pos[0]], stage_product_outer(mat.types[pos[1]], c0, c1, sel, out));
+            let (c0, c1) = (chunk.cols[pos[0]], chunk.cols[pos[1]]);
+            with_decoder!(chunk.types[pos[0]], stage_product_outer(chunk.types[pos[1]], c0, c1, sel, out));
         }
         AggExpr::SumColumns(_) => {
             for &p in pos {
-                with_decoder!(mat.types[p], stage_add_column(&mat.data[p], sel, out));
+                with_decoder!(chunk.types[p], stage_add_column(chunk.cols[p], sel, out));
             }
         }
         AggExpr::Count => unreachable!("Count accumulates without staging"),
@@ -498,7 +662,7 @@ fn stage_rows_simd(mat: &MaterializedColumns, agg: &AggExpr, pos: &[usize], sel:
 /// f64.)
 #[inline]
 fn accumulate_selected_simd(
-    mat: &MaterializedColumns,
+    chunk: &ChunkView<'_>,
     agg: &AggExpr,
     pos: &[usize],
     sel: &[u32],
@@ -509,7 +673,7 @@ fn accumulate_selected_simd(
         *acc += sel.len() as f64;
         return;
     }
-    stage_rows_simd(mat, agg, pos, sel, scratch);
+    stage_rows_simd(chunk, agg, pos, sel, scratch);
     for &v in scratch.iter() {
         *acc += v;
     }
@@ -562,7 +726,7 @@ fn stage_add_column_dense<D: Fn(u64) -> f64>(decode: D, col: &[u64], out: &mut [
 /// scratch), folding each batch sequentially in ascending row order.
 #[inline]
 fn accumulate_dense_simd(
-    mat: &MaterializedColumns,
+    chunk: &ChunkView<'_>,
     agg: &AggExpr,
     pos: &[usize],
     rows: Range<usize>,
@@ -580,13 +744,13 @@ fn accumulate_dense_simd(
         scratch.resize(hi - lo, 0.0);
         match agg {
             AggExpr::SumProduct(..) => {
-                let c0 = &mat.data[pos[0]][lo..hi];
-                let c1 = &mat.data[pos[1]][lo..hi];
-                with_decoder!(mat.types[pos[0]], stage_product_dense_outer(mat.types[pos[1]], c0, c1, scratch));
+                let c0 = &chunk.cols[pos[0]][lo..hi];
+                let c1 = &chunk.cols[pos[1]][lo..hi];
+                with_decoder!(chunk.types[pos[0]], stage_product_dense_outer(chunk.types[pos[1]], c0, c1, scratch));
             }
             AggExpr::SumColumns(_) => {
                 for &p in pos {
-                    with_decoder!(mat.types[p], stage_add_column_dense(&mat.data[p][lo..hi], scratch));
+                    with_decoder!(chunk.types[p], stage_add_column_dense(&chunk.cols[p][lo..hi], scratch));
                 }
             }
             AggExpr::Count => unreachable!(),
@@ -647,7 +811,8 @@ impl GroupArena {
 /// are processed in ascending storage order; this function is
 /// deterministic, side-effect free and bit-identical to
 /// [`process_chunk_reference`], so chunks can be evaluated on any thread in
-/// any order.
+/// any order. `rows` must lie within one chunk
+/// ([`MaterializedColumns::chunk_range`] or a part of it).
 pub fn process_chunk(
     probe: &MaterializedColumns,
     plan: &OlapPlan,
@@ -664,6 +829,11 @@ pub fn process_chunk(
     // Aggregate inputs resolved to materialised positions once per chunk.
     let agg_pos: Vec<Vec<usize>> =
         plan.aggregates.iter().map(|a| a.columns().iter().map(|&c| probe.pos(c)).collect()).collect();
+
+    // From here on rows are numbered from the chunk's first row: that is how
+    // the chunk's blocks are indexed, and selection vectors never leave this
+    // function.
+    let (chunk, rows) = probe.chunk_view(&rows);
 
     let mut partial = ChunkPartial::default();
     // The global group's accumulators live outside the arena: no per-row
@@ -682,7 +852,7 @@ pub fn process_chunk(
         if !rows.is_empty() {
             global.rows = partial.selected;
             for (slot, (agg, pos)) in plan.aggregates.iter().zip(&agg_pos).enumerate() {
-                accumulate_dense_simd(probe, agg, pos, rows.clone(), &mut scratch, &mut global.values[slot]);
+                accumulate_dense_simd(&chunk, agg, pos, rows.clone(), &mut scratch, &mut global.values[slot]);
             }
             partial.groups.insert(0, global);
         }
@@ -704,7 +874,7 @@ pub fn process_chunk(
             sel.clear();
             sel.extend((lo..hi).map(|r| r as u32));
         } else {
-            select_batch_simd(probe, &plan.predicates, &pred_pos, lo..hi, &mut sel);
+            select_batch_simd(&chunk, &plan.predicates, &pred_pos, lo..hi, &mut sel);
         }
         partial.selected += sel.len() as u64;
         lo = hi;
@@ -720,8 +890,8 @@ pub fn process_chunk(
             // h2tap: allow(panic) — prepare_plan populates `hash` exactly when the plan has a join, and probe_key_pos is derived from that same join; the two cannot disagree.
             let table = hash.expect("join plans carry a hash table");
             payloads.clear();
-            let col = &probe.data[key_pos];
-            with_decoder!(probe.types[key_pos], stage_key_bits(col, &sel, &mut key_bits));
+            let col = chunk.cols[key_pos];
+            with_decoder!(chunk.types[key_pos], stage_key_bits(col, &sel, &mut key_bits));
             let mut kept = 0usize;
             for k in 0..sel.len() {
                 let Some(payload) = table.get(key_bits[k]) else { continue };
@@ -742,17 +912,17 @@ pub fn process_chunk(
             GroupMode::Global => {
                 global.rows += sel.len() as u64;
                 for (slot, (agg, pos)) in plan.aggregates.iter().zip(&agg_pos).enumerate() {
-                    accumulate_selected_simd(probe, agg, pos, &sel, &mut scratch, &mut global.values[slot]);
+                    accumulate_selected_simd(&chunk, agg, pos, &sel, &mut scratch, &mut global.values[slot]);
                 }
             }
             GroupMode::Probe(group_pos) => {
                 slots.clear();
                 for &row in &sel {
-                    let slot = arena.slot(probe.raw(group_pos, row as usize));
+                    let slot = arena.slot(chunk.cols[group_pos][row as usize]);
                     arena.accs[slot as usize].rows += 1;
                     slots.push(slot);
                 }
-                accumulate_grouped_simd(probe, plan, &agg_pos, &sel, &slots, &mut scratch, &mut arena);
+                accumulate_grouped_simd(&chunk, plan, &agg_pos, &sel, &slots, &mut scratch, &mut arena);
             }
             GroupMode::Build => {
                 slots.clear();
@@ -761,7 +931,7 @@ pub fn process_chunk(
                     arena.accs[slot as usize].rows += 1;
                     slots.push(slot);
                 }
-                accumulate_grouped_simd(probe, plan, &agg_pos, &sel, &slots, &mut scratch, &mut arena);
+                accumulate_grouped_simd(&chunk, plan, &agg_pos, &sel, &slots, &mut scratch, &mut arena);
             }
         }
     }
@@ -781,7 +951,7 @@ pub fn process_chunk(
 /// what order.
 #[inline]
 fn accumulate_grouped_simd(
-    probe: &MaterializedColumns,
+    chunk: &ChunkView<'_>,
     plan: &OlapPlan,
     agg_pos: &[Vec<usize>],
     sel: &[u32],
@@ -796,7 +966,7 @@ fn accumulate_grouped_simd(
             }
             continue;
         }
-        stage_rows_simd(probe, agg, pos, sel, scratch);
+        stage_rows_simd(chunk, agg, pos, sel, scratch);
         for (&slot, &v) in slots.iter().zip(scratch.iter()) {
             arena.accs[slot as usize].values[agg_slot] += v;
         }
@@ -904,15 +1074,14 @@ pub struct ScanChunkPartial {
 /// it cannot change the aggregate (the chunk's partial would be exactly
 /// zero).
 pub fn scan_chunk_can_qualify(mat: &MaterializedColumns, predicates: &[Predicate], chunk: usize) -> bool {
-    if mat.zonemaps.len() != mat.cols.len() {
+    if !mat.zonemapped {
         // Materialised without statistics (the retained pre-PR baseline):
         // fall back to recomputing from the data.
         return scan_chunk_can_qualify_reference(mat, predicates, mat.chunk_range(chunk));
     }
     for pred in predicates {
-        let pos = mat.pos(pred.column);
-        let zm = &mat.zonemaps[pos];
-        if zm.maxs[chunk] < pred.lo || zm.mins[chunk] > pred.hi {
+        let (min, max) = mat.zonemap(mat.pos(pred.column), chunk);
+        if max < pred.lo || min > pred.hi {
             return false;
         }
     }
@@ -1061,6 +1230,33 @@ pub(crate) fn evaluate_plan(data: &PlanData, plan: &OlapPlan, threads: usize, sk
     }
     let (groups, totals) = merge_partials(plan, partials);
     PlanEvaluation { groups, totals, chunk_totals, rows_scanned, chunks_skipped, threads_used }
+}
+
+#[cfg(test)]
+impl MaterializedColumns {
+    /// Panics unless `self` and `other` hold the same bytes: columns, types,
+    /// rows, every cell and the bit patterns of every zonemap bound.
+    pub(crate) fn assert_same_bytes(&self, other: &Self, label: &str) {
+        assert_eq!((&self.cols, &self.types, self.rows), (&other.cols, &other.types, other.rows), "{label}");
+        assert_eq!(self.zonemapped, other.zonemapped, "{label}");
+        for (pos, (mine, theirs)) in self.blocks.iter().zip(&other.blocks).enumerate() {
+            assert_eq!(mine.len(), theirs.len(), "{label}: column {pos} block count");
+            for (chunk, (a, b)) in mine.iter().zip(theirs).enumerate() {
+                assert!(a.cells == b.cells, "{label}: cells of column {pos} chunk {chunk} differ");
+                assert_eq!(
+                    (a.min.to_bits(), a.max.to_bits()),
+                    (b.min.to_bits(), b.max.to_bits()),
+                    "{label}: zonemap of column {pos} chunk {chunk}"
+                );
+            }
+        }
+    }
+
+    /// Whether chunk `chunk` of column `col` is the very block `other` holds
+    /// for that column and chunk (shared, not copied).
+    pub(crate) fn shares_block(&self, other: &Self, col: usize, chunk: usize) -> bool {
+        Arc::ptr_eq(&self.blocks[self.pos(col)][chunk], &other.blocks[other.pos(col)][chunk])
+    }
 }
 
 #[cfg(test)]
@@ -1317,13 +1513,14 @@ mod tests {
             let par = MaterializedColumns::new(&probe, cols.clone()).unwrap();
             let ser = MaterializedColumns::new_without_zonemaps(&probe, cols).unwrap();
             assert_eq!(par.rows, ser.rows);
-            assert_eq!(par.data, ser.data, "{rows} rows: copied cells must be byte-identical");
-            for (pos, zm) in par.zonemaps.iter().enumerate() {
+            for pos in 0..par.cols.len() {
                 for chunk in 0..par.chunk_count() {
+                    let (p, s) = (&par.blocks[pos][chunk], &ser.blocks[pos][chunk]);
+                    assert_eq!(p.cells, s.cells, "{rows} rows: copied cells must be byte-identical");
                     let values = par.chunk_range(chunk).map(|row| ser.value(pos, row));
                     let (lo, hi) =
                         values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| (lo.min(v), hi.max(v)));
-                    assert_eq!((zm.mins[chunk], zm.maxs[chunk]), (lo, hi), "{rows} rows, column {pos}, chunk {chunk}");
+                    assert_eq!(par.zonemap(pos, chunk), (lo, hi), "{rows} rows, column {pos}, chunk {chunk}");
                 }
             }
         }

@@ -156,6 +156,59 @@ mod tests {
         rt.shutdown();
     }
 
+    /// A local transaction that meets a lock held by a remote client must
+    /// commit once that client releases: the release is a message, so the
+    /// retry loop has to serve the mailbox between attempts.
+    #[test]
+    fn a_local_transaction_commits_once_a_remote_client_releases() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let (rt, table) = runtime(2, 16);
+        // Worker 1 takes key 0 (partition 0) remotely and holds it until told.
+        let (locked_tx, locked_rx) = crossbeam_channel::bounded::<()>(1);
+        let (release_tx, release_rx) = crossbeam_channel::bounded::<()>(1);
+        let holder = rt
+            .submit(
+                PartitionId(1),
+                Arc::new(move |ctx| {
+                    ctx.read_for_update(table, 0)?;
+                    locked_tx.send(()).expect("the test waits for the lock");
+                    release_rx.recv().expect("the test tells the holder when to release");
+                    Ok(())
+                }),
+            )
+            .unwrap();
+        locked_rx.recv_timeout(Duration::from_secs(10)).expect("the remote client took the lock");
+        // Worker 0's own transaction meets that lock. After its first
+        // attempt it lets the holder go and waits for the holder's commit,
+        // so the release message is in worker 0's mailbox before the retry.
+        let (met_tx, met_rx) = crossbeam_channel::bounded::<()>(1);
+        let (released_tx, released_rx) = crossbeam_channel::bounded::<()>(1);
+        let attempts = Arc::new(AtomicU32::new(0));
+        let seen = Arc::clone(&attempts);
+        let local = rt
+            .submit(
+                PartitionId(0),
+                Arc::new(move |ctx| {
+                    let outcome = ctx.read_for_update(table, 0).map(|_| ());
+                    if seen.fetch_add(1, Ordering::SeqCst) == 0 {
+                        assert!(outcome.is_err(), "the first attempt meets the remote client's lock");
+                        met_tx.send(()).expect("the test waits for the conflict");
+                        released_rx.recv().expect("the test reports the holder's commit");
+                    }
+                    outcome
+                }),
+            )
+            .unwrap();
+        met_rx.recv_timeout(Duration::from_secs(10)).expect("the local transaction met the lock");
+        release_tx.send(()).unwrap();
+        assert_eq!(holder.recv_timeout(Duration::from_secs(10)).expect("holder reply"), TxnOutcome::Committed);
+        released_tx.send(()).unwrap();
+        assert_eq!(local.recv_timeout(Duration::from_secs(10)).expect("local reply"), TxnOutcome::Committed);
+        assert_eq!(attempts.load(Ordering::SeqCst), 2, "one conflict, then the retry that saw the release");
+        let stats = rt.shutdown();
+        assert_eq!((stats.committed, stats.aborted, stats.retries), (2, 0, 1));
+    }
+
     #[test]
     fn unknown_keys_abort_without_retry_storm() {
         let (rt, table) = runtime(2, 4);

@@ -121,7 +121,8 @@ pub enum TxnOutcome {
     Aborted(H2Error),
 }
 
-/// Executes `proc` on `state`, retrying aborts up to `max_retries` times.
+/// Executes `proc` on `state`, retrying aborts up to `max_retries` times and
+/// serving the worker's mailbox between attempts.
 pub fn execute_transaction(
     state: &mut WorkerState,
     proc: &crate::runtime::TxnProc,
@@ -142,11 +143,21 @@ pub fn execute_transaction(
             Err(err) => {
                 ctx.abort();
                 let retryable = matches!(err, H2Error::TxnAborted(_) | H2Error::LockTimeout(_));
-                if retryable && attempt < max_retries {
-                    attempt += 1;
-                    state.counters.add_retry();
-                    continue;
-                }
+                // A conflicting lock may be held by a remote client, whose
+                // release arrives as a message: serve the mailbox before
+                // retrying, or every retry meets the same lock.
+                let err = if retryable && attempt < max_retries {
+                    match state.drain_messages() {
+                        Ok(()) => {
+                            attempt += 1;
+                            state.counters.add_retry();
+                            continue;
+                        }
+                        Err(closed) => closed,
+                    }
+                } else {
+                    err
+                };
                 state.counters.add_aborted();
                 return TxnOutcome::Aborted(err);
             }

@@ -146,7 +146,9 @@ impl Database {
         let meta = self.table_meta(table)?;
         let cells = encode_record(&meta.schema, values)?;
         let store = self.partition(partition)?;
-        let row = store.write().insert(table, &cells, self.live_epoch())?;
+        let mut store = store.write();
+        // Epoch read under the partition's write lock: the stamp contract of `Page::epoch`.
+        let row = store.insert(table, &cells, self.live_epoch())?;
         Ok(RecordId::new(partition, table, row))
     }
 
@@ -164,13 +166,16 @@ impl Database {
         let meta = self.table_meta(rid.table)?;
         let cells = encode_record(&meta.schema, values)?;
         let store = self.partition(rid.partition)?;
-        let result = store.write().update_record(rid.table, rid.row, &cells, self.live_epoch());
-        result
+        let mut store = store.write();
+        // Epoch read under the partition's write lock: the stamp contract of `Page::epoch`.
+        store.update_record(rid.table, rid.row, &cells, self.live_epoch())
     }
 
     /// Takes a snapshot: a shallow copy of every table's page lists plus an
     /// increment of the live epoch, so that the first subsequent update of
-    /// any captured page triggers a shadow copy.
+    /// any captured page triggers a shadow copy. The increment comes first:
+    /// a write that lands after a partition's page list was copied must
+    /// already see the new live epoch (see [`crate::Page::epoch`]).
     pub fn snapshot(&self) -> Arc<Snapshot> {
         let snapshot_epoch = Epoch(self.live_epoch.fetch_add(1, Ordering::AcqRel));
         let id = self.next_snapshot.fetch_add(1, Ordering::Relaxed);
@@ -186,12 +191,12 @@ impl Database {
             }
             tables.insert(
                 *tid,
-                SnapshotTable {
-                    schema: Arc::clone(&meta.schema),
-                    layout: meta.layout,
-                    partitions: per_partition,
-                    identity: SnapshotTableId { source: self.instance, table: *tid, epoch: snapshot_epoch },
-                },
+                SnapshotTable::new(
+                    Arc::clone(&meta.schema),
+                    meta.layout,
+                    per_partition,
+                    SnapshotTableId { source: self.instance, table: *tid, epoch: snapshot_epoch },
+                ),
             );
         }
         drop(catalog); // the registry insert below needs no catalog consistency — narrow the critical section
@@ -215,7 +220,7 @@ impl Database {
         let mut report = GcReport::default();
         for tid in snapshot.tables() {
             let frozen = snapshot.table(tid)?;
-            for (p_idx, frozen_pages) in frozen.partitions.iter().enumerate() {
+            for (p_idx, frozen_pages) in frozen.partitions().iter().enumerate() {
                 let live = self.partitions[p_idx].read();
                 let live_pages = live.fragment(tid).map(|f| f.pages().to_vec()).unwrap_or_default();
                 for (i, page) in frozen_pages.iter().enumerate() {
@@ -301,7 +306,7 @@ mod tests {
         let frozen = snap.table(t).unwrap();
         let live = db.partition(PartitionId(0)).unwrap();
         let live_first = live.read().fragment(t).unwrap().pages()[0].clone();
-        assert!(Arc::ptr_eq(&frozen.partitions[0][0], &live_first));
+        assert!(Arc::ptr_eq(&frozen.partitions()[0][0], &live_first));
     }
 
     #[test]
@@ -344,6 +349,75 @@ mod tests {
         let s3 = other.snapshot();
         assert_eq!(t2, t);
         assert_ne!(s3.table(t2).unwrap().identity.source, id1.source);
+    }
+
+    /// The stamp contract of [`crate::Page::epoch`], under fire: a writer
+    /// thread updates and inserts while this thread takes snapshots back to
+    /// back. For every consecutive pair, every page of the newer snapshot
+    /// stamped at or before the older snapshot's epoch must equal the older
+    /// snapshot's page at that position.
+    #[test]
+    fn pages_stamped_at_or_before_a_snapshot_are_unchanged_since_it() {
+        use h2tap_common::rng::SplitMixRng;
+        use std::sync::atomic::AtomicBool;
+        const ROWS: u64 = 10_000; // several pages per partition in every layout
+        let record = |v: i64| vec![Value::Int64(v); 4];
+        for layout in [Layout::Nsm, Layout::Dsm, Layout::PAPER_PAX] {
+            let db = Database::new(2);
+            let t = db.create_table("t", Schema::homogeneous("c", 4, AttrType::Int64), layout).unwrap();
+            for p in 0..2 {
+                for i in 0..ROWS as i64 {
+                    db.insert(PartitionId(p), t, &record(i)).unwrap();
+                }
+            }
+            let stop = AtomicBool::new(false);
+            let start = std::sync::Barrier::new(2);
+            let (mut clean, mut dirty) = (0u64, 0u64);
+            std::thread::scope(|scope| {
+                let writer = scope.spawn(|| {
+                    let mut rng = SplitMixRng::new(0x57A);
+                    start.wait();
+                    let mut step = 0i64;
+                    while !stop.load(Ordering::Acquire) {
+                        step += 1;
+                        let partition = PartitionId(rng.next_below(2) as u32);
+                        if step % 64 == 0 {
+                            db.insert(partition, t, &record(step)).unwrap();
+                        } else {
+                            // A hot tenth of the rows: most pages stay clean.
+                            let rid = RecordId::new(partition, t, rng.next_below(ROWS / 10));
+                            db.update(rid, &record(step)).unwrap();
+                        }
+                    }
+                });
+                start.wait();
+                let mut older = db.snapshot();
+                for _ in 0..300 {
+                    let newer = db.snapshot();
+                    let (old_table, new_table) = (older.table(t).unwrap(), newer.table(t).unwrap());
+                    for (old_pages, new_pages) in old_table.partitions().iter().zip(new_table.partitions()) {
+                        for (i, page) in new_pages.iter().enumerate() {
+                            if page.epoch() > older.epoch() {
+                                dirty += 1;
+                                continue;
+                            }
+                            clean += 1;
+                            assert!(
+                                old_pages.get(i).is_some_and(|old| **old == **page),
+                                "{layout:?}: page {i} stamped {} differs from its image in snapshot {}",
+                                page.epoch(),
+                                older.epoch()
+                            );
+                        }
+                    }
+                    db.release_snapshot(&older).unwrap();
+                    older = newer;
+                }
+                stop.store(true, Ordering::Release);
+                writer.join().unwrap();
+            });
+            assert!(clean > 0 && dirty > 0, "{layout:?}: the run must see both kinds of page ({clean} / {dirty})");
+        }
     }
 
     #[test]

@@ -44,6 +44,22 @@ impl Page {
     }
 
     /// The epoch at which this page was created or last shadow-copied.
+    ///
+    /// # The stamp contract
+    ///
+    /// A page of a snapshot frozen at a later epoch whose stamp is `<= e` is
+    /// cell-for-cell the page at the same position of the snapshot frozen at
+    /// epoch `e`: **stamp ≤ e ⇒ unchanged since snapshot e**. The OLAP plan
+    /// cache relies on it to carry derived data from one snapshot to the
+    /// next. It holds because `Database::snapshot` bumps the live epoch to
+    /// `e + 1` *before* copying any page list, and every writer reads the
+    /// live epoch *under the partition's write lock*: a write that lands
+    /// after snapshot `e` copied the partition therefore stamps its page
+    /// `>= e + 1` (first touch) or finds it already stamped so (stamps never
+    /// decrease). The converse is false — a page shadow-copied between the
+    /// bump and the copy is stamped `e + 1` *inside* snapshot `e`, and keeps
+    /// that stamp while later writes change it — so "same stamp as before"
+    /// proves nothing; only `stamp <= e` does.
     pub fn epoch(&self) -> Epoch {
         self.epoch
     }

@@ -11,8 +11,9 @@ use crate::layout::{Layout, ScanProfile};
 use crate::page::Page;
 use h2tap_common::{Epoch, H2Error, Result, Schema, TableId};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Source of globally unique data-source numbers: every [`crate::Database`]
 /// instance takes one at construction, and every detached
@@ -53,6 +54,29 @@ impl SnapshotTableId {
     }
 }
 
+/// What one walk over a frozen table's pages records: where each page's
+/// rows start in storage order and the epoch stamp it carried when the
+/// image was frozen. Built once per [`SnapshotTable`], on first use.
+#[derive(Debug, Clone)]
+struct PageDirectory {
+    /// `starts[i]` is the storage-order offset of the first row of page `i`
+    /// (pages flattened in partition order); the final entry is the table's
+    /// row count.
+    starts: Vec<usize>,
+    /// `stamps[i]` is [`Page::epoch`] of page `i`.
+    stamps: Vec<Epoch>,
+    /// Rows per partition, in partition order.
+    partition_rows: Vec<u64>,
+}
+
+impl PageDirectory {
+    /// Index of the page holding storage-order row `row` (the page count
+    /// when `row` is past the end).
+    fn page_of(&self, row: usize) -> usize {
+        self.starts.partition_point(|&start| start <= row).saturating_sub(1)
+    }
+}
+
 /// The frozen image of one table across all partitions.
 #[derive(Debug, Clone)]
 pub struct SnapshotTable {
@@ -60,17 +84,84 @@ pub struct SnapshotTable {
     pub schema: Arc<Schema>,
     /// Table layout.
     pub layout: Layout,
-    /// Page lists per partition, in partition order.
-    pub partitions: Vec<Vec<Arc<Page>>>,
     /// Cache identity of this frozen image (database instance + table +
     /// snapshot epoch).
     pub identity: SnapshotTableId,
+    /// Page lists per partition, in partition order. Private so the page
+    /// directory below can never describe a different page list.
+    partitions: Vec<Vec<Arc<Page>>>,
+    directory: OnceLock<PageDirectory>,
 }
 
 impl SnapshotTable {
+    /// A frozen image over `partitions` (page lists in partition order).
+    pub fn new(
+        schema: Arc<Schema>,
+        layout: Layout,
+        partitions: Vec<Vec<Arc<Page>>>,
+        identity: SnapshotTableId,
+    ) -> Self {
+        Self { schema, layout, identity, partitions, directory: OnceLock::new() }
+    }
+
+    /// Page lists per partition, in partition order.
+    pub fn partitions(&self) -> &[Vec<Arc<Page>>] {
+        &self.partitions
+    }
+
+    fn directory(&self) -> &PageDirectory {
+        self.directory.get_or_init(|| {
+            let pages = self.partitions.iter().map(Vec::len).sum::<usize>();
+            let mut starts = Vec::with_capacity(pages + 1);
+            let mut stamps = Vec::with_capacity(pages);
+            let mut partition_rows = Vec::with_capacity(self.partitions.len());
+            let mut row = 0usize;
+            for partition in &self.partitions {
+                let first = row;
+                for page in partition {
+                    starts.push(row);
+                    stamps.push(page.epoch());
+                    row += page.len();
+                }
+                partition_rows.push((row - first) as u64);
+            }
+            starts.push(row);
+            PageDirectory { starts, stamps, partition_rows }
+        })
+    }
+
+    /// The pages from flattened index `first` on, in storage order.
+    fn pages_from(&self, first: usize) -> impl Iterator<Item = &Arc<Page>> {
+        let mut skip = first;
+        self.partitions.iter().flat_map(move |pages| {
+            let skipped = skip.min(pages.len());
+            skip -= skipped;
+            &pages[skipped..]
+        })
+    }
+
     /// Total number of records in the frozen image.
     pub fn row_count(&self) -> u64 {
-        self.partitions.iter().flatten().map(|p| p.len() as u64).sum()
+        self.directory().starts.last().map_or(0, |&rows| rows as u64)
+    }
+
+    /// Records per partition, in partition order.
+    pub fn partition_rows(&self) -> &[u64] {
+        &self.directory().partition_rows
+    }
+
+    /// The newest [`Page::epoch`] stamp among the pages holding rows `rows`
+    /// (storage order); [`Epoch::ZERO`] for an empty range. By the stamp
+    /// contract documented on [`Page::epoch`], a result `<= e` means none of
+    /// those pages was written since the snapshot frozen at epoch `e`.
+    pub fn newest_stamp(&self, rows: Range<usize>) -> Epoch {
+        if rows.is_empty() {
+            return Epoch::ZERO;
+        }
+        let dir = self.directory();
+        let first = dir.page_of(rows.start);
+        let pages = dir.starts[first..].partition_point(|&start| start < rows.end);
+        dir.stamps[first..].iter().take(pages).copied().max().unwrap_or(Epoch::ZERO)
     }
 
     /// Iterates the values of one attribute across all partitions and pages.
@@ -96,15 +187,23 @@ impl SnapshotTable {
     /// (`out.len()` must equal the range length) — the chunk-granular
     /// counterpart of [`SnapshotTable::column`], which is what lets callers
     /// materialise disjoint chunks of the same column from different
-    /// threads. Column-major (DSM/PAX) pages are bulk-copied slice-at-a-time;
-    /// row-major NSM pages fall back to per-cell strided reads.
-    pub fn column_into(&self, attr: usize, rows: std::ops::Range<usize>, out: &mut [u64]) {
+    /// threads. The first page of the range is found by binary search in the
+    /// page directory, so a chunk deep in the table does not walk the pages
+    /// before it. Column-major (DSM/PAX) pages are bulk-copied
+    /// slice-at-a-time; row-major NSM pages fall back to per-cell strided
+    /// reads.
+    pub fn column_into(&self, attr: usize, rows: Range<usize>, out: &mut [u64]) {
         debug_assert_eq!(out.len(), rows.len());
-        let mut page_start = 0usize;
+        let dir = self.directory();
+        let first = dir.page_of(rows.start);
+        let mut page_start = dir.starts[first];
         let mut written = 0usize;
-        for page in self.partitions.iter().flatten() {
+        for page in self.pages_from(first) {
+            if page_start >= rows.end {
+                break;
+            }
             let page_end = page_start + page.len();
-            if page_end > rows.start && page_start < rows.end {
+            if page_end > rows.start {
                 let lo = rows.start.max(page_start) - page_start;
                 let hi = rows.end.min(page_end) - page_start;
                 match page.column_slice(attr) {
@@ -121,9 +220,6 @@ impl SnapshotTable {
                 written += hi - lo;
             }
             page_start = page_end;
-            if page_start >= rows.end {
-                break;
-            }
         }
         debug_assert_eq!(written, rows.len(), "range within the table's rows");
     }
@@ -214,12 +310,12 @@ mod tests {
         for i in 5..9u64 {
             p1.push(&[i, i * 2, i * 3]).unwrap();
         }
-        SnapshotTable {
+        SnapshotTable::new(
             schema,
-            layout: Layout::Dsm,
-            partitions: vec![vec![Arc::new(p0)], vec![Arc::new(p1)]],
-            identity: SnapshotTableId::detached(),
-        }
+            Layout::Dsm,
+            vec![vec![Arc::new(p0)], vec![Arc::new(p1)]],
+            SnapshotTableId::detached(),
+        )
     }
 
     #[test]
@@ -254,15 +350,48 @@ mod tests {
         for i in 0..6u64 {
             page.push(&[i, i * 7]).unwrap();
         }
-        let t = SnapshotTable {
-            schema,
-            layout: Layout::Nsm,
-            partitions: vec![vec![Arc::new(page)]],
-            identity: SnapshotTableId::detached(),
-        };
+        let t = SnapshotTable::new(schema, Layout::Nsm, vec![vec![Arc::new(page)]], SnapshotTableId::detached());
         let mut out = vec![0u64; 3];
         t.column_into(1, 2..5, &mut out);
         assert_eq!(out, vec![14, 21, 28]);
+    }
+
+    #[test]
+    fn the_page_directory_locates_rows_and_reports_stamps() {
+        // Pages of 5, 0 and 4 rows over three partitions (one of them
+        // empty), stamped 3, 7 and 1.
+        let schema = Arc::new(Schema::homogeneous("c", 1, AttrType::Int64));
+        let page = |rows: std::ops::Range<u64>, stamp: u64| {
+            let mut p = Page::new(Layout::Dsm, 1, 8, Epoch(stamp));
+            for i in rows {
+                p.push(&[i]).unwrap();
+            }
+            Arc::new(p)
+        };
+        let t = SnapshotTable::new(
+            schema,
+            Layout::Dsm,
+            vec![vec![page(0..5, 3), page(5..5, 7)], vec![], vec![page(5..9, 1)]],
+            SnapshotTableId::detached(),
+        );
+        assert_eq!(t.row_count(), 9);
+        assert_eq!(t.partition_rows(), &[5, 0, 4]);
+        assert_eq!(t.newest_stamp(0..5), Epoch(3));
+        assert_eq!(t.newest_stamp(5..9), Epoch(1), "the empty page holds no row of the range");
+        assert_eq!(t.newest_stamp(4..6), Epoch(7), "an empty page between two touched pages counts");
+        assert_eq!(t.newest_stamp(0..9), Epoch(7));
+        assert_eq!(t.newest_stamp(3..3), Epoch::ZERO);
+        assert_eq!(t.newest_stamp(9..9), Epoch::ZERO);
+        for (lo, hi) in [(0, 9), (4, 6), (5, 9), (8, 9), (9, 9)] {
+            let mut out = vec![u64::MAX; hi - lo];
+            t.column_into(0, lo..hi, &mut out);
+            assert_eq!(out, (lo as u64..hi as u64).collect::<Vec<_>>(), "range {lo}..{hi}");
+        }
+        // A table without pages has an empty directory, not a panic.
+        let empty = SnapshotTable::new(t.schema.clone(), Layout::Dsm, vec![vec![]], SnapshotTableId::detached());
+        assert_eq!(empty.row_count(), 0);
+        assert_eq!(empty.newest_stamp(0..1), Epoch::ZERO);
+        empty.column_into(0, 0..0, &mut []);
     }
 
     #[test]

@@ -311,3 +311,72 @@ fn sites_stay_consistent_across_snapshot_refreshes() {
     assert_eq!(stats.olap_queries, 5);
     assert_eq!(stats.snapshots_taken, 2);
 }
+
+/// After writes and a refresh the sites no longer evaluate a from-scratch
+/// materialisation: the written chunks were gathered again and the rest is
+/// shared with the previous snapshot's version. Every site, and the
+/// row-at-a-time reference over a from-scratch materialisation of the same
+/// snapshot, must still agree bit for bit — on the scan and on the join,
+/// whose hash table is carried forward while `part` stays unwritten.
+#[test]
+fn sites_and_the_reference_agree_bit_for_bit_after_writes_and_a_refresh() {
+    use h2tap_olap::operators as ops;
+    let rows = 150_000; // three chunks
+    for layout in [Layout::Nsm, Layout::Dsm, Layout::PAPER_PAX] {
+        let mut config = CalderaConfig::with_workers(1);
+        config.olap_cpu_cores = 8;
+        config.olap_multi_gpu = Some(OlapMultiGpuConfig::new(h2tap_gpu_sim::table1_mix(3)));
+        let (caldera, lineitem, part) = caldera_with_lineitem_and_part(config, layout, rows, 2_000);
+        let scan = h2tap_common::OlapPlan::scan(&q6());
+        let join = tpch::brand_revenue_plan(30);
+        let sites = [OlapTarget::Cpu, OlapTarget::Gpu, OlapTarget::MultiGpu];
+        for round in 0..3i64 {
+            // Rewrite a run of rows inside the middle chunk: prices move, and
+            // some rows start or stop qualifying for Q6.
+            caldera
+                .execute_txn(Arc::new(move |ctx| {
+                    for key in (70_000 + 500 * round)..(70_040 + 500 * round) {
+                        let mut rec = ctx.read_for_update(lineitem, key)?;
+                        rec[tpch::columns::EXTENDEDPRICE] = Value::Float64(1_234.5 + key as f64 / 7.0);
+                        rec[tpch::columns::DISCOUNT] = Value::Float64(0.06);
+                        rec[tpch::columns::QUANTITY] = Value::Float64(3.0 + round as f64);
+                        rec[tpch::columns::SHIPDATE] = Value::Date(800);
+                        ctx.update(lineitem, key, rec)?;
+                    }
+                    Ok(())
+                }))
+                .unwrap();
+            caldera.refresh_snapshot().unwrap();
+            let snapshot = caldera.current_snapshot().unwrap();
+            let (frozen, build) = (snapshot.table(lineitem).unwrap(), snapshot.table(part).unwrap());
+            for (plan, build) in [(&scan, None), (&join, Some(build))] {
+                let group_col = ops::check_plan(plan, build.is_some()).unwrap();
+                let hash = plan.join.as_ref().zip(build).map(|(j, b)| ops::build_hash_table(b, j, group_col).unwrap());
+                let mat = ops::MaterializedColumns::new(frozen, plan.probe_columns_accessed()).unwrap();
+                let partials = (0..mat.chunk_count())
+                    .map(|i| ops::process_chunk_reference(&mat, plan, hash.as_ref(), mat.chunk_range(i)))
+                    .collect();
+                let (reference, _) = ops::merge_partials(plan, partials);
+                for site in sites {
+                    let got = caldera.run_olap_plan_on(lineitem, build.map(|_| part), plan, site).unwrap().groups;
+                    assert_eq!(got.len(), reference.len(), "{layout:?} round {round} {site:?}");
+                    for (g, r) in got.iter().zip(&reference) {
+                        assert_eq!((g.key, g.rows), (r.key, r.rows), "{layout:?} round {round} {site:?}");
+                        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&g.values),
+                            bits(&r.values),
+                            "{layout:?} round {round} {site:?} group {}",
+                            g.key
+                        );
+                    }
+                }
+            }
+        }
+        let cache = caldera.shutdown().plan_cache;
+        assert!(
+            cache.chunks_reused > 0 && cache.hashes_carried > 0,
+            "{layout:?}: rounds must rebuild incrementally: {cache:?}"
+        );
+    }
+}

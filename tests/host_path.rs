@@ -350,7 +350,8 @@ fn three_sites_stay_byte_identical_with_caching_enabled() {
 
 /// A cached derivation from one snapshot epoch is never served to a later
 /// one: an OLTP update plus a per-query snapshot policy must be visible to
-/// every following query, with the cache invalidated on each refresh.
+/// every following query, each of which rebuilds the written chunk from the
+/// previous snapshot's version and replaces it.
 #[test]
 fn per_query_snapshots_never_see_stale_cached_data() {
     let mut config = CalderaConfig::with_workers(2);
@@ -377,7 +378,7 @@ fn per_query_snapshots_never_see_stale_cached_data() {
     }
     let stats = caldera.shutdown();
     // Per-query snapshots: every query re-derives (no hits), and each
-    // refresh invalidated the previous derivation.
+    // derivation replaced the previous one.
     assert_eq!(stats.plan_cache.column_hits, 0);
     assert_eq!(stats.plan_cache.column_misses, 5);
     assert!(stats.plan_cache.invalidations >= 4);

@@ -89,6 +89,25 @@ fn traced_brand_revenue_join_covers_every_phase() {
         .filter(|s| s.query == 2 && s.event.kind == SpanKind::CacheLookup)
         .all(|s| s.event.hit == Some(true)));
     assert!(!spans.iter().any(|s| s.query == 2 && s.event.kind == SpanKind::Materialise));
+
+    // A refresh with nothing written: the next query misses at the new
+    // epoch, and its derivation spans say what that cost — no byte
+    // gathered, no table built.
+    let before = caldera.stats().plan_cache;
+    caldera.refresh_snapshot().unwrap();
+    caldera.run_olap_plan_on(lineitem, Some(part), &plan, OlapTarget::Gpu).unwrap();
+    let spans = caldera.trace_spans();
+    let derived: Vec<_> = spans
+        .iter()
+        .filter(|s| s.query == 3 && matches!(s.event.kind, SpanKind::Materialise | SpanKind::HashBuild))
+        .collect();
+    assert_eq!(derived.len(), 2, "one span per missed probe");
+    assert!(derived.iter().all(|s| s.event.bytes == 0), "{derived:?}");
+    let after = caldera.stats().plan_cache;
+    assert_eq!((after.misses() - before.misses(), after.hits() - before.hits()), (2, 0));
+    assert_eq!(after.chunks_rebuilt, before.chunks_rebuilt, "every chunk was shared with the older version");
+    assert!(after.chunks_reused > before.chunks_reused);
+    assert_eq!(after.hashes_carried - before.hashes_carried, 1);
     caldera.shutdown();
 }
 
