@@ -8,8 +8,9 @@
 
 use std::collections::BTreeMap;
 
-/// Token kinds. Literal payloads are discarded — the lints only pattern
-/// match identifiers and punctuation.
+/// Token kinds. Literal payloads are discarded, except the value of a plain
+/// integer — otherwise the lints only pattern match identifiers and
+/// punctuation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword (`fn`, `let`, `HashMap`, ...).
@@ -18,6 +19,8 @@ pub enum TokKind {
     Punct(char),
     /// String / char / numeric literal.
     Lit,
+    /// Decimal integer literal (`200`, `1_000`, `5u64`) and its value.
+    Int(u64),
     /// Lifetime or loop label (`'a`, `'outer`).
     Lifetime,
 }
@@ -55,7 +58,7 @@ pub struct Allow {
 }
 
 /// The lint names an allow annotation may suppress.
-pub const ALLOW_LINTS: &[&str] = &["lock_order", "determinism", "panic", "error_swallow"];
+pub const ALLOW_LINTS: &[&str] = &["lock_order", "determinism", "panic", "error_swallow", "timed_poll"];
 
 /// Lexer output: the token stream plus the allow annotations (keyed by
 /// line) and any malformed `h2tap:` comments (reported as findings — a
@@ -146,8 +149,9 @@ pub fn lex(src: &str) -> Lexed {
             continue;
         }
         if c.is_ascii_digit() {
-            i = skip_number(b, i);
-            out.tokens.push(Token { kind: TokKind::Lit, line });
+            let end = skip_number(b, i);
+            out.tokens.push(Token { kind: int_value(&src[i..end]).map_or(TokKind::Lit, TokKind::Int), line });
+            i = end;
             continue;
         }
         if c.is_ascii_alphabetic() || c == '_' {
@@ -276,6 +280,15 @@ fn skip_number(b: &[u8], start: usize) -> usize {
     i
 }
 
+/// The value of a decimal integer literal, with or without digit separators
+/// and an integer type suffix; `None` for floats, other radices and overflow.
+fn int_value(literal: &str) -> Option<u64> {
+    let end = literal.find(|c: char| !c.is_ascii_digit() && c != '_').unwrap_or(literal.len());
+    let (digits, suffix) = literal.split_at(end);
+    let is_int = suffix.is_empty() || suffix.starts_with(['u', 'i']);
+    is_int.then(|| digits.replace('_', "").parse().ok()).flatten()
+}
+
 /// Parses `h2tap:` annotations out of a line comment. The annotation must
 /// open the comment (`// h2tap: ...`); doc comments and prose that merely
 /// mention the convention never count. An opening `h2tap` that is not a
@@ -361,6 +374,15 @@ mod tests {
             lex("//! the `// h2tap: allow(panic)` convention\n/// see h2tap: allow(panic)\n// the h2tap: allow form\n");
         assert!(l.allows.is_empty());
         assert!(l.malformed_allows.is_empty());
+    }
+
+    #[test]
+    fn plain_integers_keep_their_value() {
+        let l = lex("f(200, 1_000u64, 0x10, 1.5, 2e3, 3f32, 99999999999999999999)");
+        let kinds: Vec<&TokKind> =
+            l.tokens.iter().map(|t| &t.kind).filter(|k| !matches!(k, TokKind::Punct(_))).collect();
+        let (f, int, lit) = (TokKind::Ident("f".into()), TokKind::Int, TokKind::Lit);
+        assert_eq!(kinds, [&f, &int(200), &int(1_000), &lit, &lit, &lit, &lit, &lit]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A self-contained static-analysis pass over the workspace's Rust sources
 //! (hand-rolled token scanner; the offline vendor tree has no `syn`) with
-//! five lint families, run as a CI gate ahead of the concurrent-execution
+//! six lint families, run as a CI gate ahead of the concurrent-execution
 //! refactor:
 //!
 //! 1. **lock-order audit** — every `.lock()`/`.read()`/`.write()`
@@ -16,7 +16,10 @@
 //! 4. **error-swallow lint** — `let _ = <fallible call>;` and `.ok()` in
 //!    non-test code of the same crates: a silently dropped `Result` is a
 //!    fault the resilience ladder never sees.
-//! 5. **concurrency-readiness inventory** — `&mut self` methods on
+//! 5. **timed-poll lint** — `recv_timeout`/`sleep`/`park_timeout`/
+//!    `wait_timeout` with a sub-millisecond `from_micros`/`from_nanos`
+//!    literal in non-test code of any crate: a wait that short is a poll.
+//! 6. **concurrency-readiness inventory** — `&mut self` methods on
 //!    `ExecutionSite` impls and interior-mutability fields: the worklist
 //!    the `&self`-concurrent refactor will consume (informational).
 //!
@@ -44,6 +47,8 @@ pub enum Lint {
     Panic,
     /// Silently discarded fallible results (`let _ = …;`, `.ok()`).
     ErrorSwallow,
+    /// Waits too short to be anything but a poll.
+    TimedPoll,
     /// Malformed `h2tap:` annotations; never allowable.
     AllowSyntax,
 }
@@ -55,11 +60,13 @@ impl Lint {
             Lint::Determinism => "determinism",
             Lint::Panic => "panic",
             Lint::ErrorSwallow => "error_swallow",
+            Lint::TimedPoll => "timed_poll",
             Lint::AllowSyntax => "allow_syntax",
         }
     }
 
-    pub const ALL: [Lint; 5] = [Lint::LockOrder, Lint::Determinism, Lint::Panic, Lint::ErrorSwallow, Lint::AllowSyntax];
+    pub const ALL: [Lint; 6] =
+        [Lint::LockOrder, Lint::Determinism, Lint::Panic, Lint::ErrorSwallow, Lint::TimedPoll, Lint::AllowSyntax];
 }
 
 /// One lint finding at a source location. `allow_reason` carries the text
@@ -189,6 +196,7 @@ pub fn analyze(root: &Path) -> io::Result<Analysis> {
         let file = SourceFile::new(rel.clone(), crate_name.clone(), &src);
         analysis.files_scanned += 1;
         analysis.findings.extend(lints::lock_order(&file, &mut analysis.lock_edges));
+        analysis.findings.extend(lints::timed_polls(&file));
         if fixture || DETERMINISM_CRATES.contains(&crate_name.as_str()) {
             let blessed = BLESSED_FOLD_MODULES.contains(&rel.as_str());
             analysis.findings.extend(lints::determinism(&file, blessed));

@@ -1,7 +1,8 @@
-//! The four lint passes: lock-order audit, determinism lint, panic-path
-//! lint, and the concurrency-readiness inventory.
+//! The lint passes: lock-order audit, determinism lint, panic-path lint,
+//! error-swallow lint, timed-poll lint, and the concurrency-readiness
+//! inventory.
 
-use crate::lexer::Token;
+use crate::lexer::{TokKind, Token};
 use crate::model::{matching_brace, SourceFile};
 use crate::{Finding, Lint};
 
@@ -343,10 +344,10 @@ pub fn determinism(file: &SourceFile, blessed_fold_module: bool) -> Vec<Finding>
         {
             if let Some(recv) = toks[i - 1].ident() {
                 if hash_names.iter().any(|n| n == recv) {
-                    push_determinism(&mut findings, file, t.line, i, format!(
+                    findings.push(finding(file, Lint::Determinism, i, format!(
                         "iteration over hash container `{recv}` ({}()); insertion-ordered arenas or BTreeMap are the blessed deterministic paths",
                         toks[i + 1].ident().unwrap_or("?"),
-                    ));
+                    )));
                 }
             }
         }
@@ -363,9 +364,9 @@ pub fn determinism(file: &SourceFile, blessed_fold_module: bool) -> Vec<Finding>
                         && !toks.get(k + 1).is_some_and(|n| n.is_punct('.'));
                     if bare {
                         let name = toks[k].ident().expect("checked ident above");
-                        push_determinism(&mut findings, file, toks[k].line, k, format!(
+                        findings.push(finding(file, Lint::Determinism, k, format!(
                             "iteration over hash container `{name}` in `for` loop; insertion-ordered arenas or BTreeMap are the blessed deterministic paths",
-                        ));
+                        )));
                         break;
                     }
                     k += 1;
@@ -381,38 +382,36 @@ pub fn determinism(file: &SourceFile, blessed_fold_module: bool) -> Vec<Finding>
             && toks.get(i + 4).is_some_and(|p| p.is_punct('<'))
             && toks.get(i + 5).is_some_and(|m| m.is_ident("f64") || m.is_ident("f32"))
         {
-            push_determinism(&mut findings, file, t.line, i, format!(
+            findings.push(finding(file, Lint::Determinism, i, format!(
                 "float `.{}::<f64>()` fold outside the blessed kernel modules; f64 accumulation order is part of the byte-identity contract",
                 toks[i + 1].ident().unwrap_or("?"),
-            ));
+            )));
         }
         // Rayon-style parallel reductions reassociate by construction.
         if !blessed_fold_module
             && t.ident().is_some_and(|id| matches!(id, "par_iter" | "into_par_iter" | "par_chunks" | "par_bridge"))
         {
-            push_determinism(
-                &mut findings,
-                file,
-                t.line,
-                i,
-                format!("parallel iterator `{}` reassociates reductions", t.ident().expect("checked ident above")),
-            );
+            let message =
+                format!("parallel iterator `{}` reassociates reductions", t.ident().expect("checked ident above"));
+            findings.push(finding(file, Lint::Determinism, i, message));
         }
         i += 1;
     }
     findings
 }
 
-fn push_determinism(findings: &mut Vec<Finding>, file: &SourceFile, line: u32, idx: usize, message: String) {
-    let allow = file.allow_for("determinism", line);
-    findings.push(Finding {
-        lint: Lint::Determinism,
+/// A finding of `lint` at token `idx`, with its enclosing function and any
+/// allow annotation for that lint on the token's line or the one above.
+fn finding(file: &SourceFile, lint: Lint, idx: usize, message: String) -> Finding {
+    let line = file.tokens()[idx].line;
+    Finding {
+        lint,
         file: file.rel_path.clone(),
         line,
         function: file.enclosing_function(idx).map(|f| f.name.clone()),
         message,
-        allow_reason: allow.map(|a| a.reason.clone()),
-    });
+        allow_reason: file.allow_for(lint.name(), line).map(|a| a.reason.clone()),
+    }
 }
 
 /// Panic-path lint: `.unwrap()`, `.expect(..)`, `panic!`, `todo!` in
@@ -450,15 +449,8 @@ pub fn panic_paths(file: &SourceFile) -> Vec<Finding> {
         let Some(what) = what else {
             continue;
         };
-        let allow = file.allow_for("panic", t.line);
-        findings.push(Finding {
-            lint: Lint::Panic,
-            file: file.rel_path.clone(),
-            line: t.line,
-            function: file.enclosing_function(i).map(|f| f.name.clone()),
-            message: format!("`{what}` in non-test code; return Result/H2Error or annotate the invariant"),
-            allow_reason: allow.map(|a| a.reason.clone()),
-        });
+        let message = format!("`{what}` in non-test code; return Result/H2Error or annotate the invariant");
+        findings.push(finding(file, Lint::Panic, i, message));
     }
     findings
 }
@@ -508,17 +500,9 @@ pub fn error_swallows(file: &SourceFile) -> Vec<Finding> {
                 j += 1;
             }
             if has_call {
-                let allow = file.allow_for("error_swallow", t.line);
-                findings.push(Finding {
-                    lint: Lint::ErrorSwallow,
-                    file: file.rel_path.clone(),
-                    line: t.line,
-                    function: file.enclosing_function(i).map(|f| f.name.clone()),
-                    message: "`let _ = <call>;` discards a fallible result; handle the error or annotate why \
-                              dropping it is safe"
-                        .to_string(),
-                    allow_reason: allow.map(|a| a.reason.clone()),
-                });
+                let message = "`let _ = <call>;` discards a fallible result; handle the error or annotate why \
+                               dropping it is safe";
+                findings.push(finding(file, Lint::ErrorSwallow, i, message.to_string()));
             }
             i = j;
             continue;
@@ -530,19 +514,54 @@ pub fn error_swallows(file: &SourceFile) -> Vec<Finding> {
             && toks.get(i + 2).is_some_and(|p| p.is_punct('('))
             && toks.get(i + 3).is_some_and(|p| p.is_punct(')'))
         {
-            let allow = file.allow_for("error_swallow", t.line);
-            findings.push(Finding {
-                lint: Lint::ErrorSwallow,
-                file: file.rel_path.clone(),
-                line: t.line,
-                function: file.enclosing_function(i).map(|f| f.name.clone()),
-                message: "`.ok()` erases the error branch of a Result; surface the error or annotate why \
-                          discarding it is safe"
-                    .to_string(),
-                allow_reason: allow.map(|a| a.reason.clone()),
-            });
+            let message = "`.ok()` erases the error branch of a Result; surface the error or annotate why \
+                           discarding it is safe";
+            findings.push(finding(file, Lint::ErrorSwallow, i, message.to_string()));
         }
         i += 1;
+    }
+    findings
+}
+
+/// Waits that a short timeout turns into a poll.
+const TIMED_WAITS: &[&str] = &["recv_timeout", "sleep", "park_timeout", "wait_timeout"];
+
+/// Timed-poll lint: a wait (`recv_timeout`, `sleep`, `park_timeout`,
+/// `wait_timeout`) whose argument is a sub-millisecond `from_micros(..)` /
+/// `from_nanos(..)` literal, in non-test code. Nothing a thread waits for
+/// takes that little time by itself: the thread is polling, and wakes
+/// thousands of times a second to learn that nothing happened. Block on
+/// whatever carries the event instead.
+pub fn timed_polls(file: &SourceFile) -> Vec<Finding> {
+    let toks = file.tokens();
+    let mut findings = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        let called = toks.get(i + 1).is_some_and(|p| p.is_punct('('));
+        if !called || !TIMED_WAITS.iter().any(|w| t.is_ident(w)) || file.in_test_code(t.line) {
+            continue;
+        }
+        // The argument list runs to the parenthesis that closes the call.
+        let mut depth = 0i64;
+        let in_call = |a: &&Token| {
+            depth += i64::from(a.is_punct('(')) - i64::from(a.is_punct(')'));
+            depth > 0
+        };
+        let args: Vec<&Token> = toks[i + 1..].iter().take_while(in_call).collect();
+        let short = args.windows(4).find_map(|w| {
+            let unit = w[0].ident()?;
+            let per_ms = match unit {
+                "from_micros" => 1_000,
+                "from_nanos" => 1_000_000,
+                _ => return None,
+            };
+            match w[2].kind {
+                TokKind::Int(n) if n < per_ms && w[1].is_punct('(') && w[3].is_punct(')') => Some((unit, n)),
+                _ => None,
+            }
+        });
+        let (Some((unit, n)), Some(wait)) = (short, t.ident()) else { continue };
+        let message = format!("`{wait}({unit}({n}))` is a poll; block on what delivers the event");
+        findings.push(finding(file, Lint::TimedPoll, i, message));
     }
     findings
 }
@@ -831,6 +850,17 @@ mod tests {
         let findings = error_swallows(&f);
         assert_eq!(findings.len(), 1, "test code must be exempt: {findings:?}");
         assert!(findings[0].is_allowed());
+    }
+
+    #[test]
+    fn sub_millisecond_waits_are_polls() {
+        let f = file(
+            "fn f(rx: &Receiver<u32>) {\n    let _ = rx.recv_timeout(Duration::from_micros(200));\n    std::thread::sleep(left.min(Duration::from_nanos(50_000)));\n    // h2tap: allow(timed_poll) — the device raises no interrupt\n    thread::park_timeout(Duration::from_micros(5));\n    std::thread::sleep(Duration::from_micros(1_000));\n    let _ = rx.recv_timeout(remaining);\n    let pause = Duration::from_micros(50);\n}\n#[cfg(test)]\nmod tests {\n    fn t() { std::thread::sleep(Duration::from_micros(10)); }\n}\n",
+        );
+        let findings = timed_polls(&f);
+        assert_eq!(findings.iter().map(|f| f.line).collect::<Vec<_>>(), vec![2, 3, 5], "{findings:?}");
+        assert!(findings[0].message.contains("recv_timeout(from_micros(200))"));
+        assert_eq!(findings.iter().filter(|f| f.is_allowed()).count(), 1);
     }
 
     #[test]

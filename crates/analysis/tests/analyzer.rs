@@ -21,7 +21,7 @@ fn run(dir: &str) -> Analysis {
 #[test]
 fn known_bad_trips_every_lint_family() {
     let a = run("known_bad");
-    assert_eq!(a.files_scanned, 5);
+    assert_eq!(a.files_scanned, 6);
     // Two nested acquisitions plus the a→b→a cycle report.
     assert_eq!(a.counts(Lint::LockOrder), (3, 0));
     // Three hash-container iteration sites plus one f64 fold.
@@ -29,11 +29,14 @@ fn known_bad_trips_every_lint_family() {
     // unwrap/expect/panic!/todo! in panic.rs plus the two unwraps whose
     // malformed annotations fail to suppress them in allow_syntax.rs.
     assert_eq!(a.counts(Lint::Panic), (6, 0));
-    // A discarded fallible call and an `.ok()` in error_swallow.rs.
-    assert_eq!(a.counts(Lint::ErrorSwallow), (2, 0));
+    // A discarded fallible call and an `.ok()` in error_swallow.rs, and the
+    // two `.ok()`s of timed_poll.rs's patient waits.
+    assert_eq!(a.counts(Lint::ErrorSwallow), (4, 0));
+    // A 200 µs receive and a 50 000 ns sleep.
+    assert_eq!(a.counts(Lint::TimedPoll), (2, 0));
     // A reasonless allow and an unknown-lint allow.
     assert_eq!(a.counts(Lint::AllowSyntax), (2, 0));
-    assert_eq!(a.unannotated().len(), 17);
+    assert_eq!(a.unannotated().len(), 21);
     // The acquisition graph saw both orderings and the cycle is not allowed.
     assert_eq!(a.lock_edges.len(), 2);
     assert_eq!(a.lock_cycles.len(), 1);
@@ -65,6 +68,7 @@ fn allowed_findings_are_reported_but_suppressed() {
     assert_eq!(a.counts(Lint::Determinism), (2, 2));
     assert_eq!(a.counts(Lint::Panic), (1, 1));
     assert_eq!(a.counts(Lint::ErrorSwallow), (1, 1));
+    assert_eq!(a.counts(Lint::TimedPoll), (1, 1));
     assert_eq!(a.counts(Lint::AllowSyntax), (0, 0));
     assert!(a.unannotated().is_empty());
     // Every allow carries its reason text through to the finding.

@@ -1,8 +1,8 @@
 //! Allow-annotated fixture: the same violation shapes as the known-bad set,
 //! each carrying a well-formed reasoned escape hatch. Expected: findings are
 //! still reported (one lock_order, one determinism hash-iteration, one
-//! determinism f64 fold, one panic, one error_swallow) but every one is
-//! allowed, so the unannotated count is zero.
+//! determinism f64 fold, one panic, one error_swallow, one timed_poll) but
+//! every one is allowed, so the unannotated count is zero.
 
 use std::collections::HashMap;
 
@@ -40,4 +40,11 @@ pub fn first(xs: &[u32]) -> u32 {
 pub fn release(dev: &mut Device, id: BufferId) {
     // h2tap: allow(error_swallow) — fixture models a best-effort free on an error path where the failure is unactionable.
     let _ = dev.memory_mut().free(id);
+}
+
+pub fn await_doorbell(dev: &Device) {
+    while !dev.doorbell_rang() {
+        // h2tap: allow(timed_poll) — fixture models a device that raises no interrupt, so its doorbell can only be polled.
+        std::thread::sleep(Duration::from_micros(100));
+    }
 }

@@ -93,31 +93,37 @@ impl<M> Mailbox<M> {
         self.core
     }
 
+    /// Counts a message pulled out of the mailbox.
+    fn delivered(&self, env: Envelope<M>) -> Envelope<M> {
+        self.stats.delivered.fetch_add(1, Ordering::Relaxed);
+        env
+    }
+
+    fn closed(&self) -> H2Error {
+        H2Error::ChannelClosed(format!("all senders to {:?} dropped", self.core))
+    }
+
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<Option<Envelope<M>>> {
         match self.receiver.try_recv() {
-            Ok(env) => {
-                self.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(env))
-            }
+            Ok(env) => Ok(Some(self.delivered(env))),
             Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => {
-                Err(H2Error::ChannelClosed(format!("all senders to {:?} dropped", self.core)))
-            }
+            Err(TryRecvError::Disconnected) => Err(self.closed()),
         }
+    }
+
+    /// Blocks until a message arrives: the wait of an owner with nothing
+    /// else to do, which costs no wake-up while the mailbox stays empty.
+    pub fn recv(&self) -> Result<Envelope<M>> {
+        self.receiver.recv().map(|env| self.delivered(env)).map_err(|_| self.closed())
     }
 
     /// Blocking receive with a timeout; `Ok(None)` on timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope<M>>> {
         match self.receiver.recv_timeout(timeout) {
-            Ok(env) => {
-                self.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(env))
-            }
+            Ok(env) => Ok(Some(self.delivered(env))),
             Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(H2Error::ChannelClosed(format!("all senders to {:?} dropped", self.core)))
-            }
+            Err(RecvTimeoutError::Disconnected) => Err(self.closed()),
         }
     }
 }
@@ -125,9 +131,14 @@ impl<M> Mailbox<M> {
 /// Builds the fabric for `cores` workers and returns one (postbox, mailbox)
 /// pair per core, in core order.
 ///
-/// `mailbox_capacity` bounds each mailbox; the default used by the OLTP
-/// runtime (1024) is deep enough that lock-grant replies never deadlock
-/// behind request traffic in the paper's workloads.
+/// `mailbox_capacity` bounds each mailbox, and a sender to a full one
+/// blocks. Two owners that fill each other's mailboxes while both are
+/// sending would deadlock, so whoever feeds a mailbox from outside the fabric
+/// must bound what it has in flight well below the capacity. The OLTP
+/// runtime's default (1024) leaves room for that: a worker's mailbox is its
+/// only inbox, client submissions are held to 256 per worker at
+/// `OltpRuntime::submit`, and the lock traffic beside them is at most a few
+/// messages per running transaction.
 pub fn build_fabric<M>(cores: usize, mailbox_capacity: usize) -> (Vec<Postbox<M>>, Vec<Mailbox<M>>, Arc<FabricStats>) {
     assert!(cores > 0, "fabric needs at least one core");
     let stats = Arc::new(FabricStats::default());
@@ -179,6 +190,21 @@ mod tests {
         let (_post, mail, _) = build_fabric::<u32>(1, 8);
         let got = mail[0].recv_timeout(Duration::from_millis(5)).unwrap();
         assert!(got.is_none());
+    }
+
+    #[test]
+    fn recv_blocks_until_a_message_is_sent() {
+        let (post, mut mail, stats) = build_fabric::<u32>(1, 8);
+        let mailbox = mail.remove(0);
+        let (ready_tx, ready_rx) = crossbeam_channel::bounded(1);
+        let owner = thread::spawn(move || {
+            ready_tx.send(()).unwrap();
+            mailbox.recv().unwrap().payload
+        });
+        ready_rx.recv().unwrap();
+        post[0].send(CoreId(0), 7).unwrap();
+        assert_eq!(owner.join().unwrap(), 7);
+        assert_eq!(stats.delivered(), 1);
     }
 
     #[test]

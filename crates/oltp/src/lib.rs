@@ -21,7 +21,9 @@
 //!   `h2tap-mpmsg` software cache model in the integration tests.
 //!
 //! [`runtime::OltpRuntime`] spawns the fleet, accepts submitted transactions
-//! and drives benchmark windows for the evaluation figures.
+//! and drives benchmark windows for the evaluation figures. It talks to a
+//! worker the way workers talk to each other — one message to the worker's
+//! one mailbox — so an idle worker blocks there and a request costs one hop.
 
 pub mod index;
 pub mod locktable;
@@ -299,38 +301,308 @@ mod tests {
         assert!(committed > 0);
     }
 
-    #[test]
-    fn benchmark_mode_reports_throughput() {
-        struct LocalRmw {
-            table: TableId,
-            workers: u64,
-            rows: u64,
+    /// Increments the balance of a uniformly chosen row of the home partition.
+    struct LocalRmw {
+        table: TableId,
+        workers: u64,
+        rows: u64,
+    }
+
+    impl TxnGenerator for LocalRmw {
+        fn next_txn(&self, home: PartitionId, _seq: u64, rng: &mut h2tap_common::rng::SplitMixRng) -> TxnProc {
+            let key = (rng.next_below(self.rows) * self.workers + u64::from(home.0)) as i64;
+            increment(self.table, key)
         }
-        impl TxnGenerator for LocalRmw {
-            fn next_txn(&self, home: PartitionId, _seq: u64, rng: &mut h2tap_common::rng::SplitMixRng) -> TxnProc {
-                let table = self.table;
-                let key = (rng.next_below(self.rows) * self.workers + u64::from(home.0)) as i64;
-                Arc::new(move |ctx| {
-                    let mut rec = ctx.read_for_update(table, key)?;
-                    rec[1] = Value::Int64(rec[1].as_i64().unwrap() + 1);
-                    ctx.update(table, key, rec)
-                })
-            }
-        }
+    }
+
+    /// Two workers over 64 rows each, with a [`LocalRmw`] generator.
+    fn generating_runtime() -> OltpRuntime {
         let workers = 2;
         let (db, table, indexes) = setup(workers, 64);
-        let rt = OltpRuntime::start(
+        OltpRuntime::start(
             db,
             OltpConfig::with_workers(workers),
             Arc::new(ModuloPartitioner::new(workers)),
             indexes,
             Some(Arc::new(LocalRmw { table, workers: workers as u64, rows: 64 })),
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    /// A transaction adding one to the balance of `key`.
+    fn increment(table: TableId, key: i64) -> TxnProc {
+        Arc::new(move |ctx| {
+            let mut rec = ctx.read_for_update(table, key)?;
+            rec[1] = Value::Int64(rec[1].as_i64().unwrap() + 1);
+            ctx.update(table, key, rec)
+        })
+    }
+
+    #[test]
+    fn benchmark_mode_reports_throughput() {
+        let rt = generating_runtime();
         let window = rt.run_for(Duration::from_millis(150)).unwrap();
         assert!(window.stats.committed > 100, "committed {}", window.stats.committed);
         assert!(window.throughput_tps > 1000.0, "tps {}", window.throughput_tps);
         rt.shutdown();
+    }
+
+    #[test]
+    fn an_idle_worker_wakes_once_per_message_and_not_otherwise() {
+        let (rt, table) = runtime(2, 16);
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(rt.stats().idle_wakeups, 0, "nobody sent anything, so nobody woke");
+        // Each of these finds worker 0 with nothing to run: one message, one
+        // return from its wait. Worker 1 hears nothing.
+        let n = 25;
+        for _ in 0..n {
+            rt.execute(PartitionId(0), increment(table, 0)).unwrap();
+        }
+        let stats = rt.stats();
+        assert_eq!((stats.submitted, stats.committed, stats.idle_wakeups), (n, n, n));
+        assert_eq!(stats.messages, 0, "submissions are not lock traffic");
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_generator_window_wakes_blocked_workers_and_lets_them_sleep_again() {
+        let rt = generating_runtime();
+        let window = rt.run_for(Duration::from_millis(50)).unwrap();
+        assert!(window.stats.committed > 0, "the start of the window reached workers blocked on an empty inbox");
+        // The start found each worker idle; the end found it between two
+        // transactions, which is not a wake-up.
+        assert_eq!(window.stats.idle_wakeups, 2);
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(rt.stats().idle_wakeups, 2, "the window is over and nobody wakes");
+        rt.shutdown();
+    }
+
+    /// A submission that reaches a worker while its transaction waits for a
+    /// remote grant is read by that wait. It must be kept for later, and the
+    /// grant behind it in the mailbox must still reach the waiting
+    /// transaction first.
+    #[test]
+    fn a_submission_arriving_during_a_remote_wait_runs_after_the_waiting_transaction() {
+        let (db, table, indexes) = setup(2, 16);
+        // No scheduling delay in this test may look like a lost grant.
+        let config = OltpConfig { workers: 2, remote_timeout: Duration::from_secs(60), ..OltpConfig::default() };
+        let rt = OltpRuntime::start(db, config, Arc::new(ModuloPartitioner::new(2)), indexes, None).unwrap();
+        // Worker 1 is kept inside a transaction, away from its mailbox.
+        let (held_tx, held_rx) = crossbeam_channel::bounded::<()>(1);
+        let (let_go_tx, let_go_rx) = crossbeam_channel::bounded::<()>(1);
+        let holder = rt
+            .submit(
+                PartitionId(1),
+                Arc::new(move |_ctx| {
+                    held_tx.send(()).expect("the test waits for the holder");
+                    let_go_rx.recv().expect("the test lets the holder go");
+                    Ok(())
+                }),
+            )
+            .unwrap();
+        held_rx.recv_timeout(Duration::from_secs(10)).expect("worker 1 is busy");
+        // Worker 0 asks worker 1 for key 1 and waits for a grant that cannot
+        // come yet.
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let (asking_tx, asking_rx) = crossbeam_channel::bounded::<()>(1);
+        let first_order = Arc::clone(&order);
+        let first = rt
+            .submit(
+                PartitionId(0),
+                Arc::new(move |ctx| {
+                    asking_tx.send(()).expect("the test waits for the request");
+                    ctx.read(table, 1)?;
+                    first_order.lock().unwrap().push("waited for the grant");
+                    Ok(())
+                }),
+            )
+            .unwrap();
+        asking_rx.recv_timeout(Duration::from_secs(10)).expect("worker 0 is about to ask");
+        // This lands in worker 0's mailbox ahead of the grant.
+        let second_order = Arc::clone(&order);
+        let second = rt
+            .submit(
+                PartitionId(0),
+                Arc::new(move |_ctx| {
+                    second_order.lock().unwrap().push("arrived meanwhile");
+                    Ok(())
+                }),
+            )
+            .unwrap();
+        let_go_tx.send(()).unwrap();
+        for reply in [holder, first, second] {
+            assert_eq!(reply.recv_timeout(Duration::from_secs(10)).expect("reply"), TxnOutcome::Committed);
+        }
+        assert_eq!(*order.lock().unwrap(), ["waited for the grant", "arrived meanwhile"]);
+        let stats = rt.shutdown();
+        assert_eq!((stats.submitted, stats.committed, stats.aborted, stats.retries), (3, 3, 0, 0));
+    }
+
+    /// Clients flooding two workers whose transactions lock each other's
+    /// records: were submissions allowed to fill the mailboxes, each worker
+    /// would block sending its lock request to the other. The bound at
+    /// `submit` makes the client wait instead.
+    #[test]
+    fn a_flood_of_submissions_blocks_the_submitter_not_the_workers() {
+        use crate::runtime::SUBMIT_DEPTH;
+        let per_worker = 10_000u64;
+        let rows = 64u64;
+        let (rt, table) = runtime(2, rows);
+        // Submits `per_worker` transactions to worker `w`, each locking one
+        // of its own rows and one of the other worker's. Half the rows of a
+        // partition are for its owner's transactions and half for the other
+        // worker's, so no two transactions ever conflict. `before` counts
+        // earlier submissions to `w`.
+        let flood = |w: u64, before: u64| {
+            let mut replies = Vec::new();
+            for i in 0..per_worker {
+                let local = ((i % (rows / 2)) * 2 + w) as i64;
+                let remote = ((rows / 2 + i % (rows / 2)) * 2 + (1 - w)) as i64;
+                let body: TxnProc = Arc::new(move |ctx| {
+                    ctx.read_for_update(table, local)?;
+                    ctx.read_for_update(table, remote).map(|_| ())
+                });
+                replies.push(rt.submit(PartitionId(w as u32), body).unwrap());
+                // A submission is answered after it commits, so this is at
+                // least what the worker still holds.
+                let unanswered = before + i + 1 - rt.per_worker_committed()[w as usize];
+                assert!(unanswered <= SUBMIT_DEPTH as u64, "worker {w} was handed {unanswered} submissions");
+            }
+            replies
+        };
+        // Worker 0 is held inside a transaction while its client floods it.
+        let (held_tx, held_rx) = crossbeam_channel::bounded::<()>(1);
+        let (let_go_tx, let_go_rx) = crossbeam_channel::bounded::<()>(1);
+        let holder = rt
+            .submit(
+                PartitionId(0),
+                Arc::new(move |_ctx| {
+                    held_tx.send(()).expect("the test waits for the holder");
+                    let_go_rx.recv().expect("the test lets the holder go");
+                    Ok(())
+                }),
+            )
+            .unwrap();
+        held_rx.recv_timeout(Duration::from_secs(10)).expect("worker 0 is busy");
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| flood(0, 1));
+            // With nothing answered the client gets as far as the bound, and
+            // no further however long it is given.
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            while rt.stats().submitted < SUBMIT_DEPTH as u64 {
+                assert!(std::time::Instant::now() < deadline, "the client never reached the bound");
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(rt.stats().submitted, SUBMIT_DEPTH as u64);
+            let_go_tx.send(()).unwrap();
+            let second = scope.spawn(|| flood(1, 0));
+            for client in [first, second] {
+                for reply in client.join().expect("client") {
+                    assert_eq!(reply.recv_timeout(Duration::from_secs(60)).expect("reply"), TxnOutcome::Committed);
+                }
+            }
+        });
+        assert_eq!(holder.recv_timeout(Duration::from_secs(10)).expect("holder reply"), TxnOutcome::Committed);
+        let stats = rt.shutdown();
+        assert_eq!((stats.submitted, stats.committed, stats.aborted), (2 * per_worker + 1, 2 * per_worker + 1, 0));
+        assert_eq!(stats.remote_requests, 2 * per_worker);
+    }
+
+    #[test]
+    fn stopping_reaches_workers_blocked_on_an_empty_inbox_and_may_be_repeated() {
+        let (mut rt, table) = runtime(2, 4);
+        rt.execute(PartitionId(1), increment(table, 1)).unwrap();
+        assert_eq!(rt.stop().committed, 1);
+        assert_eq!(rt.stop().committed, 1, "a second stop finds nobody to stop");
+        assert!(rt.submit(PartitionId(0), increment(table, 0)).is_err(), "a stopped worker accepts nothing");
+        drop(rt);
+        // Dropped without a stop, and without ever having been spoken to.
+        drop(runtime(2, 4));
+    }
+
+    /// A worker that dies takes its end of the submission bound with it, so
+    /// a client blocked at the bound is turned away instead of left waiting
+    /// for a reply that frees a slot and never comes.
+    #[test]
+    fn a_worker_that_dies_turns_away_the_client_blocked_at_the_bound() {
+        use crate::runtime::SUBMIT_DEPTH;
+        let (rt, table) = runtime(1, 4);
+        // The first submission keeps the worker busy, then kills it.
+        let (held_tx, held_rx) = crossbeam_channel::bounded::<()>(1);
+        let (let_go_tx, let_go_rx) = crossbeam_channel::bounded::<()>(1);
+        let doomed: TxnProc = Arc::new(move |_ctx| {
+            held_tx.send(()).expect("the test waits for the worker");
+            let_go_rx.recv().expect("the test lets the worker go");
+            panic!("a transaction body that takes its worker down");
+        });
+        let mut replies = vec![rt.submit(PartitionId(0), doomed).unwrap()];
+        held_rx.recv_timeout(Duration::from_secs(10)).expect("the worker is busy");
+        replies.extend((1..SUBMIT_DEPTH).map(|_| rt.submit(PartitionId(0), increment(table, 0)).unwrap()));
+        std::thread::scope(|scope| {
+            let one_too_many = scope.spawn(|| rt.submit(PartitionId(0), increment(table, 0)));
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!one_too_many.is_finished(), "every slot is taken, so the client waits");
+            let_go_tx.send(()).unwrap();
+            let refused = one_too_many.join().expect("client");
+            assert!(matches!(refused, Err(h2tap_common::H2Error::ChannelClosed(_))), "{:?}", refused.map(|_| ()));
+        });
+        // Nobody who was accepted is left waiting either.
+        for reply in replies {
+            let answer = reply.recv_timeout(Duration::from_secs(10));
+            assert_eq!(answer, Err(crossbeam_channel::RecvTimeoutError::Disconnected), "nothing was answered");
+        }
+        let stats = rt.shutdown();
+        assert_eq!((stats.submitted, stats.committed, stats.aborted), (SUBMIT_DEPTH as u64, 0, 0));
+    }
+
+    /// Commit and abort give back what the transaction holds and nothing
+    /// else, whatever else is in its partition's lock table.
+    #[test]
+    fn finishing_a_transaction_releases_its_own_locks_only() {
+        use crate::worker::WorkerState;
+        use h2tap_common::RecordId;
+        let (db, table, mut indexes) = setup(1, 8);
+        let (mut postboxes, mut mailboxes, _) = h2tap_mpmsg::build_fabric::<OltpMsg>(1, 8);
+        let mut state = WorkerState {
+            id: 0,
+            db,
+            postbox: postboxes.remove(0),
+            mailbox: mailboxes.remove(0),
+            lock_table: LockTable::new(),
+            index: indexes.remove(0),
+            partitioner: Arc::new(ModuloPartitioner::new(1)),
+            counters: Arc::new(WorkerCounters::default()),
+            remote_timeout: Duration::from_secs(1),
+            backlog: std::collections::VecDeque::new(),
+            generating: false,
+            shutdown: false,
+        };
+        let rid = |key: i64| RecordId::new(PartitionId(0), table, state.index.lookup(table, key).unwrap());
+        let (theirs_exclusive, theirs_shared, both_shared, mine) = (rid(0), rid(1), rid(2), rid(3));
+        let other = TxnToken::new(9, 9);
+        assert!(state.lock_table.acquire(theirs_exclusive, LockMode::Exclusive, other));
+        assert!(state.lock_table.acquire(theirs_shared, LockMode::Shared, other));
+        assert!(state.lock_table.acquire(both_shared, LockMode::Shared, other));
+        for (seq, commit) in [(0, true), (1, false)] {
+            let token = TxnToken::new(0, seq);
+            let mut ctx = TxnCtx::new(&mut state, token);
+            ctx.read(table, 2).unwrap();
+            ctx.read_for_update(table, 3).unwrap();
+            ctx.read(table, 4).unwrap();
+            ctx.read_for_update(table, 4).unwrap();
+            if commit {
+                ctx.commit();
+            } else {
+                ctx.abort();
+            }
+            assert_eq!(state.lock_table.len(), 3, "the other transaction's three locks");
+            assert!(!state.lock_table.is_locked(mine));
+            assert!(!state.lock_table.acquire(theirs_exclusive, LockMode::Shared, token));
+            assert!(!state.lock_table.acquire(theirs_shared, LockMode::Exclusive, token));
+        }
+        // Left alone on the record it shared, the other transaction may upgrade.
+        assert!(state.lock_table.acquire(both_shared, LockMode::Exclusive, other));
     }
 
     #[test]

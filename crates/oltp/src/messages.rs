@@ -8,7 +8,13 @@
 //! the whole record ... sending only the record pointer"), and at commit or
 //! abort the client sends an explicit release for every remote record it
 //! acquired.
+//!
+//! A worker's mailbox is its only inbox, so what the runtime asks of a
+//! worker travels the same way: a submitted transaction, the start and end
+//! of a generator window, and shutdown are messages too, delivered in send
+//! order with the lock traffic.
 
+use crate::runtime::Job;
 use h2tap_common::{RecordId, TableId};
 
 /// Identifies a transaction for lock bookkeeping: the worker hosting it plus
@@ -37,7 +43,8 @@ pub enum LockMode {
     Exclusive,
 }
 
-/// Messages exchanged between OLTP workers.
+/// Messages delivered to an OLTP worker: lock traffic from the other
+/// workers, and work and control from the runtime.
 #[derive(Debug, Clone)]
 pub enum OltpMsg {
     /// Client asks the owner of a partition to lock the record with primary
@@ -82,7 +89,13 @@ pub enum OltpMsg {
         /// Records to unlock.
         rids: Vec<RecordId>,
     },
-    /// Orderly shutdown request from the runtime.
+    /// A transaction a client submitted to this worker.
+    Submit(Job),
+    /// Starts (`true`) or ends (`false`) a window in which the worker runs
+    /// its generator's transactions back to back.
+    Generate(bool),
+    /// Orderly shutdown request from the runtime: the worker exits once it
+    /// has run every submission delivered before this message.
     Shutdown,
 }
 

@@ -5,7 +5,14 @@
 //!
 //! * **Submission mode** — callers submit individual transactions to a chosen
 //!   home worker and wait for the outcome ([`OltpRuntime::submit`] /
-//!   [`OltpRuntime::execute`]). Used by the engine API and the examples.
+//!   [`OltpRuntime::execute`]). Used by the engine API and the examples. A
+//!   submission is one message to the worker's mailbox — the same inbox the
+//!   lock traffic arrives in, on which an idle worker blocks — so it costs
+//!   one hop and one wake-up. Mailboxes are bounded and a full one blocks its
+//!   senders, workers included, so `submit` holds each worker to
+//!   [`SUBMIT_DEPTH`] accepted-but-unanswered submissions and blocks the
+//!   caller beyond that: clients can fill a quarter of a default mailbox,
+//!   never all of it.
 //! * **Benchmark mode** — every worker generates transactions back-to-back
 //!   from a [`TxnGenerator`] for a fixed wall-clock window
 //!   ([`OltpRuntime::run_for`]). Used by the Figure 5-9 experiments.
@@ -13,14 +20,15 @@
 use crate::index::PartitionIndex;
 use crate::messages::OltpMsg;
 use crate::txn::TxnCtx;
-use crate::worker::{TxnOutcome, Worker, WorkerState};
+use crate::worker::{core_of, TxnOutcome, Worker, WorkerState};
 use crossbeam_channel::{bounded, Sender};
 use h2tap_common::rng::SplitMixRng;
 use h2tap_common::stats::throughput;
 use h2tap_common::{H2Error, PartitionId, Result, TableId};
-use h2tap_mpmsg::build_fabric;
+use h2tap_mpmsg::{build_fabric, Postbox};
 use h2tap_storage::Database;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -120,68 +128,40 @@ pub trait TxnGenerator: Send + Sync {
     fn next_txn(&self, home: PartitionId, seq: u64, rng: &mut SplitMixRng) -> TxnProc;
 }
 
-/// Shared per-worker counters.
+/// Shared per-worker counters: the worker counts, anyone may read.
 #[derive(Debug, Default)]
 pub struct WorkerCounters {
-    committed: AtomicU64,
-    aborted: AtomicU64,
-    retries: AtomicU64,
-    remote_requests: AtomicU64,
-    remote_denied: AtomicU64,
-    messages: AtomicU64,
-    writebacks: AtomicU64,
+    pub(crate) committed: AtomicU64,
+    pub(crate) aborted: AtomicU64,
+    pub(crate) retries: AtomicU64,
+    pub(crate) remote_requests: AtomicU64,
+    pub(crate) remote_denied: AtomicU64,
+    pub(crate) messages: AtomicU64,
+    pub(crate) writebacks: AtomicU64,
+    pub(crate) submitted: AtomicU64,
+    pub(crate) idle_wakeups: AtomicU64,
+}
+
+/// Adds one to a field of [`WorkerCounters`].
+pub(crate) fn count(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 impl WorkerCounters {
-    pub(crate) fn add_committed(&self) {
-        self.committed.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn add_aborted(&self) {
-        self.aborted.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn add_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn add_remote_request(&self) {
-        self.remote_requests.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn add_remote_denied(&self) {
-        self.remote_denied.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn add_message(&self) {
-        self.messages.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn add_writeback(&self) {
-        self.writebacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Committed transactions.
-    pub fn committed(&self) -> u64 {
-        self.committed.load(Ordering::Relaxed)
-    }
-    /// Aborted (retry-exhausted) transactions.
-    pub fn aborted(&self) -> u64 {
-        self.aborted.load(Ordering::Relaxed)
-    }
-    /// Abort-and-retry events.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-    /// Remote lock requests issued.
-    pub fn remote_requests(&self) -> u64 {
-        self.remote_requests.load(Ordering::Relaxed)
-    }
-    /// Remote lock requests denied.
-    pub fn remote_denied(&self) -> u64 {
-        self.remote_denied.load(Ordering::Relaxed)
-    }
-    /// Messages handled in the server role.
-    pub fn messages(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
-    }
-    /// Explicit cache write-back events (software-managed coherence).
-    pub fn writebacks(&self) -> u64 {
-        self.writebacks.load(Ordering::Relaxed)
+    /// This worker's counters as they stand.
+    pub fn stats(&self) -> OltpStats {
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        OltpStats {
+            committed: read(&self.committed),
+            aborted: read(&self.aborted),
+            retries: read(&self.retries),
+            remote_requests: read(&self.remote_requests),
+            remote_denied: read(&self.remote_denied),
+            messages: read(&self.messages),
+            writebacks: read(&self.writebacks),
+            submitted: read(&self.submitted),
+            idle_wakeups: read(&self.idle_wakeups),
+        }
     }
 }
 
@@ -190,33 +170,45 @@ impl WorkerCounters {
 pub struct OltpStats {
     /// Committed transactions.
     pub committed: u64,
-    /// Aborted transactions.
+    /// Aborted (retry-exhausted) transactions.
     pub aborted: u64,
     /// Abort-and-retry events.
     pub retries: u64,
-    /// Remote lock requests.
+    /// Remote lock requests issued.
     pub remote_requests: u64,
-    /// Remote lock denials.
+    /// Remote lock requests denied.
     pub remote_denied: u64,
-    /// Messages handled.
+    /// Lock-protocol messages handled (requests, grants, denials, releases).
     pub messages: u64,
-    /// Software cache write-backs.
+    /// Explicit cache write-back events (software-managed coherence).
     pub writebacks: u64,
+    /// Transactions accepted by [`OltpRuntime::submit`].
+    pub submitted: u64,
+    /// Times an idle worker's blocking wait returned — with a message, since
+    /// the wait has no timeout. Workers nobody talks to record none.
+    pub idle_wakeups: u64,
 }
 
 impl OltpStats {
+    /// Applies `op` field by field.
+    fn combine(&self, other: &OltpStats, op: fn(u64, u64) -> u64) -> OltpStats {
+        OltpStats {
+            committed: op(self.committed, other.committed),
+            aborted: op(self.aborted, other.aborted),
+            retries: op(self.retries, other.retries),
+            remote_requests: op(self.remote_requests, other.remote_requests),
+            remote_denied: op(self.remote_denied, other.remote_denied),
+            messages: op(self.messages, other.messages),
+            writebacks: op(self.writebacks, other.writebacks),
+            submitted: op(self.submitted, other.submitted),
+            idle_wakeups: op(self.idle_wakeups, other.idle_wakeups),
+        }
+    }
+
     /// Difference between two aggregates.
     #[must_use]
     pub fn delta_since(&self, earlier: &OltpStats) -> OltpStats {
-        OltpStats {
-            committed: self.committed - earlier.committed,
-            aborted: self.aborted - earlier.aborted,
-            retries: self.retries - earlier.retries,
-            remote_requests: self.remote_requests - earlier.remote_requests,
-            remote_denied: self.remote_denied - earlier.remote_denied,
-            messages: self.messages - earlier.messages,
-            writebacks: self.writebacks - earlier.writebacks,
-        }
+        self.combine(earlier, |now, then| now - then)
     }
 }
 
@@ -232,12 +224,27 @@ pub struct BenchmarkWindow {
 }
 
 /// An externally submitted transaction.
+#[derive(Clone)]
 pub struct Job {
     /// The transaction body.
     pub proc: TxnProc,
-    /// Where to report the outcome (None for fire-and-forget).
-    pub reply: Option<Sender<TxnOutcome>>,
+    /// Where to report the outcome.
+    pub reply: Sender<TxnOutcome>,
 }
+
+impl std::fmt::Debug for Job {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Job").finish_non_exhaustive()
+    }
+}
+
+/// Accepted-but-unanswered submissions one worker may have before
+/// [`OltpRuntime::submit`] blocks its caller. A safety bound, not a tuning
+/// knob: it keeps client traffic to a quarter of a default mailbox, so two
+/// workers can always get their lock messages through to each other. It is
+/// the depth of a per-worker channel of tokens: `submit` puts one in, the
+/// worker takes one out with each reply, and a worker that dies closes it.
+pub const SUBMIT_DEPTH: usize = 256;
 
 /// Runtime configuration.
 #[derive(Debug, Clone)]
@@ -278,10 +285,10 @@ impl OltpConfig {
 pub struct OltpRuntime {
     db: Arc<Database>,
     config: OltpConfig,
-    job_senders: Vec<Sender<Job>>,
+    /// The runtime's way into every worker's mailbox.
+    postbox: Postbox<OltpMsg>,
+    slots: Vec<Sender<()>>,
     counters: Vec<Arc<WorkerCounters>>,
-    generating: Arc<AtomicBool>,
-    shutdown: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -313,35 +320,33 @@ impl OltpRuntime {
         indexes.resize_with(config.workers, PartitionIndex::new);
 
         let (postboxes, mailboxes, _fabric_stats) = build_fabric::<OltpMsg>(config.workers, config.mailbox_capacity);
-        let generating = Arc::new(AtomicBool::new(false));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let mut job_senders = Vec::with_capacity(config.workers);
+        let mut slots = Vec::with_capacity(config.workers);
         let mut counters = Vec::with_capacity(config.workers);
         let mut handles = Vec::with_capacity(config.workers);
 
-        let mut mailboxes: Vec<Option<_>> = mailboxes.into_iter().map(Some).collect();
-        for (i, index) in indexes.into_iter().enumerate() {
-            let (job_tx, job_rx) = bounded::<Job>(256);
-            job_senders.push(job_tx);
+        for (i, (index, mailbox)) in indexes.into_iter().zip(mailboxes).enumerate() {
+            let (slot_tx, worker_slots) = bounded(SUBMIT_DEPTH);
+            slots.push(slot_tx);
             let worker_counters = Arc::new(WorkerCounters::default());
             counters.push(Arc::clone(&worker_counters));
             let state = WorkerState {
                 id: i as u32,
                 db: Arc::clone(&db),
                 postbox: postboxes[i].clone(),
-                mailbox: mailboxes[i].take().expect("mailbox taken once"),
+                mailbox,
                 lock_table: crate::locktable::LockTable::new(),
                 index,
                 partitioner: Arc::clone(&partitioner),
                 counters: worker_counters,
                 remote_timeout: config.remote_timeout,
+                backlog: VecDeque::new(),
+                generating: false,
+                shutdown: false,
             };
             let worker = Worker {
                 state,
-                jobs: job_rx,
+                slots: worker_slots,
                 generator: generator.clone(),
-                generating: Arc::clone(&generating),
-                shutdown: Arc::clone(&shutdown),
                 max_retries: config.max_retries,
                 rng: SplitMixRng::new(config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9)),
             };
@@ -352,7 +357,10 @@ impl OltpRuntime {
             handles.push(handle);
         }
 
-        Ok(Self { db, config, job_senders, counters, generating, shutdown, handles })
+        // Control messages carry no reply, so whose postbox sends them is
+        // immaterial.
+        let postbox = postboxes[0].clone();
+        Ok(Self { db, config, postbox, slots, counters, handles })
     }
 
     /// The database this runtime operates on.
@@ -365,16 +373,26 @@ impl OltpRuntime {
         self.config.workers
     }
 
-    /// Submits a transaction to a home worker and returns immediately; the
-    /// outcome arrives on the returned channel.
+    /// Submits a transaction to a home worker and returns once the worker
+    /// has it in its mailbox; the outcome arrives on the returned channel.
+    /// Blocks while the worker already holds [`SUBMIT_DEPTH`] unanswered
+    /// submissions, and fails if the worker is gone or goes meanwhile.
     pub fn submit(&self, home: PartitionId, proc: TxnProc) -> Result<crossbeam_channel::Receiver<TxnOutcome>> {
+        let worker = home.0 as usize;
+        let slots = self.slots.get(worker).ok_or_else(|| H2Error::Config(format!("no worker for {home}")))?;
         let (tx, rx) = bounded(1);
-        let sender =
-            self.job_senders.get(home.0 as usize).ok_or_else(|| H2Error::Config(format!("no worker for {home}")))?;
-        sender
-            .send(Job { proc, reply: Some(tx) })
-            .map_err(|_| H2Error::ChannelClosed(format!("worker {home} is gone")))?;
+        slots.send(()).map_err(|_| H2Error::ChannelClosed(format!("the worker of {home} is gone")))?;
+        self.postbox.send(core_of(home), OltpMsg::Submit(Job { proc, reply: tx }))?;
+        count(&self.counters[worker].submitted);
         Ok(rx)
+    }
+
+    /// Sends `msg` to every worker, reporting a worker that is gone only
+    /// after the others have been told.
+    fn broadcast(&self, msg: &OltpMsg) -> Result<()> {
+        (0..self.config.workers as u32)
+            .map(|w| self.postbox.send(core_of(PartitionId(w)), msg.clone()))
+            .fold(Ok(()), Result::and)
     }
 
     /// Submits a transaction and blocks until it commits or aborts.
@@ -389,22 +407,12 @@ impl OltpRuntime {
 
     /// Aggregated counters across all workers.
     pub fn stats(&self) -> OltpStats {
-        let mut s = OltpStats::default();
-        for c in &self.counters {
-            s.committed += c.committed();
-            s.aborted += c.aborted();
-            s.retries += c.retries();
-            s.remote_requests += c.remote_requests();
-            s.remote_denied += c.remote_denied();
-            s.messages += c.messages();
-            s.writebacks += c.writebacks();
-        }
-        s
+        self.counters.iter().fold(OltpStats::default(), |sum, c| sum.combine(&c.stats(), |a, b| a + b))
     }
 
     /// Per-worker committed counts (for scalability plots).
     pub fn per_worker_committed(&self) -> Vec<u64> {
-        self.counters.iter().map(|c| c.committed()).collect()
+        self.counters.iter().map(|c| c.committed.load(Ordering::Relaxed)).collect()
     }
 
     /// Runs the benchmark-mode generator on every worker for `window` and
@@ -416,9 +424,10 @@ impl OltpRuntime {
     pub fn run_for(&self, window: Duration) -> Result<BenchmarkWindow> {
         let before = self.stats();
         let start = Instant::now();
-        self.generating.store(true, Ordering::Release);
+        // The message is also what wakes a worker blocked on an empty inbox.
+        self.broadcast(&OltpMsg::Generate(true))?;
         std::thread::sleep(window);
-        self.generating.store(false, Ordering::Release);
+        self.broadcast(&OltpMsg::Generate(false))?;
         // Let in-flight transactions drain before sampling counters.
         std::thread::sleep(Duration::from_millis(10));
         let elapsed = start.elapsed();
@@ -432,18 +441,22 @@ impl OltpRuntime {
     }
 
     /// Stops all workers and waits for them to exit, leaving the runtime
-    /// alive for final statistics collection. Pending submissions drain
-    /// before the workers exit, so the counters read after `stop` reflect
+    /// alive for final statistics collection. Mailboxes deliver in send
+    /// order, so a worker has run every accepted submission by the time it
+    /// reads the shutdown message, and the counters read after `stop` reflect
     /// every transaction that was ever accepted. Idempotent.
     pub fn stop(&mut self) -> OltpStats {
-        self.generating.store(false, Ordering::Release);
-        self.shutdown.store(true, Ordering::Release);
-        // Dropping the job senders unblocks workers waiting on submissions.
-        self.job_senders.clear();
+        self.halt();
+        self.stats()
+    }
+
+    /// Tells every worker to shut down and joins them. A worker that has
+    /// already exited has closed its mailbox, which is not an error here.
+    fn halt(&mut self) {
+        let _ = self.broadcast(&OltpMsg::Shutdown);
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-        self.stats()
     }
 
     /// Stops all workers and waits for them to exit.
@@ -454,10 +467,6 @@ impl OltpRuntime {
 
 impl Drop for OltpRuntime {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.job_senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        self.halt();
     }
 }

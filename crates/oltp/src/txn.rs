@@ -10,6 +10,7 @@
 //! release message per server — exactly the protocol of Section 4.
 
 use crate::messages::{LockMode, OltpMsg, TxnToken};
+use crate::runtime::count;
 use crate::worker::{core_of, WorkerState};
 use h2tap_common::{H2Error, PartitionId, RecordId, Result, TableId, Value};
 use std::collections::HashMap;
@@ -147,7 +148,7 @@ impl<'a> TxnCtx<'a> {
     }
 
     fn acquire_remote(&mut self, target: PartitionId, table: TableId, key: i64, mode: LockMode) -> Result<RecordId> {
-        self.state.counters.add_remote_request();
+        count(&self.state.counters.remote_requests);
         self.state.postbox.send(core_of(target), OltpMsg::LockRequest { txn: self.token, table, key, mode })?;
         let deadline = Instant::now() + self.state.remote_timeout;
         loop {
@@ -155,12 +156,13 @@ impl<'a> TxnCtx<'a> {
             if remaining.is_zero() {
                 return Err(H2Error::LockTimeout(format!("no reply for key {key} from {target}")));
             }
-            let Some(env) = self.state.mailbox.recv_timeout(remaining.min(std::time::Duration::from_micros(500)))?
-            else {
+            // One wait per message, for as long as the reply may still come.
+            let Some(env) = self.state.mailbox.recv_timeout(remaining)? else {
                 continue;
             };
             // While waiting for our grant we keep playing the server role so
-            // two clients waiting on each other's partitions make progress.
+            // two clients waiting on each other's partitions make progress;
+            // a submission that arrives meanwhile joins the backlog.
             if let Some(reply) = self.state.handle_message(env, Some(self.token)) {
                 match reply {
                     OltpMsg::LockGrant { rid, .. } => {
@@ -168,7 +170,7 @@ impl<'a> TxnCtx<'a> {
                         return Ok(rid);
                     }
                     OltpMsg::LockDenied { unknown_key, .. } => {
-                        self.state.counters.add_remote_denied();
+                        count(&self.state.counters.remote_denied);
                         return if unknown_key {
                             Err(H2Error::UnknownRecord(format!("key {key} in {table} ({target})")))
                         } else {
@@ -201,7 +203,7 @@ impl<'a> TxnCtx<'a> {
             }
         }
         // Client writes back its dirty lines before releasing anything.
-        self.state.counters.add_writeback();
+        count(&self.state.counters.writebacks);
         self.finish();
     }
 

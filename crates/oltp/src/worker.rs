@@ -6,24 +6,35 @@
 //! partition's lock table and primary-key index outright (no sharing, no
 //! latches), executes the transactions it hosts, and services lock-request /
 //! release messages from other workers.
+//!
+//! Everything a worker reacts to arrives through its one mailbox: lock
+//! traffic from the other workers, and submitted transactions, generator
+//! windows and shutdown from the runtime. So there is one place to wait, and
+//! a worker with nothing to run blocks there with no timeout — whatever
+//! needs it next is a message, and the message is its wake-up. Lock messages
+//! are handled the moment they are read, wherever the worker reads its
+//! mailbox (its loop, a wait for a remote grant, the pause before a retry);
+//! a submission read there is only moved to the worker's private backlog, so
+//! it can never sit in front of the grant or release another transaction is
+//! waiting for.
 
 use crate::index::PartitionIndex;
 use crate::locktable::LockTable;
-use crate::messages::{LockMode, OltpMsg, TxnToken};
-use crate::runtime::{Job, Partitioner, TxnGenerator, WorkerCounters};
+use crate::messages::{OltpMsg, TxnToken};
+use crate::runtime::{count, Job, Partitioner, TxnGenerator, WorkerCounters};
 use crate::txn::TxnCtx;
-use crossbeam_channel::Receiver;
 use h2tap_common::rng::SplitMixRng;
 use h2tap_common::{H2Error, PartitionId, Result};
 use h2tap_mpmsg::{CoreId, Envelope, Mailbox, Postbox};
 use h2tap_storage::Database;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Everything a transaction needs mutable access to while it executes on its
-/// host worker. Split out from [`Worker`] so the transaction context can
-/// borrow it while the worker's control fields stay untouched.
+/// host worker, which includes what reading the mailbox on its behalf may
+/// change. Split out from [`Worker`] so the transaction context can borrow
+/// it.
 pub struct WorkerState {
     /// Worker index; by construction equal to the partition it owns.
     pub id: u32,
@@ -43,6 +54,13 @@ pub struct WorkerState {
     pub counters: Arc<WorkerCounters>,
     /// How long a client waits for a remote lock reply before giving up.
     pub remote_timeout: Duration,
+    /// Submitted transactions read from the mailbox and not yet run, oldest
+    /// first.
+    pub backlog: VecDeque<Job>,
+    /// Whether a generator window is open.
+    pub generating: bool,
+    /// Whether the shutdown message has been read.
+    pub shutdown: bool,
 }
 
 impl WorkerState {
@@ -51,14 +69,14 @@ impl WorkerState {
         PartitionId(self.id)
     }
 
-    /// Handles one incoming message in the server role. Returns the grant or
-    /// denial that belongs to `waiting_for` (if any) instead of handling it,
-    /// so a client blocked on a remote lock can keep servicing other workers
-    /// without losing its own reply.
-    pub fn handle_message(&mut self, env: Envelope<OltpMsg>, waiting_for: Option<TxnToken>) -> Option<OltpMsg> {
-        self.counters.add_message();
+    /// Handles one incoming message. Returns the grant or denial that
+    /// belongs to `waiting_for` (if any) instead of handling it, so a client
+    /// blocked on a remote lock can keep servicing other workers without
+    /// losing its own reply. Only lock traffic counts as a message handled.
+    pub(crate) fn handle_message(&mut self, env: Envelope<OltpMsg>, waiting_for: Option<TxnToken>) -> Option<OltpMsg> {
         match env.payload {
             OltpMsg::LockRequest { txn, table, key, mode } => {
+                count(&self.counters.messages);
                 let reply = match self.index.lookup(table, key) {
                     None => OltpMsg::LockDenied { txn, key, unknown_key: true },
                     Some(row) => {
@@ -67,7 +85,7 @@ impl WorkerState {
                             // Before handing the record to another core the
                             // server writes back any dirty cache lines for it
                             // (software-managed coherence).
-                            self.counters.add_writeback();
+                            count(&self.counters.writebacks);
                             OltpMsg::LockGrant { txn, rid, key }
                         } else {
                             OltpMsg::LockDenied { txn, key, unknown_key: false }
@@ -77,34 +95,30 @@ impl WorkerState {
                 // Best effort: if the requester is gone the runtime is
                 // shutting down and the reply does not matter.
                 let _ = self.postbox.send(env.from, reply);
-                None
             }
             OltpMsg::Release { txn, rids } => {
+                count(&self.counters.messages);
                 for rid in rids {
                     self.lock_table.release(rid, txn);
                 }
-                None
             }
-            msg @ (OltpMsg::LockGrant { .. } | OltpMsg::LockDenied { .. }) => {
-                let for_me = match (&msg, waiting_for) {
-                    (OltpMsg::LockGrant { txn, .. }, Some(t)) | (OltpMsg::LockDenied { txn, .. }, Some(t)) => *txn == t,
-                    _ => false,
-                };
-                if for_me {
-                    Some(msg)
-                } else {
-                    // A reply for a transaction that has already aborted
-                    // (e.g. it timed out); drop it, its locks will be
-                    // released by the abort path's release message.
-                    None
-                }
+            msg @ (OltpMsg::LockGrant { txn, .. } | OltpMsg::LockDenied { txn, .. }) => {
+                count(&self.counters.messages);
+                // Anything else is a reply for a transaction that has
+                // already aborted (e.g. it timed out); drop it, its locks
+                // will be released by the abort path's release message.
+                return (waiting_for == Some(txn)).then_some(msg);
             }
-            OltpMsg::Shutdown => None,
+            OltpMsg::Submit(job) => self.backlog.push_back(job),
+            OltpMsg::Generate(on) => self.generating = on,
+            // Whatever window was open is over as well.
+            OltpMsg::Shutdown => (self.shutdown, self.generating) = (true, false),
         }
+        None
     }
 
-    /// Drains all currently pending messages (server role only).
-    pub fn drain_messages(&mut self) -> Result<()> {
+    /// Handles every message already in the mailbox, without waiting.
+    pub(crate) fn drain_messages(&mut self) -> Result<()> {
         while let Some(env) = self.mailbox.try_recv()? {
             self.handle_message(env, None);
         }
@@ -137,7 +151,7 @@ pub fn execute_transaction(
         match proc(&mut ctx) {
             Ok(()) => {
                 ctx.commit();
-                state.counters.add_committed();
+                count(&state.counters.committed);
                 return TxnOutcome::Committed;
             }
             Err(err) => {
@@ -150,7 +164,7 @@ pub fn execute_transaction(
                     match state.drain_messages() {
                         Ok(()) => {
                             attempt += 1;
-                            state.counters.add_retry();
+                            count(&state.counters.retries);
                             continue;
                         }
                         Err(closed) => closed,
@@ -158,7 +172,7 @@ pub fn execute_transaction(
                 } else {
                     err
                 };
-                state.counters.add_aborted();
+                count(&state.counters.aborted);
                 return TxnOutcome::Aborted(err);
             }
         }
@@ -169,14 +183,11 @@ pub fn execute_transaction(
 pub struct Worker {
     /// Transaction-visible state.
     pub state: WorkerState,
-    /// Externally submitted jobs.
-    pub jobs: Receiver<Job>,
+    /// One token per submission the runtime has accepted for this worker and
+    /// not seen answered; taking one out lets `submit` accept another.
+    pub slots: crossbeam_channel::Receiver<()>,
     /// Optional self-driving workload generator (benchmark mode).
     pub generator: Option<Arc<dyn TxnGenerator>>,
-    /// While true, the worker keeps generating transactions from `generator`.
-    pub generating: Arc<AtomicBool>,
-    /// Orderly shutdown flag.
-    pub shutdown: Arc<AtomicBool>,
     /// Abort retry budget.
     pub max_retries: u32,
     /// Deterministic per-worker RNG for the generator.
@@ -190,62 +201,45 @@ impl Worker {
         let mut seq = 0u64;
         let mut generated = 0u64;
         loop {
-            // 1. Serve pending lock traffic first so remote clients never
-            //    starve behind local work.
+            // 1. Nothing to run: leave if told to — the shutdown message
+            //    comes after every submission accepted before it, and those
+            //    have run — else block until the next message. This is the
+            //    loop's only wait, and it has no timeout.
+            let generating = self.state.generating && self.generator.is_some();
+            if self.state.backlog.is_empty() && !generating {
+                if self.state.shutdown {
+                    break;
+                }
+                let Ok(env) = self.state.mailbox.recv() else { break };
+                count(&self.state.counters.idle_wakeups);
+                self.state.handle_message(env, None);
+            }
+
+            // 2. Serve whatever else is pending, so remote clients never
+            //    starve behind local work and new submissions join the
+            //    backlog in arrival order.
             if self.state.drain_messages().is_err() {
                 break;
             }
 
-            // 2. Externally submitted transactions.
-            match self.jobs.try_recv() {
-                Ok(job) => {
-                    let outcome = execute_transaction(&mut self.state, &job.proc, &mut seq, self.max_retries);
-                    if let Some(reply) = job.reply {
-                        let _ = reply.send(outcome);
-                    }
-                    continue;
-                }
-                Err(crossbeam_channel::TryRecvError::Empty) => {}
-                Err(crossbeam_channel::TryRecvError::Disconnected) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                }
+            // 3. One submitted transaction, oldest first; its reply frees
+            //    the submitter's slot.
+            if let Some(job) = self.state.backlog.pop_front() {
+                let outcome = execute_transaction(&mut self.state, &job.proc, &mut seq, self.max_retries);
+                // The client may have stopped listening; that is its business.
+                let _ = job.reply.send(outcome);
+                let _ = self.slots.try_recv();
+                continue;
             }
 
-            // 3. Benchmark mode: generate and run the next transaction.
-            if self.generating.load(Ordering::Acquire) {
-                if let Some(generator) = self.generator.clone() {
-                    let proc = generator.next_txn(self.state.home(), generated, &mut self.rng);
-                    generated += 1;
-                    execute_transaction(&mut self.state, &proc, &mut seq, self.max_retries);
-                    continue;
-                }
-            }
-
-            // 4. Shutdown only once quiescent.
-            if self.shutdown.load(Ordering::Acquire) {
-                let _ = self.state.drain_messages();
-                break;
-            }
-
-            // 5. Idle: block briefly on the mailbox so lock requests are
-            //    served promptly even when this worker has no work.
-            match self.state.mailbox.recv_timeout(Duration::from_micros(200)) {
-                Ok(Some(env)) => {
-                    self.state.handle_message(env, None);
-                }
-                Ok(None) => {}
-                Err(_) => break,
+            // 4. Benchmark mode: generate and run the next transaction.
+            if let Some(generator) = self.generator.as_ref().filter(|_| self.state.generating) {
+                let proc = generator.next_txn(self.state.home(), generated, &mut self.rng);
+                generated += 1;
+                execute_transaction(&mut self.state, &proc, &mut seq, self.max_retries);
             }
         }
     }
-}
-
-/// Convenience used by the runtime and tests to acquire a local lock outside
-/// the message path (e.g. warm-up).
-pub fn local_lock(state: &mut WorkerState, rid: h2tap_common::RecordId, mode: LockMode, txn: TxnToken) -> bool {
-    state.lock_table.acquire(rid, mode, txn)
 }
 
 /// Which fabric core a partition's owner listens on. Workers are created so
