@@ -27,6 +27,8 @@
 //! line or the line above. Reasonless or misspelt allows are themselves
 //! findings and never suppress anything.
 
+#![forbid(unsafe_code)]
+
 pub mod lexer;
 pub mod lints;
 pub mod model;

@@ -9,6 +9,7 @@
 //! a human summary. With `--deny`, exits non-zero when any finding lacks a
 //! reasoned `// h2tap: allow(<lint>) — <reason>` annotation.
 
+#![forbid(unsafe_code)]
 // This is the CLI surface of the linter: stdout is its interface.
 #![allow(clippy::print_stdout)]
 

@@ -11,6 +11,8 @@
 //! The baselines answer the same workloads as Caldera over the same data so
 //! that every comparison in the benchmark harness is apples-to-apples.
 
+#![forbid(unsafe_code)]
+
 pub mod silo;
 pub mod sn_silo;
 

@@ -10,6 +10,8 @@
 //! about a minute; without it the defaults match the scaled configuration
 //! documented in EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 use h2tap_bench::experiments as exp;
 use std::time::Duration;
 
@@ -129,6 +131,16 @@ fn hostperf_json(s: &exp::HostPerfSummary) -> String {
     // across PRs, the gauges are point-in-time samples.
     let counters = s.cache.counters();
     let gauges = s.cache.gauges();
+    let kernel: Vec<String> = s
+        .kernel
+        .iter()
+        .map(|k| {
+            format!(
+                "  {{\"plan\":\"{}\",\"baseline_ns_per_row\":{:.3},\"dispatched_ns_per_row\":{:.3}}}",
+                k.plan, k.baseline_ns_per_row, k.dispatched_ns_per_row
+            )
+        })
+        .collect();
     let refresh: Vec<String> = s
         .refresh
         .iter()
@@ -145,7 +157,7 @@ fn hostperf_json(s: &exp::HostPerfSummary) -> String {
          {{\"counters\": {{\"column_hits\": {}, \"column_misses\": {}, \"hash_hits\": {}, \"hash_misses\": {}, \
          \"invalidations\": {}, \"evictions\": {}, \"chunks_reused\": {}, \"chunks_rebuilt\": {}, \
          \"hashes_carried\": {}}}, \"gauges\": {{\"occupancy_bytes\": {}, \"budget_bytes\": \
-         {}}}}},\n\"rows\": [\n{}\n],\n\"refresh\": [\n{}\n]\n}}\n",
+         {}}}}},\n\"rows\": [\n{}\n],\n\"isa\": \"{}\",\n\"kernel\": [\n{}\n],\n\"refresh\": [\n{}\n]\n}}\n",
         s.min_cold_speedup,
         s.min_cached_speedup,
         counters.column_hits,
@@ -160,6 +172,8 @@ fn hostperf_json(s: &exp::HostPerfSummary) -> String {
         gauges.occupancy_bytes,
         gauges.budget_bytes.map_or("null".into(), |b| b.to_string()),
         items.join(",\n"),
+        s.isa,
+        kernel.join(",\n"),
         refresh.join(",\n")
     )
 }
@@ -436,6 +450,10 @@ fn main() {
             s.cache.evictions,
             s.cache.occupancy_bytes
         );
+        println!("{:<12} {:>16} {:>18}   (dispatched to: {})", "kernel", "baseline ns/row", "dispatched ns/row", s.isa);
+        for k in &s.kernel {
+            println!("{:<12} {:>16.3} {:>18.3}", k.plan, k.baseline_ns_per_row, k.dispatched_ns_per_row);
+        }
         println!(
             "{:<12} {:>14} {:>12} {:>10} {:>10} {:>10}",
             "refresh", "dirty chunks", "rebuild ms", "cold ms", "reused", "rebuilt"
@@ -465,6 +483,18 @@ fn main() {
                 "the warm cache must amortise derivation: {:.2}x",
                 s.min_cached_speedup
             );
+            // The ISA dispatch never costs anything, and where it has AVX2
+            // to dispatch to it is worth at least 30 % on Q6.
+            for k in &s.kernel {
+                let limit = if s.isa == "avx2" && k.plan == "q6" { 0.7 } else { 1.05 };
+                assert!(
+                    k.dispatched_ns_per_row <= limit * k.baseline_ns_per_row,
+                    "kernel {}: dispatched {:.3} ns/row is over {limit} x the baseline {:.3}",
+                    k.plan,
+                    k.dispatched_ns_per_row,
+                    k.baseline_ns_per_row
+                );
+            }
             // A refresh costs what was written: nothing dirty is a page walk,
             // everything dirty is no slower than never having had a base.
             for r in &s.refresh {

@@ -9,7 +9,7 @@
 use caldera::{Caldera, CalderaConfig, DataPlacement, DeviceLossPoint, FaultPlan, OlapTarget, SnapshotPolicy};
 use h2tap_baselines::{SiloDb, SiloRuntime, SnSilo};
 use h2tap_common::stats::Histogram;
-use h2tap_common::{OlapPlan, SimDuration, TableId};
+use h2tap_common::{OlapPlan, Predicate, ScanAggQuery, SimDuration, TableId};
 use h2tap_gpu_sim::{AccessMode, AccessPattern, GpuDevice, GpuSpec, KernelDesc, TransferDirection};
 use h2tap_olap::{CpuOlapEngine, CpuScanProfile, ExecutionSite, GpuOlapEngine};
 use h2tap_oltp::OltpConfig;
@@ -971,12 +971,32 @@ pub struct RefreshRow {
     pub chunks_rebuilt: u64,
 }
 
+/// One point of hostperf's `kernel` leg: the two compilations of the one
+/// chunk-kernel body — `process_chunk_portable` (the build's baseline ISA)
+/// and `process_chunk` (dispatched to the widest ISA the host has) — timed
+/// back to back over one warm materialisation, in one process.
+#[derive(Debug, Clone, Serialize)]
+pub struct KernelRow {
+    /// Plan label ("q6", "pass-10%", "dense", "brand-join").
+    pub plan: &'static str,
+    /// Fastest pass of the baseline compilation over every chunk, per row.
+    pub baseline_ns_per_row: f64,
+    /// Fastest pass of the dispatched compilation over every chunk, per row.
+    pub dispatched_ns_per_row: f64,
+}
+
 /// Result of the hostperf experiment: per-workload rows plus the worst-case
 /// speedups (the acceptance figures) and the warm cache's counters.
 #[derive(Debug, Clone)]
 pub struct HostPerfSummary {
     /// Per-workload measurements.
     pub rows: Vec<HostPerfRow>,
+    /// The `kernel` leg: Q6, one predicate passing 0.04 % to 100 % of the
+    /// rows, the dense plan and the brand join.
+    pub kernel: Vec<KernelRow>,
+    /// The compilation `process_chunk` dispatches to on this host: "avx2"
+    /// or "baseline".
+    pub isa: &'static str,
     /// The `refresh` leg: 0 %, 25 % and 100 % of the chunks dirty.
     pub refresh: Vec<RefreshRow>,
     /// Smallest cold (vectorization-only) speedup across workloads.
@@ -1110,6 +1130,53 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
         });
     }
 
+    // The kernel leg. Kernel time differs by tens of percent between two
+    // binaries from code placement alone; both compilations live in this
+    // one, so their ratio here is signal. `l_shipdate` is uniform over
+    // 2 526 days, so a span of days is a selectivity.
+    let pass = |plan: &'static str, days: f64| {
+        let predicates = vec![Predicate::between(tpch::columns::SHIPDATE, 0.0, days - 1.0)];
+        (plan, OlapPlan::scan(&ScanAggQuery { predicates, aggregate: q6().aggregate }), None)
+    };
+    let kernel_plans = [
+        ("q6", OlapPlan::scan(&q6()), None),
+        pass("pass-0.04%", 1.0),
+        pass("pass-1%", 25.0),
+        pass("pass-10%", 253.0),
+        pass("pass-50%", 1263.0),
+        pass("pass-100%", 2526.0),
+        ("dense", OlapPlan::scan(&ScanAggQuery::aggregate_only(q6().aggregate)), None),
+        ("brand-join", tpch::brand_revenue_plan(30), Some(dim)),
+    ];
+    let mut cols: Vec<usize> = kernel_plans.iter().flat_map(|(_, plan, _)| plan.probe_columns_accessed()).collect();
+    cols.sort_unstable();
+    cols.dedup();
+    let mat = ops::MaterializedColumns::new(fact, cols).unwrap();
+    let kernel = kernel_plans
+        .into_iter()
+        .map(|(label, plan, build)| {
+            let group_col = ops::check_plan(&plan, build.is_some()).unwrap();
+            let hash = build.map(|b| ops::build_hash_table(b, plan.join.as_ref().unwrap(), group_col).unwrap());
+            // [baseline, dispatched]: the fastest of alternating passes.
+            let mut ns_per_row = [f64::INFINITY; 2];
+            for _ in 0..3 * repeats {
+                let kernels = [ops::process_chunk_portable, ops::process_chunk];
+                for (best, kernel) in ns_per_row.iter_mut().zip(kernels) {
+                    let started = Instant::now();
+                    for i in 0..mat.chunk_count() {
+                        std::hint::black_box(kernel(&mat, &plan, hash.as_ref(), mat.chunk_range(i)));
+                    }
+                    *best = best.min(started.elapsed().as_secs_f64() * 1e9 / lineitem_rows as f64);
+                }
+            }
+            KernelRow { plan: label, baseline_ns_per_row: ns_per_row[0], dispatched_ns_per_row: ns_per_row[1] }
+        })
+        .collect();
+    #[cfg(target_arch = "x86_64")]
+    let isa = if std::arch::is_x86_feature_detected!("avx2") { "avx2" } else { "baseline" };
+    #[cfg(not(target_arch = "x86_64"))]
+    let isa = "baseline";
+
     // The refresh leg: a base materialisation of Q6's columns, then writes
     // to a share of the chunks (one row each, rewritten with the values it
     // holds — enough to shadow-copy a page and dirty the chunk), then per
@@ -1165,6 +1232,8 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
     HostPerfSummary {
         cache: warm_cache.stats(),
         rows,
+        kernel,
+        isa,
         refresh,
         min_cold_speedup: min_cold,
         min_cached_speedup: min_cached,
@@ -1621,6 +1690,9 @@ mod tests {
                 );
             }
         }
+        // The kernel leg timed both compilations at all eight points.
+        assert_eq!(s.kernel.len(), 8);
+        assert!(s.kernel.iter().all(|k| k.baseline_ns_per_row > 0.0 && k.dispatched_ns_per_row > 0.0));
         // The warm cache served every repeat from its derived state.
         assert_eq!(s.cache.misses(), 3, "one scan materialisation + one probe materialisation + one hash build");
         assert!(s.cache.hits() > 0);

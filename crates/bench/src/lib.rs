@@ -6,6 +6,8 @@
 //! paths. See `EXPERIMENTS.md` at the workspace root for the paper-vs-
 //! measured comparison produced from this harness.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 
 pub use experiments::{

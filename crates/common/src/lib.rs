@@ -15,6 +15,8 @@
 //! * [`rng`] — a small deterministic PRNG plus a Zipfian generator,
 //! * [`error`] — the shared error type.
 
+#![forbid(unsafe_code)]
+
 pub mod breakdown;
 pub mod epoch;
 pub mod error;

@@ -31,6 +31,8 @@
 //! println!("sum = {} in {}", out.value, out.time);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod builder;
 pub mod config;

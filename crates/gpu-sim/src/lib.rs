@@ -21,6 +21,8 @@
 //! Kernels execute real Rust closures over real data, so every query result
 //! computed "on the GPU" is exact; only the reported time is simulated.
 
+#![forbid(unsafe_code)]
+
 pub mod access;
 pub mod catalog;
 pub mod device;

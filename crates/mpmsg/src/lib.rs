@@ -21,6 +21,8 @@
 //! hardware message-passing network or an RDMA fabric without touching the
 //! database logic.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod fabric;
 pub mod ownership;

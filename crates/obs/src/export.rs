@@ -8,17 +8,18 @@
 //! stand-in, so the JSON is hand-written — and [`json_is_valid`], a small
 //! recursive-descent checker, keeps it honest under test.
 
-use crate::trace::SpanRecord;
+use crate::trace::{SpanEvent, SpanKind, SpanRecord};
 use h2tap_scheduler::OlapTarget;
 
-/// Trace thread id for a span's site: host/dispatch work on row 0, each
-/// execution site on its own row.
-pub fn trace_tid(site: Option<OlapTarget>) -> u32 {
-    match site {
-        None => 0,
-        Some(OlapTarget::Gpu) => 1,
-        Some(OlapTarget::Cpu) => 2,
-        Some(OlapTarget::MultiGpu) => 3,
+/// Trace thread id for a span: host work on row 0 — dispatch, the cache, and
+/// the wall-clock `Compute` phase whichever site it serves — and each
+/// execution site's own timeline on its own row.
+pub fn trace_tid(event: &SpanEvent) -> u32 {
+    match (event.kind, event.site) {
+        (SpanKind::Compute, _) | (_, None) => 0,
+        (_, Some(OlapTarget::Gpu)) => 1,
+        (_, Some(OlapTarget::Cpu)) => 2,
+        (_, Some(OlapTarget::MultiGpu)) => 3,
     }
 }
 
@@ -41,7 +42,7 @@ fn fmt_f64(v: f64) -> String {
 
 fn event_json(record: &SpanRecord) -> String {
     let e = &record.event;
-    let tid = trace_tid(e.site);
+    let tid = trace_tid(e);
     let dur_us = (e.dur_secs.max(0.0) * 1e6).round() as u64;
     let mut args: Vec<String> = vec![format!("\"query\":{}", record.query), format!("\"seq\":{}", record.seq)];
     if let Some(site) = e.site {
@@ -85,9 +86,9 @@ fn event_json(record: &SpanRecord) -> String {
 /// Thread-name metadata events label each row with its site.
 pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
     let mut ordered: Vec<&SpanRecord> = spans.iter().collect();
-    ordered.sort_by_key(|r| (trace_tid(r.event.site), r.start_us, r.seq));
+    ordered.sort_by_key(|r| (trace_tid(&r.event), r.start_us, r.seq));
 
-    let mut tids: Vec<u32> = ordered.iter().map(|r| trace_tid(r.event.site)).collect();
+    let mut tids: Vec<u32> = ordered.iter().map(|r| trace_tid(&r.event)).collect();
     tids.dedup();
     tids.sort_unstable();
     tids.dedup();
@@ -264,7 +265,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{SpanEvent, SpanKind, Tracer};
+    use crate::trace::Tracer;
     use h2tap_common::ExecBreakdown;
 
     fn sample_spans(n: u64) -> Vec<SpanRecord> {
@@ -273,6 +274,7 @@ mod tests {
             t.set_query(q);
             t.record_wall(SpanEvent::new(SpanKind::Placement), t.start());
             t.record(SpanEvent::new(SpanKind::CacheLookup).site(OlapTarget::Gpu).table(q % 3).epoch(q).hit(q % 2 == 0));
+            t.record_wall(SpanEvent::new(SpanKind::Compute).site(OlapTarget::Gpu).bytes(4096), t.start());
             t.record(
                 SpanEvent::new(SpanKind::Kernel)
                     .site(if q % 2 == 0 { OlapTarget::Gpu } else { OlapTarget::Cpu })
@@ -317,7 +319,7 @@ mod tests {
             // dur is parseable and non-negative by construction (u64).
             let _ = dur;
         }
-        assert_eq!(x_events, 9 * 4);
+        assert_eq!(x_events, 9 * 5);
     }
 
     #[test]
@@ -335,6 +337,10 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+        // Host compute is wall-clock: it sits on the host row, and its args
+        // say which site it served.
+        let compute = json.split("{\"name\":").find(|event| event.starts_with("\"compute\"")).unwrap();
+        assert!(compute.contains("\"tid\":0,") && compute.contains("\"site\":\"Gpu\""), "{compute}");
     }
 
     #[test]

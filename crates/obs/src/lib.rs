@@ -3,7 +3,7 @@
 //! Three instruments, all designed to be near-free when disabled:
 //!
 //! * [`Tracer`] — per-query typed spans ([`SpanKind`]: placement,
-//!   cache lookup, materialise, hash build, kernel, merge, fallback)
+//!   cache lookup, materialise, hash build, compute, kernel, merge, fallback)
 //!   recorded into a bounded ring. The hot path pays one relaxed atomic
 //!   load when tracing is off and one relaxed cursor bump plus an
 //!   uncontended slot store when it is on; a contended slot drops the span
@@ -17,6 +17,8 @@
 //! The histogram itself lives in `h2tap_common::stats` (re-exported here)
 //! so latency percentiles are available below this crate in the dependency
 //! graph; this crate owns the recording and export machinery.
+
+#![forbid(unsafe_code)]
 
 pub mod export;
 pub mod metrics;

@@ -46,6 +46,9 @@ pub enum SpanKind {
     Materialise,
     /// Join-hash-table build after a cache miss.
     HashBuild,
+    /// The host computing a plan's answer — chunk kernels and merge — for
+    /// whichever site executes it; wall-clock, so a faster kernel shows here.
+    Compute,
     /// One execution-site kernel (simulated GPU kernel launch or the CPU
     /// site's chunk pipeline); duration is the site's reported time.
     Kernel,
@@ -69,6 +72,7 @@ impl SpanKind {
             SpanKind::CacheLookup => "cache_lookup",
             SpanKind::Materialise => "materialise",
             SpanKind::HashBuild => "hash_build",
+            SpanKind::Compute => "compute",
             SpanKind::Kernel => "kernel",
             SpanKind::Merge => "merge",
             SpanKind::Fallback => "fallback",
@@ -94,10 +98,11 @@ pub struct SpanEvent {
     pub epoch: Option<u64>,
     /// Bytes moved or produced by the phase (0 when unknown).
     pub bytes: u64,
-    /// Duration in seconds. Wall-clock for host phases, *simulated* seconds
-    /// for site kernels — the same frame of reference as the site's
-    /// reported `ExecBreakdown`, which is what makes per-query span sums
-    /// comparable with the query's breakdown.
+    /// Duration in seconds. Wall-clock for host phases (placement, the
+    /// cache, `Compute`), *simulated* seconds for site kernels and merges —
+    /// the same frame of reference as the site's reported `ExecBreakdown`,
+    /// which is what makes per-query span sums comparable with the query's
+    /// breakdown.
     pub dur_secs: f64,
     /// The site's time breakdown, on spans that summarise site execution.
     pub breakdown: Option<ExecBreakdown>,

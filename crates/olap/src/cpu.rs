@@ -248,7 +248,14 @@ impl CpuOlapEngine {
         let spec = self.spec();
         let rows = probe_table.row_count();
         let data = self.cache.prepare_plan(probe_table, build_table, plan)?;
-        let eval = operators::evaluate_plan(&data, plan, spec.cores as usize, self.profile.use_zonemaps);
+        let eval = operators::evaluate_plan(
+            &data,
+            plan,
+            spec.cores as usize,
+            self.profile.use_zonemaps,
+            &self.tracer,
+            OlapTarget::Cpu,
+        );
         let (totals, rows_scanned) = (eval.totals, eval.rows_scanned);
 
         // Analytical time model: streamed column bytes (zonemap skipping

@@ -438,7 +438,7 @@ impl GpuOlapEngine {
         // Runs with the device lock *released*: this is the real wall-clock
         // work, and concurrent queries must overlap here.
         let data = self.cache.prepare_plan(probe_table, build.map(|(_, t)| t), plan)?;
-        let eval = operators::evaluate_plan(&data, plan, 1, false);
+        let eval = operators::evaluate_plan(&data, plan, 1, false, &self.tracer, OlapTarget::Gpu);
         let totals = eval.totals;
 
         // ---- Device-lock session 2: everything selectivity-dependent. ----

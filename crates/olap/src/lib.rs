@@ -12,6 +12,8 @@
 //! one snapshot ([`policy::SnapshotPolicy`]), which is the knob behind
 //! Figures 5-7 of the paper.
 
+#![deny(unsafe_code)]
+
 pub mod cache;
 pub mod cpu;
 pub mod engine;

@@ -292,7 +292,7 @@ impl MultiGpuOlapEngine {
         // is the real wall-clock work, and concurrent queries must overlap
         // here.
         let data = self.cache.prepare_plan(probe_table, build.map(|(_, t)| t), plan)?;
-        let eval = operators::evaluate_plan(&data, plan, 1, false);
+        let eval = operators::evaluate_plan(&data, plan, 1, false, &self.tracer, OlapTarget::MultiGpu);
         let mut selected_d = vec![0u64; n];
         let mut joined_d = vec![0u64; n];
         let mut chunks_d = vec![0u64; n];

@@ -18,18 +18,26 @@
 //! processed in fixed [`VECTOR_BATCH_ROWS`]-row batches, predicate
 //! evaluation fills a *selection vector*, hash probes compact it, and
 //! aggregate accumulation runs one specialised loop per [`AggExpr`] variant
-//! instead of a per-row `match`. The inner loops are **explicit SIMD
-//! kernels** ([`crate::simd`]): hand-unrolled 4/8-lane structs (the
-//! toolchain is stable Rust, so no `std::simd`) monomorphised per column
-//! type through [`with_decoder!`] — predicate masks, probe-key decodes and
-//! per-row aggregate staging are lane-parallel, while every f64
-//! *accumulation* stays sequential in ascending row order. None of this
-//! changes a single bit of the results: a selection vector only *skips* rows
-//! a predicate rejected (exactly the rows the row-at-a-time loop `continue`d
-//! past), staged per-row values are computed by the very expressions the
-//! reference evaluates, and each accumulator receives the same additions in
-//! the same order. The row-at-a-time [`process_chunk_reference`] is the one
-//! retained oracle, property-tested bit-identical (`tests/host_path.rs`).
+//! instead of a per-row `match`. Selection is **column at a time**: each
+//! predicate makes one tight pass over its own column slice into 64-row bit
+//! words, the words of successive predicates are ANDed, and the selection
+//! vector is the set bits — no interleaving of columns and no
+//! data-dependent branch finer than one test per 64 rows. The per-cell loops
+//! are the elementwise kernels of [`crate::simd`], monomorphised per column
+//! type through [`with_decoder!`], and the whole body is **compiled twice
+//! from one source** — for the build's baseline ISA and, behind a runtime
+//! check, for AVX2 (`simd::with_widest_isa`) — so a host with wider
+//! vectors streams the columns at the speed of the memory they sit in, and
+//! a host without them runs the same Rust, narrower
+//! ([`process_chunk_portable`] is that compilation, callable by name).
+//! Every f64 *accumulation* stays sequential in ascending row order. None of
+//! this changes a single bit of the results: a selection vector only *skips*
+//! rows a predicate rejected (exactly the rows the row-at-a-time loop
+//! `continue`d past), staged per-row values are computed by the very
+//! expressions the reference evaluates, and each accumulator receives the
+//! same additions in the same order. The row-at-a-time
+//! [`process_chunk_reference`] is the one retained oracle, property-tested
+//! bit-identical against both compilations (`tests/host_path.rs`).
 //!
 //! A [`ScanAggQuery`] is the degenerate plan [`OlapPlan::scan`] — no join,
 //! no group-by, one aggregate — and runs through exactly this path;
@@ -57,11 +65,15 @@
 //! probes) through the gpu-sim memory model.
 
 use crate::pool;
-use crate::simd::{min_max_lanes, stage_key_bits, F64x4, F64x8, SimdF64};
+use crate::simd::{
+    and_between_words, min_max_lanes, stage_add_column, stage_key_bits, stage_product, with_widest_isa, BatchRows,
+};
 use h2tap_common::{
     AggExpr, AttrType, Epoch, GroupRow, H2Error, JoinSpec, OlapPlan, PlanColumn, Predicate, Result, ScanAggQuery,
     PLAN_CHUNK_ROWS,
 };
+use h2tap_obs::{SpanEvent, SpanKind, Tracer};
+use h2tap_scheduler::OlapTarget;
 use h2tap_storage::{decode_cell_f64, SnapshotTable, SnapshotTableId};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -143,14 +155,6 @@ pub struct BuildWork {
 struct ChunkView<'a> {
     types: &'a [AttrType],
     cols: Vec<&'a [u64]>,
-}
-
-impl ChunkView<'_> {
-    /// Numeric interpretation of the cell at chunk-relative `row`.
-    #[inline(always)]
-    fn value(&self, col_pos: usize, row: usize) -> f64 {
-        decode_cell_f64(self.types[col_pos], self.cols[col_pos][row])
-    }
 }
 
 /// Accessed columns of a table, materialised as raw 64-bit cells in storage
@@ -303,7 +307,10 @@ impl MaterializedColumns {
             let mut cells = vec![0u64; range.len()];
             table.column_into(cols[pos], range, &mut cells);
             let (min, max) = if zonemapped {
-                with_decoder!(types[pos], min_max_lanes(&cells))
+                with_widest_isa(
+                    #[inline(always)]
+                    || with_decoder!(types[pos], min_max_lanes(&cells)),
+                )
             } else {
                 (f64::INFINITY, f64::NEG_INFINITY)
             };
@@ -532,49 +539,37 @@ pub struct PlanTotals {
     pub joined: u64,
 }
 
-#[inline(always)]
-fn group_between_mask<D: Fn(u64) -> f64>(decode: D, cells: &[u64], pred: &Predicate) -> u32 {
-    F64x8::decode(&decode, cells).between_mask(pred.lo, pred.hi)
-}
-
 /// Fills `sel` with the indexes of the rows of `batch` (relative to the
-/// start of the chunk) that satisfy every predicate, in
-/// ascending order: per 8-lane group, AND together every predicate's lane
-/// mask (with an early out once a group's mask is empty), then compact the
-/// surviving lanes branchlessly — no data-dependent branch for the
-/// predictor to miss on selective data, and no per-predicate intermediate
-/// selection ever materialises.
-#[inline]
-fn select_batch_simd(
+/// start of the chunk) that satisfy every predicate, in ascending order —
+/// column at a time: each predicate makes one pass over its own column
+/// slice, ANDing 64-row bit words ([`and_between_words`]), and the selection
+/// vector is the set bits. At least one predicate, so the bits past a short
+/// last word are cleared.
+#[inline(always)]
+fn select_batch(
     chunk: &ChunkView<'_>,
     predicates: &[Predicate],
     pred_pos: &[usize],
     batch: Range<usize>,
     sel: &mut Vec<u32>,
 ) {
+    let mut words = [u64::MAX; VECTOR_BATCH_ROWS / 64];
+    let words = &mut words[..batch.len().div_ceil(64)];
+    for (pred, &pos) in predicates.iter().zip(pred_pos) {
+        let cells = &chunk.cols[pos][batch.clone()];
+        with_decoder!(chunk.types[pos], and_between_words(cells, pred.lo, pred.hi, words));
+    }
     sel.clear();
     sel.resize(batch.len(), 0);
     let mut k = 0usize;
-    let mut i = batch.start;
-    while i + F64x8::LANES <= batch.end {
-        let mut mask = (1u32 << F64x8::LANES) - 1;
-        for (pred, &pos) in predicates.iter().zip(pred_pos) {
-            let cells = &chunk.cols[pos][i..i + F64x8::LANES];
-            mask &= with_decoder!(chunk.types[pos], group_between_mask(cells, pred));
-            if mask == 0 {
-                break;
-            }
+    for (w, &word) in words.iter().enumerate() {
+        let first = (batch.start + w * 64) as u32;
+        let mut bits = word;
+        while bits != 0 {
+            sel[k] = first + bits.trailing_zeros();
+            k += 1;
+            bits &= bits - 1;
         }
-        for lane in 0..F64x8::LANES {
-            sel[k] = (i + lane) as u32;
-            k += ((mask >> lane) & 1) as usize;
-        }
-        i += F64x8::LANES;
-    }
-    for row in i..batch.end {
-        sel[k] = row as u32;
-        let keep = predicates.iter().zip(pred_pos).all(|(p, &pos)| p.matches(chunk.value(pos, row)));
-        k += usize::from(keep);
     }
     sel.truncate(k);
 }
@@ -585,180 +580,34 @@ fn stage_product_outer<D0: Fn(u64) -> f64>(
     ty1: AttrType,
     c0: &[u64],
     c1: &[u64],
-    sel: &[u32],
+    rows: &BatchRows<'_>,
     out: &mut [f64],
 ) {
-    with_decoder!(ty1, stage_product_inner(d0, c0, c1, sel, out));
+    with_decoder!(ty1, stage_product(d0, c0, c1, rows, out));
 }
 
+/// Stages each visited row's per-row aggregate input into `out[i]` (one slot
+/// per row, in `rows` order). The staged value is computed by the very
+/// expression the reference evaluates — `SumProduct` is the two-column
+/// product, `SumColumns` folds from `0.0` through the columns in column order
+/// exactly like the per-row `sum::<f64>()` (so `0.0 + -0.0` stays `+0.0`) —
+/// which is what lets the caller's sequential fold over `out` reproduce the
+/// reference bit for bit.
 #[inline(always)]
-fn stage_product_inner<D1: Fn(u64) -> f64, D0: Fn(u64) -> f64>(
-    d1: D1,
-    d0: D0,
-    c0: &[u64],
-    c1: &[u64],
-    sel: &[u32],
-    out: &mut [f64],
-) {
-    let mut i = 0usize;
-    while i + F64x4::LANES <= sel.len() {
-        let idx = &sel[i..i + F64x4::LANES];
-        let prod = F64x4::gather(&d0, c0, idx).mul(F64x4::gather(&d1, c1, idx));
-        for lane in 0..F64x4::LANES {
-            out[i + lane] = prod.lane(lane);
-        }
-        i += F64x4::LANES;
-    }
-    for k in i..sel.len() {
-        out[k] = d0(c0[sel[k] as usize]) * d1(c1[sel[k] as usize]);
-    }
-}
-
-#[inline(always)]
-fn stage_add_column<D: Fn(u64) -> f64>(decode: D, col: &[u64], sel: &[u32], out: &mut [f64]) {
-    let mut i = 0usize;
-    while i + F64x4::LANES <= sel.len() {
-        let v = F64x4::gather(&decode, col, &sel[i..i + F64x4::LANES]);
-        for lane in 0..F64x4::LANES {
-            out[i + lane] += v.lane(lane);
-        }
-        i += F64x4::LANES;
-    }
-    for k in i..sel.len() {
-        out[k] += decode(col[sel[k] as usize]);
-    }
-}
-
-/// Stages each selected row's per-row aggregate input into `out[i]` (one
-/// slot per selected row, in selection order) with lane kernels. The staged
-/// value is computed by the very expression the reference evaluates —
-/// `SumProduct` is the two-column product, `SumColumns` folds from `0.0`
-/// through the columns in column order exactly like the per-row
-/// `sum::<f64>()` (so `0.0 + -0.0` stays `+0.0`) — which is what lets the
-/// caller's sequential fold over `out` reproduce the reference bit for bit.
-#[inline]
-fn stage_rows_simd(chunk: &ChunkView<'_>, agg: &AggExpr, pos: &[usize], sel: &[u32], out: &mut Vec<f64>) {
+fn stage_rows(chunk: &ChunkView<'_>, agg: &AggExpr, pos: &[usize], rows: &BatchRows<'_>, out: &mut Vec<f64>) {
     out.clear();
-    out.resize(sel.len(), 0.0);
+    out.resize(rows.len(), 0.0);
     match agg {
         AggExpr::SumProduct(..) => {
             let (c0, c1) = (chunk.cols[pos[0]], chunk.cols[pos[1]]);
-            with_decoder!(chunk.types[pos[0]], stage_product_outer(chunk.types[pos[1]], c0, c1, sel, out));
+            with_decoder!(chunk.types[pos[0]], stage_product_outer(chunk.types[pos[1]], c0, c1, rows, out));
         }
         AggExpr::SumColumns(_) => {
             for &p in pos {
-                with_decoder!(chunk.types[p], stage_add_column(chunk.cols[p], sel, out));
+                with_decoder!(chunk.types[p], stage_add_column(chunk.cols[p], rows, out));
             }
         }
         AggExpr::Count => unreachable!("Count accumulates without staging"),
-    }
-}
-
-/// Accumulates one aggregate over the selected rows into `acc`: lane kernels
-/// stage the per-row inputs, then one sequential fold adds them in ascending
-/// row order — the same additions in the same order as the row-at-a-time
-/// reference, bit for bit. (Counting sums exact small integers: adding 1.0
-/// per row and adding the exactly representable batch total are the same
-/// f64.)
-#[inline]
-fn accumulate_selected_simd(
-    chunk: &ChunkView<'_>,
-    agg: &AggExpr,
-    pos: &[usize],
-    sel: &[u32],
-    scratch: &mut Vec<f64>,
-    acc: &mut f64,
-) {
-    if matches!(agg, AggExpr::Count) {
-        *acc += sel.len() as f64;
-        return;
-    }
-    stage_rows_simd(chunk, agg, pos, sel, scratch);
-    for &v in scratch.iter() {
-        *acc += v;
-    }
-}
-
-#[inline(always)]
-fn stage_product_dense_outer<D0: Fn(u64) -> f64>(d0: D0, ty1: AttrType, c0: &[u64], c1: &[u64], out: &mut [f64]) {
-    with_decoder!(ty1, stage_product_dense_inner(d0, c0, c1, out));
-}
-
-#[inline(always)]
-fn stage_product_dense_inner<D1: Fn(u64) -> f64, D0: Fn(u64) -> f64>(
-    d1: D1,
-    d0: D0,
-    c0: &[u64],
-    c1: &[u64],
-    out: &mut [f64],
-) {
-    let mut i = 0usize;
-    while i + F64x8::LANES <= out.len() {
-        let prod = F64x8::decode(&d0, &c0[i..i + F64x8::LANES]).mul(F64x8::decode(&d1, &c1[i..i + F64x8::LANES]));
-        for lane in 0..F64x8::LANES {
-            out[i + lane] = prod.lane(lane);
-        }
-        i += F64x8::LANES;
-    }
-    for k in i..out.len() {
-        out[k] = d0(c0[k]) * d1(c1[k]);
-    }
-}
-
-#[inline(always)]
-fn stage_add_column_dense<D: Fn(u64) -> f64>(decode: D, col: &[u64], out: &mut [f64]) {
-    let mut i = 0usize;
-    while i + F64x8::LANES <= out.len() {
-        let v = F64x8::decode(&decode, &col[i..i + F64x8::LANES]);
-        for lane in 0..F64x8::LANES {
-            out[i + lane] += v.lane(lane);
-        }
-        i += F64x8::LANES;
-    }
-    for k in i..out.len() {
-        out[k] += decode(col[k]);
-    }
-}
-
-/// Like [`accumulate_selected_simd`] for a dense row range (every row
-/// qualifies, so there is nothing to select or gather): streams the columns
-/// 8 lanes at a time in [`VECTOR_BATCH_ROWS`] batches (bounding the staging
-/// scratch), folding each batch sequentially in ascending row order.
-#[inline]
-fn accumulate_dense_simd(
-    chunk: &ChunkView<'_>,
-    agg: &AggExpr,
-    pos: &[usize],
-    rows: Range<usize>,
-    scratch: &mut Vec<f64>,
-    acc: &mut f64,
-) {
-    if matches!(agg, AggExpr::Count) {
-        *acc += rows.len() as f64;
-        return;
-    }
-    let mut lo = rows.start;
-    while lo < rows.end {
-        let hi = (lo + VECTOR_BATCH_ROWS).min(rows.end);
-        scratch.clear();
-        scratch.resize(hi - lo, 0.0);
-        match agg {
-            AggExpr::SumProduct(..) => {
-                let c0 = &chunk.cols[pos[0]][lo..hi];
-                let c1 = &chunk.cols[pos[1]][lo..hi];
-                with_decoder!(chunk.types[pos[0]], stage_product_dense_outer(chunk.types[pos[1]], c0, c1, scratch));
-            }
-            AggExpr::SumColumns(_) => {
-                for &p in pos {
-                    with_decoder!(chunk.types[p], stage_add_column_dense(&chunk.cols[p][lo..hi], scratch));
-                }
-            }
-            AggExpr::Count => unreachable!(),
-        }
-        for &v in scratch.iter() {
-            *acc += v;
-        }
-        lo = hi;
     }
 }
 
@@ -798,22 +647,60 @@ impl GroupArena {
         })
     }
 
+    /// Resolves the accumulator slot of each of a batch's group keys, in row
+    /// order, into `slots`, counting one row per key.
+    fn resolve(&mut self, keys: impl Iterator<Item = u64>, slots: &mut Vec<u32>) {
+        slots.clear();
+        for key in keys {
+            let slot = self.slot(key);
+            self.accs[slot as usize].rows += 1;
+            slots.push(slot);
+        }
+    }
+
     fn into_groups(self) -> BTreeMap<u64, GroupAcc> {
         self.keys.into_iter().zip(self.accs).collect()
     }
 }
 
 /// Evaluates `plan` over `rows` of the materialised probe columns —
-/// vectorized with explicit SIMD kernels: per [`VECTOR_BATCH_ROWS`] batch,
-/// lane-parallel predicate masks fill a selection vector, the optional hash
-/// probe stages its key decodes lanewise and compacts, and per-aggregate
-/// staging kernels feed sequential accumulation into the group arena. Rows
+/// vectorized: per [`VECTOR_BATCH_ROWS`] batch, column-at-a-time predicate
+/// bit words fill a selection vector, the optional hash probe stages its key
+/// decodes and compacts, and per-aggregate staging kernels feed
+/// sequential accumulation into the group arena — with the whole body
+/// compiled for the host's vector ISA (`simd::with_widest_isa`). Rows
 /// are processed in ascending storage order; this function is
 /// deterministic, side-effect free and bit-identical to
 /// [`process_chunk_reference`], so chunks can be evaluated on any thread in
 /// any order. `rows` must lie within one chunk
 /// ([`MaterializedColumns::chunk_range`] or a part of it).
 pub fn process_chunk(
+    probe: &MaterializedColumns,
+    plan: &OlapPlan,
+    hash: Option<&JoinHashTable>,
+    rows: Range<usize>,
+) -> ChunkPartial {
+    with_widest_isa(
+        #[inline(always)]
+        || process_chunk_body(probe, plan, hash, rows),
+    )
+}
+
+/// [`process_chunk`] as compiled for the build's baseline ISA: what a host
+/// without AVX2 executes. On an AVX2 host nothing in production calls it; it
+/// is public so that tests and `hostperf`'s in-process kernel A/B can run
+/// both compilations of the one body side by side.
+pub fn process_chunk_portable(
+    probe: &MaterializedColumns,
+    plan: &OlapPlan,
+    hash: Option<&JoinHashTable>,
+    rows: Range<usize>,
+) -> ChunkPartial {
+    process_chunk_body(probe, plan, hash, rows)
+}
+
+#[inline(always)]
+fn process_chunk_body(
     probe: &MaterializedColumns,
     plan: &OlapPlan,
     hash: Option<&JoinHashTable>,
@@ -842,22 +729,11 @@ pub fn process_chunk(
     let mut global = GroupAcc { values: vec![0.0; plan.aggregates.len()], rows: 0 };
     let mut scratch: Vec<f64> = Vec::new();
 
-    // Dense plans — no predicate, no join, one global group — select every
-    // row: stream the columns directly instead of filling an identity
-    // selection vector and gathering through it. Each accumulator still
-    // receives the same per-row values in the same ascending order.
-    if plan.predicates.is_empty() && probe_key_pos.is_none() && matches!(mode, GroupMode::Global) {
-        partial.selected = rows.len() as u64;
-        partial.joined = partial.selected;
-        if !rows.is_empty() {
-            global.rows = partial.selected;
-            for (slot, (agg, pos)) in plan.aggregates.iter().zip(&agg_pos).enumerate() {
-                accumulate_dense_simd(&chunk, agg, pos, rows.clone(), &mut scratch, &mut global.values[slot]);
-            }
-            partial.groups.insert(0, global);
-        }
-        return partial;
-    }
+    // Dense plans — no predicate, no join, one global group — visit every
+    // row: the staging kernels stream the columns instead of gathering
+    // through an identity selection vector. Each accumulator still receives
+    // the same per-row values in the same ascending order.
+    let dense = plan.predicates.is_empty() && probe_key_pos.is_none() && matches!(mode, GroupMode::Global);
 
     let mut arena = GroupArena::new(plan.aggregates.len());
     let mut sel: Vec<u32> = Vec::with_capacity(VECTOR_BATCH_ROWS);
@@ -868,72 +744,78 @@ pub fn process_chunk(
     let mut lo = rows.start;
     while lo < rows.end {
         let hi = (lo + VECTOR_BATCH_ROWS).min(rows.end);
-
-        // 1. Predicate selection.
-        if plan.predicates.is_empty() {
-            sel.clear();
-            sel.extend((lo..hi).map(|r| r as u32));
-        } else {
-            select_batch_simd(&chunk, &plan.predicates, &pred_pos, lo..hi, &mut sel);
-        }
-        partial.selected += sel.len() as u64;
+        let batch = lo..hi;
         lo = hi;
-        if sel.is_empty() {
-            continue;
-        }
-
-        // 2. Hash probe: compact the selection vector to the rows that
-        //    found a partner, collecting payloads for build-side grouping.
-        //    The key decodes are staged lanewise; the map lookups themselves
-        //    are scalar, over the key bit patterns in ascending row order.
-        if let Some(key_pos) = probe_key_pos {
-            // h2tap: allow(panic) — prepare_plan populates `hash` exactly when the plan has a join, and probe_key_pos is derived from that same join; the two cannot disagree.
-            let table = hash.expect("join plans carry a hash table");
-            payloads.clear();
-            let col = chunk.cols[key_pos];
-            with_decoder!(chunk.types[key_pos], stage_key_bits(col, &sel, &mut key_bits));
-            let mut kept = 0usize;
-            for k in 0..sel.len() {
-                let Some(payload) = table.get(key_bits[k]) else { continue };
-                sel[kept] = sel[k];
-                kept += 1;
-                payloads.push(payload);
+        let rows = if dense {
+            partial.selected += batch.len() as u64;
+            BatchRows::All(batch)
+        } else {
+            // 1. Predicate selection.
+            if plan.predicates.is_empty() {
+                sel.clear();
+                sel.extend(batch.map(|r| r as u32));
+            } else {
+                select_batch(&chunk, &plan.predicates, &pred_pos, batch, &mut sel);
             }
-            sel.truncate(kept);
-        }
-        partial.joined += sel.len() as u64;
-        if sel.is_empty() {
+            partial.selected += sel.len() as u64;
+            if sel.is_empty() {
+                continue;
+            }
+
+            // 2. Hash probe: compact the selection vector to the rows that
+            //    found a partner, collecting payloads for build-side
+            //    grouping. The key decodes are staged first; the map lookups
+            //    run over the key bit patterns in ascending row order.
+            if let Some(key_pos) = probe_key_pos {
+                // h2tap: allow(panic) — prepare_plan populates `hash` exactly when the plan has a join, and probe_key_pos is derived from that same join; the two cannot disagree.
+                let table = hash.expect("join plans carry a hash table");
+                payloads.clear();
+                let col = chunk.cols[key_pos];
+                with_decoder!(chunk.types[key_pos], stage_key_bits(col, &sel, &mut key_bits));
+                let mut kept = 0usize;
+                for k in 0..sel.len() {
+                    let Some(payload) = table.get(key_bits[k]) else { continue };
+                    sel[kept] = sel[k];
+                    kept += 1;
+                    payloads.push(payload);
+                }
+                sel.truncate(kept);
+            }
+            BatchRows::Selected(&sel)
+        };
+        partial.joined += rows.len() as u64;
+        if rows.len() == 0 {
             continue;
         }
 
         // 3. Group accumulation: resolve each surviving row's accumulator,
         //    bump row counts, then run one specialised loop per aggregate.
         match mode {
+            // The staging kernels build the per-row inputs, then one
+            // sequential fold adds them in ascending row order — the same
+            // additions in the same order as the reference. (Counting sums
+            // exact small integers: adding 1.0 per row and adding the exactly
+            // representable batch total are the same f64.)
             GroupMode::Global => {
-                global.rows += sel.len() as u64;
-                for (slot, (agg, pos)) in plan.aggregates.iter().zip(&agg_pos).enumerate() {
-                    accumulate_selected_simd(&chunk, agg, pos, &sel, &mut scratch, &mut global.values[slot]);
+                global.rows += rows.len() as u64;
+                for (acc, (agg, pos)) in global.values.iter_mut().zip(plan.aggregates.iter().zip(&agg_pos)) {
+                    if matches!(agg, AggExpr::Count) {
+                        *acc += rows.len() as f64;
+                        continue;
+                    }
+                    stage_rows(&chunk, agg, pos, &rows, &mut scratch);
+                    for &v in &scratch {
+                        *acc += v;
+                    }
                 }
+                continue;
             }
             GroupMode::Probe(group_pos) => {
-                slots.clear();
-                for &row in &sel {
-                    let slot = arena.slot(chunk.cols[group_pos][row as usize]);
-                    arena.accs[slot as usize].rows += 1;
-                    slots.push(slot);
-                }
-                accumulate_grouped_simd(&chunk, plan, &agg_pos, &sel, &slots, &mut scratch, &mut arena);
+                arena.resolve(sel.iter().map(|&row| chunk.cols[group_pos][row as usize]), &mut slots)
             }
-            GroupMode::Build => {
-                slots.clear();
-                for &payload in &payloads {
-                    let slot = arena.slot(payload);
-                    arena.accs[slot as usize].rows += 1;
-                    slots.push(slot);
-                }
-                accumulate_grouped_simd(&chunk, plan, &agg_pos, &sel, &slots, &mut scratch, &mut arena);
-            }
+            GroupMode::Build => arena.resolve(payloads.iter().copied(), &mut slots),
         }
+        accumulate_grouped(&chunk, plan, &agg_pos, &rows, &slots, &mut scratch, &mut arena);
     }
 
     partial.groups = arena.into_groups();
@@ -943,18 +825,18 @@ pub fn process_chunk(
     partial
 }
 
-/// Per aggregate, lane kernels stage the per-row inputs, then a sequential
+/// Per aggregate, the staging kernels build the per-row inputs, then a sequential
 /// scatter adds each staged value into its row's arena slot. Rows are
 /// visited in ascending order, so every `(group, aggregate)` accumulator
 /// sees the same addition sequence as the row-at-a-time reference — staging
 /// changes where the per-row value is computed, not what is added or in
 /// what order.
-#[inline]
-fn accumulate_grouped_simd(
+#[inline(always)]
+fn accumulate_grouped(
     chunk: &ChunkView<'_>,
     plan: &OlapPlan,
     agg_pos: &[Vec<usize>],
-    sel: &[u32],
+    rows: &BatchRows<'_>,
     slots: &[u32],
     scratch: &mut Vec<f64>,
     arena: &mut GroupArena,
@@ -966,7 +848,7 @@ fn accumulate_grouped_simd(
             }
             continue;
         }
-        stage_rows_simd(chunk, agg, pos, sel, scratch);
+        stage_rows(chunk, agg, pos, rows, scratch);
         for (&slot, &v) in slots.iter().zip(scratch.iter()) {
             arena.accs[slot as usize].values[agg_slot] += v;
         }
@@ -1203,8 +1085,18 @@ pub(crate) struct PlanEvaluation {
 /// partials in ascending chunk order, so the groups are byte-identical for
 /// any thread count. With `skip_by_zonemap`, a chunk whose zonemap proves no
 /// row can satisfy the probe predicates is not evaluated; its partial would
-/// be empty, so the groups do not change by a bit.
-pub(crate) fn evaluate_plan(data: &PlanData, plan: &OlapPlan, threads: usize, skip_by_zonemap: bool) -> PlanEvaluation {
+/// be empty, so the groups do not change by a bit. The whole evaluation is one
+/// wall-clock [`SpanKind::Compute`] span of `site`, carrying the cell bytes
+/// of the evaluated chunks.
+pub(crate) fn evaluate_plan(
+    data: &PlanData,
+    plan: &OlapPlan,
+    threads: usize,
+    skip_by_zonemap: bool,
+    tracer: &Tracer,
+    site: OlapTarget,
+) -> PlanEvaluation {
+    let computing = tracer.start();
     let PlanData { mat, hash } = data;
     let chunks = mat.chunk_count();
     let threads_used = threads.clamp(1, pool::MAX_PLAN_THREADS).min(chunks);
@@ -1229,6 +1121,8 @@ pub(crate) fn evaluate_plan(data: &PlanData, plan: &OlapPlan, threads: usize, sk
         partials.push(partial);
     }
     let (groups, totals) = merge_partials(plan, partials);
+    let bytes = rows_scanned * mat.cols.len() as u64 * 8;
+    tracer.record_wall(SpanEvent::new(SpanKind::Compute).site(site).bytes(bytes), computing);
     PlanEvaluation { groups, totals, chunk_totals, rows_scanned, chunks_skipped, threads_used }
 }
 

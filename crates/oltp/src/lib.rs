@@ -25,6 +25,8 @@
 //! worker the way workers talk to each other — one message to the worker's
 //! one mailbox — so an idle worker blocks there and a request costs one hop.
 
+#![forbid(unsafe_code)]
+
 pub mod index;
 pub mod locktable;
 pub mod messages;

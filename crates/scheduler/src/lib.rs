@@ -9,6 +9,8 @@
 //! size-aware cost heuristic — the role Figure 2 assigns to the scheduler
 //! box.
 
+#![forbid(unsafe_code)]
+
 pub mod archipelago;
 pub mod calibration;
 pub mod placement;

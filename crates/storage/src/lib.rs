@@ -19,6 +19,8 @@
 //! snapshots, which together give the single-writer discipline the paper's
 //! non-cache-coherent target requires.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod database;
 pub mod layout;

@@ -14,6 +14,8 @@
 //! Every generator is deterministic given a seed, so experiment output is
 //! reproducible run to run.
 
+#![forbid(unsafe_code)]
+
 pub mod layoutbench;
 pub mod multisite;
 pub mod tpcc;

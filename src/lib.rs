@@ -5,6 +5,8 @@
 //! one dependency. Applications should depend on the individual crates
 //! (`caldera`, `h2tap-storage`, ...) directly.
 
+#![forbid(unsafe_code)]
+
 pub use caldera;
 pub use h2tap_baselines as baselines;
 pub use h2tap_bench as bench;

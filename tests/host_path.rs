@@ -63,6 +63,25 @@ fn random_table(layout: Layout, rows: u64, seed: u64) -> SnapshotTable {
     db.snapshot().table(t).unwrap().clone()
 }
 
+/// The build side of the join plans: key = 0..97 (covers every fk of
+/// [`random_table`]), size = key % 8, class = key % 5.
+fn dim_table() -> SnapshotTable {
+    let db = Database::new(1);
+    let schema = Schema::new(vec![
+        Attribute::new("key", AttrType::Int64),
+        Attribute::new("size", AttrType::Int32),
+        Attribute::new("class", AttrType::Int32),
+    ])
+    .unwrap();
+    let b = db.create_table("dim", schema, Layout::Dsm).unwrap();
+    for i in 0..97i64 {
+        db.insert(PartitionId(0), b, &[Value::Int64(i), Value::Int32((i % 8) as i32), Value::Int32((i % 5) as i32)])
+            .unwrap();
+    }
+    let table = db.snapshot().table(b).unwrap().clone();
+    table
+}
+
 /// Row counts covering the chunk- and lane-boundary cases: empty, one row,
 /// SIMD-lane edges (below/at/above the 4- and 8-lane widths), batch-edge
 /// sizes, one chunk exactly, an exact multiple of chunks, and a multiple
@@ -113,27 +132,30 @@ fn assert_scan_bit_identical(mat: &ops::MaterializedColumns, query: &ScanAggQuer
     }
 }
 
+/// A chunk partial flattened to words — row counters, then key, row count
+/// and the bit pattern of every aggregate per group (a bit-identical NaN
+/// aggregate still fails f64 `PartialEq`).
+fn partial_bits(p: &ops::ChunkPartial) -> Vec<u64> {
+    let groups =
+        p.groups.iter().flat_map(|(&key, g)| [key, g.rows].into_iter().chain(g.values.iter().map(|v| v.to_bits())));
+    [p.selected, p.joined].into_iter().chain(groups).collect()
+}
+
+/// The kernel as dispatched to the host's ISA, the kernel as compiled for the
+/// baseline ISA (what a host without AVX2 executes — on an AVX2 host nothing
+/// else runs it) and the row-at-a-time reference agree bit for bit on every
+/// chunk.
 fn assert_plan_bit_identical(
     mat: &ops::MaterializedColumns,
     plan: &OlapPlan,
     hash: Option<&ops::JoinHashTable>,
     label: &str,
 ) {
-    let fast: Vec<_> =
-        (0..mat.chunk_count()).map(|i| ops::process_chunk(mat, plan, hash, mat.chunk_range(i))).collect();
-    let slow: Vec<_> =
-        (0..mat.chunk_count()).map(|i| ops::process_chunk_reference(mat, plan, hash, mat.chunk_range(i))).collect();
-    for (i, (f, s)) in fast.iter().zip(&slow).enumerate() {
-        assert_eq!(f.selected, s.selected, "{label} chunk {i}");
-        assert_eq!(f.joined, s.joined, "{label} chunk {i}");
-        assert_eq!(f.groups.len(), s.groups.len(), "{label} chunk {i}");
-        for ((fk, fa), (sk, sa)) in f.groups.iter().zip(&s.groups) {
-            assert_eq!(fk, sk, "{label} chunk {i}: group keys");
-            assert_eq!(fa.rows, sa.rows, "{label} chunk {i} group {fk:#x}");
-            for (x, y) in fa.values.iter().zip(&sa.values) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{label} chunk {i} group {fk:#x}: {x} vs {y}");
-            }
-        }
+    let [fast, portable, slow] = [ops::process_chunk, ops::process_chunk_portable, ops::process_chunk_reference]
+        .map(|kernel| (0..mat.chunk_count()).map(|i| kernel(mat, plan, hash, mat.chunk_range(i))).collect::<Vec<_>>());
+    for (i, ((f, p), s)) in fast.iter().zip(&portable).zip(&slow).enumerate() {
+        assert_eq!(partial_bits(f), partial_bits(s), "{label} chunk {i}: dispatched kernel vs reference");
+        assert_eq!(partial_bits(p), partial_bits(s), "{label} chunk {i}: baseline kernel vs reference");
     }
     // The merged plan answers are then trivially bit-identical too. (Bit
     // comparison, not `==`: a bit-identical NaN aggregate still fails f64
@@ -210,21 +232,7 @@ fn property_dense_plans_match_the_reference_bitwise() {
 /// the negative zero land in distinct groups — identically on both paths.
 #[test]
 fn property_vectorized_plans_match_the_reference_bitwise() {
-    // Build table: key = 0..97 (covers every fk), size = key % 8,
-    // class = key % 5.
-    let db = Database::new(1);
-    let schema = Schema::new(vec![
-        Attribute::new("key", AttrType::Int64),
-        Attribute::new("size", AttrType::Int32),
-        Attribute::new("class", AttrType::Int32),
-    ])
-    .unwrap();
-    let b = db.create_table("dim", schema, Layout::Dsm).unwrap();
-    for i in 0..97i64 {
-        db.insert(PartitionId(0), b, &[Value::Int64(i), Value::Int32((i % 8) as i32), Value::Int32((i % 5) as i32)])
-            .unwrap();
-    }
-    let build = db.snapshot().table(b).unwrap().clone();
+    let build = dim_table();
     let join = JoinSpec { probe_column: 1, build_key: 0, build_predicates: vec![Predicate::between(1, 0.0, 5.0)] };
     for (case, &rows) in boundary_row_counts().iter().enumerate() {
         if rows == 0 {
@@ -263,6 +271,63 @@ fn property_vectorized_plans_match_the_reference_bitwise() {
             });
             let mat = ops::MaterializedColumns::new(&probe, plan.probe_columns_accessed()).unwrap();
             assert_plan_bit_identical(&mat, plan, hash.as_ref(), &format!("{layout:?}/{rows} rows/plan {p}"));
+        }
+    }
+}
+
+/// Seeded random plans — 0 to 3 predicates over the Float64 / Int64 / Int32
+/// columns, join on or off, no / probe-side / build-side group-by, one to
+/// three aggregates of every kind — over all three layouts, at row counts
+/// straddling a 64-row selection word, a batch and a chunk: both
+/// compilations of the kernel and the reference return bit-equal partials.
+#[test]
+fn property_random_plans_match_in_both_compilations() {
+    let build = dim_table();
+    let join = JoinSpec { probe_column: 1, build_key: 0, build_predicates: vec![Predicate::between(1, 0.0, 5.0)] };
+    let chunk = PLAN_CHUNK_ROWS as u64;
+    let mut rng = SplitMixRng::new(0x15A);
+    for (case, rows) in [0, 1, 63, 64, 65, 1023, 1024, 1025, chunk - 1, chunk, chunk + 1].into_iter().enumerate() {
+        for layout in [Layout::Dsm, Layout::Nsm, Layout::PAPER_PAX] {
+            let probe = random_table(layout, rows, 0xC0DE + case as u64);
+            for p in 0..6 {
+                // Bounds in each column's own range, from none-pass through
+                // a narrow band to all-pass.
+                let predicates = (0..rng.next_below(4))
+                    .map(|_| {
+                        let column = rng.next_below(4) as usize;
+                        let span = [rows.max(1) as f64, 97.0, 2e6, 13.0][column];
+                        let origin = if column == 2 { -1e6 } else { 0.0 };
+                        let lo = origin + (rng.next_f64() * 1.2 - 0.1) * span;
+                        let width = [0.0, 0.01, 0.3, 2.0][rng.next_below(4) as usize] * span;
+                        Predicate::between(column, lo, lo + width)
+                    })
+                    .collect();
+                let join = (rng.next_below(2) == 0).then(|| join.clone());
+                let group_by = match rng.next_below(3) {
+                    0 => None,
+                    1 => Some(PlanColumn::Probe([1, 2, 3][rng.next_below(3) as usize])),
+                    _ => join.as_ref().map(|_| PlanColumn::Build(2)),
+                };
+                let aggregates = (0..=rng.next_below(3))
+                    .map(|_| match rng.next_below(3) {
+                        0 => AggExpr::SumProduct(2, [0, 1, 3][rng.next_below(3) as usize]),
+                        1 => AggExpr::SumColumns((0..4).filter(|_| rng.next_below(2) == 0).chain([3]).collect()),
+                        _ => AggExpr::Count,
+                    })
+                    .collect();
+                let plan = OlapPlan { predicates, join, group_by, aggregates };
+                let hash = plan.join.as_ref().map(|join| {
+                    let group_col = ops::check_plan(&plan, true).unwrap();
+                    ops::build_hash_table(&build, join, group_col).unwrap()
+                });
+                let mat = ops::MaterializedColumns::new(&probe, plan.probe_columns_accessed()).unwrap();
+                assert_plan_bit_identical(
+                    &mat,
+                    &plan,
+                    hash.as_ref(),
+                    &format!("{layout:?}/{rows} rows/plan {p}: {plan:?}"),
+                );
+            }
         }
     }
 }

@@ -11,6 +11,7 @@ use caldera::{Caldera, CalderaConfig, OlapTarget, SnapshotPolicy, SpanKind};
 use h2tap_obs::json_is_valid;
 use h2tap_storage::Layout;
 use h2tap_workloads::tpch::{self, brand_revenue_plan};
+use std::time::Instant;
 
 const ROWS: u64 = 20_000;
 
@@ -28,7 +29,9 @@ fn traced_brand_revenue_join_covers_every_phase() {
     config.observability.tracing = true;
     let (caldera, lineitem, part) = join_engine(config);
     let plan = brand_revenue_plan(30);
+    let started = Instant::now();
     let out = caldera.run_olap_plan_on(lineitem, Some(part), &plan, OlapTarget::Gpu).unwrap();
+    let wall_secs = started.elapsed().as_secs_f64();
     assert!(!out.groups.is_empty());
 
     let spans = caldera.trace_spans();
@@ -55,6 +58,22 @@ fn traced_brand_revenue_join_covers_every_phase() {
         .iter()
         .filter(|s| matches!(s.event.kind, SpanKind::Kernel | SpanKind::Merge))
         .all(|s| s.event.site == Some(OlapTarget::Gpu)));
+
+    // The host phases are wall-clock: they follow one another on the
+    // tracer's timeline and together fit inside the time the client waited.
+    // Compute is the host evaluating the plan, once per query, for the site
+    // that charges for it — and ends before that site's first (simulated)
+    // kernel span is recorded.
+    let host: Vec<_> = spans.iter().filter(|s| !matches!(s.event.kind, SpanKind::Kernel | SpanKind::Merge)).collect();
+    assert!(host.iter().map(|s| s.event.dur_secs).sum::<f64>() <= wall_secs, "{host:?} in {wall_secs} s");
+    let end_us = |s: &caldera::SpanRecord| s.start_us as f64 + s.event.dur_secs * 1e6;
+    assert!(host.windows(2).all(|w| end_us(w[0]) <= w[1].start_us as f64 + 1.0), "{host:?}");
+    assert_eq!(count(SpanKind::Compute), 1, "one host evaluation per query");
+    let compute = host.last().unwrap();
+    assert_eq!((compute.event.kind, compute.event.site), (SpanKind::Compute, Some(OlapTarget::Gpu)));
+    assert_eq!(compute.event.bytes, ROWS * plan.probe_columns_accessed().len() as u64 * 8);
+    let first_kernel = spans.iter().find(|s| s.event.kind == SpanKind::Kernel).unwrap();
+    assert!(compute.event.dur_secs > 0.0 && end_us(compute) <= first_kernel.start_us as f64 + 1.0);
 
     // Kernel + merge spans are in simulated seconds, the same frame as the
     // outcome's breakdown: with host-resident (UVA) data every kernel's
@@ -84,6 +103,7 @@ fn traced_brand_revenue_join_covers_every_phase() {
     // A warm repeat of the same plan probes the cache and hits.
     caldera.run_olap_plan_on(lineitem, Some(part), &plan, OlapTarget::Gpu).unwrap();
     let spans = caldera.trace_spans();
+    assert_eq!(spans.iter().filter(|s| s.query == 2 && s.event.kind == SpanKind::Compute).count(), 1);
     assert!(spans
         .iter()
         .filter(|s| s.query == 2 && s.event.kind == SpanKind::CacheLookup)
