@@ -101,11 +101,17 @@ fn workspace_has_no_unannotated_findings() {
     let stray: Vec<String> =
         a.unannotated().iter().map(|f| format!("[{}] {}:{}: {}", f.lint.name(), f.file, f.line, f.message)).collect();
     assert!(stray.is_empty(), "unannotated findings:\n{}", stray.join("\n"));
-    // The concurrency-readiness inventory is the input to the concurrent
-    // execution roadmap item; it must actually see the ExecutionSite impls.
-    assert!(!a.inventory.mut_self_methods.is_empty(), "inventory missed ExecutionSite impls");
+    // Sites are immutable once built: no `ExecutionSite` method takes
+    // `&mut self` (`lints`' own unit test keeps the detection honest).
+    let mut_self = &a.inventory.mut_self_methods;
+    assert!(mut_self.is_empty(), "ExecutionSite grew a `&mut self` method: {mut_self:?}");
     assert!(!a.inventory.interior_fields.is_empty(), "inventory missed interior-mutability fields");
     // The size report sees every crate and the engine's config struct.
     assert!(a.size.crates.iter().any(|c| c.name == "olap" && c.non_test_loc > 1_000 && c.pub_fns > 0));
     assert!(a.size.config_fields > 0, "size report missed CalderaConfig");
+    // The "no new allow, no new knob" ratchet. These constants only ever go
+    // down: a PR that removes an allow or a config field lowers them, and a
+    // PR that needs one more has to remove another first.
+    assert!(a.size.allows <= 21, "h2tap: allow sites went up: {}", a.size.allows);
+    assert!(a.size.config_fields <= 18, "CalderaConfig grew: {} fields", a.size.config_fields);
 }

@@ -1,8 +1,7 @@
 //! Experiment drivers: one function per table/figure of the paper.
 //!
 //! Every function returns plain row structs so the `experiments` binary can
-//! print them, the Criterion benches can time their hot paths, and tests can
-//! assert the qualitative shapes the paper reports. Data sizes are scaled
+//! print them and tests can assert the qualitative shapes the paper reports. Data sizes are scaled
 //! down from the paper's (SF-300, 16 GB, 24 cores) so a full sweep finishes
 //! in minutes on a laptop; the scale knobs are explicit parameters.
 

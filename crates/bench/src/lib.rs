@@ -2,9 +2,8 @@
 //!
 //! [`experiments`] contains one driver function per table and figure of the
 //! paper's evaluation; the `experiments` binary prints their rows (and
-//! optionally JSON) and the Criterion benches under `benches/` time their hot
-//! paths. See `EXPERIMENTS.md` at the workspace root for the paper-vs-
-//! measured comparison produced from this harness.
+//! optionally JSON). See `EXPERIMENTS.md` at the workspace root for the
+//! paper-vs-measured comparison produced from this harness.
 
 #![forbid(unsafe_code)]
 

@@ -9,7 +9,8 @@ use crate::config::CalderaConfig;
 use crate::engine::Caldera;
 use h2tap_common::{H2Error, PartitionId, RecordId, Result, Schema, TableId, Value};
 use h2tap_gpu_sim::GpuDevice;
-use h2tap_olap::{CpuOlapEngine, CpuSpec, ExecutionSite, GpuOlapEngine, MultiGpuOlapEngine};
+use h2tap_obs::Tracer;
+use h2tap_olap::{CpuOlapEngine, CpuSpec, ExecutionSite, GpuOlapEngine, PlanDataCache};
 use h2tap_oltp::{OltpRuntime, PartitionIndex, Partitioner, TxnGenerator};
 use h2tap_scheduler::Scheduler;
 use h2tap_storage::{Database, Layout};
@@ -102,6 +103,15 @@ impl CalderaBuilder {
             accelerators.extend(mg.gpus.iter().map(|g| g.name.clone()));
         }
         let scheduler = Scheduler::new(config.oltp.workers, config.olap_cpu_cores, accelerators);
+        // What the sites share, created before them so each is built with
+        // it and never mutated afterwards. One plan-data cache: derived state
+        // (materialised columns, zonemap stats, join hash tables) built by
+        // one site's dispatch is reused by all of them for the same
+        // snapshot, bounded by the configured byte budget. One tracer: a
+        // query's spans — whichever site ran it, the cache probes it made
+        // included — land in one ring.
+        let plan_cache = PlanDataCache::with_budget(config.olap_plan_cache_budget_bytes);
+        let tracer = Tracer::from_config(&config.observability);
         // The execution sites of the data-parallel archipelago: the GPU
         // model, the CPU scan engine over the archipelago's cores, and —
         // when configured — the sharded multi-GPU device mix.
@@ -114,7 +124,8 @@ impl CalderaBuilder {
         if let Some(plan) = fault_plan {
             gpu_device.set_fault_injector(plan.injector_for("gpu", 0));
         }
-        let gpu = GpuOlapEngine::new(gpu_device, config.olap_device.placement);
+        let gpu = GpuOlapEngine::new(gpu_device, config.olap_device.placement)
+            .with_shared(plan_cache.clone(), tracer.clone());
         let cpu_cores = (config.olap_cpu_cores as u32).max(1);
         let cpu = CpuOlapEngine::with_spec_and_profile(
             CpuSpec {
@@ -122,7 +133,8 @@ impl CalderaBuilder {
                 mem_bandwidth_gbps: config.olap_cpu.per_core_bandwidth_gbps * f64::from(cpu_cores),
             },
             config.olap_cpu.profile,
-        );
+        )
+        .with_shared(plan_cache.clone(), tracer.clone());
         let mut sites: Vec<Box<dyn ExecutionSite>> = vec![Box::new(gpu), Box::new(cpu)];
         if let Some(mg) = &config.olap_multi_gpu {
             let devices = mg
@@ -137,10 +149,11 @@ impl CalderaBuilder {
                     device
                 })
                 .collect();
-            sites.push(Box::new(MultiGpuOlapEngine::new(devices, mg.placement)?));
+            let multi = GpuOlapEngine::sharded(devices, mg.placement)?;
+            sites.push(Box::new(multi.with_shared(plan_cache.clone(), tracer.clone())));
         }
         let oltp = OltpRuntime::start(Arc::clone(&db), config.oltp.clone(), partitioner, indexes, generator)?;
-        Ok(Caldera::assemble(config, db, oltp, sites, scheduler))
+        Ok(Caldera::assemble(config, db, oltp, sites, scheduler, plan_cache, tracer))
     }
 }
 

@@ -284,9 +284,9 @@ pub struct Caldera {
     /// Optional core-migration policy consulted after every placement
     /// observation (see [`Caldera::set_migration_policy`]).
     migration_policy: Mutex<Option<Box<dyn CoreMigrationPolicy>>>,
-    /// Query tracing (a no-op unless `config.observability.tracing`); the
-    /// same handle is installed into every execution site and the shared
-    /// plan-data cache at assembly.
+    /// Query tracing (a no-op unless `config.observability.tracing`); every
+    /// execution site and the shared plan-data cache were built with the
+    /// same handle.
     tracer: Tracer,
     /// Counters and latency histograms every dispatch feeds.
     metrics: MetricsRegistry,
@@ -305,22 +305,12 @@ impl Caldera {
         config: CalderaConfig,
         db: Arc<Database>,
         oltp: OltpRuntime,
-        mut sites: Vec<Box<dyn ExecutionSite>>,
+        sites: Vec<Box<dyn ExecutionSite>>,
         scheduler: Scheduler,
+        plan_cache: PlanDataCache,
+        tracer: Tracer,
     ) -> Self {
         let calibrator = CostCalibrator::new(config.calibration, config.initial_cost_model());
-        // One plan-data cache for every site: derived state (materialised
-        // columns, zonemap stats, join hash tables) built by one site's
-        // dispatch is reused by all of them for the same snapshot, bounded
-        // by the configured byte budget.
-        let plan_cache = PlanDataCache::with_budget(config.olap_plan_cache_budget_bytes);
-        let tracer = Tracer::from_config(&config.observability);
-        for site in &mut sites {
-            site.set_plan_cache(plan_cache.clone());
-            // After set_plan_cache: installing the tracer also threads it
-            // into the (shared) cache the site now holds.
-            site.set_tracer(tracer.clone());
-        }
         let admission_budget = config.olap_admission_in_flight;
         let health_config = config.site_health;
         Self {

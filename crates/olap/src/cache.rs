@@ -211,10 +211,6 @@ struct CacheInner {
     budget: Option<u64>,
     /// Monotonic access counter ordering uses across both maps for LRU.
     tick: u64,
-    /// Shared trace handle: probes emit `cache_lookup` spans, misses emit
-    /// the `materialise` / `hash_build` span of the derivation they paid.
-    /// Disabled (one relaxed load per probe) until the engine installs one.
-    tracer: Tracer,
 }
 
 impl CacheInner {
@@ -317,6 +313,11 @@ impl<L: Ord, T> Drop for FinishBuild<'_, L, T> {
 #[derive(Debug, Clone, Default)]
 pub struct PlanDataCache {
     shared: Arc<Shared>,
+    /// This handle's trace sink: probes emit `cache_lookup` spans, misses
+    /// emit the `materialise` / `hash_build` span of the derivation they
+    /// paid. Disabled (one relaxed load per probe) unless the handle was
+    /// given to a site built into an engine ([`PlanDataCache::traced`]).
+    tracer: Tracer,
 }
 
 impl PlanDataCache {
@@ -334,15 +335,11 @@ impl PlanDataCache {
         cache
     }
 
-    /// The configured byte budget (`None` = unbounded).
-    pub fn budget(&self) -> Option<u64> {
-        self.shared.inner.lock().budget
-    }
-
-    /// Installs the engine's shared trace handle (all clones of this cache
-    /// share it — the tracer lives behind the same `Arc` as the entries).
-    pub fn set_tracer(&self, tracer: Tracer) {
-        self.shared.inner.lock().tracer = tracer;
+    /// This handle, recording its spans into `tracer` — how an execution
+    /// site built into an engine holds the engine's shared cache.
+    pub(crate) fn traced(mut self, tracer: Tracer) -> Self {
+        self.tracer = tracer;
+        self
     }
 
     /// A span event stamped with a frozen table's identity.
@@ -366,10 +363,10 @@ impl PlanDataCache {
         derive: impl FnOnce(&Tracer, &L, Vec<(Epoch, Arc<T>)>) -> Result<Derived<T>>,
     ) -> Result<Arc<T>> {
         let key = (lineage, id.epoch);
+        let tracer = &self.tracer;
         let mut attached = false;
         loop {
             let mut inner = self.shared.inner.lock();
-            let tracer = inner.tracer.clone();
             let lookup = tracer.start();
             let now = inner.touch();
             let (family, hits, misses) = project(&mut inner);
@@ -413,7 +410,7 @@ impl PlanDataCache {
             tracer.record_wall(Self::span(SpanKind::CacheLookup, id).hit(false), lookup);
             drop(inner);
             let finish = FinishBuild { shared: &self.shared, slot: &slot, project, key: &key };
-            let derived = derive(&tracer, &key.0, bases)?;
+            let derived = derive(tracer, &key.0, bases)?;
             // h2tap: allow(error_swallow) — single-flight slot: set only fails if a racing builder already published the identical build, which is the value we want.
             let _ = slot.set(Some(Arc::clone(&derived.value)));
             let mut inner = self.shared.inner.lock();

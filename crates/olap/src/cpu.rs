@@ -161,10 +161,10 @@ pub struct CpuOlapEngine {
     /// Handles this site has vended for the current snapshot.
     registered: Mutex<HashSet<usize>>,
     next_tag: AtomicUsize,
-    /// Snapshot-keyed plan-data cache (shared across all sites when built
-    /// into an engine, private otherwise).
+    /// Snapshot-keyed plan-data cache (the engine's shared one after
+    /// [`CpuOlapEngine::with_shared`], private otherwise).
     cache: PlanDataCache,
-    /// Trace handle; disabled (no-op) until the engine installs one.
+    /// Trace handle; disabled (no-op) unless the engine shared one.
     tracer: Tracer,
 }
 
@@ -199,6 +199,14 @@ impl CpuOlapEngine {
             cache: PlanDataCache::new(),
             tracer: Tracer::disabled(),
         }
+    }
+
+    /// Builds the site into an engine: it answers from the engine's shared
+    /// plan-data cache and records into the engine's tracer from here on.
+    pub fn with_shared(mut self, cache: PlanDataCache, tracer: Tracer) -> Self {
+        self.cache = cache.traced(tracer.clone());
+        self.tracer = tracer;
+        self
     }
 
     /// The current hardware spec (a copy — migration may change it).
@@ -361,15 +369,6 @@ impl ExecutionSite for CpuOlapEngine {
         let mut spec = self.spec.lock();
         spec.cores = cores;
         spec.mem_bandwidth_gbps = self.per_core_bandwidth_gbps * f64::from(cores);
-    }
-
-    fn set_plan_cache(&mut self, cache: PlanDataCache) {
-        self.cache = cache;
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.cache.set_tracer(tracer.clone());
-        self.tracer = tracer;
     }
 }
 

@@ -2,10 +2,11 @@
 //! archipelago.
 //!
 //! Analytical queries always run against an immutable [`h2tap_storage::Snapshot`]
-//! on one of the [`site::ExecutionSite`]s: kernel-at-a-time on the simulated
-//! GPU ([`engine::GpuOlapEngine`]), vectorised-scan on the archipelago's
-//! CPU cores ([`cpu::CpuOlapEngine`]), or chunk-sharded across a device mix
-//! ([`multi_gpu::MultiGpuOlapEngine`]). The engine picks the site per query
+//! on one of the [`site::ExecutionSite`]s: kernel-at-a-time on simulated
+//! GPUs ([`multi_gpu::GpuOlapEngine`] — one implementation serving the single
+//! GPU and the chunk-sharded device mix, which differ only in how many
+//! devices the constructor is given) or vectorised-scan on the archipelago's
+//! CPU cores ([`cpu::CpuOlapEngine`]). The engine picks the site per query
 //! with [`h2tap_scheduler::place_olap_query_sites`] from live placement
 //! hints and the capabilities the sites enumerate.
 //! Users trade freshness for performance by choosing how many queries share
@@ -26,8 +27,8 @@ pub mod site;
 
 pub use cache::PlanDataCache;
 pub use cpu::{CpuOlapEngine, CpuOlapResult, CpuPlanResult, CpuScanProfile, CpuSpec};
-pub use engine::{DataPlacement, GpuOlapEngine, OlapOutcome, PlanOutcome, RegisteredTable};
-pub use multi_gpu::{shard_chunk_indexes, shard_rows, MultiGpuOlapEngine};
+pub use engine::{DataPlacement, OlapOutcome, PlanOutcome, RegisteredTable};
+pub use multi_gpu::{shard_chunk_indexes, shard_rows, GpuOlapEngine};
 pub use operators::{merge_scan_partials, JoinHashTable, MaterializedColumns, ScanChunkPartial, VECTOR_BATCH_ROWS};
 pub use policy::SnapshotPolicy;
 pub use site::ExecutionSite;

@@ -1,26 +1,43 @@
-//! The multi-GPU OLAP executor: one execution site that shards every
-//! registered table's chunks across several — possibly heterogeneous —
-//! simulated GPUs and runs them in parallel.
+//! The GPU-family execution site: kernel-at-a-time query execution over one
+//! or more — possibly heterogeneous — simulated GPUs.
+//!
+//! "Each database operator is implemented as a collection of data-parallel
+//! primitives, where each primitive is an individual CUDA kernel. OLAP
+//! queries are executed by a dedicated CPU thread that executes each database
+//! operator by executing the corresponding CUDA kernels one at a time while
+//! using UVA to store all input, intermediate, and output data."
+//!
+//! [`GpuOlapEngine`] follows that model: an [`OlapPlan`] becomes one
+//! selection kernel per predicate (each producing/consuming a selection
+//! bitmap), hash build/probe kernels for a join, and an aggregation stage —
+//! one register-reducing `aggregate` kernel for a scan-shaped plan, a
+//! `partial_aggregate` + `merge_groups` pair over a group arena otherwise.
+//! The real answer is computed on the host while every kernel's cost is
+//! charged to the [`GpuDevice`] model according to the table's layout
+//! (coalesced for DSM/PAX, strided for NSM) and the configured access mode
+//! (memcpy / UVA / UM / device-resident).
 //!
 //! Table 1 of the paper catalogues five GPU generations precisely because
 //! real deployments mix them: cards are added over the years, so a
-//! data-parallel archipelago rarely owns `n` identical devices. This site
-//! makes that mix a first-class placement target. The sharding contract is
-//! the same fixed-chunk contract every other site already obeys:
+//! data-parallel archipelago rarely owns `n` identical devices. The site
+//! therefore always runs over a *device mix*, and the single GPU of the
+//! Caldera prototype is the mix of one ([`GpuOlapEngine::new`]); there is no
+//! second implementation and nothing branches on the device count. The
+//! sharding contract is the fixed-chunk contract every site obeys:
 //!
 //! * tables are split into [`h2tap_common::PLAN_CHUNK_ROWS`]-row chunks in
 //!   storage order,
 //! * chunk `i` is assigned to device [`h2tap_common::chunk_shard`]`(i, n)` —
 //!   a round-robin **partition** (every chunk on exactly one device, shards
-//!   disjoint, union covers the table),
+//!   disjoint, union covers the table; one device holds every chunk),
 //! * per-chunk partials always merge in **ascending chunk order** no matter
 //!   which device produced them or when it finished.
 //!
 //! Because the host-side data path is the shared [`operators`] pipeline over
 //! all chunks in ascending order, plan group rows (a scan's scalar included)
-//! are **byte-identical** to the CPU and single-GPU sites for any
-//! device mix and shard count. What differs is the simulated cost: each
-//! device is charged its own kernels over its own shard, the devices run
+//! are **byte-identical** to the CPU site's for any device mix and shard
+//! count. What differs is the simulated cost: each device is charged its own
+//! kernels (named `<kernel>.d<device>`) over its own shard, the devices run
 //! concurrently, and the site reports the **critical path** — the slowest
 //! device's time — which is why a fast+slow generation mix is bound by its
 //! slow card rather than its aggregate bandwidth.
@@ -28,22 +45,23 @@
 //! Joins follow the replicated-build pattern real multi-GPU engines use:
 //! every device builds a partial hash table from its *local* build-side
 //! shard, the partials are all-gathered so each device holds a full replica
-//! (charged as interconnect traffic for the remote fraction), and each
-//! device probes its own probe-side shard with data-dependent random reads
-//! against its replica. The replica is why the placement footprint check is
-//! against the **minimum per-device** free memory, not the sum.
+//! (charged as interconnect traffic for the remote fraction — none on one
+//! device), and each device probes its own probe-side shard with
+//! data-dependent random reads against its replica. The replica is why the
+//! placement footprint check is against the **minimum per-device** free
+//! memory, not the sum.
 
 use crate::cache::PlanDataCache;
-use crate::engine::{
-    arena_aggregate_columns, explicit_copy_bytes, layout_read, reduces_in_registers, register_aggregate_desc,
-    register_bytes, resident_fraction, DataPlacement, PlanOutcome, RegisteredTable,
-};
+use crate::engine::{DataPlacement, PlanOutcome, RegisteredTable};
 use crate::operators;
 use crate::site::{emit_execution_spans, ExecutionSite};
 use h2tap_common::{
-    chunk_shard, ExecBreakdown, H2Error, OlapPlan, Result, SimDuration, HASH_ENTRY_BYTES, PLAN_CHUNK_ROWS,
+    chunk_shard, ExecBreakdown, H2Error, OlapPlan, PlanColumn, Result, SimDuration, HASH_ENTRY_BYTES, PLAN_CHUNK_ROWS,
 };
-use h2tap_gpu_sim::{AccessMode, AccessPattern, BufferId, GpuDevice, KernelDesc, KernelMetrics, TransferDirection};
+use h2tap_gpu_sim::{
+    AccessMode, AccessPattern, BufferId, GpuDevice, KernelDesc, KernelMetrics, MemoryManager, Residency,
+    TransferDirection,
+};
 use h2tap_obs::Tracer;
 use h2tap_scheduler::{GpuDeviceCapability, OlapTarget, SiteCapability};
 use h2tap_storage::{Layout, SnapshotTable};
@@ -81,20 +99,158 @@ pub fn shard_chunk_indexes(chunk_count: usize, devices: usize) -> Vec<Vec<usize>
     shards
 }
 
+/// The fraction of the site's registered bytes already resident in device
+/// memory — the data-locality term of the placement heuristic. Explicit
+/// copies re-pay the transfer every query batch, so memcpy placement counts
+/// as non-resident like UVA; under Unified Memory `buffers` (every
+/// registered buffer with the memory manager that owns it) is weighed.
+fn resident_fraction<'a>(
+    placement: DataPlacement,
+    buffers: impl Iterator<Item = (&'a MemoryManager, BufferId)>,
+) -> f64 {
+    let DataPlacement::Host(mode) = placement else { return 1.0 };
+    if mode != AccessMode::UnifiedMemory {
+        return 0.0;
+    }
+    let (mut total, mut resident) = (0u64, 0u64);
+    for (mem, id) in buffers {
+        let Ok(info) = mem.info(id) else { continue };
+        total += info.bytes;
+        resident += match info.residency {
+            Residency::Device => info.bytes,
+            Residency::HostUm { resident_pages, .. } => (resident_pages * mem.page_bytes()).min(info.bytes),
+            Residency::HostUva => 0,
+        };
+    }
+    if total == 0 {
+        0.0
+    } else {
+        resident as f64 / total as f64
+    }
+}
+
+/// Registers `bytes` of table or scratch data with `device` under the site's
+/// data placement.
+fn register_bytes(device: &mut GpuDevice, placement: DataPlacement, label: &str, bytes: u64) -> Result<BufferId> {
+    match placement {
+        DataPlacement::Host(mode) => device.register_buffer(label, bytes, mode),
+        DataPlacement::DeviceResident => device.register_device_buffer(label, bytes),
+    }
+}
+
+/// The useful bytes and access pattern of a kernel streaming `attr` over
+/// `rows` rows of `table`, by storage layout: row-major tables are one
+/// buffer the kernel strides over, columns read sequentially, and PAX
+/// minipages coalesce like DSM but pay a small page-interleave overhead,
+/// modelled as 3% extra traffic.
+fn layout_read(table: &SnapshotTable, rows: u64, attr: usize) -> Result<(u64, AccessPattern)> {
+    let width = table.schema.attr(attr)?.ty.width() as u64;
+    Ok(match table.layout {
+        Layout::Nsm => {
+            let stride_bytes = table.schema.record_width() as u32;
+            (rows * width, AccessPattern::Strided { stride_bytes, elem_bytes: width as u32 })
+        }
+        Layout::Dsm => (rows * width, AccessPattern::Sequential),
+        Layout::Pax { .. } => (rows * width * 103 / 100, AccessPattern::Sequential),
+    })
+}
+
+/// Bytes an explicit-copy (memcpy) placement moves host→device for `rows`
+/// rows of `table` of which a plan reads `column_bytes`: a columnar layout
+/// copies just the accessed columns, but a row-major table is one buffer of
+/// whole records, so the copy moves every attribute whatever the plan reads.
+fn explicit_copy_bytes(table: &SnapshotTable, rows: u64, column_bytes: u64) -> u64 {
+    match table.layout {
+        Layout::Nsm => rows * table.schema.record_width() as u64,
+        Layout::Dsm | Layout::Pax { .. } => column_bytes,
+    }
+}
+
+/// The charge rule for the aggregation stage, keyed on the plan's shape: an
+/// ungrouped, unjoined aggregate reduces in registers — one `aggregate`
+/// kernel writes the scalars, with no group arena to allocate and no merge
+/// kernel to fold it. Every other plan accumulates into a per-chunk arena
+/// (`partial_aggregate`) that `merge_groups` folds.
+fn reduces_in_registers(plan: &OlapPlan) -> bool {
+    plan.join.is_none() && plan.group_by.is_none()
+}
+
+/// The register-reducing `aggregate` kernel over `rows` rows: streams every
+/// aggregate input (plus the selection bitmap when the plan filters) and
+/// writes one f64 per aggregate. `read_plan` resolves an attribute to the
+/// buffer, useful bytes and access pattern the device reads it with.
+fn register_aggregate_desc(
+    name: String,
+    rows: u64,
+    plan: &OlapPlan,
+    read_plan: impl Fn(usize) -> Result<(BufferId, u64, AccessPattern)>,
+) -> Result<KernelDesc> {
+    let agg_cols: Vec<usize> = plan.aggregates.iter().flat_map(|a| a.columns()).collect();
+    let bitmap_flops = if plan.predicates.is_empty() { 1.0 } else { 2.0 };
+    let mut desc = KernelDesc::new(name, rows)
+        .flops_per_element(bitmap_flops + agg_cols.len() as f64)
+        .write(8 * plan.aggregates.len() as u64);
+    for attr in agg_cols {
+        let (buffer, useful, pattern) = read_plan(attr)?;
+        desc = desc.read(buffer, useful, pattern);
+    }
+    Ok(desc)
+}
+
+/// Probe columns the `partial_aggregate` kernel streams: every aggregate
+/// input plus a probe-side group key, deduplicated and sorted.
+fn arena_aggregate_columns(plan: &OlapPlan) -> Vec<usize> {
+    let mut cols: Vec<usize> = plan.aggregates.iter().flat_map(|a| a.columns()).collect();
+    if let Some(PlanColumn::Probe(c)) = plan.group_by {
+        cols.push(c);
+    }
+    cols.sort_unstable();
+    cols.dedup();
+    cols
+}
+
 /// Per-device accumulator for one query execution: the device's simulated
-/// time and its contribution to the cost-model terms.
-#[derive(Debug, Clone, Default)]
+/// time, its contribution to the cost-model terms, the kernels it launched
+/// and the bytes it moved over its interconnect.
+#[derive(Debug, Default)]
 struct DeviceRun {
     time: SimDuration,
     breakdown: ExecBreakdown,
+    kernels: Vec<KernelMetrics>,
+    interconnect_bytes: u64,
+}
+
+impl DeviceRun {
+    /// Charges one kernel launch on `device` to the running totals.
+    fn charge(&mut self, device: &mut GpuDevice, desc: &KernelDesc) -> Result<()> {
+        let metrics = device.account(desc)?;
+        self.time += metrics.time;
+        self.interconnect_bytes += metrics.interconnect_bytes;
+        // Launch latency is the fixed dispatch cost; everything else in the
+        // launch is data movement (or compute hidden behind it).
+        self.breakdown.overhead_secs += metrics.launch_overhead.as_secs_f64();
+        self.breakdown.stream_secs += metrics.time.saturating_sub(metrics.launch_overhead).as_secs_f64();
+        self.breakdown.compute_secs += metrics.compute_time.as_secs_f64();
+        self.kernels.push(metrics);
+        Ok(())
+    }
+
+    /// Charges an explicit host↔device transfer on `device`.
+    fn transfer(&mut self, device: &mut GpuDevice, bytes: u64, direction: TransferDirection) {
+        let copy = device.memcpy(bytes, direction);
+        self.time += copy;
+        self.breakdown.stream_secs += copy.as_secs_f64();
+        self.interconnect_bytes += bytes;
+    }
 }
 
 /// The device mix plus the registration maps it owns — everything a kernel
 /// charge or buffer (de)allocation mutates, behind one short-lived lock.
-/// Execution holds this lock only while *charging* simulated kernels; the
-/// host-side data path — the real wall-clock work — runs between lock
-/// sessions so concurrent queries overlap.
-struct MultiGpuSiteState {
+/// Execution holds this lock only while *charging* simulated kernels
+/// (microseconds of bookkeeping); the host-side data path — the real
+/// wall-clock work — runs between lock sessions so concurrent queries
+/// overlap.
+struct SiteState {
     devices: Vec<GpuDevice>,
     /// Registered column buffers: (table tag, device, attr) -> buffer.
     buffers: BTreeMap<(usize, usize, usize), BufferId>,
@@ -104,7 +260,7 @@ struct MultiGpuSiteState {
     shard_rows: BTreeMap<usize, Vec<u64>>,
 }
 
-impl MultiGpuSiteState {
+impl SiteState {
     /// Frees every buffer one table registered, across all devices.
     fn free_tag(&mut self, tag: usize) {
         let cols: Vec<(usize, usize, usize)> = self.buffers.keys().filter(|(t, _, _)| *t == tag).copied().collect();
@@ -127,12 +283,11 @@ impl MultiGpuSiteState {
     fn device_shard_rows(&self, handle: RegisteredTable) -> Result<&Vec<u64>> {
         self.shard_rows
             .get(&handle.tag())
-            .ok_or_else(|| H2Error::InvalidKernel("table not registered with the multi-GPU site".into()))
+            .ok_or_else(|| H2Error::InvalidKernel("table not registered with the GPU site".into()))
     }
 
     /// The buffer and access pattern device `d`'s kernels use to read `attr`
-    /// of its shard of the table — same layout model as the single-GPU
-    /// site, over the shard's rows.
+    /// of its shard of the table.
     fn read_plan(
         &self,
         handle: RegisteredTable,
@@ -154,36 +309,41 @@ impl MultiGpuSiteState {
     }
 }
 
-/// Kernel-at-a-time OLAP executor over several sharded simulated GPUs.
+/// Kernel-at-a-time OLAP executor over a mix of simulated GPUs that shard
+/// every registered table — the one implementation behind both GPU
+/// placement targets. The constructor fixes which target the site serves:
+/// [`GpuOlapEngine::new`] is the single GPU of the data-parallel archipelago
+/// ([`OlapTarget::Gpu`]), [`GpuOlapEngine::sharded`] /
+/// [`GpuOlapEngine::from_specs`] a device mix ([`OlapTarget::MultiGpu`]).
 ///
 /// Concurrent: the device mix and registration maps live behind one mutex
-/// ([`MultiGpuSiteState`]), held only across kernel-charge bookkeeping; the
+/// ([`SiteState`]), held only across kernel-charge bookkeeping; the
 /// host-side data path runs between lock sessions.
-pub struct MultiGpuOlapEngine {
+pub struct GpuOlapEngine {
+    target: OlapTarget,
+    label: &'static str,
     placement: DataPlacement,
     /// Number of devices (= shards per table); fixed at construction.
     device_count: usize,
-    devs: Mutex<MultiGpuSiteState>,
+    devs: Mutex<SiteState>,
     /// Monotonic tag generator for registered tables.
     next_tag: AtomicUsize,
-    /// Snapshot-keyed plan-data cache for the host-side data path (shared
-    /// across all sites when built into an engine, private otherwise).
+    /// Snapshot-keyed plan-data cache for the host-side data path (the
+    /// engine's shared one after [`GpuOlapEngine::with_shared`], private
+    /// otherwise).
     cache: PlanDataCache,
-    /// Trace handle; disabled (no-op) until the engine installs one.
+    /// Trace handle; disabled (no-op) unless the engine shared one.
     tracer: Tracer,
 }
 
-impl MultiGpuOlapEngine {
-    /// Creates an executor over `devices` with the given (shared) data
-    /// placement. At least one device is required.
-    pub fn new(devices: Vec<GpuDevice>, placement: DataPlacement) -> Result<Self> {
-        if devices.is_empty() {
-            return Err(H2Error::Config("a multi-GPU site needs at least one device".into()));
-        }
-        Ok(Self {
+impl GpuOlapEngine {
+    fn over(target: OlapTarget, label: &'static str, devices: Vec<GpuDevice>, placement: DataPlacement) -> Self {
+        Self {
+            target,
+            label,
             placement,
             device_count: devices.len(),
-            devs: Mutex::new(MultiGpuSiteState {
+            devs: Mutex::new(SiteState {
                 devices,
                 buffers: BTreeMap::new(),
                 nsm_buffers: BTreeMap::new(),
@@ -192,49 +352,42 @@ impl MultiGpuOlapEngine {
             next_tag: AtomicUsize::new(0),
             cache: PlanDataCache::new(),
             tracer: Tracer::disabled(),
-        })
+        }
     }
 
-    /// Creates an executor from catalogue specs (e.g. a Table 1 mix).
+    /// Creates the single-GPU site ([`OlapTarget::Gpu`]) on `device` with the
+    /// given data placement: the mix of one device, which holds every chunk.
+    pub fn new(device: GpuDevice, placement: DataPlacement) -> Self {
+        Self::over(OlapTarget::Gpu, "gpu", vec![device], placement)
+    }
+
+    /// Creates the multi-GPU site ([`OlapTarget::MultiGpu`]) over `devices`
+    /// with the given (shared) data placement. At least one device is
+    /// required.
+    pub fn sharded(devices: Vec<GpuDevice>, placement: DataPlacement) -> Result<Self> {
+        if devices.is_empty() {
+            return Err(H2Error::Config("a multi-GPU site needs at least one device".into()));
+        }
+        Ok(Self::over(OlapTarget::MultiGpu, "multi-gpu", devices, placement))
+    }
+
+    /// [`GpuOlapEngine::sharded`] from catalogue specs (e.g. a Table 1 mix).
     pub fn from_specs(specs: Vec<h2tap_gpu_sim::GpuSpec>, placement: DataPlacement) -> Result<Self> {
-        Self::new(specs.into_iter().map(GpuDevice::new).collect(), placement)
+        Self::sharded(specs.into_iter().map(GpuDevice::new).collect(), placement)
     }
 
-    /// Bytes currently allocated on each device, in shard order.
+    /// Builds the site into an engine: it answers from the engine's shared
+    /// plan-data cache and records into the engine's tracer from here on.
+    pub fn with_shared(mut self, cache: PlanDataCache, tracer: Tracer) -> Self {
+        self.cache = cache.traced(tracer.clone());
+        self.tracer = tracer;
+        self
+    }
+
+    /// Bytes currently allocated on each device (registered tables plus any
+    /// live scratch), in shard order.
     pub fn device_used_bytes(&self) -> Vec<u64> {
         self.devs.lock().devices.iter().map(|d| d.memory().used_bytes()).collect()
-    }
-
-    /// Charges one kernel to device `d`'s running totals.
-    fn charge(
-        device: &mut GpuDevice,
-        desc: &KernelDesc,
-        run: &mut DeviceRun,
-        kernels: &mut Vec<KernelMetrics>,
-        interconnect_bytes: &mut u64,
-    ) -> Result<()> {
-        let metrics = device.account(desc)?;
-        run.time += metrics.time;
-        *interconnect_bytes += metrics.interconnect_bytes;
-        run.breakdown.overhead_secs += metrics.launch_overhead.as_secs_f64();
-        run.breakdown.stream_secs += metrics.time.saturating_sub(metrics.launch_overhead).as_secs_f64();
-        run.breakdown.compute_secs += metrics.compute_time.as_secs_f64();
-        kernels.push(metrics);
-        Ok(())
-    }
-
-    /// Charges an explicit host↔device transfer to device `d`'s totals.
-    fn charge_transfer(
-        device: &mut GpuDevice,
-        bytes: u64,
-        direction: TransferDirection,
-        run: &mut DeviceRun,
-        interconnect_bytes: &mut u64,
-    ) {
-        let copy = device.memcpy(bytes, direction);
-        run.time += copy;
-        run.breakdown.stream_secs += copy.as_secs_f64();
-        *interconnect_bytes += bytes;
     }
 
     fn execute_inner(
@@ -292,7 +445,7 @@ impl MultiGpuOlapEngine {
         // is the real wall-clock work, and concurrent queries must overlap
         // here.
         let data = self.cache.prepare_plan(probe_table, build.map(|(_, t)| t), plan)?;
-        let eval = operators::evaluate_plan(&data, plan, 1, false, &self.tracer, OlapTarget::MultiGpu);
+        let eval = operators::evaluate_plan(&data, plan, 1, false, &self.tracer, self.target);
         let mut selected_d = vec![0u64; n];
         let mut joined_d = vec![0u64; n];
         let mut chunks_d = vec![0u64; n];
@@ -325,13 +478,7 @@ impl MultiGpuOlapEngine {
             if probe.explicit_copy() && rows_d > 0 {
                 let bytes =
                     explicit_copy_bytes(probe_table, rows_d, plan.probe_scan_bytes(&probe_table.schema, rows_d));
-                Self::charge_transfer(
-                    &mut state.devices[d],
-                    bytes,
-                    TransferDirection::HostToDevice,
-                    &mut run,
-                    &mut interconnect_bytes,
-                );
+                run.transfer(&mut state.devices[d], bytes, TransferDirection::HostToDevice);
             }
             if let Some((build_handle, build_table)) = build {
                 if build_handle.explicit_copy() && build_rows_d > 0 {
@@ -340,13 +487,7 @@ impl MultiGpuOlapEngine {
                         build_rows_d,
                         plan.build_scan_bytes(&build_table.schema, build_rows_d),
                     );
-                    Self::charge_transfer(
-                        &mut state.devices[d],
-                        bytes,
-                        TransferDirection::HostToDevice,
-                        &mut run,
-                        &mut interconnect_bytes,
-                    );
+                    run.transfer(&mut state.devices[d], bytes, TransferDirection::HostToDevice);
                 }
             }
 
@@ -358,7 +499,7 @@ impl MultiGpuOlapEngine {
                         .flops_per_element(2.0)
                         .read(buffer, useful, pattern)
                         .write(rows_d.div_ceil(8));
-                    Self::charge(&mut state.devices[d], &desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+                    run.charge(&mut state.devices[d], &desc)?;
                 }
             }
 
@@ -380,7 +521,7 @@ impl MultiGpuOlapEngine {
                         let (buffer, useful, pattern) = state.read_plan(build_handle, build_table, d, attr)?;
                         desc = desc.read(buffer, useful, pattern);
                     }
-                    Self::charge(&mut state.devices[d], &desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+                    run.charge(&mut state.devices[d], &desc)?;
                 }
                 // All-gather: the fraction of the replica this *probing*
                 // device did not build locally crosses its interconnect.
@@ -388,13 +529,7 @@ impl MultiGpuOlapEngine {
                 // receive cost lands on the probing side.
                 let gathered = bytes.saturating_sub(local_hash);
                 if rows_d > 0 && n > 1 && gathered > 0 {
-                    Self::charge_transfer(
-                        &mut state.devices[d],
-                        gathered,
-                        TransferDirection::HostToDevice,
-                        &mut run,
-                        &mut interconnect_bytes,
-                    );
+                    run.transfer(&mut state.devices[d], gathered, TransferDirection::HostToDevice);
                 }
                 if rows_d > 0 {
                     let hash_buf = hash_bufs[d].ok_or_else(|| {
@@ -411,7 +546,7 @@ impl MultiGpuOlapEngine {
                             AccessPattern::Random { elem_bytes: HASH_ENTRY_BYTES as u32 },
                         )
                         .write(rows_d.div_ceil(8));
-                    Self::charge(&mut state.devices[d], &probe_desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+                    run.charge(&mut state.devices[d], &probe_desc)?;
                 }
             }
 
@@ -425,7 +560,7 @@ impl MultiGpuOlapEngine {
                     let desc = register_aggregate_desc(format!("aggregate.d{d}"), rows_d, plan, |attr| {
                         state.read_plan(probe, probe_table, d, attr)
                     })?;
-                    Self::charge(&mut state.devices[d], &desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+                    run.charge(&mut state.devices[d], &desc)?;
                     desc.write_bytes
                 } else {
                     let arena_bytes = chunks_d[d].max(1) * n_groups * group_entry_bytes;
@@ -450,27 +585,23 @@ impl MultiGpuOlapEngine {
                             AccessPattern::Random { elem_bytes: group_entry_bytes as u32 },
                         );
                     }
-                    Self::charge(&mut state.devices[d], &agg_desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+                    run.charge(&mut state.devices[d], &agg_desc)?;
 
                     let merge_desc = KernelDesc::new(format!("merge_groups.d{d}"), (chunks_d[d] * n_groups).max(1))
                         .flops_per_element(1.0 + plan.aggregates.len() as f64)
                         .read(arena_buf, arena_bytes, AccessPattern::Sequential)
                         .write(n_groups * group_entry_bytes);
-                    Self::charge(&mut state.devices[d], &merge_desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+                    run.charge(&mut state.devices[d], &merge_desc)?;
                     merge_desc.write_bytes
                 };
 
                 if probe.explicit_copy() {
-                    Self::charge_transfer(
-                        &mut state.devices[d],
-                        result_bytes,
-                        TransferDirection::DeviceToHost,
-                        &mut run,
-                        &mut interconnect_bytes,
-                    );
+                    run.transfer(&mut state.devices[d], result_bytes, TransferDirection::DeviceToHost);
                 }
             }
 
+            kernels.append(&mut run.kernels);
+            interconnect_bytes += run.interconnect_bytes;
             if run.time > critical.time {
                 critical = run;
             }
@@ -487,25 +618,26 @@ impl MultiGpuOlapEngine {
             kernels,
             interconnect_bytes,
             breakdown: critical.breakdown,
-            site: OlapTarget::MultiGpu,
+            site: self.target,
         })
     }
 }
 
-impl ExecutionSite for MultiGpuOlapEngine {
+impl ExecutionSite for GpuOlapEngine {
     fn target(&self) -> OlapTarget {
-        OlapTarget::MultiGpu
+        self.target
     }
 
     fn label(&self) -> &'static str {
-        "multi-gpu"
+        self.label
     }
 
-    /// Registers the columns of `table`, sharded chunk-wise across the
-    /// devices. Registration is all-or-nothing across the whole mix: if any
-    /// device rejects its shard (out of memory), everything registered so
-    /// far — on every device — is freed again, so an OOM fallback cannot
-    /// strand device memory until the next snapshot refresh.
+    /// Registers the columns of `table` according to the placement policy,
+    /// sharded chunk-wise across the devices. Registration is all-or-nothing
+    /// across the whole mix: if any device rejects a buffer (out of memory),
+    /// everything registered so far — on every device — is freed again.
+    /// Callers retry on every OOM fallback, so a partial registration must
+    /// not keep eating capacity until the next snapshot refresh.
     fn register_table(&self, table: &SnapshotTable, label: &str) -> Result<RegisteredTable> {
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
         let per_device = shard_rows(table.row_count(), self.device_count);
@@ -567,15 +699,22 @@ impl ExecutionSite for MultiGpuOlapEngine {
         self.devs.lock().free_tag(handle.tag());
     }
 
-    /// Executes a relational plan with the replicated-build multi-GPU join:
-    /// per-device selection over the probe shard, local hash build over the
-    /// build shard, an all-gather that replicates the hash table on every
+    /// Executes a relational plan kernel-at-a-time with the replicated-build
+    /// join: per-device selection over the probe shard, local hash build over
+    /// the build shard, an all-gather that replicates the hash table on every
     /// device (interconnect traffic for the remote fraction), per-device
-    /// random-access probes and aggregation, and a chunk-ordered merge. The
-    /// devices run concurrently, so the site charges the slowest one. The
-    /// group rows are byte-identical to the other sites because the real
-    /// answer comes from the shared [`operators`] pipeline over all chunks
-    /// in ascending order.
+    /// probes whose table lookups are data-dependent
+    /// [`AccessPattern::Random`] reads — the pattern whose coalescing penalty
+    /// separates plan placement from scan placement — aggregation, and a
+    /// chunk-ordered merge. The devices run concurrently, so the site charges
+    /// the slowest one. The hash replicas and partial-group arenas are
+    /// registered as scratch buffers under the site's data placement (the
+    /// Caldera prototype keeps "all input, intermediate, and output data" in
+    /// UVA), so under host placement every probe crosses the interconnect
+    /// while device-resident placement pays only the capped
+    /// device-transaction waste. The group rows are byte-identical to the CPU
+    /// site's because the real answer comes from the shared [`operators`]
+    /// pipeline over all chunks in ascending order.
     fn execute(
         &self,
         probe: RegisteredTable,
@@ -620,7 +759,7 @@ impl ExecutionSite for MultiGpuOlapEngine {
         let resident = self.resident_fraction();
         let state = self.devs.lock();
         SiteCapability::Gpu {
-            target: OlapTarget::MultiGpu,
+            target: self.target,
             devices: state
                 .devices
                 .iter()
@@ -636,21 +775,11 @@ impl ExecutionSite for MultiGpuOlapEngine {
                 .collect(),
         }
     }
-
-    fn set_plan_cache(&mut self, cache: PlanDataCache) {
-        self.cache = cache;
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.cache.set_tracer(tracer.clone());
-        self.tracer = tracer;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::GpuOlapEngine;
     use h2tap_common::{AggExpr, AttrType, PartitionId, PlanColumn, Predicate, ScanAggQuery, Schema, Value};
     use h2tap_gpu_sim::GpuSpec;
     use h2tap_storage::{Database, Layout};
@@ -718,7 +847,7 @@ mod tests {
         let h = single.register_table(&table, "t").unwrap();
         let reference = scan(&single, h, &table, &query).unwrap();
         for n in 1..=5 {
-            let multi = MultiGpuOlapEngine::new(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
+            let multi = GpuOlapEngine::sharded(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
             let mh = multi.register_table(&table, "t").unwrap();
             let out = scan(&multi, mh, &table, &query).unwrap();
             assert_eq!(out.value.to_bits(), reference.value.to_bits(), "{n} devices");
@@ -733,7 +862,7 @@ mod tests {
         let query = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 2]));
         let time = |n: usize| {
             let devices = (0..n).map(|_| GpuDevice::new(GpuSpec::gtx_980())).collect();
-            let eng = MultiGpuOlapEngine::new(devices, DataPlacement::DeviceResident).unwrap();
+            let eng = GpuOlapEngine::sharded(devices, DataPlacement::DeviceResident).unwrap();
             let h = eng.register_table(&table, "t").unwrap();
             scan(&eng, h, &table, &query).unwrap().time.as_secs_f64()
         };
@@ -747,7 +876,7 @@ mod tests {
         let table = snapshot_table(Layout::Dsm, 500_000);
         let query = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 2]));
         let time = |specs: Vec<GpuSpec>| {
-            let eng = MultiGpuOlapEngine::from_specs(specs, DataPlacement::DeviceResident).unwrap();
+            let eng = GpuOlapEngine::from_specs(specs, DataPlacement::DeviceResident).unwrap();
             let h = eng.register_table(&table, "t").unwrap();
             scan(&eng, h, &table, &query).unwrap().time.as_secs_f64()
         };
@@ -762,7 +891,7 @@ mod tests {
         let mut small = GpuSpec::gtx_980();
         small.mem_capacity_mib = 1; // second device cannot hold its shard
         let devices = vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(small)];
-        let eng = MultiGpuOlapEngine::new(devices, DataPlacement::DeviceResident).unwrap();
+        let eng = GpuOlapEngine::sharded(devices, DataPlacement::DeviceResident).unwrap();
         assert!(eng.register_table(&table, "t").is_err());
         for (d, used) in eng.device_used_bytes().iter().enumerate() {
             assert_eq!(*used, 0, "device {d} must not strand shard buffers");
@@ -774,7 +903,7 @@ mod tests {
         let mut small = GpuSpec::gtx_980();
         small.mem_capacity_mib = 64;
         let devices = vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(small)];
-        let eng = MultiGpuOlapEngine::new(devices, DataPlacement::DeviceResident).unwrap();
+        let eng = GpuOlapEngine::sharded(devices, DataPlacement::DeviceResident).unwrap();
         assert_eq!(ExecutionSite::free_device_bytes(&eng), Some(64 * 1024 * 1024));
         match ExecutionSite::capability(&eng) {
             SiteCapability::Gpu { target, devices } => {
@@ -818,7 +947,7 @@ mod tests {
         let bh = single.register_table(&build, "dim").unwrap();
         let reference = single.execute(ph, &probe, Some((bh, &build)), &plan).unwrap();
         for n in [2usize, 3, 5] {
-            let multi = MultiGpuOlapEngine::new(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
+            let multi = GpuOlapEngine::sharded(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
             let mph = multi.register_table(&probe, "fact").unwrap();
             let mbh = multi.register_table(&build, "dim").unwrap();
             let out = multi.execute(mph, &probe, Some((mbh, &build)), &plan).unwrap();
@@ -854,7 +983,7 @@ mod tests {
         let build = db.snapshot().table(t).unwrap().clone();
         let mut tiny = GpuSpec::gtx_980();
         tiny.mem_capacity_mib = 1;
-        let eng = MultiGpuOlapEngine::new(
+        let eng = GpuOlapEngine::sharded(
             vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(tiny)],
             DataPlacement::DeviceResident,
         )
@@ -874,7 +1003,7 @@ mod tests {
     #[test]
     fn plan_scratch_is_freed_on_every_device() {
         let probe = snapshot_table(Layout::Dsm, 150_000);
-        let eng = MultiGpuOlapEngine::new(
+        let eng = GpuOlapEngine::sharded(
             vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(GpuSpec::gtx_980())],
             DataPlacement::DeviceResident,
         )
@@ -897,13 +1026,13 @@ mod tests {
     #[test]
     fn empty_tables_are_rejected_like_every_other_site() {
         let table = snapshot_table(Layout::Dsm, 0);
-        let eng = MultiGpuOlapEngine::new(mix(2), DataPlacement::Host(AccessMode::Uva)).unwrap();
+        let eng = GpuOlapEngine::sharded(mix(2), DataPlacement::Host(AccessMode::Uva)).unwrap();
         let h = eng.register_table(&table, "t").unwrap();
         assert!(scan(&eng, h, &table, &bucket_query()).is_err());
     }
 
     #[test]
     fn a_site_needs_at_least_one_device() {
-        assert!(MultiGpuOlapEngine::new(Vec::new(), DataPlacement::DeviceResident).is_err());
+        assert!(GpuOlapEngine::sharded(Vec::new(), DataPlacement::DeviceResident).is_err());
     }
 }

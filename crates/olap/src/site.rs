@@ -6,10 +6,17 @@
 //! analytical query should be executed on CPU or GPU cores in the
 //! data-parallel archipelago." For that decision to be *real* the engine
 //! needs both targets behind one dispatchable interface: the GPU
-//! kernel-at-a-time executor ([`crate::GpuOlapEngine`]) and the CPU
-//! vectorised scan engine ([`crate::CpuOlapEngine`]) both implement
-//! [`ExecutionSite`], and the engine's one dispatch path picks between them
-//! per query with [`h2tap_scheduler::place_olap_query_sites`].
+//! kernel-at-a-time executor ([`crate::GpuOlapEngine`], over one device or a
+//! sharded mix) and the CPU vectorised scan engine
+//! ([`crate::CpuOlapEngine`]) are the two implementations of
+//! [`ExecutionSite`], and the engine's one dispatch path picks between the
+//! sites it was built with per query with
+//! [`h2tap_scheduler::place_olap_query_sites`].
+//!
+//! Sites are immutable once built: every trait method takes `&self`, and
+//! what an engine shares between its sites (the plan-data cache, the
+//! tracer) is handed over by a consuming `with_shared` step before the site
+//! is boxed.
 //!
 //! [`OlapPlan`] is the only IR a site sees: a
 //! [`h2tap_common::ScanAggQuery`] reaches it as the degenerate plan
@@ -23,7 +30,6 @@
 //! ([`ExecutionSite::resident_fraction`]), and how it reacts to core
 //! migration ([`ExecutionSite::set_cores`]).
 
-use crate::cache::PlanDataCache;
 use crate::engine::{PlanOutcome, RegisteredTable};
 use h2tap_common::{OlapPlan, Result};
 use h2tap_obs::{SpanEvent, SpanKind, Tracer};
@@ -101,21 +107,6 @@ pub trait ExecutionSite: Send + Sync {
     /// Capability hint: reacts to archipelago core migration. Sites that do
     /// not execute on CPU cores ignore it.
     fn set_cores(&self, _cores: u32) {}
-
-    /// Installs the shared snapshot-keyed plan-data cache. Every site built
-    /// into one engine receives the *same* cache, so materialised columns,
-    /// zonemap statistics and join hash tables derived by one site's
-    /// dispatch are reused by every other site for the same snapshot. Sites
-    /// default to a private cache, so standalone engines (tests, benches)
-    /// still amortise repeated queries.
-    fn set_plan_cache(&mut self, _cache: PlanDataCache) {}
-
-    /// Installs the engine's shared trace handle. Like the plan cache, every
-    /// site built into one engine receives the same [`Tracer`], so one
-    /// query's spans — whichever site ran it — land in one ring. Sites
-    /// default to ignoring it (a disabled tracer), so standalone engines pay
-    /// nothing.
-    fn set_tracer(&mut self, _tracer: Tracer) {}
 }
 
 /// Emits a site execution's kernel/merge spans: one span per launched kernel
@@ -123,8 +114,8 @@ pub trait ExecutionSite: Send + Sync {
 /// [`ExecBreakdown`], so per-query span sums are comparable with the
 /// query's breakdown), with the full breakdown attached to the *last* span.
 /// A site without per-kernel metrics (the CPU pipeline) gets one `Kernel`
-/// span covering its whole execution. Shared by all three sites so their
-/// traces cannot drift apart in shape.
+/// span covering its whole execution. Shared by both site implementations
+/// so their traces cannot drift apart in shape.
 pub(crate) fn emit_execution_spans(tracer: &Tracer, out: &PlanOutcome) {
     if !tracer.enabled() {
         return;
@@ -153,7 +144,8 @@ pub(crate) fn emit_execution_spans(tracer: &Tracer, out: &PlanOutcome) {
 mod tests {
     use super::*;
     use crate::cpu::CpuOlapEngine;
-    use crate::engine::{DataPlacement, GpuOlapEngine};
+    use crate::engine::DataPlacement;
+    use crate::multi_gpu::GpuOlapEngine;
     use h2tap_common::{AggExpr, AttrType, PartitionId, ScanAggQuery, Schema, Value};
     use h2tap_gpu_sim::{GpuDevice, GpuSpec};
     use h2tap_storage::{Database, Layout};
@@ -173,7 +165,7 @@ mod tests {
             Box::new(GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::DeviceResident)),
             Box::new(CpuOlapEngine::archipelago_default(4)),
             Box::new(
-                crate::multi_gpu::MultiGpuOlapEngine::new(
+                GpuOlapEngine::sharded(
                     vec![GpuDevice::new(GpuSpec::gtx_980_ti()), GpuDevice::new(GpuSpec::gtx_580())],
                     DataPlacement::DeviceResident,
                 )

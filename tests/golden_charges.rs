@@ -12,12 +12,15 @@
 //! `execute_plan` over the brand-revenue plan (NSM and DSM; PAX differs from
 //! DSM only by the 3% interleave factor the `q6` rows already pin). The two
 //! NSM/memcpy join rows are absent on purpose: that charge was wrong at the
-//! parent (see `nsm_memcpy_join_plans_copy_whole_records`).
+//! parent (see `nsm_memcpy_join_plans_copy_whole_records`). The interconnect
+//! bytes of the four `*/gpu/*/memcpy` rows were re-captured when the
+//! single-GPU site became the one-device mix: they now include the
+//! device→host result copy, which the multi-GPU rows always counted.
 
-use caldera::{Caldera, CalderaConfig, DataPlacement};
+use caldera::{Caldera, CalderaConfig, DataPlacement, OlapTarget};
 use h2tap_common::{AggExpr, OlapPlan, PlanColumn};
 use h2tap_gpu_sim::{table1_mix, AccessMode, GpuDevice, GpuSpec};
-use h2tap_olap::{CpuOlapEngine, ExecutionSite, GpuOlapEngine, MultiGpuOlapEngine, PlanOutcome};
+use h2tap_olap::{CpuOlapEngine, ExecutionSite, GpuOlapEngine, PlanOutcome};
 use h2tap_storage::{Layout, SnapshotTable};
 use h2tap_workloads::tpch::{self, q6};
 
@@ -34,7 +37,7 @@ const GOLDEN: &[(&str, u128, u64, u64, u64, u64)] = &[
     ("q6/gpu/nsm/um#2", 103046, 0, 0x3f129fd0fc6d8a83, 0x3e9cec860bd96344, 0x3f00c6f7a0b5ed8d),
     ("q6/multi/nsm/um", 483944, 14417920, 0x3f3d9e5cb31a854c, 0x3e859beafa00d9e8, 0x3f00c6f7a0b5ed8d),
     ("q6/multi/nsm/um#2", 54989, 0, 0x3ef81b100cf99ece, 0x3e859beafa00d9e8, 0x3f00c6f7a0b5ed8d),
-    ("q6/gpu/nsm/memcpy", 1534810, 14400000, 0x3f589f3df355a29e, 0x3e9cec860bd96344, 0x3f00c6f7a0b5ed8d),
+    ("q6/gpu/nsm/memcpy", 1534810, 14400008, 0x3f589f3df355a29e, 0x3e9cec860bd96344, 0x3f00c6f7a0b5ed8d),
     ("q6/multi/nsm/memcpy", 537596, 14400024, 0x3f40913f247a801b, 0x3e859beafa00d9e8, 0x3f00c6f7a0b5ed8d),
     ("q6/gpu/nsm/resident", 103046, 0, 0x3f129fd0fc6d8a83, 0x3e9cec860bd96344, 0x3f00c6f7a0b5ed8d),
     ("q6/multi/nsm/resident", 54989, 0, 0x3ef81b100cf99ece, 0x3e859beafa00d9e8, 0x3f00c6f7a0b5ed8d),
@@ -45,7 +48,7 @@ const GOLDEN: &[(&str, u128, u64, u64, u64, u64)] = &[
     ("q6/gpu/dsm/um#2", 64472, 0, 0x3f0106516c9dfcc4, 0x3e9cec860bd96344, 0x3f00c6f7a0b5ed8d),
     ("q6/multi/dsm/um", 243185, 5767168, 0x3f2bae315639479f, 0x3e859beafa00d9e8, 0x3f00c6f7a0b5ed8d),
     ("q6/multi/dsm/um#2", 40260, 0, 0x3ee1528dc174291d, 0x3e859beafa00d9e8, 0x3f00c6f7a0b5ed8d),
-    ("q6/gpu/dsm/memcpy", 633491, 5600000, 0x3f43b5ac164055a9, 0x3e9cec860bd96344, 0x3f00c6f7a0b5ed8d),
+    ("q6/gpu/dsm/memcpy", 633491, 5600008, 0x3f43b5ac164055a9, 0x3e9cec860bd96344, 0x3f00c6f7a0b5ed8d),
     ("q6/multi/dsm/memcpy", 240162, 5600024, 0x3f2b48c1f6ec164f, 0x3e859beafa00d9e8, 0x3f00c6f7a0b5ed8d),
     ("q6/gpu/dsm/resident", 64472, 0, 0x3f0106516c9dfcc4, 0x3e9cec860bd96344, 0x3f00c6f7a0b5ed8d),
     ("q6/multi/dsm/resident", 40260, 0, 0x3ee1528dc174291d, 0x3e859beafa00d9e8, 0x3f00c6f7a0b5ed8d),
@@ -56,7 +59,7 @@ const GOLDEN: &[(&str, u128, u64, u64, u64, u64)] = &[
     ("q6/gpu/pax/um#2", 65439, 0, 0x3f01881b4a91d22e, 0x3e9cec860bd96344, 0x3f00c6f7a0b5ed8d),
     ("q6/multi/pax/um", 243433, 5767168, 0x3f2bb683a3fdba70, 0x3e859beafa00d9e8, 0x3f00c6f7a0b5ed8d),
     ("q6/multi/pax/um#2", 40508, 0, 0x3ee1d7b29dbb561c, 0x3e859beafa00d9e8, 0x3f00c6f7a0b5ed8d),
-    ("q6/gpu/pax/memcpy", 634458, 5600000, 0x3f43bdc8b41f92fe, 0x3e9cec860bd96344, 0x3f00c6f7a0b5ed8d),
+    ("q6/gpu/pax/memcpy", 634458, 5600008, 0x3f43bdc8b41f92fe, 0x3e9cec860bd96344, 0x3f00c6f7a0b5ed8d),
     ("q6/multi/pax/memcpy", 240410, 5600024, 0x3f2b511444b0891f, 0x3e859beafa00d9e8, 0x3f00c6f7a0b5ed8d),
     ("q6/gpu/pax/resident", 65439, 0, 0x3f01881b4a91d22e, 0x3e9cec860bd96344, 0x3f00c6f7a0b5ed8d),
     ("q6/multi/pax/resident", 40508, 0, 0x3ee1d7b29dbb561c, 0x3e859beafa00d9e8, 0x3f00c6f7a0b5ed8d),
@@ -72,7 +75,7 @@ const GOLDEN: &[(&str, u128, u64, u64, u64, u64)] = &[
     ("join/multi/dsm/uva", 900327, 22226304, 0x3f4c740e089b1ded, 0x3e8a2c2623ab2ae6, 0x3f00c6f7a0b5ed8d),
     ("join/gpu/dsm/um", 750876, 6619136, 0x3f474b4295f41507, 0x3ea1fc347708a8a4, 0x3f04f8b588e368f0),
     ("join/multi/dsm/um", 339282, 8045568, 0x3f34235624019a93, 0x3e8a2c2623ab2ae6, 0x3f00c6f7a0b5ed8d),
-    ("join/gpu/dsm/memcpy", 683649, 5920000, 0x3f451751b3da6b24, 0x3ea1fc347708a8a4, 0x3f04f8b588e368f0),
+    ("join/gpu/dsm/memcpy", 683649, 5920800, 0x3f451751b3da6b24, 0x3ea1fc347708a8a4, 0x3f04f8b588e368f0),
     ("join/multi/dsm/memcpy", 281425, 6562400, 0x3f3058a837c20e2d, 0x3e8a2c2623ab2ae6, 0x3f00c6f7a0b5ed8d),
     ("join/gpu/dsm/resident", 73180, 0, 0x3f0165581e7a1397, 0x3ea1fc347708a8a4, 0x3f04f8b588e368f0),
     ("join/multi/dsm/resident", 81445, 640000, 0x3f09ec65437baac6, 0x3e8a2c2623ab2ae6, 0x3f00c6f7a0b5ed8d),
@@ -92,6 +95,11 @@ fn matches_golden(label: &str, out: &PlanOutcome) -> bool {
     );
     assert_eq!(got, (want.1, want.2, want.3, want.4, want.5), "{label}: charge drifted from the parent's");
     true
+}
+
+/// The launched kernels' names without their `.d<device>` suffix.
+fn kernel_names(out: &PlanOutcome) -> Vec<&str> {
+    out.kernels.iter().map(|k| k.name.split('.').next().unwrap_or("")).collect()
 }
 
 fn snapshot_of(load: impl FnOnce(&mut caldera::CalderaBuilder) -> h2tap_common::TableId) -> SnapshotTable {
@@ -116,7 +124,7 @@ const PLACEMENTS: [(&str, DataPlacement); 4] = [
 fn gpu_family(placement: DataPlacement) -> [(&'static str, Box<dyn ExecutionSite>); 2] {
     [
         ("gpu", Box::new(GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), placement))),
-        ("multi", Box::new(MultiGpuOlapEngine::from_specs(table1_mix(3), placement).unwrap())),
+        ("multi", Box::new(GpuOlapEngine::from_specs(table1_mix(3), placement).unwrap())),
     ]
 }
 
@@ -144,9 +152,9 @@ fn scan_shaped_plans_are_charged_exactly_what_the_scan_path_charged() {
                 let out = site.execute(handle, &table, None, &plan).unwrap();
                 checked += usize::from(matches_golden(&label, &out));
                 // One selection per Q6 predicate plus the register-reducing
-                // aggregate (suffixed `.d<n>` per device on the multi-GPU
-                // site; the CPU site launches no kernels).
-                let names: Vec<&str> = out.kernels.iter().map(|k| k.name.split('.').next().unwrap_or("")).collect();
+                // aggregate (suffixed `.d<n>` per device on the GPU-family
+                // sites; the CPU site launches no kernels).
+                let names = kernel_names(&out);
                 let devices = names.len() / 4;
                 assert_eq!(names, ["select_0", "select_1", "select_2", "aggregate"].repeat(devices), "{label}");
                 assert_eq!(devices, if name.starts_with("multi/") { 3 } else { usize::from(name.starts_with("gpu/")) });
@@ -169,7 +177,7 @@ fn joined_grouped_plans_keep_the_plan_paths_charge() {
             let out = site.execute(ph, &probe, Some((bh, &build)), &plan).unwrap();
             checked += usize::from(matches_golden(&format!("join/{name}"), &out));
             if name.starts_with("gpu/") {
-                let names: Vec<&str> = out.kernels.iter().map(|k| k.name.as_str()).collect();
+                let names = kernel_names(&out);
                 assert_eq!(names, ["select_0", "hash_build", "hash_probe", "partial_aggregate", "merge_groups"]);
             }
             assert_eq!((out.qualifying_rows, out.groups.len()), (1_703, 25), "join/{name}");
@@ -199,16 +207,17 @@ fn nsm_memcpy_join_plans_copy_whole_records() {
             let ph = site.register_table(&probe, "lineitem").unwrap();
             let bh = site.register_table(&build, "part").unwrap();
             let out = site.execute(ph, &probe, Some((bh, &build)), &plan).unwrap();
-            // Host-to-device copies are the only interconnect traffic of the
-            // single-GPU site under memcpy; the multi-GPU site adds its hash
-            // all-gather and result copies on top.
+            // Host-to-device copies and the result's copy back are the only
+            // interconnect traffic of one device under memcpy; a mix adds
+            // its hash all-gather and one result copy per device.
+            let result = out.groups.len() as u64 * (2 + plan.aggregates.len() as u64) * 8;
             match (layout, sname) {
                 (Layout::Nsm, _) => assert!(
                     out.interconnect_bytes >= records,
                     "{sname}/{lname}: {} < {records} record bytes",
                     out.interconnect_bytes
                 ),
-                (_, "gpu") => assert_eq!(out.interconnect_bytes, columns, "{sname}/{lname}: columnar copy"),
+                (_, "gpu") => assert_eq!(out.interconnect_bytes, columns + result, "{sname}/{lname}: columnar copy"),
                 _ => assert!(out.interconnect_bytes >= columns && out.interconnect_bytes < records, "{sname}/{lname}"),
             }
         }
@@ -224,14 +233,46 @@ fn the_aggregation_charge_follows_the_plan_shape() {
     let site = GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::DeviceResident);
     let handle = site.register_table(&table, "lineitem").unwrap();
     let before = site.device_used_bytes();
-    let kernel_names = |plan: &OlapPlan| -> Vec<String> {
+    let run = |plan: &OlapPlan| -> PlanOutcome {
         let out = site.execute(handle, &table, None, plan).unwrap();
         assert_eq!(site.device_used_bytes(), before, "scratch is freed");
-        out.kernels.into_iter().map(|k| k.name).collect()
+        out
     };
     let scan = OlapPlan::scan(&q6());
     let two_aggregates = OlapPlan { aggregates: vec![scan.aggregates[0].clone(), AggExpr::Count], ..scan.clone() };
-    assert_eq!(kernel_names(&two_aggregates), ["select_0", "select_1", "select_2", "aggregate"]);
+    assert_eq!(kernel_names(&run(&two_aggregates)), ["select_0", "select_1", "select_2", "aggregate"]);
     let grouped = OlapPlan { group_by: Some(PlanColumn::Probe(tpch::columns::LINENUMBER)), ..scan.clone() };
-    assert_eq!(kernel_names(&grouped), ["select_0", "select_1", "select_2", "partial_aggregate", "merge_groups"]);
+    let names = ["select_0", "select_1", "select_2", "partial_aggregate", "merge_groups"];
+    assert_eq!(kernel_names(&run(&grouped)), names);
+}
+
+/// One device is the degenerate shard: the single-GPU site and a one-device
+/// mix are the same code over the same device list, so every charge agrees
+/// to the bit and only the target they answer for differs.
+#[test]
+fn one_device_is_the_degenerate_shard() {
+    let (q6_plan, join_plan) = (OlapPlan::scan(&q6()), tpch::brand_revenue_plan(30));
+    for (lname, layout) in LAYOUTS {
+        let (probe, build) = (lineitem(layout), part(layout));
+        let charges = |site: GpuOlapEngine, target: OlapTarget| {
+            let ph = site.register_table(&probe, "lineitem").unwrap();
+            let bh = site.register_table(&build, "part").unwrap();
+            let scan = site.execute(ph, &probe, None, &q6_plan).unwrap();
+            let join = site.execute(ph, &probe, Some((bh, &build)), &join_plan).unwrap();
+            [scan, join].map(|out| {
+                assert_eq!(out.site, target);
+                let b = out.breakdown;
+                let bits = [b.stream_secs, b.compute_secs, b.overhead_secs].map(f64::to_bits);
+                (out.time, out.interconnect_bytes, bits, out.kernels, out.groups)
+            })
+        };
+        for (pname, placement) in PLACEMENTS {
+            let device = || GpuDevice::new(GpuSpec::gtx_980());
+            assert_eq!(
+                charges(GpuOlapEngine::new(device(), placement), OlapTarget::Gpu),
+                charges(GpuOlapEngine::sharded(vec![device()], placement).unwrap(), OlapTarget::MultiGpu),
+                "{lname}/{pname}"
+            );
+        }
+    }
 }

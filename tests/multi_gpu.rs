@@ -12,7 +12,7 @@
 use caldera::{Caldera, CalderaConfig, DataPlacement, OlapMultiGpuConfig, OlapTarget, SnapshotPolicy};
 use h2tap_common::{AggExpr, AttrType, OlapPlan, PartitionId, Predicate, ScanAggQuery, Schema, Value, PLAN_CHUNK_ROWS};
 use h2tap_gpu_sim::{table1_mix, AccessMode, GpuDevice, GpuSpec};
-use h2tap_olap::{CpuOlapEngine, ExecutionSite, GpuOlapEngine, MultiGpuOlapEngine};
+use h2tap_olap::{CpuOlapEngine, ExecutionSite, GpuOlapEngine};
 use h2tap_storage::{Database, Layout, SnapshotTable};
 use h2tap_workloads::tpch::{self, q6};
 
@@ -40,8 +40,8 @@ fn bucket_query() -> ScanAggQuery {
     ScanAggQuery { predicates: vec![Predicate::between(1, 0.0, 6.0)], aggregate: AggExpr::SumProduct(1, 2) }
 }
 
-fn multi_engine(n: usize, placement: DataPlacement) -> MultiGpuOlapEngine {
-    MultiGpuOlapEngine::from_specs(table1_mix(n), placement).unwrap()
+fn multi_engine(n: usize, placement: DataPlacement) -> GpuOlapEngine {
+    GpuOlapEngine::from_specs(table1_mix(n), placement).unwrap()
 }
 
 /// One scan answer (value bits, qualifying rows) from any site, or `None`
@@ -271,6 +271,6 @@ fn multi_gpu_oom_falls_back_to_the_cpu_site() {
 fn multi_gpu_free_bytes_is_the_min_across_the_mix() {
     let mut small = GpuSpec::gtx_980();
     small.mem_capacity_mib = 32;
-    let eng = MultiGpuOlapEngine::from_specs(vec![GpuSpec::gtx_980(), small], DataPlacement::DeviceResident).unwrap();
+    let eng = GpuOlapEngine::from_specs(vec![GpuSpec::gtx_980(), small], DataPlacement::DeviceResident).unwrap();
     assert_eq!(ExecutionSite::free_device_bytes(&eng), Some(32 * 1024 * 1024));
 }
