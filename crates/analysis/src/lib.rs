@@ -1,31 +1,34 @@
-//! `h2tap-analysis` — the workspace lint engine.
+//! `h2tap-analysis` — the checks clippy cannot make.
 //!
-//! A self-contained static-analysis pass over the workspace's Rust sources
-//! (hand-rolled token scanner; the offline vendor tree has no `syn`) with
-//! six lint families, run as a CI gate ahead of the concurrent-execution
-//! refactor:
+//! Panic paths and discarded `#[must_use]` results in the serving crates
+//! are clippy's (`unwrap_used`, `expect_used`, `panic`, `todo`,
+//! `let_underscore_must_use`, excused only by a reasoned `#[expect]`).
+//! This crate is a token scanner (the offline vendor tree has no `syn`) for
+//! the four families clippy has no lint for, run as a CI gate:
 //!
 //! 1. **lock-order audit** — every `.lock()`/`.read()`/`.write()`
 //!    acquisition site per function; nested acquisitions (depth > 1) and
-//!    cycles in the nested-acquisition graph are potential deadlocks.
+//!    cycles in the workspace-wide nested-acquisition graph are potential
+//!    deadlocks.
 //! 2. **determinism lint** — `HashMap`/`HashSet` iteration in
-//!    result-producing crates and f64-reassociating folds outside the
-//!    blessed kernel modules, protecting the byte-identity contract.
-//! 3. **panic-path lint** — `unwrap`/`expect`/`panic!`/`todo!` in non-test
-//!    code of `engine`/`olap`/`scheduler`/`storage`.
-//! 4. **error-swallow lint** — `let _ = <fallible call>;` and `.ok()` in
-//!    non-test code of the same crates: a silently dropped `Result` is a
-//!    fault the resilience ladder never sees.
-//! 5. **timed-poll lint** — `recv_timeout`/`sleep`/`park_timeout`/
+//!    result-producing crates (method chains too, which
+//!    `clippy::iter_over_hash_type` misses) and f64-reassociating folds
+//!    outside the blessed kernel modules, protecting the byte-identity
+//!    contract.
+//! 3. **error-swallow lint** — `.ok()` in non-test code of
+//!    `engine`/`olap`/`scheduler`/`storage`: a `Result` whose error branch
+//!    is erased is a fault the resilience ladder never sees.
+//! 4. **timed-poll lint** — `recv_timeout`/`sleep`/`park_timeout`/
 //!    `wait_timeout` with a sub-millisecond `from_micros`/`from_nanos`
 //!    literal in non-test code of any crate: a wait that short is a poll.
-//! 6. **concurrency-readiness inventory** — `&mut self` methods on
-//!    `ExecutionSite` impls and interior-mutability fields: the worklist
-//!    the `&self`-concurrent refactor will consume (informational).
+//!    Judging the argument's value is what clippy's `disallowed-methods`
+//!    cannot do.
 //!
 //! Escape hatch: `// h2tap: allow(<lint>) — <reason>` on the finding's
 //! line or the line above. Reasonless or misspelt allows are themselves
-//! findings and never suppress anything.
+//! findings and never suppress anything. The size scoreboard counts these
+//! comments and `#[expect]` attributes together as the workspace's
+//! suppressions.
 
 #![forbid(unsafe_code)]
 
@@ -38,7 +41,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use lints::{InteriorField, LockCycle, LockEdge, MutSelfMethod};
+use lints::{LockCycle, LockEdge};
 use model::SourceFile;
 
 /// The lint families that produce findings.
@@ -46,8 +49,7 @@ use model::SourceFile;
 pub enum Lint {
     LockOrder,
     Determinism,
-    Panic,
-    /// Silently discarded fallible results (`let _ = …;`, `.ok()`).
+    /// Error branches erased by `.ok()`.
     ErrorSwallow,
     /// Waits too short to be anything but a poll.
     TimedPoll,
@@ -60,15 +62,14 @@ impl Lint {
         match self {
             Lint::LockOrder => "lock_order",
             Lint::Determinism => "determinism",
-            Lint::Panic => "panic",
             Lint::ErrorSwallow => "error_swallow",
             Lint::TimedPoll => "timed_poll",
             Lint::AllowSyntax => "allow_syntax",
         }
     }
 
-    pub const ALL: [Lint; 6] =
-        [Lint::LockOrder, Lint::Determinism, Lint::Panic, Lint::ErrorSwallow, Lint::TimedPoll, Lint::AllowSyntax];
+    pub const ALL: [Lint; 5] =
+        [Lint::LockOrder, Lint::Determinism, Lint::ErrorSwallow, Lint::TimedPoll, Lint::AllowSyntax];
 }
 
 /// One lint finding at a source location. `allow_reason` carries the text
@@ -90,13 +91,6 @@ impl Finding {
     }
 }
 
-/// The concurrency-readiness worklist (informational, never denied).
-#[derive(Debug, Default)]
-pub struct Inventory {
-    pub mut_self_methods: Vec<MutSelfMethod>,
-    pub interior_fields: Vec<InteriorField>,
-}
-
 /// Non-test code size of one crate (the umbrella package is `caldera-repro`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrateSize {
@@ -115,8 +109,9 @@ pub struct Size {
     pub crates: Vec<CrateSize>,
     /// Fields of `CalderaConfig`: the engine's independently settable knobs.
     pub config_fields: usize,
-    /// Well-formed `h2tap: allow(..)` annotations.
-    pub allows: usize,
+    /// Well-formed `h2tap: allow(..)` comments plus `#[expect(..)]` lint
+    /// attributes outside test code: every suppression the code carries.
+    pub suppressions: usize,
 }
 
 /// Full analysis output over one root.
@@ -127,7 +122,6 @@ pub struct Analysis {
     pub findings: Vec<Finding>,
     pub lock_edges: Vec<LockEdge>,
     pub lock_cycles: Vec<LockCycle>,
-    pub inventory: Inventory,
     pub size: Size,
 }
 
@@ -144,12 +138,8 @@ impl Analysis {
     }
 }
 
-/// Crates whose non-test code the panic-path lint covers.
-const PANIC_CRATES: &[&str] = &["engine", "olap", "scheduler", "storage"];
-
 /// Crates whose non-test code the error-swallow lint covers: the serving
-/// path, where a silently dropped `Result` is a fault the resilience
-/// ladder never sees.
+/// path, where an erased error is a fault the resilience ladder never sees.
 const SWALLOW_CRATES: &[&str] = &["engine", "olap", "scheduler", "storage"];
 
 /// Result-producing crates the determinism lint covers.
@@ -189,7 +179,6 @@ pub fn analyze(root: &Path) -> io::Result<Analysis> {
         findings: Vec::new(),
         lock_edges: Vec::new(),
         lock_cycles: Vec::new(),
-        inventory: Inventory::default(),
         size: Size::default(),
     };
     for (abs, rel, crate_name) in files {
@@ -203,13 +192,9 @@ pub fn analyze(root: &Path) -> io::Result<Analysis> {
             let blessed = BLESSED_FOLD_MODULES.contains(&rel.as_str());
             analysis.findings.extend(lints::determinism(&file, blessed));
         }
-        if fixture || PANIC_CRATES.contains(&crate_name.as_str()) {
-            analysis.findings.extend(lints::panic_paths(&file));
-        }
         if fixture || SWALLOW_CRATES.contains(&crate_name.as_str()) {
             analysis.findings.extend(lints::error_swallows(&file));
         }
-        lints::inventory(&file, &mut analysis.inventory.mut_self_methods, &mut analysis.inventory.interior_fields);
         let size = &mut analysis.size;
         if size.crates.last().is_none_or(|c| c.name != crate_name) {
             size.crates.push(CrateSize { name: crate_name.clone(), ..CrateSize::default() });
@@ -219,7 +204,7 @@ pub fn analyze(root: &Path) -> io::Result<Analysis> {
             krate.pub_fns += file.pub_fns();
         }
         size.config_fields += file.struct_fields("CalderaConfig");
-        size.allows += file.lexed.allows.values().map(Vec::len).sum::<usize>();
+        size.suppressions += file.lexed.allows.values().map(Vec::len).sum::<usize>() + file.lint_expects();
         for (line, msg) in &file.lexed.malformed_allows {
             analysis.findings.push(Finding {
                 lint: Lint::AllowSyntax,

@@ -1,9 +1,8 @@
-//! The lint passes: lock-order audit, determinism lint, panic-path lint,
-//! error-swallow lint, timed-poll lint, and the concurrency-readiness
-//! inventory.
+//! The lint passes: lock-order audit, determinism lint, error-swallow
+//! (`.ok()`) lint and timed-poll lint.
 
 use crate::lexer::{TokKind, Token};
-use crate::model::{matching_brace, SourceFile};
+use crate::model::SourceFile;
 use crate::{Finding, Lint};
 
 /// Lock-acquisition methods. All of them take **no arguments**, which is
@@ -414,113 +413,21 @@ fn finding(file: &SourceFile, lint: Lint, idx: usize, message: String) -> Findin
     }
 }
 
-/// Panic-path lint: `.unwrap()`, `.expect(..)`, `panic!`, `todo!` in
-/// non-test code. (`unwrap_or*` are distinct idents and never match.)
-pub fn panic_paths(file: &SourceFile) -> Vec<Finding> {
-    let toks = file.tokens();
-    let mut findings = Vec::new();
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if file.in_test_code(t.line) {
-            continue;
-        }
-        let what = if t.is_punct('.')
-            && toks.get(i + 1).is_some_and(|m| m.is_ident("unwrap"))
-            && toks.get(i + 2).is_some_and(|p| p.is_punct('('))
-            && toks.get(i + 3).is_some_and(|p| p.is_punct(')'))
-        {
-            Some(".unwrap()")
-        } else if t.is_punct('.')
-            && toks.get(i + 1).is_some_and(|m| m.is_ident("expect"))
-            && toks.get(i + 2).is_some_and(|p| p.is_punct('('))
-        {
-            Some(".expect(..)")
-        } else if t.ident().is_some_and(|id| id == "panic" || id == "todo")
-            && toks.get(i + 1).is_some_and(|p| p.is_punct('!'))
-        {
-            if t.is_ident("panic") {
-                Some("panic!")
-            } else {
-                Some("todo!")
-            }
-        } else {
-            None
-        };
-        let Some(what) = what else {
-            continue;
-        };
-        let message = format!("`{what}` in non-test code; return Result/H2Error or annotate the invariant");
-        findings.push(finding(file, Lint::Panic, i, message));
-    }
-    findings
-}
-
-/// Error-swallow lint: fallible results silently discarded in non-test
-/// code. Two shapes, both token-level:
-///
-/// * `let _ = <expr>;` where the expression contains at least one call —
-///   the classic way to drop a `Result` on the floor (a plain value
-///   discard like `let _ = report;` has no call and is not flagged);
-/// * `.ok()` (empty argument list) — converts a `Result` to `Option` with
-///   the error branch erased, whether chained or statement-discarded.
+/// Error-swallow lint: `.ok()` with an empty argument list in non-test
+/// code — it turns a `Result` into an `Option` with the error branch
+/// erased, whether chained or statement-discarded. (`ok_or*` and other
+/// idents are distinct tokens and never match.) Clippy has no lint for
+/// this shape; `let _ = <call>;` is `clippy::let_underscore_must_use`'s.
 pub fn error_swallows(file: &SourceFile) -> Vec<Finding> {
-    let toks = file.tokens();
-    let mut findings = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        let t = &toks[i];
-        if file.in_test_code(t.line) {
-            i += 1;
-            continue;
-        }
-        // `let _ = <expr with a call>;` — scan the statement at depth 0 for
-        // a `(` opening a call or macro invocation.
-        if t.is_ident("let")
-            && toks.get(i + 1).is_some_and(|u| u.is_ident("_"))
-            && toks.get(i + 2).is_some_and(|e| e.is_punct('='))
-        {
-            let mut j = i + 3;
-            let mut depth = 0i64;
-            let mut has_call = false;
-            while j < toks.len() {
-                let u = &toks[j];
-                if u.is_punct('(') || u.is_punct('[') || u.is_punct('{') {
-                    if u.is_punct('(')
-                        && j > 0
-                        && (toks[j - 1].ident().is_some() || toks[j - 1].is_punct('!') || toks[j - 1].is_punct('?'))
-                    {
-                        has_call = true;
-                    }
-                    depth += 1;
-                } else if u.is_punct(')') || u.is_punct(']') || u.is_punct('}') {
-                    depth -= 1;
-                } else if u.is_punct(';') && depth == 0 {
-                    break;
-                }
-                j += 1;
-            }
-            if has_call {
-                let message = "`let _ = <call>;` discards a fallible result; handle the error or annotate why \
-                               dropping it is safe";
-                findings.push(finding(file, Lint::ErrorSwallow, i, message.to_string()));
-            }
-            i = j;
-            continue;
-        }
-        // `.ok()` with an empty argument list. (`ok_or*` and other idents
-        // are distinct tokens and never match.)
-        if t.is_punct('.')
-            && toks.get(i + 1).is_some_and(|m| m.is_ident("ok"))
-            && toks.get(i + 2).is_some_and(|p| p.is_punct('('))
-            && toks.get(i + 3).is_some_and(|p| p.is_punct(')'))
-        {
-            let message = "`.ok()` erases the error branch of a Result; surface the error or annotate why \
-                           discarding it is safe";
-            findings.push(finding(file, Lint::ErrorSwallow, i, message.to_string()));
-        }
-        i += 1;
-    }
-    findings
+    let message =
+        "`.ok()` erases the error branch of a Result; surface the error or annotate why discarding it is safe";
+    file.tokens()
+        .windows(4)
+        .enumerate()
+        .filter(|(_, w)| w[0].is_punct('.') && w[1].is_ident("ok") && w[2].is_punct('(') && w[3].is_punct(')'))
+        .filter(|(_, w)| !file.in_test_code(w[0].line))
+        .map(|(i, _)| finding(file, Lint::ErrorSwallow, i, message.to_string()))
+        .collect()
 }
 
 /// Waits that a short timeout turns into a poll.
@@ -564,160 +471,6 @@ pub fn timed_polls(file: &SourceFile) -> Vec<Finding> {
         findings.push(finding(file, Lint::TimedPoll, i, message));
     }
     findings
-}
-
-/// One `&mut self` method on an `ExecutionSite` impl (or the trait itself).
-#[derive(Debug, Clone)]
-pub struct MutSelfMethod {
-    pub impl_type: String,
-    pub method: String,
-    pub file: String,
-    pub line: u32,
-}
-
-/// One interior-mutability field of a struct.
-#[derive(Debug, Clone)]
-pub struct InteriorField {
-    pub struct_name: String,
-    pub field: String,
-    pub kind: String,
-    pub file: String,
-    pub line: u32,
-}
-
-const INTERIOR_TYPES: &[&str] = &[
-    "Mutex",
-    "RwLock",
-    "RefCell",
-    "Cell",
-    "UnsafeCell",
-    "OnceCell",
-    "OnceLock",
-    "AtomicBool",
-    "AtomicU8",
-    "AtomicU16",
-    "AtomicU32",
-    "AtomicU64",
-    "AtomicUsize",
-    "AtomicI8",
-    "AtomicI16",
-    "AtomicI32",
-    "AtomicI64",
-    "AtomicIsize",
-];
-
-/// Concurrency-readiness inventory: the worklist the `&self`-concurrent
-/// `ExecutionSite` refactor will consume. Informational — never denied.
-pub fn inventory(file: &SourceFile, methods: &mut Vec<MutSelfMethod>, fields: &mut Vec<InteriorField>) {
-    let toks = file.tokens();
-    // `impl ExecutionSite for Type { .. }` and `trait ExecutionSite { .. }`.
-    for i in 0..toks.len() {
-        let impl_type = if toks[i].is_ident("impl")
-            && toks.get(i + 1).is_some_and(|t| t.is_ident("ExecutionSite"))
-            && toks.get(i + 2).is_some_and(|t| t.is_ident("for"))
-        {
-            toks.get(i + 3).and_then(|t| t.ident()).map(str::to_string)
-        } else if toks[i].is_ident("trait") && toks.get(i + 1).is_some_and(|t| t.is_ident("ExecutionSite")) {
-            Some("(trait)".to_string())
-        } else {
-            None
-        };
-        let Some(impl_type) = impl_type else {
-            continue;
-        };
-        let Some(open) = (i..toks.len()).find(|&j| toks[j].is_punct('{')) else {
-            continue;
-        };
-        let close = matching_brace(toks, open);
-        for f in &file.functions {
-            if f.sig.0 <= open || f.sig.1 > close {
-                continue;
-            }
-            let sig = &toks[f.sig.0..f.sig.1.min(toks.len())];
-            let mut_self = sig.windows(3).any(|w| {
-                w[0].is_punct('&') && w[1].is_ident("mut") && w[2].is_ident("self")
-                    || w[0].is_ident("mut") && w[1].is_ident("self") && w[2].is_punct(',')
-            });
-            if mut_self && !file.in_test_code(f.line) {
-                methods.push(MutSelfMethod {
-                    impl_type: impl_type.clone(),
-                    method: f.name.clone(),
-                    file: file.rel_path.clone(),
-                    line: f.line,
-                });
-            }
-        }
-    }
-    // Named-field struct declarations with interior-mutability field types.
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if !toks[i].is_ident("struct") {
-            i += 1;
-            continue;
-        }
-        let Some(struct_name) = toks[i + 1].ident().map(str::to_string) else {
-            i += 1;
-            continue;
-        };
-        if file.in_test_code(toks[i].line) {
-            i += 1;
-            continue;
-        }
-        // Find the field block `{` (skip `;` unit and `(..)` tuple structs).
-        let mut j = i + 2;
-        let mut open = None;
-        while j < toks.len() {
-            if toks[j].is_punct('{') {
-                open = Some(j);
-                break;
-            }
-            if toks[j].is_punct(';') || toks[j].is_punct('(') {
-                break;
-            }
-            j += 1;
-        }
-        let Some(open) = open else {
-            i = j;
-            continue;
-        };
-        let close = matching_brace(toks, open);
-        // Walk depth-1 fields: `name : <type tokens>` separated by commas.
-        let mut k = open + 1;
-        let mut depth = 0i64;
-        let mut field: Option<(String, u32)> = None;
-        let mut kind: Option<String> = None;
-        while k < close {
-            let t = &toks[k];
-            if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-                depth += 1;
-            } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') || t.is_punct('>') {
-                depth -= 1;
-            } else if depth == 0 && t.is_punct(':') && field.is_none() {
-                if let Some(name) = toks.get(k - 1).and_then(|p| p.ident()) {
-                    field = Some((name.to_string(), toks[k - 1].line));
-                }
-            } else if depth == 0 && t.is_punct(',') {
-                if let (Some((name, line)), Some(kd)) = (field.take(), kind.take()) {
-                    fields.push(InteriorField {
-                        struct_name: struct_name.clone(),
-                        field: name,
-                        kind: kd,
-                        file: file.rel_path.clone(),
-                        line,
-                    });
-                }
-                field = None;
-                kind = None;
-            } else if field.is_some() && kind.is_none() && t.ident().is_some_and(|id| INTERIOR_TYPES.contains(&id)) {
-                kind = t.ident().map(str::to_string);
-            }
-            k += 1;
-        }
-        if let (Some((name, line)), Some(kd)) = (field, kind) {
-            fields.push(InteriorField { struct_name, field: name, kind: kd, file: file.rel_path.clone(), line });
-        }
-        i = close + 1;
-    }
 }
 
 #[cfg(test)]
@@ -801,37 +554,20 @@ mod tests {
     }
 
     #[test]
-    fn panic_paths_found_outside_tests_only() {
-        let f = file(
-            "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n#[cfg(test)]\nmod tests {\n    fn g() { None::<u32>.unwrap(); panic!(\"boom\"); }\n}\n",
-        );
-        let findings = panic_paths(&f);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].line, 2);
-    }
-
-    #[test]
-    fn unwrap_or_never_matches() {
-        let f = file("fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) + x.unwrap_or_default() }\n");
-        assert!(panic_paths(&f).is_empty());
-    }
-
-    #[test]
     fn allow_with_reason_suppresses_nothing_but_marks_finding() {
-        let f = file("fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // h2tap: allow(panic) — checked by caller\n}\n");
-        let findings = panic_paths(&f);
+        let f = file("fn f(v: &[f64]) -> f64 {\n    v.iter().sum::<f64>() // h2tap: allow(determinism) — order pinned by caller\n}\n");
+        let findings = determinism(&f, false);
         assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].allow_reason.as_deref(), Some("checked by caller"));
+        assert_eq!(findings[0].allow_reason.as_deref(), Some("order pinned by caller"));
     }
 
     #[test]
-    fn discarded_call_results_and_ok_are_flagged() {
+    fn discarded_ok_is_flagged_and_let_underscore_is_left_to_clippy() {
         let f =
             file("fn f(&self) {\n    let _ = self.device.free(id);\n    self.flush().ok();\n    let _ = report;\n}\n");
         let findings = error_swallows(&f);
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings[0].message.contains("let _"));
-        assert!(findings[1].message.contains(".ok()"));
+        assert_eq!(findings.iter().map(|f| f.line).collect::<Vec<_>>(), vec![3], "{findings:?}");
+        assert!(findings[0].message.contains(".ok()"));
     }
 
     #[test]
@@ -845,7 +581,7 @@ mod tests {
     #[test]
     fn swallow_allow_marks_but_still_reports() {
         let f = file(
-            "fn f(&self) {\n    // h2tap: allow(error_swallow) — best-effort free on the teardown path\n    let _ = self.device.free(id);\n}\n#[cfg(test)]\nmod tests {\n    fn t() { let _ = helper(); go().ok(); }\n}\n",
+            "fn f(&self) {\n    // h2tap: allow(error_swallow) — best-effort free on the teardown path\n    self.device.free(id).ok();\n}\n#[cfg(test)]\nmod tests {\n    fn t() { go().ok(); }\n}\n",
         );
         let findings = error_swallows(&f);
         assert_eq!(findings.len(), 1, "test code must be exempt: {findings:?}");
@@ -861,19 +597,5 @@ mod tests {
         assert_eq!(findings.iter().map(|f| f.line).collect::<Vec<_>>(), vec![2, 3, 5], "{findings:?}");
         assert!(findings[0].message.contains("recv_timeout(from_micros(200))"));
         assert_eq!(findings.iter().filter(|f| f.is_allowed()).count(), 1);
-    }
-
-    #[test]
-    fn inventory_collects_mut_self_and_interior_fields() {
-        let f = file(
-            "struct Eng { state: Mutex<u32>, n: u64 }\nimpl ExecutionSite for Eng {\n    fn register_table(&mut self, t: &T) {}\n    fn label(&self) -> &str { \"e\" }\n}\n",
-        );
-        let mut methods = Vec::new();
-        let mut fields = Vec::new();
-        inventory(&f, &mut methods, &mut fields);
-        assert_eq!(methods.len(), 1);
-        assert_eq!(methods[0].method, "register_table");
-        assert_eq!(fields.len(), 1);
-        assert_eq!(fields[0].kind, "Mutex");
     }
 }

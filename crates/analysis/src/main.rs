@@ -10,8 +10,7 @@
 //! reasoned `// h2tap: allow(<lint>) — <reason>` annotation.
 
 #![forbid(unsafe_code)]
-// This is the CLI surface of the linter: stdout is its interface.
-#![allow(clippy::print_stdout)]
+#![expect(clippy::print_stdout, reason = "this is the CLI surface of the linter: stdout is its interface")]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -73,6 +73,15 @@ impl SourceFile {
             .count()
     }
 
+    /// `#[expect(..)]` / `#![expect(..)]` lint attributes outside test code.
+    pub fn lint_expects(&self) -> usize {
+        let toks = self.tokens();
+        toks.windows(4)
+            .filter(|w| (w[0].is_punct('#') || w[0].is_punct('!')) && w[1].is_punct('[') && w[2].is_ident("expect"))
+            .filter(|w| w[3].is_punct('(') && !self.in_test_code(w[2].line))
+            .count()
+    }
+
     /// Fields of `struct <name> { .. }` if this file defines it, else 0: the
     /// `ident :` pairs inside its braces that are not path separators.
     pub fn struct_fields(&self, name: &str) -> usize {
@@ -267,6 +276,20 @@ mod tests {
         assert_eq!(f.pub_fns(), 1, "`pub const fn` counts; `pub(crate)` and test code do not");
         assert_eq!(f.struct_fields("Cfg"), 2, "type-level colons and generics are not fields");
         assert_eq!(f.struct_fields("Missing"), 0);
+    }
+
+    #[test]
+    fn lint_expects_count_outside_test_code_only() {
+        let f = file(
+            "#![expect(clippy::print_stdout, reason = \"cli\")]\n#[expect(clippy::expect_used, reason = \"r\")]\nfn f() {\n    \
+             #[expect(unsafe_code, reason = \"r\")]\n    {}\n    x.expect(\"y\");\n}\n#[cfg(test)]\nmod tests {\n    \
+             #[expect(clippy::panic, reason = \"r\")]\n    fn t() {}\n}\n",
+        );
+        assert_eq!(
+            f.lint_expects(),
+            3,
+            "a crate-level, an item and a block attribute; `.expect(` and test code are not"
+        );
     }
 
     #[test]

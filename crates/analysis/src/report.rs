@@ -85,33 +85,6 @@ pub fn render_json(a: &Analysis) -> String {
         let _ = writeln!(j, "      {{\"keys\": [{}], \"allowed\": {}}}{comma}", keys.join(", "), c.allowed);
     }
     j.push_str("    ]\n  },\n");
-    // Concurrency-readiness inventory.
-    j.push_str("  \"inventory\": {\n    \"execution_site_mut_self\": [\n");
-    for (i, m) in a.inventory.mut_self_methods.iter().enumerate() {
-        let comma = if i + 1 == a.inventory.mut_self_methods.len() { "" } else { "," };
-        let _ = writeln!(
-            j,
-            "      {{\"impl\": \"{}\", \"method\": \"{}\", \"file\": \"{}\", \"line\": {}}}{comma}",
-            esc(&m.impl_type),
-            esc(&m.method),
-            esc(&m.file),
-            m.line,
-        );
-    }
-    j.push_str("    ],\n    \"interior_mutability\": [\n");
-    for (i, f) in a.inventory.interior_fields.iter().enumerate() {
-        let comma = if i + 1 == a.inventory.interior_fields.len() { "" } else { "," };
-        let _ = writeln!(
-            j,
-            "      {{\"struct\": \"{}\", \"field\": \"{}\", \"kind\": \"{}\", \"file\": \"{}\", \"line\": {}}}{comma}",
-            esc(&f.struct_name),
-            esc(&f.field),
-            esc(&f.kind),
-            esc(&f.file),
-            f.line,
-        );
-    }
-    j.push_str("    ]\n  },\n");
     // Size: the shrink (or creep) of the workspace, PR over PR.
     j.push_str("  \"size\": {\n    \"crates\": [\n");
     for (i, c) in a.size.crates.iter().enumerate() {
@@ -126,11 +99,11 @@ pub fn render_json(a: &Analysis) -> String {
     }
     let _ = writeln!(
         j,
-        "    ],\n    \"non_test_loc\": {},\n    \"pub_fns\": {},\n    \"caldera_config_fields\": {},\n    \"h2tap_allows\": {}\n  }}\n}}",
+        "    ],\n    \"non_test_loc\": {},\n    \"pub_fns\": {},\n    \"caldera_config_fields\": {},\n    \"suppressions\": {}\n  }}\n}}",
         a.size.crates.iter().map(|c| c.non_test_loc).sum::<usize>(),
         a.size.crates.iter().map(|c| c.pub_fns).sum::<usize>(),
         a.size.config_fields,
-        a.size.allows,
+        a.size.suppressions,
     );
     j
 }
@@ -146,17 +119,11 @@ pub fn render_summary(a: &Analysis) -> String {
     }
     let _ = writeln!(
         s,
-        "  inventory    {:>4} &mut self ExecutionSite methods, {} interior-mutability fields",
-        a.inventory.mut_self_methods.len(),
-        a.inventory.interior_fields.len(),
-    );
-    let _ = writeln!(
-        s,
-        "  size         {:>4} non-test LOC, {} pub fns, {} CalderaConfig fields, {} h2tap allows",
+        "  size         {:>4} non-test LOC, {} pub fns, {} CalderaConfig fields, {} suppressions",
         a.size.crates.iter().map(|c| c.non_test_loc).sum::<usize>(),
         a.size.crates.iter().map(|c| c.pub_fns).sum::<usize>(),
         a.size.config_fields,
-        a.size.allows,
+        a.size.suppressions,
     );
     let unannotated = a.unannotated();
     if unannotated.is_empty() {

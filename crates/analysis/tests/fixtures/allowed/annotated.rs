@@ -1,8 +1,8 @@
 //! Allow-annotated fixture: the same violation shapes as the known-bad set,
 //! each carrying a well-formed reasoned escape hatch. Expected: findings are
 //! still reported (one lock_order, one determinism hash-iteration, one
-//! determinism f64 fold, one panic, one error_swallow, one timed_poll) but
-//! every one is allowed, so the unannotated count is zero.
+//! determinism f64 fold, one error_swallow, one timed_poll) but every one is
+//! allowed, so the unannotated count is zero.
 
 use std::collections::HashMap;
 
@@ -32,14 +32,9 @@ pub fn fold(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>()
 }
 
-pub fn first(xs: &[u32]) -> u32 {
-    // h2tap: allow(panic) — fixture models an invariant checked by the caller before entry.
-    *xs.first().unwrap()
-}
-
 pub fn release(dev: &mut Device, id: BufferId) {
     // h2tap: allow(error_swallow) — fixture models a best-effort free on an error path where the failure is unactionable.
-    let _ = dev.memory_mut().free(id);
+    dev.memory_mut().free(id).ok();
 }
 
 pub fn await_doorbell(dev: &Device) {

@@ -1,14 +1,14 @@
 //! Known-bad fixture: malformed escape hatches. A reasonless allow and an
-//! unknown lint name are each an `allow_syntax` finding, and neither
-//! suppresses the panic finding it sits above. Expected findings: two
-//! allow_syntax plus two panic.
+//! unknown lint name (`panic` is clippy's now) are each an `allow_syntax`
+//! finding, and neither suppresses the error_swallow finding it sits above.
+//! Expected findings: two allow_syntax plus two error_swallow.
 
-// h2tap: allow(panic)
-pub fn reasonless(x: Option<u32>) -> u32 {
-    x.unwrap()
+// h2tap: allow(error_swallow)
+pub fn reasonless(s: &str) -> Option<u32> {
+    s.parse().ok()
 }
 
-// h2tap: allow(speed) — not a lint this analyzer knows
-pub fn unknown_lint(x: Option<u32>) -> u32 {
-    x.unwrap()
+// h2tap: allow(panic) — not a lint this analyzer knows
+pub fn unknown_lint(s: &str) -> Option<u32> {
+    s.parse().ok()
 }

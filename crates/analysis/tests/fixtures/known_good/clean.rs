@@ -1,5 +1,5 @@
-//! Known-good fixture: the deterministic, panic-free counterparts of the
-//! known-bad patterns. Expected findings: none.
+//! Known-good fixture: the deterministic, error-preserving counterparts of
+//! the known-bad patterns. Expected findings: none.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

@@ -72,9 +72,6 @@ pub enum H2Error {
     Placement(String),
     /// A snapshot id is unknown or already released.
     UnknownSnapshot(u64),
-    /// The caller violated the non-cache-coherent ownership discipline
-    /// (touched a partition it does not own). Only raised in strict mode.
-    OwnershipViolation(String),
     /// Generic configuration error.
     Config(String),
     /// An injected (or real) execution-site fault. `transient` faults are
@@ -100,7 +97,6 @@ impl fmt::Display for H2Error {
             H2Error::ChannelClosed(m) => write!(f, "channel closed: {m}"),
             H2Error::Placement(m) => write!(f, "placement error: {m}"),
             H2Error::UnknownSnapshot(id) => write!(f, "unknown snapshot: {id}"),
-            H2Error::OwnershipViolation(m) => write!(f, "ownership violation: {m}"),
             H2Error::Config(m) => write!(f, "configuration error: {m}"),
             H2Error::Fault { site, kind, transient } => {
                 let class = if *transient { "transient" } else { "persistent" };

@@ -2,18 +2,10 @@
 //!
 //! The H2TAP architecture "decouples shared memory from cache coherence":
 //! data lives in globally shared memory, but threads may not rely on the
-//! hardware to keep their caches coherent. This crate provides the three
-//! pieces Caldera's task-parallel (OLTP) archipelago needs to run under that
-//! contract:
-//!
-//! * [`fabric`] — per-core mailboxes over bounded channels, the transport for
-//!   lock-request / lock-grant / release messages,
-//! * [`cache`] — a software-managed cache model with explicit write-back and
-//!   invalidation, plus staleness detection so tests can prove the protocol
-//!   inserts them where the paper says it must,
-//! * [`ownership`] — the partition-ownership discipline (each core has
-//!   exclusive access to its partition) with an optional strict mode that
-//!   turns violations into errors.
+//! hardware to keep their caches coherent. This crate provides the
+//! transport Caldera's task-parallel (OLTP) archipelago runs on under that
+//! contract: [`fabric`], per-core mailboxes over bounded channels that carry
+//! lock-request / lock-grant / release messages.
 //!
 //! On cache-coherent hosts (like the one the paper's own evaluation uses) the
 //! fabric simply rides on coherent shared memory; the point is that the
@@ -23,13 +15,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod fabric;
-pub mod ownership;
 
-pub use cache::{CoherenceDomain, LineId, SoftwareCache};
 pub use fabric::{build_fabric, Envelope, FabricStats, Mailbox, Postbox};
-pub use ownership::OwnershipRegistry;
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -411,7 +411,10 @@ impl PlanDataCache {
             drop(inner);
             let finish = FinishBuild { shared: &self.shared, slot: &slot, project, key: &key };
             let derived = derive(tracer, &key.0, bases)?;
-            // h2tap: allow(error_swallow) — single-flight slot: set only fails if a racing builder already published the identical build, which is the value we want.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "single-flight slot: set only fails if a racing builder already published the identical build, which is the value we want."
+            )]
             let _ = slot.set(Some(Arc::clone(&derived.value)));
             let mut inner = self.shared.inner.lock();
             inner.stats.chunks_reused += derived.chunks_reused;

@@ -266,14 +266,20 @@ impl SiteState {
         let cols: Vec<(usize, usize, usize)> = self.buffers.keys().filter(|(t, _, _)| *t == tag).copied().collect();
         for key in cols {
             if let Some(id) = self.buffers.remove(&key) {
-                // h2tap: allow(error_swallow) — unregister is best-effort: the id was minted at registration and a failed free has no caller-visible remedy.
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "unregister is best-effort: the id was minted at registration and a failed free has no caller-visible remedy."
+                )]
                 let _ = self.devices[key.1].memory_mut().free(id);
             }
         }
         let nsm: Vec<(usize, usize)> = self.nsm_buffers.keys().filter(|(t, _)| *t == tag).copied().collect();
         for key in nsm {
             if let Some(id) = self.nsm_buffers.remove(&key) {
-                // h2tap: allow(error_swallow) — unregister is best-effort: the id was minted at registration and a failed free has no caller-visible remedy.
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "unregister is best-effort: the id was minted at registration and a failed free has no caller-visible remedy."
+                )]
                 let _ = self.devices[key.1].memory_mut().free(id);
             }
         }
@@ -728,7 +734,10 @@ impl ExecutionSite for GpuOlapEngine {
         // query; free it even on error so an OOM mid-plan does not leak.
         let mut state = self.devs.lock();
         for (d, id) in scratch {
-            // h2tap: allow(error_swallow) — scratch cleanup must not mask the query result (including a mid-plan OOM) with a secondary free failure.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "scratch cleanup must not mask the query result (including a mid-plan OOM) with a secondary free failure."
+            )]
             let _ = state.devices[d].memory_mut().free(id);
         }
         drop(state);

@@ -322,7 +322,10 @@ impl MaterializedColumns {
                 (0..chunks)
                     .map(|chunk| match shared(pos, chunk) {
                         Some(block) => Arc::clone(block),
-                        // h2tap: allow(panic) — `gathered` holds exactly one block per task, and the tasks are the unshared (column, chunk) pairs in the order this loop visits them.
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "`gathered` holds exactly one block per task, and the tasks are the unshared (column, chunk) pairs in the order this loop visits them."
+                        )]
                         None => gathered.next().expect("one gathered block per unshared chunk"),
                     })
                     .collect()
@@ -362,8 +365,11 @@ impl MaterializedColumns {
         chunk_rows(idx, self.rows)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "every accessed column is validated by check_plan_tables / MaterializedColumns::new before chunk work starts; a miss here is a caller bug on the per-cell hot path, not a runtime condition."
+    )]
     fn pos(&self, col: usize) -> usize {
-        // h2tap: allow(panic) — every accessed column is validated by check_plan_tables / MaterializedColumns::new before chunk work starts; a miss here is a caller bug on the per-cell hot path, not a runtime condition.
         self.cols.iter().position(|&c| c == col).expect("column was materialised")
     }
 
@@ -767,7 +773,10 @@ fn process_chunk_body(
             //    grouping. The key decodes are staged first; the map lookups
             //    run over the key bit patterns in ascending row order.
             if let Some(key_pos) = probe_key_pos {
-                // h2tap: allow(panic) — prepare_plan populates `hash` exactly when the plan has a join, and probe_key_pos is derived from that same join; the two cannot disagree.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "prepare_plan populates `hash` exactly when the plan has a join, and probe_key_pos is derived from that same join; the two cannot disagree."
+                )]
                 let table = hash.expect("join plans carry a hash table");
                 payloads.clear();
                 let col = chunk.cols[key_pos];
@@ -882,7 +891,10 @@ pub fn process_chunk_reference(
         partial.selected += 1;
         let mut group_key = group_probe_pos.map_or(0, |pos| probe.raw(pos, row));
         if let Some(key_pos) = probe_key_pos {
-            // h2tap: allow(panic) — prepare_plan populates `hash` exactly when the plan has a join (same invariant as the batch path above).
+            #[expect(
+                clippy::expect_used,
+                reason = "prepare_plan populates `hash` exactly when the plan has a join (same invariant as the batch path above)."
+            )]
             let table = hash.expect("join plans carry a hash table");
             let Some(payload) = table.get(probe.value(key_pos, row).to_bits()) else { continue };
             if matches!(plan.group_by, Some(PlanColumn::Build(_))) {

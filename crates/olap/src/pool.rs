@@ -31,21 +31,16 @@ pub(crate) fn run_chunked<T: Send>(chunks: usize, threads: usize, eval: impl Fn(
     if threads <= 1 {
         return (0..chunks).map(eval).collect();
     }
-    let mut slots: Vec<Option<T>> = (0..chunks).map(|_| None).collect();
-    std::thread::scope(|scope| {
+    let mut lanes: Vec<std::vec::IntoIter<T>> = std::thread::scope(|scope| {
         let eval = &eval;
         let workers: Vec<_> = (0..threads)
-            .map(|t| scope.spawn(move || (t..chunks).step_by(threads).map(|i| (i, eval(i))).collect::<Vec<_>>()))
+            .map(|t| scope.spawn(move || (t..chunks).step_by(threads).map(eval).collect::<Vec<T>>()))
             .collect();
-        for worker in workers {
-            // h2tap: allow(panic) — join() only fails when the worker itself panicked; re-raising the panic on the coordinating thread is the intended propagation.
-            for (i, result) in worker.join().expect("chunk worker panicked") {
-                slots[i] = Some(result);
-            }
-        }
+        workers.into_iter().map(|worker| join(worker).into_iter()).collect()
     });
-    // h2tap: allow(panic) — the strided worker partition covers 0..chunks exactly once, so every slot was filled above.
-    slots.into_iter().map(|p| p.expect("every chunk evaluated")).collect()
+    // Lane `t` holds chunks `t, t + threads, ..` in order, so taking one
+    // result from each lane in turn yields every chunk in ascending order.
+    (0..chunks).map_while(|i| lanes[i % threads].next()).collect()
 }
 
 /// Runs `work` over an owned task list on a scoped pool of `threads` workers
@@ -71,9 +66,14 @@ pub(crate) fn run_tasks<T: Send, R: Send>(mut tasks: Vec<T>, threads: usize, wor
             .into_iter()
             .map(|group| scope.spawn(move || group.into_iter().map(work).collect::<Vec<R>>()))
             .collect();
-        // h2tap: allow(panic) — join() only fails when the worker itself panicked; re-raising the panic on the coordinating thread is the intended propagation.
-        workers.into_iter().flat_map(|w| w.join().expect("materialisation worker panicked")).collect()
+        workers.into_iter().flat_map(join).collect()
     })
+}
+
+/// Joins a worker, re-raising its panic on the coordinating thread with the
+/// worker's own payload.
+fn join<R>(worker: std::thread::ScopedJoinHandle<'_, R>) -> R {
+    worker.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 #[cfg(test)]
@@ -108,6 +108,19 @@ mod tests {
             }
         });
         assert_eq!(buf, (0..40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_worker_panic_surfaces_with_its_own_payload() {
+        let payload = |run: fn()| std::panic::catch_unwind(run).expect_err("the worker panic propagates");
+        let chunk = payload(|| {
+            run_chunked(8, 3, |i| if i == 5 { panic!("boom") } else { i });
+        });
+        assert_eq!(chunk.downcast_ref::<&str>(), Some(&"boom"));
+        let task = payload(|| {
+            run_tasks((0..8).collect(), 3, |i: usize| if i == 5 { panic!("boom") } else { i });
+        });
+        assert_eq!(task.downcast_ref::<&str>(), Some(&"boom"));
     }
 
     #[test]

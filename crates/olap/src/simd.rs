@@ -69,9 +69,9 @@ use std::ops::Range;
 /// kernels — the body is inlined into both compilations and only then
 /// vectorised, so the two differ in register width and nothing else.
 #[inline(always)]
-#[allow(unsafe_code)]
 pub(crate) fn with_widest_isa<R>(body: impl FnOnce() -> R) -> R {
     #[cfg(target_arch = "x86_64")]
+    #[expect(unsafe_code, reason = "the workspace's one `unsafe` block: entering the AVX2 compilation once detected")]
     {
         #[target_feature(enable = "avx2")]
         fn avx2<R>(body: impl FnOnce() -> R) -> R {

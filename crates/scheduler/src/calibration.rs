@@ -466,6 +466,7 @@ impl CostCalibrator {
     /// Call after [`CostCalibrator::observe_sites`] for the same dispatch.
     /// The explanation is retained (ring of [`RECENT_PLACEMENTS_CAP`]) for
     /// `HtapStats::placements`.
+    #[expect(clippy::expect_used, reason = "back() directly after push_back on a non-empty deque cannot be None.")]
     pub fn explain_dispatch(
         &mut self,
         sites: &[SiteCapability],
@@ -497,7 +498,6 @@ impl CostCalibrator {
             self.recent.pop_front();
         }
         self.recent.push_back(explanation);
-        // h2tap: allow(panic) — back() directly after push_back on a non-empty deque cannot be None.
         self.recent.back().expect("just pushed")
     }
 

@@ -10,6 +10,10 @@
 //! box.
 
 #![forbid(unsafe_code)]
+// Serving-path lints (one header, byte-identical in engine, olap, scheduler
+// and storage): a panic path or a discarded `#[must_use]` value is an error
+// under CI's `-D warnings` unless it carries `#[expect(.., reason = "..")]`.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::let_underscore_must_use)]
 
 pub mod archipelago;
 pub mod calibration;

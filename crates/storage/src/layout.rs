@@ -73,9 +73,9 @@ impl Layout {
     pub fn scan_profile(self, schema: &Schema, attrs_accessed: &[usize], rows: u64) -> ScanProfile {
         let accessed_width: usize = attrs_accessed
             .iter()
-            // h2tap: allow(error_swallow) — cost estimate only: an out-of-range attr index contributes zero width rather than failing the profile.
-            .filter_map(|&i| schema.attr(i).ok())
-            .map(|a| a.ty.width())
+            // Cost estimate only: an out-of-range attr index contributes zero
+            // width rather than failing the profile.
+            .map(|&i| schema.attr(i).map_or(0, |a| a.ty.width()))
             .sum();
         let useful_bytes = rows * accessed_width as u64;
         match self {
@@ -172,6 +172,8 @@ mod tests {
             let p = layout.scan_profile(&s, &[0, 1], 1000);
             assert!(p.contiguous, "{layout:?}");
             assert_eq!(p.useful_bytes, 8000);
+            // An out-of-range attr index contributes zero width.
+            assert_eq!(layout.scan_profile(&s, &[0, 1, 99], 1000).useful_bytes, 8000, "{layout:?}");
         }
     }
 

@@ -240,8 +240,11 @@ impl SnapshotTable {
         let mut buf = vec![0u64; attrs.len()];
         for page in self.partitions.iter().flatten() {
             for row in 0..page.len() {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "attrs validated against the schema arity above; pages share that schema."
+                )]
                 for (i, &attr) in attrs.iter().enumerate() {
-                    // h2tap: allow(panic) — attrs validated against the schema arity above; pages share that schema.
                     buf[i] = page.get(row, attr).expect("attr within arity");
                 }
                 f(&buf);
