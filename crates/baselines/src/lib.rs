@@ -5,7 +5,7 @@
 //!   for multi-site transactions (Figure 9).
 //!
 //! The Figure-4 CPU column stores are not here: they are Caldera's own CPU
-//! execution site (`h2tap_olap::CpuOlapEngine`) under its two
+//! execution site (`h2tap_olap::Site::cpu`) under its two
 //! `CpuScanProfile`s.
 //!
 //! The baselines answer the same workloads as Caldera over the same data so

@@ -10,7 +10,7 @@ use h2tap_baselines::{SiloDb, SiloRuntime, SnSilo};
 use h2tap_common::stats::Histogram;
 use h2tap_common::{OlapPlan, Predicate, ScanAggQuery, SimDuration, TableId};
 use h2tap_gpu_sim::{AccessMode, AccessPattern, GpuDevice, GpuSpec, KernelDesc, TransferDirection};
-use h2tap_olap::{CpuOlapEngine, CpuScanProfile, ExecutionSite, GpuOlapEngine};
+use h2tap_olap::{CpuScanProfile, CpuSpec, PlanOutcome, Site};
 use h2tap_oltp::OltpConfig;
 use h2tap_storage::Layout;
 use h2tap_workloads::layoutbench;
@@ -177,8 +177,9 @@ pub fn fig4(rows: u64) -> Vec<Fig4Row> {
     let snap = caldera.database().snapshot();
     let frozen = snap.table(table).unwrap();
     for (engine, profile) in [("DBMS-C", CpuScanProfile::materializing()), ("MonetDB", CpuScanProfile::vectorized())] {
-        let result = CpuOlapEngine::new(profile).execute_scan(frozen, &query).unwrap();
-        rows_out.push(Fig4Row { engine: engine.into(), seconds: result.sim_time.as_secs_f64(), revenue: result.value });
+        let site = Site::cpu(CpuSpec::default(), profile);
+        let result = site.execute(frozen, None, &OlapPlan::scan(&query)).map(PlanOutcome::into_scan_outcome).unwrap();
+        rows_out.push(Fig4Row { engine: engine.into(), seconds: result.time.as_secs_f64(), revenue: result.value });
     }
     let _ = caldera.database().release_snapshot(&snap);
     caldera.shutdown();
@@ -186,7 +187,7 @@ pub fn fig4(rows: u64) -> Vec<Fig4Row> {
 }
 
 // ---------------------------------------------------------------------------
-// Placement: the CPU/GPU crossover the ExecutionSite dispatch makes real
+// Placement: the CPU/GPU crossover the site dispatch makes real
 // ---------------------------------------------------------------------------
 
 /// One configuration of the placement sweep: where the scheduler routed Q6
@@ -831,13 +832,10 @@ pub fn fig10(rows: u64, attribute_counts: &[usize]) -> Vec<LayoutRow> {
         let (db, table) = layoutbench::build_layout_table(rows, layout, 99).unwrap();
         let snap = db.snapshot();
         let frozen = snap.table(table).unwrap();
-        let engine = GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
-        let handle = engine.register_table(frozen, "dataset").unwrap();
+        let engine = Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
         for &n in attribute_counts {
-            let outcome = engine
-                .execute(handle, frozen, None, &OlapPlan::scan(&layoutbench::sum_query(n)))
-                .unwrap()
-                .into_scan_outcome();
+            let outcome =
+                engine.execute(frozen, None, &OlapPlan::scan(&layoutbench::sum_query(n))).unwrap().into_scan_outcome();
             out.push(LayoutRow {
                 layout: layout.label().to_string(),
                 attributes: n,
@@ -859,12 +857,9 @@ pub fn fig11(rows: u64) -> Vec<LayoutRow> {
             let (db, table) = layoutbench::build_layout_table(rows, layout, 99).unwrap();
             let snap = db.snapshot();
             let frozen = snap.table(table).unwrap();
-            let engine = GpuOlapEngine::new(GpuDevice::new(spec.clone()), DataPlacement::DeviceResident);
-            let handle = engine.register_table(frozen, "dataset").unwrap();
-            let outcome = engine
-                .execute(handle, frozen, None, &OlapPlan::scan(&layoutbench::sum_query(2)))
-                .unwrap()
-                .into_scan_outcome();
+            let engine = Site::gpu(GpuDevice::new(spec.clone()), DataPlacement::DeviceResident);
+            let outcome =
+                engine.execute(frozen, None, &OlapPlan::scan(&layoutbench::sum_query(2))).unwrap().into_scan_outcome();
             out.push(LayoutRow {
                 layout: layout.label().to_string(),
                 attributes: 2,

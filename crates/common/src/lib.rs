@@ -10,6 +10,7 @@
 //! * [`epoch`] — epoch numbers used by the shadow-copy snapshot mechanism,
 //! * [`query`] — the scan-and-aggregate query IR,
 //! * [`plan`] — the relational logical plan (filter / hash join / group-by),
+//! * [`target`] — the placement-facing name of an execution site,
 //! * [`simtime`] — the simulated-time type used by the hardware models,
 //! * [`stats`] — streaming statistics (mean/min/max/percentiles),
 //! * [`rng`] — a small deterministic PRNG plus a Zipfian generator,
@@ -27,6 +28,7 @@ pub mod rng;
 pub mod schema;
 pub mod simtime;
 pub mod stats;
+pub mod target;
 pub mod value;
 
 pub use breakdown::ExecBreakdown;
@@ -38,4 +40,5 @@ pub use rid::{PartitionId, RecordId, TableId};
 pub use schema::{AttrType, Attribute, Schema};
 pub use simtime::SimDuration;
 pub use stats::{Histogram, PlanCacheCounters, PlanCacheGauges, PlanCacheStats};
+pub use target::OlapTarget;
 pub use value::Value;

@@ -10,7 +10,7 @@ use crate::engine::Caldera;
 use h2tap_common::{H2Error, PartitionId, RecordId, Result, Schema, TableId, Value};
 use h2tap_gpu_sim::GpuDevice;
 use h2tap_obs::Tracer;
-use h2tap_olap::{CpuOlapEngine, CpuSpec, ExecutionSite, GpuOlapEngine, PlanDataCache};
+use h2tap_olap::{CpuSpec, PlanDataCache, Site};
 use h2tap_oltp::{OltpRuntime, PartitionIndex, Partitioner, TxnGenerator};
 use h2tap_scheduler::Scheduler;
 use h2tap_storage::{Database, Layout};
@@ -116,7 +116,7 @@ impl CalderaBuilder {
         // model, the CPU scan engine over the archipelago's cores, and —
         // when configured — the sharded multi-GPU device mix.
         // Fault injection threads into the devices before they are moved
-        // into their engines: each device gets an injector derived from the
+        // into their sites: each device gets an injector derived from the
         // plan seed, its site label and its ordinal, so the fault sequence
         // is reproducible per device.
         let fault_plan = config.fault_plan.as_ref();
@@ -124,18 +124,16 @@ impl CalderaBuilder {
         if let Some(plan) = fault_plan {
             gpu_device.set_fault_injector(plan.injector_for("gpu", 0));
         }
-        let gpu = GpuOlapEngine::new(gpu_device, config.olap_device.placement)
-            .with_shared(plan_cache.clone(), tracer.clone());
+        let gpu = Site::gpu(gpu_device, config.olap_device.placement);
         let cpu_cores = (config.olap_cpu_cores as u32).max(1);
-        let cpu = CpuOlapEngine::with_spec_and_profile(
+        let cpu = Site::cpu(
             CpuSpec {
                 cores: cpu_cores,
                 mem_bandwidth_gbps: config.olap_cpu.per_core_bandwidth_gbps * f64::from(cpu_cores),
             },
             config.olap_cpu.profile,
-        )
-        .with_shared(plan_cache.clone(), tracer.clone());
-        let mut sites: Vec<Box<dyn ExecutionSite>> = vec![Box::new(gpu), Box::new(cpu)];
+        );
+        let mut sites = vec![gpu, cpu];
         if let Some(mg) = &config.olap_multi_gpu {
             let devices = mg
                 .gpus
@@ -149,9 +147,9 @@ impl CalderaBuilder {
                     device
                 })
                 .collect();
-            let multi = GpuOlapEngine::sharded(devices, mg.placement)?;
-            sites.push(Box::new(multi.with_shared(plan_cache.clone(), tracer.clone())));
+            sites.push(Site::sharded(devices, mg.placement)?);
         }
+        let sites = sites.into_iter().map(|site| site.with_shared(plan_cache.clone(), tracer.clone())).collect();
         let oltp = OltpRuntime::start(Arc::clone(&db), config.oltp.clone(), partitioner, indexes, generator)?;
         Ok(Caldera::assemble(config, db, oltp, sites, scheduler, plan_cache, tracer))
     }

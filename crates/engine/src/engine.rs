@@ -7,7 +7,7 @@
 //! footprint and access-pattern features, GPU residency, the CPU cores the
 //! data-parallel archipelago currently owns), asks
 //! [`place_olap_query_sites`] for a target, and dispatches to the matching
-//! [`ExecutionSite`] — a simulated GPU site or the archipelago's CPU cores.
+//! [`Site`] — a simulated GPU site or the archipelago's CPU cores.
 //!
 //! # Concurrency
 //!
@@ -15,38 +15,36 @@
 //! Instead of one big lock around all OLAP state, the state is split by
 //! what actually needs exclusion:
 //!
-//! - `snap` (`RwLock`): the execution sites and the snapshot they are
-//!   registered against. Queries hold it **shared** for their whole
-//!   execution, so any number run concurrently; a snapshot refresh takes it
-//!   **exclusive**, draining in-flight queries first so it can never yank a
-//!   registered table out from under a running scan.
+//! - `snap` (`RwLock`): the execution sites and the snapshot they answer
+//!   from. Queries hold it **shared** for their whole execution, so any
+//!   number run concurrently; a snapshot refresh takes it **exclusive**,
+//!   draining in-flight queries first so it can never yank a table a site
+//!   registered out from under a running scan.
 //! - `meta` (`Mutex`): small bookkeeping — query numbering, snapshot and
 //!   time counters, the placement calibrator. Held only for microseconds
 //!   around dispatch edges, never across execution.
-//! - per-site state ([`SiteSlot`]): registrations, counters and the
+//! - per-site state ([`SiteSlot`]): counters, the circuit breaker and the
 //!   [`AdmissionGate`] that bounds how many queries one site runs at once
 //!   (excess admissions wait in strict arrival order).
 //!
-//! The sites themselves are `&self`-concurrent (see [`ExecutionSite`]), and
-//! the shared plan-data cache deduplicates concurrent materialisations of
-//! the same derived state (shared scans), so the answer of every query stays
-//! byte-identical to a serial execution.
+//! The sites themselves are `&self`-concurrent and own their table
+//! registrations (see [`Site`]), and the shared plan-data cache deduplicates
+//! concurrent materialisations of the same derived state (shared scans), so
+//! the answer of every query stays byte-identical to a serial execution.
 
 use crate::admission::{AdmissionGate, AdmissionStats};
 use crate::config::CalderaConfig;
 use crate::health::{SiteHealth, SiteHealthState, SiteHealthStats};
 use h2tap_common::{H2Error, OlapPlan, PartitionId, PlanCacheStats, Result, ScanAggQuery, SimDuration, TableId};
 use h2tap_obs::{MetricsRegistry, MetricsSnapshot, SpanEvent, SpanKind, SpanRecord, Tracer};
-use h2tap_olap::{ExecutionSite, OlapOutcome, PlanDataCache, PlanOutcome, RegisteredTable, SnapshotPolicy};
+use h2tap_olap::{OlapOutcome, PlanDataCache, PlanOutcome, Site, SnapshotPolicy};
 use h2tap_oltp::{BenchmarkWindow, OltpRuntime, OltpStats, TxnProc};
 use h2tap_scheduler::{
-    estimate_target_secs, place_olap_query_sites, ArchipelagoKind, CalibrationReport, CoreMigrationPolicy,
-    CostCalibrator, CostModel, OlapTarget, PlacementExplanation, PlacementHints, PlacementObservation, Scheduler,
-    SiteCapability,
+    estimate_target_secs, place_olap_query_sites, ArchipelagoKind, CalibrationReport, CostCalibrator, CostModel,
+    OlapTarget, PlacementExplanation, PlacementHints, PlacementObservation, Scheduler, SiteCapability,
 };
 use h2tap_storage::{CowStats, Database, Snapshot};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -163,15 +161,11 @@ fn site_key(target: OlapTarget) -> &'static str {
     }
 }
 
-/// One execution site plus its registrations, counters and admission gate.
+/// One execution site plus its counters, circuit breaker and admission gate.
 /// Everything is interior-mutable so concurrent queries share the slot
 /// through the snapshot gate's read lock.
 struct SiteSlot {
-    site: Box<dyn ExecutionSite>,
-    /// Table → site handle for the current snapshot. Held across
-    /// `register_table` so a table is registered exactly once even when
-    /// concurrent queries race to first use.
-    registered: Mutex<HashMap<TableId, RegisteredTable>>,
+    site: Site,
     queries: AtomicU64,
     time: Mutex<SimDuration>,
     admission: AdmissionGate,
@@ -181,14 +175,9 @@ struct SiteSlot {
 }
 
 impl SiteSlot {
-    fn new(
-        site: Box<dyn ExecutionSite>,
-        admission_budget: Option<u32>,
-        health: crate::health::SiteHealthConfig,
-    ) -> Self {
+    fn new(site: Site, admission_budget: Option<u32>, health: crate::health::SiteHealthConfig) -> Self {
         Self {
             site,
-            registered: Mutex::new(HashMap::new()),
             queries: AtomicU64::new(0),
             time: Mutex::new(SimDuration::ZERO),
             admission: AdmissionGate::new(admission_budget),
@@ -199,7 +188,7 @@ impl SiteSlot {
     fn stats(&self) -> OlapSiteStats {
         OlapSiteStats {
             target: self.site.target(),
-            label: self.site.label(),
+            label: self.site.target().label(),
             queries: self.queries.load(Ordering::Relaxed),
             time: *self.time.lock(),
             admission: self.admission.stats(),
@@ -281,9 +270,6 @@ pub struct Caldera {
     plan_cache: PlanDataCache,
     scheduler: Scheduler,
     next_home: AtomicU64,
-    /// Optional core-migration policy consulted after every placement
-    /// observation (see [`Caldera::set_migration_policy`]).
-    migration_policy: Mutex<Option<Box<dyn CoreMigrationPolicy>>>,
     /// Query tracing (a no-op unless `config.observability.tracing`); every
     /// execution site and the shared plan-data cache were built with the
     /// same handle.
@@ -305,7 +291,7 @@ impl Caldera {
         config: CalderaConfig,
         db: Arc<Database>,
         oltp: OltpRuntime,
-        sites: Vec<Box<dyn ExecutionSite>>,
+        sites: Vec<Site>,
         scheduler: Scheduler,
         plan_cache: PlanDataCache,
         tracer: Tracer,
@@ -330,7 +316,6 @@ impl Caldera {
             plan_cache,
             scheduler,
             next_home: AtomicU64::new(0),
-            migration_policy: Mutex::new(None),
             tracer,
             metrics: MetricsRegistry::new(),
             resilience: ResilienceCounters::default(),
@@ -454,37 +439,6 @@ impl Caldera {
         self.metrics.snapshot()
     }
 
-    /// Installs a core-migration policy. After every placement observation
-    /// the engine consults it with the current calibration report and the
-    /// archipelagos' core counts; a recommendation moves one core through the
-    /// scheduler (which keeps enforcing its own invariants, e.g. the
-    /// task-parallel archipelago is never emptied). `None` (the default)
-    /// leaves core membership entirely manual.
-    pub fn set_migration_policy(&self, policy: Option<Box<dyn CoreMigrationPolicy>>) {
-        *self.migration_policy.lock() = policy;
-    }
-
-    /// Consults the installed migration policy (if any) with the latest
-    /// calibration report and applies at most one core move.
-    fn apply_migration_policy(&self, report: &CalibrationReport) {
-        let mut migration_policy = self.migration_policy.lock();
-        let Some(policy) = migration_policy.as_mut() else { return };
-        let data_cores = self.scheduler.archipelago(ArchipelagoKind::DataParallel).core_count() as u32;
-        let task_cores = self.scheduler.archipelago(ArchipelagoKind::TaskParallel).core_count() as u32;
-        if let Some(migration) = policy.recommend(report, data_cores, task_cores) {
-            let source = self.scheduler.archipelago(migration.from);
-            let Some(&core) = source.cpu_cores.iter().next() else { return };
-            // The scheduler re-validates the move; a racing manual migration
-            // losing the core is not an error worth failing a query over.
-            // Only a move that actually happened commits the policy's
-            // rate-limiting state — a refused migration (e.g. the source
-            // archipelago would be emptied) must not burn the cooldown.
-            if self.scheduler.migrate_core(core, migration.from, migration.to).is_ok() {
-                policy.commit(report);
-            }
-        }
-    }
-
     /// Executes a transaction on an explicitly chosen home worker.
     pub fn execute_txn_on(&self, home: PartitionId, proc: TxnProc) -> Result<()> {
         self.scheduler.record_dispatch(ArchipelagoKind::TaskParallel, 1.0);
@@ -536,7 +490,6 @@ impl Caldera {
         let old = snap.snapshot.take();
         for slot in &snap.sites {
             slot.site.reset_tables();
-            slot.registered.lock().clear();
         }
         if let Some(old) = old {
             db.release_snapshot(&old)?;
@@ -619,9 +572,7 @@ impl Caldera {
     }
 
     /// Folds one finished dispatch into the meta bookkeeping and records it
-    /// with the calibrator, returning the updated report for the
-    /// migration-policy hook (the policy itself is applied after the meta
-    /// lock is released). The sites' enumerated capabilities supply the
+    /// with the calibrator. The sites' enumerated capabilities supply the
     /// streaming feature of the site that actually answered (per-device
     /// specs and shard fractions for the GPU family), so each site's terms
     /// calibrate against its own mix.
@@ -633,7 +584,7 @@ impl Caldera {
         chosen: OlapTarget,
         outcome: &PlanOutcome,
         query_seq: u64,
-    ) -> CalibrationReport {
+    ) {
         let (site, secs) = (outcome.site, outcome.time.as_secs_f64());
         let observation = PlacementObservation {
             site,
@@ -654,7 +605,6 @@ impl Caldera {
         // site's estimate, the regret of the executing site vs the best, and
         // the running regret summary `CalibrationReport::regret` exposes.
         meta.calibrator.explain_dispatch(capabilities, chosen, &observation, query_seq);
-        meta.calibrator.report()
     }
 
     /// Health-aware placement: consults every site's circuit breaker so
@@ -833,12 +783,8 @@ impl Caldera {
     ) -> Result<PlanOutcome> {
         self.scheduler.record_dispatch(ArchipelagoKind::DataParallel, 1.0);
         let (snap, snapshot, query_seq) = self.snapshot_for_query()?;
-        let probe_meta = self.db.table_meta(probe)?;
         let probe_frozen = snapshot.table(probe)?;
-        let build_parts = match build {
-            Some(id) => Some((id, snapshot.table(id)?, self.db.table_meta(id)?)),
-            None => None,
-        };
+        let build_frozen = build.map(|id| snapshot.table(id)).transpose()?;
 
         // Live placement inputs: the plan's scan footprint, how much of the
         // data already sits in device memory, and the CPU cores the
@@ -851,8 +797,7 @@ impl Caldera {
         // heuristic.
         let cpu_cores = self.scheduler.archipelago(ArchipelagoKind::DataParallel).core_count() as u32;
         let probe_rows = probe_frozen.row_count();
-        let build_bytes =
-            build_parts.as_ref().map_or(0, |(_, frozen, _)| plan.build_scan_bytes(&frozen.schema, frozen.row_count()));
+        let build_bytes = build_frozen.map_or(0, |frozen| plan.build_scan_bytes(&frozen.schema, frozen.row_count()));
         let gpu_slot = snap.slot(OlapTarget::Gpu);
         // Cost constants come from the **calibrated** model (seeded by
         // configuration, then continuously re-estimated from measured site
@@ -863,9 +808,7 @@ impl Caldera {
             bytes_to_scan: plan.probe_scan_bytes(&probe_frozen.schema, probe_rows) + build_bytes,
             rows: probe_rows,
             random_access_bytes: plan.random_access_bytes(probe_rows),
-            hash_table_bytes: build_parts
-                .as_ref()
-                .map_or(0, |(_, frozen, _)| plan.hash_table_bytes(frozen.row_count())),
+            hash_table_bytes: build_frozen.map_or(0, |frozen| plan.hash_table_bytes(frozen.row_count())),
             // None (a host-DRAM "device") means unbounded headroom. The
             // multi-GPU site's per-device free memory travels through the
             // enumerated capabilities instead (min-per-shard footprint).
@@ -889,76 +832,25 @@ impl Caldera {
             // timeout bounds the queue wait so a wedged site cannot strand
             // clients (the ladder then tries another site).
             let _permit = slot.admission.admit_timeout(admission_timeout)?;
-            if target == OlapTarget::Cpu {
-                // A query placed on CPU must see the archipelago's current
-                // core count, not the count at construction time.
-                slot.site.set_cores(cpu_cores.max(1));
-            }
-            // Track tables this attempt registers: if the attempt fails
-            // (e.g. the build table or the plan's scratch OOMs after the
-            // probe table was registered), roll the new registrations back
-            // so the fallback — and every later query on this snapshot —
-            // does not inherit stranded device buffers.
-            let mut newly: Vec<TableId> = Vec::new();
-            let attempt = (|| {
-                let probe_handle = Self::handle_for(slot, probe, probe_frozen, &probe_meta.name, &mut newly)?;
-                let build_pair = match &build_parts {
-                    Some((id, frozen, meta)) => {
-                        Some((Self::handle_for(slot, *id, frozen, &meta.name, &mut newly)?, *frozen))
-                    }
-                    None => None,
-                };
-                slot.site.execute(probe_handle, probe_frozen, build_pair, plan)
-            })();
-            match attempt {
-                Ok(outcome) => {
-                    slot.queries.fetch_add(1, Ordering::Relaxed);
-                    *slot.time.lock() += outcome.time;
-                    Ok(outcome)
-                }
-                Err(err) => {
-                    let mut registered = slot.registered.lock();
-                    for table in newly {
-                        if let Some(handle) = registered.remove(&table) {
-                            slot.site.unregister_table(handle);
-                        }
-                    }
-                    Err(err)
-                }
-            }
+            // A query placed on CPU must see the archipelago's current core
+            // count, not the count at construction time (GPU sites ignore it).
+            slot.site.set_cores(cpu_cores.max(1));
+            // The site registers the tables it needs on first use and rolls
+            // back what a failed call registered, so the fallback — and
+            // every later query on this snapshot — inherits no stranded
+            // device buffers.
+            let outcome = slot.site.execute(probe_frozen, build_frozen, plan)?;
+            slot.queries.fetch_add(1, Ordering::Relaxed);
+            *slot.time.lock() += outcome.time;
+            Ok(outcome)
         };
 
         let outcome = self.run_resilient(&snap, &capabilities, &hints, forced.is_some(), target, run)?;
         // Close the loop: predicted vs site-reported time recalibrates the
         // cost model (outcome.site, not target — an OOM fallback is a CPU
-        // observation), then the migration policy sees the fresh report.
-        let report = self.account_outcome(&capabilities, &hints, forced.is_some(), target, &outcome, query_seq);
-        drop(snap);
-        self.apply_migration_policy(&report);
+        // observation).
+        self.account_outcome(&capabilities, &hints, forced.is_some(), target, &outcome, query_seq);
         Ok(outcome)
-    }
-
-    /// Returns the slot's handle for `table`, registering the frozen image
-    /// with the site on first use within the current snapshot. The
-    /// registration map's lock is held across `register_table`, so racing
-    /// first users register exactly once. A table registered by this call
-    /// is appended to `newly` so the caller can roll the registration back
-    /// if its overall attempt fails.
-    fn handle_for(
-        slot: &SiteSlot,
-        table: TableId,
-        frozen: &h2tap_storage::SnapshotTable,
-        label: &str,
-        newly: &mut Vec<TableId>,
-    ) -> Result<RegisteredTable> {
-        let mut registered = slot.registered.lock();
-        if let Some(h) = registered.get(&table) {
-            return Ok(*h);
-        }
-        let h = slot.site.register_table(frozen, label)?;
-        registered.insert(table, h);
-        newly.push(table);
-        Ok(h)
     }
 
     /// Combined statistics across both archipelagos.
@@ -1437,37 +1329,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_policy_shifts_cores_when_the_cpu_side_is_saturated() {
-        use h2tap_scheduler::{CalibrationConfig, CostModel, SaturationMigrationPolicy};
-        // Freeze calibration on a model that predicts the CPU side far too
-        // fast (zero per-tuple work, absurd bandwidth): every CPU query runs
-        // much slower than predicted — sustained positive signed error, the
-        // saturation signal.
-        let mut config = CalderaConfig::with_workers(6);
-        config.olap_cpu_cores = 2;
-        config.snapshot_policy = SnapshotPolicy::EveryN { queries: 1000 };
-        config.calibration = CalibrationConfig { enabled: false, ..CalibrationConfig::default() };
-        config.cost_model_seed =
-            Some(CostModel { cpu_per_tuple_ns: 0.0, cpu_core_bandwidth_gbps: 1e4, ..CostModel::default() });
-        let (caldera, t) = engine_with_config(config, 100_000);
-        caldera.set_migration_policy(Some(Box::new(
-            SaturationMigrationPolicy::default().with_threshold(0.2).with_min_observations(2).with_cooldown(2),
-        )));
-        let before = caldera.scheduler().archipelago(ArchipelagoKind::DataParallel).core_count();
-        assert_eq!(before, 2);
-        let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 1]));
-        for _ in 0..10 {
-            caldera.run_olap_on(t, &q, OlapTarget::Cpu).unwrap();
-        }
-        let data_cores = caldera.scheduler().archipelago(ArchipelagoKind::DataParallel).core_count();
-        let task_cores = caldera.scheduler().archipelago(ArchipelagoKind::TaskParallel).core_count();
-        assert!(data_cores > before, "sustained error must pull cores into the data-parallel archipelago");
-        assert!(task_cores >= 1, "the task-parallel archipelago is never emptied");
-        assert_eq!(data_cores + task_cores, 8, "cores move, they do not appear or vanish");
-        caldera.shutdown();
-    }
-
-    #[test]
     fn cpu_queries_see_migrated_cores() {
         // Start with 2 OLAP CPU cores, then migrate 6 more from the (8-core)
         // task-parallel archipelago: the same CPU query must get faster.
@@ -1560,54 +1421,6 @@ mod tests {
             "shutdown must stop the workers before capturing statistics, so every drained commit is counted"
         );
         drop(receivers);
-    }
-
-    #[test]
-    fn refused_migrations_do_not_burn_the_policy_cooldown() {
-        use h2tap_scheduler::CoreMigration;
-        use std::sync::atomic::AtomicU64;
-
-        /// Always recommends pulling a core out of the task-parallel
-        /// archipelago — which the scheduler refuses when that would empty
-        /// it — and counts how often the engine commits the move.
-        struct AlwaysPull {
-            recommendations: Arc<AtomicU64>,
-            commits: Arc<AtomicU64>,
-        }
-        impl CoreMigrationPolicy for AlwaysPull {
-            fn recommend(
-                &mut self,
-                _report: &CalibrationReport,
-                _data_parallel_cores: u32,
-                _task_parallel_cores: u32,
-            ) -> Option<CoreMigration> {
-                self.recommendations.fetch_add(1, Ordering::SeqCst);
-                Some(CoreMigration { from: ArchipelagoKind::TaskParallel, to: ArchipelagoKind::DataParallel })
-            }
-            fn commit(&mut self, _report: &CalibrationReport) {
-                self.commits.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-
-        // One OLTP worker: the task-parallel archipelago owns exactly one
-        // core, so every recommended pull is refused by the scheduler.
-        let mut config = CalderaConfig::with_workers(1);
-        config.snapshot_policy = SnapshotPolicy::EveryN { queries: 1000 };
-        let (caldera, t) = engine_with_config(config, 1_000);
-        let recommendations = Arc::new(AtomicU64::new(0));
-        let commits = Arc::new(AtomicU64::new(0));
-        caldera.set_migration_policy(Some(Box::new(AlwaysPull {
-            recommendations: Arc::clone(&recommendations),
-            commits: Arc::clone(&commits),
-        })));
-        let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));
-        for _ in 0..3 {
-            caldera.run_olap_on(t, &q, OlapTarget::Cpu).unwrap();
-        }
-        assert_eq!(recommendations.load(Ordering::SeqCst), 3, "the policy is consulted after every dispatch");
-        assert_eq!(commits.load(Ordering::SeqCst), 0, "a refused migration must not commit the policy's state");
-        assert_eq!(caldera.scheduler().archipelago(ArchipelagoKind::TaskParallel).core_count(), 1);
-        caldera.shutdown();
     }
 
     #[test]

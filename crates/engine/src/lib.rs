@@ -53,6 +53,6 @@ pub use h2tap_gpu_sim::{DeviceLossPoint, FaultPlan};
 
 pub use h2tap_common::{GroupRow, JoinSpec, OlapPlan, PlanColumn};
 pub use h2tap_obs::{MetricsSnapshot, ObsConfig, SpanKind, SpanRecord};
-pub use h2tap_olap::{CpuScanProfile, DataPlacement, ExecutionSite, OlapOutcome, PlanOutcome, SnapshotPolicy};
+pub use h2tap_olap::{CpuScanProfile, DataPlacement, OlapOutcome, PlanOutcome, SnapshotPolicy};
 pub use h2tap_oltp::{OltpConfig, PartitionerKind, TxnProc};
 pub use h2tap_scheduler::{OlapTarget, PlacementExplanation, RegretSummary, SiteCapability};

@@ -9,7 +9,7 @@
 //! recursive-descent checker, keeps it honest under test.
 
 use crate::trace::{SpanEvent, SpanKind, SpanRecord};
-use h2tap_scheduler::OlapTarget;
+use h2tap_common::OlapTarget;
 
 /// Trace thread id for a span: host work on row 0 — dispatch, the cache, and
 /// the wall-clock `Compute` phase whichever site it serves — and each

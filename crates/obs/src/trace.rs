@@ -9,8 +9,7 @@
 //! uncontended per-slot lock; if a reader (or a wrapped writer) holds the
 //! slot, the span is *dropped* and counted — recording never blocks a query.
 
-use h2tap_common::ExecBreakdown;
-use h2tap_scheduler::OlapTarget;
+use h2tap_common::{ExecBreakdown, OlapTarget};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -1,19 +1,19 @@
-//! The CPU execution site: a zonemap-skipping vectorised scan engine running
-//! on the CPU cores of the data-parallel archipelago.
+//! The CPU arm of a [`crate::Site`]: a zonemap-skipping vectorised scan
+//! running on the CPU cores of the data-parallel archipelago
+//! ([`crate::Site::cpu`], [`crate::Site::archipelago_default`]).
 //!
-//! This engine started life as the Figure-4 "MonetDB-like" baseline and was
-//! promoted here so that placement decisions have a real CPU target: the
-//! engine dispatches to it through [`crate::ExecutionSite`] whenever
-//! [`h2tap_scheduler::place_olap_query_sites`] picks the CPU, and the
-//! Figure-4 CPU bars are this same engine under its two
-//! [`CpuScanProfile`]s. Like the GPU engine, it computes **exact** answers
-//! over the real data while charging time to the same simulated-hardware
-//! frame of reference (the paper's dual-socket 24-core server by default).
+//! This site started life as the Figure-4 "MonetDB-like" baseline and was
+//! promoted so that placement decisions have a real CPU target: the engine
+//! dispatches to it whenever [`h2tap_scheduler::place_olap_query_sites`]
+//! picks the CPU, and the Figure-4 CPU bars are this same site under its two
+//! [`CpuScanProfile`]s. Like the GPU arm, it computes **exact** answers over
+//! the real data while charging time to the same simulated-hardware frame of
+//! reference (the paper's dual-socket 24-core server by default).
 //!
 //! Execution model: accessed columns are materialised into fixed
 //! [`h2tap_common::PLAN_CHUNK_ROWS`] chunks (column-at-a-time vectorised
-//! execution) that the one plan pipeline evaluates **on a scoped thread pool
-//! sized by the archipelago's current core count**; per-chunk min/max
+//! execution) that the site's one answer path evaluates **on a scoped thread
+//! pool sized by the archipelago's current core count**; per-chunk min/max
 //! zonemaps skip chunks that cannot satisfy the probe predicates, and the
 //! analytical time model treats the work as memory-bandwidth bound with
 //! per-tuple work spread over the cores the archipelago currently owns — so
@@ -22,18 +22,12 @@
 //! contract ([`h2tap_common::plan`]), which is why the thread schedule cannot
 //! perturb a single bit of the f64 results.
 
-use crate::cache::PlanDataCache;
-use crate::engine::{PlanOutcome, RegisteredTable};
-use crate::operators;
-use crate::site::{emit_execution_spans, ExecutionSite};
-use h2tap_common::{ExecBreakdown, GroupRow, H2Error, OlapPlan, Result, ScanAggQuery, SimDuration};
-use h2tap_obs::Tracer;
-use h2tap_scheduler::{overlap_secs, OlapTarget, SiteCapability, CPU_CACHE_LINE_BYTES};
+use crate::operators::PlanEvaluation;
+use crate::site::Price;
+use h2tap_common::{ExecBreakdown, OlapPlan, Result, SimDuration};
+use h2tap_scheduler::{overlap_secs, CPU_CACHE_LINE_BYTES};
 use h2tap_storage::SnapshotTable;
 use parking_lot::Mutex;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Per-tuple cost of one hash-table probe (hash, compare, branch) on top of
 /// the base scan work, in nanoseconds.
@@ -97,174 +91,59 @@ impl CpuSpec {
     }
 }
 
-/// [`CpuPlanResult`] of a scan-shaped plan, with the single global group
-/// flattened to a scalar — what [`CpuOlapEngine::execute_scan`] returns.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CpuOlapResult {
-    /// The aggregate value.
-    pub value: f64,
-    /// Number of qualifying records.
-    pub qualifying_rows: u64,
-    /// Records actually scanned (after zonemap skipping).
-    pub rows_scanned: u64,
-    /// Chunks skipped thanks to zonemaps.
-    pub chunks_skipped: u64,
-    /// Worker threads the chunked scan actually used.
-    pub threads_used: usize,
-    /// Modelled execution time on the configured server spec.
-    pub sim_time: SimDuration,
-    /// How the modelled time splits into the cost model's terms.
-    pub breakdown: ExecBreakdown,
-    /// Wall-clock time of the real computation in this process.
-    pub wall_time: std::time::Duration,
-}
-
-/// Result of running a relational plan on the CPU engine, with pipeline
-/// detail the compact [`PlanOutcome`] does not carry.
-#[derive(Debug, Clone)]
-pub struct CpuPlanResult {
-    /// Result groups in ascending raw-key order (byte-identical to the GPU
-    /// site's for the same snapshot).
-    pub groups: Vec<GroupRow>,
-    /// Rows that reached the aggregation (post filter and join).
-    pub qualifying_rows: u64,
-    /// Probe rows actually scanned (after zonemap skipping).
-    pub rows_scanned: u64,
-    /// Probe chunks skipped thanks to zonemaps.
-    pub chunks_skipped: u64,
-    /// Worker threads the chunk pipeline actually used.
-    pub threads_used: usize,
-    /// Modelled execution time on the configured server spec.
-    pub sim_time: SimDuration,
-    /// How the modelled time splits into the cost model's terms.
-    pub breakdown: ExecBreakdown,
-    /// Wall-clock time of the real computation in this process.
-    pub wall_time: std::time::Duration,
-}
-
-/// A CPU columnar scan engine: vectorised chunk-at-a-time execution with
-/// optional zonemap skipping, usable directly or as an [`ExecutionSite`].
+/// The CPU arm of a site's charge: the archipelago's cores under one
+/// execution profile, priced by a closed-form time model. It registers
+/// nothing — the CPU streams straight out of the shared-memory snapshot.
 ///
-/// Concurrent: the mutable pieces — the migratable core count and the vended
-/// registration handles — sit behind their own short-lived locks, and the
-/// scan/pipeline hot paths only *copy the spec out* before computing, so
-/// simultaneous `execute` calls from many client threads never serialise on
-/// the site.
-#[derive(Debug)]
-pub struct CpuOlapEngine {
+/// Concurrent: the migratable core count sits behind its own short-lived
+/// lock, and a plan only *copies the spec out* before computing, so
+/// simultaneous calls from many client threads never serialise on the site.
+pub(crate) struct CpuCharge {
     profile: CpuScanProfile,
     /// Current hardware spec; mutated by core migration while queries run.
     spec: Mutex<CpuSpec>,
-    /// Per-core bandwidth fixed at construction so [`CpuOlapEngine::set_cores`]
+    /// Per-core bandwidth fixed at construction so [`CpuCharge::set_cores`]
     /// scales aggregate bandwidth with the core count.
     per_core_bandwidth_gbps: f64,
-    /// Handles this site has vended for the current snapshot.
-    registered: Mutex<HashSet<usize>>,
-    next_tag: AtomicUsize,
-    /// Snapshot-keyed plan-data cache (the engine's shared one after
-    /// [`CpuOlapEngine::with_shared`], private otherwise).
-    cache: PlanDataCache,
-    /// Trace handle; disabled (no-op) unless the engine shared one.
-    tracer: Tracer,
 }
 
-impl CpuOlapEngine {
-    /// Creates an engine with the given profile on the default server spec.
-    pub fn new(profile: CpuScanProfile) -> Self {
-        Self::with_spec_and_profile(CpuSpec::default(), profile)
+impl CpuCharge {
+    pub(crate) fn new(spec: CpuSpec, profile: CpuScanProfile) -> Self {
+        Self { profile, spec: Mutex::new(spec), per_core_bandwidth_gbps: spec.per_core_bandwidth_gbps() }
     }
 
-    /// Creates the data-parallel archipelago's CPU site: vectorised profile,
-    /// paper per-core bandwidth, and `cores` CPU cores (the archipelago's
-    /// current allotment; updated on migration via [`ExecutionSite::set_cores`]).
-    pub fn archipelago_default(cores: u32) -> Self {
-        let paper = CpuSpec::default();
-        Self::with_spec_and_profile(
-            CpuSpec {
-                cores: cores.max(1),
-                mem_bandwidth_gbps: paper.per_core_bandwidth_gbps() * f64::from(cores.max(1)),
-            },
-            CpuScanProfile::vectorized(),
-        )
+    /// The cores the site currently runs on.
+    pub(crate) fn cores(&self) -> u32 {
+        self.spec.lock().cores
     }
 
-    /// Creates an engine with an explicit hardware spec (used by ablations).
-    pub fn with_spec_and_profile(spec: CpuSpec, profile: CpuScanProfile) -> Self {
-        Self {
-            profile,
-            spec: Mutex::new(spec),
-            per_core_bandwidth_gbps: spec.per_core_bandwidth_gbps(),
-            registered: Mutex::new(HashSet::new()),
-            next_tag: AtomicUsize::new(0),
-            cache: PlanDataCache::new(),
-            tracer: Tracer::disabled(),
-        }
+    pub(crate) fn set_cores(&self, cores: u32) {
+        let cores = cores.max(1);
+        let mut spec = self.spec.lock();
+        spec.cores = cores;
+        spec.mem_bandwidth_gbps = self.per_core_bandwidth_gbps * f64::from(cores);
     }
 
-    /// Builds the site into an engine: it answers from the engine's shared
-    /// plan-data cache and records into the engine's tracer from here on.
-    pub fn with_shared(mut self, cache: PlanDataCache, tracer: Tracer) -> Self {
-        self.cache = cache.traced(tracer.clone());
-        self.tracer = tracer;
-        self
-    }
-
-    /// The current hardware spec (a copy — migration may change it).
-    pub fn spec(&self) -> CpuSpec {
-        *self.spec.lock()
-    }
-
-    /// [`CpuOlapEngine::execute_plan_pipeline`] over [`OlapPlan::scan`],
-    /// with the global group flattened to a scalar. Kept only because the
-    /// frozen `benchmark/` package calls it; the engine itself runs scans as
-    /// plans.
-    pub fn execute_scan(&self, table: &SnapshotTable, query: &ScanAggQuery) -> Result<CpuOlapResult> {
-        let plan = self.execute_plan_pipeline(table, None, &OlapPlan::scan(query))?;
-        Ok(CpuOlapResult {
-            value: plan.groups[0].values[0],
-            qualifying_rows: plan.qualifying_rows,
-            rows_scanned: plan.rows_scanned,
-            chunks_skipped: plan.chunks_skipped,
-            threads_used: plan.threads_used,
-            sim_time: plan.sim_time,
-            breakdown: plan.breakdown,
-            wall_time: plan.wall_time,
-        })
-    }
-
-    /// Executes a relational plan over frozen tables: builds the join hash
-    /// table from the filtered build side, then runs the probe/aggregate
-    /// pipeline chunk-by-chunk **on a scoped thread pool sized by the
-    /// engine's current core count**, so wall-clock time scales with
-    /// migrated cores and not only the simulated cost. Chunks whose zonemap
-    /// rules out the probe predicates are skipped when the profile says so.
-    /// Chunk boundaries and the merge order are fixed by the plan IR (see
-    /// [`h2tap_common::plan`]), which is why neither the parallel schedule
-    /// nor the skipping can perturb the f64 aggregates: every chunk's
-    /// partial is deterministic, a skipped chunk's would be empty, and
-    /// partials merge in ascending chunk order regardless of which thread
-    /// produced them.
-    pub fn execute_plan_pipeline(
+    /// Evaluates the plan through `answer` on a scoped thread pool **sized
+    /// by the site's current core count**, so wall-clock time scales with
+    /// migrated cores and not only the simulated cost, skipping the chunks
+    /// whose zonemap rules out the probe predicates when the profile says
+    /// so, and prices the evaluation. Neither the parallel schedule nor the
+    /// skipping can perturb the f64 aggregates: every chunk's partial is
+    /// deterministic, a skipped chunk's would be empty, and partials merge in
+    /// ascending chunk order regardless of which thread produced them.
+    pub(crate) fn run(
         &self,
         probe_table: &SnapshotTable,
         build_table: Option<&SnapshotTable>,
         plan: &OlapPlan,
-    ) -> Result<CpuPlanResult> {
-        let started = Instant::now();
+        answer: impl FnOnce(usize, bool) -> Result<PlanEvaluation>,
+    ) -> Result<(PlanEvaluation, Price)> {
         // Copy the spec out: core migration may change it mid-plan, and the
         // whole plan must be costed against one consistent spec.
-        let spec = self.spec();
-        let rows = probe_table.row_count();
-        let data = self.cache.prepare_plan(probe_table, build_table, plan)?;
-        let eval = operators::evaluate_plan(
-            &data,
-            plan,
-            spec.cores as usize,
-            self.profile.use_zonemaps,
-            &self.tracer,
-            OlapTarget::Cpu,
-        );
-        let (totals, rows_scanned) = (eval.totals, eval.rows_scanned);
+        let spec = *self.spec.lock();
+        let eval = answer(spec.cores as usize, self.profile.use_zonemaps)?;
+        let (totals, rows_scanned, rows) = (eval.totals, eval.rows_scanned, probe_table.row_count());
 
         // Analytical time model: streamed column bytes (zonemap skipping
         // reduces them — the columns of skipped chunks are still summarised
@@ -274,9 +153,10 @@ impl CpuOlapEngine {
         let skipped_bytes = plan.probe_scan_bytes(&probe_table.schema, rows - rows_scanned.min(rows));
         let mut bytes_moved = plan.probe_scan_bytes(&probe_table.schema, rows_scanned) + skipped_bytes / 100;
         let mut tuple_ns = rows_scanned as f64 * self.profile.per_tuple_ns;
-        if let (Some(hash), Some(build)) = (data.hash.as_ref(), build_table) {
+        if let (Some(_), Some(build)) = (&plan.join, build_table) {
+            // The hash build considers every build row, before its predicates.
             bytes_moved += plan.build_scan_bytes(&build.schema, build.row_count());
-            tuple_ns += hash.build_rows_in as f64 * self.profile.per_tuple_ns;
+            tuple_ns += build.row_count() as f64 * self.profile.per_tuple_ns;
             bytes_moved += totals.selected * CPU_CACHE_LINE_BYTES;
             tuple_ns += totals.selected as f64 * HASH_PROBE_NS;
         }
@@ -286,97 +166,33 @@ impl CpuOlapEngine {
         }
         let bandwidth_time = bytes_moved as f64 / (spec.mem_bandwidth_gbps * 1e9);
         let cpu_time = tuple_ns * 1e-9 / f64::from(spec.cores.max(1));
-        let breakdown = ExecBreakdown::new(bandwidth_time, cpu_time, 0.0);
-        let sim_time = SimDuration::from_secs_f64(overlap_secs(bandwidth_time, cpu_time));
-
-        Ok(CpuPlanResult {
-            groups: eval.groups,
-            qualifying_rows: totals.joined,
-            rows_scanned,
-            chunks_skipped: eval.chunks_skipped,
-            threads_used: eval.threads_used,
-            sim_time,
-            breakdown,
-            wall_time: started.elapsed(),
-        })
-    }
-}
-
-impl ExecutionSite for CpuOlapEngine {
-    fn target(&self) -> OlapTarget {
-        OlapTarget::Cpu
-    }
-
-    fn label(&self) -> &'static str {
-        "cpu"
-    }
-
-    fn register_table(&self, _table: &SnapshotTable, _label: &str) -> Result<RegisteredTable> {
-        // The CPU streams straight out of the shared-memory snapshot, so
-        // registration only vends a handle for lifecycle symmetry with the
-        // GPU site.
-        let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-        self.registered.lock().insert(tag);
-        Ok(RegisteredTable::cpu(tag))
-    }
-
-    fn reset_tables(&self) {
-        self.registered.lock().clear();
-    }
-
-    fn unregister_table(&self, handle: RegisteredTable) {
-        self.registered.lock().remove(&handle.tag());
-    }
-
-    fn execute(
-        &self,
-        probe: RegisteredTable,
-        probe_table: &SnapshotTable,
-        build: Option<(RegisteredTable, &SnapshotTable)>,
-        plan: &OlapPlan,
-    ) -> Result<PlanOutcome> {
-        let handles = [Some(probe), build.map(|(handle, _)| handle)];
-        if !handles.iter().flatten().all(|handle| self.registered.lock().contains(&handle.tag())) {
-            return Err(H2Error::InvalidKernel("table not registered with the CPU site".into()));
-        }
-        let result = self.execute_plan_pipeline(probe_table, build.map(|(_, t)| t), plan)?;
-        let out = PlanOutcome {
-            groups: result.groups,
-            qualifying_rows: result.qualifying_rows,
-            grouped: plan.group_by.is_some(),
-            time: result.sim_time,
+        let price = Price {
+            time: SimDuration::from_secs_f64(overlap_secs(bandwidth_time, cpu_time)),
+            breakdown: ExecBreakdown::new(bandwidth_time, cpu_time, 0.0),
             kernels: Vec::new(),
             interconnect_bytes: 0,
-            breakdown: result.breakdown,
-            site: OlapTarget::Cpu,
         };
-        emit_execution_spans(&self.tracer, &out);
-        Ok(out)
-    }
-
-    fn resident_fraction(&self) -> f64 {
-        // The CPU's "device memory" is host DRAM, where every snapshot
-        // already lives.
-        1.0
-    }
-
-    fn capability(&self) -> SiteCapability {
-        SiteCapability::Cpu { cores: self.spec().cores }
-    }
-
-    fn set_cores(&self, cores: u32) {
-        let cores = cores.max(1);
-        let mut spec = self.spec.lock();
-        spec.cores = cores;
-        spec.mem_bandwidth_gbps = self.per_core_bandwidth_gbps * f64::from(cores);
+        Ok((eval, price))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, Schema, Value};
+    use crate::engine::{OlapOutcome, PlanOutcome};
+    use crate::site::Site;
+    use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, ScanAggQuery, Schema, Value};
     use h2tap_storage::{Database, Layout};
+
+    /// A CPU site with `profile` on the paper's server spec.
+    fn site(profile: CpuScanProfile) -> Site {
+        Site::cpu(CpuSpec::default(), profile)
+    }
+
+    /// Runs `query` as the scan-shaped plan it is.
+    fn scan(site: &Site, table: &SnapshotTable, query: &ScanAggQuery) -> OlapOutcome {
+        site.execute(table, None, &OlapPlan::scan(query)).map(PlanOutcome::into_scan_outcome).unwrap()
+    }
 
     /// Builds a 2-column table: col0 = 0..n (sorted), col1 = col0 * 2.
     fn table(n: i64) -> SnapshotTable {
@@ -395,8 +211,8 @@ mod tests {
         let t = table(10_000);
         let query =
             ScanAggQuery { predicates: vec![Predicate::between(0, 0.0, 999.0)], aggregate: AggExpr::SumProduct(0, 1) };
-        let vectorized = CpuOlapEngine::new(CpuScanProfile::vectorized()).execute_scan(&t, &query).unwrap();
-        let materializing = CpuOlapEngine::new(CpuScanProfile::materializing()).execute_scan(&t, &query).unwrap();
+        let vectorized = scan(&site(CpuScanProfile::vectorized()), &t, &query);
+        let materializing = scan(&site(CpuScanProfile::materializing()), &t, &query);
         let expected: f64 = (0..1000).map(|i| (i * i * 2) as f64).sum();
         assert_eq!(vectorized.value, expected);
         assert_eq!(materializing.value, expected);
@@ -408,21 +224,19 @@ mod tests {
         // col0 is inserted in sorted order, so zonemaps can skip chunks.
         let t = table(300_000);
         let query = ScanAggQuery { predicates: vec![Predicate::between(0, 0.0, 9_999.0)], aggregate: AggExpr::Count };
-        let skipping = CpuOlapEngine::new(CpuScanProfile::vectorized()).execute_scan(&t, &query).unwrap();
-        let full = CpuOlapEngine::new(CpuScanProfile::materializing()).execute_scan(&t, &query).unwrap();
+        let skipping = scan(&site(CpuScanProfile::vectorized()), &t, &query);
+        let full = scan(&site(CpuScanProfile::materializing()), &t, &query);
         assert_eq!(skipping.value, 10_000.0);
         assert!(skipping.chunks_skipped > 0, "zonemaps should skip chunks on sorted data");
         assert_eq!(full.chunks_skipped, 0);
         assert!(skipping.rows_scanned < full.rows_scanned);
-        assert!(skipping.sim_time < full.sim_time);
+        assert!(skipping.time < full.time);
     }
 
     #[test]
     fn count_without_predicates_needs_no_columns() {
         let t = table(1_234);
-        let r = CpuOlapEngine::new(CpuScanProfile::vectorized())
-            .execute_scan(&t, &ScanAggQuery::aggregate_only(AggExpr::Count))
-            .unwrap();
+        let r = scan(&site(CpuScanProfile::vectorized()), &t, &ScanAggQuery::aggregate_only(AggExpr::Count));
         assert_eq!(r.value, 1_234.0);
         assert_eq!(r.qualifying_rows, 1_234);
     }
@@ -432,9 +246,9 @@ mod tests {
         let small = table(10_000);
         let big = table(100_000);
         let query = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 1]));
-        let engine = CpuOlapEngine::new(CpuScanProfile::materializing());
-        let ts = engine.execute_scan(&small, &query).unwrap().sim_time;
-        let tb = engine.execute_scan(&big, &query).unwrap().sim_time;
+        let engine = site(CpuScanProfile::materializing());
+        let ts = scan(&engine, &small, &query).time;
+        let tb = scan(&engine, &big, &query).time;
         let ratio = tb.as_secs_f64() / ts.as_secs_f64();
         assert!((8.0..12.5).contains(&ratio), "ratio {ratio}");
     }
@@ -443,22 +257,11 @@ mod tests {
     fn core_migration_speeds_up_the_cpu_site() {
         let t = table(500_000);
         let query = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 1]));
-        let site = CpuOlapEngine::archipelago_default(2);
-        let handle = site.register_table(&t, "t").unwrap();
-        let slow = site.execute(handle, &t, None, &OlapPlan::scan(&query)).unwrap().time;
+        let site = Site::archipelago_default(2);
+        let slow = scan(&site, &t, &query).time;
         site.set_cores(16);
-        let fast = site.execute(handle, &t, None, &OlapPlan::scan(&query)).unwrap().time;
+        let fast = scan(&site, &t, &query).time;
         assert!(fast < slow, "16 cores {fast} should beat 2 cores {slow}");
-    }
-
-    #[test]
-    fn unregistered_handles_are_rejected() {
-        let t = table(10);
-        let site = CpuOlapEngine::archipelago_default(4);
-        let handle = site.register_table(&t, "t").unwrap();
-        site.reset_tables();
-        let query = ScanAggQuery::aggregate_only(AggExpr::Count);
-        assert!(site.execute(handle, &t, None, &OlapPlan::scan(&query)).is_err());
     }
 
     /// Dimension table: key = i, size = i % 7, class = i % 4.
@@ -513,8 +316,8 @@ mod tests {
         let fact = fact_table(300_000); // several PLAN_CHUNK_ROWS chunks
         let dim = dim_table(50);
         let plan = class_plan();
-        let sequential = CpuOlapEngine::archipelago_default(1).execute_plan_pipeline(&fact, Some(&dim), &plan).unwrap();
-        let parallel = CpuOlapEngine::archipelago_default(8).execute_plan_pipeline(&fact, Some(&dim), &plan).unwrap();
+        let sequential = Site::archipelago_default(1).execute(&fact, Some(&dim), &plan).unwrap();
+        let parallel = Site::archipelago_default(8).execute(&fact, Some(&dim), &plan).unwrap();
         assert_eq!(sequential.threads_used, 1);
         assert!(parallel.threads_used > 1, "8 cores over several chunks must use the pool");
         // The IR's chunk-order contract: the schedule cannot change a bit.
@@ -526,8 +329,7 @@ mod tests {
     fn plan_pipeline_matches_a_scalar_reference() {
         let fact = fact_table(10_000);
         let dim = dim_table(50);
-        let result =
-            CpuOlapEngine::archipelago_default(4).execute_plan_pipeline(&fact, Some(&dim), &class_plan()).unwrap();
+        let result = Site::archipelago_default(4).execute(&fact, Some(&dim), &class_plan()).unwrap();
         // Reference: keys with key % 7 <= 3 survive the build filter.
         let mut expect: std::collections::BTreeMap<u64, (f64, u64)> = std::collections::BTreeMap::new();
         for i in 0..10_000i64 {
@@ -552,16 +354,16 @@ mod tests {
     fn join_and_group_charge_more_than_the_plain_scan_plan() {
         let fact = fact_table(200_000);
         let dim = dim_table(50);
-        let engine = CpuOlapEngine::archipelago_default(8);
-        let join = engine.execute_plan_pipeline(&fact, Some(&dim), &class_plan()).unwrap();
+        let engine = Site::archipelago_default(8);
+        let join = engine.execute(&fact, Some(&dim), &class_plan()).unwrap();
         let scan_plan = h2tap_common::OlapPlan {
             predicates: vec![],
             join: None,
             group_by: None,
             aggregates: vec![AggExpr::SumColumns(vec![0]), AggExpr::Count],
         };
-        let scan = engine.execute_plan_pipeline(&fact, None, &scan_plan).unwrap();
-        assert!(join.sim_time > scan.sim_time, "join {} scan {}", join.sim_time, scan.sim_time);
+        let scan = engine.execute(&fact, None, &scan_plan).unwrap();
+        assert!(join.time > scan.time, "join {} scan {}", join.time, scan.time);
     }
 
     #[test]
@@ -571,11 +373,8 @@ mod tests {
         let fact = fact_table(300_000);
         let dim = dim_table(50);
         let plan = h2tap_common::OlapPlan { predicates: vec![Predicate::between(0, 0.0, 9_999.0)], ..class_plan() };
-        let skipping =
-            CpuOlapEngine::new(CpuScanProfile::vectorized()).execute_plan_pipeline(&fact, Some(&dim), &plan).unwrap();
-        let full = CpuOlapEngine::new(CpuScanProfile::materializing())
-            .execute_plan_pipeline(&fact, Some(&dim), &plan)
-            .unwrap();
+        let skipping = site(CpuScanProfile::vectorized()).execute(&fact, Some(&dim), &plan).unwrap();
+        let full = site(CpuScanProfile::materializing()).execute(&fact, Some(&dim), &plan).unwrap();
         assert!(skipping.chunks_skipped > 0, "clustered predicate must skip chunks of a join plan too");
         assert_eq!(full.chunks_skipped, 0);
         assert_eq!(full.rows_scanned, 300_000);
@@ -584,28 +383,23 @@ mod tests {
         assert_eq!(skipping.groups, full.groups);
         assert_eq!(skipping.qualifying_rows, full.qualifying_rows);
         assert!(!skipping.groups.is_empty());
-        assert!(skipping.sim_time < full.sim_time, "skipped chunks are charged at 1% of their bytes");
+        assert!(skipping.time < full.time, "skipped chunks are charged at 1% of their bytes");
     }
 
     #[test]
     fn plan_wall_clock_benefits_from_more_threads() {
         // Not a timing assertion (CI noise): just check the pool is sized by
-        // set_cores through the ExecutionSite surface.
+        // set_cores.
         let fact = fact_table(400_000);
         let dim = dim_table(50);
-        let site = CpuOlapEngine::archipelago_default(2);
-        let ph = site.register_table(&fact, "fact").unwrap();
-        let bh = site.register_table(&dim, "dim").unwrap();
+        let site = Site::archipelago_default(2);
         let plan = class_plan();
-        let two = site.execute_plan_pipeline(&fact, Some(&dim), &plan).unwrap();
+        let two = site.execute(&fact, Some(&dim), &plan).unwrap();
         site.set_cores(16);
-        let sixteen = site.execute_plan_pipeline(&fact, Some(&dim), &plan).unwrap();
+        let sixteen = site.execute(&fact, Some(&dim), &plan).unwrap();
         assert_eq!(two.threads_used, 2);
         assert!(sixteen.threads_used > two.threads_used);
         assert_eq!(two.groups, sixteen.groups);
-        assert!(sixteen.sim_time < two.sim_time, "more cores must lower the simulated time");
-        // The ExecutionSite wrapper enforces registration.
-        site.reset_tables();
-        assert!(site.execute(ph, &fact, Some((bh, &dim)), &plan).is_err());
+        assert!(sixteen.time < two.time, "more cores must lower the simulated time");
     }
 }

@@ -1,14 +1,11 @@
 //! The vocabulary every execution site shares: where a GPU-family site keeps
-//! table data ([`DataPlacement`]), what a site hands back for a plan
-//! ([`PlanOutcome`], and [`OlapOutcome`] for its scan-shaped special case),
-//! and the handle a site vends for a registered table
-//! ([`RegisteredTable`]). The sites themselves live in [`crate::multi_gpu`]
-//! (the GPU family) and [`crate::cpu`]; this module's tests exercise the
-//! single-GPU site ([`crate::GpuOlapEngine::new`]).
+//! table data ([`DataPlacement`]) and what a site hands back for a plan
+//! ([`PlanOutcome`], and [`OlapOutcome`] for its scan-shaped special case).
+//! The site itself is [`crate::Site`]; this module's tests exercise the
+//! single-GPU site ([`crate::Site::gpu`]).
 
-use h2tap_common::{ExecBreakdown, GroupRow, SimDuration};
+use h2tap_common::{ExecBreakdown, GroupRow, OlapTarget, SimDuration};
 use h2tap_gpu_sim::{AccessMode, KernelMetrics};
-use h2tap_scheduler::OlapTarget;
 
 /// Where the engine keeps table data relative to the GPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +26,12 @@ pub struct OlapOutcome {
     pub value: f64,
     /// Number of records satisfying all predicates.
     pub qualifying_rows: u64,
+    /// Records actually scanned (after zonemap skipping).
+    pub rows_scanned: u64,
+    /// Chunks skipped thanks to zonemaps.
+    pub chunks_skipped: u64,
+    /// Worker threads the chunked scan ran on.
+    pub threads_used: usize,
     /// Simulated execution time (kernels plus any explicit transfers).
     pub time: SimDuration,
     /// Per-kernel metrics, in launch order (empty for sites that do not
@@ -57,6 +60,12 @@ pub struct PlanOutcome {
     /// whose key happens to be 0 is otherwise indistinguishable from the
     /// global group of a scan-style plan).
     pub grouped: bool,
+    /// Probe rows actually evaluated (after zonemap skipping).
+    pub rows_scanned: u64,
+    /// Probe chunks a zonemap ruled out.
+    pub chunks_skipped: u64,
+    /// Worker threads the chunk pipeline ran on.
+    pub threads_used: usize,
     /// Simulated execution time (kernels plus any explicit transfers).
     pub time: SimDuration,
     /// Per-kernel metrics in launch order (empty for the CPU site).
@@ -82,6 +91,9 @@ impl PlanOutcome {
         OlapOutcome {
             value: self.single_value().unwrap_or(0.0),
             qualifying_rows: self.qualifying_rows,
+            rows_scanned: self.rows_scanned,
+            chunks_skipped: self.chunks_skipped,
+            threads_used: self.threads_used,
             time: self.time,
             kernels: self.kernels,
             interconnect_bytes: self.interconnect_bytes,
@@ -106,44 +118,10 @@ impl PlanOutcome {
     }
 }
 
-/// Handle to a table registered with an execution site. Opaque to callers;
-/// handles are only meaningful to the site that vended them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegisteredTable {
-    tag: usize,
-    /// Whether the data had to be copied to the device explicitly (memcpy
-    /// placement); the copy cost is charged per query batch by `execute`.
-    explicit_copy: bool,
-}
-
-impl RegisteredTable {
-    /// Handle vended by the CPU site (which never copies explicitly).
-    pub(crate) fn cpu(tag: usize) -> Self {
-        Self { tag, explicit_copy: false }
-    }
-
-    /// Handle vended by a GPU-family site with the given copy policy.
-    pub(crate) fn site(tag: usize, explicit_copy: bool) -> Self {
-        Self { tag, explicit_copy }
-    }
-
-    /// The site-local registration tag.
-    pub(crate) fn tag(&self) -> usize {
-        self.tag
-    }
-
-    /// Whether the vending site pays an explicit host-to-device copy per
-    /// query batch (memcpy placement).
-    pub(crate) fn explicit_copy(&self) -> bool {
-        self.explicit_copy
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi_gpu::GpuOlapEngine;
-    use crate::site::ExecutionSite;
+    use crate::site::Site;
     use h2tap_common::{
         AggExpr, AttrType, OlapPlan, PartitionId, PlanColumn, Predicate, Result, ScanAggQuery, Schema, Value,
     };
@@ -169,18 +147,13 @@ mod tests {
         snap.table(t).unwrap().clone()
     }
 
-    fn engine(placement: DataPlacement) -> GpuOlapEngine {
-        GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), placement)
+    fn engine(placement: DataPlacement) -> Site {
+        Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), placement)
     }
 
     /// Runs `query` as the scan-shaped plan it is.
-    fn scan(
-        eng: &GpuOlapEngine,
-        handle: RegisteredTable,
-        table: &SnapshotTable,
-        query: &ScanAggQuery,
-    ) -> Result<OlapOutcome> {
-        eng.execute(handle, table, None, &OlapPlan::scan(query)).map(PlanOutcome::into_scan_outcome)
+    fn scan(eng: &Site, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome> {
+        eng.execute(table, None, &OlapPlan::scan(query)).map(PlanOutcome::into_scan_outcome)
     }
 
     /// The launched kernels' names without the `.d<device>` suffix every
@@ -197,8 +170,7 @@ mod tests {
     fn exact_answer_matches_a_scalar_computation() {
         let table = snapshot_table(Layout::Dsm, 1000);
         let eng = engine(DataPlacement::Host(AccessMode::Uva));
-        let handle = eng.register_table(&table, "t").unwrap();
-        let out = scan(&eng, handle, &table, &bucket_query()).unwrap();
+        let out = scan(&eng, &table, &bucket_query()).unwrap();
         let expected: f64 = (0..1000).map(|i| i % 10).filter(|b| *b <= 4).map(|b| b as f64 * 2.5).sum();
         assert_eq!(out.value, expected);
         assert_eq!(out.qualifying_rows, 500);
@@ -213,8 +185,7 @@ mod tests {
         for layout in [Layout::Nsm, Layout::Dsm, Layout::PAPER_PAX] {
             let table = snapshot_table(layout, 500);
             let eng = engine(DataPlacement::Host(AccessMode::Uva));
-            let handle = eng.register_table(&table, "t").unwrap();
-            answers.push(scan(&eng, handle, &table, &query).unwrap().value);
+            answers.push(scan(&eng, &table, &query).unwrap().value);
         }
         assert!(answers.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-9), "{answers:?}");
     }
@@ -226,8 +197,7 @@ mod tests {
         for layout in [Layout::Dsm, Layout::Nsm] {
             let table = snapshot_table(layout, 200_000);
             let eng = engine(DataPlacement::Host(AccessMode::Uva));
-            let handle = eng.register_table(&table, "t").unwrap();
-            times.push(scan(&eng, handle, &table, &query).unwrap().time.as_secs_f64());
+            times.push(scan(&eng, &table, &query).unwrap().time.as_secs_f64());
         }
         assert!(times[1] > 1.5 * times[0], "NSM {} DSM {}", times[1], times[0]);
     }
@@ -239,8 +209,7 @@ mod tests {
         for layout in [Layout::Dsm, Layout::PAPER_PAX] {
             let table = snapshot_table(layout, 200_000);
             let eng = engine(DataPlacement::Host(AccessMode::Uva));
-            let handle = eng.register_table(&table, "t").unwrap();
-            times.push(scan(&eng, handle, &table, &query).unwrap().time.as_secs_f64());
+            times.push(scan(&eng, &table, &query).unwrap().time.as_secs_f64());
         }
         let ratio = times[1] / times[0];
         assert!((0.95..1.2).contains(&ratio), "PAX/DSM ratio {ratio}");
@@ -250,10 +219,9 @@ mod tests {
     fn unified_memory_queries_get_faster_after_first_touch() {
         let table = snapshot_table(Layout::Dsm, 500_000);
         let eng = engine(DataPlacement::Host(AccessMode::UnifiedMemory));
-        let handle = eng.register_table(&table, "t").unwrap();
         let q = bucket_query();
-        let first = scan(&eng, handle, &table, &q).unwrap();
-        let second = scan(&eng, handle, &table, &q).unwrap();
+        let first = scan(&eng, &table, &q).unwrap();
+        let second = scan(&eng, &table, &q).unwrap();
         assert_eq!(first.value, second.value);
         assert!(first.time > second.time, "first {} second {}", first.time, second.time);
         assert_eq!(second.interconnect_bytes, 0);
@@ -264,11 +232,9 @@ mod tests {
         let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 1]));
         let table = snapshot_table(Layout::Dsm, 500_000);
         let uva = engine(DataPlacement::Host(AccessMode::Uva));
-        let h1 = uva.register_table(&table, "t").unwrap();
-        let t_uva = scan(&uva, h1, &table, &q).unwrap().time;
+        let t_uva = scan(&uva, &table, &q).unwrap().time;
         let dev = engine(DataPlacement::DeviceResident);
-        let h2 = dev.register_table(&table, "t").unwrap();
-        let t_dev = scan(&dev, h2, &table, &q).unwrap().time;
+        let t_dev = scan(&dev, &table, &q).unwrap().time;
         assert!(t_dev < t_uva, "device {} uva {}", t_dev, t_uva);
     }
 
@@ -276,8 +242,7 @@ mod tests {
     fn memcpy_placement_charges_transfers() {
         let table = snapshot_table(Layout::Dsm, 100_000);
         let eng = engine(DataPlacement::Host(AccessMode::Memcpy));
-        let handle = eng.register_table(&table, "t").unwrap();
-        let out = scan(&eng, handle, &table, &bucket_query()).unwrap();
+        let out = scan(&eng, &table, &bucket_query()).unwrap();
         assert!(out.interconnect_bytes > 0);
     }
 
@@ -288,8 +253,7 @@ mod tests {
         let snap = db.snapshot();
         let table = snap.table(t).unwrap().clone();
         let eng = engine(DataPlacement::Host(AccessMode::Uva));
-        let handle = eng.register_table(&table, "t").unwrap();
-        assert!(scan(&eng, handle, &table, &bucket_query()).is_err());
+        assert!(scan(&eng, &table, &bucket_query()).is_err());
     }
 
     /// Build table keyed 0..10: key = i, size = i, brand = i % 3.
@@ -328,29 +292,37 @@ mod tests {
     #[test]
     fn failed_registration_frees_its_partial_allocations() {
         // A device that fits the first columns but not the whole table: the
-        // failed registration must not consume capacity (OOM fallback
-        // retries registration on every query).
+        // failed call must not consume capacity (OOM fallback retries
+        // registration on every query).
         let table = snapshot_table(Layout::Dsm, 100_000); // 8 + 4 + 8 bytes/row
         let mut spec = GpuSpec::gtx_980();
         spec.mem_capacity_mib = 1;
-        let eng = GpuOlapEngine::new(GpuDevice::new(spec), DataPlacement::DeviceResident);
-        assert!(eng.register_table(&table, "t").is_err());
+        let eng = Site::gpu(GpuDevice::new(spec), DataPlacement::DeviceResident);
+        assert!(scan(&eng, &table, &bucket_query()).is_err());
         assert_eq!(eng.device_used_bytes(), [0], "partial column buffers must be freed");
     }
 
+    /// A failed call rolls back only what it registered itself: a table an
+    /// earlier call registered keeps its buffers and stays queryable.
     #[test]
     fn unregister_table_frees_only_that_tables_buffers() {
-        let t1 = snapshot_table(Layout::Dsm, 10_000);
-        let t2 = snapshot_table(Layout::Dsm, 20_000);
-        let eng = engine(DataPlacement::DeviceResident);
-        let h1 = eng.register_table(&t1, "a").unwrap();
+        let t1 = snapshot_table(Layout::Dsm, 10_000); // 200 kB of columns
+        let t2 = snapshot_table(Layout::Dsm, 30_000); // 600 kB, and a 480 kB hash replica
+        let mut spec = GpuSpec::gtx_980();
+        spec.mem_capacity_mib = 1;
+        let eng = Site::gpu(GpuDevice::new(spec), DataPlacement::DeviceResident);
+        scan(&eng, &t1, &bucket_query()).unwrap();
         let after_first = eng.device_used_bytes();
-        let h2 = eng.register_table(&t2, "b").unwrap();
-        assert!(eng.device_used_bytes()[0] > after_first[0]);
-        eng.unregister_table(h2);
+        let join = OlapPlan {
+            predicates: vec![],
+            join: Some(h2tap_common::JoinSpec { probe_column: 0, build_key: 0, build_predicates: vec![] }),
+            group_by: None,
+            aggregates: vec![AggExpr::Count],
+        };
+        assert!(eng.execute(&t1, Some(&t2), &join).is_err(), "t2 registers, its hash replica does not fit");
         assert_eq!(eng.device_used_bytes(), after_first, "only t2's buffers are freed");
         // t1 stays fully queryable.
-        let out = scan(&eng, h1, &t1, &bucket_query()).unwrap();
+        let out = scan(&eng, &t1, &bucket_query()).unwrap();
         assert_eq!(out.qualifying_rows, 5_000);
     }
 
@@ -359,9 +331,7 @@ mod tests {
         let probe = snapshot_table(Layout::Dsm, 1_000);
         let build = build_table(10);
         let eng = engine(DataPlacement::Host(AccessMode::Uva));
-        let ph = eng.register_table(&probe, "fact").unwrap();
-        let bh = eng.register_table(&build, "dim").unwrap();
-        let out = eng.execute(ph, &probe, Some((bh, &build)), &join_plan()).unwrap();
+        let out = eng.execute(&probe, Some(&build), &join_plan()).unwrap();
         // Buckets 0..=4 join (size <= 4); brands of keys 0..=4 are
         // 0 -> {0,3}, 1 -> {1,4}, 2 -> {2}; 100 rows per bucket.
         assert_eq!(out.qualifying_rows, 500);
@@ -382,10 +352,8 @@ mod tests {
         let plan = join_plan();
         let scan_equivalent = OlapPlan { join: None, group_by: None, ..plan.clone() };
         let eng = engine(DataPlacement::Host(AccessMode::Uva));
-        let ph = eng.register_table(&probe, "fact").unwrap();
-        let bh = eng.register_table(&build, "dim").unwrap();
-        let join_time = eng.execute(ph, &probe, Some((bh, &build)), &plan).unwrap().time.as_secs_f64();
-        let scan_time = eng.execute(ph, &probe, None, &scan_equivalent).unwrap().time.as_secs_f64();
+        let join_time = eng.execute(&probe, Some(&build), &plan).unwrap().time.as_secs_f64();
+        let scan_time = eng.execute(&probe, None, &scan_equivalent).unwrap().time.as_secs_f64();
         // Every probe gathers a full interconnect transaction: the join costs
         // far more than streaming the same probe columns.
         assert!(join_time > 3.0 * scan_time, "join {join_time} scan {scan_time}");
@@ -393,22 +361,21 @@ mod tests {
         // Device-resident hash state caps the waste at the 128-byte device
         // transaction, collapsing the penalty.
         let dev = engine(DataPlacement::DeviceResident);
-        let ph = dev.register_table(&probe, "fact").unwrap();
-        let bh = dev.register_table(&build, "dim").unwrap();
-        let dev_join = dev.execute(ph, &probe, Some((bh, &build)), &plan).unwrap().time.as_secs_f64();
+        let dev_join = dev.execute(&probe, Some(&build), &plan).unwrap().time.as_secs_f64();
         assert!(dev_join < join_time / 3.0, "device {dev_join} uva {join_time}");
     }
+
+    /// What the two tables of the join tests occupy once registered: 10 000
+    /// probe rows of 8 + 4 + 8 bytes and 10 build rows of 8 + 4 + 4 bytes.
+    const REGISTERED_BYTES: u64 = 10_000 * 20 + 10 * 16;
 
     #[test]
     fn plan_scratch_buffers_do_not_leak_device_memory() {
         let probe = snapshot_table(Layout::Dsm, 10_000);
         let build = build_table(10);
         let eng = engine(DataPlacement::DeviceResident);
-        let ph = eng.register_table(&probe, "fact").unwrap();
-        let bh = eng.register_table(&build, "dim").unwrap();
-        let before = eng.device_used_bytes();
-        eng.execute(ph, &probe, Some((bh, &build)), &join_plan()).unwrap();
-        assert_eq!(eng.device_used_bytes(), before, "hash/group scratch must be freed");
+        eng.execute(&probe, Some(&build), &join_plan()).unwrap();
+        assert_eq!(eng.device_used_bytes(), [REGISTERED_BYTES], "hash/group scratch must be freed");
     }
 
     /// A plan whose probe predicate selects nothing still launches every
@@ -419,18 +386,15 @@ mod tests {
         let probe = snapshot_table(Layout::Dsm, 10_000);
         let build = build_table(10);
         let eng = engine(DataPlacement::DeviceResident);
-        let ph = eng.register_table(&probe, "fact").unwrap();
-        let bh = eng.register_table(&build, "dim").unwrap();
-        let before = eng.device_used_bytes();
         // Buckets are 0..=9: nothing passes the probe predicate.
         let plan = OlapPlan { predicates: vec![Predicate::between(1, 100.0, 200.0)], ..join_plan() };
-        let out = eng.execute(ph, &probe, Some((bh, &build)), &plan).unwrap();
+        let out = eng.execute(&probe, Some(&build), &plan).unwrap();
         assert_eq!(out.qualifying_rows, 0);
         assert!(out.groups.is_empty());
         let names = kernel_names(&out);
         assert_eq!(names, vec!["select_0", "hash_build", "hash_probe", "partial_aggregate", "merge_groups"]);
         assert!(out.time > SimDuration::ZERO && out.time.as_secs_f64().is_finite(), "{}", out.time);
-        assert_eq!(eng.device_used_bytes(), before, "hash/group scratch must be freed");
+        assert_eq!(eng.device_used_bytes(), [REGISTERED_BYTES], "hash/group scratch must be freed");
     }
 
     #[test]
@@ -438,12 +402,10 @@ mod tests {
         let probe = snapshot_table(Layout::Dsm, 100);
         let build = build_table(10);
         let eng = engine(DataPlacement::Host(AccessMode::Uva));
-        let ph = eng.register_table(&probe, "fact").unwrap();
-        let bh = eng.register_table(&build, "dim").unwrap();
         // Join without a build table.
-        assert!(eng.execute(ph, &probe, None, &join_plan()).is_err());
+        assert!(eng.execute(&probe, None, &join_plan()).is_err());
         // Build table without a join.
         let scan = OlapPlan { predicates: vec![], join: None, group_by: None, aggregates: vec![AggExpr::Count] };
-        assert!(eng.execute(ph, &probe, Some((bh, &build)), &scan).is_err());
+        assert!(eng.execute(&probe, Some(&build), &scan).is_err());
     }
 }

@@ -2,12 +2,13 @@
 //! archipelago.
 //!
 //! Analytical queries always run against an immutable [`h2tap_storage::Snapshot`]
-//! on one of the [`site::ExecutionSite`]s: kernel-at-a-time on simulated
-//! GPUs ([`multi_gpu::GpuOlapEngine`] — one implementation serving the single
-//! GPU and the chunk-sharded device mix, which differ only in how many
-//! devices the constructor is given) or vectorised-scan on the archipelago's
-//! CPU cores ([`cpu::CpuOlapEngine`]). The engine picks the site per query
-//! with [`h2tap_scheduler::place_olap_query_sites`] from live placement
+//! on a [`Site`]: kernel-at-a-time on simulated GPUs ([`Site::gpu`] and
+//! [`Site::sharded`] — one code path serving the single GPU and the
+//! chunk-sharded device mix, which differ only in how many devices the
+//! constructor is given) or vectorised-scan on the archipelago's CPU cores
+//! ([`Site::cpu`]). Every site answers through the same data path and
+//! differs only in what it charges ([`site`]). The engine picks the site per
+//! query with [`h2tap_scheduler::place_olap_query_sites`] from live placement
 //! hints and the capabilities the sites enumerate.
 //! Users trade freshness for performance by choosing how many queries share
 //! one snapshot ([`policy::SnapshotPolicy`]), which is the knob behind
@@ -30,9 +31,9 @@ mod simd;
 pub mod site;
 
 pub use cache::PlanDataCache;
-pub use cpu::{CpuOlapEngine, CpuOlapResult, CpuPlanResult, CpuScanProfile, CpuSpec};
-pub use engine::{DataPlacement, OlapOutcome, PlanOutcome, RegisteredTable};
-pub use multi_gpu::{shard_chunk_indexes, shard_rows, GpuOlapEngine};
+pub use cpu::{CpuScanProfile, CpuSpec};
+pub use engine::{DataPlacement, OlapOutcome, PlanOutcome};
+pub use multi_gpu::{shard_chunk_indexes, shard_rows};
 pub use operators::{merge_scan_partials, JoinHashTable, MaterializedColumns, ScanChunkPartial, VECTOR_BATCH_ROWS};
 pub use policy::SnapshotPolicy;
-pub use site::ExecutionSite;
+pub use site::{CpuOlapEngine, Site};

@@ -1,5 +1,6 @@
-//! The GPU-family execution site: kernel-at-a-time query execution over one
-//! or more — possibly heterogeneous — simulated GPUs.
+//! The GPU arm of a [`crate::Site`]: kernel-at-a-time query execution over
+//! one or more — possibly heterogeneous — simulated GPUs, and the table
+//! registrations in device memory that execution reads.
 //!
 //! "Each database operator is implemented as a collection of data-parallel
 //! primitives, where each primitive is an individual CUDA kernel. OLAP
@@ -7,7 +8,7 @@
 //! operator by executing the corresponding CUDA kernels one at a time while
 //! using UVA to store all input, intermediate, and output data."
 //!
-//! [`GpuOlapEngine`] follows that model: an [`OlapPlan`] becomes one
+//! The GPU arm follows that model: an [`OlapPlan`] becomes one
 //! selection kernel per predicate (each producing/consuming a selection
 //! bitmap), hash build/probe kernels for a join, and an aggregation stage —
 //! one register-reducing `aggregate` kernel for a scan-shaped plan, a
@@ -21,7 +22,7 @@
 //! real deployments mix them: cards are added over the years, so a
 //! data-parallel archipelago rarely owns `n` identical devices. The site
 //! therefore always runs over a *device mix*, and the single GPU of the
-//! Caldera prototype is the mix of one ([`GpuOlapEngine::new`]); there is no
+//! Caldera prototype is the mix of one ([`crate::Site::gpu`]); there is no
 //! second implementation and nothing branches on the device count. The
 //! sharding contract is the fixed-chunk contract every site obeys:
 //!
@@ -33,7 +34,7 @@
 //! * per-chunk partials always merge in **ascending chunk order** no matter
 //!   which device produced them or when it finished.
 //!
-//! Because the host-side data path is the shared [`operators`] pipeline over
+//! Because the host-side data path is the site's shared answer path over
 //! all chunks in ascending order, plan group rows (a scan's scalar included)
 //! are **byte-identical** to the CPU site's for any device mix and shard
 //! count. What differs is the simulated cost: each device is charged its own
@@ -51,23 +52,21 @@
 //! placement footprint check is against the **minimum per-device** free
 //! memory, not the sum.
 
-use crate::cache::PlanDataCache;
-use crate::engine::{DataPlacement, PlanOutcome, RegisteredTable};
-use crate::operators;
-use crate::site::{emit_execution_spans, ExecutionSite};
+use crate::engine::DataPlacement;
+use crate::operators::PlanEvaluation;
+use crate::site::Price;
 use h2tap_common::{
-    chunk_shard, ExecBreakdown, H2Error, OlapPlan, PlanColumn, Result, SimDuration, HASH_ENTRY_BYTES, PLAN_CHUNK_ROWS,
+    chunk_shard, ExecBreakdown, H2Error, OlapPlan, OlapTarget, PlanColumn, Result, SimDuration, HASH_ENTRY_BYTES,
+    PLAN_CHUNK_ROWS,
 };
 use h2tap_gpu_sim::{
     AccessMode, AccessPattern, BufferId, GpuDevice, KernelDesc, KernelMetrics, MemoryManager, Residency,
     TransferDirection,
 };
-use h2tap_obs::Tracer;
-use h2tap_scheduler::{GpuDeviceCapability, OlapTarget, SiteCapability};
-use h2tap_storage::{Layout, SnapshotTable};
+use h2tap_scheduler::{GpuDeviceCapability, SiteCapability};
+use h2tap_storage::{Layout, SnapshotTable, SnapshotTableId};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Rows of a `rows`-row table that land on each of `devices` devices under
 /// the round-robin chunk shard, in device order. The boundary cases matter:
@@ -244,468 +243,133 @@ impl DeviceRun {
     }
 }
 
-/// The device mix plus the registration maps it owns — everything a kernel
+/// The device mix plus the tables registered on it — everything a kernel
 /// charge or buffer (de)allocation mutates, behind one short-lived lock.
-/// Execution holds this lock only while *charging* simulated kernels
+/// Execution holds this lock only while *registering and charging*
 /// (microseconds of bookkeeping); the host-side data path — the real
 /// wall-clock work — runs between lock sessions so concurrent queries
 /// overlap.
-struct SiteState {
+struct Devices {
     devices: Vec<GpuDevice>,
-    /// Registered column buffers: (table tag, device, attr) -> buffer.
-    buffers: BTreeMap<(usize, usize, usize), BufferId>,
-    /// Registered whole-shard buffers for NSM tables: (tag, device) -> buffer.
-    nsm_buffers: BTreeMap<(usize, usize), BufferId>,
-    /// Rows each device holds of a registered table: tag -> per-device rows.
-    shard_rows: BTreeMap<usize, Vec<u64>>,
+    /// Registered tables, keyed by the frozen image they were registered
+    /// from (database, table, epoch — a stale snapshot's registration is
+    /// never reused): per device, the buffers of its shard — one
+    /// whole-record buffer for a row-major table, one per attribute
+    /// otherwise, none on a device that holds no rows of the table.
+    tables: BTreeMap<SnapshotTableId, Vec<Vec<BufferId>>>,
 }
 
-impl SiteState {
-    /// Frees every buffer one table registered, across all devices.
-    fn free_tag(&mut self, tag: usize) {
-        let cols: Vec<(usize, usize, usize)> = self.buffers.keys().filter(|(t, _, _)| *t == tag).copied().collect();
-        for key in cols {
-            if let Some(id) = self.buffers.remove(&key) {
-                #[expect(
-                    clippy::let_underscore_must_use,
-                    reason = "unregister is best-effort: the id was minted at registration and a failed free has no caller-visible remedy."
-                )]
-                let _ = self.devices[key.1].memory_mut().free(id);
-            }
-        }
-        let nsm: Vec<(usize, usize)> = self.nsm_buffers.keys().filter(|(t, _)| *t == tag).copied().collect();
-        for key in nsm {
-            if let Some(id) = self.nsm_buffers.remove(&key) {
-                #[expect(
-                    clippy::let_underscore_must_use,
-                    reason = "unregister is best-effort: the id was minted at registration and a failed free has no caller-visible remedy."
-                )]
-                let _ = self.devices[key.1].memory_mut().free(id);
-            }
-        }
-        self.shard_rows.remove(&tag);
+impl Devices {
+    /// Frees one buffer of device `d` — the one free path, shared by
+    /// registrations and per-query scratch.
+    fn free(&mut self, d: usize, id: BufferId) {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "freeing is best-effort cleanup: the id was minted by this site, a failed free has no caller-visible remedy, and it must not mask the call's own result (a mid-plan OOM included)."
+        )]
+        let _ = self.devices[d].memory_mut().free(id);
     }
 
-    fn device_shard_rows(&self, handle: RegisteredTable) -> Result<&Vec<u64>> {
-        self.shard_rows
-            .get(&handle.tag())
-            .ok_or_else(|| H2Error::InvalidKernel("table not registered with the GPU site".into()))
-    }
-
-    /// The buffer and access pattern device `d`'s kernels use to read `attr`
-    /// of its shard of the table.
-    fn read_plan(
-        &self,
-        handle: RegisteredTable,
-        table: &SnapshotTable,
-        device: usize,
-        attr: usize,
-    ) -> Result<(BufferId, u64, AccessPattern)> {
-        let rows = *self
-            .device_shard_rows(handle)?
-            .get(device)
-            .ok_or_else(|| H2Error::InvalidKernel("device index out of range".into()))?;
-        let buffer = match table.layout {
-            Layout::Nsm => self.nsm_buffers.get(&(handle.tag(), device)),
-            Layout::Dsm | Layout::Pax { .. } => self.buffers.get(&(handle.tag(), device, attr)),
+    /// Registers `table` unless it already is: its chunk shards, column by
+    /// column (whole records for a row-major table), under `placement`.
+    /// All-or-nothing across the mix: if any device rejects a buffer (out of
+    /// memory), everything this call allocated — on every device — is freed
+    /// again, since callers retry on every OOM fallback and a partial
+    /// registration must not keep eating capacity until the next snapshot
+    /// refresh. Returns whether this call registered the table.
+    fn register(&mut self, table: &SnapshotTable, placement: DataPlacement) -> Result<bool> {
+        if self.tables.contains_key(&table.identity) {
+            return Ok(false);
+        }
+        // A row-major shard is one buffer of whole records, a columnar shard
+        // one buffer per attribute: the index `read_plan` resolves.
+        let widths: Vec<u64> = match table.layout {
+            Layout::Nsm => vec![table.schema.record_width() as u64],
+            Layout::Dsm | Layout::Pax { .. } => table.schema.attributes().iter().map(|a| a.ty.width() as u64).collect(),
         };
-        let buffer = *buffer.ok_or_else(|| H2Error::InvalidKernel("shard not registered".into()))?;
-        let (useful, pattern) = layout_read(table, rows, attr)?;
-        Ok((buffer, useful, pattern))
-    }
-}
-
-/// Kernel-at-a-time OLAP executor over a mix of simulated GPUs that shard
-/// every registered table — the one implementation behind both GPU
-/// placement targets. The constructor fixes which target the site serves:
-/// [`GpuOlapEngine::new`] is the single GPU of the data-parallel archipelago
-/// ([`OlapTarget::Gpu`]), [`GpuOlapEngine::sharded`] /
-/// [`GpuOlapEngine::from_specs`] a device mix ([`OlapTarget::MultiGpu`]).
-///
-/// Concurrent: the device mix and registration maps live behind one mutex
-/// ([`SiteState`]), held only across kernel-charge bookkeeping; the
-/// host-side data path runs between lock sessions.
-pub struct GpuOlapEngine {
-    target: OlapTarget,
-    label: &'static str,
-    placement: DataPlacement,
-    /// Number of devices (= shards per table); fixed at construction.
-    device_count: usize,
-    devs: Mutex<SiteState>,
-    /// Monotonic tag generator for registered tables.
-    next_tag: AtomicUsize,
-    /// Snapshot-keyed plan-data cache for the host-side data path (the
-    /// engine's shared one after [`GpuOlapEngine::with_shared`], private
-    /// otherwise).
-    cache: PlanDataCache,
-    /// Trace handle; disabled (no-op) unless the engine shared one.
-    tracer: Tracer,
-}
-
-impl GpuOlapEngine {
-    fn over(target: OlapTarget, label: &'static str, devices: Vec<GpuDevice>, placement: DataPlacement) -> Self {
-        Self {
-            target,
-            label,
-            placement,
-            device_count: devices.len(),
-            devs: Mutex::new(SiteState {
-                devices,
-                buffers: BTreeMap::new(),
-                nsm_buffers: BTreeMap::new(),
-                shard_rows: BTreeMap::new(),
-            }),
-            next_tag: AtomicUsize::new(0),
-            cache: PlanDataCache::new(),
-            tracer: Tracer::disabled(),
-        }
-    }
-
-    /// Creates the single-GPU site ([`OlapTarget::Gpu`]) on `device` with the
-    /// given data placement: the mix of one device, which holds every chunk.
-    pub fn new(device: GpuDevice, placement: DataPlacement) -> Self {
-        Self::over(OlapTarget::Gpu, "gpu", vec![device], placement)
-    }
-
-    /// Creates the multi-GPU site ([`OlapTarget::MultiGpu`]) over `devices`
-    /// with the given (shared) data placement. At least one device is
-    /// required.
-    pub fn sharded(devices: Vec<GpuDevice>, placement: DataPlacement) -> Result<Self> {
-        if devices.is_empty() {
-            return Err(H2Error::Config("a multi-GPU site needs at least one device".into()));
-        }
-        Ok(Self::over(OlapTarget::MultiGpu, "multi-gpu", devices, placement))
-    }
-
-    /// [`GpuOlapEngine::sharded`] from catalogue specs (e.g. a Table 1 mix).
-    pub fn from_specs(specs: Vec<h2tap_gpu_sim::GpuSpec>, placement: DataPlacement) -> Result<Self> {
-        Self::sharded(specs.into_iter().map(GpuDevice::new).collect(), placement)
-    }
-
-    /// Builds the site into an engine: it answers from the engine's shared
-    /// plan-data cache and records into the engine's tracer from here on.
-    pub fn with_shared(mut self, cache: PlanDataCache, tracer: Tracer) -> Self {
-        self.cache = cache.traced(tracer.clone());
-        self.tracer = tracer;
-        self
-    }
-
-    /// Bytes currently allocated on each device (registered tables plus any
-    /// live scratch), in shard order.
-    pub fn device_used_bytes(&self) -> Vec<u64> {
-        self.devs.lock().devices.iter().map(|d| d.memory().used_bytes()).collect()
-    }
-
-    fn execute_inner(
-        &self,
-        probe: RegisteredTable,
-        probe_table: &SnapshotTable,
-        build: Option<(RegisteredTable, &SnapshotTable)>,
-        plan: &OlapPlan,
-        scratch: &mut Vec<(usize, BufferId)>,
-    ) -> Result<PlanOutcome> {
-        operators::check_plan_tables(probe_table, build.map(|(_, t)| t), plan)?;
-        let n = self.device_count;
-
-        // ---- Device-lock session 1: the up-front reservations. ----
-        let mut state = self.devs.lock();
-        let per_probe = state.device_shard_rows(probe)?.clone();
-        let per_build = match build {
-            Some((handle, _)) => Some(state.device_shard_rows(handle)?.clone()),
-            None => None,
-        };
-
-        // Reserve every *probing* device's hash replica up front at the
-        // worst-case size (same bound the placement footprint check uses):
-        // an out-of-memory mix fails here, before the host-side join is
-        // computed, so the dispatch-level CPU fallback pays once. Devices
-        // whose probe shard is empty never read the replica, so they neither
-        // reserve it nor join the all-gather — an idle low-memory card must
-        // not be able to OOM a plan it does no work for.
-        let hash_bytes = match (&plan.join, build) {
-            (Some(_), Some((_, build_table))) => {
-                Some(plan.hash_table_bytes(build_table.row_count()).max(HASH_ENTRY_BYTES))
-            }
-            _ => None,
-        };
-        let mut hash_bufs: Vec<Option<BufferId>> = vec![None; n];
-        if let Some(bytes) = hash_bytes {
-            let placement = self.placement;
-            for (d, slot) in hash_bufs.iter_mut().enumerate() {
-                if per_probe[d] == 0 {
-                    continue;
-                }
-                let id = register_bytes(&mut state.devices[d], placement, &format!("plan.hash.d{d}"), bytes)?;
-                scratch.push((d, id));
-                *slot = Some(id);
-            }
-        }
-        drop(state);
-
-        // Host-side data path, shared with the other sites so results are
-        // byte-identical: materialise, build the hash table, evaluate the
-        // fixed chunks in ascending order, merge in chunk order. Per-device
-        // row counters fall out of the same chunk partials via the shard
-        // assignment, so the kernels below charge exactly the rows each
-        // device would process. Runs with the device lock *released*: this
-        // is the real wall-clock work, and concurrent queries must overlap
-        // here.
-        let data = self.cache.prepare_plan(probe_table, build.map(|(_, t)| t), plan)?;
-        let eval = operators::evaluate_plan(&data, plan, 1, false, &self.tracer, self.target);
-        let mut selected_d = vec![0u64; n];
-        let mut joined_d = vec![0u64; n];
-        let mut chunks_d = vec![0u64; n];
-        for (i, chunk) in eval.chunk_totals.iter().enumerate() {
-            let d = chunk_shard(i, n);
-            selected_d[d] += chunk.selected;
-            joined_d[d] += chunk.joined;
-            chunks_d[d] += 1;
-        }
-        let n_groups = eval.groups.len().max(1) as u64;
-        let group_entry_bytes = (2 + plan.aggregates.len() as u64) * 8;
-        let build_rows_total: u64 = per_build.as_ref().map_or(0, |p| p.iter().sum());
-
-        let mut kernels = Vec::new();
-        let mut interconnect_bytes = 0u64;
-        let mut critical = DeviceRun::default();
-        let probe_rows_total = probe_table.row_count();
-
-        // ---- Device-lock session 2: the selectivity-dependent charges. ----
-        let mut state = self.devs.lock();
-        for d in 0..n {
-            let rows_d = per_probe[d];
-            let build_rows_d = per_build.as_ref().map_or(0, |p| p[d]);
-            if rows_d == 0 && build_rows_d == 0 {
-                continue;
-            }
-            let mut run = DeviceRun::default();
-
-            // Explicit-copy placement pays each device's shard transfers.
-            if probe.explicit_copy() && rows_d > 0 {
-                let bytes =
-                    explicit_copy_bytes(probe_table, rows_d, plan.probe_scan_bytes(&probe_table.schema, rows_d));
-                run.transfer(&mut state.devices[d], bytes, TransferDirection::HostToDevice);
-            }
-            if let Some((build_handle, build_table)) = build {
-                if build_handle.explicit_copy() && build_rows_d > 0 {
-                    let bytes = explicit_copy_bytes(
-                        build_table,
-                        build_rows_d,
-                        plan.build_scan_bytes(&build_table.schema, build_rows_d),
-                    );
-                    run.transfer(&mut state.devices[d], bytes, TransferDirection::HostToDevice);
-                }
-            }
-
-            // Selection kernels over the probe shard.
-            if rows_d > 0 {
-                for (i, pred) in plan.predicates.iter().enumerate() {
-                    let (buffer, useful, pattern) = state.read_plan(probe, probe_table, d, pred.column)?;
-                    let desc = KernelDesc::new(format!("select_{i}.d{d}"), rows_d)
-                        .flops_per_element(2.0)
-                        .read(buffer, useful, pattern)
-                        .write(rows_d.div_ceil(8));
-                    run.charge(&mut state.devices[d], &desc)?;
-                }
-            }
-
-            // Join kernels: local hash build over the device's build shard,
-            // all-gather of the remote partials into a full replica, then
-            // data-dependent probes of the replica over the probe shard.
-            if let (Some(join), Some((build_handle, build_table)), Some(bytes)) = (&plan.join, build, hash_bytes) {
-                // The device's proportional share of the replica; the u128
-                // intermediate keeps `bytes * rows` from overflowing for
-                // billion-row build sides (bytes is itself O(build rows)).
-                let local_hash = (u128::from(bytes) * u128::from(build_rows_d))
-                    .checked_div(u128::from(build_rows_total))
-                    .unwrap_or(0) as u64;
-                if build_rows_d > 0 {
-                    let mut desc = KernelDesc::new(format!("hash_build.d{d}"), build_rows_d)
-                        .flops_per_element(4.0)
-                        .write(local_hash.max(HASH_ENTRY_BYTES));
-                    for &attr in &plan.build_columns_accessed() {
-                        let (buffer, useful, pattern) = state.read_plan(build_handle, build_table, d, attr)?;
-                        desc = desc.read(buffer, useful, pattern);
-                    }
-                    run.charge(&mut state.devices[d], &desc)?;
-                }
-                // All-gather: the fraction of the replica this *probing*
-                // device did not build locally crosses its interconnect.
-                // Build-only devices just contribute their partial; the
-                // receive cost lands on the probing side.
-                let gathered = bytes.saturating_sub(local_hash);
-                if rows_d > 0 && n > 1 && gathered > 0 {
-                    run.transfer(&mut state.devices[d], gathered, TransferDirection::HostToDevice);
-                }
-                if rows_d > 0 {
-                    let hash_buf = hash_bufs[d].ok_or_else(|| {
-                        H2Error::InvalidKernel(format!("hash replica missing on device {d} for a join plan"))
-                    })?;
-                    let (key_buf, key_useful, key_pattern) =
-                        state.read_plan(probe, probe_table, d, join.probe_column)?;
-                    let probe_desc = KernelDesc::new(format!("hash_probe.d{d}"), rows_d)
-                        .flops_per_element(6.0)
-                        .read(key_buf, key_useful, key_pattern)
-                        .read(
-                            hash_buf,
-                            selected_d[d].max(1) * HASH_ENTRY_BYTES,
-                            AccessPattern::Random { elem_bytes: HASH_ENTRY_BYTES as u32 },
-                        )
-                        .write(rows_d.div_ceil(8));
-                    run.charge(&mut state.devices[d], &probe_desc)?;
-                }
-            }
-
-            // Aggregation over the probe shard: a register reduction for a
-            // scan-shaped plan, otherwise partial aggregation into a
-            // per-device arena plus a per-device merge of its chunk
-            // partials. The (tiny) per-device results merge on the host in
-            // ascending chunk order.
-            if rows_d > 0 {
-                let result_bytes = if reduces_in_registers(plan) {
-                    let desc = register_aggregate_desc(format!("aggregate.d{d}"), rows_d, plan, |attr| {
-                        state.read_plan(probe, probe_table, d, attr)
-                    })?;
-                    run.charge(&mut state.devices[d], &desc)?;
-                    desc.write_bytes
-                } else {
-                    let arena_bytes = chunks_d[d].max(1) * n_groups * group_entry_bytes;
-                    let arena_buf = register_bytes(
-                        &mut state.devices[d],
-                        self.placement,
-                        &format!("plan.groups.d{d}"),
-                        arena_bytes,
-                    )?;
-                    scratch.push((d, arena_buf));
-                    let mut agg_desc = KernelDesc::new(format!("partial_aggregate.d{d}"), rows_d)
-                        .flops_per_element(2.0 + plan.aggregates.len() as f64)
-                        .write(arena_bytes);
-                    for attr in arena_aggregate_columns(plan) {
-                        let (buffer, useful, pattern) = state.read_plan(probe, probe_table, d, attr)?;
-                        agg_desc = agg_desc.read(buffer, useful, pattern);
-                    }
-                    if plan.group_by.is_some() {
-                        agg_desc = agg_desc.read(
-                            arena_buf,
-                            joined_d[d].max(1) * group_entry_bytes,
-                            AccessPattern::Random { elem_bytes: group_entry_bytes as u32 },
-                        );
-                    }
-                    run.charge(&mut state.devices[d], &agg_desc)?;
-
-                    let merge_desc = KernelDesc::new(format!("merge_groups.d{d}"), (chunks_d[d] * n_groups).max(1))
-                        .flops_per_element(1.0 + plan.aggregates.len() as f64)
-                        .read(arena_buf, arena_bytes, AccessPattern::Sequential)
-                        .write(n_groups * group_entry_bytes);
-                    run.charge(&mut state.devices[d], &merge_desc)?;
-                    merge_desc.write_bytes
-                };
-
-                if probe.explicit_copy() {
-                    run.transfer(&mut state.devices[d], result_bytes, TransferDirection::DeviceToHost);
-                }
-            }
-
-            kernels.append(&mut run.kernels);
-            interconnect_bytes += run.interconnect_bytes;
-            if run.time > critical.time {
-                critical = run;
-            }
-        }
-        drop(state);
-
-        debug_assert_eq!(per_probe.iter().sum::<u64>(), probe_rows_total, "the shard is a partition of the rows");
-
-        Ok(PlanOutcome {
-            groups: eval.groups,
-            qualifying_rows: eval.totals.joined,
-            grouped: plan.group_by.is_some(),
-            time: critical.time,
-            kernels,
-            interconnect_bytes,
-            breakdown: critical.breakdown,
-            site: self.target,
-        })
-    }
-}
-
-impl ExecutionSite for GpuOlapEngine {
-    fn target(&self) -> OlapTarget {
-        self.target
-    }
-
-    fn label(&self) -> &'static str {
-        self.label
-    }
-
-    /// Registers the columns of `table` according to the placement policy,
-    /// sharded chunk-wise across the devices. Registration is all-or-nothing
-    /// across the whole mix: if any device rejects a buffer (out of memory),
-    /// everything registered so far — on every device — is freed again.
-    /// Callers retry on every OOM fallback, so a partial registration must
-    /// not keep eating capacity until the next snapshot refresh.
-    fn register_table(&self, table: &SnapshotTable, label: &str) -> Result<RegisteredTable> {
-        let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-        let per_device = shard_rows(table.row_count(), self.device_count);
-        let explicit_copy = matches!(self.placement, DataPlacement::Host(AccessMode::Memcpy));
-        let arity = table.schema.arity();
-        let placement = self.placement;
-        let mut state = self.devs.lock();
-        let registered = (|| -> Result<()> {
-            for (d, &rows) in per_device.iter().enumerate() {
-                if rows == 0 {
-                    continue;
-                }
-                match table.layout {
-                    Layout::Nsm => {
-                        let bytes = rows * table.schema.record_width() as u64;
-                        let id =
-                            register_bytes(&mut state.devices[d], placement, &format!("{label}.d{d}.rows"), bytes)?;
-                        state.nsm_buffers.insert((tag, d), id);
-                    }
-                    Layout::Dsm | Layout::Pax { .. } => {
-                        for attr in 0..arity {
-                            let width = table.schema.attr(attr)?.ty.width() as u64;
-                            let id = register_bytes(
-                                &mut state.devices[d],
-                                placement,
-                                &format!("{label}.d{d}.col{attr}"),
-                                rows * width,
-                            )?;
-                            state.buffers.insert((tag, d, attr), id);
-                        }
-                    }
-                }
+        let per_device = shard_rows(table.row_count(), self.devices.len());
+        let mut shards = vec![Vec::new(); per_device.len()];
+        let allocated = per_device.iter().enumerate().filter(|&(_, &rows)| rows > 0).try_for_each(|(d, &rows)| {
+            for (i, width) in widths.iter().enumerate() {
+                let label = format!("t{}.d{d}.b{i}", table.identity.table.0);
+                shards[d].push(register_bytes(&mut self.devices[d], placement, &label, rows * width)?);
             }
             Ok(())
-        })();
-        match registered {
-            Ok(()) => {
-                state.shard_rows.insert(tag, per_device);
-                Ok(RegisteredTable::site(tag, explicit_copy))
-            }
+        });
+        self.tables.insert(table.identity, shards);
+        match allocated {
+            Ok(()) => Ok(true),
             Err(err) => {
-                state.free_tag(tag);
+                self.unregister(table.identity);
                 Err(err)
             }
         }
     }
 
-    /// Frees every registration on every device (snapshot refresh).
-    fn reset_tables(&self) {
-        let mut state = self.devs.lock();
-        let tags: Vec<usize> = state.shard_rows.keys().copied().collect();
-        for tag in tags {
-            state.free_tag(tag);
+    /// Frees every buffer one table registered, across all devices.
+    fn unregister(&mut self, table: SnapshotTableId) {
+        for (d, shard) in self.tables.remove(&table).into_iter().flatten().enumerate() {
+            for id in shard {
+                self.free(d, id);
+            }
         }
     }
 
-    /// Frees one table's buffers across the mix (failed-attempt rollback).
-    fn unregister_table(&self, handle: RegisteredTable) {
-        self.devs.lock().free_tag(handle.tag());
+    /// The buffer and access pattern device `d`'s kernels use to read `attr`
+    /// of its `rows`-row shard of `table`.
+    fn read_plan(
+        &self,
+        table: &SnapshotTable,
+        rows: u64,
+        device: usize,
+        attr: usize,
+    ) -> Result<(BufferId, u64, AccessPattern)> {
+        let index = match table.layout {
+            Layout::Nsm => 0,
+            Layout::Dsm | Layout::Pax { .. } => attr,
+        };
+        let buffer = *self
+            .tables
+            .get(&table.identity)
+            .and_then(|shards| shards.get(device)?.get(index))
+            .ok_or_else(|| H2Error::InvalidKernel("table not registered with the GPU site".into()))?;
+        let (useful, pattern) = layout_read(table, rows, attr)?;
+        Ok((buffer, useful, pattern))
+    }
+}
+
+/// The GPU arm of a site's charge: kernel-at-a-time execution over a mix of
+/// simulated GPUs that shard every registered table. One device is the
+/// single GPU of the data-parallel archipelago ([`crate::Site::gpu`]),
+/// several a device mix ([`crate::Site::sharded`]); nothing else differs.
+///
+/// Concurrent: the device mix and its registrations live behind one mutex,
+/// held only across registration and kernel-charge bookkeeping; the
+/// host-side data path runs between lock sessions.
+pub(crate) struct GpuCharge {
+    placement: DataPlacement,
+    devs: Mutex<Devices>,
+}
+
+impl GpuCharge {
+    pub(crate) fn new(devices: Vec<GpuDevice>, placement: DataPlacement) -> Self {
+        Self { placement, devs: Mutex::new(Devices { devices, tables: BTreeMap::new() }) }
     }
 
-    /// Executes a relational plan kernel-at-a-time with the replicated-build
+    pub(crate) fn device_used_bytes(&self) -> Vec<u64> {
+        self.devs.lock().devices.iter().map(|d| d.memory().used_bytes()).collect()
+    }
+
+    /// Frees every registration on every device (snapshot refresh).
+    pub(crate) fn reset_tables(&self) {
+        let mut state = self.devs.lock();
+        let tables: Vec<SnapshotTableId> = state.tables.keys().copied().collect();
+        for table in tables {
+            state.unregister(table);
+        }
+    }
+
+    /// Runs a relational plan kernel-at-a-time with the replicated-build
     /// join: per-device selection over the probe shard, local hash build over
     /// the build shard, an all-gather that replicates the hash table on every
     /// device (interconnect traffic for the remote fraction), per-device
@@ -718,57 +382,271 @@ impl ExecutionSite for GpuOlapEngine {
     /// Caldera prototype keeps "all input, intermediate, and output data" in
     /// UVA), so under host placement every probe crosses the interconnect
     /// while device-resident placement pays only the capped
-    /// device-transaction waste. The group rows are byte-identical to the CPU
-    /// site's because the real answer comes from the shared [`operators`]
-    /// pipeline over all chunks in ascending order.
-    fn execute(
+    /// device-transaction waste. The answer itself comes from `answer`, the
+    /// site's shared host-side path, evaluated on one thread without zonemap
+    /// skipping.
+    ///
+    /// Scratch lives only for the call and is freed even on error, so an OOM
+    /// mid-plan does not leak; a failed call also rolls back the tables it
+    /// registered, so an OOM fallback does not strand device memory until the
+    /// next snapshot refresh. A concurrent call that was using a rolled-back
+    /// registration gets an error, never a wrong answer.
+    pub(crate) fn run(
         &self,
-        probe: RegisteredTable,
         probe_table: &SnapshotTable,
-        build: Option<(RegisteredTable, &SnapshotTable)>,
+        build_table: Option<&SnapshotTable>,
         plan: &OlapPlan,
-    ) -> Result<PlanOutcome> {
+        answer: impl FnOnce(usize, bool) -> Result<PlanEvaluation>,
+    ) -> Result<(PlanEvaluation, Price)> {
+        // What this call holds on the mix until it finishes: the tables it
+        // registered and its scratch buffers (hash replicas, group arenas).
+        let mut registered: Vec<SnapshotTableId> = Vec::new();
         let mut scratch: Vec<(usize, BufferId)> = Vec::new();
-        let result = self.execute_inner(probe, probe_table, build, plan, &mut scratch);
-        // Scratch (hash replicas, partial-group arenas) lives only for the
-        // query; free it even on error so an OOM mid-plan does not leak.
+        let result = (|| {
+            // ---- Device-lock session 1: registration and the up-front reservations. ----
+            let mut state = self.devs.lock();
+            let n = state.devices.len();
+            let explicit_copy = matches!(self.placement, DataPlacement::Host(AccessMode::Memcpy));
+            let per_probe = shard_rows(probe_table.row_count(), n);
+            let per_build = build_table.map(|build| shard_rows(build.row_count(), n));
+            for table in std::iter::once(probe_table).chain(build_table) {
+                if state.register(table, self.placement)? {
+                    registered.push(table.identity);
+                }
+            }
+
+            // Reserve every *probing* device's hash replica up front at the
+            // worst-case size (same bound the placement footprint check uses):
+            // an out-of-memory mix fails here, before the host-side join is
+            // computed, so the dispatch-level CPU fallback pays once. Devices
+            // whose probe shard is empty never read the replica, so they neither
+            // reserve it nor join the all-gather — an idle low-memory card must
+            // not be able to OOM a plan it does no work for.
+            let hash_bytes = match (&plan.join, build_table) {
+                (Some(_), Some(build)) => Some(plan.hash_table_bytes(build.row_count()).max(HASH_ENTRY_BYTES)),
+                _ => None,
+            };
+            let mut hash_bufs: Vec<Option<BufferId>> = vec![None; n];
+            if let Some(bytes) = hash_bytes {
+                for (d, slot) in hash_bufs.iter_mut().enumerate() {
+                    if per_probe[d] == 0 {
+                        continue;
+                    }
+                    let id = register_bytes(&mut state.devices[d], self.placement, &format!("plan.hash.d{d}"), bytes)?;
+                    scratch.push((d, id));
+                    *slot = Some(id);
+                }
+            }
+            drop(state);
+
+            // Host-side data path, shared with the other sites so results are
+            // byte-identical: materialise, build the hash table, evaluate the
+            // fixed chunks in ascending order, merge in chunk order. Per-device
+            // row counters fall out of the same chunk partials via the shard
+            // assignment, so the kernels below charge exactly the rows each
+            // device would process. Runs with the device lock *released*: this
+            // is the real wall-clock work, and concurrent queries must overlap
+            // here.
+            let eval = answer(1, false)?;
+            let mut selected_d = vec![0u64; n];
+            let mut joined_d = vec![0u64; n];
+            let mut chunks_d = vec![0u64; n];
+            for (i, chunk) in eval.chunk_totals.iter().enumerate() {
+                let d = chunk_shard(i, n);
+                selected_d[d] += chunk.selected;
+                joined_d[d] += chunk.joined;
+                chunks_d[d] += 1;
+            }
+            let n_groups = eval.groups.len().max(1) as u64;
+            let group_entry_bytes = (2 + plan.aggregates.len() as u64) * 8;
+            let build_rows_total: u64 = per_build.as_ref().map_or(0, |p| p.iter().sum());
+
+            let mut kernels = Vec::new();
+            let mut interconnect_bytes = 0u64;
+            let mut critical = DeviceRun::default();
+
+            // ---- Device-lock session 2: the selectivity-dependent charges. ----
+            let mut state = self.devs.lock();
+            for d in 0..n {
+                let rows_d = per_probe[d];
+                let build_rows_d = per_build.as_ref().map_or(0, |p| p[d]);
+                if rows_d == 0 && build_rows_d == 0 {
+                    continue;
+                }
+                let mut run = DeviceRun::default();
+
+                // Explicit-copy placement pays each device's shard transfers.
+                if explicit_copy && rows_d > 0 {
+                    let bytes =
+                        explicit_copy_bytes(probe_table, rows_d, plan.probe_scan_bytes(&probe_table.schema, rows_d));
+                    run.transfer(&mut state.devices[d], bytes, TransferDirection::HostToDevice);
+                }
+                if let Some(build_table) = build_table {
+                    if explicit_copy && build_rows_d > 0 {
+                        let bytes = explicit_copy_bytes(
+                            build_table,
+                            build_rows_d,
+                            plan.build_scan_bytes(&build_table.schema, build_rows_d),
+                        );
+                        run.transfer(&mut state.devices[d], bytes, TransferDirection::HostToDevice);
+                    }
+                }
+
+                // Selection kernels over the probe shard.
+                if rows_d > 0 {
+                    for (i, pred) in plan.predicates.iter().enumerate() {
+                        let (buffer, useful, pattern) = state.read_plan(probe_table, rows_d, d, pred.column)?;
+                        let desc = KernelDesc::new(format!("select_{i}.d{d}"), rows_d)
+                            .flops_per_element(2.0)
+                            .read(buffer, useful, pattern)
+                            .write(rows_d.div_ceil(8));
+                        run.charge(&mut state.devices[d], &desc)?;
+                    }
+                }
+
+                // Join kernels: local hash build over the device's build shard,
+                // all-gather of the remote partials into a full replica, then
+                // data-dependent probes of the replica over the probe shard.
+                if let (Some(join), Some(build_table), Some(bytes)) = (&plan.join, build_table, hash_bytes) {
+                    // The device's proportional share of the replica; the u128
+                    // intermediate keeps `bytes * rows` from overflowing for
+                    // billion-row build sides (bytes is itself O(build rows)).
+                    let local_hash = (u128::from(bytes) * u128::from(build_rows_d))
+                        .checked_div(u128::from(build_rows_total))
+                        .unwrap_or(0) as u64;
+                    if build_rows_d > 0 {
+                        let mut desc = KernelDesc::new(format!("hash_build.d{d}"), build_rows_d)
+                            .flops_per_element(4.0)
+                            .write(local_hash.max(HASH_ENTRY_BYTES));
+                        for &attr in &plan.build_columns_accessed() {
+                            let (buffer, useful, pattern) = state.read_plan(build_table, build_rows_d, d, attr)?;
+                            desc = desc.read(buffer, useful, pattern);
+                        }
+                        run.charge(&mut state.devices[d], &desc)?;
+                    }
+                    // All-gather: the fraction of the replica this *probing*
+                    // device did not build locally crosses its interconnect.
+                    // Build-only devices just contribute their partial; the
+                    // receive cost lands on the probing side.
+                    let gathered = bytes.saturating_sub(local_hash);
+                    if rows_d > 0 && n > 1 && gathered > 0 {
+                        run.transfer(&mut state.devices[d], gathered, TransferDirection::HostToDevice);
+                    }
+                    if rows_d > 0 {
+                        let hash_buf = hash_bufs[d].ok_or_else(|| {
+                            H2Error::InvalidKernel(format!("hash replica missing on device {d} for a join plan"))
+                        })?;
+                        let (key_buf, key_useful, key_pattern) =
+                            state.read_plan(probe_table, rows_d, d, join.probe_column)?;
+                        let probe_desc = KernelDesc::new(format!("hash_probe.d{d}"), rows_d)
+                            .flops_per_element(6.0)
+                            .read(key_buf, key_useful, key_pattern)
+                            .read(
+                                hash_buf,
+                                selected_d[d].max(1) * HASH_ENTRY_BYTES,
+                                AccessPattern::Random { elem_bytes: HASH_ENTRY_BYTES as u32 },
+                            )
+                            .write(rows_d.div_ceil(8));
+                        run.charge(&mut state.devices[d], &probe_desc)?;
+                    }
+                }
+
+                // Aggregation over the probe shard: a register reduction for a
+                // scan-shaped plan, otherwise partial aggregation into a
+                // per-device arena plus a per-device merge of its chunk
+                // partials. The (tiny) per-device results merge on the host in
+                // ascending chunk order.
+                if rows_d > 0 {
+                    let result_bytes = if reduces_in_registers(plan) {
+                        let desc = register_aggregate_desc(format!("aggregate.d{d}"), rows_d, plan, |attr| {
+                            state.read_plan(probe_table, rows_d, d, attr)
+                        })?;
+                        run.charge(&mut state.devices[d], &desc)?;
+                        desc.write_bytes
+                    } else {
+                        let arena_bytes = chunks_d[d].max(1) * n_groups * group_entry_bytes;
+                        let arena_buf = register_bytes(
+                            &mut state.devices[d],
+                            self.placement,
+                            &format!("plan.groups.d{d}"),
+                            arena_bytes,
+                        )?;
+                        scratch.push((d, arena_buf));
+                        let mut agg_desc = KernelDesc::new(format!("partial_aggregate.d{d}"), rows_d)
+                            .flops_per_element(2.0 + plan.aggregates.len() as f64)
+                            .write(arena_bytes);
+                        for attr in arena_aggregate_columns(plan) {
+                            let (buffer, useful, pattern) = state.read_plan(probe_table, rows_d, d, attr)?;
+                            agg_desc = agg_desc.read(buffer, useful, pattern);
+                        }
+                        if plan.group_by.is_some() {
+                            agg_desc = agg_desc.read(
+                                arena_buf,
+                                joined_d[d].max(1) * group_entry_bytes,
+                                AccessPattern::Random { elem_bytes: group_entry_bytes as u32 },
+                            );
+                        }
+                        run.charge(&mut state.devices[d], &agg_desc)?;
+
+                        let merge_desc = KernelDesc::new(format!("merge_groups.d{d}"), (chunks_d[d] * n_groups).max(1))
+                            .flops_per_element(1.0 + plan.aggregates.len() as f64)
+                            .read(arena_buf, arena_bytes, AccessPattern::Sequential)
+                            .write(n_groups * group_entry_bytes);
+                        run.charge(&mut state.devices[d], &merge_desc)?;
+                        merge_desc.write_bytes
+                    };
+
+                    if explicit_copy {
+                        run.transfer(&mut state.devices[d], result_bytes, TransferDirection::DeviceToHost);
+                    }
+                }
+
+                kernels.append(&mut run.kernels);
+                interconnect_bytes += run.interconnect_bytes;
+                if run.time > critical.time {
+                    critical = run;
+                }
+            }
+            drop(state);
+            Ok((eval, Price { time: critical.time, breakdown: critical.breakdown, kernels, interconnect_bytes }))
+        })();
         let mut state = self.devs.lock();
         for (d, id) in scratch {
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "scratch cleanup must not mask the query result (including a mid-plan OOM) with a secondary free failure."
-            )]
-            let _ = state.devices[d].memory_mut().free(id);
+            state.free(d, id);
         }
-        drop(state);
-        let out = result?;
-        emit_execution_spans(&self.tracer, &out);
-        Ok(out)
+        if result.is_err() {
+            for table in registered {
+                state.unregister(table);
+            }
+        }
+        result
     }
 
-    /// The smallest free device memory across the mix — the headroom any
-    /// *replicated* per-device structure (the join hash table) must fit.
-    /// Deliberately a minimum, never a sum: device capacities do not pool,
-    /// and summing would let one device reporting "unknown" saturate the
-    /// aggregate (the multi-device semantics of `gpu_free_bytes`).
-    fn free_device_bytes(&self) -> Option<u64> {
-        Some(self.devs.lock().devices.iter().map(|d| d.memory().free_bytes()).min().unwrap_or(0))
+    /// The smallest free device memory across the mix. Deliberately a
+    /// minimum, never a sum: device capacities do not pool, and summing
+    /// would let one device reporting "unknown" saturate the aggregate (the
+    /// multi-device semantics of `gpu_free_bytes`).
+    pub(crate) fn free_device_bytes(&self) -> u64 {
+        self.devs.lock().devices.iter().map(|d| d.memory().free_bytes()).min().unwrap_or(0)
     }
 
     /// Weighted across the whole mix for Unified Memory placements.
-    fn resident_fraction(&self) -> f64 {
+    pub(crate) fn resident_fraction(&self) -> f64 {
         let state = self.devs.lock();
-        let columns = state.buffers.iter().map(|((_, d, _), id)| (*d, *id));
-        let shards = columns.chain(state.nsm_buffers.iter().map(|((_, d), id)| (*d, *id)));
-        resident_fraction(self.placement, shards.map(|(d, id)| (state.devices[d].memory(), id)))
+        let devices = &state.devices;
+        let buffers = state.tables.values().flat_map(|shards| shards.iter().enumerate());
+        resident_fraction(
+            self.placement,
+            buffers.flat_map(|(d, ids)| ids.iter().map(move |&id| (devices[d].memory(), id))),
+        )
     }
 
-    fn capability(&self) -> SiteCapability {
-        let n = self.device_count as f64;
+    pub(crate) fn capability(&self, target: OlapTarget) -> SiteCapability {
         let resident = self.resident_fraction();
         let state = self.devs.lock();
+        let n = state.devices.len() as f64;
         SiteCapability::Gpu {
-            target: self.target,
+            target,
             devices: state
                 .devices
                 .iter()
@@ -789,6 +667,8 @@ impl ExecutionSite for GpuOlapEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{OlapOutcome, PlanOutcome};
+    use crate::site::Site;
     use h2tap_common::{AggExpr, AttrType, PartitionId, PlanColumn, Predicate, ScanAggQuery, Schema, Value};
     use h2tap_gpu_sim::GpuSpec;
     use h2tap_storage::{Database, Layout};
@@ -815,13 +695,8 @@ mod tests {
     }
 
     /// Runs `query` as the scan-shaped plan it is, on either GPU-family site.
-    fn scan(
-        site: &dyn ExecutionSite,
-        handle: RegisteredTable,
-        table: &SnapshotTable,
-        query: &ScanAggQuery,
-    ) -> Result<crate::engine::OlapOutcome> {
-        site.execute(handle, table, None, &OlapPlan::scan(query)).map(PlanOutcome::into_scan_outcome)
+    fn scan(site: &Site, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome> {
+        site.execute(table, None, &OlapPlan::scan(query)).map(PlanOutcome::into_scan_outcome)
     }
 
     fn bucket_query() -> ScanAggQuery {
@@ -852,13 +727,11 @@ mod tests {
     fn answers_are_byte_identical_to_the_single_gpu_site() {
         let table = snapshot_table(Layout::Dsm, 200_000);
         let query = bucket_query();
-        let single = GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
-        let h = single.register_table(&table, "t").unwrap();
-        let reference = scan(&single, h, &table, &query).unwrap();
+        let single = Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
+        let reference = scan(&single, &table, &query).unwrap();
         for n in 1..=5 {
-            let multi = GpuOlapEngine::sharded(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
-            let mh = multi.register_table(&table, "t").unwrap();
-            let out = scan(&multi, mh, &table, &query).unwrap();
+            let multi = Site::sharded(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
+            let out = scan(&multi, &table, &query).unwrap();
             assert_eq!(out.value.to_bits(), reference.value.to_bits(), "{n} devices");
             assert_eq!(out.qualifying_rows, reference.qualifying_rows);
             assert_eq!(out.site, OlapTarget::MultiGpu);
@@ -871,9 +744,8 @@ mod tests {
         let query = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 2]));
         let time = |n: usize| {
             let devices = (0..n).map(|_| GpuDevice::new(GpuSpec::gtx_980())).collect();
-            let eng = GpuOlapEngine::sharded(devices, DataPlacement::DeviceResident).unwrap();
-            let h = eng.register_table(&table, "t").unwrap();
-            scan(&eng, h, &table, &query).unwrap().time.as_secs_f64()
+            let eng = Site::sharded(devices, DataPlacement::DeviceResident).unwrap();
+            scan(&eng, &table, &query).unwrap().time.as_secs_f64()
         };
         let one = time(1);
         let four = time(4);
@@ -885,9 +757,9 @@ mod tests {
         let table = snapshot_table(Layout::Dsm, 500_000);
         let query = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 2]));
         let time = |specs: Vec<GpuSpec>| {
-            let eng = GpuOlapEngine::from_specs(specs, DataPlacement::DeviceResident).unwrap();
-            let h = eng.register_table(&table, "t").unwrap();
-            scan(&eng, h, &table, &query).unwrap().time.as_secs_f64()
+            let eng =
+                Site::sharded(specs.into_iter().map(GpuDevice::new).collect(), DataPlacement::DeviceResident).unwrap();
+            scan(&eng, &table, &query).unwrap().time.as_secs_f64()
         };
         let fast_pair = time(vec![GpuSpec::gtx_980_ti(), GpuSpec::gtx_980_ti()]);
         let mixed_pair = time(vec![GpuSpec::gtx_980_ti(), GpuSpec::gtx_580()]);
@@ -900,8 +772,8 @@ mod tests {
         let mut small = GpuSpec::gtx_980();
         small.mem_capacity_mib = 1; // second device cannot hold its shard
         let devices = vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(small)];
-        let eng = GpuOlapEngine::sharded(devices, DataPlacement::DeviceResident).unwrap();
-        assert!(eng.register_table(&table, "t").is_err());
+        let eng = Site::sharded(devices, DataPlacement::DeviceResident).unwrap();
+        assert!(scan(&eng, &table, &bucket_query()).is_err(), "the second device cannot register its shard");
         for (d, used) in eng.device_used_bytes().iter().enumerate() {
             assert_eq!(*used, 0, "device {d} must not strand shard buffers");
         }
@@ -912,9 +784,9 @@ mod tests {
         let mut small = GpuSpec::gtx_980();
         small.mem_capacity_mib = 64;
         let devices = vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(small)];
-        let eng = GpuOlapEngine::sharded(devices, DataPlacement::DeviceResident).unwrap();
-        assert_eq!(ExecutionSite::free_device_bytes(&eng), Some(64 * 1024 * 1024));
-        match ExecutionSite::capability(&eng) {
+        let eng = Site::sharded(devices, DataPlacement::DeviceResident).unwrap();
+        assert_eq!(eng.free_device_bytes(), Some(64 * 1024 * 1024));
+        match eng.capability() {
             SiteCapability::Gpu { target, devices } => {
                 assert_eq!(target, OlapTarget::MultiGpu);
                 assert_eq!(devices.len(), 2);
@@ -951,15 +823,11 @@ mod tests {
             group_by: Some(PlanColumn::Build(2)),
             aggregates: vec![AggExpr::SumProduct(1, 2), AggExpr::Count],
         };
-        let single = GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
-        let ph = single.register_table(&probe, "fact").unwrap();
-        let bh = single.register_table(&build, "dim").unwrap();
-        let reference = single.execute(ph, &probe, Some((bh, &build)), &plan).unwrap();
+        let single = Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
+        let reference = single.execute(&probe, Some(&build), &plan).unwrap();
         for n in [2usize, 3, 5] {
-            let multi = GpuOlapEngine::sharded(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
-            let mph = multi.register_table(&probe, "fact").unwrap();
-            let mbh = multi.register_table(&build, "dim").unwrap();
-            let out = multi.execute(mph, &probe, Some((mbh, &build)), &plan).unwrap();
+            let multi = Site::sharded(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
+            let out = multi.execute(&probe, Some(&build), &plan).unwrap();
             assert_eq!(out.groups, reference.groups, "{n} devices");
             assert_eq!(out.qualifying_rows, reference.qualifying_rows);
         }
@@ -992,56 +860,80 @@ mod tests {
         let build = db.snapshot().table(t).unwrap().clone();
         let mut tiny = GpuSpec::gtx_980();
         tiny.mem_capacity_mib = 1;
-        let eng = GpuOlapEngine::sharded(
+        let eng = Site::sharded(
             vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(tiny)],
             DataPlacement::DeviceResident,
         )
         .unwrap();
-        let ph = eng.register_table(&probe, "fact").unwrap();
-        let bh = eng.register_table(&build, "dim").unwrap();
         let plan = OlapPlan {
             predicates: vec![],
             join: Some(h2tap_common::JoinSpec { probe_column: 1, build_key: 0, build_predicates: vec![] }),
             group_by: Some(PlanColumn::Build(2)),
             aggregates: vec![AggExpr::Count],
         };
-        let out = eng.execute(ph, &probe, Some((bh, &build)), &plan).unwrap();
+        let out = eng.execute(&probe, Some(&build), &plan).unwrap();
         assert_eq!(out.qualifying_rows, 1_000, "every probe row joins a unique build key");
     }
 
     #[test]
     fn plan_scratch_is_freed_on_every_device() {
         let probe = snapshot_table(Layout::Dsm, 150_000);
-        let eng = GpuOlapEngine::sharded(
+        let eng = Site::sharded(
             vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(GpuSpec::gtx_980())],
             DataPlacement::DeviceResident,
         )
         .unwrap();
-        let h = eng.register_table(&probe, "t").unwrap();
-        let before = eng.device_used_bytes();
         let plan = OlapPlan {
             predicates: vec![Predicate::between(1, 0.0, 4.0)],
             join: None,
             group_by: Some(PlanColumn::Probe(1)),
             aggregates: vec![AggExpr::SumColumns(vec![2])],
         };
-        eng.execute(h, &probe, None, &plan).unwrap();
-        let after = eng.device_used_bytes();
-        assert_eq!(before, after, "group arenas must be freed on every device");
-        eng.unregister_table(h);
+        eng.execute(&probe, None, &plan).unwrap();
+        let registered = eng.device_used_bytes();
+        assert!(registered.iter().all(|&used| used > 0), "both devices hold a shard");
+        eng.execute(&probe, None, &plan).unwrap();
+        assert_eq!(eng.device_used_bytes(), registered, "group arenas must be freed on every device");
+        eng.reset_tables();
+        assert!(eng.device_used_bytes().iter().all(|&used| used == 0));
+    }
+
+    /// Registration is keyed by the frozen image (database, table, epoch):
+    /// each snapshot of a table registers once, a repeated query reuses its
+    /// registration, and a reset frees every device.
+    #[test]
+    fn each_snapshot_of_a_table_registers_once() {
+        let db = Database::new(1);
+        let t = db.create_table("t", Schema::homogeneous("c", 2, AttrType::Int64), Layout::Dsm).unwrap();
+        for i in 0..100_000i64 {
+            db.insert(PartitionId(0), t, &[Value::Int64(i), Value::Int64(i)]).unwrap();
+        }
+        let (first, second) = (db.snapshot().table(t).unwrap().clone(), db.snapshot().table(t).unwrap().clone());
+        let eng = Site::sharded(mix(2), DataPlacement::DeviceResident).unwrap();
+        let query = ScanAggQuery::aggregate_only(AggExpr::Count);
+        scan(&eng, &first, &query).unwrap();
+        let one = eng.device_used_bytes();
+        assert_eq!(one, [65_536 * 16, 34_464 * 16], "two 8-byte columns of each device's chunk");
+        scan(&eng, &first, &query).unwrap();
+        assert_eq!(eng.device_used_bytes(), one, "a repeated query reuses the registration");
+        scan(&eng, &second, &query).unwrap();
+        let two: Vec<u64> = one.iter().map(|used| 2 * used).collect();
+        assert_eq!(eng.device_used_bytes(), two, "a new epoch registers its own image");
+        scan(&eng, &second, &query).unwrap();
+        assert_eq!(eng.device_used_bytes(), two);
+        eng.reset_tables();
         assert!(eng.device_used_bytes().iter().all(|&used| used == 0));
     }
 
     #[test]
     fn empty_tables_are_rejected_like_every_other_site() {
         let table = snapshot_table(Layout::Dsm, 0);
-        let eng = GpuOlapEngine::sharded(mix(2), DataPlacement::Host(AccessMode::Uva)).unwrap();
-        let h = eng.register_table(&table, "t").unwrap();
-        assert!(scan(&eng, h, &table, &bucket_query()).is_err());
+        let eng = Site::sharded(mix(2), DataPlacement::Host(AccessMode::Uva)).unwrap();
+        assert!(scan(&eng, &table, &bucket_query()).is_err());
     }
 
     #[test]
     fn a_site_needs_at_least_one_device() {
-        assert!(GpuOlapEngine::sharded(Vec::new(), DataPlacement::DeviceResident).is_err());
+        assert!(Site::sharded(Vec::new(), DataPlacement::DeviceResident).is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! The shared scoped thread pool of the OLAP host data path.
 //!
-//! Both the chunked query pipelines ([`crate::cpu::CpuOlapEngine`]) and the
+//! Both the chunked plan evaluation of every [`crate::Site`] and the
 //! parallel column materialisation ([`crate::operators::MaterializedColumns`])
 //! run on the same harness: plain `std::thread::scope` workers over a fixed
 //! work list, with results returned **in work-item order**. There is no

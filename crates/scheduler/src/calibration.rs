@@ -22,12 +22,8 @@
 //! A hand-tuned constant that drifts from what the engines actually report is
 //! a systematic mis-placement bug; with this loop it self-corrects within
 //! tens of queries, and placement can flip mid-workload when one side's
-//! measured behaviour changes. The sustained *signed* prediction error also
-//! feeds a [`CoreMigrationPolicy`]: when one side keeps running slower than
-//! its calibrated model says it should, that side is saturated and cores can
-//! be shifted between archipelagos.
+//! measured behaviour changes.
 
-use crate::archipelago::ArchipelagoKind;
 use crate::placement::{
     estimate_site_secs, gpu_site_stream_feature, OlapTarget, PlacementHints, SiteCapability, CPU_CACHE_LINE_BYTES,
     DEFAULT_GPU_DISPATCH_OVERHEAD_SECS,
@@ -151,7 +147,7 @@ pub struct SiteCalibration {
     pub mean_rel_error: f64,
     /// Exponentially-weighted mean of `(actual - predicted) / actual`.
     /// Persistently positive means the site keeps running slower than its
-    /// calibrated model — the saturation signal the migration policy watches.
+    /// calibrated model.
     pub signed_error: f64,
     /// Most recent prediction, in seconds.
     pub last_predicted_secs: f64,
@@ -519,134 +515,6 @@ impl CostCalibrator {
     }
 }
 
-/// A recommendation to move one CPU core between archipelagos.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoreMigration {
-    /// Archipelago losing a core.
-    pub from: ArchipelagoKind,
-    /// Archipelago gaining a core.
-    pub to: ArchipelagoKind,
-}
-
-/// Policy hook consulted after every placement observation: given the current
-/// calibration report and core counts, optionally recommend shifting one core
-/// between the archipelagos. The engine applies the recommendation through
-/// the scheduler (which enforces its own invariants, e.g. the task-parallel
-/// archipelago can never be emptied).
-pub trait CoreMigrationPolicy: Send {
-    /// Returns the migration to apply now, if any. Recommending must not
-    /// commit any rate-limiting state: the engine may fail to apply the
-    /// move (scheduler invariants, a racing manual migration), and a policy
-    /// that burns its cooldown on a refused move goes silent for a whole
-    /// cooldown window while the saturation it detected persists.
-    fn recommend(
-        &mut self,
-        report: &CalibrationReport,
-        data_parallel_cores: u32,
-        task_parallel_cores: u32,
-    ) -> Option<CoreMigration>;
-
-    /// Called by the engine after a recommended migration was actually
-    /// applied. Policies that rate-limit themselves commit their cooldown
-    /// state here; the default is stateless and does nothing.
-    fn commit(&mut self, report: &CalibrationReport) {
-        let _ = report;
-    }
-}
-
-/// Error-driven elasticity: when the CPU site's *sustained signed* prediction
-/// error shows it running slower than its calibrated model — the side is
-/// saturated, queries queue behind too few cores — shift a core from the
-/// task-parallel archipelago into the data-parallel one; when it runs
-/// persistently faster than predicted, the side is overprovisioned and a core
-/// flows back to transactions.
-#[derive(Debug, Clone)]
-pub struct SaturationMigrationPolicy {
-    /// Sustained signed error (fraction of actual time) that triggers a
-    /// migration in either direction.
-    pub signed_error_threshold: f64,
-    /// Minimum CPU-site observations before the policy acts at all.
-    pub min_observations: u64,
-    /// Cores the task-parallel archipelago must keep.
-    pub min_task_cores: u32,
-    /// Observations to wait between migrations, so one burst of error moves
-    /// one core, not the whole archipelago.
-    pub cooldown: u64,
-    last_migration_at: Option<u64>,
-}
-
-impl Default for SaturationMigrationPolicy {
-    fn default() -> Self {
-        Self {
-            signed_error_threshold: 0.25,
-            min_observations: 8,
-            min_task_cores: 1,
-            cooldown: 4,
-            last_migration_at: None,
-        }
-    }
-}
-
-impl SaturationMigrationPolicy {
-    /// Sets the sustained signed-error threshold.
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.signed_error_threshold = threshold;
-        self
-    }
-
-    /// Sets the minimum CPU-site observation count before the policy acts.
-    #[must_use]
-    pub fn with_min_observations(mut self, min: u64) -> Self {
-        self.min_observations = min;
-        self
-    }
-
-    /// Sets the observation cooldown between migrations.
-    #[must_use]
-    pub fn with_cooldown(mut self, cooldown: u64) -> Self {
-        self.cooldown = cooldown;
-        self
-    }
-
-    /// Sets the task-parallel archipelago's core floor.
-    #[must_use]
-    pub fn with_min_task_cores(mut self, cores: u32) -> Self {
-        self.min_task_cores = cores;
-        self
-    }
-}
-
-impl CoreMigrationPolicy for SaturationMigrationPolicy {
-    fn recommend(
-        &mut self,
-        report: &CalibrationReport,
-        data_parallel_cores: u32,
-        task_parallel_cores: u32,
-    ) -> Option<CoreMigration> {
-        let cpu = report.site(OlapTarget::Cpu)?;
-        if cpu.observations < self.min_observations {
-            return None;
-        }
-        if let Some(at) = self.last_migration_at {
-            if report.observations.saturating_sub(at) < self.cooldown {
-                return None;
-            }
-        }
-        if cpu.signed_error > self.signed_error_threshold && task_parallel_cores > self.min_task_cores {
-            Some(CoreMigration { from: ArchipelagoKind::TaskParallel, to: ArchipelagoKind::DataParallel })
-        } else if cpu.signed_error < -self.signed_error_threshold && data_parallel_cores > 1 {
-            Some(CoreMigration { from: ArchipelagoKind::DataParallel, to: ArchipelagoKind::TaskParallel })
-        } else {
-            None
-        }
-    }
-
-    fn commit(&mut self, report: &CalibrationReport) {
-        self.last_migration_at = Some(report.observations);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -794,8 +662,7 @@ mod tests {
         assert_eq!(row.observations, 40);
         assert_eq!(row.forced_observations, 40);
         assert!(row.mean_rel_error.is_finite());
-        // The report now carries three rows, GPU first, CPU second (the
-        // index the migration policy tests rely on).
+        // The report now carries three rows: GPU, CPU, multi-GPU.
         assert_eq!(report.sites.len(), 3);
         assert_eq!(report.sites[0].target, OlapTarget::Gpu);
         assert_eq!(report.sites[1].target, OlapTarget::Cpu);
@@ -930,65 +797,6 @@ mod tests {
         }
         assert_eq!(cal.model(), before);
         assert!(cal.report().site(OlapTarget::Cpu).unwrap().mean_rel_error.is_finite());
-    }
-
-    #[test]
-    fn saturation_policy_migrates_on_sustained_error_with_cooldown() {
-        let mut policy = SaturationMigrationPolicy {
-            signed_error_threshold: 0.2,
-            min_observations: 2,
-            cooldown: 3,
-            ..SaturationMigrationPolicy::default()
-        };
-        let mut report = CostCalibrator::new(CalibrationConfig::default(), CostModel::default()).report();
-        // Not enough observations yet.
-        assert!(policy.recommend(&report, 2, 4).is_none());
-        report.sites[1].observations = 5;
-        report.sites[1].signed_error = 0.5; // CPU persistently slower: saturated.
-        report.observations = 5;
-        let m = policy.recommend(&report, 2, 4).expect("saturated CPU side pulls a core");
-        assert_eq!(m.from, ArchipelagoKind::TaskParallel);
-        assert_eq!(m.to, ArchipelagoKind::DataParallel);
-        policy.commit(&report);
-        // Cooldown: no second migration until more observations arrive.
-        assert!(policy.recommend(&report, 3, 3).is_none());
-        report.observations = 9;
-        assert!(policy.recommend(&report, 3, 3).is_some());
-        policy.commit(&report);
-        // Overprovisioned CPU side returns a core to transactions.
-        report.observations = 20;
-        report.sites[1].signed_error = -0.5;
-        let back = policy.recommend(&report, 3, 3).expect("overprovisioned side gives a core back");
-        assert_eq!(back.from, ArchipelagoKind::DataParallel);
-        policy.commit(&report);
-        // The task-parallel floor is respected.
-        report.observations = 40;
-        report.sites[1].signed_error = 0.5;
-        assert!(policy.recommend(&report, 7, 1).is_none(), "task archipelago at its floor");
-    }
-
-    #[test]
-    fn uncommitted_recommendations_do_not_burn_the_cooldown() {
-        // A recommendation the engine could not apply (the scheduler refused
-        // the move) must not start the cooldown window: the policy keeps
-        // recommending at every observation until one move actually lands.
-        let mut policy = SaturationMigrationPolicy {
-            signed_error_threshold: 0.2,
-            min_observations: 2,
-            cooldown: 100,
-            ..SaturationMigrationPolicy::default()
-        };
-        let mut report = CostCalibrator::new(CalibrationConfig::default(), CostModel::default()).report();
-        report.sites[1].observations = 5;
-        report.sites[1].signed_error = 0.5;
-        report.observations = 5;
-        for _ in 0..3 {
-            assert!(policy.recommend(&report, 2, 4).is_some(), "refused moves leave the policy armed");
-        }
-        // Once a move is committed, the (long) cooldown finally engages.
-        policy.commit(&report);
-        report.observations = 6;
-        assert!(policy.recommend(&report, 3, 3).is_none());
     }
 
     #[test]

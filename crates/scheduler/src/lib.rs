@@ -21,9 +21,8 @@ pub mod placement;
 
 pub use archipelago::{Archipelago, ArchipelagoKind, Scheduler};
 pub use calibration::{
-    CalibrationConfig, CalibrationReport, CoreMigration, CoreMigrationPolicy, CostCalibrator, CostModel,
-    PlacementExplanation, PlacementObservation, RegretSummary, SaturationMigrationPolicy, SiteCalibration,
-    SiteSecsEstimate, RECENT_PLACEMENTS_CAP,
+    CalibrationConfig, CalibrationReport, CostCalibrator, CostModel, PlacementExplanation, PlacementObservation,
+    RegretSummary, SiteCalibration, SiteSecsEstimate, RECENT_PLACEMENTS_CAP,
 };
 pub use placement::{
     cpu_term_secs, estimate_site_secs, estimate_target_secs, gpu_footprint_blocks, gpu_site_stream_feature,

@@ -10,21 +10,10 @@
 //! fixed GPU dispatch cost, versus how fast the CPU cores can stream the
 //! same bytes from memory plus their per-tuple processing work.
 
+pub use h2tap_common::OlapTarget;
 use h2tap_common::HASH_ENTRY_BYTES;
 use h2tap_gpu_sim::{GpuSpec, DEVICE_TRANSACTION_BYTES};
 use serde::{Deserialize, Serialize};
-
-/// Where an analytical query should execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OlapTarget {
-    /// Execute on the (single) GPU of the data-parallel archipelago.
-    Gpu,
-    /// Execute on the CPU cores of the data-parallel archipelago.
-    Cpu,
-    /// Execute on the multi-GPU site: a table's chunks sharded across
-    /// several (possibly heterogeneous) devices that run in parallel.
-    MultiGpu,
-}
 
 /// Fixed per-query cost of dispatching to the GPU (kernel launches, snapshot
 /// table registration, result read-back): roughly 30 µs, the right order for

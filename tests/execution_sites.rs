@@ -4,7 +4,8 @@
 //! heuristic predicts.
 
 use caldera::{Caldera, CalderaConfig, DataPlacement, OlapMultiGpuConfig, OlapTarget, SnapshotPolicy};
-use h2tap_common::{AggExpr, PartitionId, Predicate, ScanAggQuery, Value};
+use h2tap_common::{AggExpr, OlapPlan, PartitionId, Predicate, ScanAggQuery, Value};
+use h2tap_olap::{CpuScanProfile, CpuSpec, PlanOutcome, Site};
 use h2tap_storage::Layout;
 use h2tap_workloads::tpch::{self, q6};
 use std::sync::Arc;
@@ -89,8 +90,9 @@ fn scan_answers_are_byte_identical_across_sites_and_thread_counts() {
     // count cannot perturb a single bit of the answer.
     let snap = caldera.database().snapshot();
     let frozen = snap.table(table).unwrap();
-    let sequential = h2tap_olap::CpuOlapEngine::archipelago_default(1).execute_scan(frozen, &query).unwrap();
-    let parallel = h2tap_olap::CpuOlapEngine::archipelago_default(16).execute_scan(frozen, &query).unwrap();
+    let scan = |site: Site| site.execute(frozen, None, &OlapPlan::scan(&query)).map(PlanOutcome::into_scan_outcome);
+    let sequential = scan(Site::archipelago_default(1)).unwrap();
+    let parallel = scan(Site::archipelago_default(16)).unwrap();
     assert_eq!(sequential.threads_used, 1);
     assert!(parallel.threads_used > 1, "a multi-chunk scan on 16 cores must use the pool");
     assert_eq!(sequential.value.to_bits(), parallel.value.to_bits());
@@ -117,11 +119,12 @@ fn zonemap_skipping_preserves_bitwise_equality_on_clustered_predicates() {
     };
     let snap = caldera.database().snapshot();
     let frozen = snap.table(table).unwrap();
-    let skipping =
-        h2tap_olap::CpuOlapEngine::new(h2tap_olap::CpuScanProfile::vectorized()).execute_scan(frozen, &query).unwrap();
-    let full = h2tap_olap::CpuOlapEngine::new(h2tap_olap::CpuScanProfile::materializing())
-        .execute_scan(frozen, &query)
-        .unwrap();
+    let scan = |profile| {
+        let site = Site::cpu(CpuSpec::default(), profile);
+        site.execute(frozen, None, &OlapPlan::scan(&query)).map(PlanOutcome::into_scan_outcome)
+    };
+    let skipping = scan(CpuScanProfile::vectorized()).unwrap();
+    let full = scan(CpuScanProfile::materializing()).unwrap();
     assert!(skipping.chunks_skipped > 0, "clustered predicate must skip chunks");
     assert_eq!(full.chunks_skipped, 0);
     assert_eq!(skipping.value.to_bits(), full.value.to_bits());

@@ -20,7 +20,7 @@
 use caldera::{Caldera, CalderaConfig, DataPlacement, OlapTarget};
 use h2tap_common::{AggExpr, OlapPlan, PlanColumn};
 use h2tap_gpu_sim::{table1_mix, AccessMode, GpuDevice, GpuSpec};
-use h2tap_olap::{CpuOlapEngine, ExecutionSite, GpuOlapEngine, PlanOutcome};
+use h2tap_olap::{PlanOutcome, Site};
 use h2tap_storage::{Layout, SnapshotTable};
 use h2tap_workloads::tpch::{self, q6};
 
@@ -121,22 +121,22 @@ const PLACEMENTS: [(&str, DataPlacement); 4] = [
     ("resident", DataPlacement::DeviceResident),
 ];
 
-fn gpu_family(placement: DataPlacement) -> [(&'static str, Box<dyn ExecutionSite>); 2] {
+fn gpu_family(placement: DataPlacement) -> [(&'static str, Site); 2] {
     [
-        ("gpu", Box::new(GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), placement))),
-        ("multi", Box::new(GpuOlapEngine::from_specs(table1_mix(3), placement).unwrap())),
+        ("gpu", Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), placement)),
+        ("multi", Site::sharded(table1_mix(3).into_iter().map(GpuDevice::new).collect(), placement).unwrap()),
     ]
 }
 
 /// Every site of the matrix for one layout, labelled `site/layout[/placement]`.
-fn sites(lname: &str) -> Vec<(String, Box<dyn ExecutionSite>)> {
-    let mut sites: Vec<(String, Box<dyn ExecutionSite>)> = Vec::new();
+fn sites(lname: &str) -> Vec<(String, Site)> {
+    let mut sites: Vec<(String, Site)> = Vec::new();
     for (pname, placement) in PLACEMENTS {
         for (sname, site) in gpu_family(placement) {
             sites.push((format!("{sname}/{lname}/{pname}"), site));
         }
     }
-    sites.push((format!("cpu/{lname}"), Box::new(CpuOlapEngine::archipelago_default(8))));
+    sites.push((format!("cpu/{lname}"), Site::archipelago_default(8)));
     sites
 }
 
@@ -147,9 +147,8 @@ fn scan_shaped_plans_are_charged_exactly_what_the_scan_path_charged() {
     for (lname, layout) in LAYOUTS {
         let table = lineitem(layout);
         for (name, site) in sites(lname) {
-            let handle = site.register_table(&table, "lineitem").unwrap();
             for label in [format!("q6/{name}"), format!("q6/{name}#2")] {
-                let out = site.execute(handle, &table, None, &plan).unwrap();
+                let out = site.execute(&table, None, &plan).unwrap();
                 checked += usize::from(matches_golden(&label, &out));
                 // One selection per Q6 predicate plus the register-reducing
                 // aggregate (suffixed `.d<n>` per device on the GPU-family
@@ -172,9 +171,7 @@ fn joined_grouped_plans_keep_the_plan_paths_charge() {
     for (lname, layout) in LAYOUTS {
         let (probe, build) = (lineitem(layout), part(layout));
         for (name, site) in sites(lname) {
-            let ph = site.register_table(&probe, "lineitem").unwrap();
-            let bh = site.register_table(&build, "part").unwrap();
-            let out = site.execute(ph, &probe, Some((bh, &build)), &plan).unwrap();
+            let out = site.execute(&probe, Some(&build), &plan).unwrap();
             checked += usize::from(matches_golden(&format!("join/{name}"), &out));
             if name.starts_with("gpu/") {
                 let names = kernel_names(&out);
@@ -204,9 +201,7 @@ fn nsm_memcpy_join_plans_copy_whole_records() {
         let records = ROWS * probe.schema.record_width() as u64 + PARTS * build.schema.record_width() as u64;
         let columns = plan.probe_scan_bytes(&probe.schema, ROWS) + plan.build_scan_bytes(&build.schema, PARTS);
         for (sname, site) in gpu_family(memcpy) {
-            let ph = site.register_table(&probe, "lineitem").unwrap();
-            let bh = site.register_table(&build, "part").unwrap();
-            let out = site.execute(ph, &probe, Some((bh, &build)), &plan).unwrap();
+            let out = site.execute(&probe, Some(&build), &plan).unwrap();
             // Host-to-device copies and the result's copy back are the only
             // interconnect traffic of one device under memcpy; a mix adds
             // its hash all-gather and one result copy per device.
@@ -230,12 +225,11 @@ fn nsm_memcpy_join_plans_copy_whole_records() {
 #[test]
 fn the_aggregation_charge_follows_the_plan_shape() {
     let table = lineitem(Layout::Dsm);
-    let site = GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::DeviceResident);
-    let handle = site.register_table(&table, "lineitem").unwrap();
-    let before = site.device_used_bytes();
+    let site = Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::DeviceResident);
+    let registered = ROWS * table.schema.record_width() as u64;
     let run = |plan: &OlapPlan| -> PlanOutcome {
-        let out = site.execute(handle, &table, None, plan).unwrap();
-        assert_eq!(site.device_used_bytes(), before, "scratch is freed");
+        let out = site.execute(&table, None, plan).unwrap();
+        assert_eq!(site.device_used_bytes(), [registered], "scratch is freed");
         out
     };
     let scan = OlapPlan::scan(&q6());
@@ -254,11 +248,9 @@ fn one_device_is_the_degenerate_shard() {
     let (q6_plan, join_plan) = (OlapPlan::scan(&q6()), tpch::brand_revenue_plan(30));
     for (lname, layout) in LAYOUTS {
         let (probe, build) = (lineitem(layout), part(layout));
-        let charges = |site: GpuOlapEngine, target: OlapTarget| {
-            let ph = site.register_table(&probe, "lineitem").unwrap();
-            let bh = site.register_table(&build, "part").unwrap();
-            let scan = site.execute(ph, &probe, None, &q6_plan).unwrap();
-            let join = site.execute(ph, &probe, Some((bh, &build)), &join_plan).unwrap();
+        let charges = |site: Site, target: OlapTarget| {
+            let scan = site.execute(&probe, None, &q6_plan).unwrap();
+            let join = site.execute(&probe, Some(&build), &join_plan).unwrap();
             [scan, join].map(|out| {
                 assert_eq!(out.site, target);
                 let b = out.breakdown;
@@ -269,8 +261,8 @@ fn one_device_is_the_degenerate_shard() {
         for (pname, placement) in PLACEMENTS {
             let device = || GpuDevice::new(GpuSpec::gtx_980());
             assert_eq!(
-                charges(GpuOlapEngine::new(device(), placement), OlapTarget::Gpu),
-                charges(GpuOlapEngine::sharded(vec![device()], placement).unwrap(), OlapTarget::MultiGpu),
+                charges(Site::gpu(device(), placement), OlapTarget::Gpu),
+                charges(Site::sharded(vec![device()], placement).unwrap(), OlapTarget::MultiGpu),
                 "{lname}/{pname}"
             );
         }

@@ -12,7 +12,7 @@
 use caldera::{Caldera, CalderaConfig, DataPlacement, OlapMultiGpuConfig, OlapTarget, SnapshotPolicy};
 use h2tap_common::{AggExpr, AttrType, OlapPlan, PartitionId, Predicate, ScanAggQuery, Schema, Value, PLAN_CHUNK_ROWS};
 use h2tap_gpu_sim::{table1_mix, AccessMode, GpuDevice, GpuSpec};
-use h2tap_olap::{CpuOlapEngine, ExecutionSite, GpuOlapEngine};
+use h2tap_olap::Site;
 use h2tap_storage::{Database, Layout, SnapshotTable};
 use h2tap_workloads::tpch::{self, q6};
 
@@ -40,16 +40,15 @@ fn bucket_query() -> ScanAggQuery {
     ScanAggQuery { predicates: vec![Predicate::between(1, 0.0, 6.0)], aggregate: AggExpr::SumProduct(1, 2) }
 }
 
-fn multi_engine(n: usize, placement: DataPlacement) -> GpuOlapEngine {
-    GpuOlapEngine::from_specs(table1_mix(n), placement).unwrap()
+fn multi_engine(n: usize, placement: DataPlacement) -> Site {
+    Site::sharded(table1_mix(n).into_iter().map(GpuDevice::new).collect(), placement).unwrap()
 }
 
 /// One scan answer (value bits, qualifying rows) from any site, or `None`
 /// when the site rejected the query (empty tables must be rejected by every
 /// site identically).
-fn scan_bits(site: &mut dyn ExecutionSite, table: &SnapshotTable, query: &ScanAggQuery) -> Option<(u64, u64)> {
-    let handle = site.register_table(table, "t").unwrap();
-    let out = site.execute(handle, table, None, &OlapPlan::scan(query)).ok()?.into_scan_outcome();
+fn scan_bits(site: &Site, table: &SnapshotTable, query: &ScanAggQuery) -> Option<(u64, u64)> {
+    let out = site.execute(table, None, &OlapPlan::scan(query)).ok()?.into_scan_outcome();
     Some((out.value.to_bits(), out.qualifying_rows))
 }
 
@@ -61,21 +60,21 @@ fn assert_matrix_cell(layout: Layout, rows: i64, shard_counts: &[usize]) {
     let query = bucket_query();
     let mut answers: Vec<(String, Option<(u64, u64)>)> = Vec::new();
     for threads in [1u32, 8] {
-        let mut cpu = CpuOlapEngine::archipelago_default(threads);
-        answers.push((format!("cpu x{threads}"), scan_bits(&mut cpu, &table, &query)));
+        let cpu = Site::archipelago_default(threads);
+        answers.push((format!("cpu x{threads}"), scan_bits(&cpu, &table, &query)));
     }
     for (placement, label) in
         [(DataPlacement::Host(AccessMode::Uva), "uva"), (DataPlacement::DeviceResident, "resident")]
     {
-        let mut gpu = GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), placement);
-        answers.push((format!("gpu {label}"), scan_bits(&mut gpu, &table, &query)));
+        let gpu = Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), placement);
+        answers.push((format!("gpu {label}"), scan_bits(&gpu, &table, &query)));
     }
     for &n in shard_counts {
-        let mut multi = multi_engine(n, DataPlacement::Host(AccessMode::Uva));
-        answers.push((format!("multi-gpu x{n} uva"), scan_bits(&mut multi, &table, &query)));
+        let multi = multi_engine(n, DataPlacement::Host(AccessMode::Uva));
+        answers.push((format!("multi-gpu x{n} uva"), scan_bits(&multi, &table, &query)));
     }
-    let mut resident_mix = multi_engine(2, DataPlacement::DeviceResident);
-    answers.push(("multi-gpu x2 resident".into(), scan_bits(&mut resident_mix, &table, &query)));
+    let resident_mix = multi_engine(2, DataPlacement::DeviceResident);
+    answers.push(("multi-gpu x2 resident".into(), scan_bits(&resident_mix, &table, &query)));
 
     let (first_label, first) = &answers[0];
     if rows == 0 {
@@ -133,23 +132,17 @@ fn join_group_by_plans_are_byte_identical_across_sites_and_mixes() {
         }
         let build = db.snapshot().table(t).unwrap().clone();
 
-        let cpu = CpuOlapEngine::archipelago_default(8);
-        let cp = cpu.register_table(&probe, "fact").unwrap();
-        let cb = cpu.register_table(&build, "dim").unwrap();
-        let reference = cpu.execute(cp, &probe, Some((cb, &build)), &plan).unwrap();
+        let cpu = Site::archipelago_default(8);
+        let reference = cpu.execute(&probe, Some(&build), &plan).unwrap();
         assert!(!reference.groups.is_empty());
 
-        let gpu = GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
-        let gp = gpu.register_table(&probe, "fact").unwrap();
-        let gb = gpu.register_table(&build, "dim").unwrap();
-        let gpu_out = gpu.execute(gp, &probe, Some((gb, &build)), &plan).unwrap();
+        let gpu = Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
+        let gpu_out = gpu.execute(&probe, Some(&build), &plan).unwrap();
         assert_eq!(gpu_out.groups, reference.groups, "{layout:?}: single GPU");
 
         for n in [2usize, 4] {
             let multi = multi_engine(n, DataPlacement::Host(AccessMode::Uva));
-            let mp = multi.register_table(&probe, "fact").unwrap();
-            let mb = multi.register_table(&build, "dim").unwrap();
-            let out = multi.execute(mp, &probe, Some((mb, &build)), &plan).unwrap();
+            let out = multi.execute(&probe, Some(&build), &plan).unwrap();
             assert_eq!(out.groups, reference.groups, "{layout:?}: {n}-device mix");
             assert_eq!(out.qualifying_rows, reference.qualifying_rows, "{layout:?}: {n}-device mix");
         }
@@ -271,6 +264,8 @@ fn multi_gpu_oom_falls_back_to_the_cpu_site() {
 fn multi_gpu_free_bytes_is_the_min_across_the_mix() {
     let mut small = GpuSpec::gtx_980();
     small.mem_capacity_mib = 32;
-    let eng = GpuOlapEngine::from_specs(vec![GpuSpec::gtx_980(), small], DataPlacement::DeviceResident).unwrap();
-    assert_eq!(ExecutionSite::free_device_bytes(&eng), Some(32 * 1024 * 1024));
+    let eng =
+        Site::sharded(vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(small)], DataPlacement::DeviceResident)
+            .unwrap();
+    assert_eq!(eng.free_device_bytes(), Some(32 * 1024 * 1024));
 }
