@@ -82,16 +82,21 @@ impl SourceFile {
             .count()
     }
 
-    /// Fields of `struct <name> { .. }` if this file defines it, else 0: the
+    /// Fields of every `struct <name> { .. }` outside test code: the
     /// `ident :` pairs inside its braces that are not path separators.
-    pub fn struct_fields(&self, name: &str) -> usize {
+    pub fn struct_fields(&self) -> usize {
         let toks = self.tokens();
-        let is_def = |i: usize| toks[i - 2].is_ident("struct") && toks[i - 1].is_ident(name) && toks[i].is_punct('{');
-        let Some(open) = (2..toks.len()).find(|&i| is_def(i)) else { return 0 };
-        (open + 1..matching_brace(toks, open))
-            .filter(|&i| toks[i].ident().is_some() && toks[i + 1].is_punct(':'))
-            .filter(|&i| !toks[i + 2].is_punct(':') && !toks[i - 1].is_punct(':'))
-            .count()
+        let is_def =
+            |i: usize| toks[i - 2].is_ident("struct") && toks[i - 1].ident().is_some() && toks[i].is_punct('{');
+        (2..toks.len())
+            .filter(|&open| is_def(open) && !self.in_test_code(toks[open].line))
+            .map(|open| {
+                (open + 1..matching_brace(toks, open))
+                    .filter(|&i| toks[i].ident().is_some() && toks[i + 1].is_punct(':'))
+                    .filter(|&i| !toks[i + 2].is_punct(':') && !toks[i - 1].is_punct(':'))
+                    .count()
+            })
+            .sum()
     }
 
     /// The innermost function whose body contains token index `idx`.
@@ -270,12 +275,12 @@ mod tests {
     fn size_counts_skip_comments_blanks_and_test_code() {
         let f = file(
             "// comment\n\npub struct Cfg {\n    pub a: u32,\n    pub b: Vec<(u8, u8)>,\n}\npub const fn one() -> u32 {\n    1\n}\n\
-             pub(crate) fn hidden() {}\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n",
+             pub(crate) fn hidden() {}\nstruct Unit;\nstruct Pair {\n    x: u8,\n}\n#[cfg(test)]\nmod tests {\n    \
+             pub fn helper() {}\n    struct Fixture {\n        y: u8,\n    }\n}\n",
         );
-        assert_eq!(f.non_test_loc(), 8, "struct (4 lines) + one (3) + hidden (1)");
+        assert_eq!(f.non_test_loc(), 12, "struct (4 lines) + one (3) + hidden (1) + Unit (1) + Pair (3)");
         assert_eq!(f.pub_fns(), 1, "`pub const fn` counts; `pub(crate)` and test code do not");
-        assert_eq!(f.struct_fields("Cfg"), 2, "type-level colons and generics are not fields");
-        assert_eq!(f.struct_fields("Missing"), 0);
+        assert_eq!(f.struct_fields(), 3, "Cfg's two and Pair's one: type-level colons, generics and test code are not");
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub fn render_json(a: &Analysis) -> String {
     }
     let _ = writeln!(
         j,
-        "    ],\n    \"non_test_loc\": {},\n    \"pub_fns\": {},\n    \"caldera_config_fields\": {},\n    \"suppressions\": {}\n  }}\n}}",
+        "    ],\n    \"non_test_loc\": {},\n    \"pub_fns\": {},\n    \"config_fields\": {},\n    \"suppressions\": {}\n  }}\n}}",
         a.size.crates.iter().map(|c| c.non_test_loc).sum::<usize>(),
         a.size.crates.iter().map(|c| c.pub_fns).sum::<usize>(),
         a.size.config_fields,
@@ -119,7 +119,7 @@ pub fn render_summary(a: &Analysis) -> String {
     }
     let _ = writeln!(
         s,
-        "  size         {:>4} non-test LOC, {} pub fns, {} CalderaConfig fields, {} suppressions",
+        "  size         {:>4} non-test LOC, {} pub fns, {} config fields, {} suppressions",
         a.size.crates.iter().map(|c| c.non_test_loc).sum::<usize>(),
         a.size.crates.iter().map(|c| c.pub_fns).sum::<usize>(),
         a.size.config_fields,

@@ -57,6 +57,14 @@ impl Scale {
     }
 }
 
+/// Every experiment `main` can run, in run order.
+const EXPERIMENTS: &str =
+    "table1 fig1 fig4 placement operators multigpu hostperf concurrency chaos calibration fig5 fig6 fig7 fig8 fig9 fig10 fig11";
+
+fn is_experiment(name: &str) -> bool {
+    EXPERIMENTS.split_whitespace().any(|e| e == name)
+}
+
 fn header(title: &str) {
     println!("\n=== {title} ===");
 }
@@ -288,9 +296,19 @@ fn main() {
             selected.push(a.clone());
         }
     }
+    // A misspelt name must fail loudly: it would otherwise run nothing and
+    // exit 0, and a CI step that calls it would pass without running.
+    let unknown: Vec<&String> = selected.iter().filter(|a| *a != "all" && !is_experiment(a)).collect();
+    if !unknown.is_empty() {
+        eprintln!("unknown experiment(s): {unknown:?}; known: all {EXPERIMENTS}");
+        std::process::exit(2);
+    }
     let run_all = selected.is_empty() || selected.iter().any(|a| a == "all");
     let scale = if quick { Scale::quick() } else { Scale::full() };
-    let wants = |name: &str| run_all || selected.iter().any(|a| a == name);
+    let wants = |name: &str| {
+        debug_assert!(is_experiment(name), "{name} is missing from EXPERIMENTS");
+        run_all || selected.iter().any(|a| a == name)
+    };
 
     if wants("table1") {
         header("Table 1: GPU generations");

@@ -490,7 +490,7 @@ pub struct CalibrationSummary {
 pub fn fig_calibration(queries: u64, cpu_cores: usize) -> CalibrationSummary {
     use h2tap_scheduler::CostModel;
     let sizes: [u64; 4] = [3_000, 8_000, 30_000, 100_000];
-    let true_model = CalderaConfig::default().initial_cost_model();
+    let true_model = CostModel::default();
     let initial_model = CostModel {
         cpu_per_tuple_ns: true_model.cpu_per_tuple_ns * 2.0,
         gpu_dispatch_overhead_secs: true_model.gpu_dispatch_overhead_secs / 5.0,
@@ -500,7 +500,7 @@ pub fn fig_calibration(queries: u64, cpu_cores: usize) -> CalibrationSummary {
     let mut config = CalderaConfig::with_workers(1);
     config.olap_cpu_cores = cpu_cores;
     config.snapshot_policy = SnapshotPolicy::Manual;
-    config.cost_model_seed = Some(initial_model);
+    config.cost_model_seed = initial_model;
     let mut builder = Caldera::builder(config);
     let tables: Vec<TableId> = sizes
         .iter()

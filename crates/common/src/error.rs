@@ -77,8 +77,6 @@ pub enum H2Error {
     /// An injected (or real) execution-site fault. `transient` faults are
     /// retry candidates; persistent ones mean the site is gone.
     Fault { site: String, kind: FaultKind, transient: bool },
-    /// A deadline or queue-wait budget expired before the work could run.
-    Timeout(String),
 }
 
 impl fmt::Display for H2Error {
@@ -102,7 +100,6 @@ impl fmt::Display for H2Error {
                 let class = if *transient { "transient" } else { "persistent" };
                 write!(f, "{class} {kind} fault on site {site}")
             }
-            H2Error::Timeout(m) => write!(f, "timed out: {m}"),
         }
     }
 }
@@ -127,7 +124,6 @@ mod tests {
         assert!(t.to_string().contains("transient transient_kernel fault on site gpu"));
         let p = H2Error::Fault { site: "gpu".into(), kind: FaultKind::DeviceLost, transient: false };
         assert!(p.to_string().contains("persistent device_lost"));
-        assert!(H2Error::Timeout("admission".into()).to_string().contains("admission"));
     }
 
     #[test]

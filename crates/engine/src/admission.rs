@@ -9,11 +9,8 @@
 //! cannot starve an earlier expensive one. A gate without a budget only
 //! counts traffic.
 
-use h2tap_common::{H2Error, Result};
 use parking_lot::Mutex;
-use std::collections::BTreeSet;
 use std::sync::{Condvar, PoisonError};
-use std::time::{Duration, Instant};
 
 /// Point-in-time admission counters of one gate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -24,9 +21,6 @@ pub struct AdmissionStats {
     /// Admissions that had to wait because the in-flight budget was
     /// exhausted (or an earlier arrival was still waiting).
     pub queued: u64,
-    /// Waiters that gave up because their queue-wait budget expired before
-    /// a permit freed (a wedged or quarantined site cannot strand clients).
-    pub timeouts: u64,
     /// Permits currently held.
     pub in_flight: u32,
 }
@@ -36,26 +30,12 @@ struct GateState {
     in_flight: u32,
     /// Next ticket to hand out. Tickets are served strictly in order:
     /// `now_serving` counts tickets admitted so far, so a ticket enters
-    /// exactly when every earlier ticket has been admitted (or cancelled)
-    /// and the budget has room.
+    /// exactly when every earlier ticket has been admitted and the budget
+    /// has room.
     next_ticket: u64,
     now_serving: u64,
-    /// Tickets whose waiters timed out before being served. `now_serving`
-    /// skips over them so one abandoned ticket cannot wedge the FIFO.
-    cancelled: BTreeSet<u64>,
     admitted: u64,
     queued: u64,
-    timeouts: u64,
-}
-
-impl GateState {
-    /// Advances `now_serving` past any cancelled tickets so the next live
-    /// waiter becomes the head of the queue.
-    fn skip_cancelled(&mut self) {
-        while self.cancelled.remove(&self.now_serving) {
-            self.now_serving += 1;
-        }
-    }
 }
 
 /// A FIFO ticket gate bounding in-flight executions on one site.
@@ -82,70 +62,31 @@ impl AdmissionGate {
     /// Blocks until the site has room, in strict arrival order, and returns
     /// the RAII permit that occupies the slot.
     pub fn admit(&self) -> AdmissionPermit<'_> {
-        // Without a deadline `admit_timeout` cannot fail, so the loop body
-        // runs exactly once; the loop only absorbs the impossible Err arm
-        // without a panic path.
-        loop {
-            if let Ok(permit) = self.admit_timeout(None) {
-                return permit;
-            }
-        }
-    }
-
-    /// Like [`AdmissionGate::admit`], but gives up once `timeout` expires
-    /// without the ticket being served, returning [`H2Error::Timeout`]. The
-    /// abandoned ticket is cancelled so later arrivals are not wedged
-    /// behind it. `None` waits forever.
-    pub fn admit_timeout(&self, timeout: Option<Duration>) -> Result<AdmissionPermit<'_>> {
         let mut state = self.state.lock();
         let Some(budget) = self.budget else {
             state.admitted += 1;
             state.in_flight += 1;
-            return Ok(AdmissionPermit { gate: self });
+            return AdmissionPermit { gate: self };
         };
         let ticket = state.next_ticket;
         state.next_ticket += 1;
         if ticket != state.now_serving || state.in_flight >= budget {
             state.queued += 1;
-            let deadline = timeout.map(|t| Instant::now() + t);
             while ticket != state.now_serving || state.in_flight >= budget {
-                match deadline {
-                    None => state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner),
-                    Some(deadline) => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            state.timeouts += 1;
-                            if ticket == state.now_serving {
-                                // The head gave up while the budget was
-                                // full: serve the next live ticket.
-                                state.now_serving += 1;
-                                state.skip_cancelled();
-                            } else {
-                                state.cancelled.insert(ticket);
-                            }
-                            drop(state);
-                            self.cv.notify_all();
-                            return Err(H2Error::Timeout("admission queue wait exceeded the configured budget".into()));
-                        }
-                        let (guard, _) =
-                            self.cv.wait_timeout(state, deadline - now).unwrap_or_else(PoisonError::into_inner);
-                        state = guard;
-                    }
-                }
+                state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
         }
         state.now_serving += 1;
-        state.skip_cancelled();
         state.in_flight += 1;
         state.admitted += 1;
         // Advancing `now_serving` may have unblocked the next ticket even
-        // though no permit was released (budget not yet full, or cancelled
-        // tickets skipped): wake the queue so it can re-check.
+        // though no permit was released (budget not yet full): wake the
+        // queue so it can re-check.
         if state.in_flight < budget {
             drop(state);
             self.cv.notify_all();
         }
-        Ok(AdmissionPermit { gate: self })
+        AdmissionPermit { gate: self }
     }
 
     fn release(&self) {
@@ -158,12 +99,7 @@ impl AdmissionGate {
     /// Current counters.
     pub fn stats(&self) -> AdmissionStats {
         let state = self.state.lock();
-        AdmissionStats {
-            admitted: state.admitted,
-            queued: state.queued,
-            timeouts: state.timeouts,
-            in_flight: state.in_flight,
-        }
+        AdmissionStats { admitted: state.admitted, queued: state.queued, in_flight: state.in_flight }
     }
 }
 
@@ -241,52 +177,6 @@ mod tests {
         assert!(peak.load(Ordering::SeqCst) <= BUDGET, "budget breached: {}", peak.load(Ordering::SeqCst));
         assert_eq!(stats.admitted, (THREADS * 20) as u64);
         assert!(stats.queued > 0, "8 threads against a budget of 3 must have queued");
-        assert_eq!(stats.in_flight, 0);
-    }
-
-    #[test]
-    fn queued_waiter_times_out_instead_of_blocking_forever() {
-        // Regression: a permit that never frees (a wedged site) used to
-        // strand every queued waiter. With a timeout the waiter gets a
-        // typed error and the timeout is counted.
-        let gate = AdmissionGate::new(Some(1));
-        let held = gate.admit();
-        let err = gate.admit_timeout(Some(Duration::from_millis(20))).map(|_| ()).unwrap_err();
-        assert!(matches!(err, H2Error::Timeout(_)), "expected Timeout, got {err:?}");
-        let stats = gate.stats();
-        assert_eq!(stats.timeouts, 1);
-        assert_eq!(stats.queued, 1);
-        assert_eq!(stats.in_flight, 1);
-        drop(held);
-        // The cancelled ticket must not wedge later arrivals.
-        let p = gate.admit_timeout(Some(Duration::from_secs(5))).map(|_| ());
-        assert!(p.is_ok());
-    }
-
-    #[test]
-    fn cancelled_mid_queue_ticket_does_not_wedge_the_fifo() {
-        // Three tickets behind one held slot; the middle one times out.
-        // When the slot frees, both survivors must still be admitted.
-        let gate = Arc::new(AdmissionGate::new(Some(1)));
-        let held = gate.admit();
-        let g1 = Arc::clone(&gate);
-        let t1 = std::thread::spawn(move || g1.admit_timeout(Some(Duration::from_secs(10))).map(|_| ()));
-        while gate.stats().queued < 1 {
-            std::thread::yield_now();
-        }
-        // Ticket 2: gives up quickly while not at the head of the queue.
-        let err = gate.admit_timeout(Some(Duration::from_millis(10))).map(|_| ()).unwrap_err();
-        assert!(matches!(err, H2Error::Timeout(_)));
-        let g3 = Arc::clone(&gate);
-        let t3 = std::thread::spawn(move || g3.admit_timeout(Some(Duration::from_secs(10))).map(|_| ()));
-        while gate.stats().queued < 3 {
-            std::thread::yield_now();
-        }
-        drop(held);
-        assert!(t1.join().unwrap().is_ok());
-        assert!(t3.join().unwrap().is_ok());
-        let stats = gate.stats();
-        assert_eq!(stats.timeouts, 1);
         assert_eq!(stats.in_flight, 0);
     }
 

@@ -10,8 +10,8 @@ use crate::engine::Caldera;
 use h2tap_common::{H2Error, PartitionId, RecordId, Result, Schema, TableId, Value};
 use h2tap_gpu_sim::GpuDevice;
 use h2tap_obs::Tracer;
-use h2tap_olap::{CpuSpec, PlanDataCache, Site};
-use h2tap_oltp::{OltpRuntime, PartitionIndex, Partitioner, TxnGenerator};
+use h2tap_olap::{PlanDataCache, Site};
+use h2tap_oltp::{ModuloPartitioner, OltpRuntime, PartitionIndex, Partitioner, TxnGenerator};
 use h2tap_scheduler::Scheduler;
 use h2tap_storage::{Database, Layout};
 use std::sync::Arc;
@@ -32,12 +32,11 @@ impl CalderaBuilder {
         // building the partitioner and database (which need >= 1 partition)
         // cannot panic before that error is reported.
         let partitions = config.oltp.workers.max(1);
-        let partitioner = config.partitioner.build(partitions);
         Self {
             config,
             db: Database::new(partitions),
             indexes: vec![PartitionIndex::new(); partitions],
-            partitioner,
+            partitioner: Arc::new(ModuloPartitioner::new(partitions)),
             generator: None,
         }
     }
@@ -125,14 +124,7 @@ impl CalderaBuilder {
             gpu_device.set_fault_injector(plan.injector_for("gpu", 0));
         }
         let gpu = Site::gpu(gpu_device, config.olap_device.placement);
-        let cpu_cores = (config.olap_cpu_cores as u32).max(1);
-        let cpu = Site::cpu(
-            CpuSpec {
-                cores: cpu_cores,
-                mem_bandwidth_gbps: config.olap_cpu.per_core_bandwidth_gbps * f64::from(cpu_cores),
-            },
-            config.olap_cpu.profile,
-        );
+        let cpu = Site::archipelago_default(config.olap_cpu_cores as u32);
         let mut sites = vec![gpu, cpu];
         if let Some(mg) = &config.olap_multi_gpu {
             let devices = mg
@@ -180,12 +172,11 @@ mod tests {
     }
 
     #[test]
-    fn config_selects_the_partitioner() {
-        let mut config = CalderaConfig::with_workers(2);
-        config.partitioner = h2tap_oltp::PartitionerKind::Stride { stride: 100 };
-        let mut b = CalderaBuilder::new(config);
+    fn set_partitioner_routes_keys_by_its_scheme() {
+        let mut b = CalderaBuilder::new(CalderaConfig::with_workers(2));
+        b.set_partitioner(Arc::new(StridePartitioner::new(100, 2))).unwrap();
         let t = b.create_table("t", Schema::homogeneous("c", 2, AttrType::Int64), Layout::Dsm).unwrap();
-        // Key 150 belongs to partition 1 under the configured stride scheme
+        // Key 150 belongs to partition 1 under the stride scheme
         // (it would belong to partition 0 under the default modulo scheme).
         b.load_to(PartitionId(1), t, 150, &[Value::Int64(150), Value::Int64(0)]).unwrap();
         assert!(b.load_to(PartitionId(0), t, 151, &[Value::Int64(151), Value::Int64(0)]).is_err());

@@ -1,12 +1,10 @@
 //! Engine configuration.
 
-use crate::health::SiteHealthConfig;
 use h2tap_gpu_sim::{AccessMode, FaultPlan, GpuSpec};
 use h2tap_obs::ObsConfig;
-use h2tap_olap::{CpuScanProfile, CpuSpec, DataPlacement, SnapshotPolicy};
-use h2tap_oltp::{OltpConfig, PartitionerKind};
-use h2tap_scheduler::{CalibrationConfig, CostModel, DEFAULT_GPU_DISPATCH_OVERHEAD_SECS};
-use std::time::Duration;
+use h2tap_olap::{DataPlacement, SnapshotPolicy};
+use h2tap_oltp::OltpConfig;
+use h2tap_scheduler::CostModel;
 
 /// Which simulated GPU the data-parallel archipelago uses and how table data
 /// is exposed to it.
@@ -17,18 +15,11 @@ pub struct OlapDeviceConfig {
     /// Data placement (defaults to UVA host-resident shared memory, the
     /// Caldera prototype's choice).
     pub placement: DataPlacement,
-    /// Fixed per-query GPU dispatch cost the placement heuristic charges
-    /// (kernel launches, registration, read-back).
-    pub dispatch_overhead_secs: f64,
 }
 
 impl Default for OlapDeviceConfig {
     fn default() -> Self {
-        Self {
-            gpu: GpuSpec::gtx_980(),
-            placement: DataPlacement::Host(AccessMode::Uva),
-            dispatch_overhead_secs: DEFAULT_GPU_DISPATCH_OVERHEAD_SECS,
-        }
+        Self { gpu: GpuSpec::gtx_980(), placement: DataPlacement::Host(AccessMode::Uva) }
     }
 }
 
@@ -42,21 +33,13 @@ pub struct OlapMultiGpuConfig {
     pub gpus: Vec<GpuSpec>,
     /// Data placement shared by every device of the mix.
     pub placement: DataPlacement,
-    /// Fixed per-query dispatch cost of the site (kernel launches on every
-    /// device, shard bookkeeping, cross-device merge) — the seed of the
-    /// site's own calibrated intercept.
-    pub dispatch_overhead_secs: f64,
 }
 
 impl OlapMultiGpuConfig {
     /// A multi-GPU site over `gpus` with the Caldera default placement
-    /// (UVA host-resident shared memory) and dispatch overhead.
+    /// (UVA host-resident shared memory).
     pub fn new(gpus: Vec<GpuSpec>) -> Self {
-        Self {
-            gpus,
-            placement: DataPlacement::Host(AccessMode::Uva),
-            dispatch_overhead_secs: DEFAULT_GPU_DISPATCH_OVERHEAD_SECS,
-        }
+        Self { gpus, placement: DataPlacement::Host(AccessMode::Uva) }
     }
 
     /// Overrides the placement.
@@ -67,36 +50,18 @@ impl OlapMultiGpuConfig {
     }
 }
 
-/// The CPU execution site of the data-parallel archipelago.
-#[derive(Debug, Clone)]
-pub struct OlapCpuConfig {
-    /// Scan execution profile (defaults to zonemap-skipping vectorised
-    /// execution, the shared engine's Caldera configuration).
-    pub profile: CpuScanProfile,
-    /// Sustained per-core memory bandwidth in GB/s (defaults to the paper
-    /// server's 68 GB/s spread over its 24 cores).
-    pub per_core_bandwidth_gbps: f64,
-}
-
-impl Default for OlapCpuConfig {
-    fn default() -> Self {
-        Self {
-            profile: CpuScanProfile::vectorized(),
-            per_core_bandwidth_gbps: CpuSpec::default().per_core_bandwidth_gbps(),
-        }
-    }
-}
-
 /// Top-level Caldera configuration.
+///
+/// Everything else is a constant of the code, not a knob: the OLTP
+/// partitioner starts as modulo hashing (`CalderaBuilder::set_partitioner`
+/// replaces it), the CPU site is `Site::archipelago_default`, the calibrator's
+/// gains, the circuit breaker's thresholds and the transient-fault retry
+/// budget are fixed.
 #[derive(Debug, Clone)]
 pub struct CalderaConfig {
     /// The task-parallel (OLTP) archipelago configuration: one worker per
     /// CPU core, one partition per worker.
     pub oltp: OltpConfig,
-    /// How keys map to OLTP partitions (pluggable here instead of hard-coded
-    /// at runtime construction; `CalderaBuilder::set_partitioner` still
-    /// accepts fully custom implementations).
-    pub partitioner: PartitionerKind,
     /// CPU cores reserved for the data-parallel archipelago (available for
     /// scheduler-driven migration and CPU-side OLAP).
     pub olap_cpu_cores: usize,
@@ -105,19 +70,12 @@ pub struct CalderaConfig {
     /// Optional multi-GPU execution site (a Table 1 device mix with sharded
     /// tables). `None` keeps the classic CPU + single-GPU pair.
     pub olap_multi_gpu: Option<OlapMultiGpuConfig>,
-    /// The data-parallel archipelago's CPU execution site.
-    pub olap_cpu: OlapCpuConfig,
     /// How often OLAP queries refresh their snapshot.
     pub snapshot_policy: SnapshotPolicy,
-    /// The placement feedback loop: whether (and how fast) measured site
-    /// times recalibrate the cost-model constants placement decides on.
-    pub calibration: CalibrationConfig,
-    /// Optional explicit seed for the placement cost model. `None` (the
-    /// default) derives the seed from `olap_cpu` / `olap_device` — per-tuple
-    /// cost, per-core bandwidth, dispatch overhead. Experiments set `Some`
-    /// to start from deliberately wrong constants and watch the feedback
-    /// loop correct them.
-    pub cost_model_seed: Option<CostModel>,
+    /// The placement cost model the calibrator starts from. The default is
+    /// the constants the sites are built with; experiments start from
+    /// deliberately wrong constants and watch the feedback loop correct them.
+    pub cost_model_seed: CostModel,
     /// Byte budget of the shared plan-data cache (materialised columns +
     /// join hash tables). `None` (the default) is unbounded — the pre-budget
     /// behaviour; `Some(0)` disables the cache; any other value bounds
@@ -139,48 +97,21 @@ pub struct CalderaConfig {
     /// observationally identical to `None`. Faults surface as typed
     /// `H2Error::Fault` errors and feed the engine's resilience ladder.
     pub fault_plan: Option<FaultPlan>,
-    /// Bounded in-place retries for *transient* faults before the dispatch
-    /// falls back to the next-best site.
-    pub olap_retry_max: u32,
-    /// Base backoff slept between transient-fault retries (doubled per
-    /// attempt). Kept tiny by default: the faults are simulated, the
-    /// backoff is real wall clock.
-    pub olap_retry_backoff: Duration,
-    /// How long a dispatch may wait in a site's admission queue before
-    /// giving up with `H2Error::Timeout`. `None` (the default) waits
-    /// forever — but a dead site can then strand queued clients, so chaos
-    /// configurations should set a budget.
-    pub olap_admission_timeout: Option<Duration>,
-    /// Wall-clock budget for one query across every retry and fallback
-    /// rung. Once exceeded, the ladder stops and the query fails with
-    /// `H2Error::Timeout`. `None` (the default) never gives up.
-    pub olap_query_deadline: Option<Duration>,
-    /// Per-site circuit-breaker thresholds (windowed error rate →
-    /// quarantine → half-open probes → re-admission).
-    pub site_health: SiteHealthConfig,
 }
 
 impl Default for CalderaConfig {
     fn default() -> Self {
         Self {
             oltp: OltpConfig::default(),
-            partitioner: PartitionerKind::default(),
             olap_cpu_cores: 0,
             olap_device: OlapDeviceConfig::default(),
             olap_multi_gpu: None,
-            olap_cpu: OlapCpuConfig::default(),
             snapshot_policy: SnapshotPolicy::PerQuery,
-            calibration: CalibrationConfig::default(),
-            cost_model_seed: None,
+            cost_model_seed: CostModel::default(),
             olap_plan_cache_budget_bytes: None,
             olap_admission_in_flight: None,
             observability: ObsConfig::default(),
             fault_plan: None,
-            olap_retry_max: 3,
-            olap_retry_backoff: Duration::from_micros(50),
-            olap_admission_timeout: None,
-            olap_query_deadline: None,
-            site_health: SiteHealthConfig::default(),
         }
     }
 }
@@ -191,28 +122,25 @@ impl CalderaConfig {
     pub fn with_workers(workers: usize) -> Self {
         Self { oltp: OltpConfig::with_workers(workers), ..Self::default() }
     }
-
-    /// The cost-model seed the engine's calibrator starts from: the explicit
-    /// `cost_model_seed` when set, otherwise the constants of the configured
-    /// CPU profile and GPU device.
-    pub fn initial_cost_model(&self) -> CostModel {
-        self.cost_model_seed.unwrap_or(CostModel {
-            cpu_per_tuple_ns: self.olap_cpu.profile.per_tuple_ns,
-            cpu_core_bandwidth_gbps: self.olap_cpu.per_core_bandwidth_gbps,
-            gpu_dispatch_overhead_secs: self.olap_device.dispatch_overhead_secs,
-            gpu_bandwidth_scale: 1.0,
-            multi_gpu_dispatch_overhead_secs: self
-                .olap_multi_gpu
-                .as_ref()
-                .map_or(h2tap_scheduler::DEFAULT_GPU_DISPATCH_OVERHEAD_SECS, |mg| mg.dispatch_overhead_secs),
-            multi_gpu_bandwidth_scale: 1.0,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Caldera;
+    use h2tap_common::{AttrType, Schema};
+    use h2tap_olap::{CpuScanProfile, CpuSpec};
+    use h2tap_storage::Layout;
+
+    /// The cost model an engine built from `config` reports before any query.
+    fn engine_cost_model(config: CalderaConfig) -> CostModel {
+        let mut builder = Caldera::builder(config);
+        builder.create_table("t", Schema::homogeneous("c", 2, AttrType::Int64), Layout::Dsm).unwrap();
+        let caldera = builder.start().unwrap();
+        let model = caldera.cost_model();
+        caldera.shutdown();
+        model
+    }
 
     #[test]
     fn defaults_match_the_paper_prototype() {
@@ -220,42 +148,44 @@ mod tests {
         assert_eq!(c.olap_device.gpu.name, "GTX 980");
         assert!(matches!(c.olap_device.placement, DataPlacement::Host(AccessMode::Uva)));
         assert!(matches!(c.snapshot_policy, SnapshotPolicy::PerQuery));
-        assert_eq!(c.partitioner, PartitionerKind::Modulo);
-        // 24-core server with 68 GB/s aggregate: ~2.83 GB/s per core.
-        assert!((c.olap_cpu.per_core_bandwidth_gbps - 68.0 / 24.0).abs() < 1e-9);
-        assert!(c.olap_device.dispatch_overhead_secs > 0.0);
         assert!(!c.observability.tracing, "query tracing is opt-in");
-        // Calibration is on by default and seeds from the same constants.
-        assert!(c.calibration.enabled);
-        let seed = c.initial_cost_model();
-        assert_eq!(seed.cpu_per_tuple_ns, c.olap_cpu.profile.per_tuple_ns);
-        assert_eq!(seed.cpu_core_bandwidth_gbps, c.olap_cpu.per_core_bandwidth_gbps);
-        assert_eq!(seed.gpu_dispatch_overhead_secs, c.olap_device.dispatch_overhead_secs);
-        assert_eq!(seed.gpu_bandwidth_scale, 1.0);
+        assert_eq!(c.cost_model_seed, CostModel::default());
+    }
+
+    #[test]
+    fn the_default_cost_model_is_the_cpu_sites_own_constants() {
+        // The calibrator starts from the constants the CPU site is built
+        // with (`Site::archipelago_default`); the model and the site must
+        // not drift apart.
+        let model = CostModel::default();
+        assert_eq!(model.cpu_per_tuple_ns, CpuScanProfile::vectorized().per_tuple_ns);
+        assert_eq!(model.cpu_core_bandwidth_gbps, CpuSpec::default().per_core_bandwidth_gbps());
+        // 24-core server with 68 GB/s aggregate: ~2.83 GB/s per core.
+        assert!((model.cpu_core_bandwidth_gbps - 68.0 / 24.0).abs() < 1e-9);
+        assert!(model.gpu_dispatch_overhead_secs > 0.0);
+        assert_eq!((model.gpu_bandwidth_scale, model.multi_gpu_bandwidth_scale), (1.0, 1.0));
     }
 
     #[test]
     fn multi_gpu_config_seeds_its_own_dispatch_overhead() {
-        let mut c = CalderaConfig::default();
+        let mut c = CalderaConfig::with_workers(1);
         assert!(c.olap_multi_gpu.is_none(), "the multi-GPU site is opt-in");
-        c.olap_multi_gpu = Some(OlapMultiGpuConfig {
-            dispatch_overhead_secs: 75e-6,
-            ..OlapMultiGpuConfig::new(h2tap_gpu_sim::table1_mix(2))
-        });
-        let seed = c.initial_cost_model();
+        c.olap_multi_gpu = Some(OlapMultiGpuConfig::new(h2tap_gpu_sim::table1_mix(2)));
+        c.cost_model_seed.multi_gpu_dispatch_overhead_secs = 75e-6;
+        let seed = engine_cost_model(c);
         assert_eq!(seed.multi_gpu_dispatch_overhead_secs, 75e-6);
         assert_eq!(seed.multi_gpu_bandwidth_scale, 1.0);
         // The single-GPU intercept is untouched by the multi site's.
-        assert_eq!(seed.gpu_dispatch_overhead_secs, c.olap_device.dispatch_overhead_secs);
+        assert_eq!(seed.gpu_dispatch_overhead_secs, CostModel::default().gpu_dispatch_overhead_secs);
     }
 
     #[test]
     fn explicit_cost_model_seed_wins() {
         let c = CalderaConfig {
-            cost_model_seed: Some(CostModel { cpu_per_tuple_ns: 500.0, ..CostModel::default() }),
-            ..CalderaConfig::default()
+            cost_model_seed: CostModel { cpu_per_tuple_ns: 500.0, ..CostModel::default() },
+            ..CalderaConfig::with_workers(1)
         };
-        assert_eq!(c.initial_cost_model().cpu_per_tuple_ns, 500.0);
+        assert_eq!(engine_cost_model(c).cpu_per_tuple_ns, 500.0);
     }
 
     #[test]

@@ -48,7 +48,13 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// In-place retries a transient fault earns before the dispatch falls back
+/// to the next-best site. Retries do not back off: fault injection is a pure
+/// function of the seed, site, device and launch index, so waiting cannot
+/// change whether a retry succeeds.
+const OLAP_RETRY_MAX: u32 = 3;
 
 /// Per-execution-site OLAP counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,8 +83,6 @@ pub struct ResilienceStats {
     pub retries: u64,
     /// Dispatches re-routed to the next-best site after a failure.
     pub fallbacks: u64,
-    /// Queries abandoned because the per-query deadline expired mid-ladder.
-    pub deadline_timeouts: u64,
 }
 
 /// Interior-mutable backing for [`ResilienceStats`].
@@ -87,7 +91,6 @@ struct ResilienceCounters {
     faults: AtomicU64,
     retries: AtomicU64,
     fallbacks: AtomicU64,
-    deadline_timeouts: AtomicU64,
 }
 
 impl ResilienceCounters {
@@ -96,7 +99,6 @@ impl ResilienceCounters {
             faults: self.faults.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            deadline_timeouts: self.deadline_timeouts.load(Ordering::Relaxed),
         }
     }
 }
@@ -135,7 +137,7 @@ pub struct HtapStats {
     /// observed time and the regret against the best estimate.
     pub placements: Vec<PlacementExplanation>,
     /// Resilience-ladder counters: faults observed, in-place retries,
-    /// next-best-site fallbacks, deadline expiries.
+    /// next-best-site fallbacks.
     pub resilience: ResilienceStats,
 }
 
@@ -175,13 +177,13 @@ struct SiteSlot {
 }
 
 impl SiteSlot {
-    fn new(site: Site, admission_budget: Option<u32>, health: crate::health::SiteHealthConfig) -> Self {
+    fn new(site: Site, admission_budget: Option<u32>) -> Self {
         Self {
             site,
             queries: AtomicU64::new(0),
             time: Mutex::new(SimDuration::ZERO),
             admission: AdmissionGate::new(admission_budget),
-            health: SiteHealth::new(health),
+            health: SiteHealth::default(),
         }
     }
 
@@ -276,8 +278,7 @@ pub struct Caldera {
     tracer: Tracer,
     /// Counters and latency histograms every dispatch feeds.
     metrics: MetricsRegistry,
-    /// Engine-wide resilience-ladder counters (faults, retries, fallbacks,
-    /// deadline expiries).
+    /// Engine-wide resilience-ladder counters (faults, retries, fallbacks).
     resilience: ResilienceCounters,
 }
 
@@ -296,15 +297,14 @@ impl Caldera {
         plan_cache: PlanDataCache,
         tracer: Tracer,
     ) -> Self {
-        let calibrator = CostCalibrator::new(config.calibration, config.initial_cost_model());
+        let calibrator = CostCalibrator::new(config.cost_model_seed);
         let admission_budget = config.olap_admission_in_flight;
-        let health_config = config.site_health;
         Self {
             config,
             db,
             oltp,
             snap: RwLock::new(SnapshotGate {
-                sites: sites.into_iter().map(|site| SiteSlot::new(site, admission_budget, health_config)).collect(),
+                sites: sites.into_iter().map(|site| SiteSlot::new(site, admission_budget)).collect(),
                 snapshot: None,
             }),
             meta: Mutex::new(OlapMeta {
@@ -414,7 +414,6 @@ impl Caldera {
             let key = site_key(site.target);
             self.metrics.counter_set(&format!("olap.admission.admitted.{key}"), site.admission.admitted);
             self.metrics.counter_set(&format!("olap.admission.queued.{key}"), site.admission.queued);
-            self.metrics.counter_set(&format!("olap.admission.timeouts.{key}"), site.admission.timeouts);
             self.metrics.gauge_set(&format!("olap.admission.in_flight.{key}"), f64::from(site.admission.in_flight));
             self.metrics.counter_set(&format!("olap.site_health.failures.{key}"), site.health.failures);
             self.metrics.counter_set(&format!("olap.site_health.quarantines.{key}"), site.health.quarantines);
@@ -433,7 +432,6 @@ impl Caldera {
         self.metrics.counter_set("olap.faults.observed", resilience.faults);
         self.metrics.counter_set("olap.faults.retries", resilience.retries);
         self.metrics.counter_set("olap.faults.fallbacks", resilience.fallbacks);
-        self.metrics.counter_set("olap.faults.deadline_timeouts", resilience.deadline_timeouts);
         self.metrics.counter_set("trace.spans.recorded", self.tracer.recorded());
         self.metrics.counter_set("trace.spans.dropped", self.tracer.dropped());
         self.metrics.snapshot()
@@ -674,12 +672,10 @@ impl Caldera {
     }
 
     /// Runs `attempt` through the resilience ladder. Transient faults are
-    /// retried in place with doubling backoff; persistent faults, device OOM
-    /// and admission congestion fall back to the next-best healthy site; a
-    /// configured per-query deadline cuts the ladder with
-    /// [`H2Error::Timeout`]. Every outcome feeds the attempted site's
-    /// circuit breaker (congestion excepted — a full queue is not the site's
-    /// fault). Forced dispatches still retry transient faults in place but
+    /// retried in place up to [`OLAP_RETRY_MAX`] times; persistent faults,
+    /// exhausted retries and device OOM fall back to the next-best healthy
+    /// site. Every failure feeds the attempted site's circuit breaker.
+    /// Forced dispatches still retry transient faults in place but
     /// never fall back: the caller asked for exactly that site, and the
     /// site-equivalence tests rely on seeing its error. All successful paths
     /// return bit-identical results because every site computes the same
@@ -693,7 +689,6 @@ impl Caldera {
         initial: OlapTarget,
         mut attempt: impl FnMut(OlapTarget) -> Result<PlanOutcome>,
     ) -> Result<PlanOutcome> {
-        let deadline = self.config.olap_query_deadline.map(|d| Instant::now() + d);
         let mut target = initial;
         let mut excluded: Vec<OlapTarget> = Vec::new();
         let mut retries: u32 = 0;
@@ -711,57 +706,37 @@ impl Caldera {
                 }
                 Err(err) => err,
             };
-            let expired = deadline.is_some_and(|d| Instant::now() >= d);
-            // Classify the failure: does it earn an in-place retry, and is
-            // it evidence against the site's health?
-            let (retry_in_place, health_feed) = match &err {
+            // Classify the failure: does it earn an in-place retry, and was
+            // it a persistent one?
+            let (retry_in_place, persistent) = match &err {
                 H2Error::Fault { kind, transient, .. } => {
                     self.resilience.faults.fetch_add(1, Ordering::Relaxed);
                     self.metrics.counter_add(&format!("olap.faults.{}", kind.name()), 1);
                     self.tracer.record(SpanEvent::new(SpanKind::Fault).site(target));
-                    (*transient, Some(!*transient))
+                    (*transient, !*transient)
                 }
                 // The placement hints cannot see every device constraint (a
                 // device-resident table can simply not fit): a fallback site
                 // still holds the data, so OOM reroutes instead of failing.
-                H2Error::GpuOutOfMemory { .. } => (false, Some(false)),
-                // Admission congestion: the site is healthy but full —
-                // another site may have room right now.
-                H2Error::Timeout(_) => (false, None),
+                H2Error::GpuOutOfMemory { .. } => (false, false),
                 _ => return Err(err),
             };
-            if retry_in_place && retries < self.config.olap_retry_max {
-                if expired {
-                    self.resilience.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
-                    return Err(H2Error::Timeout(format!(
-                        "query deadline expired after {retries} retries on {target:?}"
-                    )));
-                }
+            if retry_in_place && retries < OLAP_RETRY_MAX {
                 retries += 1;
                 self.resilience.retries.fetch_add(1, Ordering::Relaxed);
                 self.tracer.record(SpanEvent::new(SpanKind::Retry).site(target));
-                let backoff = self.config.olap_retry_backoff.saturating_mul(1u32 << retries.min(10));
-                if backoff > Duration::ZERO {
-                    std::thread::sleep(backoff);
-                }
                 continue;
             }
-            // Retries exhausted, a persistent fault, OOM or congestion: this
-            // site is done for this query. Feed the breaker, then fail over.
-            if let Some(persistent) = health_feed {
-                if let Some(slot) = snap.slot(target) {
-                    if slot.health.record_failure(persistent) {
-                        self.tracer.record(SpanEvent::new(SpanKind::Quarantine).site(target));
-                        self.metrics.counter_add(&format!("olap.site_health.quarantines.{}", site_key(target)), 1);
-                    }
+            // Retries exhausted, a persistent fault or OOM: this site is done
+            // for this query. Feed the breaker, then fail over.
+            if let Some(slot) = snap.slot(target) {
+                if slot.health.record_failure(persistent) {
+                    self.tracer.record(SpanEvent::new(SpanKind::Quarantine).site(target));
+                    self.metrics.counter_add(&format!("olap.site_health.quarantines.{}", site_key(target)), 1);
                 }
             }
             if forced {
                 return Err(err);
-            }
-            if expired {
-                self.resilience.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
-                return Err(H2Error::Timeout(format!("query deadline expired while failing over from {target:?}")));
             }
             excluded.push(target);
             let Some(next) = Self::next_best_site(snap, capabilities, hints, &excluded) else {
@@ -823,15 +798,12 @@ impl Caldera {
         let target = forced.unwrap_or_else(|| self.place_with_health(&snap, &capabilities, &hints));
         self.tracer.record_wall(SpanEvent::new(SpanKind::Placement).site(target), placing);
 
-        let admission_timeout = self.config.olap_admission_timeout;
         let run = |target: OlapTarget| -> Result<PlanOutcome> {
             let slot = snap.require_slot(target)?;
             // RAII admission: held for registration + execution, released on
             // every path — an OOM error frees this site's slot before the
-            // fallback competes for the next site's gate. A configured
-            // timeout bounds the queue wait so a wedged site cannot strand
-            // clients (the ladder then tries another site).
-            let _permit = slot.admission.admit_timeout(admission_timeout)?;
+            // fallback competes for the next site's gate.
+            let _permit = slot.admission.admit();
             // A query placed on CPU must see the archipelago's current core
             // count, not the count at construction time (GPU sites ignore it).
             slot.site.set_cores(cpu_cores.max(1));
@@ -1283,7 +1255,7 @@ mod tests {
         let mut config = CalderaConfig::with_workers(2);
         config.olap_cpu_cores = 8;
         config.snapshot_policy = SnapshotPolicy::EveryN { queries: 1000 };
-        config.cost_model_seed = Some(CostModel { cpu_per_tuple_ns: 186.0, ..CostModel::default() });
+        config.cost_model_seed = CostModel { cpu_per_tuple_ns: 186.0, ..CostModel::default() };
         let (caldera, t) = engine_with_config(config, 100_000);
         assert_eq!(caldera.cost_model().cpu_per_tuple_ns, 186.0);
         let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 1]));
@@ -1305,27 +1277,6 @@ mod tests {
         // 40 queries ran exactly where they were forced.
         assert_eq!(stats.olap_queries_on(OlapTarget::Cpu), 40);
         assert_eq!(stats.olap_queries_on(OlapTarget::Gpu), 0);
-    }
-
-    #[test]
-    fn calibration_can_be_disabled() {
-        use h2tap_scheduler::{CalibrationConfig, CostModel};
-        let mut config = CalderaConfig::with_workers(2);
-        config.olap_cpu_cores = 4;
-        config.calibration = CalibrationConfig { enabled: false, ..CalibrationConfig::default() };
-        config.cost_model_seed = Some(CostModel { cpu_per_tuple_ns: 186.0, ..CostModel::default() });
-        let (caldera, t) = engine_with_config(config, 50_000);
-        let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));
-        for _ in 0..5 {
-            caldera.run_olap_on(t, &q, OlapTarget::Cpu).unwrap();
-        }
-        // The model is frozen, but the error is still measured.
-        assert_eq!(caldera.cost_model().cpu_per_tuple_ns, 186.0);
-        let report = caldera.calibration_report();
-        assert!(!report.enabled);
-        assert_eq!(report.site(OlapTarget::Cpu).unwrap().observations, 5);
-        assert!(report.site(OlapTarget::Cpu).unwrap().mean_rel_error > 0.0);
-        caldera.shutdown();
     }
 
     #[test]
@@ -1505,7 +1456,6 @@ mod tests {
         config.olap_cpu_cores = 8;
         config.olap_device.placement = DataPlacement::DeviceResident;
         config.snapshot_policy = SnapshotPolicy::EveryN { queries: 1_000 };
-        config.olap_retry_backoff = Duration::ZERO;
         let mut plan = h2tap_gpu_sim::FaultPlan::transient_storm(7);
         plan.transient_kernel_rate = 0.35; // storm hard enough to force retries
         config.fault_plan = Some(plan);
@@ -1528,7 +1478,6 @@ mod tests {
         config.olap_cpu_cores = 8;
         config.olap_device.placement = DataPlacement::DeviceResident;
         config.snapshot_policy = SnapshotPolicy::EveryN { queries: 1_000 };
-        config.olap_retry_backoff = Duration::ZERO;
         let mut plan = h2tap_gpu_sim::FaultPlan::quiet(11);
         plan.device_loss_at = Some(DeviceLossPoint { site: "gpu".into(), device: 0, launch: 4 });
         config.fault_plan = Some(plan);
@@ -1561,7 +1510,6 @@ mod tests {
         // free device memory exactly where it started.
         let mut config = CalderaConfig::with_workers(2);
         config.olap_device.placement = DataPlacement::DeviceResident;
-        config.olap_retry_max = 0;
         let mut plan = h2tap_gpu_sim::FaultPlan::quiet(17);
         plan.device_loss_at = Some(DeviceLossPoint { site: "gpu".into(), device: 0, launch: 0 });
         config.fault_plan = Some(plan);
@@ -1578,21 +1526,22 @@ mod tests {
     }
 
     #[test]
-    fn query_deadline_cuts_the_retry_ladder() {
+    fn transient_faults_are_retried_a_bounded_number_of_times() {
         let mut config = CalderaConfig::with_workers(2);
         config.olap_cpu_cores = 2;
-        config.olap_retry_backoff = Duration::ZERO;
-        config.olap_query_deadline = Some(Duration::ZERO);
         let mut plan = h2tap_gpu_sim::FaultPlan::quiet(3);
         plan.transient_kernel_rate = 1.0; // every attempt faults
         config.fault_plan = Some(plan);
         let (caldera, t) = engine_with_config(config, 1_000);
         let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));
+        // A forced dispatch never falls back: once its retries are spent,
+        // the caller sees the site's own error.
         let err = caldera.run_olap_on(t, &q, OlapTarget::Gpu).unwrap_err();
-        assert!(matches!(err, H2Error::Timeout(_)), "expected a deadline timeout, got {err:?}");
+        assert!(matches!(err, H2Error::Fault { transient: true, .. }), "expected the transient fault, got {err:?}");
         let stats = caldera.shutdown();
-        assert_eq!(stats.resilience.deadline_timeouts, 1);
-        assert!(stats.resilience.faults >= 1);
+        assert_eq!(stats.resilience.retries, u64::from(OLAP_RETRY_MAX));
+        assert_eq!(stats.resilience.faults, u64::from(OLAP_RETRY_MAX) + 1);
+        assert_eq!(stats.resilience.fallbacks, 0);
     }
 
     #[test]
@@ -1601,7 +1550,6 @@ mod tests {
         config.olap_cpu_cores = 8;
         config.olap_device.placement = DataPlacement::DeviceResident;
         config.snapshot_policy = SnapshotPolicy::EveryN { queries: 1_000 };
-        config.olap_retry_backoff = Duration::ZERO;
         config.observability.tracing = true;
         let mut plan = h2tap_gpu_sim::FaultPlan::quiet(5);
         plan.device_loss_at = Some(DeviceLossPoint { site: "gpu".into(), device: 0, launch: 2 });

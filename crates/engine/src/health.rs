@@ -2,11 +2,11 @@
 //! execution sites.
 //!
 //! Every dispatch outcome feeds the target site's [`SiteHealth`]. A site
-//! whose windowed error rate crosses the configured threshold — or that
+//! whose windowed error rate crosses a fixed threshold — or that
 //! reports a *persistent* fault such as permanent device loss — trips into
 //! [`SiteHealthState::Quarantined`]: placement stops considering it, so the
 //! argmin routes around the sick site and the calibrator never learns from
-//! poisoned observations. After a configurable number of placement consults
+//! poisoned observations. After a fixed number of placement consults
 //! the breaker moves to [`SiteHealthState::HalfOpen`] and lets a bounded
 //! number of probe queries through; enough consecutive probe successes
 //! re-admit the site, any probe failure re-quarantines it.
@@ -17,39 +17,18 @@
 
 use parking_lot::Mutex;
 
-/// Circuit-breaker thresholds, carried by
-/// [`CalderaConfig`](crate::CalderaConfig).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SiteHealthConfig {
-    /// Whether outcomes trip the breaker at all. Off, every site is always
-    /// admissible and only the counters are kept.
-    pub enabled: bool,
-    /// Sliding window (in dispatch outcomes) the error rate is computed
-    /// over.
-    pub window: usize,
-    /// Error rate in `[0, 1]` over a full window that trips the breaker.
-    pub error_threshold: f64,
-    /// Minimum outcomes in the window before the rate is meaningful.
-    pub min_observations: usize,
-    /// Placement consults a quarantined site sits out before it is allowed
-    /// half-open probes.
-    pub quarantine_backoff: u64,
-    /// Consecutive half-open probe successes required to close the breaker.
-    pub probe_budget: u32,
-}
-
-impl Default for SiteHealthConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            window: 16,
-            error_threshold: 0.5,
-            min_observations: 4,
-            quarantine_backoff: 8,
-            probe_budget: 2,
-        }
-    }
-}
+/// Sliding window (in dispatch outcomes) the error rate is computed over.
+const WINDOW: usize = 16;
+/// Error rate in `[0, 1]` over the window that trips the breaker.
+const ERROR_THRESHOLD: f64 = 0.5;
+/// Minimum outcomes in the window before the rate is meaningful.
+const MIN_OBSERVATIONS: usize = 4;
+/// Placement consults a quarantined site sits out before it is allowed
+/// half-open probes.
+const QUARANTINE_BACKOFF: u64 = 8;
+/// Consecutive half-open probe successes required to close the breaker, and
+/// the number of probes that may run at once.
+const PROBE_BUDGET: u32 = 2;
 
 /// The breaker's position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,12 +72,12 @@ pub struct SiteHealthStats {
     pub window_error_rate: f64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct HealthInner {
     state: SiteHealthState,
     /// Ring of recent outcomes (`true` = failure), newest overwrites
-    /// oldest once `filled == window`.
-    window: Vec<bool>,
+    /// oldest once `filled == WINDOW`.
+    window: [bool; WINDOW],
     cursor: usize,
     filled: usize,
     /// Placement consults seen while quarantined (drives the backoff).
@@ -114,11 +93,10 @@ struct HealthInner {
     probes: u64,
 }
 
-/// A per-site circuit breaker. `&self`-concurrent (internal mutex); one
-/// lives in every `SiteSlot`.
-#[derive(Debug)]
+/// A per-site circuit breaker, closed by default. `&self`-concurrent
+/// (internal mutex); one lives in every `SiteSlot`.
+#[derive(Debug, Default)]
 pub struct SiteHealth {
-    config: SiteHealthConfig,
     inner: Mutex<HealthInner>,
 }
 
@@ -133,42 +111,18 @@ pub struct Admissibility {
 }
 
 impl SiteHealth {
-    /// A breaker with the given thresholds, starting closed.
-    pub fn new(config: SiteHealthConfig) -> Self {
-        Self {
-            config,
-            inner: Mutex::new(HealthInner {
-                state: SiteHealthState::Closed,
-                window: vec![false; config.window.max(1)],
-                cursor: 0,
-                filled: 0,
-                skips: 0,
-                probe_successes: 0,
-                outstanding_probes: 0,
-                successes: 0,
-                failures: 0,
-                persistent_failures: 0,
-                quarantines: 0,
-                probes: 0,
-            }),
-        }
-    }
-
     /// Consulted by placement once per dispatch: is the site currently a
     /// legitimate argmin candidate? Quarantined sites tick their backoff
     /// here and eventually move to half-open; a half-open site is a
     /// candidate while it has probe budget left (the probe itself is only
     /// consumed by [`SiteHealth::note_probe`] when placement picks it).
     pub fn consult(&self) -> Admissibility {
-        if !self.config.enabled {
-            return Admissibility { admissible: true, reopened: false };
-        }
         let mut inner = self.inner.lock();
         match inner.state {
             SiteHealthState::Closed => Admissibility { admissible: true, reopened: false },
             SiteHealthState::Quarantined => {
                 inner.skips += 1;
-                if inner.skips >= self.config.quarantine_backoff {
+                if inner.skips >= QUARANTINE_BACKOFF {
                     inner.state = SiteHealthState::HalfOpen;
                     inner.probe_successes = 0;
                     inner.outstanding_probes = 0;
@@ -177,24 +131,20 @@ impl SiteHealth {
                     Admissibility { admissible: false, reopened: false }
                 }
             }
-            SiteHealthState::HalfOpen => Admissibility {
-                admissible: inner.outstanding_probes < self.config.probe_budget.max(1),
-                reopened: false,
-            },
+            SiteHealthState::HalfOpen => {
+                Admissibility { admissible: inner.outstanding_probes < PROBE_BUDGET, reopened: false }
+            }
         }
     }
 
     /// Read-only admissibility (fallback candidate filtering): no backoff
     /// tick, no state transition.
     pub fn is_admissible(&self) -> bool {
-        if !self.config.enabled {
-            return true;
-        }
         let inner = self.inner.lock();
         match inner.state {
             SiteHealthState::Closed => true,
             SiteHealthState::Quarantined => false,
-            SiteHealthState::HalfOpen => inner.outstanding_probes < self.config.probe_budget.max(1),
+            SiteHealthState::HalfOpen => inner.outstanding_probes < PROBE_BUDGET,
         }
     }
 
@@ -217,7 +167,7 @@ impl SiteHealth {
         if inner.state == SiteHealthState::HalfOpen {
             inner.outstanding_probes = inner.outstanding_probes.saturating_sub(1);
             inner.probe_successes += 1;
-            if inner.probe_successes >= self.config.probe_budget.max(1) {
+            if inner.probe_successes >= PROBE_BUDGET {
                 inner.state = SiteHealthState::Closed;
                 inner.skips = 0;
                 inner.outstanding_probes = 0;
@@ -242,7 +192,7 @@ impl SiteHealth {
             inner.persistent_failures += 1;
         }
         Self::push_window(&mut inner, true);
-        if !self.config.enabled || inner.state == SiteHealthState::Quarantined {
+        if inner.state == SiteHealthState::Quarantined {
             return false;
         }
         let trip = if persistent || inner.state == SiteHealthState::HalfOpen {
@@ -250,7 +200,7 @@ impl SiteHealth {
             true
         } else {
             let rate = Self::window_rate(&inner);
-            inner.filled >= self.config.min_observations.max(1) && rate >= self.config.error_threshold
+            inner.filled >= MIN_OBSERVATIONS && rate >= ERROR_THRESHOLD
         };
         if trip {
             inner.state = SiteHealthState::Quarantined;
@@ -277,17 +227,16 @@ impl SiteHealth {
     }
 
     fn push_window(inner: &mut HealthInner, failed: bool) {
-        let len = inner.window.len();
         inner.window[inner.cursor] = failed;
-        inner.cursor = (inner.cursor + 1) % len;
-        inner.filled = (inner.filled + 1).min(len);
+        inner.cursor = (inner.cursor + 1) % WINDOW;
+        inner.filled = (inner.filled + 1).min(WINDOW);
     }
 
     fn window_rate(inner: &HealthInner) -> f64 {
         if inner.filled == 0 {
             return 0.0;
         }
-        let failures = inner.window.iter().take(inner.filled.min(inner.window.len())).filter(|f| **f).count();
+        let failures = inner.window.iter().take(inner.filled).filter(|f| **f).count();
         failures as f64 / inner.filled as f64
     }
 }
@@ -296,30 +245,49 @@ impl SiteHealth {
 mod tests {
     use super::*;
 
-    fn tight() -> SiteHealthConfig {
-        SiteHealthConfig {
-            enabled: true,
-            window: 4,
-            error_threshold: 0.5,
-            min_observations: 2,
-            quarantine_backoff: 3,
-            probe_budget: 2,
+    /// A breaker that has just tripped on a device loss.
+    fn quarantined() -> SiteHealth {
+        let h = SiteHealth::default();
+        h.record_failure(true);
+        h
+    }
+
+    /// A breaker that has sat out its backoff and is half-open.
+    fn half_open() -> SiteHealth {
+        let h = quarantined();
+        for _ in 0..QUARANTINE_BACKOFF {
+            h.consult();
         }
+        assert_eq!(h.stats().state, SiteHealthState::HalfOpen);
+        h
     }
 
     #[test]
     fn windowed_error_rate_trips_the_breaker() {
-        let h = SiteHealth::new(tight());
-        assert!(!h.record_failure(false), "one failure in an empty window is not evidence");
+        let h = SiteHealth::default();
+        for _ in 1..MIN_OBSERVATIONS {
+            assert!(!h.record_failure(false), "fewer than MIN_OBSERVATIONS outcomes are not evidence");
+        }
         assert_eq!(h.stats().state, SiteHealthState::Closed);
-        assert!(h.record_failure(false), "2/2 failures crosses the 0.5 threshold");
+        assert!(h.record_failure(false), "4/4 failures cross the 0.5 threshold");
         assert_eq!(h.stats().state, SiteHealthState::Quarantined);
         assert_eq!(h.stats().quarantines, 1);
+        // Only the last WINDOW outcomes count: after a long healthy run, the
+        // breaker trips once half of the window has failed.
+        let h = SiteHealth::default();
+        for _ in 0..2 * WINDOW {
+            h.record_success();
+        }
+        for _ in 1..WINDOW / 2 {
+            assert!(!h.record_failure(false), "under half of the window failed");
+        }
+        assert!(h.record_failure(false), "8 of the last 16 outcomes failed");
+        assert_eq!(h.stats().window_error_rate, ERROR_THRESHOLD);
     }
 
     #[test]
     fn persistent_fault_quarantines_immediately() {
-        let h = SiteHealth::new(tight());
+        let h = SiteHealth::default();
         for _ in 0..10 {
             h.record_success();
         }
@@ -330,13 +298,13 @@ mod tests {
 
     #[test]
     fn quarantine_backs_off_then_probes_then_readmits() {
-        let h = SiteHealth::new(tight());
-        h.record_failure(true);
-        // Two consults sit out the backoff, the third reopens half-open.
-        assert!(!h.consult().admissible);
-        assert!(!h.consult().admissible);
-        let third = h.consult();
-        assert!(third.admissible && third.reopened);
+        let h = quarantined();
+        // Seven consults sit out the backoff, the eighth reopens half-open.
+        for _ in 1..QUARANTINE_BACKOFF {
+            assert!(!h.consult().admissible);
+        }
+        let last = h.consult();
+        assert!(last.admissible && last.reopened);
         assert_eq!(h.stats().state, SiteHealthState::HalfOpen);
         // First probe success is not enough; the second closes the breaker.
         h.note_probe();
@@ -345,7 +313,7 @@ mod tests {
         h.note_probe();
         assert!(h.record_success(), "probe budget met: quarantine lifted");
         assert_eq!(h.stats().state, SiteHealthState::Closed);
-        assert_eq!(h.stats().probes, 2);
+        assert_eq!(h.stats().probes, u64::from(PROBE_BUDGET));
         // The window was reset: one new failure is not instant re-quarantine.
         assert!(!h.record_failure(false));
         assert_eq!(h.stats().state, SiteHealthState::Closed);
@@ -353,12 +321,7 @@ mod tests {
 
     #[test]
     fn failed_probe_requarantines() {
-        let h = SiteHealth::new(tight());
-        h.record_failure(true);
-        for _ in 0..3 {
-            h.consult();
-        }
-        assert_eq!(h.stats().state, SiteHealthState::HalfOpen);
+        let h = half_open();
         h.note_probe();
         assert!(h.record_failure(false), "a failed probe re-trips immediately");
         assert_eq!(h.stats().state, SiteHealthState::Quarantined);
@@ -367,11 +330,7 @@ mod tests {
 
     #[test]
     fn half_open_bounds_concurrent_probes() {
-        let h = SiteHealth::new(tight());
-        h.record_failure(true);
-        for _ in 0..3 {
-            h.consult();
-        }
+        let h = half_open();
         // Two probe slots: both can be claimed, the third consult is turned
         // away until an outcome frees a slot.
         h.note_probe();
@@ -381,17 +340,5 @@ mod tests {
         assert!(!h.is_admissible());
         h.record_failure(false);
         assert_eq!(h.stats().state, SiteHealthState::Quarantined);
-    }
-
-    #[test]
-    fn disabled_breaker_only_counts() {
-        let h = SiteHealth::new(SiteHealthConfig { enabled: false, ..tight() });
-        for _ in 0..8 {
-            h.record_failure(true);
-        }
-        assert!(h.consult().admissible);
-        assert_eq!(h.stats().state, SiteHealthState::Closed);
-        assert_eq!(h.stats().failures, 8);
-        assert_eq!(h.stats().window_error_rate, 1.0);
     }
 }

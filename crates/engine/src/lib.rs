@@ -45,14 +45,14 @@ pub mod health;
 
 pub use admission::{AdmissionGate, AdmissionPermit, AdmissionStats};
 pub use builder::CalderaBuilder;
-pub use config::{CalderaConfig, OlapCpuConfig, OlapDeviceConfig, OlapMultiGpuConfig};
+pub use config::{CalderaConfig, OlapDeviceConfig, OlapMultiGpuConfig};
 pub use engine::{Caldera, HtapStats, OlapSiteStats, ResilienceStats};
-pub use health::{SiteHealth, SiteHealthConfig, SiteHealthState, SiteHealthStats};
+pub use health::{SiteHealth, SiteHealthState, SiteHealthStats};
 
 pub use h2tap_gpu_sim::{DeviceLossPoint, FaultPlan};
 
 pub use h2tap_common::{GroupRow, JoinSpec, OlapPlan, PlanColumn};
 pub use h2tap_obs::{MetricsSnapshot, ObsConfig, SpanKind, SpanRecord};
 pub use h2tap_olap::{CpuScanProfile, DataPlacement, OlapOutcome, PlanOutcome, SnapshotPolicy};
-pub use h2tap_oltp::{OltpConfig, PartitionerKind, TxnProc};
+pub use h2tap_oltp::{OltpConfig, TxnProc};
 pub use h2tap_scheduler::{OlapTarget, PlacementExplanation, RegretSummary, SiteCapability};

@@ -14,7 +14,6 @@ use h2tap_common::{AggExpr, AttrType, Predicate, ScanAggQuery, Schema, TableId, 
 use h2tap_olap::DataPlacement;
 use h2tap_storage::Layout;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 const CLIENTS: usize = 8;
 const QUERIES_PER_CLIENT: u32 = 16;
@@ -25,7 +24,6 @@ fn build_engine(fault_plan: Option<FaultPlan>) -> (Caldera, TableId) {
     config.olap_device.placement = DataPlacement::DeviceResident;
     config.snapshot_policy = SnapshotPolicy::Manual;
     config.olap_admission_in_flight = Some(4);
-    config.olap_retry_backoff = Duration::ZERO;
     config.fault_plan = fault_plan;
     let mut builder = Caldera::builder(config);
     let fact = builder.create_table("fact", Schema::homogeneous("c", 2, AttrType::Int64), Layout::Dsm).unwrap();

@@ -38,8 +38,8 @@ pub use index::PartitionIndex;
 pub use locktable::LockTable;
 pub use messages::{LockMode, OltpMsg, TxnToken};
 pub use runtime::{
-    BenchmarkWindow, ModuloPartitioner, OltpConfig, OltpRuntime, OltpStats, Partitioner, PartitionerKind,
-    StridePartitioner, TxnGenerator, TxnProc, WorkerCounters,
+    BenchmarkWindow, ModuloPartitioner, OltpConfig, OltpRuntime, OltpStats, Partitioner, StridePartitioner,
+    TxnGenerator, TxnProc, WorkerCounters,
 };
 pub use txn::TxnCtx;
 pub use worker::TxnOutcome;
@@ -613,15 +613,6 @@ mod tests {
         let err =
             OltpRuntime::start(db, OltpConfig::with_workers(3), Arc::new(ModuloPartitioner::new(3)), indexes, None);
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn partitioner_kind_builds_the_matching_partitioner() {
-        let modulo = PartitionerKind::Modulo.build(4);
-        assert_eq!(modulo.partition_of(TableId(0), 6), PartitionId(2));
-        let stride = PartitionerKind::Stride { stride: 100 }.build(4);
-        assert_eq!(stride.partition_of(TableId(0), 250), PartitionId(2));
-        assert_eq!(PartitionerKind::default(), PartitionerKind::Modulo);
     }
 
     #[test]

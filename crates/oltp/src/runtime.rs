@@ -11,8 +11,8 @@
 //!   one hop and one wake-up. Mailboxes are bounded and a full one blocks its
 //!   senders, workers included, so `submit` holds each worker to
 //!   [`SUBMIT_DEPTH`] accepted-but-unanswered submissions and blocks the
-//!   caller beyond that: clients can fill a quarter of a default mailbox,
-//!   never all of it.
+//!   caller beyond that: clients can fill a quarter of a mailbox, never all
+//!   of it.
 //! * **Benchmark mode** — every worker generates transactions back-to-back
 //!   from a [`TxnGenerator`] for a fixed wall-clock window
 //!   ([`OltpRuntime::run_for`]). Used by the Figure 5-9 experiments.
@@ -91,33 +91,6 @@ impl StridePartitioner {
 impl Partitioner for StridePartitioner {
     fn partition_of(&self, _table: TableId, key: i64) -> PartitionId {
         PartitionId(((key / self.stride).unsigned_abs() % u64::from(self.partitions)) as u32)
-    }
-}
-
-/// Declarative choice of a built-in [`Partitioner`], so engine configuration
-/// can select the partitioning scheme instead of callers hard-wiring one at
-/// runtime construction. Custom partitioners still plug in through
-/// [`Partitioner`] directly (e.g. `CalderaBuilder::set_partitioner`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionerKind {
-    /// [`ModuloPartitioner`]: partition = `|key| % partitions`.
-    #[default]
-    Modulo,
-    /// [`StridePartitioner`]: keys carry their partition in the high bits
-    /// (`key = partition * stride + local_key`).
-    Stride {
-        /// Keys per partition block.
-        stride: i64,
-    },
-}
-
-impl PartitionerKind {
-    /// Builds the chosen partitioner over `partitions` partitions.
-    pub fn build(self, partitions: usize) -> Arc<dyn Partitioner> {
-        match self {
-            PartitionerKind::Modulo => Arc::new(ModuloPartitioner::new(partitions)),
-            PartitionerKind::Stride { stride } => Arc::new(StridePartitioner::new(stride, partitions)),
-        }
     }
 }
 
@@ -240,11 +213,17 @@ impl std::fmt::Debug for Job {
 
 /// Accepted-but-unanswered submissions one worker may have before
 /// [`OltpRuntime::submit`] blocks its caller. A safety bound, not a tuning
-/// knob: it keeps client traffic to a quarter of a default mailbox, so two
+/// knob: it keeps client traffic to a quarter of a mailbox, so two
 /// workers can always get their lock messages through to each other. It is
 /// the depth of a per-worker channel of tokens: `submit` puts one in, the
 /// worker takes one out with each reply, and a worker that dies closes it.
 pub const SUBMIT_DEPTH: usize = 256;
+
+/// Mailbox depth per worker.
+pub(crate) const MAILBOX_CAPACITY: usize = 1024;
+
+/// How many times an aborted transaction is retried before giving up.
+pub(crate) const MAX_RETRIES: u32 = 32;
 
 /// Runtime configuration.
 #[derive(Debug, Clone)]
@@ -252,10 +231,6 @@ pub struct OltpConfig {
     /// Number of worker threads (= partitions = cores of the task-parallel
     /// archipelago).
     pub workers: usize,
-    /// Mailbox depth per worker.
-    pub mailbox_capacity: usize,
-    /// How many times an aborted transaction is retried before giving up.
-    pub max_retries: u32,
     /// Client-side timeout for remote lock replies.
     pub remote_timeout: Duration,
     /// Seed for the per-worker workload RNGs.
@@ -264,13 +239,7 @@ pub struct OltpConfig {
 
 impl Default for OltpConfig {
     fn default() -> Self {
-        Self {
-            workers: 4,
-            mailbox_capacity: 1024,
-            max_retries: 32,
-            remote_timeout: Duration::from_millis(500),
-            seed: 0x5EED,
-        }
+        Self { workers: 4, remote_timeout: Duration::from_millis(500), seed: 0x5EED }
     }
 }
 
@@ -319,7 +288,7 @@ impl OltpRuntime {
         }
         indexes.resize_with(config.workers, PartitionIndex::new);
 
-        let (postboxes, mailboxes, _fabric_stats) = build_fabric::<OltpMsg>(config.workers, config.mailbox_capacity);
+        let (postboxes, mailboxes, _fabric_stats) = build_fabric::<OltpMsg>(config.workers, MAILBOX_CAPACITY);
         let mut slots = Vec::with_capacity(config.workers);
         let mut counters = Vec::with_capacity(config.workers);
         let mut handles = Vec::with_capacity(config.workers);
@@ -347,7 +316,6 @@ impl OltpRuntime {
                 state,
                 slots: worker_slots,
                 generator: generator.clone(),
-                max_retries: config.max_retries,
                 rng: SplitMixRng::new(config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9)),
             };
             let handle = std::thread::Builder::new()

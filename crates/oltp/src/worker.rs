@@ -21,7 +21,7 @@
 use crate::index::PartitionIndex;
 use crate::locktable::LockTable;
 use crate::messages::{OltpMsg, TxnToken};
-use crate::runtime::{count, Job, Partitioner, TxnGenerator, WorkerCounters};
+use crate::runtime::{count, Job, Partitioner, TxnGenerator, WorkerCounters, MAX_RETRIES};
 use crate::txn::TxnCtx;
 use h2tap_common::rng::SplitMixRng;
 use h2tap_common::{H2Error, PartitionId, Result};
@@ -135,14 +135,9 @@ pub enum TxnOutcome {
     Aborted(H2Error),
 }
 
-/// Executes `proc` on `state`, retrying aborts up to `max_retries` times and
-/// serving the worker's mailbox between attempts.
-pub fn execute_transaction(
-    state: &mut WorkerState,
-    proc: &crate::runtime::TxnProc,
-    seq: &mut u64,
-    max_retries: u32,
-) -> TxnOutcome {
+/// Executes `proc` on `state`, retrying aborts up to `MAX_RETRIES` times
+/// and serving the worker's mailbox between attempts.
+pub fn execute_transaction(state: &mut WorkerState, proc: &crate::runtime::TxnProc, seq: &mut u64) -> TxnOutcome {
     let mut attempt = 0;
     loop {
         let token = TxnToken::new(state.id, *seq);
@@ -160,7 +155,7 @@ pub fn execute_transaction(
                 // A conflicting lock may be held by a remote client, whose
                 // release arrives as a message: serve the mailbox before
                 // retrying, or every retry meets the same lock.
-                let err = if retryable && attempt < max_retries {
+                let err = if retryable && attempt < MAX_RETRIES {
                     match state.drain_messages() {
                         Ok(()) => {
                             attempt += 1;
@@ -188,8 +183,6 @@ pub struct Worker {
     pub slots: crossbeam_channel::Receiver<()>,
     /// Optional self-driving workload generator (benchmark mode).
     pub generator: Option<Arc<dyn TxnGenerator>>,
-    /// Abort retry budget.
-    pub max_retries: u32,
     /// Deterministic per-worker RNG for the generator.
     pub rng: SplitMixRng,
 }
@@ -225,7 +218,7 @@ impl Worker {
             // 3. One submitted transaction, oldest first; its reply frees
             //    the submitter's slot.
             if let Some(job) = self.state.backlog.pop_front() {
-                let outcome = execute_transaction(&mut self.state, &job.proc, &mut seq, self.max_retries);
+                let outcome = execute_transaction(&mut self.state, &job.proc, &mut seq);
                 // The client may have stopped listening; that is its business.
                 let _ = job.reply.send(outcome);
                 let _ = self.slots.try_recv();
@@ -236,7 +229,7 @@ impl Worker {
             if let Some(generator) = self.generator.as_ref().filter(|_| self.state.generating) {
                 let proc = generator.next_txn(self.state.home(), generated, &mut self.rng);
                 generated += 1;
-                execute_transaction(&mut self.state, &proc, &mut seq, self.max_retries);
+                execute_transaction(&mut self.state, &proc, &mut seq);
             }
         }
     }

@@ -29,12 +29,14 @@ use crate::placement::{
     DEFAULT_GPU_DISPATCH_OVERHEAD_SECS,
 };
 use h2tap_common::{ExecBreakdown, HASH_ENTRY_BYTES};
-use h2tap_gpu_sim::GpuSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The calibratable constants of the placement cost model. Seeded from
 /// configuration, then continuously re-estimated from measured site times.
+/// The default is the constants the sites are built with: the vectorised CPU
+/// profile's per-tuple cost, the paper server's per-core bandwidth and the
+/// GPU dispatch overhead, with datasheet bandwidth scales.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
     /// Aggregate per-tuple CPU processing cost in nanoseconds.
@@ -109,26 +111,13 @@ pub struct PlacementObservation {
     pub breakdown: Option<ExecBreakdown>,
 }
 
-/// Tuning knobs of the calibrator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CalibrationConfig {
-    /// Whether observations update the model. Error statistics are tracked
-    /// either way, so a disabled calibrator still measures how wrong the
-    /// static constants are.
-    pub enabled: bool,
-    /// EWMA gain for the model terms, in (0, 1]. Higher adapts faster but
-    /// tracks noise; 0.25 converges within tens of queries.
-    pub gain: f64,
-    /// EWMA gain for the error statistics (kept slower than the model so
-    /// "steady-state error" means something).
-    pub error_gain: f64,
-}
+/// EWMA gain for the model terms, in (0, 1]. Higher adapts faster but tracks
+/// noise; 0.25 converges within tens of queries.
+const GAIN: f64 = 0.25;
 
-impl Default for CalibrationConfig {
-    fn default() -> Self {
-        Self { enabled: true, gain: 0.25, error_gain: 0.1 }
-    }
-}
+/// EWMA gain for the error statistics, kept slower than [`GAIN`] so
+/// "steady-state error" means something.
+const ERROR_GAIN: f64 = 0.1;
 
 /// Per-site prediction-quality statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -173,7 +162,7 @@ impl SiteCalibration {
         }
     }
 
-    fn record(&mut self, predicted: f64, actual: f64, forced: bool, gain: f64) {
+    fn record(&mut self, predicted: f64, actual: f64, forced: bool) {
         self.observations += 1;
         self.forced_observations += u64::from(forced);
         self.last_predicted_secs = predicted;
@@ -190,8 +179,8 @@ impl SiteCalibration {
             self.mean_rel_error = rel;
             self.signed_error = signed;
         } else {
-            self.mean_rel_error += gain * (rel - self.mean_rel_error);
-            self.signed_error += gain * (signed - self.signed_error);
+            self.mean_rel_error += ERROR_GAIN * (rel - self.mean_rel_error);
+            self.signed_error += ERROR_GAIN * (signed - self.signed_error);
         }
     }
 }
@@ -281,8 +270,6 @@ impl RegretSummary {
 /// for empty statistics; a live engine always reports both sites.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CalibrationReport {
-    /// Whether observations were updating the model.
-    pub enabled: bool,
     /// Observations folded in so far (all sites).
     pub observations: u64,
     /// The current calibrated model.
@@ -304,7 +291,6 @@ impl CalibrationReport {
 /// terms from every [`PlacementObservation`].
 #[derive(Debug, Clone)]
 pub struct CostCalibrator {
-    cfg: CalibrationConfig,
     model: CostModel,
     gpu: SiteCalibration,
     cpu: SiteCalibration,
@@ -353,9 +339,8 @@ fn ewma_toward(current: &mut f64, sample: f64, gain: f64, lo: f64, hi: f64) {
 
 impl CostCalibrator {
     /// Creates a calibrator seeded with `model`.
-    pub fn new(cfg: CalibrationConfig, model: CostModel) -> Self {
+    pub fn new(model: CostModel) -> Self {
         Self {
-            cfg,
             model,
             gpu: SiteCalibration::new(OlapTarget::Gpu),
             cpu: SiteCalibration::new(OlapTarget::Cpu),
@@ -370,19 +355,8 @@ impl CostCalibrator {
         self.model
     }
 
-    /// Folds one completed dispatch into the error statistics and (when
-    /// enabled) the model terms, for the classic CPU + single-GPU pair.
-    /// `gpu` is the device the GPU-side streaming feature is computed
-    /// against — the same spec placement used. Engines with more sites call
-    /// [`CostCalibrator::observe_sites`] with their enumerated capabilities.
-    pub fn observe(&mut self, gpu: &GpuSpec, obs: &PlacementObservation) {
-        let sites =
-            [SiteCapability::single_gpu(gpu, &obs.hints), SiteCapability::Cpu { cores: obs.hints.available_cpu_cores }];
-        self.observe_sites(&sites, obs);
-    }
-
-    /// Folds one completed dispatch into the error statistics and (when
-    /// enabled) the model terms. `sites` are the engine's enumerated
+    /// Folds one completed dispatch into the error statistics and the model
+    /// terms. `sites` are the engine's enumerated
     /// capabilities — the GPU-family streaming feature of the observed site
     /// (critical device's shard time) is computed from them, which is what
     /// lets the bandwidth scale converge **per device mix**.
@@ -392,12 +366,11 @@ impl CostCalibrator {
             OlapTarget::Cpu => &mut self.cpu,
             OlapTarget::MultiGpu => &mut self.multi_gpu,
         };
-        row.record(obs.predicted_secs, obs.actual_secs, obs.forced, self.cfg.error_gain);
-        if !self.cfg.enabled || !obs.actual_secs.is_finite() || obs.actual_secs <= 0.0 {
+        row.record(obs.predicted_secs, obs.actual_secs, obs.forced);
+        if !obs.actual_secs.is_finite() || obs.actual_secs <= 0.0 {
             return;
         }
         let hints = obs.hints.sanitized();
-        let gain = self.cfg.gain;
         match obs.site {
             OlapTarget::Cpu => {
                 let Some(b) = obs.breakdown else { return };
@@ -405,13 +378,13 @@ impl CostCalibrator {
                 // tuple = rows · ns / cores  ⇒  ns = tuple · cores / rows.
                 if hints.rows > 0 && b.compute_secs > 0.0 {
                     let ns = b.compute_secs * 1e9 * cores / hints.rows as f64;
-                    ewma_toward(&mut self.model.cpu_per_tuple_ns, ns, gain, 0.0, 1e6);
+                    ewma_toward(&mut self.model.cpu_per_tuple_ns, ns, GAIN, 0.0, 1e6);
                 }
                 // stream = bytes / (cores · bw · 1e9)  ⇒  bw = bytes / (stream · cores · 1e9).
                 let bytes = cpu_stream_bytes(&hints);
                 if bytes > 0.0 && b.stream_secs > 0.0 {
                     let bw = bytes / (b.stream_secs * cores * 1e9);
-                    ewma_toward(&mut self.model.cpu_core_bandwidth_gbps, bw, gain, 1e-3, 1e4);
+                    ewma_toward(&mut self.model.cpu_core_bandwidth_gbps, bw, GAIN, 1e-3, 1e4);
                 }
             }
             OlapTarget::Gpu | OlapTarget::MultiGpu => {
@@ -427,10 +400,10 @@ impl CostCalibrator {
                 };
                 match obs.breakdown {
                     Some(b) => {
-                        ewma_toward(&mut overhead, b.overhead_secs, gain, 0.0, 1.0);
+                        ewma_toward(&mut overhead, b.overhead_secs, GAIN, 0.0, 1.0);
                         if stream_feature > 1e-12 && b.stream_secs > 0.0 {
                             let sample = b.stream_secs / stream_feature;
-                            ewma_toward(&mut scale, sample, gain, 1e-2, 1e2);
+                            ewma_toward(&mut scale, sample, GAIN, 1e-2, 1e2);
                         }
                     }
                     None => {
@@ -438,7 +411,7 @@ impl CostCalibrator {
                         // attributable: whatever the bandwidth terms cannot
                         // explain is charged to the dispatch overhead.
                         let residual = (obs.actual_secs - scale * stream_feature).max(0.0);
-                        ewma_toward(&mut overhead, residual, gain, 0.0, 1.0);
+                        ewma_toward(&mut overhead, residual, GAIN, 0.0, 1.0);
                     }
                 }
                 match obs.site {
@@ -506,7 +479,6 @@ impl CostCalibrator {
     /// A snapshot of the current state for statistics reporting.
     pub fn report(&self) -> CalibrationReport {
         CalibrationReport {
-            enabled: self.cfg.enabled,
             observations: self.gpu.observations + self.cpu.observations + self.multi_gpu.observations,
             model: self.model,
             sites: vec![self.gpu, self.cpu, self.multi_gpu],
@@ -519,6 +491,13 @@ impl CostCalibrator {
 mod tests {
     use super::*;
     use crate::placement::{cpu_term_secs, gpu_site_stream_feature, GpuDeviceCapability};
+    use h2tap_gpu_sim::GpuSpec;
+
+    /// The classic CPU + single-GPU pair, as an engine without a multi-GPU
+    /// site enumerates it.
+    fn pair() -> [SiteCapability; 2] {
+        [SiteCapability::single_gpu(&GpuSpec::gtx_980(), &PlacementHints::default()), SiteCapability::Cpu { cores: 24 }]
+    }
 
     /// Emulates a CPU site whose true constants differ from the model seeds:
     /// builds the observation a dispatch over `rows`/`bytes` would produce.
@@ -549,12 +528,12 @@ mod tests {
     fn cpu_terms_recalibrate_from_wrong_seeds() {
         // Per-tuple cost seeded 2x too high, bandwidth 2x too low.
         let seed = CostModel { cpu_per_tuple_ns: 186.0, cpu_core_bandwidth_gbps: 68.0 / 48.0, ..CostModel::default() };
-        let mut cal = CostCalibrator::new(CalibrationConfig::default(), seed);
-        let gpu = GpuSpec::gtx_980();
+        let mut cal = CostCalibrator::new(seed);
+        let sites = pair();
         for i in 0..40u64 {
             let rows = 10_000 + (i % 5) * 20_000;
             let obs = cpu_observation(&cal.model(), rows, rows * 16, 24);
-            cal.observe(&gpu, &obs);
+            cal.observe_sites(&sites, &obs);
         }
         let m = cal.model();
         assert!((m.cpu_per_tuple_ns - 93.0).abs() / 93.0 < 0.02, "per-tuple {}", m.cpu_per_tuple_ns);
@@ -572,8 +551,9 @@ mod tests {
     fn gpu_overhead_and_scale_recalibrate() {
         // Overhead seeded 5x too low, true device 20% slower than datasheet.
         let seed = CostModel { gpu_dispatch_overhead_secs: 6e-6, ..CostModel::default() };
-        let mut cal = CostCalibrator::new(CalibrationConfig::default(), seed);
+        let mut cal = CostCalibrator::new(seed);
         let gpu = GpuSpec::gtx_980();
+        let sites = pair();
         const TRUE_OVERHEAD: f64 = 32e-6;
         const TRUE_SCALE: f64 = 1.2;
         for i in 0..40u64 {
@@ -599,7 +579,7 @@ mod tests {
                 actual_secs: TRUE_OVERHEAD + actual_stream,
                 breakdown: Some(ExecBreakdown::new(actual_stream, 0.0, TRUE_OVERHEAD)),
             };
-            cal.observe(&gpu, &obs);
+            cal.observe_sites(&sites, &obs);
         }
         let m = cal.model();
         assert!((m.gpu_dispatch_overhead_secs - TRUE_OVERHEAD).abs() / TRUE_OVERHEAD < 0.02, "{m:?}");
@@ -612,7 +592,7 @@ mod tests {
         // Multi-GPU bandwidth scale seeded 3x too high; the single GPU's
         // terms must not move from multi-GPU observations (per-site terms).
         let seed = CostModel { multi_gpu_bandwidth_scale: 3.0, ..CostModel::default() };
-        let mut cal = CostCalibrator::new(CalibrationConfig::default(), seed);
+        let mut cal = CostCalibrator::new(seed);
         let device =
             |spec: GpuSpec| GpuDeviceCapability { spec, shard_fraction: 0.5, resident_fraction: 1.0, free_bytes: None };
         let sites = [
@@ -670,31 +650,14 @@ mod tests {
     }
 
     #[test]
-    fn disabled_calibration_tracks_error_but_freezes_the_model() {
-        let seed = CostModel { cpu_per_tuple_ns: 186.0, ..CostModel::default() };
-        let cfg = CalibrationConfig { enabled: false, ..CalibrationConfig::default() };
-        let mut cal = CostCalibrator::new(cfg, seed);
-        let gpu = GpuSpec::gtx_980();
-        for _ in 0..10 {
-            let obs = cpu_observation(&cal.model(), 1_000_000, 16_000_000, 24);
-            cal.observe(&gpu, &obs);
-        }
-        assert_eq!(cal.model(), seed, "disabled calibration must not move the model");
-        let report = cal.report();
-        let cpu = report.site(OlapTarget::Cpu).unwrap();
-        assert_eq!(cpu.observations, 10);
-        assert!(cpu.mean_rel_error > 0.3, "2x-wrong per-tuple cost must show up as error: {cpu:?}");
-    }
-
-    #[test]
     fn one_outlier_sample_moves_the_model_only_within_the_trust_region() {
         // A 97%-zonemap-skipped scan reports a stream time implying a ~30x
         // "effective" bandwidth. One such observation may bend the model by
         // at most gain * (MAX_SAMPLE_STEP - 1); sustained evidence still
         // converges, a single outlier cannot teleport placement.
-        let mut cal = CostCalibrator::new(CalibrationConfig::default(), CostModel::default());
+        let mut cal = CostCalibrator::new(CostModel::default());
         let before = cal.model().cpu_core_bandwidth_gbps;
-        let gpu = GpuSpec::gtx_980();
+        let sites = pair();
         let hints = cal.model().apply_to(PlacementHints {
             bytes_to_scan: 150_000 * 28,
             rows: 150_000,
@@ -711,7 +674,7 @@ mod tests {
             // Stream time 30x shorter than the hint bytes imply.
             breakdown: Some(ExecBreakdown::new(implied_stream / 30.0, 1e-4, 0.0)),
         };
-        cal.observe(&gpu, &obs);
+        cal.observe_sites(&sites, &obs);
         let after = cal.model().cpu_core_bandwidth_gbps;
         assert!(after > before, "the sample must still pull the estimate up");
         assert!(
@@ -720,19 +683,19 @@ mod tests {
         );
         // Sustained identical evidence keeps converging toward the sample.
         for _ in 0..40 {
-            cal.observe(&gpu, &obs);
+            cal.observe_sites(&sites, &obs);
         }
         assert!(cal.model().cpu_core_bandwidth_gbps > before * 10.0, "sustained evidence must still get there");
     }
 
     #[test]
     fn degenerate_first_observation_does_not_consume_the_ewma_seed() {
-        let mut cal = CostCalibrator::new(CalibrationConfig::default(), CostModel::default());
-        let gpu = GpuSpec::gtx_980();
+        let mut cal = CostCalibrator::new(CostModel::default());
+        let sites = pair();
         let hints = PlacementHints { available_cpu_cores: 4, ..PlacementHints::default() };
         // First observation is degenerate (zero actual time): no error sample.
-        cal.observe(
-            &gpu,
+        cal.observe_sites(
+            &sites,
             &PlacementObservation {
                 site: OlapTarget::Cpu,
                 forced: false,
@@ -744,8 +707,8 @@ mod tests {
         );
         // The first *valid* sample must seed the EWMA outright, not be
         // diluted toward the artificial 0.0 start.
-        cal.observe(
-            &gpu,
+        cal.observe_sites(
+            &sites,
             &PlacementObservation {
                 site: OlapTarget::Cpu,
                 forced: false,
@@ -763,12 +726,12 @@ mod tests {
 
     #[test]
     fn forced_observations_are_counted_separately() {
-        let mut cal = CostCalibrator::new(CalibrationConfig::default(), CostModel::default());
-        let gpu = GpuSpec::gtx_980();
+        let mut cal = CostCalibrator::new(CostModel::default());
+        let sites = pair();
         for forced in [true, true, false] {
             let mut obs = cpu_observation(&cal.model(), 10_000, 160_000, 8);
             obs.forced = forced;
-            cal.observe(&gpu, &obs);
+            cal.observe_sites(&sites, &obs);
         }
         let report = cal.report();
         let cpu = report.site(OlapTarget::Cpu).unwrap();
@@ -778,13 +741,13 @@ mod tests {
 
     #[test]
     fn degenerate_observations_cannot_wreck_the_model() {
-        let mut cal = CostCalibrator::new(CalibrationConfig::default(), CostModel::default());
+        let mut cal = CostCalibrator::new(CostModel::default());
         let before = cal.model();
-        let gpu = GpuSpec::gtx_980();
+        let sites = pair();
         let hints = PlacementHints { bytes_to_scan: 0, rows: 0, available_cpu_cores: 4, ..PlacementHints::default() };
         for actual in [f64::NAN, 0.0, -1.0] {
-            cal.observe(
-                &gpu,
+            cal.observe_sites(
+                &sites,
                 &PlacementObservation {
                     site: OlapTarget::Cpu,
                     forced: true,
@@ -801,9 +764,8 @@ mod tests {
 
     #[test]
     fn explain_dispatch_computes_estimates_regret_and_misplacement() {
-        let mut cal = CostCalibrator::new(CalibrationConfig::default(), CostModel::default());
-        let gpu = GpuSpec::gtx_980();
-        let sites = [SiteCapability::single_gpu(&gpu, &PlacementHints::default()), SiteCapability::Cpu { cores: 24 }];
+        let mut cal = CostCalibrator::new(CostModel::default());
+        let sites = pair();
         // A tiny scan: dispatch overhead dominates, the CPU wins the
         // estimate comparison; executing on the GPU is a misplacement.
         let hints = cal.model().apply_to(PlacementHints {
@@ -847,9 +809,8 @@ mod tests {
 
     #[test]
     fn forced_dispatches_are_retained_but_not_counted_as_decisions() {
-        let mut cal = CostCalibrator::new(CalibrationConfig::default(), CostModel::default());
-        let gpu = GpuSpec::gtx_980();
-        let sites = [SiteCapability::single_gpu(&gpu, &PlacementHints::default()), SiteCapability::Cpu { cores: 24 }];
+        let mut cal = CostCalibrator::new(CostModel::default());
+        let sites = pair();
         let hints = PlacementHints { bytes_to_scan: 4096, available_cpu_cores: 24, ..PlacementHints::default() };
         let obs = PlacementObservation {
             site: OlapTarget::Gpu,
@@ -870,7 +831,7 @@ mod tests {
 
     #[test]
     fn recent_placements_are_bounded() {
-        let mut cal = CostCalibrator::new(CalibrationConfig::default(), CostModel::default());
+        let mut cal = CostCalibrator::new(CostModel::default());
         let sites = [SiteCapability::Cpu { cores: 8 }];
         let hints = PlacementHints { bytes_to_scan: 1 << 20, available_cpu_cores: 8, ..PlacementHints::default() };
         for q in 0..(RECENT_PLACEMENTS_CAP as u64 + 10) {

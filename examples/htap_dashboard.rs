@@ -107,8 +107,8 @@ fn run_scenario(queries_per_snapshot: u32) {
     // them is that a real deployment's dashboard would watch them climb.
     let res = &stats.resilience;
     println!(
-        "    resilience: {} faults observed, {} in-place retries, {} site fallbacks, {} deadline timeouts",
-        res.faults, res.retries, res.fallbacks, res.deadline_timeouts,
+        "    resilience: {} faults observed, {} in-place retries, {} site fallbacks",
+        res.faults, res.retries, res.fallbacks,
     );
     // Observability: OLAP latency percentiles over all twenty refreshes, and
     // the three slowest spans of the final join refresh — where its time went.

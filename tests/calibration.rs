@@ -18,12 +18,12 @@ fn miscalibrated_engine(sizes: &[u64]) -> (Caldera, Vec<TableId>) {
     let mut config = CalderaConfig::with_workers(1);
     config.olap_cpu_cores = 24;
     config.snapshot_policy = SnapshotPolicy::Manual;
-    let truth = config.initial_cost_model();
-    config.cost_model_seed = Some(CostModel {
+    let truth = CostModel::default();
+    config.cost_model_seed = CostModel {
         cpu_per_tuple_ns: truth.cpu_per_tuple_ns * 2.0,
         gpu_dispatch_overhead_secs: truth.gpu_dispatch_overhead_secs / 5.0,
         ..truth
-    });
+    };
     let mut builder = Caldera::builder(config);
     let tables = sizes
         .iter()
@@ -130,9 +130,8 @@ fn multi_gpu_bandwidth_scale_recalibrates_and_recovers_the_oracle() {
         OlapMultiGpuConfig::new(vec![GpuSpec::gtx_980(), GpuSpec::gtx_980()])
             .with_placement(DataPlacement::DeviceResident),
     );
-    let truth = config.initial_cost_model();
-    config.cost_model_seed =
-        Some(CostModel { multi_gpu_bandwidth_scale: truth.multi_gpu_bandwidth_scale * 3.0, ..truth });
+    let truth = CostModel::default();
+    config.cost_model_seed = CostModel { multi_gpu_bandwidth_scale: truth.multi_gpu_bandwidth_scale * 3.0, ..truth };
     let mut builder = Caldera::builder(config);
     let small = tpch::load_lineitem_named(&mut builder, "lineitem_small", Layout::Dsm, 5_000, 7).unwrap();
     let large = tpch::load_lineitem_named(&mut builder, "lineitem_large", Layout::Dsm, 150_000, 7).unwrap();
