@@ -205,6 +205,8 @@ impl SiteSlot {
 struct SnapshotGate {
     sites: Vec<SiteSlot>,
     snapshot: Option<Arc<Snapshot>>,
+    /// Snapshots taken by [`Caldera::refresh_gate`].
+    snapshots_taken: u64,
 }
 
 impl SnapshotGate {
@@ -231,7 +233,6 @@ impl SnapshotGate {
 /// across query execution.
 struct OlapMeta {
     query_index: u64,
-    snapshots_taken: u64,
     total_time: SimDuration,
     /// The placement feedback loop: every dispatch records an observation
     /// here, and placement reads its calibrated model back out.
@@ -306,13 +307,9 @@ impl Caldera {
             snap: RwLock::new(SnapshotGate {
                 sites: sites.into_iter().map(|site| SiteSlot::new(site, admission_budget)).collect(),
                 snapshot: None,
-            }),
-            meta: Mutex::new(OlapMeta {
-                query_index: 0,
                 snapshots_taken: 0,
-                total_time: SimDuration::ZERO,
-                calibrator,
             }),
+            meta: Mutex::new(OlapMeta { query_index: 0, total_time: SimDuration::ZERO, calibrator }),
             plan_cache,
             scheduler,
             next_home: AtomicU64::new(0),
@@ -467,11 +464,7 @@ impl Caldera {
     /// snapshot (manual freshness control). Waits for in-flight analytical
     /// queries to drain, so no query ever loses its tables mid-execution.
     pub fn refresh_snapshot(&self) -> Result<()> {
-        let mut snap = self.snap.write();
-        Self::refresh_gate(&self.db, &mut snap)?;
-        // h2tap: allow(lock_order) — ordering rule: `snap` is always acquired before `meta`, never the reverse; the meta guard here is a statement temporary that cannot outlive the snap guard.
-        self.meta.lock().snapshots_taken += 1;
-        Ok(())
+        Self::refresh_gate(&self.db, &mut self.snap.write())
     }
 
     /// Replaces the gate's snapshot: resets every site's registrations,
@@ -493,6 +486,7 @@ impl Caldera {
             db.release_snapshot(&old)?;
         }
         snap.snapshot = Some(db.snapshot());
+        snap.snapshots_taken += 1;
         Ok(())
     }
 
@@ -561,8 +555,6 @@ impl Caldera {
         let mut snap = self.snap.write();
         if policy_fired || snap.snapshot.is_none() {
             Self::refresh_gate(&self.db, &mut snap)?;
-            // h2tap: allow(lock_order) — ordering rule: `snap` is always acquired before `meta`, never the reverse; the meta guard here is a statement temporary that cannot outlive the snap guard.
-            self.meta.lock().snapshots_taken += 1;
         }
         let snapshot =
             snap.snapshot.clone().ok_or_else(|| H2Error::Config("snapshot missing after refresh".to_string()))?;
@@ -833,6 +825,7 @@ impl Caldera {
     fn stats_with_oltp(&self, oltp: OltpStats, snapshot_release_failures: u64) -> HtapStats {
         let plan_cache = self.plan_cache.stats();
         let olap_sites = self.site_stats();
+        let snapshots_taken = self.snap.read().snapshots_taken;
         let metrics = self.metrics_snapshot(&plan_cache, &olap_sites);
         let meta = self.meta.lock();
         HtapStats {
@@ -841,7 +834,7 @@ impl Caldera {
             olap_queries: meta.query_index,
             olap_time: meta.total_time,
             olap_sites,
-            snapshots_taken: meta.snapshots_taken,
+            snapshots_taken,
             snapshot_release_failures,
             calibration: meta.calibrator.report(),
             plan_cache,

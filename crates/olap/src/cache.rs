@@ -49,19 +49,16 @@
 //! query's columns.
 //!
 //! **Soundness.** The reuse rule is `page stamp <= base epoch`, from the
-//! stamp contract of [`h2tap_storage::Page::epoch`]: writers read the live
-//! epoch under the partition's write lock and a snapshot bumps it before
-//! copying any page list, so a page written after snapshot `e` copied its
-//! partition carries a stamp `> e`, and stamps never decrease. It is *not*
-//! "same newest stamp as the base saw for this chunk": a page shadow-copied
-//! between snapshot `e`'s epoch bump and its page-list copy is stamped
-//! `e + 1` inside snapshot `e`, and `Arc::make_mut`'s defensive clone keeps
-//! that stamp while later writes change the content — equal stamps, different
-//! cells. Nor does the cache hold the base snapshot's `Arc<Page>`s to compare
-//! pointers: that would pin every superseded shadow copy for up to a whole
-//! refresh cycle. Because the rule only needs the base's epoch and its
-//! per-partition row counts, a stale snapshot can never be served and no
-//! page outlives its snapshot on the cache's account.
+//! stamp contract of [`h2tap_storage::Page::epoch`]: a commit learns the live
+//! epoch only under the shared side of the database's live-state lock, and a
+//! snapshot bumps the epoch and copies every page list under the exclusive
+//! side, so every page of snapshot `e` is stamped `<= e`, a page written
+//! after it carries a stamp `> e`, and stamps never decrease. The cache does
+//! not hold the base snapshot's `Arc<Page>`s to compare pointers: that would
+//! pin every superseded shadow copy for up to a whole refresh cycle. Because
+//! the rule only needs the base's epoch and its per-partition row counts, a
+//! stale snapshot can never be served and no page outlives its snapshot on
+//! the cache's account.
 //!
 //! # Byte budget and LRU eviction
 //!
@@ -733,40 +730,6 @@ mod tests {
         newest.assert_same_bytes(&MaterializedColumns::new(frozen, vec![0]).unwrap(), "after a trailing insert");
         assert!((0..3).all(|chunk| newest.shares_block(&fresh, 0, chunk)));
         assert!(!newest.shares_block(&fresh, 0, 3), "the last chunk grew");
-    }
-
-    /// The interleaving `Database::snapshot` allows — epoch bump, *then* a
-    /// write, *then* the page-list copy — replayed by hand: the page sits in
-    /// snapshot 0 stamped 1, and keeps that stamp while a later write of the
-    /// same epoch changes it. Its stamp is the same in both snapshots; only
-    /// `stamp <= base epoch` tells them apart.
-    #[test]
-    fn a_page_stamped_past_its_own_snapshot_is_never_reused() {
-        use h2tap_common::Epoch;
-        use h2tap_storage::{CowTelemetry, SnapshotTableId, TableFragment};
-        let schema = StdArc::new(Schema::homogeneous("c", 1, AttrType::Int64));
-        let mut live = TableFragment::new(StdArc::clone(&schema), Layout::Dsm, CowTelemetry::new());
-        for i in 0..10u64 {
-            live.insert(&[i], Epoch(0)).unwrap();
-        }
-        let source = SnapshotTableId::detached().source;
-        let freeze = |live: &TableFragment, epoch: u64| {
-            let id = SnapshotTableId { source, table: h2tap_common::TableId(0), epoch: Epoch(epoch) };
-            SnapshotTable::new(StdArc::clone(&schema), Layout::Dsm, vec![live.pages().to_vec()], id)
-        };
-        live.update_cell(0, 0, 100, Epoch(1)).unwrap(); // snapshot 0 has bumped the epoch, not yet copied
-        let s0 = freeze(&live, 0);
-        live.update_cell(0, 0, 200, Epoch(1)).unwrap(); // shared with s0: cloned, stamp stays 1
-        let s1 = freeze(&live, 1);
-        assert_eq!(s0.newest_stamp(0..10), Epoch(1));
-        assert_eq!(s1.newest_stamp(0..10), Epoch(1), "same stamp in both snapshots");
-        let cache = PlanDataCache::new();
-        let old = cache.materialized(&s0, vec![0]).unwrap();
-        let fresh = cache.materialized(&s1, vec![0]).unwrap();
-        old.assert_same_bytes(&MaterializedColumns::new(&s0, vec![0]).unwrap(), "snapshot 0");
-        fresh.assert_same_bytes(&MaterializedColumns::new(&s1, vec![0]).unwrap(), "snapshot 1");
-        assert!(!fresh.shares_block(&old, 0, 0));
-        assert_eq!(cache.stats().chunks_reused, 0);
     }
 
     #[test]

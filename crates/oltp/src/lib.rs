@@ -258,6 +258,70 @@ mod tests {
         rt.shutdown();
     }
 
+    /// A write set the database rejects at commit is an abort, reported
+    /// once and not retried, that leaves no row, no index entry and no lock.
+    fn assert_rejected_at_commit(proc: TxnProc, table: TableId, probe_key: i64) {
+        let (rt, _) = runtime(2, 4);
+        let db = Arc::clone(rt.database());
+        let before = (db.row_count(table).unwrap(), db.read(h2tap_common::RecordId::new(PartitionId(0), table, 0)));
+        let outcome = rt.submit(PartitionId(0), proc).unwrap().recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(matches!(outcome, TxnOutcome::Aborted(h2tap_common::H2Error::Config(_))), "{outcome:?}");
+        let after = (db.row_count(table).unwrap(), db.read(h2tap_common::RecordId::new(PartitionId(0), table, 0)));
+        assert_eq!(before, after, "nothing was written");
+        // No index entry: the key is still unknown. No lock: key 0 and key 1
+        // are free for an update from either partition.
+        let lookup = rt.execute(PartitionId(0), Arc::new(move |ctx| ctx.read(table, probe_key).map(drop)));
+        assert!(matches!(lookup, Err(h2tap_common::H2Error::UnknownRecord(_))), "{lookup:?}");
+        for home in [0, 1] {
+            rt.execute(
+                PartitionId(home),
+                Arc::new(move |ctx| {
+                    for key in [0, 1] {
+                        let record = ctx.read_for_update(table, key)?;
+                        ctx.update(table, key, record)?;
+                    }
+                    Ok(())
+                }),
+            )
+            .unwrap();
+        }
+        let stats = rt.shutdown();
+        assert_eq!((stats.aborted, stats.retries), (2, 0), "the rejected commit and the unknown key, neither retried");
+        assert_eq!(stats.committed, 2);
+    }
+
+    #[test]
+    fn a_wrong_arity_insert_aborts_at_commit() {
+        let table = TableId(0);
+        assert_rejected_at_commit(
+            Arc::new(move |ctx| {
+                // Key 100 maps to partition 0; the table has two columns.
+                ctx.insert_local(table, 100, vec![Value::Int64(100)])
+            }),
+            table,
+            100,
+        );
+    }
+
+    #[test]
+    fn a_wrong_type_update_aborts_at_commit() {
+        let table = TableId(0);
+        assert_rejected_at_commit(
+            Arc::new(move |ctx| {
+                // Key 0 is local, key 1 remote: the valid local update is
+                // not applied either.
+                let mut record = ctx.read_for_update(table, 0)?;
+                record[1] = Value::Int64(7);
+                ctx.update(table, 0, record)?;
+                ctx.read_for_update(table, 1)?;
+                ctx.update(table, 1, vec![Value::Int64(1), Value::Float64(0.5)])?;
+                ctx.insert_local(table, 100, vec![Value::Int64(100), Value::Int64(5)])
+            }),
+            table,
+            100,
+        );
+    }
+
     #[test]
     fn concurrent_increments_from_all_workers_are_serializable() {
         let workers = 4;
@@ -594,7 +658,7 @@ mod tests {
             ctx.read(table, 4).unwrap();
             ctx.read_for_update(table, 4).unwrap();
             if commit {
-                ctx.commit();
+                ctx.commit().unwrap();
             } else {
                 ctx.abort();
             }

@@ -183,28 +183,32 @@ impl<'a> TxnCtx<'a> {
         }
     }
 
-    /// Applies the write and insert sets, releases all locks and notifies
-    /// remote owners. Called by the worker after the stored procedure
-    /// returned `Ok`.
-    pub fn commit(mut self) {
+    /// Applies the write and insert sets as one [`Database::commit`],
+    /// indexes the inserted keys, releases all locks and notifies remote
+    /// owners. Called by the worker after the stored procedure returned
+    /// `Ok`. A write set the database rejects (a record that does not fit
+    /// its schema) is an error with nothing applied; the locks are released
+    /// either way.
+    ///
+    /// [`Database::commit`]: h2tap_storage::Database::commit
+    pub fn commit(mut self) -> Result<()> {
         // Apply deferred writes while every lock is still held. The client
         // accesses remote records directly through shared memory — only lock
         // metadata ever crossed the fabric.
-        for (rid, values) in self.write_set.drain(..) {
-            // The lock guarantees exclusive access, so failures here would be
-            // logic errors (schema mismatch), surfaced loudly in debug runs.
-            let applied = self.state.db.update(rid, &values);
-            debug_assert!(applied.is_ok(), "commit-time update failed: {applied:?}");
-        }
         let home = self.state.home();
-        for (table, key, values) in self.insert_set.drain(..) {
-            if let Ok(rid) = self.state.db.insert(home, table, &values) {
-                self.state.index.insert(table, key, rid.row);
+        let updates: Vec<_> = self.write_set.iter().map(|(rid, values)| (*rid, values.as_slice())).collect();
+        let inserts: Vec<_> =
+            self.insert_set.iter().map(|(table, _, values)| (home, *table, values.as_slice())).collect();
+        let committed = self.state.db.commit(&updates, &inserts);
+        if let Ok(rids) = &committed {
+            for ((table, key, _), rid) in self.insert_set.iter().zip(rids) {
+                self.state.index.insert(*table, *key, rid.row);
             }
+            // Client writes back its dirty lines before releasing anything.
+            count(&self.state.counters.writebacks);
         }
-        // Client writes back its dirty lines before releasing anything.
-        count(&self.state.counters.writebacks);
         self.finish();
+        committed.map(drop)
     }
 
     /// Discards buffered writes and releases all locks.

@@ -145,9 +145,18 @@ pub fn execute_transaction(state: &mut WorkerState, proc: &crate::runtime::TxnPr
         let mut ctx = TxnCtx::new(state, token);
         match proc(&mut ctx) {
             Ok(()) => {
-                ctx.commit();
-                count(&state.counters.committed);
-                return TxnOutcome::Committed;
+                return match ctx.commit() {
+                    Ok(()) => {
+                        count(&state.counters.committed);
+                        TxnOutcome::Committed
+                    }
+                    // A write set the database rejected would be rejected
+                    // again: abort without a retry.
+                    Err(err) => {
+                        count(&state.counters.aborted);
+                        TxnOutcome::Aborted(err)
+                    }
+                };
             }
             Err(err) => {
                 ctx.abort();

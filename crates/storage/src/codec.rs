@@ -32,11 +32,34 @@ pub fn decode_cell_f64(ty: AttrType, cell: u64) -> f64 {
     }
 }
 
+/// Whether `value` may be stored in an attribute of type `ty`. A string
+/// column also takes `Int64`, the opaque code it decodes to, so a record
+/// read and written back unchanged always fits.
+fn fits(ty: AttrType, value: &Value) -> bool {
+    matches!(
+        (ty, value),
+        (AttrType::Int32, Value::Int32(_))
+            | (AttrType::Int64, Value::Int64(_))
+            | (AttrType::Float64, Value::Float64(_))
+            | (AttrType::Date, Value::Date(_))
+            | (AttrType::Str, Value::Str(_) | Value::Int64(_))
+    )
+}
+
 /// Encodes a full record according to `schema`.
 ///
 /// # Errors
-/// Fails when the record arity does not match the schema.
+/// Fails when the record arity does not match the schema, or a value does
+/// not match its attribute's type.
 pub fn encode_record(schema: &Schema, values: &[Value]) -> Result<Vec<u64>> {
+    let mut cells = Vec::with_capacity(values.len());
+    encode_into(schema, values, &mut cells)?;
+    Ok(cells)
+}
+
+/// Appends the cells of one record to `cells`, which is left as it was on
+/// an error (see [`encode_record`]).
+pub(crate) fn encode_into(schema: &Schema, values: &[Value], cells: &mut Vec<u64>) -> Result<()> {
     if values.len() != schema.arity() {
         return Err(H2Error::Config(format!(
             "record has {} values but schema has {} attributes",
@@ -44,7 +67,11 @@ pub fn encode_record(schema: &Schema, values: &[Value]) -> Result<Vec<u64>> {
             schema.arity()
         )));
     }
-    Ok(values.iter().map(encode_value).collect())
+    if let Some((attr, value)) = schema.attributes().iter().zip(values).find(|(attr, value)| !fits(attr.ty, value)) {
+        return Err(H2Error::Config(format!("{value:?} does not fit attribute {:?} of type {:?}", attr.name, attr.ty)));
+    }
+    cells.extend(values.iter().map(encode_value));
+    Ok(())
 }
 
 /// Decodes a full record according to `schema`.
@@ -83,6 +110,16 @@ mod tests {
     fn negative_int32_roundtrip() {
         assert_eq!(decode_cell(AttrType::Int32, encode_value(&Value::Int32(-42))), Value::Int32(-42));
         assert_eq!(decode_cell(AttrType::Date, encode_value(&Value::Date(-1))), Value::Date(-1));
+    }
+
+    #[test]
+    fn type_mismatch_rejected() {
+        let s = schema();
+        assert!(encode_record(&s, &[Value::Int64(1), Value::Int64(7), Value::Float64(2.5), Value::Date(0)]).is_err());
+        let strings = Schema::new(vec![Attribute::new("name", AttrType::Str)]).unwrap();
+        let cells = encode_record(&strings, &[Value::Str("ada".into())]).unwrap();
+        let back = decode_record(&strings, &cells).unwrap();
+        assert_eq!(encode_record(&strings, &back).unwrap(), cells, "a decoded string code writes back");
     }
 
     #[test]

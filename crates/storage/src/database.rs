@@ -1,12 +1,16 @@
 //! The shared-memory database: catalog, partitions, snapshots and GC.
 //!
 //! [`Database`] owns the hierarchical partition → table → page organization
-//! and the snapshot clock. OLTP workers obtain their partition's store and
-//! operate on it through short, uncontended critical sections (each partition
-//! is only ever touched by its owning worker plus the snapshot path); the
-//! OLAP runtime takes [`Snapshot`]s and never touches the live store.
+//! and the snapshot clock. Every row change goes through
+//! [`Database::commit`], which applies a whole transaction under the shared
+//! side of one live-state lock; [`Database::snapshot`] takes the exclusive
+//! side, so a snapshot sees every write of a transaction or none. The OLAP
+//! runtime takes [`Snapshot`]s and never touches the live store.
+//!
+//! Lock order: the live-state lock before a partition's, never the reverse.
+//! `commit` and `snapshot` nest them; everything else takes one at a time.
 
-use crate::codec::{decode_record, encode_record};
+use crate::codec::{decode_record, encode_into};
 use crate::layout::Layout;
 use crate::partition::PartitionStore;
 use crate::snapshot::{Snapshot, SnapshotTable, SnapshotTableId};
@@ -14,7 +18,7 @@ use crate::telemetry::{CowStats, CowTelemetry};
 use h2tap_common::{Epoch, H2Error, PartitionId, RecordId, Result, Schema, TableId, Value};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Catalog entry for one table.
@@ -40,17 +44,31 @@ pub struct GcReport {
     pub bytes_reclaimed: u64,
 }
 
+/// What a write and a snapshot must agree on: the catalog and the write
+/// epoch. Commits hold it shared and snapshots exclusively, so holding it is
+/// the only way to learn the epoch a write stamps its pages with.
+#[derive(Debug, Default)]
+struct Live {
+    epoch: Epoch,
+    /// Indexed by `TableId`: a new table's id is the catalog's length.
+    tables: Vec<TableMeta>,
+    names: BTreeMap<String, TableId>,
+}
+
+impl Live {
+    fn meta(&self, table: TableId) -> Result<&TableMeta> {
+        self.tables.get(table.0 as usize).ok_or_else(|| H2Error::UnknownTable(table.to_string()))
+    }
+}
+
 /// The Caldera shared-memory database.
 #[derive(Debug)]
 pub struct Database {
     /// Process-unique instance id, part of every snapshot table's cache
     /// identity so frozen images from different databases never alias.
     instance: u64,
-    partitions: Vec<Arc<RwLock<PartitionStore>>>,
-    catalog: RwLock<BTreeMap<TableId, TableMeta>>,
-    names: RwLock<BTreeMap<String, TableId>>,
-    next_table: AtomicU32,
-    live_epoch: AtomicU64,
+    partitions: Vec<RwLock<PartitionStore>>,
+    live: RwLock<Live>,
     next_snapshot: AtomicU64,
     active_snapshots: Mutex<BTreeMap<u64, Epoch>>,
     telemetry: Arc<CowTelemetry>,
@@ -63,15 +81,12 @@ impl Database {
         assert!(partition_count > 0, "database needs at least one partition");
         let telemetry = CowTelemetry::new();
         let partitions = (0..partition_count)
-            .map(|i| Arc::new(RwLock::new(PartitionStore::new(PartitionId(i as u32), Arc::clone(&telemetry)))))
+            .map(|i| RwLock::new(PartitionStore::new(PartitionId(i as u32), Arc::clone(&telemetry))))
             .collect();
         Arc::new(Self {
             instance: crate::snapshot::next_source_id(),
             partitions,
-            catalog: RwLock::new(BTreeMap::new()),
-            names: RwLock::new(BTreeMap::new()),
-            next_table: AtomicU32::new(0),
-            live_epoch: AtomicU64::new(0),
+            live: RwLock::new(Live::default()),
             next_snapshot: AtomicU64::new(0),
             active_snapshots: Mutex::new(BTreeMap::new()),
             telemetry,
@@ -83,9 +98,8 @@ impl Database {
         self.partitions.len()
     }
 
-    /// The store of one partition.
-    pub fn partition(&self, p: PartitionId) -> Result<Arc<RwLock<PartitionStore>>> {
-        self.partitions.get(p.0 as usize).cloned().ok_or_else(|| H2Error::Config(format!("partition {p} out of range")))
+    fn store(&self, p: PartitionId) -> Result<&RwLock<PartitionStore>> {
+        self.partitions.get(p.0 as usize).ok_or_else(|| H2Error::Config(format!("partition {p} out of range")))
     }
 
     /// Copy-on-write telemetry counters.
@@ -96,110 +110,162 @@ impl Database {
     /// The current live epoch (pages stamped with an older epoch are still
     /// shared with at least one snapshot).
     pub fn live_epoch(&self) -> Epoch {
-        Epoch(self.live_epoch.load(Ordering::Acquire))
+        self.live.read().epoch
     }
 
-    /// Creates a table with the given layout, registered in every partition.
+    /// Creates a table with the given layout. A partition registers it with
+    /// its first write there.
     pub fn create_table(&self, name: impl Into<String>, schema: Schema, layout: Layout) -> Result<TableId> {
         let name = name.into();
-        if self.names.read().contains_key(&name) {
+        let mut live = self.live.write();
+        if live.names.contains_key(&name) {
             return Err(H2Error::Config(format!("table {name:?} already exists")));
         }
-        let id = TableId(self.next_table.fetch_add(1, Ordering::Relaxed));
-        let schema = Arc::new(schema);
-        for p in &self.partitions {
-            p.write().register_table(id, Arc::clone(&schema), layout);
-        }
-        let meta = TableMeta { id, name: name.clone(), schema, layout };
-        self.catalog.write().insert(id, meta);
-        self.names.write().insert(name, id);
+        let id = TableId(live.tables.len() as u32);
+        live.tables.push(TableMeta { id, name: name.clone(), schema: Arc::new(schema), layout });
+        live.names.insert(name, id);
         Ok(id)
     }
 
     /// Catalog entry of `table`.
     pub fn table_meta(&self, table: TableId) -> Result<TableMeta> {
-        self.catalog.read().get(&table).cloned().ok_or_else(|| H2Error::UnknownTable(table.to_string()))
+        self.live.read().meta(table).cloned()
     }
 
     /// Looks a table up by name.
     pub fn table_by_name(&self, name: &str) -> Result<TableMeta> {
-        let id = *self.names.read().get(name).ok_or_else(|| H2Error::UnknownTable(name.to_string()))?;
-        self.table_meta(id)
+        let live = self.live.read();
+        let id = *live.names.get(name).ok_or_else(|| H2Error::UnknownTable(name.to_string()))?;
+        live.meta(id).cloned()
     }
 
     /// Ids of all tables.
     pub fn tables(&self) -> Vec<TableId> {
-        self.catalog.read().keys().copied().collect()
+        (0..self.live.read().tables.len() as u32).map(TableId).collect()
     }
 
     /// Total records of `table` across all partitions.
     pub fn row_count(&self, table: TableId) -> Result<u64> {
-        let mut total = 0;
-        for p in &self.partitions {
-            total += p.read().fragment(table)?.row_count();
-        }
-        Ok(total)
+        self.live.read().meta(table)?;
+        (0..self.partitions.len()).map(|p| self.rows_in(PartitionId(p as u32), table)).sum()
     }
 
-    /// Inserts a record (given as logical values) into a specific partition.
+    /// Records of `table` in one partition.
+    fn rows_in(&self, partition: PartitionId, table: TableId) -> Result<u64> {
+        Ok(self.store(partition)?.read().fragment(table).map_or(0, |f| f.row_count()))
+    }
+
+    /// Applies one transaction's writes as a unit: `updates` overwrite
+    /// existing records and `inserts` append to a partition. Returns the
+    /// inserted records' ids, in the order of `inserts`.
+    ///
+    /// Every write is checked and encoded before any page is touched, so a
+    /// failure — an unknown table or partition, a row out of range, a record
+    /// that does not fit its schema — returns `Err` with nothing written. The
+    /// writes then land under the shared side of the live-state lock, so a
+    /// [`Database::snapshot`] (the exclusive side) sees all of them or none,
+    /// and every page they touch is stamped with one epoch.
+    pub fn commit(
+        &self,
+        updates: &[(RecordId, &[Value])],
+        inserts: &[(PartitionId, TableId, &[Value])],
+    ) -> Result<Vec<RecordId>> {
+        let writes = updates
+            .iter()
+            .map(|(rid, values)| (rid.partition, rid.table, Some(rid.row), *values))
+            .chain(inserts.iter().map(|(partition, table, values)| (*partition, *table, None, *values)));
+        let live = self.live.read();
+        // 1. Check and encode, every record's cells one after the other.
+        //    `rows_in` nests a partition's read lock the way step 2 nests its
+        //    write lock. Row counts only grow, so a row checked in range
+        //    stays in range.
+        let mut cells = Vec::with_capacity(writes.clone().map(|w| w.3.len()).sum());
+        for (partition, table, row, values) in writes.clone() {
+            encode_into(&live.meta(table)?.schema, values, &mut cells)?;
+            if let Some(row) = row {
+                if row >= self.rows_in(partition, table)? {
+                    return Err(H2Error::UnknownRecord(format!("row {row} of {table} beyond partition {partition}")));
+                }
+            } else {
+                self.store(partition)?;
+            }
+        }
+        // 2. Apply, partition by partition with one write lock at a time.
+        //    Nothing below can fail on a write that passed step 1.
+        let mut rids = vec![RecordId::new(PartitionId(0), TableId(0), 0); inserts.len()];
+        for (p, store) in self.partitions.iter().enumerate() {
+            let here = PartitionId(p as u32);
+            let mut guard = None;
+            let mut rest = cells.as_slice();
+            for (i, (partition, table, row, values)) in writes.clone().enumerate() {
+                let (record, tail) = rest.split_at(values.len());
+                rest = tail;
+                if partition != here {
+                    continue;
+                }
+                let meta = live.meta(table)?;
+                // h2tap: allow(lock_order) — ordering rule: the live-state lock before a partition's, never the reverse (see the module doc); no partition guard is held across a live-state acquisition.
+                let fragment = guard.get_or_insert_with(|| store.write()).register_table(meta);
+                match row {
+                    Some(row) => fragment.update_record(row, record, live.epoch)?,
+                    None => rids[i - updates.len()] = RecordId::new(here, table, fragment.insert(record, live.epoch)?),
+                }
+            }
+        }
+        Ok(rids)
+    }
+
+    /// Inserts a record (given as logical values) into a specific partition:
+    /// a one-row [`Database::commit`].
     pub fn insert(&self, partition: PartitionId, table: TableId, values: &[Value]) -> Result<RecordId> {
-        let meta = self.table_meta(table)?;
-        let cells = encode_record(&meta.schema, values)?;
-        let store = self.partition(partition)?;
-        let mut store = store.write();
-        // Epoch read under the partition's write lock: the stamp contract of `Page::epoch`.
-        let row = store.insert(table, &cells, self.live_epoch())?;
-        Ok(RecordId::new(partition, table, row))
+        Ok(self.commit(&[], &[(partition, table, values)])?[0])
     }
 
     /// Reads a record as logical values.
     pub fn read(&self, rid: RecordId) -> Result<Vec<Value>> {
-        let meta = self.table_meta(rid.table)?;
-        let store = self.partition(rid.partition)?;
-        let cells = store.read().read_record(rid.table, rid.row)?;
-        decode_record(&meta.schema, &cells)
+        let schema = Arc::clone(&self.live.read().meta(rid.table)?.schema);
+        let cells = self.store(rid.partition)?.read().fragment(rid.table)?.read_record(rid.row)?;
+        decode_record(&schema, &cells)
     }
 
     /// Overwrites a record with new logical values, shadow-copying the
-    /// backing page if a snapshot still shares it.
+    /// backing page if a snapshot still shares it: a one-row
+    /// [`Database::commit`].
     pub fn update(&self, rid: RecordId, values: &[Value]) -> Result<()> {
-        let meta = self.table_meta(rid.table)?;
-        let cells = encode_record(&meta.schema, values)?;
-        let store = self.partition(rid.partition)?;
-        let mut store = store.write();
-        // Epoch read under the partition's write lock: the stamp contract of `Page::epoch`.
-        store.update_record(rid.table, rid.row, &cells, self.live_epoch())
+        self.commit(&[(rid, values)], &[]).map(drop)
     }
 
     /// Takes a snapshot: a shallow copy of every table's page lists plus an
     /// increment of the live epoch, so that the first subsequent update of
-    /// any captured page triggers a shadow copy. The increment comes first:
-    /// a write that lands after a partition's page list was copied must
-    /// already see the new live epoch (see [`crate::Page::epoch`]).
+    /// any captured page triggers a shadow copy. Both happen under the
+    /// exclusive side of the live-state lock, so no commit is half applied
+    /// and every later write stamps its pages past this snapshot's epoch
+    /// (see [`crate::Page::epoch`]).
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        let snapshot_epoch = Epoch(self.live_epoch.fetch_add(1, Ordering::AcqRel));
         let id = self.next_snapshot.fetch_add(1, Ordering::Relaxed);
-        let catalog = self.catalog.read();
+        let mut live = self.live.write();
+        let snapshot_epoch = live.epoch;
+        live.epoch = snapshot_epoch.next();
         let mut tables = BTreeMap::new();
-        for (tid, meta) in catalog.iter() {
+        for meta in &live.tables {
             let mut per_partition = Vec::with_capacity(self.partitions.len());
             for p in &self.partitions {
-                // h2tap: allow(lock_order) — ordering rule: catalog before partitions, never reversed (registration touches partitions and the catalog as disjoint one-statement sections). The catalog guard keeps table creation out while every partition's page list is frozen.
+                // h2tap: allow(lock_order) — ordering rule: the live-state lock before a partition's, never the reverse (see the module doc); no partition guard is held across a live-state acquisition.
                 let guard = p.read();
-                let pages = guard.fragment(*tid).map(|f| f.pages().to_vec()).unwrap_or_default();
+                let pages = guard.fragment(meta.id).map(|f| f.pages().to_vec()).unwrap_or_default();
                 per_partition.push(pages);
             }
             tables.insert(
-                *tid,
+                meta.id,
                 SnapshotTable::new(
                     Arc::clone(&meta.schema),
                     meta.layout,
                     per_partition,
-                    SnapshotTableId { source: self.instance, table: *tid, epoch: snapshot_epoch },
+                    SnapshotTableId { source: self.instance, table: meta.id, epoch: snapshot_epoch },
                 ),
             );
         }
-        drop(catalog); // the registry insert below needs no catalog consistency — narrow the critical section
+        drop(live); // the registry insert below needs no consistency with writes — narrow the critical section
         self.active_snapshots.lock().insert(id, snapshot_epoch);
         Arc::new(Snapshot::new(id, snapshot_epoch, tables))
     }
@@ -220,9 +286,8 @@ impl Database {
         let mut report = GcReport::default();
         for tid in snapshot.tables() {
             let frozen = snapshot.table(tid)?;
-            for (p_idx, frozen_pages) in frozen.partitions().iter().enumerate() {
-                let live = self.partitions[p_idx].read();
-                let live_pages = live.fragment(tid).map(|f| f.pages().to_vec()).unwrap_or_default();
+            for (store, frozen_pages) in self.partitions.iter().zip(frozen.partitions()) {
+                let live_pages = store.read().fragment(tid).map(|f| f.pages().to_vec()).unwrap_or_default();
                 for (i, page) in frozen_pages.iter().enumerate() {
                     let superseded = match live_pages.get(i) {
                         Some(live_page) => !Arc::ptr_eq(live_page, page),
@@ -272,6 +337,35 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_commit_writes_nothing() {
+        let (db, t) = db();
+        let rid = db.insert(PartitionId(0), t, &[Value::Int64(1), Value::Int64(2)]).unwrap();
+        let good: &[Value] = &[Value::Int64(3), Value::Int64(4)];
+        let wrong_type: &[Value] = &[Value::Int64(5), Value::Float64(6.0)];
+        let beyond = RecordId::new(PartitionId(1), t, 0);
+        assert!(db.commit(&[(rid, good), (beyond, good)], &[]).is_err());
+        assert!(db.commit(&[(rid, good)], &[(PartitionId(2), t, good)]).is_err());
+        assert!(db.commit(&[(rid, good)], &[(PartitionId(1), t, wrong_type)]).is_err());
+        assert!(db.commit(&[(rid, good)], &[(PartitionId(1), TableId(9), good)]).is_err());
+        assert_eq!(db.read(rid).unwrap(), vec![Value::Int64(1), Value::Int64(2)]);
+        assert_eq!(db.row_count(t).unwrap(), 1);
+        assert_eq!(db.telemetry().in_place_updates, 1, "no page was written after the first insert");
+    }
+
+    #[test]
+    fn commit_returns_insert_ids_in_input_order() {
+        let (db, t) = db();
+        let rows: Vec<[Value; 2]> = (0..3).map(|v| [Value::Int64(v), Value::Int64(v)]).collect();
+        let inserts =
+            [(PartitionId(1), t, &rows[0][..]), (PartitionId(0), t, &rows[1][..]), (PartitionId(1), t, &rows[2][..])];
+        let rids = db.commit(&[], &inserts).unwrap();
+        assert_eq!(rids.iter().map(|rid| (rid.partition.0, rid.row)).collect::<Vec<_>>(), [(1, 0), (0, 0), (1, 1)]);
+        for (rid, row) in rids.iter().zip(&rows) {
+            assert_eq!(db.read(*rid).unwrap(), row.to_vec());
+        }
+    }
+
+    #[test]
     fn snapshot_isolates_later_updates() {
         let (db, t) = db();
         let rid = db.insert(PartitionId(0), t, &[Value::Int64(1), Value::Int64(2)]).unwrap();
@@ -304,8 +398,7 @@ mod tests {
         let snap = db.snapshot();
         // Shallow copy: the snapshot references the same page objects.
         let frozen = snap.table(t).unwrap();
-        let live = db.partition(PartitionId(0)).unwrap();
-        let live_first = live.read().fragment(t).unwrap().pages()[0].clone();
+        let live_first = db.partitions[0].read().fragment(t).unwrap().pages()[0].clone();
         assert!(Arc::ptr_eq(&frozen.partitions()[0][0], &live_first));
     }
 

@@ -6,18 +6,20 @@
 //!    (column-major) or PAX (columnar minipages inside fixed-size pages),
 //!    because OLTP favours NSM while GPU-side OLAP needs the coalesced
 //!    accesses of DSM/PAX ([`layout`], [`page`]).
-//! 2. **A hierarchical organization** — partition → table → page, where each
-//!    node carries an epoch number (Figure 3) ([`partition`], [`table`]).
+//! 2. **A hierarchical organization** — partition → table → page (Figure 3);
+//!    each page carries the epoch it was last written in ([`page`]).
 //! 3. **Software shadow-copy snapshots** — taking a snapshot is a shallow
 //!    copy plus an epoch bump; the first update to a captured page performs
 //!    copy-on-write; releasing a snapshot lets superseded versions be
 //!    reclaimed ([`snapshot`], [`database`], [`telemetry`]).
 //!
-//! The storage engine is deliberately oblivious to *who* calls it: the OLTP
-//! runtime (`h2tap-oltp`) routes all updates through the owning partition's
-//! worker thread, and the OLAP runtime (`h2tap-olap`) only ever reads
-//! snapshots, which together give the single-writer discipline the paper's
-//! non-cache-coherent target requires.
+//! Rows change only through [`Database::commit`]: one transaction's writes,
+//! checked before any is applied and applied under one live-state lock that
+//! snapshots take exclusively, so a snapshot is a transactionally consistent
+//! cut. The OLTP runtime (`h2tap-oltp`) calls it at commit with every lock
+//! held, writing remote rows directly through shared memory — only lock
+//! metadata crosses cores — and the OLAP runtime (`h2tap-olap`) only ever
+//! reads snapshots. Partitions and table fragments are internal.
 
 #![forbid(unsafe_code)]
 // Serving-path lints (one header, byte-identical in engine, olap, scheduler
@@ -29,16 +31,14 @@ pub mod codec;
 pub mod database;
 pub mod layout;
 pub mod page;
-pub mod partition;
+mod partition;
 pub mod snapshot;
-pub mod table;
+mod table;
 pub mod telemetry;
 
 pub use codec::{decode_cell, decode_cell_f64, decode_record, encode_record, encode_value};
 pub use database::{Database, GcReport, TableMeta};
 pub use layout::{Layout, ScanProfile};
 pub use page::Page;
-pub use partition::PartitionStore;
 pub use snapshot::{Snapshot, SnapshotTable, SnapshotTableId};
-pub use table::TableFragment;
-pub use telemetry::{CowStats, CowTelemetry};
+pub use telemetry::CowStats;

@@ -51,15 +51,14 @@ impl Page {
     /// cell-for-cell the page at the same position of the snapshot frozen at
     /// epoch `e`: **stamp ≤ e ⇒ unchanged since snapshot e**. The OLAP plan
     /// cache relies on it to carry derived data from one snapshot to the
-    /// next. It holds because `Database::snapshot` bumps the live epoch to
-    /// `e + 1` *before* copying any page list, and every writer reads the
-    /// live epoch *under the partition's write lock*: a write that lands
-    /// after snapshot `e` copied the partition therefore stamps its page
+    /// next. It holds because of one lock: `Database::commit` learns the
+    /// live epoch only under the shared side of the live-state lock and
+    /// stamps every page it writes with it, while `Database::snapshot` bumps
+    /// the epoch to `e + 1` and copies every page list under the exclusive
+    /// side. No write lands between the bump and the copy, so every page in
+    /// snapshot `e` is stamped `<= e`, and a write after it stamps its page
     /// `>= e + 1` (first touch) or finds it already stamped so (stamps never
-    /// decrease). The converse is false — a page shadow-copied between the
-    /// bump and the copy is stamped `e + 1` *inside* snapshot `e`, and keeps
-    /// that stamp while later writes change it — so "same stamp as before"
-    /// proves nothing; only `stamp <= e` does.
+    /// decrease).
     pub fn epoch(&self) -> Epoch {
         self.epoch
     }

@@ -7,14 +7,14 @@
 
 use crate::table::TableFragment;
 use crate::telemetry::CowTelemetry;
-use crate::Layout;
-use h2tap_common::{Epoch, H2Error, PartitionId, Result, Schema, TableId};
+use crate::TableMeta;
+use h2tap_common::{H2Error, PartitionId, Result, TableId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// All table fragments owned by one partition.
 #[derive(Debug)]
-pub struct PartitionStore {
+pub(crate) struct PartitionStore {
     id: PartitionId,
     fragments: BTreeMap<TableId, TableFragment>,
     telemetry: Arc<CowTelemetry>,
@@ -22,102 +22,60 @@ pub struct PartitionStore {
 
 impl PartitionStore {
     /// Creates an empty partition.
-    pub fn new(id: PartitionId, telemetry: Arc<CowTelemetry>) -> Self {
+    pub(crate) fn new(id: PartitionId, telemetry: Arc<CowTelemetry>) -> Self {
         Self { id, fragments: BTreeMap::new(), telemetry }
     }
 
-    /// This partition's id.
-    pub fn id(&self) -> PartitionId {
-        self.id
+    /// The fragment of a table, registered here by the first call.
+    pub(crate) fn register_table(&mut self, meta: &TableMeta) -> &mut TableFragment {
+        let telemetry = &self.telemetry;
+        self.fragments
+            .entry(meta.id)
+            .or_insert_with(|| TableFragment::new(Arc::clone(&meta.schema), meta.layout, Arc::clone(telemetry)))
     }
 
-    /// Registers a table in this partition.
-    pub fn register_table(&mut self, table: TableId, schema: Arc<Schema>, layout: Layout) {
-        self.fragments.entry(table).or_insert_with(|| TableFragment::new(schema, layout, Arc::clone(&self.telemetry)));
-    }
-
-    /// The fragment of `table`, if registered.
-    pub fn fragment(&self, table: TableId) -> Result<&TableFragment> {
+    /// The fragment of `table`, if a write registered it.
+    pub(crate) fn fragment(&self, table: TableId) -> Result<&TableFragment> {
         self.fragments.get(&table).ok_or_else(|| H2Error::UnknownTable(format!("{table} in partition {}", self.id)))
-    }
-
-    /// Mutable access to the fragment of `table`.
-    pub fn fragment_mut(&mut self, table: TableId) -> Result<&mut TableFragment> {
-        self.fragments.get_mut(&table).ok_or_else(|| H2Error::UnknownTable(format!("{table} in partition {}", self.id)))
-    }
-
-    /// Tables registered in this partition.
-    pub fn tables(&self) -> impl Iterator<Item = TableId> + '_ {
-        self.fragments.keys().copied()
-    }
-
-    /// Inserts a record into `table`, returning its partition-local row.
-    pub fn insert(&mut self, table: TableId, cells: &[u64], live_epoch: Epoch) -> Result<u64> {
-        self.fragment_mut(table)?.insert(cells, live_epoch)
-    }
-
-    /// Reads a record from `table`.
-    pub fn read_record(&self, table: TableId, row: u64) -> Result<Vec<u64>> {
-        self.fragment(table)?.read_record(row)
-    }
-
-    /// Updates a record in `table`, shadow-copying if necessary.
-    pub fn update_record(&mut self, table: TableId, row: u64, cells: &[u64], live_epoch: Epoch) -> Result<()> {
-        self.fragment_mut(table)?.update_record(row, cells, live_epoch)
-    }
-
-    /// Total bytes of live page storage in this partition.
-    pub fn byte_size(&self) -> u64 {
-        self.fragments.values().map(|f| f.byte_size()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2tap_common::AttrType;
+    use crate::Layout;
+    use h2tap_common::{AttrType, Epoch, Schema};
 
-    fn store() -> (PartitionStore, TableId, Arc<Schema>) {
-        let telemetry = CowTelemetry::new();
-        let mut p = PartitionStore::new(PartitionId(0), telemetry);
+    fn store() -> (PartitionStore, TableMeta) {
+        let p = PartitionStore::new(PartitionId(0), CowTelemetry::new());
         let schema = Arc::new(Schema::homogeneous("c", 3, AttrType::Int64));
-        let t = TableId(1);
-        p.register_table(t, Arc::clone(&schema), Layout::Dsm);
-        (p, t, schema)
+        (p, TableMeta { id: TableId(1), name: "t".into(), schema, layout: Layout::Dsm })
     }
 
     #[test]
     fn insert_read_update_roundtrip() {
-        let (mut p, t, _) = store();
-        let row = p.insert(t, &[1, 2, 3], Epoch::ZERO).unwrap();
-        assert_eq!(p.read_record(t, row).unwrap(), vec![1, 2, 3]);
-        p.update_record(t, row, &[4, 5, 6], Epoch::ZERO).unwrap();
-        assert_eq!(p.read_record(t, row).unwrap(), vec![4, 5, 6]);
+        let (mut p, meta) = store();
+        let row = p.register_table(&meta).insert(&[1, 2, 3], Epoch::ZERO).unwrap();
+        assert_eq!(p.fragment(meta.id).unwrap().read_record(row).unwrap(), vec![1, 2, 3]);
+        p.register_table(&meta).update_record(row, &[4, 5, 6], Epoch::ZERO).unwrap();
+        assert_eq!(p.fragment(meta.id).unwrap().read_record(row).unwrap(), vec![4, 5, 6]);
     }
 
     #[test]
     fn unknown_table_errors() {
-        let (mut p, _, _) = store();
-        assert!(p.insert(TableId(99), &[1], Epoch::ZERO).is_err());
-        assert!(p.read_record(TableId(99), 0).is_err());
+        let (mut p, meta) = store();
+        assert!(matches!(p.fragment(meta.id), Err(H2Error::UnknownTable(_))), "registered by a write only");
+        p.register_table(&meta);
+        assert!(p.fragment(meta.id).is_ok());
         assert!(matches!(p.fragment(TableId(99)), Err(H2Error::UnknownTable(_))));
     }
 
     #[test]
     fn register_is_idempotent() {
-        let (mut p, t, schema) = store();
-        p.insert(t, &[1, 2, 3], Epoch::ZERO).unwrap();
-        p.register_table(t, schema, Layout::Dsm);
-        // Re-registering must not wipe existing data.
-        assert_eq!(p.fragment(t).unwrap().row_count(), 1);
-        assert_eq!(p.tables().count(), 1);
-    }
-
-    #[test]
-    fn byte_size_grows_with_data() {
-        let (mut p, t, _) = store();
-        let before = p.byte_size();
-        p.insert(t, &[1, 2, 3], Epoch::ZERO).unwrap();
-        assert!(p.byte_size() > before);
+        let (mut p, meta) = store();
+        p.register_table(&meta).insert(&[1, 2, 3], Epoch::ZERO).unwrap();
+        // Registering again must not wipe existing data.
+        assert_eq!(p.register_table(&meta).row_count(), 1);
+        assert_eq!(p.fragments.len(), 1);
     }
 }

@@ -5,7 +5,7 @@
 //! to the same pages as the live database at the moment it was taken, so
 //! taking one is an O(pages) pointer copy, not a data copy. Transactions that
 //! later update a page shadow-copy it into the live database, leaving the
-//! snapshot's version untouched (see [`crate::table::TableFragment`]).
+//! snapshot's version untouched (see [`crate::Page::epoch`]).
 
 use crate::layout::{Layout, ScanProfile};
 use crate::page::Page;

@@ -5,8 +5,8 @@
 //! current live epoch it is still shared with at least one snapshot, so it is
 //! cloned, restamped with the live epoch and swapped into the live page list
 //! before being modified; otherwise it is already private and is updated in
-//! place. Epoch propagation to the table node mirrors the paper's
-//! "repeat this copy-on-write process all the way back to the root".
+//! place. The page stamp alone carries the epoch; a snapshot copies page
+//! lists, so no table or partition node needs one.
 
 use crate::layout::Layout;
 use crate::page::Page;
@@ -16,56 +16,35 @@ use std::sync::Arc;
 
 /// Default number of records per page for NSM and DSM tables. PAX pages
 /// derive their capacity from the configured page size instead.
-pub const DEFAULT_ROWS_PER_PAGE: usize = 4096;
+const DEFAULT_ROWS_PER_PAGE: usize = 4096;
 
 /// The pages of one table within one partition.
 #[derive(Debug, Clone)]
-pub struct TableFragment {
+pub(crate) struct TableFragment {
     schema: Arc<Schema>,
     layout: Layout,
     rows_per_page: usize,
-    epoch: Epoch,
     pages: Vec<Arc<Page>>,
     telemetry: Arc<CowTelemetry>,
 }
 
 impl TableFragment {
     /// Creates an empty fragment.
-    pub fn new(schema: Arc<Schema>, layout: Layout, telemetry: Arc<CowTelemetry>) -> Self {
+    pub(crate) fn new(schema: Arc<Schema>, layout: Layout, telemetry: Arc<CowTelemetry>) -> Self {
         let rows_per_page = layout.pax_rows_per_page(&schema).unwrap_or(DEFAULT_ROWS_PER_PAGE);
-        Self { schema, layout, rows_per_page, epoch: Epoch::ZERO, pages: Vec::new(), telemetry }
-    }
-
-    /// The fragment's schema.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    /// The fragment's layout.
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
-
-    /// The epoch of the table node (the highest epoch of any page change).
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
+        Self { schema, layout, rows_per_page, pages: Vec::new(), telemetry }
     }
 
     /// Number of records stored.
-    pub fn row_count(&self) -> u64 {
+    pub(crate) fn row_count(&self) -> u64 {
         match self.pages.last() {
             None => 0,
             Some(last) => ((self.pages.len() - 1) * self.rows_per_page + last.len()) as u64,
         }
     }
 
-    /// Records per page.
-    pub fn rows_per_page(&self) -> usize {
-        self.rows_per_page
-    }
-
     /// The live page list (shallow-copied by snapshots).
-    pub fn pages(&self) -> &[Arc<Page>] {
+    pub(crate) fn pages(&self) -> &[Arc<Page>] {
         &self.pages
     }
 
@@ -94,64 +73,37 @@ impl TableFragment {
         } else {
             self.telemetry.record_in_place();
         }
-        if self.epoch < live_epoch {
-            self.epoch = live_epoch;
-        }
-        // The Arc we just (possibly) replaced is uniquely owned only if no
-        // snapshot shares it; `make_mut` clones defensively otherwise, which
-        // keeps the invariant even if a snapshot was taken concurrently.
+        // A page stamped with the live epoch is in no snapshot: every
+        // snapshot bumps the epoch under the lock this write holds, so it
+        // copied its page lists before this epoch began. The `Arc` is
+        // therefore unique here and `make_mut` does not clone.
         Arc::make_mut(&mut self.pages[page_idx])
     }
 
     /// Appends a record (encoded as cells) and returns its row index.
-    pub fn insert(&mut self, cells: &[u64], live_epoch: Epoch) -> Result<u64> {
+    pub(crate) fn insert(&mut self, cells: &[u64], live_epoch: Epoch) -> Result<u64> {
         if cells.len() != self.schema.arity() {
             return Err(H2Error::Config("record arity does not match schema".into()));
         }
         let needs_new_page = self.pages.last().map(|p| p.is_full()).unwrap_or(true);
         if needs_new_page {
             self.pages.push(Arc::new(Page::new(self.layout, self.schema.arity(), self.rows_per_page, live_epoch)));
-            if self.epoch < live_epoch {
-                self.epoch = live_epoch;
-            }
         }
         let page_idx = self.pages.len() - 1;
         let slot = self.writable_page(page_idx, live_epoch).push(cells)?;
         Ok((page_idx * self.rows_per_page + slot) as u64)
     }
 
-    /// Reads one cell.
-    pub fn read_cell(&self, row: u64, attr: usize) -> Result<u64> {
-        let (page_idx, slot) = self.locate(row)?;
-        self.pages[page_idx].get(slot, attr)
-    }
-
     /// Reads a whole record.
-    pub fn read_record(&self, row: u64) -> Result<Vec<u64>> {
+    pub(crate) fn read_record(&self, row: u64) -> Result<Vec<u64>> {
         let (page_idx, slot) = self.locate(row)?;
         self.pages[page_idx].record(slot)
     }
 
-    /// Updates one cell, shadow-copying the backing page if needed.
-    pub fn update_cell(&mut self, row: u64, attr: usize, value: u64, live_epoch: Epoch) -> Result<()> {
-        let (page_idx, slot) = self.locate(row)?;
-        self.writable_page(page_idx, live_epoch).set(slot, attr, value)
-    }
-
     /// Overwrites a whole record, shadow-copying the backing page if needed.
-    pub fn update_record(&mut self, row: u64, cells: &[u64], live_epoch: Epoch) -> Result<()> {
+    pub(crate) fn update_record(&mut self, row: u64, cells: &[u64], live_epoch: Epoch) -> Result<()> {
         let (page_idx, slot) = self.locate(row)?;
         self.writable_page(page_idx, live_epoch).set_record(slot, cells)
-    }
-
-    /// Iterates all values of one attribute across all pages.
-    pub fn iter_attr(&self, attr: usize) -> impl Iterator<Item = u64> + '_ {
-        self.pages.iter().flat_map(move |p| p.iter_attr(attr))
-    }
-
-    /// Total bytes of page storage held by the live fragment.
-    pub fn byte_size(&self) -> u64 {
-        self.pages.iter().map(|p| p.byte_size()).sum()
     }
 }
 
@@ -173,7 +125,7 @@ mod tests {
             assert_eq!(row, i);
         }
         assert_eq!(f.row_count(), 10);
-        assert_eq!(f.read_cell(7, 2).unwrap(), 9);
+        assert_eq!(f.read_record(7).unwrap()[2], 9);
         assert_eq!(f.read_record(3).unwrap(), vec![3, 4, 5, 6]);
     }
 
@@ -185,19 +137,19 @@ mod tests {
         for i in 0..200u64 {
             f.insert(&[i; 16], Epoch::ZERO).unwrap();
         }
-        assert_eq!(f.rows_per_page(), 64);
         assert_eq!(f.pages().len(), 4);
-        assert_eq!(f.read_cell(199, 0).unwrap(), 199);
+        assert_eq!(f.pages()[0].capacity(), 64);
+        assert_eq!(f.read_record(199).unwrap()[0], 199);
     }
 
     #[test]
     fn update_in_place_when_no_snapshot() {
         let mut f = fragment(Layout::Nsm);
         f.insert(&[1, 2, 3, 4], Epoch::ZERO).unwrap();
-        f.update_cell(0, 1, 99, Epoch::ZERO).unwrap();
-        assert_eq!(f.read_cell(0, 1).unwrap(), 99);
-        assert_eq!(f.telemetry.pages_copied(), 0);
-        assert!(f.telemetry.in_place_updates() >= 1);
+        f.update_record(0, &[1, 99, 3, 4], Epoch::ZERO).unwrap();
+        assert_eq!(f.read_record(0).unwrap()[1], 99);
+        assert_eq!(f.telemetry.snapshot().pages_copied, 0);
+        assert!(f.telemetry.snapshot().in_place_updates >= 1);
     }
 
     #[test]
@@ -207,23 +159,23 @@ mod tests {
         f.insert(&[5, 6, 7, 8], Epoch::ZERO).unwrap();
         let shared = f.pages()[0].clone(); // simulate a snapshot holding the page
         let live = Epoch(1);
-        f.update_cell(0, 0, 100, live).unwrap();
+        f.update_record(0, &[100, 2, 3, 4], live).unwrap();
         // Snapshot's copy still sees the old value; live sees the new one.
         assert_eq!(shared.get(0, 0).unwrap(), 1);
-        assert_eq!(f.read_cell(0, 0).unwrap(), 100);
-        assert_eq!(f.telemetry.pages_copied(), 1);
+        assert_eq!(f.read_record(0).unwrap()[0], 100);
+        assert_eq!(f.telemetry.snapshot().pages_copied, 1);
         // A second update in the same epoch hits the private copy in place.
-        f.update_cell(1, 0, 200, live).unwrap();
-        assert_eq!(f.telemetry.pages_copied(), 1);
-        assert_eq!(f.epoch(), live);
+        f.update_record(1, &[200, 6, 7, 8], live).unwrap();
+        assert_eq!(f.telemetry.snapshot().pages_copied, 1);
+        assert_eq!(f.pages()[0].epoch(), live);
     }
 
     #[test]
     fn out_of_bounds_rows_error() {
         let mut f = fragment(Layout::Dsm);
         f.insert(&[1, 2, 3, 4], Epoch::ZERO).unwrap();
-        assert!(f.read_cell(1, 0).is_err());
-        assert!(f.update_cell(5, 0, 0, Epoch::ZERO).is_err());
+        assert!(f.read_record(1).is_err());
+        assert!(f.update_record(5, &[0; 4], Epoch::ZERO).is_err());
     }
 
     #[test]
@@ -233,7 +185,7 @@ mod tests {
         for i in 0..(DEFAULT_ROWS_PER_PAGE as u64 + 10) {
             f.insert(&[i, 0], Epoch::ZERO).unwrap();
         }
-        let col: Vec<u64> = f.iter_attr(0).collect();
+        let col: Vec<u64> = f.pages().iter().flat_map(|p| p.iter_attr(0)).collect();
         assert_eq!(col.len(), DEFAULT_ROWS_PER_PAGE + 10);
         assert_eq!(col[DEFAULT_ROWS_PER_PAGE + 9], DEFAULT_ROWS_PER_PAGE as u64 + 9);
     }

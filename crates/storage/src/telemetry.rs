@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 /// Shared counters describing shadow-copy activity.
 #[derive(Debug, Default)]
-pub struct CowTelemetry {
+pub(crate) struct CowTelemetry {
     pages_copied: AtomicU64,
     bytes_copied: AtomicU64,
     in_place_updates: AtomicU64,
@@ -20,65 +20,40 @@ pub struct CowTelemetry {
 
 impl CowTelemetry {
     /// Creates a fresh telemetry handle.
-    pub fn new() -> Arc<Self> {
+    pub(crate) fn new() -> Arc<Self> {
         Arc::new(Self::default())
     }
 
     /// Records one page shadow copy of `bytes` bytes.
-    pub fn record_copy(&self, bytes: u64) {
+    pub(crate) fn record_copy(&self, bytes: u64) {
         self.pages_copied.fetch_add(1, Ordering::Relaxed);
         self.bytes_copied.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Records an update that did not need a shadow copy.
-    pub fn record_in_place(&self) {
+    pub(crate) fn record_in_place(&self) {
         self.in_place_updates.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records garbage collection of superseded pages.
-    pub fn record_reclaim(&self, pages: u64, bytes: u64) {
+    pub(crate) fn record_reclaim(&self, pages: u64, bytes: u64) {
         self.pages_reclaimed.fetch_add(pages, Ordering::Relaxed);
         self.bytes_reclaimed.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Pages shadow-copied so far.
-    pub fn pages_copied(&self) -> u64 {
-        self.pages_copied.load(Ordering::Relaxed)
-    }
-
-    /// Bytes shadow-copied so far.
-    pub fn bytes_copied(&self) -> u64 {
-        self.bytes_copied.load(Ordering::Relaxed)
-    }
-
-    /// Updates that hit an already-private page.
-    pub fn in_place_updates(&self) -> u64 {
-        self.in_place_updates.load(Ordering::Relaxed)
-    }
-
-    /// Pages reclaimed by snapshot garbage collection.
-    pub fn pages_reclaimed(&self) -> u64 {
-        self.pages_reclaimed.load(Ordering::Relaxed)
-    }
-
-    /// Bytes reclaimed by snapshot garbage collection.
-    pub fn bytes_reclaimed(&self) -> u64 {
-        self.bytes_reclaimed.load(Ordering::Relaxed)
-    }
-
     /// Snapshot of all counters, for experiment output.
-    pub fn snapshot(&self) -> CowStats {
+    pub(crate) fn snapshot(&self) -> CowStats {
         CowStats {
-            pages_copied: self.pages_copied(),
-            bytes_copied: self.bytes_copied(),
-            in_place_updates: self.in_place_updates(),
-            pages_reclaimed: self.pages_reclaimed(),
-            bytes_reclaimed: self.bytes_reclaimed(),
+            pages_copied: self.pages_copied.load(Ordering::Relaxed),
+            bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
+            in_place_updates: self.in_place_updates.load(Ordering::Relaxed),
+            pages_reclaimed: self.pages_reclaimed.load(Ordering::Relaxed),
+            bytes_reclaimed: self.bytes_reclaimed.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Point-in-time copy of the [`CowTelemetry`] counters.
+/// Point-in-time copy of the database's copy-on-write counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CowStats {
     /// Pages shadow-copied.
@@ -118,11 +93,12 @@ mod tests {
         t.record_copy(4096);
         t.record_in_place();
         t.record_reclaim(3, 12288);
-        assert_eq!(t.pages_copied(), 2);
-        assert_eq!(t.bytes_copied(), 8192);
-        assert_eq!(t.in_place_updates(), 1);
-        assert_eq!(t.pages_reclaimed(), 3);
-        assert_eq!(t.bytes_reclaimed(), 12288);
+        let stats = t.snapshot();
+        assert_eq!(stats.pages_copied, 2);
+        assert_eq!(stats.bytes_copied, 8192);
+        assert_eq!(stats.in_place_updates, 1);
+        assert_eq!(stats.pages_reclaimed, 3);
+        assert_eq!(stats.bytes_reclaimed, 12288);
     }
 
     #[test]

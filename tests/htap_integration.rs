@@ -68,8 +68,10 @@ fn olap_queries_see_exactly_the_committed_updates_of_their_snapshot() {
 #[test]
 fn concurrent_oltp_and_olap_preserve_snapshot_consistency() {
     // While the YCSB generator hammers the table, every OLAP query must see a
-    // quantity sum that is an exact multiple of 1.0 away from the initial sum
-    // (each committed RMW adds exactly 1.0) — i.e. never a torn value.
+    // quantity sum a whole number of transactions away from the initial sum:
+    // each RMW adds exactly 1.0, and a committed transaction adds exactly
+    // `ops_per_txn` of them (a re-read key sees the transaction's own write).
+    // Anything else is a snapshot that cut through a commit.
     let rows = 30_000u64;
     let workers = 2usize;
     let mut config = CalderaConfig::with_workers(workers);
@@ -82,7 +84,9 @@ fn concurrent_oltp_and_olap_preserve_snapshot_consistency() {
         let mut rng = h2tap_common::rng::SplitMixRng::new(3);
         (0..rows).map(|k| tpch::lineitem_row(k, &mut rng)[tpch::columns::QUANTITY].as_f64().unwrap()).sum::<f64>()
     };
-    builder.set_generator(Arc::new(YcsbGenerator::new(YcsbConfig::paper_default(table, rows, workers as u64))));
+    let ycsb = YcsbConfig::paper_default(table, rows, workers as u64);
+    let per_txn = ycsb.ops_per_txn as f64;
+    builder.set_generator(Arc::new(YcsbGenerator::new(ycsb)));
     let caldera = builder.start().unwrap();
     let sum_quantity =
         h2tap_common::ScanAggQuery::aggregate_only(h2tap_common::AggExpr::SumColumns(vec![tpch::columns::QUANTITY]));
@@ -94,10 +98,10 @@ fn concurrent_oltp_and_olap_preserve_snapshot_consistency() {
             let value = caldera_ref.run_olap(table, &sum_quantity).unwrap().value;
             let delta = value - initial;
             assert!(delta >= -1e-6, "sum went backwards: {delta}");
-            let nearest = delta.round();
+            let txns = delta / per_txn;
             assert!(
-                (delta - nearest).abs() < 1e-3,
-                "snapshot exposed a non-integer number of committed increments: {delta}"
+                (txns - txns.round()).abs() < 1e-6,
+                "snapshot exposed a part of a transaction: the sum moved by {delta}, not a multiple of {per_txn}"
             );
         }
         oltp.join().unwrap().unwrap();
