@@ -8,7 +8,7 @@
 //!
 //! `--quick` shrinks data sizes and sweep points so the full set finishes in
 //! about a minute; without it the defaults match the scaled configuration
-//! documented in EXPERIMENTS.md.
+//! that the "Experiments → figures" table of README.md documents.
 
 #![forbid(unsafe_code)]
 
@@ -257,24 +257,18 @@ fn chaos_json(s: &exp::ChaosSummary) -> String {
 /// Serialises the multi-GPU sweep to JSON by hand (the offline serde
 /// stand-in has no serializer; the artifact is tracked across PRs as
 /// `BENCH_multigpu.json`).
-fn multigpu_json(rows: &[exp::MultiGpuRow]) -> String {
+fn multigpu_json(rows: &[exp::GpuMixRow]) -> String {
     let items: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
                 "  {{\"mix\":\"{}\",\"devices\":{},\"placement\":\"{}\",\"lineitem_rows\":{},\"chosen\":\"{}\",\
-                 \"cpu_ms\":{:.4},\"gpu_ms\":{:.4},\"multi_gpu_ms\":{:.4}}}",
-                r.mix, r.devices, r.placement, r.lineitem_rows, r.chosen, r.cpu_ms, r.gpu_ms, r.multi_gpu_ms
+                 \"cpu_ms\":{:.4},\"gpu_ms\":{:.4}}}",
+                r.mix, r.devices, r.placement, r.lineitem_rows, r.chosen, r.cpu_ms, r.gpu_ms
             )
         })
         .collect();
-    let multi_won = rows.iter().filter(|r| r.chosen == "multi-gpu").count();
-    format!(
-        "{{\n\"configurations\": {},\n\"multi_gpu_routed\": {},\n\"rows\": [\n{}\n]\n}}\n",
-        rows.len(),
-        multi_won,
-        items.join(",\n")
-    )
+    format!("{{\n\"configurations\": {},\n\"rows\": [\n{}\n]\n}}\n", rows.len(), items.join(",\n"))
 }
 
 fn main() {
@@ -407,21 +401,21 @@ fn main() {
     }
 
     if wants("multigpu") {
-        header("Multi-GPU: device-mix x residency sweep with three-way routing");
+        header("Multi-GPU: device-list x residency sweep with two-way routing");
         println!(
-            "{:<18} {:>4} {:>16} {:>10} {:>10} {:>12} {:>12} {:>14}",
-            "mix", "devs", "placement", "rows", "chosen", "cpu (ms)", "gpu (ms)", "multi-gpu (ms)"
+            "{:<18} {:>4} {:>16} {:>10} {:>10} {:>12} {:>12}",
+            "mix", "devs", "placement", "rows", "chosen", "cpu (ms)", "gpu (ms)"
         );
         let sweep: Vec<u64> = if quick { vec![5_000, 150_000] } else { vec![5_000, 60_000, 150_000, 300_000] };
         let rows = exp::fig_multigpu(&sweep, 24);
         for r in &rows {
             println!(
-                "{:<18} {:>4} {:>16} {:>10} {:>10} {:>12.4} {:>12.4} {:>14.4}",
-                r.mix, r.devices, r.placement, r.lineitem_rows, r.chosen, r.cpu_ms, r.gpu_ms, r.multi_gpu_ms
+                "{:<18} {:>4} {:>16} {:>10} {:>10} {:>12.4} {:>12.4}",
+                r.mix, r.devices, r.placement, r.lineitem_rows, r.chosen, r.cpu_ms, r.gpu_ms
             );
         }
-        let multi_won = rows.iter().filter(|r| r.chosen == "multi-gpu").count();
-        println!("-> {multi_won} of {} configurations routed to the multi-GPU site", rows.len());
+        let mix_won = rows.iter().filter(|r| r.devices > 1 && r.chosen == "gpu").count();
+        println!("-> {mix_won} of {} configurations routed to a multi-device GPU site", rows.len());
         if json {
             let path = "BENCH_multigpu.json";
             std::fs::write(path, multigpu_json(&rows)).expect("write multi-GPU summary");

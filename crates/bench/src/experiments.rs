@@ -5,7 +5,9 @@
 //! down from the paper's (SF-300, 16 GB, 24 cores) so a full sweep finishes
 //! in minutes on a laptop; the scale knobs are explicit parameters.
 
-use caldera::{Caldera, CalderaConfig, DataPlacement, DeviceLossPoint, FaultPlan, OlapTarget, SnapshotPolicy};
+use caldera::{
+    Caldera, CalderaConfig, DataPlacement, DeviceLossPoint, FaultPlan, OlapDeviceConfig, OlapTarget, SnapshotPolicy,
+};
 use h2tap_baselines::{SiloDb, SiloRuntime, SnSilo};
 use h2tap_common::stats::Histogram;
 use h2tap_common::{OlapPlan, Predicate, ScanAggQuery, SimDuration, TableId};
@@ -240,7 +242,7 @@ pub fn fig_placement(row_counts: &[u64], cpu_cores: usize) -> Vec<PlacementRow> 
                 placement: label.to_string(),
                 cpu_cores: cpu_cores as u32,
                 bytes_to_scan: tpch::q6_scan_bytes(rows),
-                chosen: site_label(routed.site),
+                chosen: routed.site.label().to_string(),
                 cpu_secs: cpu.time.as_secs_f64(),
                 gpu_secs: gpu.time.as_secs_f64(),
             });
@@ -286,14 +288,6 @@ pub struct OperatorsRow {
     pub gpu_secs: f64,
 }
 
-fn site_label(site: OlapTarget) -> String {
-    match site {
-        OlapTarget::Cpu => "cpu".to_string(),
-        OlapTarget::Gpu => "gpu".to_string(),
-        OlapTarget::MultiGpu => "multi-gpu".to_string(),
-    }
-}
-
 /// Sweeps GPU residency × build selectivity × group cardinality for the
 /// `lineitem ⋈ part` brand-revenue plan, recording the scheduler's routing
 /// decision for the plan *and* for a pure scan of the same probe columns.
@@ -320,7 +314,7 @@ pub fn fig_operators(lineitem_rows: u64, parts: u64, cpu_cores: usize) -> Vec<Op
             predicates: vec![h2tap_common::Predicate::between(tpch::columns::SHIPDATE, 730.0, 1094.0)],
             aggregate: h2tap_common::AggExpr::SumProduct(tpch::columns::EXTENDEDPRICE, tpch::columns::DISCOUNT),
         };
-        let scan_chosen = site_label(caldera.run_olap(lineitem, &scan).unwrap().site);
+        let scan_chosen = caldera.run_olap(lineitem, &scan).unwrap().site.label().to_string();
 
         for max_size in [12, 50] {
             for by_partkey in [false, true] {
@@ -338,7 +332,7 @@ pub fn fig_operators(lineitem_rows: u64, parts: u64, cpu_cores: usize) -> Vec<Op
                     group_by: if by_partkey { "partkey".to_string() } else { "brand".to_string() },
                     groups: routed.groups.len() as u64,
                     joined_rows: routed.qualifying_rows,
-                    plan_chosen: site_label(routed.site),
+                    plan_chosen: routed.site.label().to_string(),
                     scan_chosen: scan_chosen.clone(),
                     cpu_secs: cpu.time.as_secs_f64(),
                     gpu_secs: gpu.time.as_secs_f64(),
@@ -351,41 +345,39 @@ pub fn fig_operators(lineitem_rows: u64, parts: u64, cpu_cores: usize) -> Vec<Op
 }
 
 // ---------------------------------------------------------------------------
-// Multi-GPU: device-mix x residency sweep with three-way routing
+// Multi-GPU: device-list x residency sweep with two-way routing
 // ---------------------------------------------------------------------------
 
 /// One configuration of the multi-GPU sweep: where the scheduler routed Q6
-/// among the CPU, single-GPU and multi-GPU sites, with all three sites'
+/// between the CPU and the GPU site over one device list, with both sites'
 /// forced (oracle) times.
 #[derive(Debug, Clone, Serialize)]
-pub struct MultiGpuRow {
-    /// Device-mix label (e.g. "2x GTX 980").
+pub struct GpuMixRow {
+    /// Device-list label (e.g. "2x GTX 980").
     pub mix: String,
-    /// Devices in the mix.
+    /// Devices in the list.
     pub devices: u32,
-    /// GPU data placement label ("host-uva" or "device-resident"), shared by
-    /// the single-GPU and multi-GPU sites.
+    /// GPU data placement label ("host-uva" or "device-resident").
     pub placement: String,
     /// Rows in the lineitem table.
     pub lineitem_rows: u64,
-    /// Site the three-way placement argmin chose.
+    /// Site the placement argmin chose.
     pub chosen: String,
     /// Forced Q6 time on the CPU site in milliseconds.
     pub cpu_ms: f64,
-    /// Forced Q6 time on the single-GPU site in milliseconds.
+    /// Forced Q6 time on the GPU site over the device list in milliseconds.
     pub gpu_ms: f64,
-    /// Forced Q6 time on the multi-GPU site in milliseconds.
-    pub multi_gpu_ms: f64,
 }
 
-/// Sweeps device mixes (homogeneous pairs, a fast+slow generation pair, and
-/// a four-card Table 1 mix) x GPU residency x data size, recording the
-/// three-way routing decision next to every site's forced time. This is the
-/// experiment behind the multi-GPU acceptance criterion: at least one
-/// workload must route to the multi-GPU site *and* win there — a placement
-/// outcome neither the CPU nor the single GPU could produce.
-pub fn fig_multigpu(row_counts: &[u64], cpu_cores: usize) -> Vec<MultiGpuRow> {
+/// Sweeps device lists (the lone GTX 980, a homogeneous pair, a fast+slow
+/// generation pair and a four-card Table 1 mix) x GPU residency x data
+/// size, one engine per configuration, recording the routing decision next
+/// to both sites' forced times. A mix's `gpu_ms` set against the lone
+/// card's row shows where adding devices pays — and, for the fast+slow
+/// pair, where the slow card's round-robin shard costs more than it adds.
+pub fn fig_multigpu(row_counts: &[u64], cpu_cores: usize) -> Vec<GpuMixRow> {
     let mixes: Vec<(&str, Vec<GpuSpec>)> = vec![
+        ("1x GTX 980", vec![GpuSpec::gtx_980()]),
         ("2x GTX 980", vec![GpuSpec::gtx_980(), GpuSpec::gtx_980()]),
         ("980 Ti + GTX 580", vec![GpuSpec::gtx_980_ti(), GpuSpec::gtx_580()]),
         ("4x Table-1 mix", h2tap_gpu_sim::table1_mix(4)),
@@ -398,8 +390,7 @@ pub fn fig_multigpu(row_counts: &[u64], cpu_cores: usize) -> Vec<MultiGpuRow> {
             for &rows in row_counts {
                 let mut config = CalderaConfig::with_workers(1);
                 config.olap_cpu_cores = cpu_cores;
-                config.olap_device.placement = placement;
-                config.olap_multi_gpu = Some(caldera::OlapMultiGpuConfig::new(gpus.clone()).with_placement(placement));
+                config.olap_device = OlapDeviceConfig { gpus: gpus.clone(), placement };
                 config.snapshot_policy = SnapshotPolicy::Manual;
                 let mut builder = Caldera::builder(config);
                 let table = tpch::load_lineitem(&mut builder, Layout::Dsm, rows, 7).unwrap();
@@ -408,18 +399,15 @@ pub fn fig_multigpu(row_counts: &[u64], cpu_cores: usize) -> Vec<MultiGpuRow> {
                 let routed = caldera.run_olap(table, &query).unwrap();
                 let cpu = caldera.run_olap_on(table, &query, OlapTarget::Cpu).unwrap();
                 let gpu = caldera.run_olap_on(table, &query, OlapTarget::Gpu).unwrap();
-                let multi = caldera.run_olap_on(table, &query, OlapTarget::MultiGpu).unwrap();
-                assert_eq!(cpu.value.to_bits(), multi.value.to_bits(), "sites disagree on Q6 revenue");
-                assert_eq!(gpu.value.to_bits(), multi.value.to_bits(), "sites disagree on Q6 revenue");
-                out.push(MultiGpuRow {
+                assert_eq!(cpu.value.to_bits(), gpu.value.to_bits(), "sites disagree on Q6 revenue");
+                out.push(GpuMixRow {
                     mix: mix_label.to_string(),
                     devices: gpus.len() as u32,
                     placement: placement_label.to_string(),
                     lineitem_rows: rows,
-                    chosen: site_label(routed.site),
+                    chosen: routed.site.label().to_string(),
                     cpu_ms: cpu.time.as_millis_f64(),
                     gpu_ms: gpu.time.as_millis_f64(),
-                    multi_gpu_ms: multi.time.as_millis_f64(),
                 });
                 caldera.shutdown();
             }
@@ -533,8 +521,8 @@ pub fn fig_calibration(queries: u64, cpu_cores: usize) -> CalibrationSummary {
         rows_out.push(CalibrationQueryRow {
             query: i,
             lineitem_rows: rows,
-            chosen: site_label(routed.site),
-            oracle: site_label(oracle),
+            chosen: routed.site.label().to_string(),
+            oracle: oracle.label().to_string(),
             agree,
             cpu_ms: cpu.time.as_millis_f64(),
             gpu_ms: gpu.time.as_millis_f64(),
@@ -832,7 +820,7 @@ pub fn fig10(rows: u64, attribute_counts: &[usize]) -> Vec<LayoutRow> {
         let (db, table) = layoutbench::build_layout_table(rows, layout, 99).unwrap();
         let snap = db.snapshot();
         let frozen = snap.table(table).unwrap();
-        let engine = Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
+        let engine = Site::gpu(vec![GpuDevice::new(GpuSpec::gtx_980())], DataPlacement::Host(AccessMode::Uva)).unwrap();
         for &n in attribute_counts {
             let outcome =
                 engine.execute(frozen, None, &OlapPlan::scan(&layoutbench::sum_query(n))).unwrap().into_scan_outcome();
@@ -857,7 +845,7 @@ pub fn fig11(rows: u64) -> Vec<LayoutRow> {
             let (db, table) = layoutbench::build_layout_table(rows, layout, 99).unwrap();
             let snap = db.snapshot();
             let frozen = snap.table(table).unwrap();
-            let engine = Site::gpu(GpuDevice::new(spec.clone()), DataPlacement::DeviceResident);
+            let engine = Site::gpu(vec![GpuDevice::new(spec.clone())], DataPlacement::DeviceResident).unwrap();
             let outcome =
                 engine.execute(frozen, None, &OlapPlan::scan(&layoutbench::sum_query(2))).unwrap().into_scan_outcome();
             out.push(LayoutRow {
@@ -1566,8 +1554,7 @@ pub fn fig_chaos(lineitem_rows: u64, clients: u32, per_client: u32) -> ChaosSumm
     let mut loss_plan = FaultPlan::transient_storm(0xC1DA05);
     // Kill the device roughly a third of the way through the stream, with
     // the storm still raging around it.
-    loss_plan.device_loss_at =
-        Some(DeviceLossPoint { site: "gpu".into(), device: 0, launch: (total_queries / 3).max(2) });
+    loss_plan.device_loss_at = Some(DeviceLossPoint { device: 0, launch: (total_queries / 3).max(2) });
 
     let phases_spec: Vec<(&'static str, Option<FaultPlan>)> = vec![
         ("fault_free", None),
@@ -1593,7 +1580,7 @@ pub fn fig_chaos(lineitem_rows: u64, clients: u32, per_client: u32) -> ChaosSumm
     // query that absorbs the loss (fault -> breaker trip -> re-route -> CPU
     // answer) is the recovery time a caller would observe.
     let mut serial_plan = FaultPlan::quiet(0x0C1DA);
-    serial_plan.device_loss_at = Some(DeviceLossPoint { site: "gpu".into(), device: 0, launch: 4 });
+    serial_plan.device_loss_at = Some(DeviceLossPoint { device: 0, launch: 4 });
     let (caldera, lineitem) = chaos_engine(lineitem_rows, Some(serial_plan));
     let scan = q6();
     let mut time_to_recover_ms = 0.0;
@@ -1779,36 +1766,35 @@ mod tests {
     #[test]
     fn fig_multigpu_routes_a_workload_only_the_multi_gpu_site_wins() {
         let rows = fig_multigpu(&[5_000, 150_000], 24);
-        assert_eq!(rows.len(), 12);
-        // Acceptance: at least one workload routes to the multi-GPU site and
-        // neither the CPU nor the single GPU beats it there.
-        let winner =
-            rows.iter().find(|r| r.chosen == "multi-gpu").expect("some workload must route to the multi-GPU site");
+        assert_eq!(rows.len(), 16);
+        let row = |mix: &str, placement: &str, lineitem_rows: u64| {
+            rows.iter()
+                .find(|r| r.mix == mix && r.placement == placement && r.lineitem_rows == lineitem_rows)
+                .unwrap_or_else(|| panic!("no row {mix} / {placement} / {lineitem_rows}"))
+        };
+        // Acceptance: at least one workload routes to a device mix's GPU
+        // site and neither the CPU nor the lone GTX 980 beats it there.
         assert!(
-            winner.multi_gpu_ms < winner.cpu_ms && winner.multi_gpu_ms < winner.gpu_ms,
-            "the routed multi-GPU workload must be one neither other site wins: {winner:?}"
+            rows.iter().any(|r| r.devices > 1
+                && r.chosen == "gpu"
+                && r.gpu_ms < r.cpu_ms
+                && r.gpu_ms < row("1x GTX 980", &r.placement, r.lineitem_rows).gpu_ms),
+            "some workload must route to a device mix that beats one card: {rows:?}"
         );
-        // Tiny scans keep routing to the CPU even with the mix available —
-        // the argmin did not degenerate to "always multi".
-        assert!(rows.iter().any(|r| r.chosen == "cpu"), "{rows:?}");
+        // Tiny scans keep routing to the CPU whatever the device list — the
+        // argmin did not degenerate to "always GPU".
+        assert!(rows.iter().filter(|r| r.lineitem_rows == 5_000).all(|r| r.chosen == "cpu"), "{rows:?}");
         // Every large device-resident homogeneous-pair configuration picks
-        // the mix: halving the critical shard beats one card outright.
-        for r in rows
-            .iter()
-            .filter(|r| r.mix == "2x GTX 980" && r.placement == "device-resident" && r.lineitem_rows == 150_000)
-        {
-            assert_eq!(r.chosen, "multi-gpu", "{r:?}");
-            assert!(r.multi_gpu_ms < r.gpu_ms, "{r:?}");
-        }
+        // the pair: halving the critical shard beats one card outright.
+        let pair = row("2x GTX 980", "device-resident", 150_000);
+        assert_eq!(pair.chosen, "gpu", "{pair:?}");
+        assert!(pair.gpu_ms < row("1x GTX 980", "device-resident", 150_000).gpu_ms, "{pair:?}");
         // The fast+slow mix still beats the lone GTX 980 on resident data
         // (even its slow-generation shard streams concurrently); that the
         // slow card *bounds* the mix relative to a homogeneous fast pair is
         // pinned by the olap unit tests, where both mixes are constructed.
-        let mixed = rows
-            .iter()
-            .find(|r| r.mix == "980 Ti + GTX 580" && r.placement == "device-resident" && r.lineitem_rows == 150_000)
-            .unwrap();
-        assert!(mixed.multi_gpu_ms < mixed.gpu_ms, "{mixed:?}");
+        let mixed = row("980 Ti + GTX 580", "device-resident", 150_000);
+        assert!(mixed.gpu_ms < row("1x GTX 980", "device-resident", 150_000).gpu_ms, "{mixed:?}");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! [`experiments`] contains one driver function per table and figure of the
 //! paper's evaluation; the `experiments` binary prints their rows (and
-//! optionally JSON). See `EXPERIMENTS.md` at the workspace root for the
-//! paper-vs-measured comparison produced from this harness.
+//! optionally JSON). The "Experiments → figures" table of the workspace
+//! README lists what each experiment reproduces and how to run it.
 
 #![forbid(unsafe_code)]
 
@@ -12,7 +12,7 @@ pub mod experiments;
 pub use experiments::{
     capture_trace, fig1, fig10, fig11, fig4, fig5, fig6, fig7, fig8, fig9, fig_calibration, fig_concurrency,
     fig_hostperf, fig_multigpu, fig_operators, fig_placement, run_htap, table1, CalibrationQueryRow,
-    CalibrationSummary, ConcurrencyRow, ConcurrencySummary, Fig1Row, Fig4Row, HostPerfRow, HostPerfSummary, HtapParams,
-    HtapRow, LatencyPercentiles, LayoutRow, MultiGpuRow, OltpComparisonRow, OperatorsRow, PlacementRow, Table1Row,
+    CalibrationSummary, ConcurrencyRow, ConcurrencySummary, Fig1Row, Fig4Row, GpuMixRow, HostPerfRow, HostPerfSummary,
+    HtapParams, HtapRow, LatencyPercentiles, LayoutRow, OltpComparisonRow, OperatorsRow, PlacementRow, Table1Row,
     DEFAULT_LINEITEM_ROWS,
 };

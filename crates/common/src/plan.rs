@@ -37,7 +37,7 @@ pub const PLAN_CHUNK_ROWS: usize = 64 * 1024;
 pub const HASH_ENTRY_BYTES: u64 = 16;
 
 /// The shard a chunk belongs to when a table's [`PLAN_CHUNK_ROWS`] chunks are
-/// spread across `shards` execution units (the devices of a multi-GPU site):
+/// spread across `shards` execution units (the devices of the GPU site):
 /// round-robin in ascending chunk order. Part of the IR contract alongside
 /// the chunk size — the assignment is a *partition* (every chunk lands on
 /// exactly one shard, shards are disjoint, their union covers the table) and

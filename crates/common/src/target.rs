@@ -8,13 +8,11 @@ use serde::{Deserialize, Serialize};
 /// Where an analytical query should execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OlapTarget {
-    /// Execute on the (single) GPU of the data-parallel archipelago.
+    /// Execute on the GPUs of the data-parallel archipelago: one device or
+    /// a (possibly heterogeneous) mix that shards every table's chunks.
     Gpu,
     /// Execute on the CPU cores of the data-parallel archipelago.
     Cpu,
-    /// Execute on the multi-GPU site: a table's chunks sharded across
-    /// several (possibly heterogeneous) devices that run in parallel.
-    MultiGpu,
 }
 
 impl OlapTarget {
@@ -23,7 +21,6 @@ impl OlapTarget {
         match self {
             OlapTarget::Gpu => "gpu",
             OlapTarget::Cpu => "cpu",
-            OlapTarget::MultiGpu => "multi-gpu",
         }
     }
 }

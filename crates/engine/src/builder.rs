@@ -97,10 +97,19 @@ impl CalderaBuilder {
             // engine without OLTP workers could never route a transaction.
             return Err(H2Error::Config("the engine needs at least one OLTP worker".into()));
         }
-        let mut accelerators = vec![config.olap_device.gpu.name.clone()];
-        if let Some(mg) = &config.olap_multi_gpu {
-            accelerators.extend(mg.gpus.iter().map(|g| g.name.clone()));
+        let gpus = &config.olap_device.gpus;
+        if let Some(loss) = config.fault_plan.as_ref().and_then(|plan| plan.device_loss_at.as_ref()) {
+            if loss.device >= gpus.len() {
+                // A loss scheduled on a device the engine does not have
+                // would silently never fire.
+                return Err(H2Error::Config(format!(
+                    "the fault plan schedules the loss of GPU {}, but only {} are configured",
+                    loss.device,
+                    gpus.len()
+                )));
+            }
         }
+        let accelerators = gpus.iter().map(|g| g.name.clone()).collect();
         let scheduler = Scheduler::new(config.oltp.workers, config.olap_cpu_cores, accelerators);
         // What the sites share, created before them so each is built with
         // it and never mutated afterwards. One plan-data cache: derived state
@@ -111,36 +120,27 @@ impl CalderaBuilder {
         // included — land in one ring.
         let plan_cache = PlanDataCache::with_budget(config.olap_plan_cache_budget_bytes);
         let tracer = Tracer::from_config(&config.observability);
-        // The execution sites of the data-parallel archipelago: the GPU
-        // model, the CPU scan engine over the archipelago's cores, and —
-        // when configured — the sharded multi-GPU device mix.
-        // Fault injection threads into the devices before they are moved
-        // into their sites: each device gets an injector derived from the
-        // plan seed, its site label and its ordinal, so the fault sequence
-        // is reproducible per device.
-        let fault_plan = config.fault_plan.as_ref();
-        let mut gpu_device = GpuDevice::new(config.olap_device.gpu.clone());
-        if let Some(plan) = fault_plan {
-            gpu_device.set_fault_injector(plan.injector_for("gpu", 0));
-        }
-        let gpu = Site::gpu(gpu_device, config.olap_device.placement);
-        let cpu = Site::archipelago_default(config.olap_cpu_cores as u32);
-        let mut sites = vec![gpu, cpu];
-        if let Some(mg) = &config.olap_multi_gpu {
-            let devices = mg
-                .gpus
-                .iter()
-                .enumerate()
-                .map(|(ordinal, spec)| {
-                    let mut device = GpuDevice::new(spec.clone());
-                    if let Some(plan) = fault_plan {
-                        device.set_fault_injector(plan.injector_for("multi_gpu", ordinal));
-                    }
-                    device
-                })
-                .collect();
-            sites.push(Site::sharded(devices, mg.placement)?);
-        }
+        // The execution sites of the data-parallel archipelago: the GPUs
+        // of the configured device list and the CPU scan engine over the
+        // archipelago's cores. Fault injection threads into the devices
+        // before they are moved into their site: each device gets an
+        // injector derived from the plan seed and its ordinal, so the fault
+        // sequence is reproducible per device.
+        let devices = gpus
+            .iter()
+            .enumerate()
+            .map(|(ordinal, spec)| {
+                let mut device = GpuDevice::new(spec.clone());
+                if let Some(plan) = &config.fault_plan {
+                    device.set_fault_injector(plan.injector_for("gpu", ordinal));
+                }
+                device
+            })
+            .collect();
+        let sites = [
+            Site::gpu(devices, config.olap_device.placement)?,
+            Site::archipelago_default(config.olap_cpu_cores as u32),
+        ];
         let sites = sites.into_iter().map(|site| site.with_shared(plan_cache.clone(), tracer.clone())).collect();
         let oltp = OltpRuntime::start(Arc::clone(&db), config.oltp.clone(), partitioner, indexes, generator)?;
         Ok(Caldera::assemble(config, db, oltp, sites, scheduler, plan_cache, tracer))
@@ -180,6 +180,29 @@ mod tests {
         // (it would belong to partition 0 under the default modulo scheme).
         b.load_to(PartitionId(1), t, 150, &[Value::Int64(150), Value::Int64(0)]).unwrap();
         assert!(b.load_to(PartitionId(0), t, 151, &[Value::Int64(151), Value::Int64(0)]).is_err());
+    }
+
+    #[test]
+    fn start_rejects_a_gpu_list_the_fault_plan_or_the_site_cannot_use() {
+        let start = |config: CalderaConfig| {
+            let mut b = CalderaBuilder::new(config);
+            b.create_table("t", Schema::homogeneous("c", 2, AttrType::Int64), Layout::Dsm).unwrap();
+            b.start()
+        };
+        // A loss scheduled on the second GPU of a one-GPU engine would never
+        // fire: startup refuses it instead.
+        let mut plan = h2tap_gpu_sim::FaultPlan::quiet(1);
+        plan.device_loss_at = Some(h2tap_gpu_sim::DeviceLossPoint { device: 1, launch: 0 });
+        let lost_second = CalderaConfig { fault_plan: Some(plan.clone()), ..CalderaConfig::with_workers(1) };
+        assert!(matches!(start(lost_second), Err(H2Error::Config(_))));
+        // The same point is legal once the list has a second device.
+        let mut two = CalderaConfig { fault_plan: Some(plan), ..CalderaConfig::with_workers(1) };
+        two.olap_device.gpus = h2tap_gpu_sim::table1_mix(2);
+        start(two).unwrap().shutdown();
+        // An engine with no GPU at all has no GPU site to build.
+        let mut none = CalderaConfig::with_workers(1);
+        none.olap_device.gpus.clear();
+        assert!(matches!(start(none), Err(H2Error::Config(_))));
     }
 
     #[test]

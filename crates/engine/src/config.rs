@@ -6,47 +6,23 @@ use h2tap_olap::{DataPlacement, SnapshotPolicy};
 use h2tap_oltp::OltpConfig;
 use h2tap_scheduler::CostModel;
 
-/// Which simulated GPU the data-parallel archipelago uses and how table data
-/// is exposed to it.
+/// The GPUs of the data-parallel archipelago and how table data is exposed
+/// to them. The device list is the whole GPU site: one card, or a
+/// (possibly heterogeneous) Table 1 mix that shards every table's chunks
+/// round-robin.
 #[derive(Debug, Clone)]
 pub struct OlapDeviceConfig {
-    /// The GPU model (defaults to the GTX 980 of the paper's testbed).
-    pub gpu: GpuSpec,
-    /// Data placement (defaults to UVA host-resident shared memory, the
-    /// Caldera prototype's choice).
+    /// The devices, in shard order (defaults to the one GTX 980 of the
+    /// paper's testbed). Must not be empty.
+    pub gpus: Vec<GpuSpec>,
+    /// Data placement shared by every device (defaults to UVA host-resident
+    /// shared memory, the Caldera prototype's choice).
     pub placement: DataPlacement,
 }
 
 impl Default for OlapDeviceConfig {
     fn default() -> Self {
-        Self { gpu: GpuSpec::gtx_980(), placement: DataPlacement::Host(AccessMode::Uva) }
-    }
-}
-
-/// An optional third execution site: several (possibly heterogeneous) GPUs
-/// that shard each table's chunks and run them in parallel — the Table 1
-/// device-mix scenario. `None` (the default) leaves the engine with the
-/// classic CPU + single-GPU pair.
-#[derive(Debug, Clone)]
-pub struct OlapMultiGpuConfig {
-    /// The device mix, in shard order (e.g. `h2tap_gpu_sim::table1_mix(3)`).
-    pub gpus: Vec<GpuSpec>,
-    /// Data placement shared by every device of the mix.
-    pub placement: DataPlacement,
-}
-
-impl OlapMultiGpuConfig {
-    /// A multi-GPU site over `gpus` with the Caldera default placement
-    /// (UVA host-resident shared memory).
-    pub fn new(gpus: Vec<GpuSpec>) -> Self {
-        Self { gpus, placement: DataPlacement::Host(AccessMode::Uva) }
-    }
-
-    /// Overrides the placement.
-    #[must_use]
-    pub fn with_placement(mut self, placement: DataPlacement) -> Self {
-        self.placement = placement;
-        self
+        Self { gpus: vec![GpuSpec::gtx_980()], placement: DataPlacement::Host(AccessMode::Uva) }
     }
 }
 
@@ -65,11 +41,8 @@ pub struct CalderaConfig {
     /// CPU cores reserved for the data-parallel archipelago (available for
     /// scheduler-driven migration and CPU-side OLAP).
     pub olap_cpu_cores: usize,
-    /// The data-parallel archipelago's GPU.
+    /// The data-parallel archipelago's GPUs.
     pub olap_device: OlapDeviceConfig,
-    /// Optional multi-GPU execution site (a Table 1 device mix with sharded
-    /// tables). `None` keeps the classic CPU + single-GPU pair.
-    pub olap_multi_gpu: Option<OlapMultiGpuConfig>,
     /// How often OLAP queries refresh their snapshot.
     pub snapshot_policy: SnapshotPolicy,
     /// The placement cost model the calibrator starts from. The default is
@@ -92,10 +65,11 @@ pub struct CalderaConfig {
     /// spans into a bounded ring readable via `Caldera::trace_spans` /
     /// `Caldera::chrome_trace_json`.
     pub observability: ObsConfig,
-    /// Deterministic fault injection for the simulated GPU fleet. `None`
-    /// (the default) injects nothing; a quiet plan (all rates zero) is
+    /// Deterministic fault injection for the simulated GPUs. `None` (the
+    /// default) injects nothing; a quiet plan (all rates zero) is
     /// observationally identical to `None`. Faults surface as typed
-    /// `H2Error::Fault` errors and feed the engine's resilience ladder.
+    /// `H2Error::Fault` errors and feed the engine's resilience ladder. A
+    /// scheduled device loss must name a configured device.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -105,7 +79,6 @@ impl Default for CalderaConfig {
             oltp: OltpConfig::default(),
             olap_cpu_cores: 0,
             olap_device: OlapDeviceConfig::default(),
-            olap_multi_gpu: None,
             snapshot_policy: SnapshotPolicy::PerQuery,
             cost_model_seed: CostModel::default(),
             olap_plan_cache_budget_bytes: None,
@@ -145,7 +118,8 @@ mod tests {
     #[test]
     fn defaults_match_the_paper_prototype() {
         let c = CalderaConfig::default();
-        assert_eq!(c.olap_device.gpu.name, "GTX 980");
+        let names: Vec<&str> = c.olap_device.gpus.iter().map(|g| g.name.as_str()).collect();
+        assert_eq!(names, ["GTX 980"]);
         assert!(matches!(c.olap_device.placement, DataPlacement::Host(AccessMode::Uva)));
         assert!(matches!(c.snapshot_policy, SnapshotPolicy::PerQuery));
         assert!(!c.observability.tracing, "query tracing is opt-in");
@@ -163,20 +137,17 @@ mod tests {
         // 24-core server with 68 GB/s aggregate: ~2.83 GB/s per core.
         assert!((model.cpu_core_bandwidth_gbps - 68.0 / 24.0).abs() < 1e-9);
         assert!(model.gpu_dispatch_overhead_secs > 0.0);
-        assert_eq!((model.gpu_bandwidth_scale, model.multi_gpu_bandwidth_scale), (1.0, 1.0));
+        assert_eq!(model.gpu_bandwidth_scale, 1.0);
     }
 
     #[test]
-    fn multi_gpu_config_seeds_its_own_dispatch_overhead() {
+    fn a_device_mix_is_seeded_like_one_gpu() {
         let mut c = CalderaConfig::with_workers(1);
-        assert!(c.olap_multi_gpu.is_none(), "the multi-GPU site is opt-in");
-        c.olap_multi_gpu = Some(OlapMultiGpuConfig::new(h2tap_gpu_sim::table1_mix(2)));
-        c.cost_model_seed.multi_gpu_dispatch_overhead_secs = 75e-6;
+        c.olap_device.gpus = h2tap_gpu_sim::table1_mix(2);
+        c.cost_model_seed.gpu_dispatch_overhead_secs = 75e-6;
         let seed = engine_cost_model(c);
-        assert_eq!(seed.multi_gpu_dispatch_overhead_secs, 75e-6);
-        assert_eq!(seed.multi_gpu_bandwidth_scale, 1.0);
-        // The single-GPU intercept is untouched by the multi site's.
-        assert_eq!(seed.gpu_dispatch_overhead_secs, CostModel::default().gpu_dispatch_overhead_secs);
+        assert_eq!(seed.gpu_dispatch_overhead_secs, 75e-6);
+        assert_eq!(seed.gpu_bandwidth_scale, 1.0);
     }
 
     #[test]

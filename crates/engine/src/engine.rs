@@ -159,7 +159,6 @@ fn site_key(target: OlapTarget) -> &'static str {
     match target {
         OlapTarget::Gpu => "gpu",
         OlapTarget::Cpu => "cpu",
-        OlapTarget::MultiGpu => "multi_gpu",
     }
 }
 
@@ -215,8 +214,7 @@ impl SnapshotGate {
     }
 
     /// The slot serving `target`, or a configuration error when the engine
-    /// was built without that site (e.g. `run_olap_on(.., MultiGpu)` with no
-    /// `olap_multi_gpu` configured).
+    /// was assembled without that site.
     fn require_slot(&self, target: OlapTarget) -> Result<&SiteSlot> {
         self.slot(target).ok_or_else(|| H2Error::Config(format!("no execution site configured for target {target:?}")))
     }
@@ -753,19 +751,19 @@ impl Caldera {
         let probe_frozen = snapshot.table(probe)?;
         let build_frozen = build.map(|id| snapshot.table(id)).transpose()?;
 
-        // Live placement inputs: the plan's scan footprint, how much of the
-        // data already sits in device memory, and the CPU cores the
-        // data-parallel archipelago owns right now (core migration
+        // Live placement inputs: the plan's scan footprint and the CPU cores
+        // the data-parallel archipelago owns right now (core migration
         // included), plus the access-pattern features: how many bytes the
-        // hash probes gather at random, and whether the hash state fits in
-        // free device memory at all. Hints are built for forced dispatches
+        // hash probes gather at random, and how large the hash state is.
+        // How much data already sits in device memory and how much device
+        // memory is free come from the sites' enumerated capabilities
+        // instead, per device. Hints are built for forced dispatches
         // too: a forced run is ground truth about its site and must still
         // feed the calibrator — it just never consults the placement
         // heuristic.
         let cpu_cores = self.scheduler.archipelago(ArchipelagoKind::DataParallel).core_count() as u32;
         let probe_rows = probe_frozen.row_count();
         let build_bytes = build_frozen.map_or(0, |frozen| plan.build_scan_bytes(&frozen.schema, frozen.row_count()));
-        let gpu_slot = snap.slot(OlapTarget::Gpu);
         // Cost constants come from the **calibrated** model (seeded by
         // configuration, then continuously re-estimated from measured site
         // times — the feedback loop that keeps hand-tuned constants from
@@ -776,11 +774,6 @@ impl Caldera {
             rows: probe_rows,
             random_access_bytes: plan.random_access_bytes(probe_rows),
             hash_table_bytes: build_frozen.map_or(0, |frozen| plan.hash_table_bytes(frozen.row_count())),
-            // None (a host-DRAM "device") means unbounded headroom. The
-            // multi-GPU site's per-device free memory travels through the
-            // enumerated capabilities instead (min-per-shard footprint).
-            gpu_free_bytes: gpu_slot.and_then(|slot| slot.site.free_device_bytes()).unwrap_or(u64::MAX),
-            gpu_resident_fraction: gpu_slot.map_or(0.0, |slot| slot.site.resident_fraction()),
             available_cpu_cores: cpu_cores,
             ..PlacementHints::default()
         });
@@ -797,7 +790,7 @@ impl Caldera {
             // fallback competes for the next site's gate.
             let _permit = slot.admission.admit();
             // A query placed on CPU must see the archipelago's current core
-            // count, not the count at construction time (GPU sites ignore it).
+            // count, not the count at construction time (the GPU site ignores it).
             slot.site.set_cores(cpu_cores.max(1));
             // The site registers the tables it needs on first use and rolls
             // back what a failed call registered, so the fallback — and
@@ -1012,7 +1005,7 @@ mod tests {
         let mut config = CalderaConfig::with_workers(2);
         config.olap_cpu_cores = 2;
         config.olap_device.placement = DataPlacement::DeviceResident;
-        config.olap_device.gpu.mem_capacity_mib = 1; // 1 MiB device
+        config.olap_device.gpus[0].mem_capacity_mib = 1; // 1 MiB device
         let (caldera, t) = engine_with_config(config, 200_000); // ~3 MiB of columns
         let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));
         let out = caldera.run_olap(t, &q).unwrap();
@@ -1123,7 +1116,7 @@ mod tests {
         let mut config = CalderaConfig::with_workers(2);
         config.olap_cpu_cores = 2;
         config.olap_device.placement = DataPlacement::DeviceResident;
-        config.olap_device.gpu.mem_capacity_mib = 1; // ~5 MiB of fact columns
+        config.olap_device.gpus[0].mem_capacity_mib = 1; // ~5 MiB of fact columns
         let (caldera, fact, dim) = engine_with_join_tables(config, 200_000);
         let plan = class_revenue_plan();
         let out = caldera.run_olap_plan(fact, Some(dim), &plan).unwrap();
@@ -1472,7 +1465,7 @@ mod tests {
         config.olap_device.placement = DataPlacement::DeviceResident;
         config.snapshot_policy = SnapshotPolicy::EveryN { queries: 1_000 };
         let mut plan = h2tap_gpu_sim::FaultPlan::quiet(11);
-        plan.device_loss_at = Some(DeviceLossPoint { site: "gpu".into(), device: 0, launch: 4 });
+        plan.device_loss_at = Some(DeviceLossPoint { device: 0, launch: 4 });
         config.fault_plan = Some(plan);
         let (caldera, t) = engine_with_config(config, 200_000);
         let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));
@@ -1504,17 +1497,38 @@ mod tests {
         let mut config = CalderaConfig::with_workers(2);
         config.olap_device.placement = DataPlacement::DeviceResident;
         let mut plan = h2tap_gpu_sim::FaultPlan::quiet(17);
-        plan.device_loss_at = Some(DeviceLossPoint { site: "gpu".into(), device: 0, launch: 0 });
+        plan.device_loss_at = Some(DeviceLossPoint { device: 0, launch: 0 });
         config.fault_plan = Some(plan);
         let (caldera, t) = engine_with_config(config, 50_000);
-        let free_device_bytes = || caldera.snap.read().slot(OlapTarget::Gpu).and_then(|s| s.site.free_device_bytes());
-        let before = free_device_bytes().expect("the GPU site reports its device memory");
+        let used_bytes = || caldera.snap.read().slot(OlapTarget::Gpu).map(|s| s.site.device_used_bytes());
+        let before = used_bytes().expect("the engine has a GPU site");
         let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));
         let err = caldera.run_olap_on(t, &q, OlapTarget::Gpu).unwrap_err();
         assert!(matches!(err, H2Error::Fault { transient: false, .. }), "expected the device loss, got {err:?}");
-        assert_eq!(free_device_bytes(), Some(before), "the failed scan must not strand its table on the device");
+        assert_eq!(used_bytes(), Some(before), "the failed scan must not strand its table on the device");
         // The CPU site still answers from host DRAM.
         assert_eq!(caldera.run_olap_on(t, &q, OlapTarget::Cpu).unwrap().value, 50_000.0);
+        caldera.shutdown();
+    }
+
+    #[test]
+    fn a_loss_scheduled_on_the_second_gpu_of_a_mix_fires() {
+        // The ordinal names a device of the configured list: with a two-GPU
+        // site, device 1 owns every second chunk, so its loss fails the
+        // forced scan on the first launch, under the one `gpu` site label.
+        let mut config = CalderaConfig::with_workers(2);
+        config.olap_device.gpus = h2tap_gpu_sim::table1_mix(2);
+        let mut plan = h2tap_gpu_sim::FaultPlan::quiet(23);
+        plan.device_loss_at = Some(DeviceLossPoint { device: 1, launch: 0 });
+        config.fault_plan = Some(plan);
+        let (caldera, t) = engine_with_config(config, 200_000);
+        let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));
+        let err = caldera.run_olap_on(t, &q, OlapTarget::Gpu).unwrap_err();
+        assert!(
+            matches!(&err, H2Error::Fault { site, transient: false, .. } if site == "gpu"),
+            "expected the loss of the second GPU, got {err:?}"
+        );
+        assert_eq!(caldera.run_olap_on(t, &q, OlapTarget::Cpu).unwrap().value, 200_000.0);
         caldera.shutdown();
     }
 
@@ -1545,7 +1559,7 @@ mod tests {
         config.snapshot_policy = SnapshotPolicy::EveryN { queries: 1_000 };
         config.observability.tracing = true;
         let mut plan = h2tap_gpu_sim::FaultPlan::quiet(5);
-        plan.device_loss_at = Some(DeviceLossPoint { site: "gpu".into(), device: 0, launch: 2 });
+        plan.device_loss_at = Some(DeviceLossPoint { device: 0, launch: 2 });
         config.fault_plan = Some(plan);
         let (caldera, t) = engine_with_config(config, 200_000);
         let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));

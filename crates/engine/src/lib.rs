@@ -45,7 +45,7 @@ pub mod health;
 
 pub use admission::{AdmissionGate, AdmissionPermit, AdmissionStats};
 pub use builder::CalderaBuilder;
-pub use config::{CalderaConfig, OlapDeviceConfig, OlapMultiGpuConfig};
+pub use config::{CalderaConfig, OlapDeviceConfig};
 pub use engine::{Caldera, HtapStats, OlapSiteStats, ResilienceStats};
 pub use health::{SiteHealth, SiteHealthState, SiteHealthStats};
 

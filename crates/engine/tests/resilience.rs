@@ -38,7 +38,7 @@ fn chaos_plan() -> FaultPlan {
     // Kill the GPU for good partway through the run: early enough that most
     // of the workload runs against a dead device, late enough that the
     // device answers real queries first.
-    plan.device_loss_at = Some(DeviceLossPoint { site: "gpu".into(), device: 0, launch: 24 });
+    plan.device_loss_at = Some(DeviceLossPoint { device: 0, launch: 24 });
     plan
 }
 

@@ -198,7 +198,7 @@ pub fn table1_catalog() -> Vec<GpuSpec> {
     ]
 }
 
-/// A device mix of `n` cards for a multi-GPU execution site, cycling through
+/// A device mix of `n` cards for the GPU execution site, cycling through
 /// the **zero-copy-capable** (Fermi and newer, per Section 2.1's CUDA feature
 /// matrix) generations of Table 1 from newest to oldest — real deployments
 /// mix generations as cards are added over the years, which is exactly why

@@ -444,7 +444,7 @@ mod tests {
         // A scheduled loss at launch 1: the first launch succeeds, every
         // later one fails persistently.
         let mut plan = FaultPlan::quiet(3);
-        plan.device_loss_at = Some(DeviceLossPoint { site: "gpu".into(), device: 0, launch: 1 });
+        plan.device_loss_at = Some(DeviceLossPoint { device: 0, launch: 1 });
         let mut dev = GpuDevice::new(GpuSpec::gtx_980());
         dev.set_fault_injector(plan.injector_for("gpu", 0));
         let buf = dev.register_buffer("col", GIB, AccessMode::Uva).unwrap();

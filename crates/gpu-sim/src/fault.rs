@@ -19,15 +19,14 @@
 use h2tap_common::rng::SplitMixRng;
 use h2tap_common::{FaultKind, SimDuration};
 
-/// A scheduled permanent device loss: the device `device` of the site
-/// labelled `site` dies at its `launch`-th kernel launch (0-based) and every
-/// launch from that point on fails with a persistent
-/// [`FaultKind::DeviceLost`] fault.
+/// A scheduled permanent device loss: GPU `device` — its ordinal in the
+/// engine's configured device list — dies at its `launch`-th kernel launch
+/// (0-based) and every launch from that point on fails with a persistent
+/// [`FaultKind::DeviceLost`] fault. The engine rejects an ordinal past the
+/// end of its device list at startup, so a scheduled loss always fires.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceLossPoint {
-    /// Site key the device belongs to (`"gpu"`, `"multi_gpu"`).
-    pub site: String,
-    /// Device ordinal within the site (single-GPU sites use 0).
+    /// Ordinal of the device in the configured device list (0 is the first).
     pub device: usize,
     /// 0-based launch index at which the device disappears.
     pub launch: u64,
@@ -110,7 +109,7 @@ impl FaultPlan {
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
         let sub_seed = self.seed ^ h ^ (device as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let loss_at = self.device_loss_at.as_ref().filter(|p| p.site == site && p.device == device).map(|p| p.launch);
+        let loss_at = self.device_loss_at.as_ref().filter(|p| p.device == device).map(|p| p.launch);
         FaultInjector {
             site: site.to_string(),
             rng: SplitMixRng::new(sub_seed),
@@ -229,8 +228,8 @@ mod tests {
     #[test]
     fn sibling_devices_draw_independent_sequences() {
         let plan = storm();
-        let mut a = plan.injector_for("multi_gpu", 0);
-        let mut b = plan.injector_for("multi_gpu", 1);
+        let mut a = plan.injector_for("gpu", 0);
+        let mut b = plan.injector_for("gpu", 1);
         let seq_a: Vec<FaultDecision> = (0..256).map(|_| a.decide()).collect();
         let seq_b: Vec<FaultDecision> = (0..256).map(|_| b.decide()).collect();
         assert_ne!(seq_a, seq_b);
@@ -246,7 +245,7 @@ mod tests {
     #[test]
     fn scheduled_loss_is_sticky_and_device_scoped() {
         let mut plan = FaultPlan::quiet(9);
-        plan.device_loss_at = Some(DeviceLossPoint { site: "gpu".into(), device: 0, launch: 3 });
+        plan.device_loss_at = Some(DeviceLossPoint { device: 0, launch: 3 });
         assert!(!plan.is_quiet());
         let mut hit = plan.injector_for("gpu", 0);
         for _ in 0..3 {
@@ -257,7 +256,7 @@ mod tests {
         }
         assert!(hit.is_lost());
         // A different device of the same plan never dies.
-        let mut other = plan.injector_for("multi_gpu", 0);
+        let mut other = plan.injector_for("gpu", 1);
         assert!((0..16).all(|_| other.decide() == FaultDecision::Pass));
     }
 }

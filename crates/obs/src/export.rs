@@ -19,7 +19,6 @@ pub fn trace_tid(event: &SpanEvent) -> u32 {
         (SpanKind::Compute, _) | (_, None) => 0,
         (_, Some(OlapTarget::Gpu)) => 1,
         (_, Some(OlapTarget::Cpu)) => 2,
-        (_, Some(OlapTarget::MultiGpu)) => 3,
     }
 }
 
@@ -27,8 +26,7 @@ fn tid_name(tid: u32) -> &'static str {
     match tid {
         0 => "host",
         1 => "gpu-site",
-        2 => "cpu-site",
-        _ => "multi-gpu-site",
+        _ => "cpu-site",
     }
 }
 
@@ -282,7 +280,7 @@ mod tests {
                     .dur_secs(1e-3 * (q + 1) as f64)
                     .breakdown(ExecBreakdown::new(1e-4, 2e-4, 3e-5)),
             );
-            t.record(SpanEvent::new(SpanKind::Merge).site(OlapTarget::MultiGpu).dur_secs(5e-4));
+            t.record(SpanEvent::new(SpanKind::Merge).site(OlapTarget::Cpu).dur_secs(5e-4));
         }
         t.snapshot()
     }

@@ -1,8 +1,8 @@
-//! The vocabulary every execution site shares: where a GPU-family site keeps
+//! The vocabulary every execution site shares: where the GPU site keeps
 //! table data ([`DataPlacement`]) and what a site hands back for a plan
 //! ([`PlanOutcome`], and [`OlapOutcome`] for its scan-shaped special case).
 //! The site itself is [`crate::Site`]; this module's tests exercise the
-//! single-GPU site ([`crate::Site::gpu`]).
+//! one-device GPU site ([`crate::Site::gpu`]).
 
 use h2tap_common::{ExecBreakdown, GroupRow, OlapTarget, SimDuration};
 use h2tap_gpu_sim::{AccessMode, KernelMetrics};
@@ -148,7 +148,7 @@ mod tests {
     }
 
     fn engine(placement: DataPlacement) -> Site {
-        Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), placement)
+        Site::gpu(vec![GpuDevice::new(GpuSpec::gtx_980())], placement).unwrap()
     }
 
     /// Runs `query` as the scan-shaped plan it is.
@@ -156,8 +156,8 @@ mod tests {
         eng.execute(table, None, &OlapPlan::scan(query)).map(PlanOutcome::into_scan_outcome)
     }
 
-    /// The launched kernels' names without the `.d<device>` suffix every
-    /// GPU-family site appends.
+    /// The launched kernels' names without the `.d<device>` suffix the GPU
+    /// site appends.
     fn kernel_names(out: &PlanOutcome) -> Vec<&str> {
         out.kernels.iter().map(|k| k.name.split('.').next().unwrap_or("")).collect()
     }
@@ -297,7 +297,7 @@ mod tests {
         let table = snapshot_table(Layout::Dsm, 100_000); // 8 + 4 + 8 bytes/row
         let mut spec = GpuSpec::gtx_980();
         spec.mem_capacity_mib = 1;
-        let eng = Site::gpu(GpuDevice::new(spec), DataPlacement::DeviceResident);
+        let eng = Site::gpu(vec![GpuDevice::new(spec)], DataPlacement::DeviceResident).unwrap();
         assert!(scan(&eng, &table, &bucket_query()).is_err());
         assert_eq!(eng.device_used_bytes(), [0], "partial column buffers must be freed");
     }
@@ -310,7 +310,7 @@ mod tests {
         let t2 = snapshot_table(Layout::Dsm, 30_000); // 600 kB, and a 480 kB hash replica
         let mut spec = GpuSpec::gtx_980();
         spec.mem_capacity_mib = 1;
-        let eng = Site::gpu(GpuDevice::new(spec), DataPlacement::DeviceResident);
+        let eng = Site::gpu(vec![GpuDevice::new(spec)], DataPlacement::DeviceResident).unwrap();
         scan(&eng, &t1, &bucket_query()).unwrap();
         let after_first = eng.device_used_bytes();
         let join = OlapPlan {

@@ -2,14 +2,13 @@
 //! archipelago.
 //!
 //! Analytical queries always run against an immutable [`h2tap_storage::Snapshot`]
-//! on a [`Site`]: kernel-at-a-time on simulated GPUs ([`Site::gpu`] and
-//! [`Site::sharded`] — one code path serving the single GPU and the
-//! chunk-sharded device mix, which differ only in how many devices the
-//! constructor is given) or vectorised-scan on the archipelago's CPU cores
-//! ([`Site::cpu`]). Every site answers through the same data path and
-//! differs only in what it charges ([`site`]). The engine picks the site per
-//! query with [`h2tap_scheduler::place_olap_query_sites`] from live placement
-//! hints and the capabilities the sites enumerate.
+//! on a [`Site`]: kernel-at-a-time on simulated GPUs ([`Site::gpu`] over the
+//! configured device list — one card, or a chunk-sharded mix of Table 1
+//! generations, through one code path) or vectorised-scan on the
+//! archipelago's CPU cores ([`Site::cpu`]). Every site answers through the
+//! same data path and differs only in what it charges ([`site`]). The engine
+//! picks the site per query with [`h2tap_scheduler::place_olap_query_sites`]
+//! from live placement hints and the capabilities the sites enumerate.
 //! Users trade freshness for performance by choosing how many queries share
 //! one snapshot ([`policy::SnapshotPolicy`]), which is the knob behind
 //! Figures 5-7 of the paper.

@@ -20,11 +20,11 @@
 //!
 //! Table 1 of the paper catalogues five GPU generations precisely because
 //! real deployments mix them: cards are added over the years, so a
-//! data-parallel archipelago rarely owns `n` identical devices. The site
-//! therefore always runs over a *device mix*, and the single GPU of the
-//! Caldera prototype is the mix of one ([`crate::Site::gpu`]); there is no
-//! second implementation and nothing branches on the device count. The
-//! sharding contract is the fixed-chunk contract every site obeys:
+//! data-parallel archipelago rarely owns `n` identical devices. The GPU site
+//! ([`crate::Site::gpu`]) is therefore the configured device list, whatever
+//! its length: the single GPU of the Caldera prototype is the list of one,
+//! placement sees one GPU target, and nothing branches on the device count.
+//! The sharding contract is the fixed-chunk contract every site obeys:
 //!
 //! * tables are split into [`h2tap_common::PLAN_CHUNK_ROWS`]-row chunks in
 //!   storage order,
@@ -56,8 +56,7 @@ use crate::engine::DataPlacement;
 use crate::operators::PlanEvaluation;
 use crate::site::Price;
 use h2tap_common::{
-    chunk_shard, ExecBreakdown, H2Error, OlapPlan, OlapTarget, PlanColumn, Result, SimDuration, HASH_ENTRY_BYTES,
-    PLAN_CHUNK_ROWS,
+    chunk_shard, ExecBreakdown, H2Error, OlapPlan, PlanColumn, Result, SimDuration, HASH_ENTRY_BYTES, PLAN_CHUNK_ROWS,
 };
 use h2tap_gpu_sim::{
     AccessMode, AccessPattern, BufferId, GpuDevice, KernelDesc, KernelMetrics, MemoryManager, Residency,
@@ -339,9 +338,8 @@ impl Devices {
 }
 
 /// The GPU arm of a site's charge: kernel-at-a-time execution over a mix of
-/// simulated GPUs that shard every registered table. One device is the
-/// single GPU of the data-parallel archipelago ([`crate::Site::gpu`]),
-/// several a device mix ([`crate::Site::sharded`]); nothing else differs.
+/// simulated GPUs that shard every registered table ([`crate::Site::gpu`]).
+/// One device holds every chunk; nothing else depends on the device count.
 ///
 /// Concurrent: the device mix and its registrations live behind one mutex,
 /// held only across registration and kernel-charge bookkeeping; the
@@ -622,16 +620,8 @@ impl GpuCharge {
         result
     }
 
-    /// The smallest free device memory across the mix. Deliberately a
-    /// minimum, never a sum: device capacities do not pool, and summing
-    /// would let one device reporting "unknown" saturate the aggregate (the
-    /// multi-device semantics of `gpu_free_bytes`).
-    pub(crate) fn free_device_bytes(&self) -> u64 {
-        self.devs.lock().devices.iter().map(|d| d.memory().free_bytes()).min().unwrap_or(0)
-    }
-
     /// Weighted across the whole mix for Unified Memory placements.
-    pub(crate) fn resident_fraction(&self) -> f64 {
+    fn resident_fraction(&self) -> f64 {
         let state = self.devs.lock();
         let devices = &state.devices;
         let buffers = state.tables.values().flat_map(|shards| shards.iter().enumerate());
@@ -641,12 +631,11 @@ impl GpuCharge {
         )
     }
 
-    pub(crate) fn capability(&self, target: OlapTarget) -> SiteCapability {
+    pub(crate) fn capability(&self) -> SiteCapability {
         let resident = self.resident_fraction();
         let state = self.devs.lock();
         let n = state.devices.len() as f64;
         SiteCapability::Gpu {
-            target,
             devices: state
                 .devices
                 .iter()
@@ -694,7 +683,7 @@ mod tests {
         snap.table(t).unwrap().clone()
     }
 
-    /// Runs `query` as the scan-shaped plan it is, on either GPU-family site.
+    /// Runs `query` as the scan-shaped plan it is.
     fn scan(site: &Site, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome> {
         site.execute(table, None, &OlapPlan::scan(query)).map(PlanOutcome::into_scan_outcome)
     }
@@ -727,14 +716,14 @@ mod tests {
     fn answers_are_byte_identical_to_the_single_gpu_site() {
         let table = snapshot_table(Layout::Dsm, 200_000);
         let query = bucket_query();
-        let single = Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
+        let single = Site::gpu(vec![GpuDevice::new(GpuSpec::gtx_980())], DataPlacement::Host(AccessMode::Uva)).unwrap();
         let reference = scan(&single, &table, &query).unwrap();
         for n in 1..=5 {
-            let multi = Site::sharded(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
+            let multi = Site::gpu(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
             let out = scan(&multi, &table, &query).unwrap();
             assert_eq!(out.value.to_bits(), reference.value.to_bits(), "{n} devices");
             assert_eq!(out.qualifying_rows, reference.qualifying_rows);
-            assert_eq!(out.site, OlapTarget::MultiGpu);
+            assert_eq!(out.site, h2tap_common::OlapTarget::Gpu);
         }
     }
 
@@ -744,7 +733,7 @@ mod tests {
         let query = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 2]));
         let time = |n: usize| {
             let devices = (0..n).map(|_| GpuDevice::new(GpuSpec::gtx_980())).collect();
-            let eng = Site::sharded(devices, DataPlacement::DeviceResident).unwrap();
+            let eng = Site::gpu(devices, DataPlacement::DeviceResident).unwrap();
             scan(&eng, &table, &query).unwrap().time.as_secs_f64()
         };
         let one = time(1);
@@ -758,7 +747,7 @@ mod tests {
         let query = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 2]));
         let time = |specs: Vec<GpuSpec>| {
             let eng =
-                Site::sharded(specs.into_iter().map(GpuDevice::new).collect(), DataPlacement::DeviceResident).unwrap();
+                Site::gpu(specs.into_iter().map(GpuDevice::new).collect(), DataPlacement::DeviceResident).unwrap();
             scan(&eng, &table, &query).unwrap().time.as_secs_f64()
         };
         let fast_pair = time(vec![GpuSpec::gtx_980_ti(), GpuSpec::gtx_980_ti()]);
@@ -772,7 +761,7 @@ mod tests {
         let mut small = GpuSpec::gtx_980();
         small.mem_capacity_mib = 1; // second device cannot hold its shard
         let devices = vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(small)];
-        let eng = Site::sharded(devices, DataPlacement::DeviceResident).unwrap();
+        let eng = Site::gpu(devices, DataPlacement::DeviceResident).unwrap();
         assert!(scan(&eng, &table, &bucket_query()).is_err(), "the second device cannot register its shard");
         for (d, used) in eng.device_used_bytes().iter().enumerate() {
             assert_eq!(*used, 0, "device {d} must not strand shard buffers");
@@ -784,16 +773,15 @@ mod tests {
         let mut small = GpuSpec::gtx_980();
         small.mem_capacity_mib = 64;
         let devices = vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(small)];
-        let eng = Site::sharded(devices, DataPlacement::DeviceResident).unwrap();
-        assert_eq!(eng.free_device_bytes(), Some(64 * 1024 * 1024));
+        let eng = Site::gpu(devices, DataPlacement::DeviceResident).unwrap();
         match eng.capability() {
-            SiteCapability::Gpu { target, devices } => {
-                assert_eq!(target, OlapTarget::MultiGpu);
+            SiteCapability::Gpu { devices } => {
+                assert_eq!(h2tap_scheduler::min_free_shard_bytes(&devices), Some(64 * 1024 * 1024));
                 assert_eq!(devices.len(), 2);
                 assert!(devices.iter().all(|d| (d.shard_fraction - 0.5).abs() < 1e-12));
                 assert_eq!(devices[1].free_bytes, Some(64 * 1024 * 1024));
             }
-            other => panic!("multi-GPU capability must be a GPU site: {other:?}"),
+            other => panic!("a device mix's capability must be a GPU site: {other:?}"),
         }
     }
 
@@ -823,10 +811,10 @@ mod tests {
             group_by: Some(PlanColumn::Build(2)),
             aggregates: vec![AggExpr::SumProduct(1, 2), AggExpr::Count],
         };
-        let single = Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
+        let single = Site::gpu(vec![GpuDevice::new(GpuSpec::gtx_980())], DataPlacement::Host(AccessMode::Uva)).unwrap();
         let reference = single.execute(&probe, Some(&build), &plan).unwrap();
         for n in [2usize, 3, 5] {
-            let multi = Site::sharded(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
+            let multi = Site::gpu(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
             let out = multi.execute(&probe, Some(&build), &plan).unwrap();
             assert_eq!(out.groups, reference.groups, "{n} devices");
             assert_eq!(out.qualifying_rows, reference.qualifying_rows);
@@ -860,11 +848,9 @@ mod tests {
         let build = db.snapshot().table(t).unwrap().clone();
         let mut tiny = GpuSpec::gtx_980();
         tiny.mem_capacity_mib = 1;
-        let eng = Site::sharded(
-            vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(tiny)],
-            DataPlacement::DeviceResident,
-        )
-        .unwrap();
+        let eng =
+            Site::gpu(vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(tiny)], DataPlacement::DeviceResident)
+                .unwrap();
         let plan = OlapPlan {
             predicates: vec![],
             join: Some(h2tap_common::JoinSpec { probe_column: 1, build_key: 0, build_predicates: vec![] }),
@@ -878,7 +864,7 @@ mod tests {
     #[test]
     fn plan_scratch_is_freed_on_every_device() {
         let probe = snapshot_table(Layout::Dsm, 150_000);
-        let eng = Site::sharded(
+        let eng = Site::gpu(
             vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(GpuSpec::gtx_980())],
             DataPlacement::DeviceResident,
         )
@@ -909,7 +895,7 @@ mod tests {
             db.insert(PartitionId(0), t, &[Value::Int64(i), Value::Int64(i)]).unwrap();
         }
         let (first, second) = (db.snapshot().table(t).unwrap().clone(), db.snapshot().table(t).unwrap().clone());
-        let eng = Site::sharded(mix(2), DataPlacement::DeviceResident).unwrap();
+        let eng = Site::gpu(mix(2), DataPlacement::DeviceResident).unwrap();
         let query = ScanAggQuery::aggregate_only(AggExpr::Count);
         scan(&eng, &first, &query).unwrap();
         let one = eng.device_used_bytes();
@@ -928,12 +914,12 @@ mod tests {
     #[test]
     fn empty_tables_are_rejected_like_every_other_site() {
         let table = snapshot_table(Layout::Dsm, 0);
-        let eng = Site::sharded(mix(2), DataPlacement::Host(AccessMode::Uva)).unwrap();
+        let eng = Site::gpu(mix(2), DataPlacement::Host(AccessMode::Uva)).unwrap();
         assert!(scan(&eng, &table, &bucket_query()).is_err());
     }
 
     #[test]
     fn a_site_needs_at_least_one_device() {
-        assert!(Site::sharded(Vec::new(), DataPlacement::DeviceResident).is_err());
+        assert!(Site::gpu(Vec::new(), DataPlacement::DeviceResident).is_err());
     }
 }

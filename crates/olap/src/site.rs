@@ -40,8 +40,8 @@ use h2tap_scheduler::SiteCapability;
 use h2tap_storage::SnapshotTable;
 
 /// A place where analytical queries execute: the CPU cores of the
-/// data-parallel archipelago, its GPU, or a mix of GPUs that shard every
-/// table. The constructor fixes which [`OlapTarget`] the site serves.
+/// data-parallel archipelago, or its GPUs — one device or a mix that shards
+/// every table. The constructor fixes which [`OlapTarget`] the site serves.
 pub struct Site {
     target: OlapTarget,
     charge: Charge,
@@ -95,19 +95,15 @@ impl Site {
         Self::cpu(CpuSpec { cores, mem_bandwidth_gbps: per_core * f64::from(cores) }, CpuScanProfile::vectorized())
     }
 
-    /// The single-GPU site ([`OlapTarget::Gpu`]) on `device` with the given
-    /// data placement: the mix of one device, which holds every chunk.
-    pub fn gpu(device: GpuDevice, placement: DataPlacement) -> Self {
-        Self::new(OlapTarget::Gpu, Charge::Gpu(GpuCharge::new(vec![device], placement)))
-    }
-
-    /// The multi-GPU site ([`OlapTarget::MultiGpu`]) over `devices` with the
-    /// given (shared) data placement. At least one device is required.
-    pub fn sharded(devices: Vec<GpuDevice>, placement: DataPlacement) -> Result<Self> {
+    /// The GPU site ([`OlapTarget::Gpu`]) over `devices`, in shard order,
+    /// with the given (shared) data placement. One device holds every chunk;
+    /// several shard each table's chunks round-robin. At least one device is
+    /// required.
+    pub fn gpu(devices: Vec<GpuDevice>, placement: DataPlacement) -> Result<Self> {
         if devices.is_empty() {
-            return Err(H2Error::Config("a multi-GPU site needs at least one device".into()));
+            return Err(H2Error::Config("a GPU site needs at least one device".into()));
         }
-        Ok(Self::new(OlapTarget::MultiGpu, Charge::Gpu(GpuCharge::new(devices, placement))))
+        Ok(Self::new(OlapTarget::Gpu, Charge::Gpu(GpuCharge::new(devices, placement))))
     }
 
     /// Builds the site into an engine: it answers from the engine's shared
@@ -194,32 +190,10 @@ impl Site {
     }
 
     /// Reacts to archipelago core migration: the CPU site runs and prices
-    /// its next plans on `cores` cores. GPU sites ignore it.
+    /// its next plans on `cores` cores. The GPU site ignores it.
     pub fn set_cores(&self, cores: u32) {
         if let Charge::Cpu(cpu) = &self.charge {
             cpu.set_cores(cores);
-        }
-    }
-
-    /// Capacity hint: the smallest free device memory across the site's
-    /// devices — the headroom any *replicated* per-device structure (the
-    /// join hash table) must fit. `None` for the CPU, which streams from
-    /// host DRAM, so the placement heuristic skips its footprint check.
-    pub fn free_device_bytes(&self) -> Option<u64> {
-        match &self.charge {
-            Charge::Cpu(_) => None,
-            Charge::Gpu(gpu) => Some(gpu.free_device_bytes()),
-        }
-    }
-
-    /// Cost hint: the fraction of registered bytes already resident next to
-    /// this site's compute (device memory for a GPU, host DRAM — where every
-    /// snapshot already lives — for the CPU), in `[0, 1]`. The placement
-    /// heuristic charges non-resident bytes to the interconnect.
-    pub fn resident_fraction(&self) -> f64 {
-        match &self.charge {
-            Charge::Cpu(_) => 1.0,
-            Charge::Gpu(gpu) => gpu.resident_fraction(),
         }
     }
 
@@ -230,7 +204,7 @@ impl Site {
     pub fn capability(&self) -> SiteCapability {
         match &self.charge {
             Charge::Cpu(cpu) => SiteCapability::Cpu { cores: cpu.cores() },
-            Charge::Gpu(gpu) => gpu.capability(self.target),
+            Charge::Gpu(gpu) => gpu.capability(),
         }
     }
 
@@ -279,6 +253,7 @@ mod tests {
     use super::*;
     use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, ScanAggQuery, Schema, Value};
     use h2tap_gpu_sim::GpuSpec;
+    use h2tap_scheduler::{min_free_shard_bytes, GpuDeviceCapability};
     use h2tap_storage::{Database, Layout};
 
     fn snapshot_table(rows: i64) -> SnapshotTable {
@@ -291,11 +266,19 @@ mod tests {
         snap.table(t).unwrap().clone()
     }
 
+    /// The devices a GPU site enumerates for placement.
+    fn gpu_devices(site: &Site) -> Vec<GpuDeviceCapability> {
+        match site.capability() {
+            SiteCapability::Gpu { devices } => devices,
+            other => panic!("not a GPU site: {other:?}"),
+        }
+    }
+
     fn sites() -> Vec<Site> {
         vec![
-            Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::DeviceResident),
+            Site::gpu(vec![GpuDevice::new(GpuSpec::gtx_980())], DataPlacement::DeviceResident).unwrap(),
             Site::archipelago_default(4),
-            Site::sharded(
+            Site::gpu(
                 vec![GpuDevice::new(GpuSpec::gtx_980_ti()), GpuDevice::new(GpuSpec::gtx_580())],
                 DataPlacement::DeviceResident,
             )
@@ -385,9 +368,11 @@ mod tests {
     #[test]
     fn free_device_bytes_distinguishes_bounded_sites() {
         let all = sites();
-        assert!(all[0].free_device_bytes().is_some(), "the GPU site has bounded device memory");
-        assert!(all[1].free_device_bytes().is_none(), "the CPU streams from host DRAM");
-        assert!(all[2].free_device_bytes().is_some(), "the multi-GPU site reports its min per-device headroom");
+        assert!(gpu_devices(&all[0]).iter().all(|d| d.free_bytes.is_some()), "the GPU site has bounded memory");
+        assert!(matches!(all[1].capability(), SiteCapability::Cpu { .. }), "the CPU streams from host DRAM");
+        let mix = gpu_devices(&all[2]);
+        assert_eq!(min_free_shard_bytes(&mix), mix.iter().filter_map(|d| d.free_bytes).min());
+        assert!(min_free_shard_bytes(&mix).is_some(), "a device mix reports its min per-device headroom");
     }
 
     #[test]
@@ -395,12 +380,8 @@ mod tests {
         let all = sites();
         assert_eq!(all[0].target(), OlapTarget::Gpu);
         assert_eq!(all[1].target(), OlapTarget::Cpu);
-        assert_eq!(all[2].target(), OlapTarget::MultiGpu);
-        for (i, a) in all.iter().enumerate() {
-            for b in &all[i + 1..] {
-                assert_ne!(a.target().label(), b.target().label());
-            }
-        }
+        assert_eq!(all[2].target(), OlapTarget::Gpu, "a device mix is the GPU site");
+        assert_ne!(all[0].target().label(), all[1].target().label());
     }
 
     #[test]
@@ -409,23 +390,19 @@ mod tests {
         for site in &all {
             assert_eq!(site.capability().target(), site.target());
         }
-        match all[2].capability() {
-            h2tap_scheduler::SiteCapability::Gpu { devices, .. } => {
-                assert_eq!(devices.len(), 2);
-                let total: f64 = devices.iter().map(|d| d.shard_fraction).sum();
-                assert!((total - 1.0).abs() < 1e-12, "shard fractions cover the table");
-            }
-            other => panic!("multi-GPU capability must enumerate devices: {other:?}"),
-        }
+        let devices = gpu_devices(&all[2]);
+        assert_eq!(devices.len(), 2);
+        let total: f64 = devices.iter().map(|d| d.shard_fraction).sum();
+        assert!((total - 1.0).abs() < 1e-12, "shard fractions cover the table");
     }
 
     #[test]
     fn resident_fraction_reflects_placement() {
-        let device_resident = sites().remove(0);
-        assert_eq!(device_resident.resident_fraction(), 1.0);
-        let uva = Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(h2tap_gpu_sim::AccessMode::Uva));
-        assert_eq!(uva.resident_fraction(), 0.0);
-        // The CPU always streams from host DRAM: everything is "resident".
-        assert_eq!(Site::archipelago_default(8).resident_fraction(), 1.0);
+        let resident = |site: &Site| gpu_devices(site)[0].resident_fraction;
+        assert_eq!(resident(&sites()[0]), 1.0);
+        let uva =
+            Site::gpu(vec![GpuDevice::new(GpuSpec::gtx_980())], DataPlacement::Host(h2tap_gpu_sim::AccessMode::Uva))
+                .unwrap();
+        assert_eq!(resident(&uva), 0.0);
     }
 }

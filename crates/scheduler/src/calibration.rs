@@ -47,14 +47,6 @@ pub struct CostModel {
     pub gpu_dispatch_overhead_secs: f64,
     /// Multiplier on the spec-derived GPU streaming time (1.0 = datasheet).
     pub gpu_bandwidth_scale: f64,
-    /// Fixed per-query dispatch cost of the multi-GPU site in seconds.
-    /// A separate intercept from the single GPU's: launching on every device
-    /// of a shard has its own fixed cost.
-    pub multi_gpu_dispatch_overhead_secs: f64,
-    /// Multiplier on the multi-GPU site's streaming feature (the critical
-    /// device's shard time). Per-site so each device mix converges to its
-    /// own effective bandwidth.
-    pub multi_gpu_bandwidth_scale: f64,
 }
 
 impl Default for CostModel {
@@ -64,8 +56,6 @@ impl Default for CostModel {
             cpu_core_bandwidth_gbps: 68.0 / 24.0,
             gpu_dispatch_overhead_secs: DEFAULT_GPU_DISPATCH_OVERHEAD_SECS,
             gpu_bandwidth_scale: 1.0,
-            multi_gpu_dispatch_overhead_secs: DEFAULT_GPU_DISPATCH_OVERHEAD_SECS,
-            multi_gpu_bandwidth_scale: 1.0,
         }
     }
 }
@@ -81,8 +71,6 @@ impl CostModel {
             cpu_core_bandwidth_gbps: self.cpu_core_bandwidth_gbps,
             gpu_dispatch_overhead_secs: self.gpu_dispatch_overhead_secs,
             gpu_bandwidth_scale: self.gpu_bandwidth_scale,
-            multi_gpu_dispatch_overhead_secs: self.multi_gpu_dispatch_overhead_secs,
-            multi_gpu_bandwidth_scale: self.multi_gpu_bandwidth_scale,
             ..hints
         }
         .sanitized()
@@ -294,7 +282,6 @@ pub struct CostCalibrator {
     model: CostModel,
     gpu: SiteCalibration,
     cpu: SiteCalibration,
-    multi_gpu: SiteCalibration,
     regret: RegretSummary,
     recent: VecDeque<PlacementExplanation>,
 }
@@ -344,7 +331,6 @@ impl CostCalibrator {
             model,
             gpu: SiteCalibration::new(OlapTarget::Gpu),
             cpu: SiteCalibration::new(OlapTarget::Cpu),
-            multi_gpu: SiteCalibration::new(OlapTarget::MultiGpu),
             regret: RegretSummary::default(),
             recent: VecDeque::new(),
         }
@@ -356,15 +342,14 @@ impl CostCalibrator {
     }
 
     /// Folds one completed dispatch into the error statistics and the model
-    /// terms. `sites` are the engine's enumerated
-    /// capabilities — the GPU-family streaming feature of the observed site
-    /// (critical device's shard time) is computed from them, which is what
-    /// lets the bandwidth scale converge **per device mix**.
+    /// terms. `sites` are the engine's enumerated capabilities — the GPU
+    /// site's streaming feature (critical device's shard time) is computed
+    /// from its device list, so the bandwidth scale converges for whatever
+    /// device mix the engine runs.
     pub fn observe_sites(&mut self, sites: &[SiteCapability], obs: &PlacementObservation) {
         let row = match obs.site {
             OlapTarget::Gpu => &mut self.gpu,
             OlapTarget::Cpu => &mut self.cpu,
-            OlapTarget::MultiGpu => &mut self.multi_gpu,
         };
         row.record(obs.predicted_secs, obs.actual_secs, obs.forced);
         if !obs.actual_secs.is_finite() || obs.actual_secs <= 0.0 {
@@ -387,41 +372,28 @@ impl CostCalibrator {
                     ewma_toward(&mut self.model.cpu_core_bandwidth_gbps, bw, GAIN, 1e-3, 1e4);
                 }
             }
-            OlapTarget::Gpu | OlapTarget::MultiGpu => {
-                // The streaming feature comes from the observed site's own
-                // device list; without it no bandwidth term is attributable.
-                let Some(SiteCapability::Gpu { devices, .. }) = sites.iter().find(|s| s.target() == obs.site) else {
+            OlapTarget::Gpu => {
+                // The streaming feature comes from the GPU site's device
+                // list; without it no bandwidth term is attributable.
+                let Some(SiteCapability::Gpu { devices }) = sites.iter().find(|s| s.target() == OlapTarget::Gpu) else {
                     return;
                 };
                 let stream_feature = gpu_site_stream_feature(devices, &hints);
-                let (mut overhead, mut scale) = match obs.site {
-                    OlapTarget::Gpu => (self.model.gpu_dispatch_overhead_secs, self.model.gpu_bandwidth_scale),
-                    _ => (self.model.multi_gpu_dispatch_overhead_secs, self.model.multi_gpu_bandwidth_scale),
-                };
+                let model = &mut self.model;
                 match obs.breakdown {
                     Some(b) => {
-                        ewma_toward(&mut overhead, b.overhead_secs, GAIN, 0.0, 1.0);
+                        ewma_toward(&mut model.gpu_dispatch_overhead_secs, b.overhead_secs, GAIN, 0.0, 1.0);
                         if stream_feature > 1e-12 && b.stream_secs > 0.0 {
                             let sample = b.stream_secs / stream_feature;
-                            ewma_toward(&mut scale, sample, GAIN, 1e-2, 1e2);
+                            ewma_toward(&mut model.gpu_bandwidth_scale, sample, GAIN, 1e-2, 1e2);
                         }
                     }
                     None => {
                         // Without a breakdown only the intercept is
                         // attributable: whatever the bandwidth terms cannot
                         // explain is charged to the dispatch overhead.
-                        let residual = (obs.actual_secs - scale * stream_feature).max(0.0);
-                        ewma_toward(&mut overhead, residual, GAIN, 0.0, 1.0);
-                    }
-                }
-                match obs.site {
-                    OlapTarget::Gpu => {
-                        self.model.gpu_dispatch_overhead_secs = overhead;
-                        self.model.gpu_bandwidth_scale = scale;
-                    }
-                    _ => {
-                        self.model.multi_gpu_dispatch_overhead_secs = overhead;
-                        self.model.multi_gpu_bandwidth_scale = scale;
+                        let residual = (obs.actual_secs - model.gpu_bandwidth_scale * stream_feature).max(0.0);
+                        ewma_toward(&mut model.gpu_dispatch_overhead_secs, residual, GAIN, 0.0, 1.0);
                     }
                 }
             }
@@ -479,9 +451,9 @@ impl CostCalibrator {
     /// A snapshot of the current state for statistics reporting.
     pub fn report(&self) -> CalibrationReport {
         CalibrationReport {
-            observations: self.gpu.observations + self.cpu.observations + self.multi_gpu.observations,
+            observations: self.gpu.observations + self.cpu.observations,
             model: self.model,
-            sites: vec![self.gpu, self.cpu, self.multi_gpu],
+            sites: vec![self.gpu, self.cpu],
             regret: self.regret,
         }
     }
@@ -493,8 +465,8 @@ mod tests {
     use crate::placement::{cpu_term_secs, gpu_site_stream_feature, GpuDeviceCapability};
     use h2tap_gpu_sim::GpuSpec;
 
-    /// The classic CPU + single-GPU pair, as an engine without a multi-GPU
-    /// site enumerates it.
+    /// The CPU and a one-device GPU site, as the default engine enumerates
+    /// them.
     fn pair() -> [SiteCapability; 2] {
         [SiteCapability::single_gpu(&GpuSpec::gtx_980(), &PlacementHints::default()), SiteCapability::Cpu { cores: 24 }]
     }
@@ -588,65 +560,44 @@ mod tests {
     }
 
     #[test]
-    fn multi_gpu_terms_recalibrate_independently_of_the_single_gpu() {
-        // Multi-GPU bandwidth scale seeded 3x too high; the single GPU's
-        // terms must not move from multi-GPU observations (per-site terms).
-        let seed = CostModel { multi_gpu_bandwidth_scale: 3.0, ..CostModel::default() };
+    fn gpu_terms_recalibrate_over_a_device_mix() {
+        // A two-device site with the bandwidth scale seeded 3x too high: the
+        // one set of GPU terms converges over the mix's critical-device
+        // feature (each device streams half the bytes).
+        let seed = CostModel { gpu_bandwidth_scale: 3.0, ..CostModel::default() };
         let mut cal = CostCalibrator::new(seed);
         let device =
             |spec: GpuSpec| GpuDeviceCapability { spec, shard_fraction: 0.5, resident_fraction: 1.0, free_bytes: None };
-        let sites = [
-            SiteCapability::single_gpu(&GpuSpec::gtx_980(), &PlacementHints::default()),
-            SiteCapability::Cpu { cores: 24 },
-            SiteCapability::Gpu {
-                target: OlapTarget::MultiGpu,
-                devices: vec![device(GpuSpec::gtx_980()), device(GpuSpec::gtx_980())],
-            },
-        ];
+        let devices = vec![device(GpuSpec::gtx_980()), device(GpuSpec::gtx_980())];
+        let sites = [SiteCapability::Gpu { devices: devices.clone() }, SiteCapability::Cpu { cores: 24 }];
         const TRUE_SCALE: f64 = 1.1;
         const TRUE_OVERHEAD: f64 = 40e-6;
         for i in 0..40u64 {
             let bytes = (1 + i % 4) * (8 << 20);
             let hints = cal.model().apply_to(PlacementHints {
                 bytes_to_scan: bytes,
-                gpu_resident_fraction: 1.0,
                 available_cpu_cores: 24,
                 ..PlacementHints::default()
             });
-            let feature = gpu_site_stream_feature(
-                match &sites[2] {
-                    SiteCapability::Gpu { devices, .. } => devices,
-                    _ => unreachable!(),
-                },
-                &hints,
-            );
+            let feature = gpu_site_stream_feature(&devices, &hints);
             let actual_stream = TRUE_SCALE * feature;
             let obs = PlacementObservation {
-                site: OlapTarget::MultiGpu,
+                site: OlapTarget::Gpu,
                 forced: true,
                 hints,
-                predicted_secs: hints.multi_gpu_dispatch_overhead_secs + hints.multi_gpu_bandwidth_scale * feature,
+                predicted_secs: estimate_site_secs(&sites[0], &hints),
                 actual_secs: TRUE_OVERHEAD + actual_stream,
                 breakdown: Some(ExecBreakdown::new(actual_stream, 0.0, TRUE_OVERHEAD)),
             };
             cal.observe_sites(&sites, &obs);
         }
         let m = cal.model();
-        assert!((m.multi_gpu_bandwidth_scale - TRUE_SCALE).abs() / TRUE_SCALE < 0.05, "{m:?}");
-        assert!((m.multi_gpu_dispatch_overhead_secs - TRUE_OVERHEAD).abs() / TRUE_OVERHEAD < 0.05, "{m:?}");
-        // The single-GPU terms never moved.
-        assert_eq!(m.gpu_bandwidth_scale, seed.gpu_bandwidth_scale);
-        assert_eq!(m.gpu_dispatch_overhead_secs, seed.gpu_dispatch_overhead_secs);
+        assert!((m.gpu_bandwidth_scale - TRUE_SCALE).abs() / TRUE_SCALE < 0.05, "{m:?}");
+        assert!((m.gpu_dispatch_overhead_secs - TRUE_OVERHEAD).abs() / TRUE_OVERHEAD < 0.05, "{m:?}");
         let report = cal.report();
-        let row = report.site(OlapTarget::MultiGpu).unwrap();
-        assert_eq!(row.observations, 40);
-        assert_eq!(row.forced_observations, 40);
-        assert!(row.mean_rel_error.is_finite());
-        // The report now carries three rows: GPU, CPU, multi-GPU.
-        assert_eq!(report.sites.len(), 3);
-        assert_eq!(report.sites[0].target, OlapTarget::Gpu);
-        assert_eq!(report.sites[1].target, OlapTarget::Cpu);
-        assert_eq!(report.sites[2].target, OlapTarget::MultiGpu);
+        assert_eq!(report.site(OlapTarget::Gpu).unwrap().forced_observations, 40);
+        // One GPU row and one CPU row, whatever the device count.
+        assert_eq!(report.sites.iter().map(|s| s.target).collect::<Vec<_>>(), [OlapTarget::Gpu, OlapTarget::Cpu]);
     }
 
     #[test]
@@ -858,16 +809,12 @@ mod tests {
             cpu_core_bandwidth_gbps: 4.0,
             gpu_dispatch_overhead_secs: 1e-5,
             gpu_bandwidth_scale: 1.5,
-            multi_gpu_dispatch_overhead_secs: 2e-5,
-            multi_gpu_bandwidth_scale: 0.8,
         };
         let hints = model.apply_to(PlacementHints { bytes_to_scan: 100, ..PlacementHints::default() });
         assert_eq!(hints.cpu_per_tuple_ns, 50.0);
         assert_eq!(hints.cpu_core_bandwidth_gbps, 4.0);
         assert_eq!(hints.gpu_dispatch_overhead_secs, 1e-5);
         assert_eq!(hints.gpu_bandwidth_scale, 1.5);
-        assert_eq!(hints.multi_gpu_dispatch_overhead_secs, 2e-5);
-        assert_eq!(hints.multi_gpu_bandwidth_scale, 0.8);
         assert_eq!(hints.bytes_to_scan, 100);
     }
 }

@@ -63,15 +63,6 @@ pub struct PlacementHints {
     /// measured device is slower than its datasheet (extra bitmap writes,
     /// imperfect coalescing) and lowers it when it is faster.
     pub gpu_bandwidth_scale: f64,
-    /// Fixed per-query dispatch cost of the multi-GPU site in seconds
-    /// (kernel launches on every device, shard bookkeeping, cross-device
-    /// merge). Calibrated independently of the single-GPU overhead so the
-    /// two sites' intercepts can diverge.
-    pub multi_gpu_dispatch_overhead_secs: f64,
-    /// Multiplier on the multi-GPU site's spec-derived streaming feature
-    /// (the critical — slowest — device's shard time). Per-site by design:
-    /// each device mix converges to its own scale.
-    pub multi_gpu_bandwidth_scale: f64,
 }
 
 /// Device-memory headroom a GPU-placed plan needs beyond its hash table: the
@@ -99,8 +90,6 @@ impl Default for PlacementHints {
             hash_table_bytes: 0,
             gpu_free_bytes: u64::MAX,
             gpu_bandwidth_scale: 1.0,
-            multi_gpu_dispatch_overhead_secs: DEFAULT_GPU_DISPATCH_OVERHEAD_SECS,
-            multi_gpu_bandwidth_scale: 1.0,
         }
     }
 }
@@ -129,17 +118,11 @@ impl PlacementHints {
         if !(self.gpu_bandwidth_scale.is_finite() && self.gpu_bandwidth_scale > 0.0) {
             self.gpu_bandwidth_scale = 1.0;
         }
-        if !(self.multi_gpu_dispatch_overhead_secs.is_finite() && self.multi_gpu_dispatch_overhead_secs >= 0.0) {
-            self.multi_gpu_dispatch_overhead_secs = defaults.multi_gpu_dispatch_overhead_secs;
-        }
-        if !(self.multi_gpu_bandwidth_scale.is_finite() && self.multi_gpu_bandwidth_scale > 0.0) {
-            self.multi_gpu_bandwidth_scale = 1.0;
-        }
         self
     }
 }
 
-/// One GPU device of a (possibly multi-device) execution site, as the
+/// One device of the GPU site, as the
 /// placement heuristic sees it: its catalogue spec, the fraction of a
 /// table's chunks sharded onto it, how much of its shard is already resident
 /// next to its compute, and how much device memory it has free.
@@ -175,11 +158,9 @@ pub enum SiteCapability {
         /// `PlacementHints::available_cpu_cores`, the live archipelago count).
         cores: u32,
     },
-    /// A GPU-backed site: one device (`target == Gpu`) or several sharded
-    /// devices (`target == MultiGpu`).
+    /// The GPUs of the data-parallel archipelago: one device or a mix that
+    /// shards every table's chunks.
     Gpu {
-        /// Which placement target this site serves.
-        target: OlapTarget,
         /// The site's devices, in shard order.
         devices: Vec<GpuDeviceCapability>,
     },
@@ -190,17 +171,16 @@ impl SiteCapability {
     pub fn target(&self) -> OlapTarget {
         match self {
             SiteCapability::Cpu { .. } => OlapTarget::Cpu,
-            SiteCapability::Gpu { target, .. } => *target,
+            SiteCapability::Gpu { .. } => OlapTarget::Gpu,
         }
     }
 
-    /// The capability of the classic single-GPU site, reconstructed from the
+    /// The capability of a one-device GPU site, reconstructed from the
     /// scalar hint fields (`gpu_resident_fraction`, `gpu_free_bytes` with
     /// `u64::MAX` meaning unknown) — for callers that hold hints but no
     /// live site to enumerate.
     pub fn single_gpu(spec: &GpuSpec, hints: &PlacementHints) -> Self {
         SiteCapability::Gpu {
-            target: OlapTarget::Gpu,
             devices: vec![GpuDeviceCapability {
                 spec: spec.clone(),
                 shard_fraction: 1.0,
@@ -230,7 +210,7 @@ fn device_streaming_secs(spec: &GpuSpec, resident_fraction: f64, hints: &Placeme
             / (spec.interconnect.kind.bandwidth_gbps() * 1e9)
 }
 
-/// The streaming feature of a (possibly multi-device) GPU site — the
+/// The streaming feature of a GPU site — the
 /// bandwidth *feature* of the GPU cost model, on top of which the calibrator
 /// fits an overhead intercept and a bandwidth scale. Each device streams its
 /// shard of the bytes concurrently, so the site is bound by its critical —
@@ -299,10 +279,9 @@ pub fn overlap_secs(stream: f64, compute: f64) -> f64 {
 /// feedback loop compares against the times the sites actually report.
 /// Total for any input: the hints are sanitized first, so NaN/negative
 /// fields degrade to defaults rather than poisoning the estimate. CPU sites
-/// use the overlap of the hints' streaming and per-tuple terms; GPU sites pay
-/// their target's calibrated dispatch intercept plus the calibrated
-/// bandwidth scale times the site's streaming feature (critical device's
-/// shard time).
+/// use the overlap of the hints' streaming and per-tuple terms; the GPU site
+/// pays the calibrated dispatch intercept plus the calibrated bandwidth
+/// scale times its streaming feature (critical device's shard time).
 pub fn estimate_site_secs(site: &SiteCapability, hints: &PlacementHints) -> f64 {
     let hints = hints.sanitized();
     match site {
@@ -310,12 +289,8 @@ pub fn estimate_site_secs(site: &SiteCapability, hints: &PlacementHints) -> f64 
             let (stream, tuple) = cpu_term_secs(&hints);
             overlap_secs(stream, tuple)
         }
-        SiteCapability::Gpu { target, devices } => {
-            let (overhead, scale) = match target {
-                OlapTarget::MultiGpu => (hints.multi_gpu_dispatch_overhead_secs, hints.multi_gpu_bandwidth_scale),
-                _ => (hints.gpu_dispatch_overhead_secs, hints.gpu_bandwidth_scale),
-            };
-            overhead + scale * gpu_site_stream_feature(devices, &hints)
+        SiteCapability::Gpu { devices } => {
+            hints.gpu_dispatch_overhead_secs + hints.gpu_bandwidth_scale * gpu_site_stream_feature(devices, &hints)
         }
     }
 }
@@ -335,10 +310,10 @@ pub fn estimate_target_secs(sites: &[SiteCapability], target: OlapTarget, hints:
 
 /// The N-way placement decision: an argmin over whatever sites the engine
 /// enumerates. Eligibility first — the CPU site needs cores and a real scan,
-/// a GPU site whose per-device free memory cannot hold the plan's hash-state
-/// replica is excluded while a CPU fallback exists — then the smallest
+/// the GPU site is excluded while a CPU fallback exists if its per-device
+/// free memory cannot hold the plan's hash-state replica — then the smallest
 /// estimate wins, with ties going to the earliest site in the list (engines
-/// list their GPU sites first, preserving the Caldera prototype's static
+/// list their GPU site first, preserving the Caldera prototype's static
 /// GPU preference).
 pub fn place_olap_query_sites(sites: &[SiteCapability], hints: &PlacementHints) -> OlapTarget {
     let hints = hints.sanitized();
@@ -369,8 +344,8 @@ mod tests {
     use super::*;
 
     /// The classic CPU-vs-one-GPU decision, expressed as the N-way argmin
-    /// over the CPU site and a single-GPU site reconstructed from the scalar
-    /// hint fields.
+    /// over the CPU site and a one-device GPU site reconstructed from the
+    /// scalar hint fields.
     fn place_two_way(gpu: &GpuSpec, hints: &PlacementHints) -> OlapTarget {
         place_olap_query_sites(
             &[SiteCapability::single_gpu(gpu, hints), SiteCapability::Cpu { cores: hints.available_cpu_cores }],
@@ -555,14 +530,12 @@ mod tests {
         GpuDeviceCapability { spec, shard_fraction, resident_fraction: 1.0, free_bytes: None }
     }
 
-    fn three_sites() -> Vec<SiteCapability> {
+    fn two_device_sites() -> Vec<SiteCapability> {
         vec![
-            SiteCapability::Gpu { target: OlapTarget::Gpu, devices: vec![resident_device(GpuSpec::gtx_980(), 1.0)] },
-            SiteCapability::Cpu { cores: 24 },
             SiteCapability::Gpu {
-                target: OlapTarget::MultiGpu,
                 devices: vec![resident_device(GpuSpec::gtx_980(), 0.5), resident_device(GpuSpec::gtx_980(), 0.5)],
             },
+            SiteCapability::Cpu { cores: 24 },
         ]
     }
 
@@ -574,17 +547,21 @@ mod tests {
             available_cpu_cores: 24,
             ..PlacementHints::default()
         };
-        let sites = three_sites();
-        // Two devices halve the critical shard: the multi site beats both the
-        // single GPU and the CPU on a large resident scan …
-        assert_eq!(place_olap_query_sites(&sites, &hints), OlapTarget::MultiGpu);
-        // … but a tiny scan is dominated by the (equal) dispatch overheads,
-        // so the CPU still wins with cores on hand.
+        let sites = two_device_sites();
+        // Two devices halve the critical shard: the GPU site is estimated at
+        // half a lone card's streaming time and beats the CPU on a large
+        // resident scan …
+        let lone = SiteCapability::Gpu { devices: vec![resident_device(GpuSpec::gtx_980(), 1.0)] };
+        let feature = |site: &SiteCapability| estimate_site_secs(site, &hints) - hints.gpu_dispatch_overhead_secs;
+        assert!((feature(&sites[0]) - 0.5 * feature(&lone)).abs() < 1e-12);
+        assert_eq!(place_olap_query_sites(&sites, &hints), OlapTarget::Gpu);
+        // … but a tiny scan is dominated by the dispatch overhead, so the
+        // CPU still wins with cores on hand.
         let tiny = PlacementHints { bytes_to_scan: 64 << 10, ..hints };
         assert_eq!(place_olap_query_sites(&sites, &tiny), OlapTarget::Cpu);
-        // And with no CPU cores the argmin still runs over the GPU sites.
+        // And with no CPU cores the argmin still runs over the GPU site.
         let no_cores = PlacementHints { available_cpu_cores: 0, ..hints };
-        assert_eq!(place_olap_query_sites(&sites, &no_cores), OlapTarget::MultiGpu);
+        assert_eq!(place_olap_query_sites(&sites, &no_cores), OlapTarget::Gpu);
     }
 
     #[test]
@@ -626,7 +603,7 @@ mod tests {
         let devices = vec![device(Some(hash)), device(None), device(Some(8 << 30))];
         assert_eq!(min_free_shard_bytes(&devices), Some(hash));
         let site = |devices: Vec<GpuDeviceCapability>| {
-            vec![SiteCapability::Gpu { target: OlapTarget::MultiGpu, devices }, SiteCapability::Cpu { cores: 24 }]
+            vec![SiteCapability::Gpu { devices }, SiteCapability::Cpu { cores: 24 }]
         };
         // Exact fit leaves no scratch headroom: blocked, routes to the CPU.
         assert!(gpu_footprint_blocks(&devices, &hints));
@@ -636,7 +613,7 @@ mod tests {
         assert!(gpu_footprint_blocks(&just_short, &hints));
         let fits = vec![device(Some(hash + GPU_SCRATCH_HEADROOM_BYTES)), device(None)];
         assert!(!gpu_footprint_blocks(&fits, &hints));
-        assert_eq!(place_olap_query_sites(&site(fits), &hints), OlapTarget::MultiGpu);
+        assert_eq!(place_olap_query_sites(&site(fits), &hints), OlapTarget::Gpu);
         // All devices unknown: the check is disabled rather than guessed.
         let unknown = vec![device(None), device(None)];
         assert!(!gpu_footprint_blocks(&unknown, &hints));
@@ -665,8 +642,8 @@ mod tests {
         assert_eq!(place_olap_query_sites(&sites, &hints), faster);
         assert_eq!(estimate_target_secs(&sites, OlapTarget::Gpu, &hints), gpu_secs);
         assert_eq!(estimate_target_secs(&sites, OlapTarget::Cpu, &hints), cpu_secs);
-        // A target with no site is unplaceable.
-        assert_eq!(estimate_target_secs(&sites, OlapTarget::MultiGpu, &hints), f64::INFINITY);
+        // A GPU target with no GPU site is unplaceable.
+        assert_eq!(estimate_target_secs(&sites[1..], OlapTarget::Gpu, &hints), f64::INFINITY);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! cargo run --release --example htap_dashboard
 //! ```
 
-use caldera::{Caldera, CalderaConfig, OlapMultiGpuConfig, SnapshotPolicy};
+use caldera::{Caldera, CalderaConfig, SnapshotPolicy};
 use caldera_repro as _;
 use h2tap_obs::format_latency_secs;
 use h2tap_oltp::OltpConfig;
@@ -27,10 +27,10 @@ fn run_scenario(queries_per_snapshot: u32) {
     let mut config = CalderaConfig::with_workers(workers);
     config.oltp = OltpConfig::with_workers(workers);
     // Give the data-parallel archipelago CPU cores so the scheduler has a
-    // real choice between the sites, and a second-generation device pair so
-    // the three-way argmin (CPU / GPU / sharded multi-GPU) is exercised.
+    // real choice between the sites, and a two-generation device pair as the
+    // GPU site, so the argmin weighs the CPU against a sharded device mix.
     config.olap_cpu_cores = 8;
-    config.olap_multi_gpu = Some(OlapMultiGpuConfig::new(h2tap_gpu_sim::table1_mix(2)));
+    config.olap_device.gpus = h2tap_gpu_sim::table1_mix(2);
     config.snapshot_policy = SnapshotPolicy::EveryN { queries: queries_per_snapshot };
     // A dashboard wants to know where its refresh time goes: turn on query
     // tracing so the last refresh can be broken into typed spans below.
@@ -124,14 +124,11 @@ fn run_scenario(queries_per_snapshot: u32) {
     }
     let model = stats.calibration.model;
     println!(
-        "    calibrated model: {:.1} ns/tuple | {:.2} GB/s/core | {:.1} us gpu dispatch | gpu bw scale {:.2} | \
-         multi-gpu {:.1} us / scale {:.2}",
+        "    calibrated model: {:.1} ns/tuple | {:.2} GB/s/core | {:.1} us gpu dispatch | gpu bw scale {:.2}",
         model.cpu_per_tuple_ns,
         model.cpu_core_bandwidth_gbps,
         model.gpu_dispatch_overhead_secs * 1e6,
         model.gpu_bandwidth_scale,
-        model.multi_gpu_dispatch_overhead_secs * 1e6,
-        model.multi_gpu_bandwidth_scale,
     );
 }
 

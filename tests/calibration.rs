@@ -4,7 +4,7 @@
 //! `run_olap` path, with no out-of-band measurements — and placement must
 //! converge to the forced-site oracle.
 
-use caldera::{Caldera, CalderaConfig, DataPlacement, OlapMultiGpuConfig, OlapTarget, SnapshotPolicy};
+use caldera::{Caldera, CalderaConfig, DataPlacement, OlapTarget, SnapshotPolicy};
 use h2tap_common::TableId;
 use h2tap_gpu_sim::GpuSpec;
 use h2tap_scheduler::CostModel;
@@ -114,71 +114,63 @@ fn forced_site_runs_feed_calibration_but_never_recurse_into_placement() {
     assert_eq!(stats.olap_queries_on(OlapTarget::Cpu), 1);
 }
 
-/// Mirror of the placement-recovery test for the multi-GPU site: its
-/// bandwidth scale is seeded 3x too high, so large scans misroute to the
-/// single GPU at first even though the sharded mix is the measured oracle.
-/// Forced-site runs feed the calibrator ground truth about every site; the
-/// per-site multi-GPU scale converges and routed placement recovers the
-/// forced-site oracle to >= 90% agreement within the first 50 observations.
+/// Mirror of the placement-recovery test for a two-device GPU site: its
+/// bandwidth scale is seeded 3x too high, so the model first over-predicts
+/// the pair's scans. Forced-site runs feed the calibrator ground truth about
+/// both sites; the scale over the critical device's shard time converges,
+/// and routed placement agrees with the forced-site oracle to >= 90% within
+/// the first 50 observations.
 #[test]
-fn multi_gpu_bandwidth_scale_recalibrates_and_recovers_the_oracle() {
+fn two_gpu_bandwidth_scale_recalibrates_and_recovers_the_oracle() {
     let mut config = CalderaConfig::with_workers(1);
     config.olap_cpu_cores = 24;
     config.snapshot_policy = SnapshotPolicy::Manual;
+    config.olap_device.gpus = vec![GpuSpec::gtx_980(), GpuSpec::gtx_980()];
     config.olap_device.placement = DataPlacement::DeviceResident;
-    config.olap_multi_gpu = Some(
-        OlapMultiGpuConfig::new(vec![GpuSpec::gtx_980(), GpuSpec::gtx_980()])
-            .with_placement(DataPlacement::DeviceResident),
-    );
     let truth = CostModel::default();
-    config.cost_model_seed = CostModel { multi_gpu_bandwidth_scale: truth.multi_gpu_bandwidth_scale * 3.0, ..truth };
+    config.cost_model_seed = CostModel { gpu_bandwidth_scale: truth.gpu_bandwidth_scale * 3.0, ..truth };
     let mut builder = Caldera::builder(config);
     let small = tpch::load_lineitem_named(&mut builder, "lineitem_small", Layout::Dsm, 5_000, 7).unwrap();
     let large = tpch::load_lineitem_named(&mut builder, "lineitem_large", Layout::Dsm, 150_000, 7).unwrap();
     let caldera = builder.start().unwrap();
     let query = q6();
 
-    // The 3x-wrong scale hides the mix's real speed: the first large routed
-    // query must misroute away from the multi-GPU site.
-    let first = caldera.run_olap(large, &query).unwrap();
-    assert_ne!(first.site, OlapTarget::MultiGpu, "the 3x-wrong seed must misplace the first large scan");
+    // The 3x-wrong scale over-predicts the pair's first large scan.
+    caldera.run_olap_on(large, &query, OlapTarget::Gpu).unwrap();
+    let first = *caldera.calibration_report().site(OlapTarget::Gpu).unwrap();
+    assert!(first.signed_error < -0.2, "the 3x-wrong seed must over-predict the first large scan: {first:?}");
 
     // Answer a mixed stream; each iteration also runs the forced-site oracle
-    // (which doubles as ground-truth calibration input for every site).
-    // Observations per iteration: 1 routed + 3 forced = 4.
+    // (which doubles as ground-truth calibration input for both sites).
+    // Observations per iteration: 1 routed + 2 forced = 3.
     let mut decisions: Vec<bool> = Vec::new();
     for i in 0..32 {
         let table = if i % 2 == 0 { large } else { small };
         let routed = caldera.run_olap(table, &query).unwrap();
         let cpu = caldera.run_olap_on(table, &query, OlapTarget::Cpu).unwrap();
         let gpu = caldera.run_olap_on(table, &query, OlapTarget::Gpu).unwrap();
-        let multi = caldera.run_olap_on(table, &query, OlapTarget::MultiGpu).unwrap();
-        let oracle = [(cpu.time, OlapTarget::Cpu), (gpu.time, OlapTarget::Gpu), (multi.time, OlapTarget::MultiGpu)]
-            .into_iter()
-            .min_by_key(|(t, _)| *t)
-            .map(|(_, s)| s)
-            .unwrap();
+        let oracle = if cpu.time < gpu.time { OlapTarget::Cpu } else { OlapTarget::Gpu };
         decisions.push(routed.site == oracle);
-        // All sites stay byte-identical while the model moves.
-        assert_eq!(cpu.value.to_bits(), multi.value.to_bits());
+        // Both sites stay byte-identical while the model moves.
+        assert_eq!(cpu.value.to_bits(), gpu.value.to_bits());
     }
-    // 4 observations per iteration: "within 50 observations" = after the
-    // first 13 iterations (52 observations), agreement must be >= 90%.
-    let tail = &decisions[13..];
+    // 3 observations per iteration, plus the first: "within 50
+    // observations" = after the first 17 iterations (52 observations),
+    // agreement must be >= 90%.
+    let tail = &decisions[17..];
     let agreement = tail.iter().filter(|&&a| a).count() as f64 / tail.len() as f64;
     assert!(agreement >= 0.9, "oracle agreement after 50 observations was {agreement}: {decisions:?}");
 
-    // The per-site scale moved from its 3x-wrong seed toward the truth, the
-    // single-GPU scale calibrated independently, and the tail routes large
-    // scans back to the mix.
+    // The scale moved from its 3x-wrong seed toward the truth, and the
+    // tail routes large scans to the pair.
     let model = caldera.cost_model();
-    assert!(model.multi_gpu_bandwidth_scale < 2.0, "scale must fall from 3.0, got {}", model.multi_gpu_bandwidth_scale);
+    assert!(model.gpu_bandwidth_scale < 2.0, "scale must fall from 3.0, got {}", model.gpu_bandwidth_scale);
     let routed = caldera.run_olap(large, &query).unwrap();
-    assert_eq!(routed.site, OlapTarget::MultiGpu, "calibrated placement must recover the mix for large scans");
+    assert_eq!(routed.site, OlapTarget::Gpu, "calibrated placement must keep large scans on the pair");
     let stats = caldera.shutdown();
-    let row = stats.calibration.site(OlapTarget::MultiGpu).unwrap();
-    assert!(row.observations >= 32, "forced multi runs must feed the calibrator");
-    assert!(stats.prediction_error_on(OlapTarget::MultiGpu).unwrap() < 0.15);
+    let row = stats.calibration.site(OlapTarget::Gpu).unwrap();
+    assert!(row.observations >= 32, "forced GPU runs must feed the calibrator");
+    assert!(stats.prediction_error_on(OlapTarget::Gpu).unwrap() < 0.15);
 }
 
 /// The OOM fallback records its observation against the site that actually
@@ -190,7 +182,7 @@ fn oom_fallback_observations_are_attributed_to_the_cpu() {
     let mut config = CalderaConfig::with_workers(1);
     config.olap_cpu_cores = 2;
     config.olap_device.placement = h2tap_olap::DataPlacement::DeviceResident;
-    config.olap_device.gpu.mem_capacity_mib = 1; // everything OOMs
+    config.olap_device.gpus[0].mem_capacity_mib = 1; // everything OOMs
     config.snapshot_policy = SnapshotPolicy::Manual;
     let mut builder = Caldera::builder(config);
     let table = tpch::load_lineitem(&mut builder, Layout::Dsm, 60_000, 7).unwrap();

@@ -3,7 +3,7 @@
 //! placement decision must route real queries to the site the paper's
 //! heuristic predicts.
 
-use caldera::{Caldera, CalderaConfig, DataPlacement, OlapMultiGpuConfig, OlapTarget, SnapshotPolicy};
+use caldera::{Caldera, CalderaConfig, DataPlacement, OlapTarget, SnapshotPolicy};
 use h2tap_common::{AggExpr, OlapPlan, PartitionId, Predicate, ScanAggQuery, Value};
 use h2tap_olap::{CpuScanProfile, CpuSpec, PlanOutcome, Site};
 use h2tap_storage::Layout;
@@ -133,26 +133,28 @@ fn zonemap_skipping_preserves_bitwise_equality_on_clustered_predicates() {
     caldera.shutdown();
 }
 
-/// With a third (multi-GPU) site configured, all three sites remain
+/// The CPU, one GPU and a three-device heterogeneous GPU mix all stay
 /// byte-identical on Q6 through the production dispatch path — the same
-/// chunked-merge contract, now across a heterogeneous device mix.
+/// chunked-merge contract, across every device list.
 #[test]
 fn all_three_sites_agree_byte_identically_on_q6() {
     let mut config = CalderaConfig::with_workers(1);
     config.olap_cpu_cores = 8;
-    config.olap_multi_gpu = Some(OlapMultiGpuConfig::new(h2tap_gpu_sim::table1_mix(3)));
-    let (caldera, table) = caldera_with_lineitem(config, Layout::Dsm, 150_000);
+    let (caldera, table) = caldera_with_lineitem(config.clone(), Layout::Dsm, 150_000);
+    config.olap_device.gpus = h2tap_gpu_sim::table1_mix(3);
+    let (mixed, mixed_table) = caldera_with_lineitem(config, Layout::Dsm, 150_000);
     let query = q6();
     let cpu = caldera.run_olap_on(table, &query, OlapTarget::Cpu).unwrap();
     let gpu = caldera.run_olap_on(table, &query, OlapTarget::Gpu).unwrap();
-    let multi = caldera.run_olap_on(table, &query, OlapTarget::MultiGpu).unwrap();
-    assert_eq!(multi.site, OlapTarget::MultiGpu);
+    let mix = mixed.run_olap_on(mixed_table, &query, OlapTarget::Gpu).unwrap();
+    assert_eq!(mix.site, OlapTarget::Gpu);
     assert_eq!(cpu.value.to_bits(), gpu.value.to_bits());
-    assert_eq!(cpu.value.to_bits(), multi.value.to_bits());
-    assert_eq!(cpu.qualifying_rows, multi.qualifying_rows);
-    let stats = caldera.shutdown();
-    assert_eq!(stats.olap_sites.len(), 3);
-    assert_eq!(stats.olap_queries_on(OlapTarget::MultiGpu), 1);
+    assert_eq!(cpu.value.to_bits(), mix.value.to_bits());
+    assert_eq!(cpu.qualifying_rows, mix.qualifying_rows);
+    caldera.shutdown();
+    let stats = mixed.shutdown();
+    assert_eq!(stats.olap_sites.len(), 2, "a device mix is the one GPU site");
+    assert_eq!(stats.olap_queries_on(OlapTarget::Gpu), 1);
 }
 
 /// A tiny scan over host-resident data routes to the CPU site: the fixed GPU
@@ -325,14 +327,19 @@ fn sites_stay_consistent_across_snapshot_refreshes() {
 fn sites_and_the_reference_agree_bit_for_bit_after_writes_and_a_refresh() {
     use h2tap_olap::operators as ops;
     let rows = 150_000; // three chunks
-    for layout in [Layout::Nsm, Layout::Dsm, Layout::PAPER_PAX] {
+                        // One GPU, then a three-device heterogeneous mix, each on its own engine.
+    let device_lists = [vec![h2tap_gpu_sim::GpuSpec::gtx_980()], h2tap_gpu_sim::table1_mix(3)];
+    for (layout, gpus) in [Layout::Nsm, Layout::Dsm, Layout::PAPER_PAX]
+        .into_iter()
+        .flat_map(|layout| device_lists.iter().map(move |gpus| (layout, gpus)))
+    {
         let mut config = CalderaConfig::with_workers(1);
         config.olap_cpu_cores = 8;
-        config.olap_multi_gpu = Some(OlapMultiGpuConfig::new(h2tap_gpu_sim::table1_mix(3)));
+        config.olap_device.gpus = gpus.clone();
         let (caldera, lineitem, part) = caldera_with_lineitem_and_part(config, layout, rows, 2_000);
         let scan = h2tap_common::OlapPlan::scan(&q6());
         let join = tpch::brand_revenue_plan(30);
-        let sites = [OlapTarget::Cpu, OlapTarget::Gpu, OlapTarget::MultiGpu];
+        let sites = [OlapTarget::Cpu, OlapTarget::Gpu];
         for round in 0..3i64 {
             // Rewrite a run of rows inside the middle chunk: prices move, and
             // some rows start or stop qualifying for Q6.

@@ -17,7 +17,7 @@
 //! single-GPU site became the one-device mix: they now include the
 //! device→host result copy, which the multi-GPU rows always counted.
 
-use caldera::{Caldera, CalderaConfig, DataPlacement, OlapTarget};
+use caldera::{Caldera, CalderaConfig, DataPlacement};
 use h2tap_common::{AggExpr, OlapPlan, PlanColumn};
 use h2tap_gpu_sim::{table1_mix, AccessMode, GpuDevice, GpuSpec};
 use h2tap_olap::{PlanOutcome, Site};
@@ -121,11 +121,11 @@ const PLACEMENTS: [(&str, DataPlacement); 4] = [
     ("resident", DataPlacement::DeviceResident),
 ];
 
+/// The GPU site over the two device lists of the table: one GTX 980 (`gpu`)
+/// and the 3-device Table-1 mix (`multi`).
 fn gpu_family(placement: DataPlacement) -> [(&'static str, Site); 2] {
-    [
-        ("gpu", Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), placement)),
-        ("multi", Site::sharded(table1_mix(3).into_iter().map(GpuDevice::new).collect(), placement).unwrap()),
-    ]
+    let site = |gpus: Vec<GpuSpec>| Site::gpu(gpus.into_iter().map(GpuDevice::new).collect(), placement).unwrap();
+    [("gpu", site(vec![GpuSpec::gtx_980()])), ("multi", site(table1_mix(3)))]
 }
 
 /// Every site of the matrix for one layout, labelled `site/layout[/placement]`.
@@ -151,8 +151,8 @@ fn scan_shaped_plans_are_charged_exactly_what_the_scan_path_charged() {
                 let out = site.execute(&table, None, &plan).unwrap();
                 checked += usize::from(matches_golden(&label, &out));
                 // One selection per Q6 predicate plus the register-reducing
-                // aggregate (suffixed `.d<n>` per device on the GPU-family
-                // sites; the CPU site launches no kernels).
+                // aggregate (suffixed `.d<n>` per device on the GPU site;
+                // the CPU site launches no kernels).
                 let names = kernel_names(&out);
                 let devices = names.len() / 4;
                 assert_eq!(names, ["select_0", "select_1", "select_2", "aggregate"].repeat(devices), "{label}");
@@ -189,8 +189,8 @@ fn part(layout: Layout) -> SnapshotTable {
 }
 
 /// The explicit-copy (memcpy) placement copies whole records of a row-major
-/// table, whatever the plan reads — on both sides of a join, on both GPU
-/// sites — while columnar layouts copy just the accessed columns. (The plan
+/// table, whatever the plan reads — on both sides of a join, on both device
+/// lists — while columnar layouts copy just the accessed columns. (The plan
 /// path used to charge NSM tables the accessed columns only.)
 #[test]
 fn nsm_memcpy_join_plans_copy_whole_records() {
@@ -225,7 +225,7 @@ fn nsm_memcpy_join_plans_copy_whole_records() {
 #[test]
 fn the_aggregation_charge_follows_the_plan_shape() {
     let table = lineitem(Layout::Dsm);
-    let site = Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::DeviceResident);
+    let site = Site::gpu(vec![GpuDevice::new(GpuSpec::gtx_980())], DataPlacement::DeviceResident).unwrap();
     let registered = ROWS * table.schema.record_width() as u64;
     let run = |plan: &OlapPlan| -> PlanOutcome {
         let out = site.execute(&table, None, plan).unwrap();
@@ -238,33 +238,4 @@ fn the_aggregation_charge_follows_the_plan_shape() {
     let grouped = OlapPlan { group_by: Some(PlanColumn::Probe(tpch::columns::LINENUMBER)), ..scan.clone() };
     let names = ["select_0", "select_1", "select_2", "partial_aggregate", "merge_groups"];
     assert_eq!(kernel_names(&run(&grouped)), names);
-}
-
-/// One device is the degenerate shard: the single-GPU site and a one-device
-/// mix are the same code over the same device list, so every charge agrees
-/// to the bit and only the target they answer for differs.
-#[test]
-fn one_device_is_the_degenerate_shard() {
-    let (q6_plan, join_plan) = (OlapPlan::scan(&q6()), tpch::brand_revenue_plan(30));
-    for (lname, layout) in LAYOUTS {
-        let (probe, build) = (lineitem(layout), part(layout));
-        let charges = |site: Site, target: OlapTarget| {
-            let scan = site.execute(&probe, None, &q6_plan).unwrap();
-            let join = site.execute(&probe, Some(&build), &join_plan).unwrap();
-            [scan, join].map(|out| {
-                assert_eq!(out.site, target);
-                let b = out.breakdown;
-                let bits = [b.stream_secs, b.compute_secs, b.overhead_secs].map(f64::to_bits);
-                (out.time, out.interconnect_bytes, bits, out.kernels, out.groups)
-            })
-        };
-        for (pname, placement) in PLACEMENTS {
-            let device = || GpuDevice::new(GpuSpec::gtx_980());
-            assert_eq!(
-                charges(Site::gpu(device(), placement), OlapTarget::Gpu),
-                charges(Site::sharded(vec![device()], placement).unwrap(), OlapTarget::MultiGpu),
-                "{lname}/{pname}"
-            );
-        }
-    }
 }

@@ -1,18 +1,19 @@
-//! Cross-site equivalence harness for the multi-GPU execution site.
+//! Cross-site equivalence harness for the GPU site over device mixes.
 //!
 //! The byte-identity contract: for the same snapshot, the CPU site (any
-//! thread count), the single-GPU site (any placement) and the multi-GPU site
-//! (any device mix, any shard count) must return **bit-equal** f64 answers
+//! thread count) and the GPU site (any placement, any device list, any
+//! shard count) must return **bit-equal** f64 answers
 //! and identical group rows — the fixed 64Ki-row chunking and the ascending
 //! chunk-ordered merge are the IR contract that makes the heterogeneous
 //! archipelago swappable. These tests sweep the matrix the issue pins:
 //! every layout, fast+slow device mixes, shard counts 1..=5, thread counts,
 //! and the boundary tables (empty, one chunk, exact chunk multiple).
 
-use caldera::{Caldera, CalderaConfig, DataPlacement, OlapMultiGpuConfig, OlapTarget, SnapshotPolicy};
+use caldera::{Caldera, CalderaConfig, DataPlacement, OlapDeviceConfig, OlapTarget, SnapshotPolicy};
 use h2tap_common::{AggExpr, AttrType, OlapPlan, PartitionId, Predicate, ScanAggQuery, Schema, Value, PLAN_CHUNK_ROWS};
 use h2tap_gpu_sim::{table1_mix, AccessMode, GpuDevice, GpuSpec};
 use h2tap_olap::Site;
+use h2tap_scheduler::{min_free_shard_bytes, SiteCapability};
 use h2tap_storage::{Database, Layout, SnapshotTable};
 use h2tap_workloads::tpch::{self, q6};
 
@@ -40,8 +41,8 @@ fn bucket_query() -> ScanAggQuery {
     ScanAggQuery { predicates: vec![Predicate::between(1, 0.0, 6.0)], aggregate: AggExpr::SumProduct(1, 2) }
 }
 
-fn multi_engine(n: usize, placement: DataPlacement) -> Site {
-    Site::sharded(table1_mix(n).into_iter().map(GpuDevice::new).collect(), placement).unwrap()
+fn gpu_site(gpus: Vec<GpuSpec>, placement: DataPlacement) -> Site {
+    Site::gpu(gpus.into_iter().map(GpuDevice::new).collect(), placement).unwrap()
 }
 
 /// One scan answer (value bits, qualifying rows) from any site, or `None`
@@ -53,8 +54,8 @@ fn scan_bits(site: &Site, table: &SnapshotTable, query: &ScanAggQuery) -> Option
 }
 
 /// The full equivalence matrix over one (layout, rows) cell: CPU at 1 and 8
-/// threads, single GPU over UVA and device-resident, multi-GPU at the given
-/// shard counts over UVA (plus one device-resident mix).
+/// threads, one GTX 980 over UVA and device-resident, Table 1 mixes of the
+/// given shard counts over UVA (plus one device-resident mix).
 fn assert_matrix_cell(layout: Layout, rows: i64, shard_counts: &[usize]) {
     let table = float_table(layout, rows);
     let query = bucket_query();
@@ -66,14 +67,14 @@ fn assert_matrix_cell(layout: Layout, rows: i64, shard_counts: &[usize]) {
     for (placement, label) in
         [(DataPlacement::Host(AccessMode::Uva), "uva"), (DataPlacement::DeviceResident, "resident")]
     {
-        let gpu = Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), placement);
+        let gpu = gpu_site(vec![GpuSpec::gtx_980()], placement);
         answers.push((format!("gpu {label}"), scan_bits(&gpu, &table, &query)));
     }
     for &n in shard_counts {
-        let multi = multi_engine(n, DataPlacement::Host(AccessMode::Uva));
+        let multi = gpu_site(table1_mix(n), DataPlacement::Host(AccessMode::Uva));
         answers.push((format!("multi-gpu x{n} uva"), scan_bits(&multi, &table, &query)));
     }
-    let resident_mix = multi_engine(2, DataPlacement::DeviceResident);
+    let resident_mix = gpu_site(table1_mix(2), DataPlacement::DeviceResident);
     answers.push(("multi-gpu x2 resident".into(), scan_bits(&resident_mix, &table, &query)));
 
     let (first_label, first) = &answers[0];
@@ -136,12 +137,12 @@ fn join_group_by_plans_are_byte_identical_across_sites_and_mixes() {
         let reference = cpu.execute(&probe, Some(&build), &plan).unwrap();
         assert!(!reference.groups.is_empty());
 
-        let gpu = Site::gpu(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
+        let gpu = gpu_site(vec![GpuSpec::gtx_980()], DataPlacement::Host(AccessMode::Uva));
         let gpu_out = gpu.execute(&probe, Some(&build), &plan).unwrap();
         assert_eq!(gpu_out.groups, reference.groups, "{layout:?}: single GPU");
 
         for n in [2usize, 4] {
-            let multi = multi_engine(n, DataPlacement::Host(AccessMode::Uva));
+            let multi = gpu_site(table1_mix(n), DataPlacement::Host(AccessMode::Uva));
             let out = multi.execute(&probe, Some(&build), &plan).unwrap();
             assert_eq!(out.groups, reference.groups, "{layout:?}: {n}-device mix");
             assert_eq!(out.qualifying_rows, reference.qualifying_rows, "{layout:?}: {n}-device mix");
@@ -153,48 +154,46 @@ fn join_group_by_plans_are_byte_identical_across_sites_and_mixes() {
 // Through the production engine: config, dispatch, routing, stats, fallback.
 // ---------------------------------------------------------------------------
 
-fn caldera_with_multi(
+fn caldera_with_gpus(
     mut config: CalderaConfig,
-    mix: Vec<GpuSpec>,
+    gpus: Vec<GpuSpec>,
     placement: DataPlacement,
     rows: u64,
 ) -> (Caldera, h2tap_common::TableId) {
     config.snapshot_policy = SnapshotPolicy::Manual;
-    config.olap_multi_gpu = Some(OlapMultiGpuConfig::new(mix).with_placement(placement));
+    config.olap_device = OlapDeviceConfig { gpus, placement };
     let mut builder = Caldera::builder(config);
     let table = tpch::load_lineitem(&mut builder, Layout::Dsm, rows, 7).unwrap();
     (builder.start().unwrap(), table)
 }
 
-/// The acceptance scenario: a large device-resident scan routes to the
-/// multi-GPU site, and neither the CPU nor the single GPU beats it there.
+/// The acceptance scenario: a large device-resident scan routes to a
+/// two-device GPU site, and neither the CPU nor one card of the pair on its
+/// own beats it there.
 #[test]
 fn large_device_resident_scans_route_to_the_multi_gpu_site() {
     let mut config = CalderaConfig::with_workers(2);
     config.olap_cpu_cores = 8;
-    config.olap_device.placement = DataPlacement::DeviceResident;
-    let (caldera, table) = caldera_with_multi(
-        config,
-        vec![GpuSpec::gtx_980(), GpuSpec::gtx_980()],
-        DataPlacement::DeviceResident,
-        150_000,
-    );
+    let pair = vec![GpuSpec::gtx_980(), GpuSpec::gtx_980()];
+    let (caldera, table) = caldera_with_gpus(config.clone(), pair, DataPlacement::DeviceResident, 150_000);
     let routed = caldera.run_olap(table, &q6()).unwrap();
-    assert_eq!(routed.site, OlapTarget::MultiGpu, "two sharded devices must win the large resident scan");
-    // Forced-site oracle: the multi-GPU site is genuinely the fastest, and
-    // all three answers are byte-identical.
+    assert_eq!(routed.site, OlapTarget::Gpu, "two sharded devices must win the large resident scan");
+    // Forced-site oracle: the pair is genuinely the fastest, and every
+    // answer is byte-identical.
     let cpu = caldera.run_olap_on(table, &q6(), OlapTarget::Cpu).unwrap();
-    let gpu = caldera.run_olap_on(table, &q6(), OlapTarget::Gpu).unwrap();
-    let multi = caldera.run_olap_on(table, &q6(), OlapTarget::MultiGpu).unwrap();
-    assert!(multi.time < gpu.time, "multi {} must beat single {}", multi.time, gpu.time);
-    assert!(multi.time < cpu.time, "multi {} must beat cpu {}", multi.time, cpu.time);
-    assert_eq!(multi.value.to_bits(), cpu.value.to_bits());
-    assert_eq!(multi.value.to_bits(), gpu.value.to_bits());
-    assert_eq!(multi.qualifying_rows, cpu.qualifying_rows);
+    let pair = caldera.run_olap_on(table, &q6(), OlapTarget::Gpu).unwrap();
+    let (lone, lone_table) =
+        caldera_with_gpus(config, vec![GpuSpec::gtx_980()], DataPlacement::DeviceResident, 150_000);
+    let one = lone.run_olap_on(lone_table, &q6(), OlapTarget::Gpu).unwrap();
+    lone.shutdown();
+    assert!(pair.time < one.time, "pair {} must beat one card {}", pair.time, one.time);
+    assert!(pair.time < cpu.time, "pair {} must beat cpu {}", pair.time, cpu.time);
+    assert_eq!(pair.value.to_bits(), cpu.value.to_bits());
+    assert_eq!(pair.value.to_bits(), one.value.to_bits());
+    assert_eq!(pair.qualifying_rows, cpu.qualifying_rows);
     let stats = caldera.shutdown();
-    assert_eq!(stats.olap_sites.len(), 3, "the third site is first-class in the stats");
-    assert_eq!(stats.olap_queries_on(OlapTarget::MultiGpu), 2);
-    assert_eq!(stats.olap_queries_on(OlapTarget::Gpu), 1);
+    assert_eq!(stats.olap_sites.len(), 2, "a device mix is the one GPU site");
+    assert_eq!(stats.olap_queries_on(OlapTarget::Gpu), 2);
     assert_eq!(stats.olap_queries_on(OlapTarget::Cpu), 1);
 }
 
@@ -205,31 +204,14 @@ fn exact_chunk_multiple_tables_agree_through_dispatch() {
     let mut config = CalderaConfig::with_workers(1);
     config.olap_cpu_cores = 4;
     config.snapshot_policy = SnapshotPolicy::Manual;
-    config.olap_multi_gpu = Some(OlapMultiGpuConfig::new(table1_mix(3)));
+    config.olap_device.gpus = table1_mix(3);
     let mut builder = Caldera::builder(config);
     let table = tpch::load_lineitem_chunks(&mut builder, "lineitem", Layout::Dsm, 2, 7).unwrap();
     let caldera = builder.start().unwrap();
     let cpu = caldera.run_olap_on(table, &q6(), OlapTarget::Cpu).unwrap();
     let gpu = caldera.run_olap_on(table, &q6(), OlapTarget::Gpu).unwrap();
-    let multi = caldera.run_olap_on(table, &q6(), OlapTarget::MultiGpu).unwrap();
     assert_eq!(cpu.value.to_bits(), gpu.value.to_bits());
-    assert_eq!(cpu.value.to_bits(), multi.value.to_bits());
-    assert_eq!(cpu.qualifying_rows, multi.qualifying_rows);
-    caldera.shutdown();
-}
-
-/// Forcing the multi-GPU target on an engine without one is a configuration
-/// error, not a panic.
-#[test]
-fn forcing_an_unconfigured_multi_gpu_site_errors() {
-    let mut config = CalderaConfig::with_workers(1);
-    config.snapshot_policy = SnapshotPolicy::Manual;
-    let mut builder = Caldera::builder(config);
-    let table = tpch::load_lineitem(&mut builder, Layout::Dsm, 1_000, 7).unwrap();
-    let caldera = builder.start().unwrap();
-    assert!(caldera.run_olap_on(table, &q6(), OlapTarget::MultiGpu).is_err());
-    // Routed queries never try to use the absent site.
-    assert!(caldera.run_olap(table, &q6()).is_ok());
+    assert_eq!(cpu.qualifying_rows, gpu.qualifying_rows);
     caldera.shutdown();
 }
 
@@ -242,20 +224,16 @@ fn multi_gpu_oom_falls_back_to_the_cpu_site() {
     tiny.mem_capacity_mib = 1;
     let mut config = CalderaConfig::with_workers(1);
     config.olap_cpu_cores = 2;
-    // The single GPU is also too small, so whichever GPU-family site the
-    // heuristic picks, the query must still be answered by the CPU.
-    config.olap_device.placement = DataPlacement::DeviceResident;
-    config.olap_device.gpu.mem_capacity_mib = 1;
-    let (caldera, table) = caldera_with_multi(config, vec![tiny.clone(), tiny], DataPlacement::DeviceResident, 200_000);
+    let (caldera, table) = caldera_with_gpus(config, vec![tiny.clone(), tiny], DataPlacement::DeviceResident, 200_000);
     for _ in 0..2 {
         let out = caldera.run_olap(table, &q6()).unwrap();
         assert_eq!(out.site, OlapTarget::Cpu);
     }
-    // Forcing the multi site surfaces the real error instead of falling back.
-    assert!(caldera.run_olap_on(table, &q6(), OlapTarget::MultiGpu).is_err());
+    // Forcing the GPU site surfaces the real error instead of falling back.
+    assert!(caldera.run_olap_on(table, &q6(), OlapTarget::Gpu).is_err());
     let stats = caldera.shutdown();
     assert_eq!(stats.olap_queries_on(OlapTarget::Cpu), 2);
-    assert_eq!(stats.olap_queries_on(OlapTarget::MultiGpu), 0);
+    assert_eq!(stats.olap_queries_on(OlapTarget::Gpu), 0);
 }
 
 /// The min-per-shard free-bytes semantics at the engine surface: the site
@@ -264,8 +242,7 @@ fn multi_gpu_oom_falls_back_to_the_cpu_site() {
 fn multi_gpu_free_bytes_is_the_min_across_the_mix() {
     let mut small = GpuSpec::gtx_980();
     small.mem_capacity_mib = 32;
-    let eng =
-        Site::sharded(vec![GpuDevice::new(GpuSpec::gtx_980()), GpuDevice::new(small)], DataPlacement::DeviceResident)
-            .unwrap();
-    assert_eq!(eng.free_device_bytes(), Some(32 * 1024 * 1024));
+    let eng = gpu_site(vec![GpuSpec::gtx_980(), small], DataPlacement::DeviceResident);
+    let SiteCapability::Gpu { devices } = eng.capability() else { panic!("a GPU site enumerates its devices") };
+    assert_eq!(min_free_shard_bytes(&devices), Some(32 * 1024 * 1024));
 }

@@ -182,7 +182,7 @@ fn database_read_back_matches_inserted_values() {
     }
 }
 
-/// The multi-GPU chunk shard is a partition for every chunk count and shard
+/// The GPU site's chunk shard is a partition for every chunk count and shard
 /// count: each chunk is assigned exactly once, shards are pairwise disjoint,
 /// their union covers the table, and the assignment agrees with the
 /// canonical [`chunk_shard`] contract. Row totals are conserved too.
@@ -218,7 +218,7 @@ fn shard_assignment_is_a_partition() {
 /// The merged scan answer is invariant under device completion order:
 /// however the shards finish, partials are reassembled into ascending chunk
 /// order before merging, so the f64 result is bit-equal to a sequential
-/// evaluation. This is the property that makes the multi-GPU site's answers
+/// evaluation. This is the property that makes a device mix's answers
 /// byte-identical to the single-threaded ones.
 #[test]
 fn merge_order_is_invariant_under_device_completion_order() {
