@@ -134,11 +134,10 @@ fn hostperf_json(s: &exp::HostPerfSummary) -> String {
             )
         })
         .collect();
-    // Counter and gauge families stay separate in the artifact (see
-    // `PlanCacheStats::counters` / `gauges`): the counters may be diffed
-    // across PRs, the gauges are point-in-time samples.
-    let counters = s.cache.counters();
-    let gauges = s.cache.gauges();
+    // Counter and gauge families stay separate in the artifact: the
+    // counters may be diffed across PRs, the gauges (occupancy, budget) are
+    // point-in-time samples.
+    let cache = &s.cache;
     let kernel: Vec<String> = s
         .kernel
         .iter()
@@ -168,17 +167,17 @@ fn hostperf_json(s: &exp::HostPerfSummary) -> String {
          {}}}}},\n\"rows\": [\n{}\n],\n\"isa\": \"{}\",\n\"kernel\": [\n{}\n],\n\"refresh\": [\n{}\n]\n}}\n",
         s.min_cold_speedup,
         s.min_cached_speedup,
-        counters.column_hits,
-        counters.column_misses,
-        counters.hash_hits,
-        counters.hash_misses,
-        counters.invalidations,
-        counters.evictions,
-        counters.chunks_reused,
-        counters.chunks_rebuilt,
-        counters.hashes_carried,
-        gauges.occupancy_bytes,
-        gauges.budget_bytes.map_or("null".into(), |b| b.to_string()),
+        cache.column_hits,
+        cache.column_misses,
+        cache.hash_hits,
+        cache.hash_misses,
+        cache.invalidations,
+        cache.evictions,
+        cache.chunks_reused,
+        cache.chunks_rebuilt,
+        cache.hashes_carried,
+        cache.occupancy_bytes,
+        cache.budget_bytes.map_or("null".into(), |b| b.to_string()),
         items.join(",\n"),
         s.isa,
         kernel.join(",\n"),

@@ -39,6 +39,6 @@ pub use query::{AggExpr, Predicate, ScanAggQuery};
 pub use rid::{PartitionId, RecordId, TableId};
 pub use schema::{AttrType, Attribute, Schema};
 pub use simtime::SimDuration;
-pub use stats::{Histogram, PlanCacheCounters, PlanCacheGauges, PlanCacheStats};
+pub use stats::{Histogram, PlanCacheStats};
 pub use target::OlapTarget;
 pub use value::Value;

@@ -275,49 +275,10 @@ pub struct PlanCacheStats {
     /// Bytes currently held by cached entries. **A point-in-time gauge**,
     /// sampled when the stats are read: it can go *down* between two samples
     /// (eviction, invalidation) while every other field in this struct is a
-    /// monotonic counter. Metric exporters must report it under gauge
-    /// semantics — use [`PlanCacheStats::gauges`] /
-    /// [`PlanCacheStats::counters`] to keep the two families apart.
+    /// monotonic counter. `HtapStats::metrics` exports it as a gauge.
     pub occupancy_bytes: u64,
     /// The configured byte budget, or `None` when the cache is unbounded.
     /// A configuration gauge, like `occupancy_bytes`.
-    pub budget_bytes: Option<u64>,
-}
-
-/// The monotonic-counter half of [`PlanCacheStats`]: every field only ever
-/// increases over the cache's lifetime, so exporters may report deltas.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheCounters {
-    /// Column-materialisation requests answered from the cache.
-    pub column_hits: u64,
-    /// Column-materialisation requests that had to materialise.
-    pub column_misses: u64,
-    /// Join-hash-table requests answered from the cache.
-    pub hash_hits: u64,
-    /// Join-hash-table requests that had to build.
-    pub hash_misses: u64,
-    /// Correctness-driven drops (snapshot superseded / cache invalidated).
-    pub invalidations: u64,
-    /// Byte-budget LRU evictions.
-    pub evictions: u64,
-    /// Requests that attached to an in-flight derivation (shared scans).
-    pub shared_scan_attaches: u64,
-    /// Column chunks shared with an older snapshot's version.
-    pub chunks_reused: u64,
-    /// Column chunks gathered from pages.
-    pub chunks_rebuilt: u64,
-    /// Join hash tables carried forward to a newer snapshot.
-    pub hashes_carried: u64,
-}
-
-/// The point-in-time-gauge half of [`PlanCacheStats`]: values sampled at
-/// read time that may move in either direction between samples. Never
-/// accumulate these as if they were counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheGauges {
-    /// Bytes held by cached entries at sampling time.
-    pub occupancy_bytes: u64,
-    /// The configured byte budget, or `None` when unbounded.
     pub budget_bytes: Option<u64>,
 }
 
@@ -337,29 +298,6 @@ impl PlanCacheStats {
     pub fn hit_rate(&self) -> Option<f64> {
         let total = self.hits() + self.misses();
         (total > 0).then(|| self.hits() as f64 / total as f64)
-    }
-
-    /// The monotonic counters only — what a cumulative metric exporter may
-    /// safely diff across samples.
-    pub fn counters(&self) -> PlanCacheCounters {
-        PlanCacheCounters {
-            column_hits: self.column_hits,
-            column_misses: self.column_misses,
-            hash_hits: self.hash_hits,
-            hash_misses: self.hash_misses,
-            invalidations: self.invalidations,
-            evictions: self.evictions,
-            shared_scan_attaches: self.shared_scan_attaches,
-            chunks_reused: self.chunks_reused,
-            chunks_rebuilt: self.chunks_rebuilt,
-            hashes_carried: self.hashes_carried,
-        }
-    }
-
-    /// The point-in-time gauges only (occupancy, budget) — sampled at read
-    /// time, free to decrease between samples.
-    pub fn gauges(&self) -> PlanCacheGauges {
-        PlanCacheGauges { occupancy_bytes: self.occupancy_bytes, budget_bytes: self.budget_bytes }
     }
 }
 
@@ -557,57 +495,5 @@ mod tests {
         all.merge(&make(2, 300));
         all.merge(&make(3, 500));
         assert_eq!(all.counts, left.counts);
-    }
-
-    #[test]
-    fn plan_cache_stats_split_into_counters_and_gauges() {
-        let stats = PlanCacheStats {
-            column_hits: 5,
-            column_misses: 2,
-            hash_hits: 3,
-            hash_misses: 1,
-            invalidations: 4,
-            evictions: 6,
-            shared_scan_attaches: 7,
-            chunks_reused: 8,
-            chunks_rebuilt: 9,
-            hashes_carried: 10,
-            occupancy_bytes: 4096,
-            budget_bytes: Some(8192),
-        };
-        let c = stats.counters();
-        assert_eq!(
-            c,
-            PlanCacheCounters {
-                column_hits: 5,
-                column_misses: 2,
-                hash_hits: 3,
-                hash_misses: 1,
-                invalidations: 4,
-                evictions: 6,
-                shared_scan_attaches: 7,
-                chunks_reused: 8,
-                chunks_rebuilt: 9,
-                hashes_carried: 10,
-            }
-        );
-        let g = stats.gauges();
-        assert_eq!(g, PlanCacheGauges { occupancy_bytes: 4096, budget_bytes: Some(8192) });
-        // The split is exhaustive: every field lands in exactly one family.
-        let rebuilt = PlanCacheStats {
-            column_hits: c.column_hits,
-            column_misses: c.column_misses,
-            hash_hits: c.hash_hits,
-            hash_misses: c.hash_misses,
-            invalidations: c.invalidations,
-            evictions: c.evictions,
-            shared_scan_attaches: c.shared_scan_attaches,
-            chunks_reused: c.chunks_reused,
-            chunks_rebuilt: c.chunks_rebuilt,
-            hashes_carried: c.hashes_carried,
-            occupancy_bytes: g.occupancy_bytes,
-            budget_bytes: g.budget_bytes,
-        };
-        assert_eq!(rebuilt, stats);
     }
 }

@@ -20,12 +20,13 @@
 //!   number run concurrently; a snapshot refresh takes it **exclusive**,
 //!   draining in-flight queries first so it can never yank a table a site
 //!   registered out from under a running scan.
-//! - `meta` (`Mutex`): small bookkeeping — query numbering, snapshot and
-//!   time counters, the placement calibrator. Held only for microseconds
-//!   around dispatch edges, never across execution.
-//! - per-site state ([`SiteSlot`]): counters, the circuit breaker and the
-//!   [`AdmissionGate`] that bounds how many queries one site runs at once
-//!   (excess admissions wait in strict arrival order).
+//! - `meta` (`Mutex`): small bookkeeping — query numbering and the
+//!   placement calibrator. Held only for microseconds around dispatch
+//!   edges, never across execution.
+//! - per-site state ([`SiteSlot`]): counters, the simulated-time total and
+//!   latency histogram, the circuit breaker and the [`AdmissionGate`] that
+//!   bounds how many queries one site runs at once (excess admissions wait
+//!   in strict arrival order).
 //!
 //! The sites themselves are `&self`-concurrent and own their table
 //! registrations (see [`Site`]), and the shared plan-data cache deduplicates
@@ -35,8 +36,10 @@
 use crate::admission::{AdmissionGate, AdmissionStats};
 use crate::config::CalderaConfig;
 use crate::health::{SiteHealth, SiteHealthState, SiteHealthStats};
-use h2tap_common::{H2Error, OlapPlan, PartitionId, PlanCacheStats, Result, ScanAggQuery, SimDuration, TableId};
-use h2tap_obs::{MetricsRegistry, MetricsSnapshot, SpanEvent, SpanKind, SpanRecord, Tracer};
+use h2tap_common::{
+    FaultKind, H2Error, Histogram, OlapPlan, PartitionId, PlanCacheStats, Result, ScanAggQuery, SimDuration, TableId,
+};
+use h2tap_obs::{MetricsSnapshot, SpanEvent, SpanKind, SpanRecord, Tracer};
 use h2tap_olap::{OlapOutcome, PlanDataCache, PlanOutcome, Site, SnapshotPolicy};
 use h2tap_oltp::{BenchmarkWindow, OltpRuntime, OltpStats, TxnProc};
 use h2tap_scheduler::{
@@ -57,7 +60,7 @@ use std::time::Duration;
 const OLAP_RETRY_MAX: u32 = 3;
 
 /// Per-execution-site OLAP counters.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct OlapSiteStats {
     /// The placement target this site serves.
     pub target: OlapTarget,
@@ -67,6 +70,9 @@ pub struct OlapSiteStats {
     pub queries: u64,
     /// Total simulated execution time on the site.
     pub time: SimDuration,
+    /// Distribution of the site's per-query simulated execution time, in
+    /// seconds.
+    pub latency: Histogram,
     /// Admission counters: executions admitted, admissions that had to
     /// queue behind the site's in-flight budget, permits currently held.
     pub admission: AdmissionStats,
@@ -77,8 +83,11 @@ pub struct OlapSiteStats {
 /// Engine-wide resilience-ladder counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
-    /// Typed site faults observed by dispatch (injected or organic).
+    /// Typed site faults observed by dispatch (injected or organic): the sum
+    /// of `faults_by_kind`.
     pub faults: u64,
+    /// Faults observed per kind, in [`FaultKind::ALL`] order.
+    pub faults_by_kind: [u64; FaultKind::ALL.len()],
     /// In-place retries after transient faults.
     pub retries: u64,
     /// Dispatches re-routed to the next-best site after a failure.
@@ -88,15 +97,19 @@ pub struct ResilienceStats {
 /// Interior-mutable backing for [`ResilienceStats`].
 #[derive(Debug, Default)]
 struct ResilienceCounters {
-    faults: AtomicU64,
+    /// One counter per fault kind, indexed by declaration order (which is
+    /// [`FaultKind::ALL`] order).
+    faults: [AtomicU64; FaultKind::ALL.len()],
     retries: AtomicU64,
     fallbacks: AtomicU64,
 }
 
 impl ResilienceCounters {
     fn snapshot(&self) -> ResilienceStats {
+        let faults_by_kind = self.faults.each_ref().map(|count| count.load(Ordering::Relaxed));
         ResilienceStats {
-            faults: self.faults.load(Ordering::Relaxed),
+            faults: faults_by_kind.iter().sum(),
+            faults_by_kind,
             retries: self.retries.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
         }
@@ -110,9 +123,11 @@ pub struct HtapStats {
     pub oltp: OltpStats,
     /// Copy-on-write / snapshot GC counters.
     pub cow: CowStats,
-    /// Analytical queries executed (all sites).
+    /// Analytical queries that drew a query number (all sites), failed ones
+    /// included. Queries the sites answered are `olap_sites`' `queries`,
+    /// exported as `olap.queries`.
     pub olap_queries: u64,
-    /// Total simulated OLAP execution time (all sites).
+    /// Total simulated OLAP execution time: the sum of `olap_sites`' `time`.
     pub olap_time: SimDuration,
     /// Per-site OLAP counters, in site order (GPU first).
     pub olap_sites: Vec<OlapSiteStats>,
@@ -128,10 +143,6 @@ pub struct HtapStats {
     /// Hit/miss counters of the plan-data cache shared by every execution
     /// site (materialised columns + zonemap stats, join hash tables).
     pub plan_cache: PlanCacheStats,
-    /// Metrics registry snapshot: per-path latency histograms
-    /// (`olap.latency.*`, simulated seconds), per-site query counters, and
-    /// the plan-cache counter/gauge families mirrored at sampling time.
-    pub metrics: MetricsSnapshot,
     /// The most recent placement decisions (bounded ring, newest last):
     /// every site's estimated time, the chosen and executing site, the
     /// observed time and the regret against the best estimate.
@@ -139,6 +150,18 @@ pub struct HtapStats {
     /// Resilience-ladder counters: faults observed, in-place retries,
     /// next-best-site fallbacks.
     pub resilience: ResilienceStats,
+    /// Trace spans the tracer recorded.
+    pub trace_spans_recorded: u64,
+    /// Trace spans the tracer dropped (ring slot contended).
+    pub trace_spans_dropped: u64,
+}
+
+/// Exports each listed field of `$stats` as the counter `<$prefix>.<field>`,
+/// so an exported name cannot drift from the field it reads.
+macro_rules! export_counters {
+    ($m:ident, $prefix:literal, $stats:expr; $($field:ident)+) => {
+        $($m.set_counter(concat!($prefix, ".", stringify!($field)), $stats.$field);)+
+    };
 }
 
 impl HtapStats {
@@ -152,14 +175,77 @@ impl HtapStats {
     pub fn prediction_error_on(&self, target: OlapTarget) -> Option<f64> {
         self.calibration.site(target).filter(|s| s.observations > 0).map(|s| s.mean_rel_error)
     }
+
+    /// The named view of these stats: `olap.*` (per site, per fault kind,
+    /// snapshots), `plan_cache.*`, `trace.spans.*`, `oltp.*` and `storage.*`.
+    /// Every value is read from the typed field it names; this is the only
+    /// place a stat gets a name and is sorted into counter, gauge or
+    /// histogram.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut m = MetricsSnapshot::default();
+        let mut latency = Histogram::new();
+        for site in &self.olap_sites {
+            let (key, health) = (site.label, &site.health);
+            latency.merge(&site.latency);
+            m.set_histogram(format!("olap.latency.{key}"), site.latency.clone());
+            for (name, value) in [
+                ("queries", site.queries),
+                ("admission.admitted", site.admission.admitted),
+                ("admission.queued", site.admission.queued),
+                ("site_health.failures", health.failures),
+                ("site_health.quarantines", health.quarantines),
+                ("site_health.probes", health.probes),
+                ("site_health.reopened", health.reopened),
+                ("site_health.readmissions", health.readmissions),
+            ] {
+                m.set_counter(format!("olap.{name}.{key}"), value);
+            }
+            // Breaker position as a step gauge: 0 closed, 1 half-open,
+            // 2 quarantined (dashboards alert on anything > 0).
+            let state = match health.state {
+                SiteHealthState::Closed => 0.0,
+                SiteHealthState::HalfOpen => 1.0,
+                SiteHealthState::Quarantined => 2.0,
+            };
+            m.set_gauge(format!("olap.admission.in_flight.{key}"), f64::from(site.admission.in_flight));
+            m.set_gauge(format!("olap.site_health.state.{key}"), state);
+            m.set_gauge(format!("olap.site_health.window_error_rate.{key}"), health.window_error_rate);
+        }
+        m.set_histogram("olap.latency.secs", latency);
+        let res = &self.resilience;
+        for (kind, count) in FaultKind::ALL.iter().zip(res.faults_by_kind) {
+            m.set_counter(format!("olap.faults.{}", kind.name()), count);
+        }
+        m.set_counter("olap.queries", self.olap_sites.iter().map(|s| s.queries).sum());
+        m.set_counter("olap.faults.observed", res.faults);
+        m.set_counter("olap.faults.retries", res.retries);
+        m.set_counter("olap.faults.fallbacks", res.fallbacks);
+        m.set_counter("trace.spans.recorded", self.trace_spans_recorded);
+        m.set_counter("trace.spans.dropped", self.trace_spans_dropped);
+        export_counters!(m, "olap", self; snapshots_taken snapshot_release_failures);
+        let cache = &self.plan_cache;
+        export_counters!(m, "plan_cache", cache; column_hits column_misses hash_hits hash_misses invalidations evictions
+            shared_scan_attaches chunks_reused chunks_rebuilt hashes_carried);
+        export_counters!(m, "oltp", self.oltp; committed aborted retries remote_requests remote_denied messages
+            writebacks submitted idle_wakeups);
+        export_counters!(m, "storage", self.cow; pages_copied bytes_copied in_place_updates pages_reclaimed
+            bytes_reclaimed);
+        // Cache occupancy and budget are point-in-time samples, not
+        // monotonic counts.
+        m.set_gauge("plan_cache.occupancy_bytes", cache.occupancy_bytes as f64);
+        if let Some(budget) = cache.budget_bytes {
+            m.set_gauge("plan_cache.budget_bytes", budget as f64);
+        }
+        m
+    }
 }
 
-/// Stable metric-name suffix for a placement target.
-fn site_key(target: OlapTarget) -> &'static str {
-    match target {
-        OlapTarget::Gpu => "gpu",
-        OlapTarget::Cpu => "cpu",
-    }
+/// A site's simulated execution time: the running total and the per-query
+/// distribution, updated together under one lock.
+#[derive(Default)]
+struct SiteTime {
+    total: SimDuration,
+    latency: Histogram,
 }
 
 /// One execution site plus its counters, circuit breaker and admission gate.
@@ -168,7 +254,7 @@ fn site_key(target: OlapTarget) -> &'static str {
 struct SiteSlot {
     site: Site,
     queries: AtomicU64,
-    time: Mutex<SimDuration>,
+    time: Mutex<SiteTime>,
     admission: AdmissionGate,
     /// Per-site circuit breaker consulted by placement and fed by every
     /// dispatch outcome.
@@ -180,18 +266,20 @@ impl SiteSlot {
         Self {
             site,
             queries: AtomicU64::new(0),
-            time: Mutex::new(SimDuration::ZERO),
+            time: Mutex::default(),
             admission: AdmissionGate::new(admission_budget),
             health: SiteHealth::default(),
         }
     }
 
     fn stats(&self) -> OlapSiteStats {
+        let time = self.time.lock();
         OlapSiteStats {
             target: self.site.target(),
             label: self.site.target().label(),
             queries: self.queries.load(Ordering::Relaxed),
-            time: *self.time.lock(),
+            time: time.total,
+            latency: time.latency.clone(),
             admission: self.admission.stats(),
             health: self.health.stats(),
         }
@@ -226,12 +314,10 @@ impl SnapshotGate {
     }
 }
 
-/// Small dispatch bookkeeping: query numbering, refresh/time counters and
-/// the placement feedback loop. Locked briefly at dispatch edges, never
-/// across query execution.
+/// Small dispatch bookkeeping: query numbering and the placement feedback
+/// loop. Locked briefly at dispatch edges, never across query execution.
 struct OlapMeta {
     query_index: u64,
-    total_time: SimDuration,
     /// The placement feedback loop: every dispatch records an observation
     /// here, and placement reads its calibrated model back out.
     calibrator: CostCalibrator,
@@ -275,8 +361,6 @@ pub struct Caldera {
     /// execution site and the shared plan-data cache were built with the
     /// same handle.
     tracer: Tracer,
-    /// Counters and latency histograms every dispatch feeds.
-    metrics: MetricsRegistry,
     /// Engine-wide resilience-ladder counters (faults, retries, fallbacks).
     resilience: ResilienceCounters,
 }
@@ -307,12 +391,11 @@ impl Caldera {
                 snapshot: None,
                 snapshots_taken: 0,
             }),
-            meta: Mutex::new(OlapMeta { query_index: 0, total_time: SimDuration::ZERO, calibrator }),
+            meta: Mutex::new(OlapMeta { query_index: 0, calibrator }),
             plan_cache,
             scheduler,
             next_home: AtomicU64::new(0),
             tracer,
-            metrics: MetricsRegistry::new(),
             resilience: ResilienceCounters::default(),
         }
     }
@@ -349,12 +432,6 @@ impl Caldera {
         self.meta.lock().calibrator.model()
     }
 
-    /// A snapshot of the placement feedback loop's state (also available as
-    /// [`HtapStats::calibration`]).
-    pub fn calibration_report(&self) -> CalibrationReport {
-        self.meta.lock().calibrator.report()
-    }
-
     /// The recorded trace spans, oldest first. Empty unless the engine was
     /// built with `config.observability.tracing` set.
     pub fn trace_spans(&self) -> Vec<SpanRecord> {
@@ -368,73 +445,14 @@ impl Caldera {
         h2tap_obs::chrome_trace_json(&self.trace_spans())
     }
 
-    /// A point-in-time snapshot of the metrics registry (the same content
-    /// [`HtapStats::metrics`] carries): query counters, latency histograms,
-    /// plan-cache counter/gauge families, admission counters, trace-ring
-    /// health.
+    /// The named metrics view of [`Caldera::stats`] (see
+    /// [`HtapStats::metrics`]).
     pub fn metrics(&self) -> MetricsSnapshot {
-        let cache = self.plan_cache.stats();
-        let sites = self.site_stats();
-        self.metrics_snapshot(&cache, &sites)
-    }
-
-    /// Point-in-time per-site counters (shared read of the snapshot gate).
-    fn site_stats(&self) -> Vec<OlapSiteStats> {
-        let snap = self.snap.read();
-        snap.sites.iter().map(SiteSlot::stats).collect()
-    }
-
-    /// Mirrors the point-in-time cache, admission and trace-ring state into
-    /// the registry (counters and gauges kept in their own families — see
-    /// [`PlanCacheStats::counters`] / [`PlanCacheStats::gauges`]) and
-    /// snapshots it.
-    fn metrics_snapshot(&self, cache: &PlanCacheStats, sites: &[OlapSiteStats]) -> MetricsSnapshot {
-        let counters = cache.counters();
-        self.metrics.counter_set("plan_cache.column_hits", counters.column_hits);
-        self.metrics.counter_set("plan_cache.column_misses", counters.column_misses);
-        self.metrics.counter_set("plan_cache.hash_hits", counters.hash_hits);
-        self.metrics.counter_set("plan_cache.hash_misses", counters.hash_misses);
-        self.metrics.counter_set("plan_cache.invalidations", counters.invalidations);
-        self.metrics.counter_set("plan_cache.evictions", counters.evictions);
-        self.metrics.counter_set("plan_cache.shared_scan_attaches", counters.shared_scan_attaches);
-        self.metrics.counter_set("plan_cache.chunks_reused", counters.chunks_reused);
-        self.metrics.counter_set("plan_cache.chunks_rebuilt", counters.chunks_rebuilt);
-        self.metrics.counter_set("plan_cache.hashes_carried", counters.hashes_carried);
-        let gauges = cache.gauges();
-        self.metrics.gauge_set("plan_cache.occupancy_bytes", gauges.occupancy_bytes as f64);
-        if let Some(budget) = gauges.budget_bytes {
-            self.metrics.gauge_set("plan_cache.budget_bytes", budget as f64);
-        }
-        for site in sites {
-            let key = site_key(site.target);
-            self.metrics.counter_set(&format!("olap.admission.admitted.{key}"), site.admission.admitted);
-            self.metrics.counter_set(&format!("olap.admission.queued.{key}"), site.admission.queued);
-            self.metrics.gauge_set(&format!("olap.admission.in_flight.{key}"), f64::from(site.admission.in_flight));
-            self.metrics.counter_set(&format!("olap.site_health.failures.{key}"), site.health.failures);
-            self.metrics.counter_set(&format!("olap.site_health.quarantines.{key}"), site.health.quarantines);
-            self.metrics.counter_set(&format!("olap.site_health.probes.{key}"), site.health.probes);
-            // Breaker position as a step gauge: 0 closed, 1 half-open,
-            // 2 quarantined (dashboards alert on anything > 0).
-            let state = match site.health.state {
-                SiteHealthState::Closed => 0.0,
-                SiteHealthState::HalfOpen => 1.0,
-                SiteHealthState::Quarantined => 2.0,
-            };
-            self.metrics.gauge_set(&format!("olap.site_health.state.{key}"), state);
-            self.metrics.gauge_set(&format!("olap.site_health.window_error_rate.{key}"), site.health.window_error_rate);
-        }
-        let resilience = self.resilience.snapshot();
-        self.metrics.counter_set("olap.faults.observed", resilience.faults);
-        self.metrics.counter_set("olap.faults.retries", resilience.retries);
-        self.metrics.counter_set("olap.faults.fallbacks", resilience.fallbacks);
-        self.metrics.counter_set("trace.spans.recorded", self.tracer.recorded());
-        self.metrics.counter_set("trace.spans.dropped", self.tracer.dropped());
-        self.metrics.snapshot()
+        self.stats().metrics()
     }
 
     /// Executes a transaction on an explicitly chosen home worker.
     pub fn execute_txn_on(&self, home: PartitionId, proc: TxnProc) -> Result<()> {
-        self.scheduler.record_dispatch(ArchipelagoKind::TaskParallel, 1.0);
         self.oltp.execute(home, proc)
     }
 
@@ -582,12 +600,7 @@ impl Caldera {
             actual_secs: secs,
             breakdown: Some(outcome.breakdown),
         };
-        self.metrics.counter_add("olap.queries", 1);
-        self.metrics.counter_add(&format!("olap.queries.{}", site_key(site)), 1);
-        self.metrics.observe_secs("olap.latency.secs", secs);
-        self.metrics.observe_secs(&format!("olap.latency.{}", site_key(site)), secs);
         let mut meta = self.meta.lock();
-        meta.total_time += outcome.time;
         meta.calibrator.observe_sites(capabilities, &observation);
         // Explain the dispatch against the freshly calibrated model: every
         // site's estimate, the regret of the executing site vs the best, and
@@ -614,7 +627,6 @@ impl Caldera {
             if verdict.reopened {
                 // Quarantined → half-open: the backoff elapsed, probes run.
                 self.tracer.record(SpanEvent::new(SpanKind::Quarantine).site(cap.target()));
-                self.metrics.counter_add(&format!("olap.site_health.reopened.{}", site_key(cap.target())), 1);
             }
             if verdict.admissible {
                 healthy.push(cap.clone());
@@ -689,7 +701,6 @@ impl Caldera {
                         if slot.health.record_success() {
                             // Probe budget met: the quarantine is lifted.
                             self.tracer.record(SpanEvent::new(SpanKind::Quarantine).site(target));
-                            self.metrics.counter_add(&format!("olap.site_health.readmissions.{}", site_key(target)), 1);
                         }
                     }
                     return Ok(out);
@@ -700,8 +711,7 @@ impl Caldera {
             // it a persistent one?
             let (retry_in_place, persistent) = match &err {
                 H2Error::Fault { kind, transient, .. } => {
-                    self.resilience.faults.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.counter_add(&format!("olap.faults.{}", kind.name()), 1);
+                    self.resilience.faults[*kind as usize].fetch_add(1, Ordering::Relaxed);
                     self.tracer.record(SpanEvent::new(SpanKind::Fault).site(target));
                     (*transient, !*transient)
                 }
@@ -722,7 +732,6 @@ impl Caldera {
             if let Some(slot) = snap.slot(target) {
                 if slot.health.record_failure(persistent) {
                     self.tracer.record(SpanEvent::new(SpanKind::Quarantine).site(target));
-                    self.metrics.counter_add(&format!("olap.site_health.quarantines.{}", site_key(target)), 1);
                 }
             }
             if forced {
@@ -746,7 +755,6 @@ impl Caldera {
         plan: &OlapPlan,
         forced: Option<OlapTarget>,
     ) -> Result<PlanOutcome> {
-        self.scheduler.record_dispatch(ArchipelagoKind::DataParallel, 1.0);
         let (snap, snapshot, query_seq) = self.snapshot_for_query()?;
         let probe_frozen = snapshot.table(probe)?;
         let build_frozen = build.map(|id| snapshot.table(id)).transpose()?;
@@ -798,7 +806,9 @@ impl Caldera {
             // device buffers.
             let outcome = slot.site.execute(probe_frozen, build_frozen, plan)?;
             slot.queries.fetch_add(1, Ordering::Relaxed);
-            *slot.time.lock() += outcome.time;
+            let mut time = slot.time.lock();
+            time.total += outcome.time;
+            time.latency.record(outcome.time.as_secs_f64());
             Ok(outcome)
         };
 
@@ -816,24 +826,25 @@ impl Caldera {
     }
 
     fn stats_with_oltp(&self, oltp: OltpStats, snapshot_release_failures: u64) -> HtapStats {
-        let plan_cache = self.plan_cache.stats();
-        let olap_sites = self.site_stats();
-        let snapshots_taken = self.snap.read().snapshots_taken;
-        let metrics = self.metrics_snapshot(&plan_cache, &olap_sites);
+        let (olap_sites, snapshots_taken) = {
+            let snap = self.snap.read();
+            (snap.sites.iter().map(SiteSlot::stats).collect::<Vec<_>>(), snap.snapshots_taken)
+        };
         let meta = self.meta.lock();
         HtapStats {
             oltp,
             cow: self.db.telemetry(),
             olap_queries: meta.query_index,
-            olap_time: meta.total_time,
+            olap_time: olap_sites.iter().map(|site| site.time).sum(),
             olap_sites,
             snapshots_taken,
             snapshot_release_failures,
             calibration: meta.calibrator.report(),
-            plan_cache,
-            metrics,
+            plan_cache: self.plan_cache.stats(),
             placements: meta.calibrator.recent_placements().cloned().collect(),
             resilience: self.resilience.snapshot(),
+            trace_spans_recorded: self.tracer.recorded(),
+            trace_spans_dropped: self.tracer.dropped(),
         }
     }
 
@@ -1189,9 +1200,10 @@ mod tests {
         assert_eq!(cache.hit_rate(), Some(1.0 / 3.0));
         // One chunk, two columns: gathered once per version, nothing shared.
         assert_eq!((cache.chunks_rebuilt, cache.chunks_reused, cache.hashes_carried), (4, 0, 0));
-        assert_eq!(stats.metrics.counter("plan_cache.chunks_rebuilt"), Some(4));
-        assert_eq!(stats.metrics.counter("plan_cache.chunks_reused"), Some(0));
-        assert_eq!(stats.metrics.counter("plan_cache.hashes_carried"), Some(0));
+        let metrics = stats.metrics();
+        assert_eq!(metrics.counter("plan_cache.chunks_rebuilt"), Some(4));
+        assert_eq!(metrics.counter("plan_cache.chunks_reused"), Some(0));
+        assert_eq!(metrics.counter("plan_cache.hashes_carried"), Some(0));
     }
 
     #[test]
@@ -1549,6 +1561,8 @@ mod tests {
         assert_eq!(stats.resilience.retries, u64::from(OLAP_RETRY_MAX));
         assert_eq!(stats.resilience.faults, u64::from(OLAP_RETRY_MAX) + 1);
         assert_eq!(stats.resilience.fallbacks, 0);
+        // The failed query drew a number but no site answered it.
+        assert_eq!(stats.olap_queries, stats.olap_sites.iter().map(|s| s.queries).sum::<u64>() + 1);
     }
 
     #[test]
@@ -1571,8 +1585,110 @@ mod tests {
         assert!(spans.iter().any(|s| s.event.kind == SpanKind::Fallback), "fallbacks must leave spans");
         assert!(spans.iter().any(|s| s.event.kind == SpanKind::Quarantine), "the quarantine must leave a span");
         let stats = caldera.shutdown();
-        assert!(stats.metrics.counter("olap.faults.device_lost").is_some_and(|v| v >= 1));
-        assert!(stats.metrics.counter("olap.faults.fallbacks").is_some_and(|v| v >= 1));
-        assert!(stats.metrics.counter("olap.site_health.quarantines.gpu").is_some_and(|v| v >= 1));
+        let res = &stats.resilience;
+        assert_eq!(res.faults, res.faults_by_kind.iter().sum::<u64>());
+        let gpu = stats.olap_sites.iter().find(|s| s.target == OlapTarget::Gpu).unwrap();
+        assert_eq!(gpu.health.quarantines, 1);
+        assert_eq!(gpu.health.state, SiteHealthState::Quarantined);
+
+        let metrics = stats.metrics();
+        let counter = |name: &str| metrics.counter(name).unwrap_or_else(|| panic!("counter {name} missing"));
+        let gauge = |name: &str| metrics.gauge(name).unwrap_or_else(|| panic!("gauge {name} missing"));
+        assert_eq!((counter("olap.queries"), counter("olap.queries.cpu"), counter("olap.queries.gpu")), (10, 8, 2));
+        assert_eq!(counter("olap.faults.observed"), res.faults);
+        assert_eq!(counter("olap.faults.device_lost"), 1);
+        assert_eq!(counter("olap.faults.transient_kernel"), 0, "kinds that never fired still export");
+        assert_eq!(counter("olap.faults.fallbacks"), 1);
+        assert_eq!(counter("olap.site_health.quarantines.gpu"), 1);
+        assert_eq!(gauge("olap.site_health.state.gpu"), 2.0);
+        assert_eq!(gauge("olap.site_health.window_error_rate.gpu"), 1.0 / 3.0);
+        assert_eq!(counter("trace.spans.recorded"), stats.trace_spans_recorded);
+        let latency = metrics.histogram("olap.latency.secs").unwrap();
+        assert_eq!(latency.count(), 10);
+        assert_eq!(latency.max(), metrics.histogram("olap.latency.cpu").unwrap().max());
+
+        // Every name the string-keyed registry used to export is still
+        // exported.
+        let counters: Vec<&str> = metrics.counters().map(|(name, _)| name).collect();
+        let gauges: Vec<&str> = metrics.gauges().map(|(name, _)| name).collect();
+        let histograms: Vec<&str> = metrics.histograms().map(|(name, _)| name).collect();
+        for name in [
+            "olap.queries",
+            "olap.queries.cpu",
+            "olap.queries.gpu",
+            "olap.admission.admitted.cpu",
+            "olap.admission.admitted.gpu",
+            "olap.admission.queued.cpu",
+            "olap.admission.queued.gpu",
+            "olap.site_health.failures.cpu",
+            "olap.site_health.failures.gpu",
+            "olap.site_health.probes.cpu",
+            "olap.site_health.probes.gpu",
+            "olap.site_health.quarantines.cpu",
+            "olap.site_health.quarantines.gpu",
+            "olap.faults.observed",
+            "olap.faults.retries",
+            "olap.faults.fallbacks",
+            "olap.faults.device_lost",
+            "plan_cache.column_hits",
+            "plan_cache.column_misses",
+            "plan_cache.hash_hits",
+            "plan_cache.hash_misses",
+            "plan_cache.invalidations",
+            "plan_cache.evictions",
+            "plan_cache.shared_scan_attaches",
+            "plan_cache.chunks_reused",
+            "plan_cache.chunks_rebuilt",
+            "plan_cache.hashes_carried",
+            "trace.spans.recorded",
+            "trace.spans.dropped",
+        ] {
+            assert!(counters.contains(&name), "counter {name} no longer exported");
+        }
+        for name in [
+            "olap.admission.in_flight.cpu",
+            "olap.admission.in_flight.gpu",
+            "olap.site_health.state.cpu",
+            "olap.site_health.state.gpu",
+            "olap.site_health.window_error_rate.cpu",
+            "olap.site_health.window_error_rate.gpu",
+            "plan_cache.occupancy_bytes",
+        ] {
+            assert!(gauges.contains(&name), "gauge {name} no longer exported");
+        }
+        for name in ["olap.latency.secs", "olap.latency.cpu", "olap.latency.gpu"] {
+            assert!(histograms.contains(&name), "histogram {name} no longer exported");
+        }
+    }
+
+    #[test]
+    fn plan_cache_fields_export_once_as_counters_or_gauges() {
+        let stats = HtapStats {
+            plan_cache: PlanCacheStats {
+                column_hits: 1,
+                column_misses: 2,
+                hash_hits: 3,
+                hash_misses: 4,
+                invalidations: 5,
+                evictions: 6,
+                shared_scan_attaches: 7,
+                chunks_reused: 8,
+                chunks_rebuilt: 9,
+                hashes_carried: 10,
+                occupancy_bytes: 4096,
+                budget_bytes: Some(8192),
+            },
+            ..HtapStats::default()
+        };
+        let metrics = stats.metrics();
+        let counters: Vec<(&str, u64)> =
+            metrics.counters().filter(|(name, _)| name.starts_with("plan_cache.")).collect();
+        let gauges: Vec<(&str, f64)> = metrics.gauges().filter(|(name, _)| name.starts_with("plan_cache.")).collect();
+        assert!(metrics.histograms().all(|(name, _)| !name.starts_with("plan_cache.")));
+        // Ten distinct values, ten counters: each field exported exactly once.
+        let mut values: Vec<u64> = counters.iter().map(|(_, value)| *value).collect();
+        values.sort_unstable();
+        assert_eq!(values, (1..=10).collect::<Vec<u64>>(), "{counters:?}");
+        assert_eq!(gauges, [("plan_cache.budget_bytes", 8192.0), ("plan_cache.occupancy_bytes", 4096.0)]);
     }
 }

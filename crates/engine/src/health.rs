@@ -68,6 +68,11 @@ pub struct SiteHealthStats {
     pub quarantines: u64,
     /// Half-open probe queries admitted.
     pub probes: u64,
+    /// Times a quarantined breaker sat out its backoff and reopened
+    /// half-open.
+    pub reopened: u64,
+    /// Times enough probe successes closed a half-open breaker.
+    pub readmissions: u64,
     /// Error rate over the current window (0 when the window is empty).
     pub window_error_rate: f64,
 }
@@ -91,6 +96,8 @@ struct HealthInner {
     persistent_failures: u64,
     quarantines: u64,
     probes: u64,
+    reopened: u64,
+    readmissions: u64,
 }
 
 /// A per-site circuit breaker, closed by default. `&self`-concurrent
@@ -126,6 +133,7 @@ impl SiteHealth {
                     inner.state = SiteHealthState::HalfOpen;
                     inner.probe_successes = 0;
                     inner.outstanding_probes = 0;
+                    inner.reopened += 1;
                     Admissibility { admissible: true, reopened: true }
                 } else {
                     Admissibility { admissible: false, reopened: false }
@@ -176,6 +184,7 @@ impl SiteHealth {
                 inner.window.iter_mut().for_each(|f| *f = false);
                 inner.filled = 0;
                 inner.cursor = 0;
+                inner.readmissions += 1;
                 return true;
             }
         }
@@ -222,6 +231,8 @@ impl SiteHealth {
             persistent_failures: inner.persistent_failures,
             quarantines: inner.quarantines,
             probes: inner.probes,
+            reopened: inner.reopened,
+            readmissions: inner.readmissions,
             window_error_rate: Self::window_rate(&inner),
         }
     }
@@ -314,6 +325,8 @@ mod tests {
         assert!(h.record_success(), "probe budget met: quarantine lifted");
         assert_eq!(h.stats().state, SiteHealthState::Closed);
         assert_eq!(h.stats().probes, u64::from(PROBE_BUDGET));
+        assert_eq!(h.stats().reopened, 1);
+        assert_eq!(h.stats().readmissions, 1);
         // The window was reset: one new failure is not instant re-quarantine.
         assert!(!h.record_failure(false));
         assert_eq!(h.stats().state, SiteHealthState::Closed);

@@ -1,23 +1,15 @@
-//! The metrics registry: named counters, gauges and latency histograms.
+//! The named metrics view: counters, gauges and latency histograms.
 //!
-//! One registry per engine; every dispatch records its latency into
-//! log-bucketed [`Histogram`]s (overall and per site) and bumps per-site
-//! counters. [`MetricsRegistry::snapshot`] clones the current state into a
-//! [`MetricsSnapshot`] — what `HtapStats::metrics` carries and what the
-//! bench binary serialises into the `BENCH_*.json` artifacts.
-//!
-//! The three families have distinct semantics, mirroring the
-//! counters/gauges split of `PlanCacheStats`: counters are monotonic,
-//! gauges are point-in-time samples, histograms are mergeable
-//! distributions.
+//! A [`MetricsSnapshot`] owns no live state. The engine's typed stats are
+//! where every counter lives; `HtapStats::metrics` derives this name-keyed
+//! view from them on demand. Counters are monotonic, gauges are
+//! point-in-time samples, histograms are mergeable distributions.
 
 use h2tap_common::Histogram;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-/// A point-in-time copy of the registry. `BTreeMap`s keep iteration (and
-/// therefore every exported artifact) deterministically ordered by name.
+/// A point-in-time name-to-value map. `BTreeMap`s keep iteration
+/// deterministically ordered by name.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     counters: BTreeMap<String, u64>,
@@ -61,93 +53,19 @@ impl MetricsSnapshot {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Hand-written JSON (the workspace's offline serde stand-in has no
-    /// serializer): `{"counters":{...},"gauges":{...},"histograms":{name:
-    /// {count,p50,p95,p99,max,mean}}}`. Keys are emitted in `BTreeMap`
-    /// order, so the output is byte-stable for a given state.
-    pub fn json(&self) -> String {
-        let counters: Vec<String> = self.counters.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-        let gauges: Vec<String> = self.gauges.iter().map(|(k, v)| format!("\"{k}\":{}", fmt_f64(*v))).collect();
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                format!(
-                    "\"{k}\":{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{},\"mean\":{}}}",
-                    h.count(),
-                    fmt_opt(h.p50()),
-                    fmt_opt(h.p95()),
-                    fmt_opt(h.p99()),
-                    fmt_opt(h.max()),
-                    fmt_opt(h.mean()),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
-            counters.join(","),
-            gauges.join(","),
-            hists.join(",")
-        )
-    }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn fmt_opt(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), fmt_f64)
-}
-
-/// The shared, thread-safe registry handle (one `Arc`-backed clone per
-/// holder). Recording takes one short mutex; OLAP dispatch records once per
-/// *query*, not per row, so the lock is far off the data hot path.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    inner: Arc<Mutex<MetricsSnapshot>>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` to the named monotonic counter (created at 0).
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock();
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Overwrites the named counter with an externally tracked monotonic
-    /// value (e.g. mirroring the plan cache's own hit counters).
-    pub fn counter_set(&self, name: &str, value: u64) {
-        self.inner.lock().counters.insert(name.to_string(), value);
+    /// Sets the named monotonic counter.
+    pub fn set_counter(&mut self, name: impl Into<String>, value: u64) {
+        self.counters.insert(name.into(), value);
     }
 
     /// Sets the named gauge to a point-in-time sample.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        self.inner.lock().gauges.insert(name.to_string(), value);
+    pub fn set_gauge(&mut self, name: impl Into<String>, value: f64) {
+        self.gauges.insert(name.into(), value);
     }
 
-    /// Records one observation (seconds) into the named histogram.
-    pub fn observe_secs(&self, name: &str, secs: f64) {
-        self.inner.lock().histograms.entry(name.to_string()).or_default().record(secs);
-    }
-
-    /// Merges a whole histogram recorded elsewhere into the named one.
-    pub fn merge_histogram(&self, name: &str, h: &Histogram) {
-        self.inner.lock().histograms.entry(name.to_string()).or_default().merge(h);
-    }
-
-    /// A deep copy of the current state.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.inner.lock().clone()
+    /// Sets the named histogram.
+    pub fn set_histogram(&mut self, name: impl Into<String>, histogram: Histogram) {
+        self.histograms.insert(name.into(), histogram);
     }
 }
 
@@ -174,54 +92,29 @@ mod tests {
 
     #[test]
     fn counters_gauges_histograms_round_trip() {
-        let m = MetricsRegistry::new();
-        m.counter_add("olap.queries.gpu", 2);
-        m.counter_add("olap.queries.gpu", 3);
-        m.counter_set("cache.hits", 11);
-        m.gauge_set("cache.occupancy_bytes", 4096.0);
+        let mut m = MetricsSnapshot::default();
+        assert!(m.is_empty());
+        m.set_counter("olap.queries.gpu", 2);
+        m.set_counter("olap.queries.gpu", 5);
+        m.set_counter("cache.hits", 11);
+        m.set_gauge("cache.occupancy_bytes", 4096.0);
+        let mut h = Histogram::new();
         for i in 1..=100 {
-            m.observe_secs("olap.latency.secs", i as f64 * 1e-3);
+            h.record(i as f64 * 1e-3);
         }
-        let s = m.snapshot();
-        assert_eq!(s.counter("olap.queries.gpu"), Some(5));
-        assert_eq!(s.counter("cache.hits"), Some(11));
-        assert_eq!(s.gauge("cache.occupancy_bytes"), Some(4096.0));
-        let h = s.histogram("olap.latency.secs").unwrap();
+        m.set_histogram("olap.latency.secs", h);
+        assert_eq!(m.counter("olap.queries.gpu"), Some(5));
+        assert_eq!(m.counter("cache.hits"), Some(11));
+        assert_eq!(m.gauge("cache.occupancy_bytes"), Some(4096.0));
+        let h = m.histogram("olap.latency.secs").unwrap();
         assert_eq!(h.count(), 100);
         let p50 = h.p50().unwrap();
         assert!((p50 - 0.050).abs() / 0.050 < 0.05, "p50 {p50}");
-        assert!(s.counter("missing").is_none());
-        assert!(s.histogram("missing").is_none());
-    }
-
-    #[test]
-    fn merge_histogram_aggregates_thread_local_recordings() {
-        let m = MetricsRegistry::new();
-        let mut local_a = Histogram::new();
-        let mut local_b = Histogram::new();
-        for i in 0..50 {
-            local_a.record(1e-3 + i as f64 * 1e-5);
-            local_b.record(2e-3 + i as f64 * 1e-5);
-        }
-        m.merge_histogram("lat", &local_a);
-        m.merge_histogram("lat", &local_b);
-        assert_eq!(m.snapshot().histogram("lat").unwrap().count(), 100);
-    }
-
-    #[test]
-    fn snapshot_json_is_valid_and_deterministic() {
-        let m = MetricsRegistry::new();
-        m.counter_add("b.count", 1);
-        m.counter_add("a.count", 2);
-        m.gauge_set("g", 1.5);
-        m.observe_secs("h", 0.25);
-        let json = m.snapshot().json();
-        assert!(crate::export::json_is_valid(&json), "{json}");
-        // BTreeMap ordering: "a.count" precedes "b.count".
-        assert!(json.find("a.count").unwrap() < json.find("b.count").unwrap());
-        assert_eq!(json, m.snapshot().json());
-        // Empty histograms/maps still serialise validly.
-        assert!(crate::export::json_is_valid(&MetricsSnapshot::default().json()));
+        assert!(m.counter("missing").is_none());
+        assert!(m.histogram("missing").is_none());
+        // Iteration is name-ordered.
+        let names: Vec<&str> = m.counters().map(|(name, _)| name).collect();
+        assert_eq!(names, ["cache.hits", "olap.queries.gpu"]);
     }
 
     #[test]

@@ -34,15 +34,6 @@ impl Archipelago {
     }
 }
 
-/// Utilisation statistics the scheduler maintains per archipelago.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ArchipelagoStats {
-    /// Work items (transactions or queries) dispatched to the archipelago.
-    pub dispatched: u64,
-    /// Exponentially smoothed utilisation in [0, 1].
-    pub utilisation: f64,
-}
-
 /// Core–archipelago membership manager.
 #[derive(Debug)]
 pub struct Scheduler {
@@ -53,8 +44,6 @@ pub struct Scheduler {
 struct SchedulerInner {
     task: Archipelago,
     data: Archipelago,
-    task_stats: ArchipelagoStats,
-    data_stats: ArchipelagoStats,
 }
 
 impl Scheduler {
@@ -72,14 +61,7 @@ impl Scheduler {
             cpu_cores: (oltp_cores as u32..(oltp_cores + olap_cpu_cores) as u32).collect(),
             gpus,
         };
-        Self {
-            inner: RwLock::new(SchedulerInner {
-                task,
-                data,
-                task_stats: ArchipelagoStats::default(),
-                data_stats: ArchipelagoStats::default(),
-            }),
-        }
+        Self { inner: RwLock::new(SchedulerInner { task, data }) }
     }
 
     /// A copy of the archipelago of the given kind.
@@ -116,28 +98,6 @@ impl Scheduler {
         src.cpu_cores.remove(&core);
         dst.cpu_cores.insert(core);
         Ok(())
-    }
-
-    /// Records that a work item was dispatched to `kind` with the given
-    /// instantaneous utilisation sample.
-    pub fn record_dispatch(&self, kind: ArchipelagoKind, utilisation_sample: f64) {
-        let mut inner = self.inner.write();
-        let stats = match kind {
-            ArchipelagoKind::TaskParallel => &mut inner.task_stats,
-            ArchipelagoKind::DataParallel => &mut inner.data_stats,
-        };
-        stats.dispatched += 1;
-        let sample = utilisation_sample.clamp(0.0, 1.0);
-        stats.utilisation = 0.8 * stats.utilisation + 0.2 * sample;
-    }
-
-    /// Current statistics of `kind`.
-    pub fn stats(&self, kind: ArchipelagoKind) -> ArchipelagoStats {
-        let inner = self.inner.read();
-        match kind {
-            ArchipelagoKind::TaskParallel => inner.task_stats,
-            ArchipelagoKind::DataParallel => inner.data_stats,
-        }
     }
 }
 
@@ -186,17 +146,5 @@ mod tests {
         let s = Scheduler::new(2, 0, vec![]);
         s.migrate_core(0, ArchipelagoKind::TaskParallel, ArchipelagoKind::TaskParallel).unwrap();
         assert_eq!(s.archipelago(ArchipelagoKind::TaskParallel).core_count(), 2);
-    }
-
-    #[test]
-    fn dispatch_statistics_smooth_utilisation() {
-        let s = Scheduler::new(2, 0, vec![]);
-        for _ in 0..10 {
-            s.record_dispatch(ArchipelagoKind::DataParallel, 1.0);
-        }
-        let stats = s.stats(ArchipelagoKind::DataParallel);
-        assert_eq!(stats.dispatched, 10);
-        assert!(stats.utilisation > 0.5 && stats.utilisation <= 1.0);
-        assert_eq!(s.stats(ArchipelagoKind::TaskParallel).dispatched, 0);
     }
 }

@@ -3,11 +3,10 @@
 //! "Archipelagos are resource containers defined by a set of processor cores
 //! and a target workload." The scheduler owns core–archipelago membership,
 //! supports on-the-fly migration of CPU cores between the task-parallel
-//! (OLTP) and data-parallel (OLAP) archipelagos, keeps utilisation
-//! statistics, and decides where an analytical query should run (CPU cores of
-//! the data-parallel archipelago or the GPU) from a simple locality- and
-//! size-aware cost heuristic — the role Figure 2 assigns to the scheduler
-//! box.
+//! (OLTP) and data-parallel (OLAP) archipelagos, and decides where an
+//! analytical query should run (CPU cores of the data-parallel archipelago
+//! or the GPU) from a simple locality- and size-aware cost heuristic — the
+//! role Figure 2 assigns to the scheduler box.
 
 #![forbid(unsafe_code)]
 // Serving-path lints (one header, byte-identical in engine, olap, scheduler

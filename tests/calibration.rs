@@ -97,7 +97,7 @@ fn forced_site_runs_feed_calibration_but_never_recurse_into_placement() {
         let out = caldera.run_olap_on(small, &query, OlapTarget::Gpu).unwrap();
         assert_eq!(out.site, OlapTarget::Gpu, "a forced run must never be redirected");
     }
-    let report = caldera.calibration_report();
+    let report = caldera.stats().calibration;
     assert_eq!(report.site(OlapTarget::Gpu).unwrap().observations, 15, "forced runs must feed calibration");
     assert_eq!(report.site(OlapTarget::Gpu).unwrap().forced_observations, 15, "and be reported as forced");
     assert_eq!(report.site(OlapTarget::Cpu).unwrap().observations, 0);
@@ -137,7 +137,7 @@ fn two_gpu_bandwidth_scale_recalibrates_and_recovers_the_oracle() {
 
     // The 3x-wrong scale over-predicts the pair's first large scan.
     caldera.run_olap_on(large, &query, OlapTarget::Gpu).unwrap();
-    let first = *caldera.calibration_report().site(OlapTarget::Gpu).unwrap();
+    let first = *caldera.stats().calibration.site(OlapTarget::Gpu).unwrap();
     assert!(first.signed_error < -0.2, "the 3x-wrong seed must over-predict the first large scan: {first:?}");
 
     // Answer a mixed stream; each iteration also runs the forced-site oracle
@@ -189,7 +189,7 @@ fn oom_fallback_observations_are_attributed_to_the_cpu() {
     let caldera = builder.start().unwrap();
     let out = caldera.run_olap(table, &q6()).unwrap();
     assert_eq!(out.site, OlapTarget::Cpu, "device-resident table cannot fit: CPU answers");
-    let report = caldera.calibration_report();
+    let report = caldera.stats().calibration;
     assert_eq!(report.site(OlapTarget::Cpu).unwrap().observations, 1);
     assert_eq!(report.site(OlapTarget::Gpu).unwrap().observations, 0);
     caldera.shutdown();

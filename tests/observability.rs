@@ -140,14 +140,21 @@ fn tracing_is_off_by_default_but_metrics_and_explanations_still_flow() {
     assert!(caldera.trace_spans().is_empty(), "no spans unless observability.tracing is set");
 
     let stats = caldera.shutdown();
+    let metrics = stats.metrics();
     // Latency histograms and query counters populate regardless.
-    assert_eq!(stats.metrics.counter("olap.queries"), Some(2));
-    let latency = stats.metrics.histogram("olap.latency.secs").unwrap();
+    let answered: u64 = stats.olap_sites.iter().map(|s| s.queries).sum();
+    assert_eq!(answered, 2);
+    assert_eq!(metrics.counter("olap.queries"), Some(answered));
+    let latency = metrics.histogram("olap.latency.secs").unwrap();
+    assert_eq!(latency.count(), stats.olap_sites.iter().map(|s| s.latency.count()).sum::<u64>());
     assert_eq!(latency.count(), 2);
     assert!(latency.p99().unwrap() >= latency.p50().unwrap());
-    // The plan-cache mirror keeps counters and gauges in their families.
-    assert_eq!(stats.metrics.counter("plan_cache.hash_misses"), Some(stats.plan_cache.hash_misses));
-    assert!(stats.metrics.gauge("plan_cache.occupancy_bytes").is_some());
+    // The named view reads every section of the typed stats, counters and
+    // gauges in their own families.
+    assert_eq!(metrics.counter("plan_cache.hash_misses"), Some(stats.plan_cache.hash_misses));
+    assert!(metrics.gauge("plan_cache.occupancy_bytes").is_some());
+    assert_eq!(metrics.counter("oltp.committed"), Some(stats.oltp.committed));
+    assert_eq!(metrics.counter("storage.pages_copied"), Some(stats.cow.pages_copied));
     // Every dispatch left a placement explanation with all site estimates.
     assert_eq!(stats.placements.len(), 2);
     for p in &stats.placements {
