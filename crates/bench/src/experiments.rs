@@ -183,7 +183,6 @@ pub fn fig4(rows: u64) -> Vec<Fig4Row> {
         let result = site.execute(frozen, None, &OlapPlan::scan(&query)).map(PlanOutcome::into_scan_outcome).unwrap();
         rows_out.push(Fig4Row { engine: engine.into(), seconds: result.time.as_secs_f64(), revenue: result.value });
     }
-    let _ = caldera.database().release_snapshot(&snap);
     caldera.shutdown();
     rows_out
 }
@@ -1185,11 +1184,7 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
             let snap = db.snapshot();
             let started = Instant::now();
             let mat = derive(snap.table(lineitem).unwrap());
-            let secs = started.elapsed().as_secs_f64();
-            let work = mat.work();
-            drop(mat);
-            db.release_snapshot(&snap).unwrap();
-            (secs, work)
+            (started.elapsed().as_secs_f64(), mat.work())
         };
         let (mut rebuild_secs, mut cold_secs, mut work) = (f64::INFINITY, f64::INFINITY, ops::BuildWork::default());
         for _ in 0..repeats {

@@ -4,7 +4,8 @@
 //! → column → page, Figure 3 of the paper) carries an epoch number. Taking a
 //! snapshot is a shallow copy of the top-level container plus an increment of
 //! the live epoch; copy-on-write then bumps the epoch of every shadow-copied
-//! node so the garbage collector can tell superseded versions from live ones.
+//! node so a writer can tell a page a snapshot may still share (stamped
+//! before the live epoch) from one only the live store holds.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -70,8 +70,6 @@ pub enum H2Error {
     ChannelClosed(String),
     /// The scheduler could not satisfy a placement request.
     Placement(String),
-    /// A snapshot id is unknown or already released.
-    UnknownSnapshot(u64),
     /// Generic configuration error.
     Config(String),
     /// An injected (or real) execution-site fault. `transient` faults are
@@ -94,7 +92,6 @@ impl fmt::Display for H2Error {
             H2Error::InvalidKernel(m) => write!(f, "invalid kernel: {m}"),
             H2Error::ChannelClosed(m) => write!(f, "channel closed: {m}"),
             H2Error::Placement(m) => write!(f, "placement error: {m}"),
-            H2Error::UnknownSnapshot(id) => write!(f, "unknown snapshot: {id}"),
             H2Error::Config(m) => write!(f, "configuration error: {m}"),
             H2Error::Fault { site, kind, transient } => {
                 let class = if *transient { "transient" } else { "persistent" };

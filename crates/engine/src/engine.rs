@@ -121,7 +121,8 @@ impl ResilienceCounters {
 pub struct HtapStats {
     /// OLTP-side counters.
     pub oltp: OltpStats,
-    /// Copy-on-write / snapshot GC counters.
+    /// Copy-on-write counters, and the superseded pages that snapshot drops
+    /// reclaimed.
     pub cow: CowStats,
     /// Analytical queries that drew a query number (all sites), failed ones
     /// included. Queries the sites answered are `olap_sites`' `queries`,
@@ -133,10 +134,11 @@ pub struct HtapStats {
     pub olap_sites: Vec<OlapSiteStats>,
     /// Snapshots taken by the OLAP path.
     pub snapshots_taken: u64,
-    /// Snapshot releases that failed during shutdown (the storage layer no
-    /// longer knew the snapshot — an accounting bug upstream). Refresh-path
-    /// release failures are not counted here: they fail the refresh itself.
-    pub snapshot_release_failures: u64,
+    /// Snapshots taken and not yet dropped, the engine's own included. After
+    /// [`Caldera::shutdown`] this is the number a caller still holds (from
+    /// [`Caldera::current_snapshot`] or the database): each one pins the
+    /// superseded pages only it still holds.
+    pub live_snapshots: u64,
     /// Placement feedback-loop state: the current calibrated cost model and
     /// per-site predicted-vs-actual error statistics.
     pub calibration: CalibrationReport,
@@ -177,7 +179,8 @@ impl HtapStats {
     }
 
     /// The named view of these stats: `olap.*` (per site, per fault kind,
-    /// snapshots), `plan_cache.*`, `trace.spans.*`, `oltp.*` and `storage.*`.
+    /// snapshots), `plan_cache.*`, `trace.spans.*`, `oltp.*` and `storage.*`
+    /// (with the gauge `storage.live_snapshots`).
     /// Every value is read from the typed field it names; this is the only
     /// place a stat gets a name and is sorted into counter, gauge or
     /// histogram.
@@ -222,7 +225,7 @@ impl HtapStats {
         m.set_counter("olap.faults.fallbacks", res.fallbacks);
         m.set_counter("trace.spans.recorded", self.trace_spans_recorded);
         m.set_counter("trace.spans.dropped", self.trace_spans_dropped);
-        export_counters!(m, "olap", self; snapshots_taken snapshot_release_failures);
+        export_counters!(m, "olap", self; snapshots_taken);
         let cache = &self.plan_cache;
         export_counters!(m, "plan_cache", cache; column_hits column_misses hash_hits hash_misses invalidations evictions
             shared_scan_attaches chunks_reused chunks_rebuilt hashes_carried);
@@ -230,8 +233,9 @@ impl HtapStats {
             writebacks submitted idle_wakeups);
         export_counters!(m, "storage", self.cow; pages_copied bytes_copied in_place_updates pages_reclaimed
             bytes_reclaimed);
-        // Cache occupancy and budget are point-in-time samples, not
-        // monotonic counts.
+        // Live snapshots, cache occupancy and budget are point-in-time
+        // samples, not monotonic counts.
+        m.set_gauge("storage.live_snapshots", self.live_snapshots as f64);
         m.set_gauge("plan_cache.occupancy_bytes", cache.occupancy_bytes as f64);
         if let Some(budget) = cache.budget_bytes {
             m.set_gauge("plan_cache.budget_bytes", budget as f64);
@@ -421,7 +425,9 @@ impl Caldera {
     }
 
     /// The snapshot analytical queries currently run against: `None` before
-    /// the first query (and after a refresh failed partway).
+    /// the first query and after [`Caldera::shutdown`]. Holding the returned
+    /// `Arc` keeps the snapshot alive across refreshes, pinning the pages
+    /// written since (see [`HtapStats::live_snapshots`]).
     pub fn current_snapshot(&self) -> Option<Arc<Snapshot>> {
         self.snap.read().snapshot.clone()
     }
@@ -476,34 +482,32 @@ impl Caldera {
         self.oltp.run_for(window)
     }
 
-    /// Takes a fresh snapshot immediately, releasing the previous OLAP
-    /// snapshot (manual freshness control). Waits for in-flight analytical
-    /// queries to drain, so no query ever loses its tables mid-execution.
+    /// Takes a fresh snapshot immediately, dropping the engine's handle on
+    /// the previous one (manual freshness control). Waits for in-flight
+    /// analytical queries to drain, so no query ever loses its tables
+    /// mid-execution. Never fails; the `Result` is kept for callers.
     pub fn refresh_snapshot(&self) -> Result<()> {
-        Self::refresh_gate(&self.db, &mut self.snap.write())
+        Self::refresh_gate(&self.db, &mut self.snap.write());
+        Ok(())
     }
 
     /// Replaces the gate's snapshot: resets every site's registrations,
-    /// releases the old snapshot and takes a new one. Requires the gate's
-    /// write side. The plan-data cache is left alone: its entries are
-    /// versioned by snapshot epoch, and the new snapshot's first queries
-    /// rebuild from them only the chunks written since.
-    ///
-    /// A failed release is a real accounting bug (the snapshot was already
-    /// released behind the engine's back) and is propagated, not swallowed;
-    /// the gate is left without a snapshot, so the next query — or retry —
-    /// starts clean instead of double-counting against the broken one.
-    fn refresh_gate(db: &Arc<Database>, snap: &mut SnapshotGate) -> Result<()> {
-        let old = snap.snapshot.take();
+    /// installs a new snapshot and returns it, then drops the gate's handle
+    /// on the old one. Requires the gate's write side, so the old snapshot —
+    /// if the gate held its last `Arc` — is released, and its superseded
+    /// pages freed, before any query sees the new one. The plan-data cache is
+    /// left alone: its entries are versioned by snapshot epoch, and the new
+    /// snapshot's first queries rebuild from them only the chunks written
+    /// since.
+    fn refresh_gate(db: &Arc<Database>, snap: &mut SnapshotGate) -> Arc<Snapshot> {
         for slot in &snap.sites {
             slot.site.reset_tables();
         }
-        if let Some(old) = old {
-            db.release_snapshot(&old)?;
-        }
-        snap.snapshot = Some(db.snapshot());
+        let snapshot = db.snapshot();
+        let old = snap.snapshot.replace(Arc::clone(&snapshot));
         snap.snapshots_taken += 1;
-        Ok(())
+        drop(old);
+        snapshot
     }
 
     /// Runs an analytical query against `table` on the data-parallel
@@ -569,11 +573,10 @@ impl Caldera {
             }
         }
         let mut snap = self.snap.write();
-        if policy_fired || snap.snapshot.is_none() {
-            Self::refresh_gate(&self.db, &mut snap)?;
-        }
-        let snapshot =
-            snap.snapshot.clone().ok_or_else(|| H2Error::Config("snapshot missing after refresh".to_string()))?;
+        let snapshot = match snap.snapshot.clone() {
+            Some(snapshot) if !policy_fired => snapshot,
+            _ => Self::refresh_gate(&self.db, &mut snap),
+        };
         Ok((QueryGuard::Exclusive(snap), snapshot, index + 1))
     }
 
@@ -822,10 +825,10 @@ impl Caldera {
 
     /// Combined statistics across both archipelagos.
     pub fn stats(&self) -> HtapStats {
-        self.stats_with_oltp(self.oltp.stats(), 0)
+        self.stats_with_oltp(self.oltp.stats())
     }
 
-    fn stats_with_oltp(&self, oltp: OltpStats, snapshot_release_failures: u64) -> HtapStats {
+    fn stats_with_oltp(&self, oltp: OltpStats) -> HtapStats {
         let (olap_sites, snapshots_taken) = {
             let snap = self.snap.read();
             (snap.sites.iter().map(SiteSlot::stats).collect::<Vec<_>>(), snap.snapshots_taken)
@@ -838,7 +841,7 @@ impl Caldera {
             olap_time: olap_sites.iter().map(|site| site.time).sum(),
             olap_sites,
             snapshots_taken,
-            snapshot_release_failures,
+            live_snapshots: self.db.active_snapshot_count(),
             calibration: meta.calibrator.report(),
             plan_cache: self.plan_cache.stats(),
             placements: meta.calibrator.recent_placements().cloned().collect(),
@@ -848,26 +851,18 @@ impl Caldera {
         }
     }
 
-    /// Stops the OLTP workers, releases the OLAP snapshot and returns final
-    /// statistics.
+    /// Stops the OLTP workers, drops the engine's handle on the OLAP
+    /// snapshot and returns final statistics.
     ///
     /// The workers stop **before** the statistics are captured, so the
     /// final counters include every transaction the workers drained on the
     /// way out (capturing first under-counted whatever committed during the
-    /// stop). A snapshot release the storage layer refuses is counted in
-    /// [`HtapStats::snapshot_release_failures`] instead of being swallowed.
+    /// stop). The snapshot drops first too, so [`HtapStats::live_snapshots`]
+    /// counts only the snapshots a caller still holds.
     pub fn shutdown(mut self) -> HtapStats {
         let oltp = self.oltp.stop();
-        let mut release_failures = 0;
-        {
-            let mut snap = self.snap.write();
-            if let Some(snapshot) = snap.snapshot.take() {
-                if self.db.release_snapshot(&snapshot).is_err() {
-                    release_failures += 1;
-                }
-            }
-        }
-        self.stats_with_oltp(oltp, release_failures)
+        self.snap.write().snapshot = None;
+        self.stats_with_oltp(oltp)
     }
 }
 
@@ -918,7 +913,7 @@ mod tests {
         assert_eq!(stats.oltp.committed, 1);
         assert_eq!(stats.olap_queries, 2);
         assert_eq!(stats.snapshots_taken, 2);
-        assert_eq!(stats.snapshot_release_failures, 0);
+        assert_eq!(stats.live_snapshots, 0);
         assert!(stats.olap_time > SimDuration::ZERO);
         // No CPU cores were reserved, so every query ran on the GPU.
         assert_eq!(stats.olap_queries_on(OlapTarget::Gpu), 2);
@@ -1315,31 +1310,33 @@ mod tests {
     }
 
     #[test]
-    fn refresh_propagates_a_failed_snapshot_release() {
+    fn a_held_snapshot_outlives_refresh_and_shutdown() {
         let (caldera, t) = engine_with_rows(2, 10, SnapshotPolicy::Manual);
         let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));
         assert_eq!(caldera.run_olap(t, &q).unwrap().value, 10.0);
-        // Release the engine's snapshot behind its back: the refresh's own
-        // release now fails, and the error must surface, not vanish.
-        let snapshot = caldera.current_snapshot().expect("a query ran, so a snapshot exists");
-        caldera.database().release_snapshot(&snapshot).unwrap();
-        assert!(matches!(caldera.refresh_snapshot(), Err(H2Error::UnknownSnapshot(_))));
-        // Recovery is clean: the failed refresh left no snapshot behind, so
-        // the next query takes a fresh one and answers correctly.
-        assert_eq!(caldera.run_olap(t, &q).unwrap().value, 10.0);
+        let held = caldera.current_snapshot().expect("a query ran, so a snapshot exists");
+        let base = caldera.database().telemetry();
+        caldera
+            .execute_txn(Arc::new(move |ctx| {
+                let mut rec = ctx.read_for_update(t, 0)?;
+                rec[1] = Value::Int64(5);
+                ctx.update(t, 0, rec)
+            }))
+            .unwrap();
+        caldera.refresh_snapshot().unwrap();
+        assert_eq!(caldera.run_olap(t, &q).unwrap().value, 14.0);
+        // The held snapshot still reads the old value and still pins the
+        // page the update superseded.
+        assert_eq!(held.table(t).unwrap().column(1).iter().sum::<u64>(), 10);
+        let reclaimed = || caldera.database().telemetry().delta_since(&base).pages_reclaimed;
+        assert_eq!(reclaimed(), 0, "the refresh dropped the engine's handle, not the last one");
+        let stats = caldera.stats();
+        assert_eq!((stats.live_snapshots, stats.metrics().gauge("storage.live_snapshots")), (2, Some(2.0)));
+        drop(held);
+        assert_eq!(reclaimed(), 1);
         let stats = caldera.shutdown();
-        assert_eq!(stats.snapshot_release_failures, 0);
-    }
-
-    #[test]
-    fn shutdown_counts_a_failed_snapshot_release() {
-        let (caldera, t) = engine_with_rows(2, 10, SnapshotPolicy::Manual);
-        let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));
-        caldera.run_olap(t, &q).unwrap();
-        let snapshot = caldera.current_snapshot().unwrap();
-        caldera.database().release_snapshot(&snapshot).unwrap();
-        let stats = caldera.shutdown();
-        assert_eq!(stats.snapshot_release_failures, 1, "a swallowed release failure is an accounting leak");
+        assert_eq!(stats.live_snapshots, 0);
+        assert_eq!(stats.cow.pages_reclaimed, base.pages_reclaimed + 1);
     }
 
     #[test]

@@ -82,7 +82,6 @@ fn no_snapshot_cuts_through_a_transfer() {
             let sum: i64 = snapshot.table(table).unwrap().column(1).into_iter().map(|cell| cell as i64).sum();
             torn += usize::from(sum != total);
             taken += 1;
-            db.release_snapshot(&snapshot).unwrap();
         }
         oltp.join().unwrap().unwrap()
     });

@@ -1,14 +1,16 @@
-//! The shared-memory database: catalog, partitions, snapshots and GC.
+//! The shared-memory database: catalog, partitions and snapshots.
 //!
 //! [`Database`] owns the hierarchical partition → table → page organization
 //! and the snapshot clock. Every row change goes through
 //! [`Database::commit`], which applies a whole transaction under the shared
 //! side of one live-state lock; [`Database::snapshot`] takes the exclusive
 //! side, so a snapshot sees every write of a transaction or none. The OLAP
-//! runtime takes [`Snapshot`]s and never touches the live store.
+//! runtime takes [`Snapshot`]s and never touches the live store; dropping
+//! the last `Arc` of one releases it and frees the pages only it still held.
 //!
 //! Lock order: the live-state lock before a partition's, never the reverse.
-//! `commit` and `snapshot` nest them; everything else takes one at a time.
+//! `commit` and `snapshot` nest them; everything else takes one at a time,
+//! and dropping a snapshot takes neither.
 
 use crate::codec::{decode_record, encode_into};
 use crate::layout::Layout;
@@ -16,9 +18,8 @@ use crate::partition::PartitionStore;
 use crate::snapshot::{Snapshot, SnapshotTable, SnapshotTableId};
 use crate::telemetry::{CowStats, CowTelemetry};
 use h2tap_common::{Epoch, H2Error, PartitionId, RecordId, Result, Schema, TableId, Value};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Catalog entry for one table.
@@ -32,16 +33,6 @@ pub struct TableMeta {
     pub schema: Arc<Schema>,
     /// Physical layout.
     pub layout: Layout,
-}
-
-/// Result of releasing a snapshot: how much superseded data became
-/// reclaimable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GcReport {
-    /// Pages whose snapshot version had been superseded by copy-on-write.
-    pub pages_reclaimed: u64,
-    /// Bytes those pages occupied.
-    pub bytes_reclaimed: u64,
 }
 
 /// What a write and a snapshot must agree on: the catalog and the write
@@ -69,8 +60,6 @@ pub struct Database {
     instance: u64,
     partitions: Vec<RwLock<PartitionStore>>,
     live: RwLock<Live>,
-    next_snapshot: AtomicU64,
-    active_snapshots: Mutex<BTreeMap<u64, Epoch>>,
     telemetry: Arc<CowTelemetry>,
 }
 
@@ -87,8 +76,6 @@ impl Database {
             instance: crate::snapshot::next_source_id(),
             partitions,
             live: RwLock::new(Live::default()),
-            next_snapshot: AtomicU64::new(0),
-            active_snapshots: Mutex::new(BTreeMap::new()),
             telemetry,
         })
     }
@@ -242,7 +229,6 @@ impl Database {
     /// and every later write stamps its pages past this snapshot's epoch
     /// (see [`crate::Page::epoch`]).
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        let id = self.next_snapshot.fetch_add(1, Ordering::Relaxed);
         let mut live = self.live.write();
         let snapshot_epoch = live.epoch;
         live.epoch = snapshot_epoch.next();
@@ -265,43 +251,22 @@ impl Database {
                 ),
             );
         }
-        drop(live); // the registry insert below needs no consistency with writes — narrow the critical section
-        self.active_snapshots.lock().insert(id, snapshot_epoch);
-        Arc::new(Snapshot::new(id, snapshot_epoch, tables))
+        drop(live); // counting the snapshot needs no consistency with writes
+        Arc::new(Snapshot::new(snapshot_epoch, tables, Arc::clone(&self.telemetry)))
     }
 
-    /// Number of snapshots that have been taken and not yet released.
-    pub fn active_snapshot_count(&self) -> usize {
-        self.active_snapshots.lock().len()
+    /// Number of snapshots taken and not yet dropped. A caller that keeps an
+    /// `Arc<Snapshot>` keeps it counted here, and keeps every page only it
+    /// still holds allocated.
+    pub fn active_snapshot_count(&self) -> u64 {
+        self.telemetry.live_snapshots()
     }
 
-    /// Releases a snapshot and reports how many of its pages had been
-    /// superseded by copy-on-write (and are therefore reclaimable once the
-    /// last referencing snapshot is gone).
-    pub fn release_snapshot(&self, snapshot: &Snapshot) -> Result<GcReport> {
-        let removed = self.active_snapshots.lock().remove(&snapshot.id());
-        if removed.is_none() {
-            return Err(H2Error::UnknownSnapshot(snapshot.id()));
-        }
-        let mut report = GcReport::default();
-        for tid in snapshot.tables() {
-            let frozen = snapshot.table(tid)?;
-            for (store, frozen_pages) in self.partitions.iter().zip(frozen.partitions()) {
-                let live_pages = store.read().fragment(tid).map(|f| f.pages().to_vec()).unwrap_or_default();
-                for (i, page) in frozen_pages.iter().enumerate() {
-                    let superseded = match live_pages.get(i) {
-                        Some(live_page) => !Arc::ptr_eq(live_page, page),
-                        None => true,
-                    };
-                    if superseded {
-                        report.pages_reclaimed += 1;
-                        report.bytes_reclaimed += page.byte_size();
-                    }
-                }
-            }
-        }
-        self.telemetry.record_reclaim(report.pages_reclaimed, report.bytes_reclaimed);
-        Ok(report)
+    /// Does nothing: a snapshot is released by dropping its last `Arc`.
+    /// Kept for callers written against the old manual release.
+    #[doc(hidden)]
+    pub fn release_snapshot(&self, _snapshot: &Snapshot) -> Result<()> {
+        Ok(())
     }
 }
 
@@ -402,27 +367,47 @@ mod tests {
         assert!(Arc::ptr_eq(&frozen.partitions()[0][0], &live_first));
     }
 
+    /// Two snapshots dropped in either order: a superseded page counts once,
+    /// when the last snapshot holding it drops, and a page the live store or
+    /// the other snapshot still holds does not count.
     #[test]
-    fn release_snapshot_reports_superseded_pages() {
-        let (db, t) = db();
-        let rid = db.insert(PartitionId(0), t, &[Value::Int64(1), Value::Int64(2)]).unwrap();
-        let snap = db.snapshot();
-        db.update(rid, &[Value::Int64(9), Value::Int64(9)]).unwrap();
-        let report = db.release_snapshot(&snap).unwrap();
-        assert_eq!(report.pages_reclaimed, 1);
-        assert!(report.bytes_reclaimed > 0);
-        assert_eq!(db.active_snapshot_count(), 0);
-        // Releasing twice is an error.
-        assert!(db.release_snapshot(&snap).is_err());
-    }
-
-    #[test]
-    fn release_without_updates_reclaims_nothing() {
-        let (db, t) = db();
-        db.insert(PartitionId(0), t, &[Value::Int64(1), Value::Int64(2)]).unwrap();
-        let snap = db.snapshot();
-        let report = db.release_snapshot(&snap).unwrap();
-        assert_eq!(report.pages_reclaimed, 0);
+    fn dropping_snapshots_reclaims_each_superseded_page_once() {
+        // (scenario, updates between the snapshots, updates after both,
+        //  pages reclaimed by the first drop when s1 / s2 drops first,
+        //  pages reclaimed by both drops)
+        let scenarios = [
+            ("(a) s1, update, s2", 1, 0, [1, 0], 1),
+            ("(b) s1, s2, update", 0, 1, [0, 0], 1),
+            ("(c) no writes", 0, 0, [0, 0], 0),
+        ];
+        for (scenario, between, after, first_drop, total) in scenarios {
+            for first in [0, 1] {
+                let (db, t) = db();
+                let rid = db.insert(PartitionId(0), t, &[Value::Int64(1), Value::Int64(2)]).unwrap();
+                db.insert(PartitionId(1), t, &[Value::Int64(3), Value::Int64(4)]).unwrap();
+                let update = |n| {
+                    for v in 0..n {
+                        db.update(rid, &[Value::Int64(v), Value::Int64(v)]).unwrap();
+                    }
+                };
+                let base = db.telemetry();
+                let s1 = db.snapshot();
+                update(between);
+                let s2 = db.snapshot();
+                update(after);
+                assert_eq!(db.active_snapshot_count(), 2, "{scenario}");
+                let mut held = vec![s1, s2];
+                drop(held.remove(first));
+                let reclaimed = db.telemetry().delta_since(&base);
+                assert_eq!(reclaimed.pages_reclaimed, first_drop[first], "{scenario}, s{} first", first + 1);
+                assert_eq!(db.active_snapshot_count(), 1, "{scenario}");
+                drop(held);
+                let reclaimed = db.telemetry().delta_since(&base);
+                assert_eq!(reclaimed.pages_reclaimed, total, "{scenario}, s{} first", first + 1);
+                assert_eq!(reclaimed.bytes_reclaimed > 0, total > 0, "{scenario}");
+                assert_eq!(db.active_snapshot_count(), 0, "{scenario}");
+            }
+        }
     }
 
     #[test]
@@ -452,7 +437,7 @@ mod tests {
     #[test]
     fn pages_stamped_at_or_before_a_snapshot_are_unchanged_since_it() {
         use h2tap_common::rng::SplitMixRng;
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         const ROWS: u64 = 10_000; // several pages per partition in every layout
         let record = |v: i64| vec![Value::Int64(v); 4];
         for layout in [Layout::Nsm, Layout::Dsm, Layout::PAPER_PAX] {
@@ -503,7 +488,6 @@ mod tests {
                             );
                         }
                     }
-                    db.release_snapshot(&older).unwrap();
                     older = newer;
                 }
                 stop.store(true, Ordering::Release);

@@ -10,8 +10,9 @@
 //!    each page carries the epoch it was last written in ([`page`]).
 //! 3. **Software shadow-copy snapshots** — taking a snapshot is a shallow
 //!    copy plus an epoch bump; the first update to a captured page performs
-//!    copy-on-write; releasing a snapshot lets superseded versions be
-//!    reclaimed ([`snapshot`], [`database`], [`telemetry`]).
+//!    copy-on-write; dropping a snapshot's last `Arc` reclaims the
+//!    superseded versions only it still held ([`snapshot`], [`database`],
+//!    [`telemetry`]).
 //!
 //! Rows change only through [`Database::commit`]: one transaction's writes,
 //! checked before any is applied and applied under one live-state lock that
@@ -37,7 +38,7 @@ mod table;
 pub mod telemetry;
 
 pub use codec::{decode_cell, decode_cell_f64, decode_record, encode_record, encode_value};
-pub use database::{Database, GcReport, TableMeta};
+pub use database::{Database, TableMeta};
 pub use layout::{Layout, ScanProfile};
 pub use page::Page;
 pub use snapshot::{Snapshot, SnapshotTable, SnapshotTableId};

@@ -6,9 +6,15 @@
 //! taking one is an O(pages) pointer copy, not a data copy. Transactions that
 //! later update a page shadow-copy it into the live database, leaving the
 //! snapshot's version untouched (see [`crate::Page::epoch`]).
+//!
+//! Releasing a snapshot is dropping its last `Arc<Snapshot>`: no registry
+//! tracks it. The drop frees every page that the live store has since
+//! superseded and no other snapshot still holds, and counts those pages in
+//! the database's [`crate::CowStats`].
 
 use crate::layout::{Layout, ScanProfile};
 use crate::page::Page;
+use crate::telemetry::CowTelemetry;
 use h2tap_common::{Epoch, H2Error, Result, Schema, TableId};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -224,35 +230,6 @@ impl SnapshotTable {
         debug_assert_eq!(written, rows.len(), "range within the table's rows");
     }
 
-    /// Calls `f` once per record with the requested attributes, in storage
-    /// order. This is the row-at-a-time access path the OLAP primitives use
-    /// when they need several columns of the same record (e.g. TPC-H Q6).
-    /// Fails up front when an attribute index is outside the schema.
-    pub fn for_each_row(&self, attrs: &[usize], mut f: impl FnMut(&[u64])) -> Result<()> {
-        for &attr in attrs {
-            if attr >= self.schema.arity() {
-                return Err(H2Error::UnknownAttribute(format!(
-                    "attribute {attr} of {}-ary table",
-                    self.schema.arity()
-                )));
-            }
-        }
-        let mut buf = vec![0u64; attrs.len()];
-        for page in self.partitions.iter().flatten() {
-            for row in 0..page.len() {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "attrs validated against the schema arity above; pages share that schema."
-                )]
-                for (i, &attr) in attrs.iter().enumerate() {
-                    buf[i] = page.get(row, attr).expect("attr within arity");
-                }
-                f(&buf);
-            }
-        }
-        Ok(())
-    }
-
     /// The memory-traffic profile of scanning `attrs` of this frozen table.
     pub fn scan_profile(&self, attrs: &[usize]) -> ScanProfile {
         self.layout.scan_profile(&self.schema, attrs, self.row_count())
@@ -260,21 +237,27 @@ impl SnapshotTable {
 }
 
 /// A consistent, immutable view of the whole database.
-#[derive(Debug, Clone)]
+///
+/// Shared as an `Arc<Snapshot>` and never cloned by value: dropping the last
+/// `Arc` releases it (see the module doc).
+#[derive(Debug)]
 pub struct Snapshot {
-    id: u64,
     epoch: Epoch,
     tables: BTreeMap<TableId, SnapshotTable>,
+    telemetry: Arc<CowTelemetry>,
 }
 
 impl Snapshot {
-    pub(crate) fn new(id: u64, epoch: Epoch, tables: BTreeMap<TableId, SnapshotTable>) -> Self {
-        Self { id, epoch, tables }
+    /// A live snapshot over `tables`, counted in `telemetry` until it drops.
+    pub(crate) fn new(epoch: Epoch, tables: BTreeMap<TableId, SnapshotTable>, telemetry: Arc<CowTelemetry>) -> Self {
+        telemetry.record_snapshot_taken();
+        Self { epoch, tables, telemetry }
     }
 
-    /// Snapshot id (used to release it).
+    /// The snapshot's epoch number. Every snapshot of a database bumps its
+    /// epoch, so the number identifies the snapshot within that database.
     pub fn id(&self) -> u64 {
-        self.id
+        self.epoch.0
     }
 
     /// The epoch this snapshot froze.
@@ -284,17 +267,31 @@ impl Snapshot {
 
     /// The frozen image of `table`.
     pub fn table(&self, table: TableId) -> Result<&SnapshotTable> {
-        self.tables.get(&table).ok_or_else(|| H2Error::UnknownTable(format!("{table} in snapshot {}", self.id)))
+        self.tables.get(&table).ok_or_else(|| H2Error::UnknownTable(format!("{table} in snapshot {}", self.epoch)))
     }
 
     /// Ids of all tables captured by the snapshot.
     pub fn tables(&self) -> impl Iterator<Item = TableId> + '_ {
         self.tables.keys().copied()
     }
+}
 
-    /// Total pages referenced by this snapshot.
-    pub fn page_count(&self) -> usize {
-        self.tables.values().map(|t| t.partitions.iter().map(|p| p.len()).sum::<usize>()).sum()
+impl Drop for Snapshot {
+    /// Frees and counts this snapshot's reclaim. A page counts once, when the
+    /// last snapshot that held it drops: `Arc::into_inner` hands the page to
+    /// exactly one final holder, and a page this snapshot still shares with
+    /// the live store or another snapshot stays where it is. A
+    /// [`SnapshotTable`] cloned out of a snapshot frees its pages uncounted.
+    /// No partition or live-state lock is taken.
+    fn drop(&mut self) {
+        let (mut pages, mut bytes) = (0, 0);
+        for table in std::mem::take(&mut self.tables).into_values() {
+            for page in table.partitions.into_iter().flatten().filter_map(Arc::into_inner) {
+                pages += 1;
+                bytes += page.byte_size();
+            }
+        }
+        self.telemetry.record_snapshot_released(pages, bytes);
     }
 }
 
@@ -398,25 +395,15 @@ mod tests {
     }
 
     #[test]
-    fn for_each_row_delivers_requested_attrs() {
-        let t = frozen_table();
-        let mut sums = Vec::new();
-        t.for_each_row(&[0, 2], |r| sums.push(r[0] + r[1])).unwrap();
-        assert_eq!(sums.len(), 9);
-        assert_eq!(sums[1], 1 + 3);
-    }
-
-    #[test]
     fn snapshot_table_lookup() {
         let mut tables = BTreeMap::new();
         tables.insert(TableId(1), frozen_table());
-        let snap = Snapshot::new(7, Epoch(2), tables);
-        assert_eq!(snap.id(), 7);
+        let snap = Snapshot::new(Epoch(2), tables, CowTelemetry::new());
+        assert_eq!(snap.id(), 2);
         assert_eq!(snap.epoch(), Epoch(2));
         assert!(snap.table(TableId(1)).is_ok());
         assert!(snap.table(TableId(2)).is_err());
         assert_eq!(snap.tables().collect::<Vec<_>>(), vec![TableId(1)]);
-        assert_eq!(snap.page_count(), 2);
     }
 
     #[test]

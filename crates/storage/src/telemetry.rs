@@ -3,7 +3,9 @@
 //! The paper's Figures 5-7 are entirely about the cost of the shadow-copy
 //! mechanism: how much memory bandwidth the copy-on-write traffic consumes
 //! and how it recedes as a snapshot "converges". These counters expose that
-//! traffic so experiments can report it alongside throughput.
+//! traffic so experiments can report it alongside throughput. A snapshot
+//! counts its own reclaim when its last `Arc` drops (see [`crate::snapshot`]),
+//! and the number of snapshots alive right now is kept beside the counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,6 +18,8 @@ pub(crate) struct CowTelemetry {
     in_place_updates: AtomicU64,
     pages_reclaimed: AtomicU64,
     bytes_reclaimed: AtomicU64,
+    /// Snapshots taken and not yet dropped: a gauge, not a counter.
+    live_snapshots: AtomicU64,
 }
 
 impl CowTelemetry {
@@ -35,10 +39,21 @@ impl CowTelemetry {
         self.in_place_updates.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records garbage collection of superseded pages.
-    pub(crate) fn record_reclaim(&self, pages: u64, bytes: u64) {
+    /// Records a new live snapshot.
+    pub(crate) fn record_snapshot_taken(&self) {
+        self.live_snapshots.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a dropped snapshot and the superseded pages its drop freed.
+    pub(crate) fn record_snapshot_released(&self, pages: u64, bytes: u64) {
         self.pages_reclaimed.fetch_add(pages, Ordering::Relaxed);
         self.bytes_reclaimed.fetch_add(bytes, Ordering::Relaxed);
+        self.live_snapshots.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Snapshots taken and not yet dropped.
+    pub(crate) fn live_snapshots(&self) -> u64 {
+        self.live_snapshots.load(Ordering::Relaxed)
     }
 
     /// Snapshot of all counters, for experiment output.
@@ -62,9 +77,10 @@ pub struct CowStats {
     pub bytes_copied: u64,
     /// Updates applied in place.
     pub in_place_updates: u64,
-    /// Pages reclaimed by GC.
+    /// Superseded pages freed by snapshot drops. A page counts once, when
+    /// the last snapshot that held it drops.
     pub pages_reclaimed: u64,
-    /// Bytes reclaimed by GC.
+    /// Bytes those pages occupied.
     pub bytes_reclaimed: u64,
 }
 
@@ -92,7 +108,10 @@ mod tests {
         t.record_copy(4096);
         t.record_copy(4096);
         t.record_in_place();
-        t.record_reclaim(3, 12288);
+        t.record_snapshot_taken();
+        assert_eq!(t.live_snapshots(), 1);
+        t.record_snapshot_released(3, 12288);
+        assert_eq!(t.live_snapshots(), 0);
         let stats = t.snapshot();
         assert_eq!(stats.pages_copied, 2);
         assert_eq!(stats.bytes_copied, 8192);

@@ -73,12 +73,7 @@ mod tests {
         let snap = db.snapshot();
         let frozen = snap.table(table).unwrap();
         for n in [1usize, 4, 16] {
-            let mut sum = 0.0;
-            frozen
-                .for_each_row(&(0..n).collect::<Vec<_>>(), |cells| {
-                    sum += cells.iter().map(|c| *c as u32 as f64).sum::<f64>();
-                })
-                .unwrap();
+            let sum: f64 = (0..n).flat_map(|a| frozen.column(a)).map(|c| c as u32 as f64).sum();
             assert_eq!(sum, reference_sum(rows, n, 11), "n = {n}");
         }
     }

@@ -113,8 +113,8 @@ fn run_scenario(queries_per_snapshot: u32) {
         res.faults, res.retries, res.fallbacks,
     );
     // Observability, from the named metrics view: OLAP latency percentiles
-    // over all twenty refreshes, what the OLTP side did meanwhile and what
-    // the snapshots cost the writers; then the three slowest spans of the
+    // over all twenty refreshes, what the OLTP side did meanwhile, what
+    // the snapshots cost the writers and what their drops gave back; then the three slowest spans of the
     // final join refresh — where its time went.
     let metrics = stats.metrics();
     let count = |name: &str| metrics.counter(name).unwrap_or(0);
@@ -129,10 +129,14 @@ fn run_scenario(queries_per_snapshot: u32) {
         count("oltp.messages"),
     );
     println!(
-        "    storage: {} pages / {:.1} KiB shadow-copied, {} in-place updates",
+        "    storage: {} pages / {:.1} KiB shadow-copied, {} in-place updates, {} pages / {:.1} KiB reclaimed, \
+         {} live snapshots",
         count("storage.pages_copied"),
         count("storage.bytes_copied") as f64 / 1024.0,
         count("storage.in_place_updates"),
+        count("storage.pages_reclaimed"),
+        count("storage.bytes_reclaimed") as f64 / 1024.0,
+        metrics.gauge("storage.live_snapshots").unwrap_or(0.0),
     );
     if let Some(last_query) = spans.iter().map(|s| s.query).max() {
         let mut top: Vec<_> = spans.iter().filter(|s| s.query == last_query).collect();

@@ -100,7 +100,6 @@ fn scan_answers_are_byte_identical_across_sites_and_thread_counts() {
     assert_eq!(sequential.qualifying_rows, parallel.qualifying_rows);
     assert_eq!(sequential.rows_scanned, parallel.rows_scanned);
     assert_eq!(sequential.chunks_skipped, parallel.chunks_skipped);
-    let _ = caldera.database().release_snapshot(&snap);
     caldera.shutdown();
 }
 
@@ -129,7 +128,6 @@ fn zonemap_skipping_preserves_bitwise_equality_on_clustered_predicates() {
     assert_eq!(full.chunks_skipped, 0);
     assert_eq!(skipping.value.to_bits(), full.value.to_bits());
     assert_eq!(skipping.qualifying_rows, full.qualifying_rows);
-    let _ = caldera.database().release_snapshot(&snap);
     caldera.shutdown();
 }
 

@@ -103,9 +103,12 @@ fn snapshots_are_immutable_under_arbitrary_updates() {
         for (rid, expected) in rids.iter().zip(expected_live.iter()) {
             assert_eq!(db.read(*rid).unwrap()[0], Value::Int32(*expected));
         }
-        // Releasing the snapshot reports at most one superseded page per live page.
-        let report = db.release_snapshot(&snapshot).unwrap();
-        assert!(report.pages_reclaimed as usize <= rids.len());
+        // Dropping the snapshot reclaims exactly the pages the updates
+        // shadow-copied: it was the last holder of each original.
+        drop(snapshot);
+        let cow = db.telemetry();
+        assert_eq!((cow.pages_reclaimed, cow.bytes_reclaimed), (cow.pages_copied, cow.bytes_copied));
+        assert_eq!(db.active_snapshot_count(), 0);
     }
 }
 
