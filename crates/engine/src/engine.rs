@@ -1339,6 +1339,22 @@ mod tests {
         assert_eq!(stats.cow.pages_reclaimed, base.pages_reclaimed + 1);
     }
 
+    /// Shutdown cannot release a snapshot a caller still holds: it reports
+    /// it in `live_snapshots`, and the caller's drop releases it later.
+    #[test]
+    fn shutdown_counts_a_failed_snapshot_release() {
+        let (caldera, t) = engine_with_rows(2, 10, SnapshotPolicy::Manual);
+        let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));
+        caldera.run_olap(t, &q).unwrap();
+        let held = caldera.current_snapshot().unwrap();
+        let db = Arc::clone(caldera.database());
+        let stats = caldera.shutdown();
+        assert_eq!(stats.live_snapshots, 1, "a snapshot still held at shutdown is not lost track of");
+        assert_eq!(stats.metrics().gauge("storage.live_snapshots"), Some(1.0));
+        drop(held);
+        assert_eq!(db.active_snapshot_count(), 0);
+    }
+
     #[test]
     fn shutdown_drains_submitted_transactions_before_counting() {
         let (caldera, t) = engine_with_rows(2, 10, SnapshotPolicy::Manual);

@@ -367,6 +367,36 @@ mod tests {
         assert!(Arc::ptr_eq(&frozen.partitions()[0][0], &live_first));
     }
 
+    #[test]
+    fn release_snapshot_reports_superseded_pages() {
+        let (db, t) = db();
+        let rid = db.insert(PartitionId(0), t, &[Value::Int64(1), Value::Int64(2)]).unwrap();
+        let base = db.telemetry();
+        let snap = db.snapshot();
+        db.update(rid, &[Value::Int64(9), Value::Int64(9)]).unwrap();
+        assert_eq!(db.active_snapshot_count(), 1);
+        // Releasing is dropping the last handle: the page the update
+        // superseded was held only by the snapshot, so it is reclaimed.
+        drop(snap);
+        let reclaimed = db.telemetry().delta_since(&base);
+        assert_eq!(reclaimed.pages_reclaimed, 1);
+        assert!(reclaimed.bytes_reclaimed > 0);
+        assert_eq!(db.active_snapshot_count(), 0);
+    }
+
+    #[test]
+    fn release_without_updates_reclaims_nothing() {
+        let (db, t) = db();
+        db.insert(PartitionId(0), t, &[Value::Int64(1), Value::Int64(2)]).unwrap();
+        let base = db.telemetry();
+        let snap = db.snapshot();
+        // Every page is still live, so the drop frees none of them.
+        drop(snap);
+        let reclaimed = db.telemetry().delta_since(&base);
+        assert_eq!((reclaimed.pages_reclaimed, reclaimed.bytes_reclaimed), (0, 0));
+        assert_eq!(db.active_snapshot_count(), 0);
+    }
+
     /// Two snapshots dropped in either order: a superseded page counts once,
     /// when the last snapshot holding it drops, and a page the live store or
     /// the other snapshot still holds does not count.
