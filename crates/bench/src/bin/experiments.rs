@@ -506,6 +506,18 @@ fn main() {
                     k.baseline_ns_per_row
                 );
             }
+            // A batch whose rows all pass the predicate streams like the
+            // dense plan: an all-pass predicate costs its own column pass on
+            // top of the dense plan, not a gather through an identity
+            // selection vector (2.8-3.0 x dense when it did, at --quick).
+            let kernel_ns =
+                |plan: &str| s.kernel.iter().find(|k| k.plan == plan).expect("a kernel leg row").dispatched_ns_per_row;
+            let (all_pass, dense) = (kernel_ns("pass-100%"), kernel_ns("dense"));
+            let limit = if s.isa == "avx2" { 2.0 } else { 2.5 };
+            assert!(
+                all_pass <= limit * dense,
+                "kernel pass-100%: {all_pass:.3} ns/row is over {limit} x the dense plan's {dense:.3}"
+            );
             // A refresh costs what was written: nothing dirty is a page walk,
             // everything dirty is no slower than never having had a base.
             for r in &s.refresh {

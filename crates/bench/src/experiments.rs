@@ -958,7 +958,7 @@ pub struct RefreshRow {
 /// back to back over one warm materialisation, in one process.
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelRow {
-    /// Plan label ("q6", "pass-10%", "dense", "brand-join").
+    /// Plan label ("q6", "pass-10%", "dense", "brand-join", "sparse-join", ...).
     pub plan: &'static str,
     /// Fastest pass of the baseline compilation over every chunk, per row.
     pub baseline_ns_per_row: f64,
@@ -973,7 +973,9 @@ pub struct HostPerfSummary {
     /// Per-workload measurements.
     pub rows: Vec<HostPerfRow>,
     /// The `kernel` leg: Q6, one predicate passing 0.04 % to 100 % of the
-    /// rows, the dense plan and the brand join.
+    /// rows, the dense plan, and the brand join three ways: grouped by brand
+    /// and by part key over the direct join index, and by brand over the
+    /// hash fallback.
     pub kernel: Vec<KernelRow>,
     /// The compilation `process_chunk` dispatches to on this host: "avx2"
     /// or "baseline".
@@ -997,7 +999,8 @@ pub struct HostPerfSummary {
 /// answers (asserted here), so the only thing that differs is time. This is
 /// the first entry of the repository's measured performance trajectory.
 pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPerfSummary {
-    use h2tap_common::{GroupRow, PartitionId, RecordId};
+    use h2tap_common::rng::SplitMixRng;
+    use h2tap_common::{GroupRow, PartitionId, RecordId, Value};
     use h2tap_olap::operators as ops;
     use h2tap_olap::PlanDataCache;
     use h2tap_storage::SnapshotTable;
@@ -1007,9 +1010,23 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
     let mut builder = Caldera::builder(CalderaConfig::with_workers(1));
     let lineitem = tpch::load_lineitem(&mut builder, Layout::Dsm, lineitem_rows, 7).unwrap();
     let part = tpch::load_part(&mut builder, Layout::Dsm, part_keys, 11).unwrap();
+    // The same parts plus one at key 2^40 that passes every size filter:
+    // that one key makes the key span sparse, so joining against this table
+    // takes the join index's hash fallback on the very probes the dense
+    // `part` answers from its direct index.
+    let sparse_part = builder.create_table("part_sparse", tpch::part_schema(), Layout::Dsm).unwrap();
+    let mut rng = SplitMixRng::new(11);
+    for key in 0..part_keys {
+        builder.load(sparse_part, key as i64, &tpch::part_row(key, &mut rng)).unwrap();
+    }
+    let far = 1u64 << 40;
+    let mut far_row = tpch::part_row(far, &mut rng);
+    far_row[tpch::part_columns::SIZE] = Value::Int32(1);
+    builder.load(sparse_part, far as i64, &far_row).unwrap();
     let snap = builder.database().snapshot();
     let fact = snap.table(lineitem).unwrap();
     let dim = snap.table(part).unwrap();
+    let sparse_dim = snap.table(sparse_part).unwrap();
 
     // Stream time = repeats x the *fastest* single query. The minimum is
     // the standard noise-robust location estimator for wall-clock micro
@@ -1035,8 +1052,9 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
     // The oracle path: fresh materialisation *without* zonemap statistics,
     // O(chunk) zonemap recomputation per chunk per query, a fresh hash
     // build, row-at-a-time evaluation. (One residual deviation understates
-    // the win: the hash build uses the multiply-shift hasher rather than
-    // the SipHash the row-at-a-time era had.)
+    // the win: the reference builds and probes the production join table —
+    // a direct index for dense keys — rather than the SipHash map the
+    // row-at-a-time era had.)
     let reference = |plan: &OlapPlan, build: Option<&SnapshotTable>| -> (Vec<GroupRow>, u64) {
         let group_col = ops::check_plan(plan, build.is_some()).unwrap();
         let hash = plan.join.as_ref().zip(build).map(|(join, b)| ops::build_hash_table(b, join, group_col).unwrap());
@@ -1128,6 +1146,8 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
         pass("pass-100%", 2526.0),
         ("dense", OlapPlan::scan(&ScanAggQuery::aggregate_only(q6().aggregate)), None),
         ("brand-join", tpch::brand_revenue_plan(30), Some(dim)),
+        ("partkey-join", tpch::partkey_revenue_plan(30), Some(dim)),
+        ("sparse-join", tpch::brand_revenue_plan(30), Some(sparse_dim)),
     ];
     let mut cols: Vec<usize> = kernel_plans.iter().flat_map(|(_, plan, _)| plan.probe_columns_accessed()).collect();
     cols.sort_unstable();
@@ -1666,8 +1686,8 @@ mod tests {
                 );
             }
         }
-        // The kernel leg timed both compilations at all eight points.
-        assert_eq!(s.kernel.len(), 8);
+        // The kernel leg timed both compilations at all ten points.
+        assert_eq!(s.kernel.len(), 10);
         assert!(s.kernel.iter().all(|k| k.baseline_ns_per_row > 0.0 && k.dispatched_ns_per_row > 0.0));
         // The warm cache served every repeat from its derived state.
         assert_eq!(s.cache.misses(), 3, "one scan materialisation + one probe materialisation + one hash build");

@@ -16,7 +16,7 @@
 //!
 //! Within a chunk, [`process_chunk`] executes **vectorized**: rows are
 //! processed in fixed [`VECTOR_BATCH_ROWS`]-row batches, predicate
-//! evaluation fills a *selection vector*, hash probes compact it, and
+//! evaluation fills a *selection vector*, join probes compact it, and
 //! aggregate accumulation runs one specialised loop per [`AggExpr`] variant
 //! instead of a per-row `match`. Selection is **column at a time**: each
 //! predicate makes one tight pass over its own column slice into 64-row bit
@@ -402,12 +402,12 @@ impl MaterializedColumns {
     }
 }
 
-/// A deterministic multiply-shift (splitmix-style) finaliser for 64-bit hash
-/// keys. [`JoinHashTable`] keys are f64 bit patterns, already uniformly
-/// spread by the multiply/xor-shift mix, so the std `HashMap`'s SipHash —
-/// designed to resist adversarial keys that cannot occur here — only slows
-/// probes down. The hasher is deterministic across processes and
-/// independent of insertion order, so results stay build-order independent.
+/// A deterministic multiply-shift (splitmix-style) finaliser for the u64
+/// keys of a [`LookupMap`]: f64 bit patterns of join keys, raw group-key
+/// cells and payload cells. Those keys are not adversarial, so the std
+/// `HashMap`'s SipHash would only slow the lookups down; this mix is
+/// deterministic across processes, and a [`LookupMap`] cannot be iterated, so
+/// no result depends on the map's internal order either way.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MulShiftHasher(u64);
 
@@ -439,14 +439,142 @@ impl Hasher for MulShiftHasher {
     }
 }
 
-type JoinKeyMap = HashMap<u64, u64, BuildHasherDefault<MulShiftHasher>>;
+/// A u64-keyed hash map that can be looked up and grown but never iterated:
+/// whatever the data path builds from it follows the order of its inputs,
+/// never the map's bucket order.
+#[derive(Debug, Clone, Default)]
+struct LookupMap<V>(HashMap<u64, V, BuildHasherDefault<MulShiftHasher>>);
 
-/// The hash table of a primary-key equi-join: filtered build rows keyed by
-/// the bit pattern of the numeric join key, carrying the raw group-key cell
-/// as payload. Probes hash with the deterministic [`MulShiftHasher`].
+impl<V: Copy> LookupMap<V> {
+    fn with_capacity(capacity: usize) -> Self {
+        Self(HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()))
+    }
+
+    #[inline]
+    fn get(&self, key: u64) -> Option<V> {
+        self.0.get(&key).copied()
+    }
+
+    /// The value of `key`, inserting `make()` first when it has none.
+    #[inline]
+    fn get_or_insert(&mut self, key: u64, make: impl FnOnce() -> V) -> V {
+        *self.0.entry(key).or_insert_with(make)
+    }
+}
+
+/// How a [`JoinHashTable`] finds the payload id of a probe key. Both arms
+/// map a key's bit pattern to its *slot*: 0 when it is not a build key,
+/// `id + 1` when it is.
+#[derive(Debug, Clone)]
+enum KeyIndex {
+    /// Every build key is an integer `k` with `|k| <= 2^53` whose f64 bit
+    /// pattern round-trips through `i64`, and the keys span few enough
+    /// integers: `slots[k - base]` holds the slot of key `k`.
+    Direct { base: i64, slots: Vec<u32> },
+    /// Any other key set: key bit pattern → slot.
+    Hashed(LookupMap<u32>),
+}
+
+/// Largest integer magnitude an f64 holds with every smaller integer.
+const EXACT_INT_LIMIT: u64 = 1 << 53;
+
+/// Direct-index spans up to this many slots are always allowed (1 MiB of
+/// `u32` slots); past it the span may be at most 4 slots per entry, which is
+/// what the hash map of the same entries costs.
+const MIN_DIRECT_SLOTS: u64 = 1 << 18;
+
+/// The integer a build key's bit pattern encodes, when a direct index can
+/// hold it: an integral f64 of magnitude at most 2^53 other than `-0.0`.
+fn direct_key(bits: u64) -> Option<i64> {
+    let k = f64::from_bits(bits) as i64;
+    ((k as f64).to_bits() == bits && k.unsigned_abs() <= EXACT_INT_LIMIT).then_some(k)
+}
+
+fn duplicate_key(bits: u64) -> H2Error {
+    H2Error::InvalidKernel(format!(
+        "duplicate build key {} — hash joins require a unique build key",
+        f64::from_bits(bits)
+    ))
+}
+
+impl KeyIndex {
+    /// Indexes `(key bits, payload id)` pairs, rejecting a repeated key. The
+    /// arm is chosen from the keys themselves: a direct index when every key
+    /// is a [`direct_key`] and their span is at most
+    /// `max(4 × entries, MIN_DIRECT_SLOTS)`, the hash map otherwise.
+    fn build(pairs: &[(u64, u32)]) -> Result<Self> {
+        let cap = (4 * pairs.len() as u64).max(MIN_DIRECT_SLOTS);
+        let span = pairs
+            .iter()
+            .try_fold((i64::MAX, i64::MIN), |(lo, hi), &(bits, _)| direct_key(bits).map(|k| (lo.min(k), hi.max(k))))
+            .filter(|&(lo, hi)| lo > hi || hi.abs_diff(lo) < cap);
+        match span {
+            // `lo > hi` only when there are no keys: an empty index.
+            Some((base, hi)) => {
+                let mut slots = vec![0u32; if base > hi { 0 } else { hi.abs_diff(base) as usize + 1 }];
+                for &(bits, id) in pairs {
+                    let slot = &mut slots[(f64::from_bits(bits) as i64 - base) as usize];
+                    if *slot != 0 {
+                        return Err(duplicate_key(bits));
+                    }
+                    *slot = id + 1;
+                }
+                Ok(KeyIndex::Direct { base, slots })
+            }
+            None => {
+                let mut index = LookupMap::with_capacity(pairs.len());
+                for &(bits, id) in pairs {
+                    let mut fresh = false;
+                    index.get_or_insert(bits, || {
+                        fresh = true;
+                        id + 1
+                    });
+                    if !fresh {
+                        return Err(duplicate_key(bits));
+                    }
+                }
+                Ok(KeyIndex::Hashed(index))
+            }
+        }
+    }
+
+    /// The slot of probe key `bits`.
+    fn slot(&self, bits: u64) -> u32 {
+        match self {
+            KeyIndex::Direct { base, slots } => direct_slot(*base, slots, bits),
+            KeyIndex::Hashed(index) => index.get(bits).unwrap_or(0),
+        }
+    }
+}
+
+/// The slot of probe key `bits` in a direct index: the cast saturates and a
+/// non-integral, negative-zero or NaN key fails the round trip, so exactly
+/// the bit patterns of the indexed integers can hit.
+#[inline(always)]
+fn direct_slot(base: i64, slots: &[u32], bits: u64) -> u32 {
+    let k = f64::from_bits(bits) as i64;
+    let slot = slots.get(k.wrapping_sub(base) as usize).copied().unwrap_or(0);
+    if (k as f64).to_bits() == bits {
+        slot
+    } else {
+        0
+    }
+}
+
+/// The join table of a primary-key equi-join: the filtered build rows' keys
+/// (bit patterns of the numeric join key) mapped to a dense payload id, and
+/// the distinct payloads — raw group-key cells when the plan groups by a
+/// build attribute — by id, in first-seen storage order. Keys index a
+/// direct array when they are dense integers (the common case: every
+/// workload's dimension keys are `0..n`) and a [`LookupMap`] otherwise.
+/// [`JoinHashTable::footprint_bytes`] is the simulated device hash table, not
+/// this host structure.
 #[derive(Debug, Clone)]
 pub struct JoinHashTable {
-    map: JoinKeyMap,
+    index: KeyIndex,
+    /// Distinct payloads, indexed by payload id.
+    payloads: Vec<u64>,
+    entries: u64,
     /// Build rows considered (before build predicates).
     pub build_rows_in: u64,
     /// Rows per partition of the build table image this was built from.
@@ -456,7 +584,7 @@ pub struct JoinHashTable {
 impl JoinHashTable {
     /// Entries surviving the build predicates.
     pub fn entries(&self) -> u64 {
-        self.map.len() as u64
+        self.entries
     }
 
     /// Simulated footprint of the table.
@@ -466,7 +594,7 @@ impl JoinHashTable {
 
     /// Payload for `key` (the bit pattern of the numeric join key value).
     pub fn get(&self, key: u64) -> Option<u64> {
-        self.map.get(&key).copied()
+        self.index.slot(key).checked_sub(1).map(|id| self.payloads[id as usize])
     }
 
     /// Whether this table — built with the same parameters from the snapshot
@@ -479,9 +607,11 @@ impl JoinHashTable {
     }
 }
 
-/// Builds the join hash table: one pass over the build table that filters by
-/// `join.build_predicates` and inserts `join.build_key` with the raw cell of
-/// `group_col` (when the plan groups by a build attribute) as payload.
+/// Builds the join table: one pass over the build table that filters by
+/// `join.build_predicates` and collects each surviving row's `join.build_key`
+/// bit pattern with the id of its payload — the raw cell of `group_col` when
+/// the plan groups by a build attribute, else 0 — numbering distinct
+/// payloads in first-seen order; then indexes the keys ([`KeyIndex`]).
 /// Duplicate keys among surviving rows violate the PK-join contract and are
 /// rejected.
 pub fn build_hash_table(build: &SnapshotTable, join: &JoinSpec, group_col: Option<usize>) -> Result<JoinHashTable> {
@@ -497,21 +627,27 @@ pub fn build_hash_table(build: &SnapshotTable, join: &JoinSpec, group_col: Optio
     let key_pos = mat.pos(join.build_key);
     let pred_pos: Vec<usize> = join.build_predicates.iter().map(|p| mat.pos(p.column)).collect();
     let group_pos = group_col.map(|c| mat.pos(c));
-    let mut map = JoinKeyMap::default();
+    let mut pairs: Vec<(u64, u32)> = Vec::new();
+    let mut payloads: Vec<u64> = Vec::new();
+    let mut payload_ids: LookupMap<u32> = LookupMap::default();
     for row in 0..mat.rows() {
         if join.build_predicates.iter().zip(&pred_pos).any(|(p, &pos)| !p.matches(mat.value(pos, row))) {
             continue;
         }
-        let key = mat.value(key_pos, row).to_bits();
         let payload = group_pos.map_or(0, |pos| mat.raw(pos, row));
-        if map.insert(key, payload).is_some() {
-            return Err(H2Error::InvalidKernel(format!(
-                "duplicate build key {} — hash joins require a unique build key",
-                f64::from_bits(key)
-            )));
-        }
+        let id = payload_ids.get_or_insert(payload, || {
+            payloads.push(payload);
+            (payloads.len() - 1) as u32
+        });
+        pairs.push((mat.value(key_pos, row).to_bits(), id));
     }
-    Ok(JoinHashTable { map, build_rows_in: mat.rows() as u64, partition_rows: build.partition_rows().to_vec() })
+    Ok(JoinHashTable {
+        index: KeyIndex::build(&pairs)?,
+        payloads,
+        entries: pairs.len() as u64,
+        build_rows_in: mat.rows() as u64,
+        partition_rows: build.partition_rows().to_vec(),
+    })
 }
 
 /// Per-group accumulator: one f64 per aggregate plus the contributing row
@@ -545,31 +681,39 @@ pub struct PlanTotals {
     pub joined: u64,
 }
 
-/// Fills `sel` with the indexes of the rows of `batch` (relative to the
-/// start of the chunk) that satisfy every predicate, in ascending order —
-/// column at a time: each predicate makes one pass over its own column
-/// slice, ANDing 64-row bit words ([`and_between_words`]), and the selection
-/// vector is the set bits. At least one predicate, so the bits past a short
-/// last word are cleared.
+/// The 64-row bit words of the rows of `batch` that satisfy every predicate
+/// (bit `i` of word `w` is the batch's row `w * 64 + i`; bits past the batch
+/// are clear) — column at a time: each predicate makes one pass over its own
+/// column slice, ANDing into the words ([`and_between_words`]).
 #[inline(always)]
-fn select_batch(
+fn predicate_words<'w>(
     chunk: &ChunkView<'_>,
     predicates: &[Predicate],
     pred_pos: &[usize],
     batch: Range<usize>,
-    sel: &mut Vec<u32>,
-) {
-    let mut words = [u64::MAX; VECTOR_BATCH_ROWS / 64];
-    let words = &mut words[..batch.len().div_ceil(64)];
+    buf: &'w mut [u64; VECTOR_BATCH_ROWS / 64],
+) -> &'w [u64] {
+    let words = &mut buf[..batch.len().div_ceil(64)];
+    words.fill(u64::MAX);
+    if let (Some(last), tail @ 1..) = (words.last_mut(), batch.len() % 64) {
+        *last = (1 << tail) - 1;
+    }
     for (pred, &pos) in predicates.iter().zip(pred_pos) {
         let cells = &chunk.cols[pos][batch.clone()];
         with_decoder!(chunk.types[pos], and_between_words(cells, pred.lo, pred.hi, words));
     }
+    words
+}
+
+/// Fills `sel` with the set bits of `words`, as row indexes from `first`
+/// (relative to the start of the chunk), in ascending order.
+#[inline(always)]
+fn select_rows(words: &[u64], first: usize, sel: &mut Vec<u32>) {
     sel.clear();
-    sel.resize(batch.len(), 0);
+    sel.resize(words.len() * 64, 0);
     let mut k = 0usize;
     for (w, &word) in words.iter().enumerate() {
-        let first = (batch.start + w * 64) as u32;
+        let first = (first + w * 64) as u32;
         let mut bits = word;
         while bits != 0 {
             sel[k] = first + bits.trailing_zeros();
@@ -618,47 +762,79 @@ fn stage_rows(chunk: &ChunkView<'_>, agg: &AggExpr, pos: &[usize], rows: &BatchR
 }
 
 /// How the rows of a batch map onto group accumulators.
-enum GroupMode {
+enum GroupMode<'a> {
     /// No `group_by`: one global accumulator (key 0).
     Global,
     /// `group_by` on a probe column: key is the raw cell at that position.
     Probe(usize),
-    /// `group_by` on a build column: key is the join payload.
-    Build,
+    /// `group_by` on a build column: key is the join payload, found by the
+    /// payload id the probe resolved (the join table's payloads).
+    Build(&'a [u64]),
 }
 
 /// Grouped accumulation state for one chunk: an insertion-ordered arena of
-/// accumulators plus a fast key → slot index. Per-group, per-aggregate
-/// addition order is the ascending row order of the rows that landed in the
-/// group — exactly the order the row-at-a-time reference uses — so arena
+/// accumulators plus an index into it — by raw key for probe-column groups,
+/// by payload id for build-column groups. Per-group, per-aggregate addition
+/// order is the ascending row order of the rows that landed in the group —
+/// exactly the order the row-at-a-time reference uses — so arena
 /// bookkeeping cannot perturb a bit.
 struct GroupArena {
-    slot_of: HashMap<u64, u32, BuildHasherDefault<MulShiftHasher>>,
+    /// Raw group key → slot (probe-column groups).
+    slot_of: LookupMap<u32>,
+    /// Payload id → slot + 1, 0 while the payload has no group (build-column
+    /// groups).
+    slot_of_id: Vec<u32>,
     keys: Vec<u64>,
     accs: Vec<GroupAcc>,
     aggregates: usize,
 }
 
 impl GroupArena {
-    fn new(aggregates: usize) -> Self {
-        Self { slot_of: HashMap::default(), keys: Vec::new(), accs: Vec::new(), aggregates }
+    fn new(aggregates: usize, payload_ids: usize) -> Self {
+        Self {
+            slot_of: LookupMap::default(),
+            slot_of_id: vec![0; payload_ids],
+            keys: Vec::new(),
+            accs: Vec::new(),
+            aggregates,
+        }
     }
 
-    #[inline]
-    fn slot(&mut self, key: u64) -> u32 {
-        *self.slot_of.entry(key).or_insert_with(|| {
-            self.keys.push(key);
-            self.accs.push(GroupAcc { values: vec![0.0; self.aggregates], rows: 0 });
-            (self.keys.len() - 1) as u32
-        })
+    /// Appends the group of `key`: the next slot.
+    fn push(&mut self, key: u64) {
+        self.keys.push(key);
+        self.accs.push(GroupAcc { values: vec![0.0; self.aggregates], rows: 0 });
     }
 
-    /// Resolves the accumulator slot of each of a batch's group keys, in row
-    /// order, into `slots`, counting one row per key.
-    fn resolve(&mut self, keys: impl Iterator<Item = u64>, slots: &mut Vec<u32>) {
+    /// Resolves the accumulator slot of each of a batch's raw group keys, in
+    /// row order, into `slots`, counting one row per key.
+    fn resolve_keys(&mut self, keys: impl Iterator<Item = u64>, slots: &mut Vec<u32>) {
         slots.clear();
         for key in keys {
-            let slot = self.slot(key);
+            let next = self.keys.len() as u32;
+            let slot = self.slot_of.get_or_insert(key, || next);
+            if slot == next {
+                self.push(key);
+            }
+            self.accs[slot as usize].rows += 1;
+            slots.push(slot);
+        }
+    }
+
+    /// [`GroupArena::resolve_keys`] for build-column groups: each row's key
+    /// is `payloads[id]`, and its slot is found by the id.
+    fn resolve_ids(&mut self, ids: &[u32], payloads: &[u64], slots: &mut Vec<u32>) {
+        slots.clear();
+        for &id in ids {
+            let next = self.keys.len() as u32;
+            let known = &mut self.slot_of_id[id as usize];
+            if *known == 0 {
+                *known = next + 1;
+            }
+            let slot = *known - 1;
+            if slot == next {
+                self.push(payloads[id as usize]);
+            }
             self.accs[slot as usize].rows += 1;
             slots.push(slot);
         }
@@ -669,9 +845,28 @@ impl GroupArena {
     }
 }
 
+/// Compacts `sel` in place to the rows whose probe key finds a partner and
+/// writes each kept row's payload id to `ids` — branch-free: every row is
+/// written at the compaction cursor, which only advances on a hit, so a
+/// hit rate far from 0 or 1 costs no mispredicted branch.
+#[inline(always)]
+fn probe_compact(sel: &mut Vec<u32>, key_bits: &[u64], ids: &mut Vec<u32>, slot: impl Fn(u64) -> u32) {
+    ids.clear();
+    ids.resize(sel.len(), 0);
+    let mut kept = 0usize;
+    for k in 0..sel.len() {
+        let s = slot(key_bits[k]);
+        sel[kept] = sel[k];
+        ids[kept] = s.wrapping_sub(1);
+        kept += usize::from(s != 0);
+    }
+    sel.truncate(kept);
+    ids.truncate(kept);
+}
+
 /// Evaluates `plan` over `rows` of the materialised probe columns —
 /// vectorized: per [`VECTOR_BATCH_ROWS`] batch, column-at-a-time predicate
-/// bit words fill a selection vector, the optional hash probe stages its key
+/// bit words fill a selection vector, the optional join probe stages its key
 /// decodes and compacts, and per-aggregate staging kernels feed
 /// sequential accumulation into the group arena — with the whole body
 /// compiled for the host's vector ISA (`simd::with_widest_isa`). Rows
@@ -713,11 +908,15 @@ fn process_chunk_body(
     rows: Range<usize>,
 ) -> ChunkPartial {
     let pred_pos: Vec<usize> = plan.predicates.iter().map(|p| probe.pos(p.column)).collect();
-    let probe_key_pos = plan.join.as_ref().map(|j| probe.pos(j.probe_column));
+    #[expect(
+        clippy::expect_used,
+        reason = "prepare_plan populates `hash` exactly when the plan has a join, and the probe key is derived from that same join; the two cannot disagree."
+    )]
+    let join = plan.join.as_ref().map(|j| (probe.pos(j.probe_column), hash.expect("join plans carry a hash table")));
     let mode = match plan.group_by {
         None => GroupMode::Global,
         Some(PlanColumn::Probe(c)) => GroupMode::Probe(probe.pos(c)),
-        Some(PlanColumn::Build(_)) => GroupMode::Build,
+        Some(PlanColumn::Build(_)) => GroupMode::Build(join.map_or(&[][..], |(_, table)| &table.payloads[..])),
     };
     // Aggregate inputs resolved to materialised positions once per chunk.
     let agg_pos: Vec<Vec<usize>> =
@@ -735,15 +934,19 @@ fn process_chunk_body(
     let mut global = GroupAcc { values: vec![0.0; plan.aggregates.len()], rows: 0 };
     let mut scratch: Vec<f64> = Vec::new();
 
-    // Dense plans — no predicate, no join, one global group — visit every
-    // row: the staging kernels stream the columns instead of gathering
-    // through an identity selection vector. Each accumulator still receives
-    // the same per-row values in the same ascending order.
-    let dense = plan.predicates.is_empty() && probe_key_pos.is_none() && matches!(mode, GroupMode::Global);
+    // Plans without a join that aggregate into one global group can stream a
+    // batch whose every row qualifies: the staging kernels read the columns
+    // instead of gathering through an identity selection vector. Dense plans
+    // — no predicate either — always do. Each accumulator still receives the
+    // same per-row values in the same ascending order.
+    let streamable = join.is_none() && matches!(mode, GroupMode::Global);
+    let dense = streamable && plan.predicates.is_empty();
 
-    let mut arena = GroupArena::new(plan.aggregates.len());
+    let payload_ids = if let GroupMode::Build(payloads) = mode { payloads.len() } else { 0 };
+    let mut arena = GroupArena::new(plan.aggregates.len(), payload_ids);
+    let mut word_buf = [0u64; VECTOR_BATCH_ROWS / 64];
     let mut sel: Vec<u32> = Vec::with_capacity(VECTOR_BATCH_ROWS);
-    let mut payloads: Vec<u64> = Vec::new();
+    let mut ids: Vec<u32> = Vec::new();
     let mut slots: Vec<u32> = Vec::new();
     let mut key_bits: Vec<u64> = Vec::new();
 
@@ -757,40 +960,36 @@ fn process_chunk_body(
             BatchRows::All(batch)
         } else {
             // 1. Predicate selection.
-            if plan.predicates.is_empty() {
-                sel.clear();
-                sel.extend(batch.map(|r| r as u32));
-            } else {
-                select_batch(&chunk, &plan.predicates, &pred_pos, batch, &mut sel);
-            }
-            partial.selected += sel.len() as u64;
-            if sel.is_empty() {
+            let words = predicate_words(&chunk, &plan.predicates, &pred_pos, batch.clone(), &mut word_buf);
+            let passed: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+            partial.selected += passed as u64;
+            if passed == 0 {
                 continue;
             }
+            if streamable && passed == batch.len() {
+                BatchRows::All(batch)
+            } else {
+                select_rows(words, batch.start, &mut sel);
 
-            // 2. Hash probe: compact the selection vector to the rows that
-            //    found a partner, collecting payloads for build-side
-            //    grouping. The key decodes are staged first; the map lookups
-            //    run over the key bit patterns in ascending row order.
-            if let Some(key_pos) = probe_key_pos {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "prepare_plan populates `hash` exactly when the plan has a join, and probe_key_pos is derived from that same join; the two cannot disagree."
-                )]
-                let table = hash.expect("join plans carry a hash table");
-                payloads.clear();
-                let col = chunk.cols[key_pos];
-                with_decoder!(chunk.types[key_pos], stage_key_bits(col, &sel, &mut key_bits));
-                let mut kept = 0usize;
-                for k in 0..sel.len() {
-                    let Some(payload) = table.get(key_bits[k]) else { continue };
-                    sel[kept] = sel[k];
-                    kept += 1;
-                    payloads.push(payload);
+                // 2. Join probe: compact the selection vector to the rows
+                //    that found a partner, collecting payload ids for
+                //    build-side grouping. The key decodes are staged first;
+                //    the lookups run over the key bit patterns in ascending
+                //    row order.
+                if let Some((key_pos, table)) = join {
+                    let col = chunk.cols[key_pos];
+                    with_decoder!(chunk.types[key_pos], stage_key_bits(col, &sel, &mut key_bits));
+                    match &table.index {
+                        KeyIndex::Direct { base, slots: direct } => {
+                            probe_compact(&mut sel, &key_bits, &mut ids, |bits| direct_slot(*base, direct, bits))
+                        }
+                        KeyIndex::Hashed(index) => {
+                            probe_compact(&mut sel, &key_bits, &mut ids, |bits| index.get(bits).unwrap_or(0))
+                        }
+                    }
                 }
-                sel.truncate(kept);
+                BatchRows::Selected(&sel)
             }
-            BatchRows::Selected(&sel)
         };
         partial.joined += rows.len() as u64;
         if rows.len() == 0 {
@@ -820,9 +1019,9 @@ fn process_chunk_body(
                 continue;
             }
             GroupMode::Probe(group_pos) => {
-                arena.resolve(sel.iter().map(|&row| chunk.cols[group_pos][row as usize]), &mut slots)
+                arena.resolve_keys(sel.iter().map(|&row| chunk.cols[group_pos][row as usize]), &mut slots)
             }
-            GroupMode::Build => arena.resolve(payloads.iter().copied(), &mut slots),
+            GroupMode::Build(payloads) => arena.resolve_ids(&ids, payloads, &mut slots),
         }
         accumulate_grouped(&chunk, plan, &agg_pos, &rows, &slots, &mut scratch, &mut arena);
     }
@@ -1243,6 +1442,63 @@ mod tests {
         let snap = db.snapshot();
         let dup = snap.table(t).unwrap().clone();
         assert!(build_hash_table(&dup, &join, None).is_err());
+    }
+
+    /// The join table over a build table of Float64 `keys` whose payload is
+    /// the Int64 `i % 7` of the `i`-th key.
+    fn keyed_join_table(keys: &[f64]) -> Result<JoinHashTable> {
+        let db = Database::new(1);
+        let schema = Schema::new(vec![
+            h2tap_common::Attribute::new("key", AttrType::Float64),
+            h2tap_common::Attribute::new("payload", AttrType::Int64),
+        ])
+        .unwrap();
+        let t = db.create_table("keys", schema, Layout::Dsm).unwrap();
+        for (i, &key) in keys.iter().enumerate() {
+            db.insert(PartitionId(0), t, &[Value::Float64(key), Value::Int64((i % 7) as i64)]).unwrap();
+        }
+        let join = JoinSpec { probe_column: 0, build_key: 0, build_predicates: vec![] };
+        build_hash_table(db.snapshot().table(t).unwrap(), &join, Some(1))
+    }
+
+    #[test]
+    fn join_key_index_matches_a_bit_keyed_reference_on_both_arms() {
+        let past = (1u64 << 53) as f64;
+        let bound = MIN_DIRECT_SLOTS as f64;
+        let dense: Vec<f64> = (0..1_000).map(f64::from).collect();
+        let cases: Vec<(&str, Vec<f64>, bool)> = vec![
+            ("dense 0..n", dense.clone(), true),
+            ("offset negative", (-50..50).map(f64::from).collect(), true),
+            ("span at the bound", vec![0.0, bound - 1.0], true),
+            ("span past the bound", vec![0.0, bound], false),
+            ("sparse", (0..1_000).map(|k| f64::from(k) * 1_000.0).collect(), false),
+            ("fractional", (0..1_000).map(|k| f64::from(k) + 0.5).collect(), false),
+            ("zero probed with -0.0", vec![0.0, 1.0, 2.0], true),
+            ("dense plus one far key", dense.iter().copied().chain([1e12]).collect(), false),
+            ("past 2^53", vec![past + 2.0, past + 4.0, past + 6.0], false),
+        ];
+        for (label, keys, direct) in cases {
+            let table = keyed_join_table(&keys).unwrap();
+            assert_eq!(matches!(table.index, KeyIndex::Direct { .. }), direct, "{label}: index arm");
+            assert_eq!(table.entries(), keys.len() as u64, "{label}");
+            let reference: BTreeMap<u64, u64> =
+                keys.iter().enumerate().map(|(i, k)| (k.to_bits(), (i % 7) as u64)).collect();
+            let specials =
+                [0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, past, 1e300, -1e300, 9.3e18];
+            let probes = keys.iter().flat_map(|&k| [k, k - 1.0, k + 1.0, k - 0.5, k + 0.5]).chain(specials);
+            for probe in probes {
+                let bits = probe.to_bits();
+                assert_eq!(table.get(bits), reference.get(&bits).copied(), "{label}: probe {probe} ({bits:#x})");
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected_on_both_index_arms() {
+        for (label, keys) in [("direct", vec![0.0, 1.0, 2.0, 1.0]), ("hashed", vec![0.5, 1.5, 0.5])] {
+            let err = keyed_join_table(&keys).unwrap_err();
+            assert!(err.to_string().contains("duplicate build key"), "{label}: {err}");
+        }
     }
 
     #[test]

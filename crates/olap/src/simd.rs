@@ -4,7 +4,7 @@
 //! A handful of tight loops, each over one column slice at a time, do all
 //! the per-cell work of a chunk: [`and_between_words`] evaluates one predicate
 //! into 64-row bit words, [`stage_product`] / [`stage_add_column`] stage the
-//! per-row aggregate inputs, [`stage_key_bits`] stages hash-probe keys, and
+//! per-row aggregate inputs, [`stage_key_bits`] stages join-probe keys, and
 //! [`min_max_lanes`] builds zonemap bounds. They are plain loops over slices
 //! and fixed-width lane arrays: the repository pins a **stable** toolchain
 //! (no `std::simd`), and the backend turns exactly this shape into the
@@ -205,7 +205,7 @@ pub(crate) fn min_max_lanes<D: Fn(u64) -> f64>(decode: D, cells: &[u64]) -> (f64
 
 /// Stages the bit patterns of the decoded values of `col` at the selected
 /// rows into `out` (`out[i] = decode(col[sel[i]]).to_bits()`) — the
-/// elementwise half of the hash-probe loop; the hash-map lookups stay in the
+/// elementwise half of the join probe; the join-index lookups stay in the
 /// caller.
 #[inline(always)]
 pub(crate) fn stage_key_bits<D: Fn(u64) -> f64>(decode: D, col: &[u64], sel: &[u32], out: &mut Vec<u64>) {

@@ -64,8 +64,22 @@ fn random_table(layout: Layout, rows: u64, seed: u64) -> SnapshotTable {
 }
 
 /// The build side of the join plans: key = 0..97 (covers every fk of
-/// [`random_table`]), size = key % 8, class = key % 5.
+/// [`random_table`]), size = key % 8, class = key % 5. Dense keys: the join
+/// table indexes them directly.
 fn dim_table() -> SnapshotTable {
+    keyed_dim_table(|i| i)
+}
+
+/// [`dim_table`] with every fourth key moved far below zero (`-(i << 20)`):
+/// three quarters of the fks still find their partner, but the keys are
+/// negative and sparse, so the join table falls back to its hash index.
+fn sparse_dim_table() -> SnapshotTable {
+    keyed_dim_table(|i| if i % 4 == 0 { -(i << 20) } else { i })
+}
+
+/// A 97-row dimension table: row `i` has key `key(i)`, size `i % 8` and
+/// class `i % 5`.
+fn keyed_dim_table(key: impl Fn(i64) -> i64) -> SnapshotTable {
     let db = Database::new(1);
     let schema = Schema::new(vec![
         Attribute::new("key", AttrType::Int64),
@@ -75,8 +89,12 @@ fn dim_table() -> SnapshotTable {
     .unwrap();
     let b = db.create_table("dim", schema, Layout::Dsm).unwrap();
     for i in 0..97i64 {
-        db.insert(PartitionId(0), b, &[Value::Int64(i), Value::Int32((i % 8) as i32), Value::Int32((i % 5) as i32)])
-            .unwrap();
+        db.insert(
+            PartitionId(0),
+            b,
+            &[Value::Int64(key(i)), Value::Int32((i % 8) as i32), Value::Int32((i % 5) as i32)],
+        )
+        .unwrap();
     }
     let table = db.snapshot().table(b).unwrap().clone();
     table
@@ -217,6 +235,15 @@ fn property_dense_plans_match_the_reference_bitwise() {
                 OlapPlan { predicates: vec![], join: None, group_by: None, aggregates: aggregates[..n].to_vec() };
             let mat = ops::MaterializedColumns::new(&table, plan.probe_columns_accessed()).unwrap();
             assert_plan_bit_identical(&mat, &plan, None, &format!("{layout:?}/{rows} rows/{n} dense aggregates"));
+            // A predicate on `k = i` that every row passes, and one that
+            // passes half of them: a batch whose rows all pass streams like
+            // the dense plan, and a batch with a failing row does not.
+            for hi in [rows as f64, rows as f64 / 2.0] {
+                let filtered = OlapPlan { predicates: vec![Predicate::between(0, 0.0, hi)], ..plan.clone() };
+                let mat = ops::MaterializedColumns::new(&table, filtered.probe_columns_accessed()).unwrap();
+                let label = format!("{layout:?}/{rows} rows/{n} aggregates, k <= {hi}");
+                assert_plan_bit_identical(&mat, &filtered, None, &label);
+            }
             // One aggregate is exactly a predicate-free scan.
             if n == 1 {
                 let query = ScanAggQuery::aggregate_only(aggregates[0].clone());
@@ -276,13 +303,19 @@ fn property_vectorized_plans_match_the_reference_bitwise() {
 }
 
 /// Seeded random plans — 0 to 3 predicates over the Float64 / Int64 / Int32
-/// columns, join on or off, no / probe-side / build-side group-by, one to
-/// three aggregates of every kind — over all three layouts, at row counts
+/// columns, join on or off against the dense- or the sparse-keyed dimension
+/// table (both join index arms), no / probe-side / build-side group-by, one
+/// to three aggregates of every kind — over all three layouts, at row counts
 /// straddling a 64-row selection word, a batch and a chunk: both
 /// compilations of the kernel and the reference return bit-equal partials.
 #[test]
 fn property_random_plans_match_in_both_compilations() {
-    let build = dim_table();
+    for (dim, build) in [("dense", dim_table()), ("sparse", sparse_dim_table())] {
+        random_plans_match_in_both_compilations(&build, dim);
+    }
+}
+
+fn random_plans_match_in_both_compilations(build: &SnapshotTable, dim: &str) {
     let join = JoinSpec { probe_column: 1, build_key: 0, build_predicates: vec![Predicate::between(1, 0.0, 5.0)] };
     let chunk = PLAN_CHUNK_ROWS as u64;
     let mut rng = SplitMixRng::new(0x15A);
@@ -318,14 +351,14 @@ fn property_random_plans_match_in_both_compilations() {
                 let plan = OlapPlan { predicates, join, group_by, aggregates };
                 let hash = plan.join.as_ref().map(|join| {
                     let group_col = ops::check_plan(&plan, true).unwrap();
-                    ops::build_hash_table(&build, join, group_col).unwrap()
+                    ops::build_hash_table(build, join, group_col).unwrap()
                 });
                 let mat = ops::MaterializedColumns::new(&probe, plan.probe_columns_accessed()).unwrap();
                 assert_plan_bit_identical(
                     &mat,
                     &plan,
                     hash.as_ref(),
-                    &format!("{layout:?}/{rows} rows/plan {p}: {plan:?}"),
+                    &format!("{dim} dim/{layout:?}/{rows} rows/plan {p}: {plan:?}"),
                 );
             }
         }
