@@ -1207,7 +1207,9 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
             (started.elapsed().as_secs_f64(), mat.work())
         };
         let (mut rebuild_secs, mut cold_secs, mut work) = (f64::INFINITY, f64::INFINITY, ops::BuildWork::default());
-        for _ in 0..repeats {
+        // Both legs of the 100 %-dirty row time the same gather, so its gate
+        // compares two minima: take them over as many passes as the kernel leg.
+        for _ in 0..3 * repeats {
             let (secs, did) = timed(&|t| ops::MaterializedColumns::build(t, cols.clone(), &[&base]).unwrap());
             rebuild_secs = rebuild_secs.min(secs);
             work = did;

@@ -7,7 +7,9 @@
 //! coherence)." Concretely:
 //!
 //! * one worker thread per core, each owning one horizontal partition, its
-//!   [`locktable::LockTable`] and its [`index::PartitionIndex`] ([`worker`]),
+//!   [`locktable::LockTable`] and its [`index::PartitionIndex`] — per table a
+//!   direct `u32` slot window over the dense keys and a `BTreeMap` spill for
+//!   the rest ([`worker`]),
 //! * transactions are hosted by a client worker and programmed against a
 //!   [`txn::TxnCtx`]: local records are locked by direct function calls,
 //!   remote records through the lock-request / grant / release protocol of

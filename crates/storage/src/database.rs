@@ -463,11 +463,14 @@ mod tests {
     /// thread updates and inserts while this thread takes snapshots back to
     /// back. For every consecutive pair, every page of the newer snapshot
     /// stamped at or before the older snapshot's epoch must equal the older
-    /// snapshot's page at that position.
+    /// snapshot's page at that position. Pairs continue past the first 300
+    /// until both kinds of page have been seen; each pair waits for the
+    /// writer to make progress, so a descheduled writer cannot leave every
+    /// pair clean.
     #[test]
     fn pages_stamped_at_or_before_a_snapshot_are_unchanged_since_it() {
         use h2tap_common::rng::SplitMixRng;
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
         const ROWS: u64 = 10_000; // several pages per partition in every layout
         let record = |v: i64| vec![Value::Int64(v); 4];
         for layout in [Layout::Nsm, Layout::Dsm, Layout::PAPER_PAX] {
@@ -479,6 +482,7 @@ mod tests {
                 }
             }
             let stop = AtomicBool::new(false);
+            let written = AtomicU64::new(0);
             let start = std::sync::Barrier::new(2);
             let (mut clean, mut dirty) = (0u64, 0u64);
             std::thread::scope(|scope| {
@@ -496,11 +500,20 @@ mod tests {
                             let rid = RecordId::new(partition, t, rng.next_below(ROWS / 10));
                             db.update(rid, &record(step)).unwrap();
                         }
+                        written.fetch_add(1, Ordering::Release);
                     }
                 });
                 start.wait();
                 let mut older = db.snapshot();
-                for _ in 0..300 {
+                let mut pairs = 0;
+                while pairs < 300 || clean == 0 || dirty == 0 {
+                    pairs += 1;
+                    // Wait for the writer to progress past the older snapshot.
+                    let seen = written.load(Ordering::Acquire);
+                    while written.load(Ordering::Acquire) == seen && !writer.is_finished() {
+                        std::thread::yield_now();
+                    }
+                    assert!(!writer.is_finished(), "{layout:?}: the writer thread stopped");
                     let newer = db.snapshot();
                     let (old_table, new_table) = (older.table(t).unwrap(), newer.table(t).unwrap());
                     for (old_pages, new_pages) in old_table.partitions().iter().zip(new_table.partitions()) {
