@@ -18,7 +18,8 @@
 //!   window grows it, doubling toward the key, as long as the new span
 //!   stays within `max(8 × keys, 2^18)` slots. Eight 4-byte slots are 32 B
 //!   per key, under the ~35 B a `BTreeMap<i64, u64>` entry costs, so the
-//!   window spans no more than the map would spend on the keys it admits.
+//!   window spans no more than the map would spend on the keys it admits
+//!   (the deque backing it may reserve up to twice its span as it grows).
 //!   Dense keys cost 4–8 B each, and `ModuloPartitioner` strides up to 8
 //!   workers stay direct. A grown window absorbs the spilled keys it now
 //!   covers.
