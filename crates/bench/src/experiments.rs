@@ -941,15 +941,43 @@ pub struct RefreshRow {
     pub dirty_chunks: u64,
     /// Chunks the table has.
     pub chunks: u64,
-    /// Fastest `MaterializedColumns::build` from the base, fresh snapshot
-    /// (page walk included) per repeat.
+    /// Fastest `MaterializedColumns::build` from the base, on a fresh
+    /// snapshot per pass.
     pub rebuild_ms: f64,
     /// Fastest `MaterializedColumns::new` under the same conditions.
     pub cold_ms: f64,
+    /// Median over passes of one pass's rebuild time over the cold time
+    /// measured right after it: the figure the release gate reads, since
+    /// drift between the two legs of a pass cancels in its ratio.
+    pub rebuild_cold_ratio: f64,
     /// Column chunks the rebuild shared with the base.
     pub chunks_reused: u64,
     /// Column chunks the rebuild gathered.
     pub chunks_rebuilt: u64,
+}
+
+/// hostperf's `snapshot` leg: what a refresh pays before its query can
+/// start, on a table nothing was written to, beside one `column_into` of
+/// one column of the same table, timed in the same process.
+#[derive(Debug, Clone, Serialize)]
+pub struct SnapshotRow {
+    /// Rows of the table (one partition, 11 `Int64` columns, `PAPER_PAX`).
+    pub rows: u64,
+    /// Median `Database::snapshot()`.
+    pub snapshot_us: f64,
+    /// Median first `SnapshotTable::row_count()` on the new snapshot.
+    pub row_count_us: f64,
+    /// Median drop of the snapshot it supersedes.
+    pub drop_us: f64,
+    /// Median `SnapshotTable::column_into` of one whole column.
+    pub column_into_us: f64,
+}
+
+impl SnapshotRow {
+    /// Snapshot, first row count and drop together, per `column_into`.
+    pub fn ratio(&self) -> f64 {
+        (self.snapshot_us + self.row_count_us + self.drop_us) / self.column_into_us.max(1e-9)
+    }
 }
 
 /// One point of hostperf's `kernel` leg: the two compilations of the one
@@ -982,6 +1010,8 @@ pub struct HostPerfSummary {
     pub isa: &'static str,
     /// The `refresh` leg: 0 %, 25 % and 100 % of the chunks dirty.
     pub refresh: Vec<RefreshRow>,
+    /// The `snapshot` leg.
+    pub snapshot: SnapshotRow,
     /// Smallest cold (vectorization-only) speedup across workloads.
     pub min_cold_speedup: f64,
     /// Smallest cached speedup across workloads.
@@ -1182,9 +1212,9 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
     // to a share of the chunks (one row each, rewritten with the values it
     // holds — enough to shadow-copy a page and dirty the chunk), then per
     // repeat a fresh snapshot re-materialised from the base and from
-    // scratch. A fresh snapshot per timing, so each pays its page walk as a
-    // real refresh does. Dirty pages stay dirty relative to the base, so the
-    // legs run in ascending order on the one database.
+    // scratch. A fresh snapshot per timing, as a real refresh takes. Dirty
+    // pages stay dirty relative to the base, so the legs run in ascending
+    // order on the one database.
     let db = builder.database();
     let cols = q6().columns_accessed();
     let base_snap = db.snapshot();
@@ -1208,12 +1238,16 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
         };
         let (mut rebuild_secs, mut cold_secs, mut work) = (f64::INFINITY, f64::INFINITY, ops::BuildWork::default());
         // Both legs of the 100 %-dirty row time the same gather, so its gate
-        // compares two minima: take them over as many passes as the kernel leg.
+        // reads the median of the passes' paired ratios, over as many passes
+        // as the kernel leg.
+        let mut ratios = Vec::new();
         for _ in 0..3 * repeats {
-            let (secs, did) = timed(&|t| ops::MaterializedColumns::build(t, cols.clone(), &[&base]).unwrap());
-            rebuild_secs = rebuild_secs.min(secs);
+            let (rebuild, did) = timed(&|t| ops::MaterializedColumns::build(t, cols.clone(), &[&base]).unwrap());
             work = did;
-            cold_secs = cold_secs.min(timed(&|t| ops::MaterializedColumns::new(t, cols.clone()).unwrap()).0);
+            let cold = timed(&|t| ops::MaterializedColumns::new(t, cols.clone()).unwrap()).0;
+            rebuild_secs = rebuild_secs.min(rebuild);
+            cold_secs = cold_secs.min(cold);
+            ratios.push(rebuild / cold.max(1e-12));
         }
         refresh.push(RefreshRow {
             dirty_pct,
@@ -1221,11 +1255,13 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
             chunks,
             rebuild_ms: rebuild_secs * 1e3,
             cold_ms: cold_secs * 1e3,
+            rebuild_cold_ratio: median(&mut ratios),
             chunks_reused: work.chunks_reused,
             chunks_rebuilt: work.chunks_rebuilt,
         });
     }
 
+    let snapshot = snapshot_leg(lineitem_rows, (3 * repeats).max(21));
     let min_cold = rows.iter().map(|r| r.cold_speedup).fold(f64::INFINITY, f64::min);
     let min_cached = rows.iter().map(|r| r.cached_speedup).fold(f64::INFINITY, f64::min);
     HostPerfSummary {
@@ -1234,8 +1270,68 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
         kernel,
         isa,
         refresh,
+        snapshot,
         min_cold_speedup: min_cold,
         min_cached_speedup: min_cached,
+    }
+}
+
+/// Median of `values` (the mean of the middle two for an even count); NaN
+/// for none.
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    match values.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => values[n / 2],
+        n => (values[n / 2 - 1] + values[n / 2]) / 2.0,
+    }
+}
+
+/// hostperf's `snapshot` leg over a `rows`-row table: per pass, a snapshot,
+/// its first row count, the drop of the snapshot before it, and a copy of
+/// one whole column out of it; medians over `passes`. Nothing is written,
+/// so a refresh should cost the table's segments, not its pages.
+fn snapshot_leg(rows: u64, passes: u32) -> SnapshotRow {
+    use h2tap_common::{AttrType, PartitionId, Schema, Value};
+    use h2tap_storage::Database;
+    use std::time::Instant;
+
+    const COLUMNS: usize = 11;
+    let db = Database::new(1);
+    let table =
+        db.create_table("snapshot_leg", Schema::homogeneous("c", COLUMNS, AttrType::Int64), Layout::PAPER_PAX).unwrap();
+    for start in (0..rows as i64).step_by(4096) {
+        let records: Vec<[Value; COLUMNS]> =
+            (start..(start + 4096).min(rows as i64)).map(|row| std::array::from_fn(|_| Value::Int64(row))).collect();
+        let inserts: Vec<_> = records.iter().map(|record| (PartitionId(0), table, &record[..])).collect();
+        db.commit(&[], &inserts).unwrap();
+    }
+    let us = |started: Instant| started.elapsed().as_secs_f64() * 1e6;
+    let mut cells = vec![0u64; rows as usize];
+    let mut previous = db.snapshot();
+    let [mut take, mut count, mut release, mut copy] = [(); 4].map(|()| Vec::with_capacity(passes as usize));
+    for _ in 0..passes {
+        let started = Instant::now();
+        let snapshot = db.snapshot();
+        take.push(us(started));
+        let frozen = snapshot.table(table).unwrap();
+        let started = Instant::now();
+        std::hint::black_box(frozen.row_count());
+        count.push(us(started));
+        let started = Instant::now();
+        drop(std::mem::replace(&mut previous, Arc::clone(&snapshot)));
+        release.push(us(started));
+        let started = Instant::now();
+        frozen.column_into(0, 0..rows as usize, &mut cells);
+        copy.push(us(started));
+        std::hint::black_box(&cells);
+    }
+    SnapshotRow {
+        rows,
+        snapshot_us: median(&mut take),
+        row_count_us: median(&mut count),
+        drop_us: median(&mut release),
+        column_into_us: median(&mut copy),
     }
 }
 

@@ -231,8 +231,8 @@ impl HtapStats {
             shared_scan_attaches chunks_reused chunks_rebuilt hashes_carried);
         export_counters!(m, "oltp", self.oltp; committed aborted retries remote_requests remote_denied messages
             writebacks submitted idle_wakeups);
-        export_counters!(m, "storage", self.cow; pages_copied bytes_copied in_place_updates pages_reclaimed
-            bytes_reclaimed);
+        export_counters!(m, "storage", self.cow; pages_copied bytes_copied segments_copied in_place_updates
+            pages_reclaimed bytes_reclaimed);
         // Live snapshots, cache occupancy and budget are point-in-time
         // samples, not monotonic counts.
         m.set_gauge("storage.live_snapshots", self.live_snapshots as f64);

@@ -51,9 +51,11 @@
 //! **Soundness.** The reuse rule is `page stamp <= base epoch`, from the
 //! stamp contract of [`h2tap_storage::Page::epoch`]: a commit learns the live
 //! epoch only under the shared side of the database's live-state lock, and a
-//! snapshot bumps the epoch and copies every page list under the exclusive
+//! snapshot bumps the epoch and takes every page segment under the exclusive
 //! side, so every page of snapshot `e` is stamped `<= e`, a page written
-//! after it carries a stamp `> e`, and stamps never decrease. The cache does
+//! after it carries a stamp `> e`, and stamps never decrease. A segment's
+//! newest stamp bounds its pages', so the check passes over a segment not
+//! written since the base without reading its pages. The cache does
 //! not hold the base snapshot's `Arc<Page>`s to compare pointers: that would
 //! pin every superseded shadow copy for up to a whole refresh cycle. Because
 //! the rule only needs the base's epoch and its per-partition row counts, a

@@ -278,11 +278,14 @@ impl MaterializedColumns {
                     .map(|(b, pos)| (b, pos, stable_rows(&b.partition_rows, table.partition_rows())))
             })
             .collect();
-        // The table's side of the reuse rule, the same for every column.
-        let stamps: Vec<Epoch> = if sources.iter().any(Option::is_some) {
-            (0..chunks).map(|chunk| table.newest_stamp(chunk_rows(chunk))).collect()
-        } else {
-            Vec::new()
+        // The table's side of the reuse rule, the same for every column:
+        // each chunk's newest page stamp, floored at the oldest base epoch
+        // (exact for every comparison below, and it lets the stamp query
+        // pass over every segment not written since that base).
+        let floor = sources.iter().flatten().map(|(base, _, _)| base.origin.epoch).min();
+        let stamps: Vec<Epoch> = match floor {
+            Some(floor) => (0..chunks).map(|chunk| table.newest_stamp(chunk_rows(chunk), floor)).collect(),
+            None => Vec::new(),
         };
         let shared = |pos: usize, chunk: usize| -> Option<&Arc<ColumnBlock>> {
             let (base, base_pos, stable) = sources[pos]?;
@@ -603,7 +606,8 @@ impl JoinHashTable {
     /// page carries a stamp after `built_at` (the stamp contract of
     /// [`h2tap_storage::Page::epoch`]).
     pub(crate) fn still_describes(&self, build: &SnapshotTable, built_at: Epoch) -> bool {
-        build.partition_rows() == self.partition_rows && build.newest_stamp(0..build.row_count() as usize) <= built_at
+        build.partition_rows() == self.partition_rows
+            && build.newest_stamp(0..build.row_count() as usize, built_at) <= built_at
     }
 }
 

@@ -16,6 +16,7 @@ use crate::codec::{decode_record, encode_into};
 use crate::layout::Layout;
 use crate::partition::PartitionStore;
 use crate::snapshot::{Snapshot, SnapshotTable, SnapshotTableId};
+use crate::table::TableFragment;
 use crate::telemetry::{CowStats, CowTelemetry};
 use h2tap_common::{Epoch, H2Error, PartitionId, RecordId, Result, Schema, TableId, Value};
 use parking_lot::RwLock;
@@ -119,13 +120,6 @@ impl Database {
         self.live.read().meta(table).cloned()
     }
 
-    /// Looks a table up by name.
-    pub fn table_by_name(&self, name: &str) -> Result<TableMeta> {
-        let live = self.live.read();
-        let id = *live.names.get(name).ok_or_else(|| H2Error::UnknownTable(name.to_string()))?;
-        live.meta(id).cloned()
-    }
-
     /// Ids of all tables.
     pub fn tables(&self) -> Vec<TableId> {
         (0..self.live.read().tables.len() as u32).map(TableId).collect()
@@ -222,12 +216,15 @@ impl Database {
         self.commit(&[(rid, values)], &[]).map(drop)
     }
 
-    /// Takes a snapshot: a shallow copy of every table's page lists plus an
-    /// increment of the live epoch, so that the first subsequent update of
-    /// any captured page triggers a shadow copy. Both happen under the
-    /// exclusive side of the live-state lock, so no commit is half applied
-    /// and every later write stamps its pages past this snapshot's epoch
-    /// (see [`crate::Page::epoch`]).
+    /// Takes a snapshot: one `Arc` clone per page segment of every table
+    /// and partition (see [`crate::SEGMENT_PAGES`]), each partition's row
+    /// count, and an increment of the live epoch, so that the first
+    /// subsequent write to a captured segment copies its pointer array and
+    /// the first to a captured page shadow-copies it. It costs the segment
+    /// count, not the page count. All of it happens under the exclusive side
+    /// of the live-state lock, so no commit is half applied and every later
+    /// write stamps its pages past this snapshot's epoch (see
+    /// [`crate::Page::epoch`]).
     pub fn snapshot(&self) -> Arc<Snapshot> {
         let mut live = self.live.write();
         let snapshot_epoch = live.epoch;
@@ -238,8 +235,7 @@ impl Database {
             for p in &self.partitions {
                 // h2tap: allow(lock_order) — ordering rule: the live-state lock before a partition's, never the reverse (see the module doc); no partition guard is held across a live-state acquisition.
                 let guard = p.read();
-                let pages = guard.fragment(meta.id).map(|f| f.pages().to_vec()).unwrap_or_default();
-                per_partition.push(pages);
+                per_partition.push(guard.fragment(meta.id).map(TableFragment::image).unwrap_or_default());
             }
             tables.insert(
                 meta.id,
@@ -273,6 +269,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SEGMENT_PAGES;
     use h2tap_common::AttrType;
 
     fn db() -> (Arc<Database>, TableId) {
@@ -286,8 +283,8 @@ mod tests {
         let (db, t) = db();
         assert_eq!(db.partition_count(), 2);
         assert_eq!(db.row_count(t).unwrap(), 0);
-        assert!(db.table_by_name("t").is_ok());
-        assert!(db.table_by_name("missing").is_err());
+        assert_eq!(db.tables(), vec![t]);
+        assert_eq!(db.table_meta(t).unwrap().name, "t");
         assert!(db.create_table("t", Schema::homogeneous("c", 2, AttrType::Int64), Layout::Dsm).is_err());
     }
 
@@ -361,10 +358,10 @@ mod tests {
             db.insert(PartitionId((i % 2) as u32), t, &[Value::Int64(i), Value::Int64(i)]).unwrap();
         }
         let snap = db.snapshot();
-        // Shallow copy: the snapshot references the same page objects.
+        // Shallow copy: the snapshot references the same segment objects.
         let frozen = snap.table(t).unwrap();
-        let live_first = db.partitions[0].read().fragment(t).unwrap().pages()[0].clone();
-        assert!(Arc::ptr_eq(&frozen.partitions()[0][0], &live_first));
+        let live = db.partitions[0].read().fragment(t).unwrap().image();
+        assert!(Arc::ptr_eq(&frozen.partitions()[0].segments[0], &live.segments[0]));
     }
 
     #[test]
@@ -436,6 +433,141 @@ mod tests {
                 assert_eq!(reclaimed.pages_reclaimed, total, "{scenario}, s{} first", first + 1);
                 assert_eq!(reclaimed.bytes_reclaimed > 0, total > 0, "{scenario}");
                 assert_eq!(db.active_snapshot_count(), 0, "{scenario}");
+            }
+        }
+    }
+
+    /// One `Int64` column on two-row pages, so a segment is a few hundred
+    /// rows.
+    fn two_row_pages() -> (Schema, Layout) {
+        (Schema::homogeneous("c", 1, AttrType::Int64), Layout::Pax { page_bytes: 16 })
+    }
+
+    /// Writes to the first and last page of a segment, a write to a segment
+    /// two snapshots share, and inserts that fill the tail segment and open
+    /// a new one. A written segment is copied once per epoch while a
+    /// snapshot shares it; each superseded page is reclaimed exactly once,
+    /// by whichever of the two snapshots drops last holding it.
+    #[test]
+    fn segments_copy_once_per_epoch_and_reclaim_each_page_once() {
+        for first in [0, 1] {
+            // Two full segments and three pages of a third, cell value = row.
+            let db = Database::new(1);
+            let (schema, layout) = two_row_pages();
+            let seg = (SEGMENT_PAGES * layout.rows_per_page(&schema)) as u64;
+            let t = db.create_table("t", schema, layout).unwrap();
+            for row in 0..2 * seg as i64 + 6 {
+                db.insert(PartitionId(0), t, &[Value::Int64(row)]).unwrap();
+            }
+            let write =
+                |row: u64, v: i64| db.update(RecordId::new(PartitionId(0), t, row), &[Value::Int64(v)]).unwrap();
+            let base = db.telemetry();
+            let s1 = db.snapshot();
+            write(0, -1); // first page of segment 0
+            write(seg - 1, -1); // last page of segment 0
+            write(1, -1); // the first page again, same epoch
+            let d = db.telemetry().delta_since(&base);
+            assert_eq!((d.segments_copied, d.pages_copied), (1, 2));
+            let s2 = db.snapshot();
+            // Segment 0 again, in a new epoch; then fill the tail segment
+            // (shared by both snapshots) and open a new one.
+            write(0, -2);
+            let tail_rows = seg - 6 + 1;
+            for i in 0..tail_rows as i64 {
+                db.insert(PartitionId(0), t, &[Value::Int64(1_000 + i)]).unwrap();
+            }
+            let d = db.telemetry().delta_since(&base);
+            assert_eq!((d.segments_copied, d.pages_copied), (3, 3), "segment 0 and the tail segment");
+            let live = db.partitions[0].read().fragment(t).unwrap().image();
+            assert_eq!(live.segments.len(), 4, "the last insert opened a fourth segment");
+            assert_eq!(live.segments[3].pages().count(), 1);
+            // Each snapshot still reads its own cut.
+            let (c1, c2) = (s1.table(t).unwrap().column(0), s2.table(t).unwrap().column(0));
+            assert_eq!((c1.len() as u64, c2.len() as u64), (2 * seg + 6, 2 * seg + 6));
+            assert_eq!((c1[0], c1[1], c1[seg as usize - 1]), (0, 1, seg - 1));
+            assert_eq!((c2[0], c2[1], c2[seg as usize - 1]), ((-1i64) as u64, (-1i64) as u64, (-1i64) as u64));
+            assert_eq!(db.read(RecordId::new(PartitionId(0), t, 0)).unwrap(), vec![Value::Int64(-2)]);
+            assert_eq!(db.row_count(t).unwrap(), 3 * seg + 1);
+            // s1 alone holds segment 0's first version (pages 0 and last);
+            // s2 alone its second (page 0 once more); both share the tail
+            // segment's first version, whose pages the live store still has.
+            let mut held = vec![s1, s2];
+            drop(held.remove(first));
+            let d = db.telemetry().delta_since(&base);
+            assert_eq!(d.pages_reclaimed, [2, 1][first], "s{} first", first + 1);
+            drop(held);
+            let d = db.telemetry().delta_since(&base);
+            assert_eq!(d.pages_reclaimed, d.pages_copied, "s{} first: each superseded page once", first + 1);
+            assert_eq!(db.active_snapshot_count(), 0);
+        }
+    }
+
+    /// Over seeded random updates, inserts and snapshots on a two-partition
+    /// table of many small segments, the floored stamp query agrees with a
+    /// per-page maximum for random row ranges and floors, and `column_into`
+    /// with a copy of the whole column.
+    #[test]
+    fn the_stamp_query_agrees_with_a_per_page_maximum() {
+        use h2tap_common::rng::SplitMixRng;
+        let db = Database::new(2);
+        let (schema, layout) = two_row_pages();
+        let per_page = layout.rows_per_page(&schema);
+        let t = db.create_table("t", schema, layout).unwrap();
+        let mut rng = SplitMixRng::new(0x5E6);
+        let mut rows = [0u64; 2];
+        for (p, rows) in rows.iter_mut().enumerate() {
+            for _ in 0..(2 * SEGMENT_PAGES * per_page) as u64 + rng.next_below(500) {
+                db.insert(PartitionId(p as u32), t, &[Value::Int64(*rows as i64)]).unwrap();
+                *rows += 1;
+            }
+        }
+        let mut held = Vec::new();
+        for round in 0..40 {
+            for _ in 0..rng.next_below(40) {
+                let p = rng.next_below(2) as usize;
+                if rng.next_below(4) == 0 {
+                    db.insert(PartitionId(p as u32), t, &[Value::Int64(round)]).unwrap();
+                    rows[p] += 1;
+                } else {
+                    let row = rng.next_below(rows[p]);
+                    db.update(RecordId::new(PartitionId(p as u32), t, row), &[Value::Int64(round)]).unwrap();
+                }
+            }
+            let snap = db.snapshot();
+            let table = snap.table(t).unwrap();
+            // Every page with its storage-order row range.
+            let mut pages = Vec::new();
+            let mut start = 0usize;
+            for part in table.partitions() {
+                for page in part.pages() {
+                    pages.push((start..start + page.len(), page.epoch()));
+                    start += page.len();
+                }
+                let here: Vec<_> = part.pages().collect();
+                let full = here.split_last().map_or(&[][..], |(_, full)| full);
+                assert!(full.iter().all(|page| page.len() == per_page), "only a partition's last page is short");
+            }
+            let total = table.row_count() as usize;
+            assert_eq!(start, total);
+            let column = table.column(0);
+            for _ in 0..50 {
+                let lo = rng.next_below(total as u64 + 1) as usize;
+                let hi = lo + rng.next_below((total - lo) as u64 + 1) as usize;
+                let floor = Epoch(rng.next_below(snap.epoch().0 + 2));
+                let brute = pages
+                    .iter()
+                    .filter(|(range, _)| lo < hi && range.start < hi && range.end > lo)
+                    .map(|&(_, stamp)| stamp)
+                    .fold(floor, Epoch::max);
+                assert_eq!(table.newest_stamp(lo..hi, floor), brute, "round {round}: rows {lo}..{hi}, floor {floor}");
+                let mut out = vec![u64::MAX; hi - lo];
+                table.column_into(0, lo..hi, &mut out);
+                assert_eq!(out, &column[lo..hi], "round {round}: rows {lo}..{hi}");
+            }
+            // Keep a few older snapshots alive, so segments stay shared.
+            held.push(snap);
+            if held.len() > 3 {
+                held.remove(rng.next_below(held.len() as u64) as usize);
             }
         }
     }
@@ -516,15 +648,16 @@ mod tests {
                     assert!(!writer.is_finished(), "{layout:?}: the writer thread stopped");
                     let newer = db.snapshot();
                     let (old_table, new_table) = (older.table(t).unwrap(), newer.table(t).unwrap());
-                    for (old_pages, new_pages) in old_table.partitions().iter().zip(new_table.partitions()) {
-                        for (i, page) in new_pages.iter().enumerate() {
+                    for (old, new) in old_table.partitions().iter().zip(new_table.partitions()) {
+                        let old_pages: Vec<_> = old.pages().collect();
+                        for (i, page) in new.pages().enumerate() {
                             if page.epoch() > older.epoch() {
                                 dirty += 1;
                                 continue;
                             }
                             clean += 1;
                             assert!(
-                                old_pages.get(i).is_some_and(|old| **old == **page),
+                                old_pages.get(i).is_some_and(|old| ***old == **page),
                                 "{layout:?}: page {i} stamped {} differs from its image in snapshot {}",
                                 page.epoch(),
                                 older.epoch()

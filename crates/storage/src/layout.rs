@@ -11,6 +11,10 @@
 use h2tap_common::Schema;
 use serde::{Deserialize, Serialize};
 
+/// Records per page of an NSM or DSM table. PAX pages derive their capacity
+/// from the configured page size instead.
+const NSM_DSM_ROWS_PER_PAGE: usize = 4096;
+
 /// Physical record organization of a table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Layout {
@@ -54,18 +58,10 @@ impl Layout {
         }
     }
 
-    /// The size in bytes of one minipage (the per-attribute region of a PAX
-    /// page) for `schema`, assuming homogeneous attribute widths; used to
-    /// check the "minipage close to the PCIe MTU" configuration rule.
-    pub fn pax_minipage_bytes(self, schema: &Schema) -> Option<usize> {
-        match self {
-            Layout::Pax { .. } => {
-                let rows = self.pax_rows_per_page(schema)?;
-                let avg_width = schema.record_width() / schema.arity().max(1);
-                Some(rows * avg_width)
-            }
-            _ => None,
-        }
+    /// How many records one page of a table in this layout holds: the PAX
+    /// geometry, or a fixed 4096 for NSM and DSM.
+    pub fn rows_per_page(self, schema: &Schema) -> usize {
+        self.pax_rows_per_page(schema).unwrap_or(NSM_DSM_ROWS_PER_PAGE)
     }
 
     /// Builds the scan profile for reading `attrs_accessed` of `schema` over
@@ -150,7 +146,7 @@ mod tests {
         // values" — 64 rows of 16 x 4-byte attributes in a 4 KiB page.
         assert_eq!(pax.pax_rows_per_page(&s), Some(64));
         // Each minipage is 256 bytes, i.e. at most the 512-byte PCIe MTU.
-        let mini = pax.pax_minipage_bytes(&s).unwrap();
+        let mini = pax.rows_per_page(&s) * AttrType::Int32.width();
         assert!(mini <= 512, "minipage {mini} bytes");
         assert_eq!(mini, 256);
     }
@@ -206,6 +202,7 @@ mod tests {
     fn non_pax_layouts_have_no_pax_geometry() {
         let s = bench_schema();
         assert!(Layout::Nsm.pax_rows_per_page(&s).is_none());
-        assert!(Layout::Dsm.pax_minipage_bytes(&s).is_none());
+        assert!(Layout::Dsm.pax_rows_per_page(&s).is_none());
+        assert_eq!(Layout::Dsm.rows_per_page(&s), NSM_DSM_ROWS_PER_PAGE);
     }
 }

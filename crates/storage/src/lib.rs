@@ -9,8 +9,8 @@
 //! 2. **A hierarchical organization** — partition → table → page (Figure 3);
 //!    each page carries the epoch it was last written in ([`page`]).
 //! 3. **Software shadow-copy snapshots** — taking a snapshot is a shallow
-//!    copy plus an epoch bump; the first update to a captured page performs
-//!    copy-on-write; dropping a snapshot's last `Arc` reclaims the
+//!    copy of each page list's segments plus an epoch bump; the first update
+//!    to a captured page performs copy-on-write; dropping a snapshot's last `Arc` reclaims the
 //!    superseded versions only it still held ([`snapshot`], [`database`],
 //!    [`telemetry`]).
 //!
@@ -42,4 +42,5 @@ pub use database::{Database, TableMeta};
 pub use layout::{Layout, ScanProfile};
 pub use page::Page;
 pub use snapshot::{Snapshot, SnapshotTable, SnapshotTableId};
+pub use table::SEGMENT_PAGES;
 pub use telemetry::CowStats;

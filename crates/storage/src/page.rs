@@ -54,11 +54,13 @@ impl Page {
     /// next. It holds because of one lock: `Database::commit` learns the
     /// live epoch only under the shared side of the live-state lock and
     /// stamps every page it writes with it, while `Database::snapshot` bumps
-    /// the epoch to `e + 1` and copies every page list under the exclusive
-    /// side. No write lands between the bump and the copy, so every page in
+    /// the epoch to `e + 1` and takes every page segment under the exclusive
+    /// side. No write lands between the bump and the take, so every page in
     /// snapshot `e` is stamped `<= e`, and a write after it stamps its page
     /// `>= e + 1` (first touch) or finds it already stamped so (stamps never
-    /// decrease).
+    /// decrease). A write also raises its segment's newest stamp to the live
+    /// epoch, so a segment whose newest stamp is `<= e` holds only pages
+    /// unchanged since snapshot `e`.
     pub fn epoch(&self) -> Epoch {
         self.epoch
     }
@@ -193,7 +195,13 @@ impl Page {
 
     /// Iterates the values of one attribute regardless of cell order.
     pub fn iter_attr(&self, attr: usize) -> impl Iterator<Item = u64> + '_ {
-        (0..self.len).map(move |row| self.cells[self.idx(row, attr)])
+        self.iter_attr_from(attr, 0)
+    }
+
+    /// [`Page::iter_attr`] from row `first` on, without stepping through
+    /// the rows before it.
+    pub(crate) fn iter_attr_from(&self, attr: usize, first: usize) -> impl Iterator<Item = u64> + '_ {
+        (first..self.len).map(move |row| self.cells[self.idx(row, attr)])
     }
 }
 

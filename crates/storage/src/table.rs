@@ -1,12 +1,20 @@
 //! A table fragment: the pages of one table inside one partition.
 //!
-//! Updates go through [`TableFragment::writable_page`], which implements the
-//! shadow-copy rule of the paper: if the page's epoch is older than the
-//! current live epoch it is still shared with at least one snapshot, so it is
-//! cloned, restamped with the live epoch and swapped into the live page list
-//! before being modified; otherwise it is already private and is updated in
-//! place. The page stamp alone carries the epoch; a snapshot copies page
-//! lists, so no table or partition node needs one.
+//! The page list has two levels: a vector of `Arc`'d [`Segment`]s of
+//! [`SEGMENT_PAGES`] pages each (the last may hold fewer). A snapshot clones
+//! one `Arc` per segment ([`TableFragment::image`]), so it costs the segment
+//! count, not the page count.
+//!
+//! Writes go through [`TableFragment::writable_page`], which applies the
+//! shadow-copy rule of the paper at both levels. A segment a snapshot still
+//! shares is copied first (`Arc::make_mut`: one pointer array, at most once
+//! per segment per epoch). A page whose epoch is older than the current live
+//! epoch may still be shared with a snapshot, so it is cloned, restamped
+//! with the live epoch and swapped into the segment before being modified;
+//! otherwise it is updated in place. Each segment also keeps the newest
+//! stamp among its pages, so a stamp query can pass over a segment that
+//! was not written since a given epoch without reading its pages. Every
+//! page but the last is full, so a row's page is found by arithmetic.
 
 use crate::layout::Layout;
 use crate::page::Page;
@@ -14,9 +22,88 @@ use crate::telemetry::CowTelemetry;
 use h2tap_common::{Epoch, H2Error, Result, Schema};
 use std::sync::Arc;
 
-/// Default number of records per page for NSM and DSM tables. PAX pages
-/// derive their capacity from the configured page size instead.
-const DEFAULT_ROWS_PER_PAGE: usize = 4096;
+/// Pages per segment of a fragment's page list. A snapshot clones one `Arc`
+/// per segment, and the first write to a shared segment copies this many
+/// page pointers.
+pub const SEGMENT_PAGES: usize = 64;
+
+/// Up to [`SEGMENT_PAGES`] consecutive pages of a fragment. The page
+/// pointers sit inline, in the segment's own allocation, so finding a page
+/// costs one pointer hop more than a flat list only through the short,
+/// cache-resident segment vector.
+#[derive(Debug, Clone)]
+pub(crate) struct Segment {
+    /// `slots[..len]` hold pages, the rest nothing.
+    slots: [Option<Arc<Page>>; SEGMENT_PAGES],
+    len: usize,
+    /// The newest [`Page::epoch`] among the pages. Every write into the
+    /// segment raises it to the live epoch, and it never falls.
+    newest: Epoch,
+}
+
+impl Segment {
+    /// A segment holding one new page stamped `live_epoch`.
+    fn new(page: Arc<Page>, live_epoch: Epoch) -> Self {
+        let mut slots = std::array::from_fn(|_| None);
+        slots[0] = Some(page);
+        Self { slots, len: 1, newest: live_epoch }
+    }
+
+    /// Returns the segment in `slot` for writing at `live_epoch`, copying
+    /// its pointer array first if a snapshot still shares it.
+    fn writable<'a>(slot: &'a mut Arc<Self>, telemetry: &CowTelemetry, live_epoch: Epoch) -> &'a mut Self {
+        // `make_mut` clones exactly when another holder shares the segment,
+        // and the clone has a new address.
+        let before = Arc::as_ptr(slot);
+        let segment = Arc::make_mut(slot);
+        if !std::ptr::eq(before, segment) {
+            telemetry.record_segment_copy();
+        }
+        segment.newest = segment.newest.max(live_epoch);
+        segment
+    }
+
+    /// Page `index` of the segment.
+    fn page(&self, index: usize) -> Option<&Arc<Page>> {
+        self.slots.get(index)?.as_ref()
+    }
+
+    /// The pages, in row order.
+    pub(crate) fn pages(&self) -> impl Iterator<Item = &Arc<Page>> {
+        self.slots.iter().flatten()
+    }
+
+    /// The newest page stamp in the segment.
+    pub(crate) fn newest(&self) -> Epoch {
+        self.newest
+    }
+
+    /// Takes the segment's pages, to free the ones nothing else holds.
+    pub(crate) fn into_pages(self) -> impl Iterator<Item = Arc<Page>> {
+        self.slots.into_iter().flatten()
+    }
+}
+
+/// A fragment's pages as a snapshot holds them: the segments, and the row
+/// count when they were taken.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FragmentImage {
+    pub(crate) segments: Vec<Arc<Segment>>,
+    pub(crate) rows: u64,
+}
+
+impl FragmentImage {
+    /// Every page, in row order.
+    pub(crate) fn pages(&self) -> impl Iterator<Item = &Arc<Page>> {
+        self.segments.iter().flat_map(|segment| segment.pages())
+    }
+
+    /// The pages from page index `first` on, in row order.
+    pub(crate) fn pages_from(&self, first: usize) -> impl Iterator<Item = &Arc<Page>> {
+        let segments = self.segments.get(first / SEGMENT_PAGES..).unwrap_or_default();
+        segments.iter().flat_map(|segment| segment.pages()).skip(first % SEGMENT_PAGES)
+    }
+}
 
 /// The pages of one table within one partition.
 #[derive(Debug, Clone)]
@@ -24,46 +111,61 @@ pub(crate) struct TableFragment {
     schema: Arc<Schema>,
     layout: Layout,
     rows_per_page: usize,
-    pages: Vec<Arc<Page>>,
+    /// Never empty once created; only the last segment may be short.
+    segments: Vec<Arc<Segment>>,
     telemetry: Arc<CowTelemetry>,
 }
 
 impl TableFragment {
     /// Creates an empty fragment.
     pub(crate) fn new(schema: Arc<Schema>, layout: Layout, telemetry: Arc<CowTelemetry>) -> Self {
-        let rows_per_page = layout.pax_rows_per_page(&schema).unwrap_or(DEFAULT_ROWS_PER_PAGE);
-        Self { schema, layout, rows_per_page, pages: Vec::new(), telemetry }
+        let rows_per_page = layout.rows_per_page(&schema);
+        Self { schema, layout, rows_per_page, segments: Vec::new(), telemetry }
+    }
+
+    /// Number of pages.
+    fn page_count(&self) -> usize {
+        self.segments.last().map_or(0, |tail| (self.segments.len() - 1) * SEGMENT_PAGES + tail.len)
+    }
+
+    fn last_page(&self) -> Option<&Arc<Page>> {
+        self.segments.last().and_then(|tail| tail.page(tail.len.checked_sub(1)?))
     }
 
     /// Number of records stored.
     pub(crate) fn row_count(&self) -> u64 {
-        match self.pages.last() {
-            None => 0,
-            Some(last) => ((self.pages.len() - 1) * self.rows_per_page + last.len()) as u64,
-        }
+        self.last_page().map_or(0, |last| ((self.page_count() - 1) * self.rows_per_page + last.len()) as u64)
     }
 
-    /// The live page list (shallow-copied by snapshots).
-    pub(crate) fn pages(&self) -> &[Arc<Page>] {
-        &self.pages
+    /// The live pages as a snapshot takes them: one `Arc` clone per segment.
+    pub(crate) fn image(&self) -> FragmentImage {
+        FragmentImage { segments: self.segments.clone(), rows: self.row_count() }
     }
 
-    fn locate(&self, row: u64) -> Result<(usize, usize)> {
+    fn page(&self, page_idx: usize) -> Option<&Arc<Page>> {
+        self.segments.get(page_idx / SEGMENT_PAGES)?.page(page_idx % SEGMENT_PAGES)
+    }
+
+    /// The page holding `row`, with its index and the row's slot in it.
+    fn locate(&self, row: u64) -> Result<(usize, &Arc<Page>, usize)> {
         let page_idx = (row as usize) / self.rows_per_page;
         let slot = (row as usize) % self.rows_per_page;
-        let page =
-            self.pages.get(page_idx).ok_or_else(|| H2Error::UnknownRecord(format!("row {row} beyond fragment")))?;
-        if slot >= page.len() {
-            return Err(H2Error::UnknownRecord(format!("row {row} beyond fragment")));
+        match self.page(page_idx) {
+            Some(page) if slot < page.len() => Ok((page_idx, page, slot)),
+            _ => Err(H2Error::UnknownRecord(format!("row {row} beyond fragment"))),
         }
-        Ok((page_idx, slot))
     }
 
     /// Returns a mutable reference to page `page_idx`, shadow-copying it
     /// first if it is still visible to a snapshot (epoch older than
     /// `live_epoch`).
-    fn writable_page(&mut self, page_idx: usize, live_epoch: Epoch) -> &mut Page {
-        let page = &mut self.pages[page_idx];
+    fn writable_page(&mut self, page_idx: usize, live_epoch: Epoch) -> Result<&mut Page> {
+        let segment = self.segments.get_mut(page_idx / SEGMENT_PAGES);
+        let segment = segment.map(|slot| Segment::writable(slot, &self.telemetry, live_epoch));
+        let Some(page) = segment.and_then(|s| s.slots.get_mut(page_idx % SEGMENT_PAGES)).and_then(Option::as_mut)
+        else {
+            return Err(H2Error::UnknownRecord(format!("page {page_idx} beyond fragment")));
+        };
         if page.epoch() < live_epoch {
             // Shared with a snapshot: shadow copy.
             let mut copy = Page::clone(page);
@@ -75,9 +177,10 @@ impl TableFragment {
         }
         // A page stamped with the live epoch is in no snapshot: every
         // snapshot bumps the epoch under the lock this write holds, so it
-        // copied its page lists before this epoch began. The `Arc` is
-        // therefore unique here and `make_mut` does not clone.
-        Arc::make_mut(&mut self.pages[page_idx])
+        // took its segments before this epoch began, and the first write
+        // since copied the segment. The `Arc` is therefore unique here and
+        // `make_mut` does not clone.
+        Ok(Arc::make_mut(page))
     }
 
     /// Appends a record (encoded as cells) and returns its row index.
@@ -85,25 +188,32 @@ impl TableFragment {
         if cells.len() != self.schema.arity() {
             return Err(H2Error::Config("record arity does not match schema".into()));
         }
-        let needs_new_page = self.pages.last().map(|p| p.is_full()).unwrap_or(true);
-        if needs_new_page {
-            self.pages.push(Arc::new(Page::new(self.layout, self.schema.arity(), self.rows_per_page, live_epoch)));
+        if self.last_page().is_none_or(|last| last.is_full()) {
+            let page = Arc::new(Page::new(self.layout, self.schema.arity(), self.rows_per_page, live_epoch));
+            match self.segments.last_mut() {
+                Some(tail) if tail.len < SEGMENT_PAGES => {
+                    let tail = Segment::writable(tail, &self.telemetry, live_epoch);
+                    tail.slots[tail.len] = Some(page);
+                    tail.len += 1;
+                }
+                _ => self.segments.push(Arc::new(Segment::new(page, live_epoch))),
+            }
         }
-        let page_idx = self.pages.len() - 1;
-        let slot = self.writable_page(page_idx, live_epoch).push(cells)?;
+        let page_idx = self.page_count() - 1;
+        let slot = self.writable_page(page_idx, live_epoch)?.push(cells)?;
         Ok((page_idx * self.rows_per_page + slot) as u64)
     }
 
     /// Reads a whole record.
     pub(crate) fn read_record(&self, row: u64) -> Result<Vec<u64>> {
-        let (page_idx, slot) = self.locate(row)?;
-        self.pages[page_idx].record(slot)
+        let (_, page, slot) = self.locate(row)?;
+        page.record(slot)
     }
 
     /// Overwrites a whole record, shadow-copying the backing page if needed.
     pub(crate) fn update_record(&mut self, row: u64, cells: &[u64], live_epoch: Epoch) -> Result<()> {
-        let (page_idx, slot) = self.locate(row)?;
-        self.writable_page(page_idx, live_epoch).set_record(slot, cells)
+        let (page_idx, _, slot) = self.locate(row)?;
+        self.writable_page(page_idx, live_epoch)?.set_record(slot, cells)
     }
 }
 
@@ -137,8 +247,8 @@ mod tests {
         for i in 0..200u64 {
             f.insert(&[i; 16], Epoch::ZERO).unwrap();
         }
-        assert_eq!(f.pages().len(), 4);
-        assert_eq!(f.pages()[0].capacity(), 64);
+        assert_eq!(f.page_count(), 4);
+        assert_eq!(f.page(0).unwrap().capacity(), 64);
         assert_eq!(f.read_record(199).unwrap()[0], 199);
     }
 
@@ -157,17 +267,19 @@ mod tests {
         let mut f = fragment(Layout::Dsm);
         f.insert(&[1, 2, 3, 4], Epoch::ZERO).unwrap();
         f.insert(&[5, 6, 7, 8], Epoch::ZERO).unwrap();
-        let shared = f.pages()[0].clone(); // simulate a snapshot holding the page
+        let shared = f.image(); // simulate a snapshot holding the pages
         let live = Epoch(1);
         f.update_record(0, &[100, 2, 3, 4], live).unwrap();
         // Snapshot's copy still sees the old value; live sees the new one.
-        assert_eq!(shared.get(0, 0).unwrap(), 1);
+        assert_eq!(shared.pages().next().unwrap().get(0, 0).unwrap(), 1);
         assert_eq!(f.read_record(0).unwrap()[0], 100);
         assert_eq!(f.telemetry.snapshot().pages_copied, 1);
+        assert_eq!(f.telemetry.snapshot().segments_copied, 1);
         // A second update in the same epoch hits the private copy in place.
         f.update_record(1, &[200, 6, 7, 8], live).unwrap();
         assert_eq!(f.telemetry.snapshot().pages_copied, 1);
-        assert_eq!(f.pages()[0].epoch(), live);
+        assert_eq!(f.telemetry.snapshot().segments_copied, 1);
+        assert_eq!(f.page(0).unwrap().epoch(), live);
     }
 
     #[test]
@@ -181,13 +293,14 @@ mod tests {
     #[test]
     fn iter_attr_crosses_pages() {
         let schema = Arc::new(Schema::homogeneous("c", 2, AttrType::Int32));
+        let per_page = Layout::Dsm.rows_per_page(&schema);
         let mut f = TableFragment::new(schema, Layout::Dsm, CowTelemetry::new());
-        for i in 0..(DEFAULT_ROWS_PER_PAGE as u64 + 10) {
+        for i in 0..(per_page as u64 + 10) {
             f.insert(&[i, 0], Epoch::ZERO).unwrap();
         }
-        let col: Vec<u64> = f.pages().iter().flat_map(|p| p.iter_attr(0)).collect();
-        assert_eq!(col.len(), DEFAULT_ROWS_PER_PAGE + 10);
-        assert_eq!(col[DEFAULT_ROWS_PER_PAGE + 9], DEFAULT_ROWS_PER_PAGE as u64 + 9);
+        let col: Vec<u64> = f.image().pages().flat_map(|p| p.iter_attr(0)).collect();
+        assert_eq!(col.len(), per_page + 10);
+        assert_eq!(col[per_page + 9], per_page as u64 + 9);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use std::sync::Arc;
 pub(crate) struct CowTelemetry {
     pages_copied: AtomicU64,
     bytes_copied: AtomicU64,
+    segments_copied: AtomicU64,
     in_place_updates: AtomicU64,
     pages_reclaimed: AtomicU64,
     bytes_reclaimed: AtomicU64,
@@ -32,6 +33,12 @@ impl CowTelemetry {
     pub(crate) fn record_copy(&self, bytes: u64) {
         self.pages_copied.fetch_add(1, Ordering::Relaxed);
         self.bytes_copied.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Records the copy of one segment's page pointers that a snapshot
+    /// still shared.
+    pub(crate) fn record_segment_copy(&self) {
+        self.segments_copied.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records an update that did not need a shadow copy.
@@ -61,6 +68,7 @@ impl CowTelemetry {
         CowStats {
             pages_copied: self.pages_copied.load(Ordering::Relaxed),
             bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
+            segments_copied: self.segments_copied.load(Ordering::Relaxed),
             in_place_updates: self.in_place_updates.load(Ordering::Relaxed),
             pages_reclaimed: self.pages_reclaimed.load(Ordering::Relaxed),
             bytes_reclaimed: self.bytes_reclaimed.load(Ordering::Relaxed),
@@ -75,6 +83,9 @@ pub struct CowStats {
     pub pages_copied: u64,
     /// Bytes shadow-copied.
     pub bytes_copied: u64,
+    /// Segment pointer arrays copied: at most one per segment written in
+    /// an epoch, and none while no snapshot shares the segment.
+    pub segments_copied: u64,
     /// Updates applied in place.
     pub in_place_updates: u64,
     /// Superseded pages freed by snapshot drops. A page counts once, when
@@ -91,6 +102,7 @@ impl CowStats {
         CowStats {
             pages_copied: self.pages_copied - earlier.pages_copied,
             bytes_copied: self.bytes_copied - earlier.bytes_copied,
+            segments_copied: self.segments_copied - earlier.segments_copied,
             in_place_updates: self.in_place_updates - earlier.in_place_updates,
             pages_reclaimed: self.pages_reclaimed - earlier.pages_reclaimed,
             bytes_reclaimed: self.bytes_reclaimed - earlier.bytes_reclaimed,
@@ -107,6 +119,7 @@ mod tests {
         let t = CowTelemetry::new();
         t.record_copy(4096);
         t.record_copy(4096);
+        t.record_segment_copy();
         t.record_in_place();
         t.record_snapshot_taken();
         assert_eq!(t.live_snapshots(), 1);
@@ -115,6 +128,7 @@ mod tests {
         let stats = t.snapshot();
         assert_eq!(stats.pages_copied, 2);
         assert_eq!(stats.bytes_copied, 8192);
+        assert_eq!(stats.segments_copied, 1);
         assert_eq!(stats.in_place_updates, 1);
         assert_eq!(stats.pages_reclaimed, 3);
         assert_eq!(stats.bytes_reclaimed, 12288);
@@ -126,11 +140,13 @@ mod tests {
         t.record_copy(100);
         let before = t.snapshot();
         t.record_copy(50);
+        t.record_segment_copy();
         t.record_in_place();
         let after = t.snapshot();
         let d = after.delta_since(&before);
         assert_eq!(d.pages_copied, 1);
         assert_eq!(d.bytes_copied, 50);
+        assert_eq!(d.segments_copied, 1);
         assert_eq!(d.in_place_updates, 1);
     }
 }

@@ -129,10 +129,11 @@ fn run_scenario(queries_per_snapshot: u32) {
         count("oltp.messages"),
     );
     println!(
-        "    storage: {} pages / {:.1} KiB shadow-copied, {} in-place updates, {} pages / {:.1} KiB reclaimed, \
-         {} live snapshots",
+        "    storage: {} pages / {:.1} KiB shadow-copied ({} segments copied), {} in-place updates, \
+         {} pages / {:.1} KiB reclaimed, {} live snapshots",
         count("storage.pages_copied"),
         count("storage.bytes_copied") as f64 / 1024.0,
+        count("storage.segments_copied"),
         count("storage.in_place_updates"),
         count("storage.pages_reclaimed"),
         count("storage.bytes_reclaimed") as f64 / 1024.0,

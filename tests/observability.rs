@@ -155,6 +155,7 @@ fn tracing_is_off_by_default_but_metrics_and_explanations_still_flow() {
     assert!(metrics.gauge("plan_cache.occupancy_bytes").is_some());
     assert_eq!(metrics.counter("oltp.committed"), Some(stats.oltp.committed));
     assert_eq!(metrics.counter("storage.pages_copied"), Some(stats.cow.pages_copied));
+    assert_eq!(metrics.counter("storage.segments_copied"), Some(stats.cow.segments_copied));
     // Every dispatch left a placement explanation with all site estimates.
     assert_eq!(stats.placements.len(), 2);
     for p in &stats.placements {
