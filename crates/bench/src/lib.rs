@@ -10,9 +10,8 @@
 pub mod experiments;
 
 pub use experiments::{
-    capture_trace, fig1, fig10, fig11, fig4, fig5, fig6, fig7, fig8, fig9, fig_calibration, fig_concurrency,
-    fig_hostperf, fig_multigpu, fig_operators, fig_placement, run_htap, table1, CalibrationQueryRow,
-    CalibrationSummary, ConcurrencyRow, ConcurrencySummary, Fig1Row, Fig4Row, GpuMixRow, HostPerfRow, HostPerfSummary,
-    HtapParams, HtapRow, LatencyPercentiles, LayoutRow, OltpComparisonRow, OperatorsRow, PlacementRow, Table1Row,
-    DEFAULT_LINEITEM_ROWS,
+    capture_trace, fig1, fig10, fig11, fig4, fig5, fig6, fig7, fig8, fig9, fig_calibration, fig_hostperf, fig_multigpu,
+    fig_operators, fig_placement, ledger, run_htap, table1, CalibrationQueryRow, CalibrationSummary, Fig1Row, Fig4Row,
+    GpuMixRow, HostPerfSummary, HtapParams, HtapRow, LatencyPercentiles, LayoutRow, OltpComparisonRow, OperatorsRow,
+    PlacementRow, Table1Row, DEFAULT_LINEITEM_ROWS,
 };

@@ -86,16 +86,6 @@ impl FaultPlan {
         }
     }
 
-    /// True when the plan can never fire: no rate is positive and no loss
-    /// is scheduled.
-    pub fn is_quiet(&self) -> bool {
-        self.transient_kernel_rate <= 0.0
-            && self.oom_spike_rate <= 0.0
-            && self.interconnect_stall_rate <= 0.0
-            && self.device_loss_rate <= 0.0
-            && self.device_loss_at.is_none()
-    }
-
     /// Derives the injector for one device. The sub-seed folds in the site
     /// label and device ordinal so sibling devices draw independent
     /// sequences, while the same (plan seed, site, ordinal) triple always
@@ -238,7 +228,6 @@ mod tests {
     #[test]
     fn quiet_plan_always_passes() {
         let mut inj = FaultPlan::quiet(7).injector_for("gpu", 0);
-        assert!(FaultPlan::quiet(7).is_quiet());
         assert!((0..1_000).all(|_| inj.decide() == FaultDecision::Pass));
     }
 
@@ -246,7 +235,6 @@ mod tests {
     fn scheduled_loss_is_sticky_and_device_scoped() {
         let mut plan = FaultPlan::quiet(9);
         plan.device_loss_at = Some(DeviceLossPoint { device: 0, launch: 3 });
-        assert!(!plan.is_quiet());
         let mut hit = plan.injector_for("gpu", 0);
         for _ in 0..3 {
             assert_eq!(hit.decide(), FaultDecision::Pass);

@@ -209,23 +209,6 @@ impl MemoryManager {
         self.used_bytes = (self.used_bytes + newly_used).min(self.capacity_bytes + migrated);
         Ok(migrated)
     }
-
-    /// Drops all resident UM pages of a buffer back to the host (used to
-    /// model a cold start between experiment repetitions).
-    pub fn evict_um(&mut self, id: BufferId) -> Result<()> {
-        let page_bytes = self.page_bytes;
-        let info = self.buffers.get_mut(&id).ok_or_else(|| H2Error::InvalidKernel(format!("unknown buffer {id:?}")))?;
-        if let Residency::HostUm { resident_pages, .. } = &mut info.residency {
-            self.used_bytes = self.used_bytes.saturating_sub(*resident_pages * page_bytes);
-            *resident_pages = 0;
-        }
-        Ok(())
-    }
-
-    /// Number of registered buffers.
-    pub fn buffer_count(&self) -> usize {
-        self.buffers.len()
-    }
 }
 
 #[cfg(test)]
@@ -279,9 +262,6 @@ mod tests {
         assert_eq!(first, bytes);
         let second = m.touch_um(id, bytes).unwrap();
         assert_eq!(second, 0, "already-resident pages must not migrate again");
-        m.evict_um(id).unwrap();
-        let third = m.touch_um(id, bytes).unwrap();
-        assert_eq!(third, bytes);
     }
 
     #[test]
@@ -304,6 +284,5 @@ mod tests {
         let id = m.register_device_resident("gpu-table", 1 << 30).unwrap();
         assert_eq!(m.used_bytes(), 1 << 30);
         assert_eq!(m.info(id).unwrap().residency, Residency::Device);
-        assert_eq!(m.buffer_count(), 1);
     }
 }
