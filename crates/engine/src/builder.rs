@@ -12,7 +12,6 @@ use h2tap_gpu_sim::GpuDevice;
 use h2tap_obs::Tracer;
 use h2tap_olap::{PlanDataCache, Site};
 use h2tap_oltp::{ModuloPartitioner, OltpRuntime, PartitionIndex, Partitioner, TxnGenerator};
-use h2tap_scheduler::Scheduler;
 use h2tap_storage::{Database, Layout};
 use std::sync::Arc;
 
@@ -93,8 +92,8 @@ impl CalderaBuilder {
     pub fn start(self) -> Result<Caldera> {
         let CalderaBuilder { config, db, indexes, partitioner, generator } = self;
         if config.oltp.workers == 0 {
-            // Fail here, before any scheduler or site construction: an
-            // engine without OLTP workers could never route a transaction.
+            // Fail here, before any site construction: an engine without
+            // OLTP workers could never route a transaction.
             return Err(H2Error::Config("the engine needs at least one OLTP worker".into()));
         }
         let gpus = &config.olap_device.gpus;
@@ -109,8 +108,6 @@ impl CalderaBuilder {
                 )));
             }
         }
-        let accelerators = gpus.iter().map(|g| g.name.clone()).collect();
-        let scheduler = Scheduler::new(config.oltp.workers, config.olap_cpu_cores, accelerators);
         // What the sites share, created before them so each is built with
         // it and never mutated afterwards. One plan-data cache: derived state
         // (materialised columns, zonemap stats, join hash tables) built by
@@ -143,7 +140,7 @@ impl CalderaBuilder {
         ];
         let sites = sites.into_iter().map(|site| site.with_shared(plan_cache.clone(), tracer.clone())).collect();
         let oltp = OltpRuntime::start(Arc::clone(&db), config.oltp.clone(), partitioner, indexes, generator)?;
-        Ok(Caldera::assemble(config, db, oltp, sites, scheduler, plan_cache, tracer))
+        Ok(Caldera::assemble(config, db, oltp, sites, plan_cache, tracer))
     }
 }
 

@@ -38,8 +38,9 @@ pub struct CalderaConfig {
     /// The task-parallel (OLTP) archipelago configuration: one worker per
     /// CPU core, one partition per worker.
     pub oltp: OltpConfig,
-    /// CPU cores reserved for the data-parallel archipelago (available for
-    /// scheduler-driven migration and CPU-side OLAP).
+    /// CPU cores granted to the data-parallel archipelago's CPU site, fixed
+    /// for the engine's life. 0 reserves none: placement never picks the
+    /// CPU, and forced runs and fallbacks get a one-core CPU site.
     pub olap_cpu_cores: usize,
     /// The data-parallel archipelago's GPUs.
     pub olap_device: OlapDeviceConfig,

@@ -4,8 +4,8 @@
 //! only IR below the public API — `run_olap` is a shim that runs a
 //! [`ScanAggQuery`] as the degenerate plan [`OlapPlan::scan`] — and the one
 //! dispatch path builds [`PlacementHints`] from live state (the plan's scan
-//! footprint and access-pattern features, GPU residency, the CPU cores the
-//! data-parallel archipelago currently owns), asks
+//! footprint and access-pattern features, GPU residency, the CPU cores
+//! granted to the data-parallel archipelago), asks
 //! [`place_olap_query_sites`] for a target, and dispatches to the matching
 //! [`Site`] — a simulated GPU site or the archipelago's CPU cores.
 //!
@@ -43,8 +43,8 @@ use h2tap_obs::{MetricsSnapshot, SpanEvent, SpanKind, SpanRecord, Tracer};
 use h2tap_olap::{OlapOutcome, PlanDataCache, PlanOutcome, Site, SnapshotPolicy};
 use h2tap_oltp::{BenchmarkWindow, OltpRuntime, OltpStats, TxnProc};
 use h2tap_scheduler::{
-    estimate_target_secs, place_olap_query_sites, ArchipelagoKind, CalibrationReport, CostCalibrator, CostModel,
-    OlapTarget, PlacementExplanation, PlacementHints, PlacementObservation, Scheduler, SiteCapability,
+    estimate_target_secs, place_olap_query_sites, CalibrationReport, CostCalibrator, CostModel, OlapTarget,
+    PlacementExplanation, PlacementHints, PlacementObservation, SiteCapability,
 };
 use h2tap_storage::{CowStats, Database, Snapshot};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -359,8 +359,6 @@ pub struct Caldera {
     /// The plan-data cache shared by every site. Its entries are versioned
     /// by snapshot epoch, so a refresh leaves it alone.
     plan_cache: PlanDataCache,
-    scheduler: Scheduler,
-    next_home: AtomicU64,
     /// Query tracing (a no-op unless `config.observability.tracing`); every
     /// execution site and the shared plan-data cache were built with the
     /// same handle.
@@ -380,7 +378,6 @@ impl Caldera {
         db: Arc<Database>,
         oltp: OltpRuntime,
         sites: Vec<Site>,
-        scheduler: Scheduler,
         plan_cache: PlanDataCache,
         tracer: Tracer,
     ) -> Self {
@@ -397,8 +394,6 @@ impl Caldera {
             }),
             meta: Mutex::new(OlapMeta { query_index: 0, calibrator }),
             plan_cache,
-            scheduler,
-            next_home: AtomicU64::new(0),
             tracer,
             resilience: ResilienceCounters::default(),
         }
@@ -412,11 +407,6 @@ impl Caldera {
     /// The OLTP runtime (task-parallel archipelago).
     pub fn oltp(&self) -> &OltpRuntime {
         &self.oltp
-    }
-
-    /// The archipelago scheduler.
-    pub fn scheduler(&self) -> &Scheduler {
-        &self.scheduler
     }
 
     /// The configured snapshot policy.
@@ -460,20 +450,6 @@ impl Caldera {
     /// Executes a transaction on an explicitly chosen home worker.
     pub fn execute_txn_on(&self, home: PartitionId, proc: TxnProc) -> Result<()> {
         self.oltp.execute(home, proc)
-    }
-
-    /// Executes a transaction, choosing a home worker round-robin ("an
-    /// incoming transaction can be scheduled to run on any thread").
-    pub fn execute_txn(&self, proc: TxnProc) -> Result<()> {
-        let workers = self.oltp.workers() as u64;
-        if workers == 0 {
-            // Unreachable through `CalderaBuilder::start` (the runtime
-            // refuses to start with zero workers), but a modulo by zero
-            // must never panic a library call.
-            return Err(H2Error::Config("cannot route a transaction: the engine has no OLTP workers".into()));
-        }
-        let home = PartitionId((self.next_home.fetch_add(1, Ordering::Relaxed) % workers) as u32);
-        self.execute_txn_on(home, proc)
     }
 
     /// Runs the OLTP benchmark generator (if one was configured) for
@@ -763,16 +739,17 @@ impl Caldera {
         let build_frozen = build.map(|id| snapshot.table(id)).transpose()?;
 
         // Live placement inputs: the plan's scan footprint and the CPU cores
-        // the data-parallel archipelago owns right now (core migration
-        // included), plus the access-pattern features: how many bytes the
-        // hash probes gather at random, and how large the hash state is.
+        // granted to the data-parallel archipelago (0 means none are
+        // reserved, so placement never picks the CPU), plus the
+        // access-pattern features: how many bytes the hash probes gather at
+        // random, and how large the hash state is.
         // How much data already sits in device memory and how much device
         // memory is free come from the sites' enumerated capabilities
         // instead, per device. Hints are built for forced dispatches
         // too: a forced run is ground truth about its site and must still
         // feed the calibrator — it just never consults the placement
         // heuristic.
-        let cpu_cores = self.scheduler.archipelago(ArchipelagoKind::DataParallel).core_count() as u32;
+        let cpu_cores = self.config.olap_cpu_cores as u32;
         let probe_rows = probe_frozen.row_count();
         let build_bytes = build_frozen.map_or(0, |frozen| plan.build_scan_bytes(&frozen.schema, frozen.row_count()));
         // Cost constants come from the **calibrated** model (seeded by
@@ -800,9 +777,6 @@ impl Caldera {
             // every path — an OOM error frees this site's slot before the
             // fallback competes for the next site's gate.
             let _permit = slot.admission.admit();
-            // A query placed on CPU must see the archipelago's current core
-            // count, not the count at construction time (the GPU site ignores it).
-            slot.site.set_cores(cpu_cores.max(1));
             // The site registers the tables it needs on first use and rolls
             // back what a failed call registered, so the fallback — and
             // every later query on this snapshot — inherits no stranded
@@ -900,11 +874,14 @@ mod tests {
         assert_eq!(before.value, 100.0);
         // A transaction bumps one record.
         caldera
-            .execute_txn(Arc::new(move |ctx| {
-                let mut rec = ctx.read_for_update(t, 7)?;
-                rec[1] = Value::Int64(rec[1].as_i64().unwrap() + 9);
-                ctx.update(t, 7, rec)
-            }))
+            .execute_txn_on(
+                PartitionId(0),
+                Arc::new(move |ctx| {
+                    let mut rec = ctx.read_for_update(t, 7)?;
+                    rec[1] = Value::Int64(rec[1].as_i64().unwrap() + 9);
+                    ctx.update(t, 7, rec)
+                }),
+            )
             .unwrap();
         // PerQuery policy: the next OLAP query sees the update.
         let after = caldera.run_olap(t, &q).unwrap();
@@ -927,11 +904,14 @@ mod tests {
         let first = caldera.run_olap(t, &q).unwrap();
         assert_eq!(first.value, 50.0);
         caldera
-            .execute_txn(Arc::new(move |ctx| {
-                let mut rec = ctx.read_for_update(t, 0)?;
-                rec[1] = Value::Int64(100);
-                ctx.update(t, 0, rec)
-            }))
+            .execute_txn_on(
+                PartitionId(0),
+                Arc::new(move |ctx| {
+                    let mut rec = ctx.read_for_update(t, 0)?;
+                    rec[1] = Value::Int64(100);
+                    ctx.update(t, 0, rec)
+                }),
+            )
             .unwrap();
         // Still within the same snapshot window: the update is not visible.
         let stale = caldera.run_olap(t, &q).unwrap();
@@ -949,11 +929,14 @@ mod tests {
         // First query takes the initial snapshot even under Manual.
         assert_eq!(caldera.run_olap(t, &q).unwrap().value, 10.0);
         caldera
-            .execute_txn(Arc::new(move |ctx| {
-                let mut rec = ctx.read_for_update(t, 3)?;
-                rec[1] = Value::Int64(5);
-                ctx.update(t, 3, rec)
-            }))
+            .execute_txn_on(
+                PartitionId(0),
+                Arc::new(move |ctx| {
+                    let mut rec = ctx.read_for_update(t, 3)?;
+                    rec[1] = Value::Int64(5);
+                    ctx.update(t, 3, rec)
+                }),
+            )
             .unwrap();
         assert_eq!(caldera.run_olap(t, &q).unwrap().value, 10.0, "stale until refreshed");
         caldera.refresh_snapshot().unwrap();
@@ -964,8 +947,8 @@ mod tests {
     #[test]
     fn round_robin_hosting_spreads_transactions() {
         let (caldera, t) = engine_with_rows(4, 40, SnapshotPolicy::PerQuery);
-        for _ in 0..8 {
-            caldera.execute_txn(Arc::new(move |ctx| ctx.read(t, 1).map(|_| ()))).unwrap();
+        for i in 0..8 {
+            caldera.execute_txn_on(PartitionId(i % 4), Arc::new(move |ctx| ctx.read(t, 1).map(|_| ()))).unwrap();
         }
         let stats = caldera.shutdown();
         assert_eq!(stats.oltp.committed, 8);
@@ -1140,11 +1123,14 @@ mod tests {
         let before = caldera.run_olap_plan(fact, Some(dim), &plan).unwrap();
         let sum_before: f64 = before.groups.iter().map(|g| g.values[0]).sum();
         caldera
-            .execute_txn(Arc::new(move |ctx| {
-                let mut rec = ctx.read_for_update(fact, 0)?;
-                rec[2] = Value::Int64(100);
-                ctx.update(fact, 0, rec)
-            }))
+            .execute_txn_on(
+                PartitionId(0),
+                Arc::new(move |ctx| {
+                    let mut rec = ctx.read_for_update(fact, 0)?;
+                    rec[2] = Value::Int64(100);
+                    ctx.update(fact, 0, rec)
+                }),
+            )
             .unwrap();
         // Manual policy: stale until an explicit refresh.
         let stale = caldera.run_olap_plan(fact, Some(dim), &plan).unwrap();
@@ -1178,11 +1164,14 @@ mod tests {
         // written chunk from the stale version, replaces it — and sees the
         // update.
         caldera
-            .execute_txn(Arc::new(move |ctx| {
-                let mut rec = ctx.read_for_update(t, 7)?;
-                rec[1] = Value::Int64(rec[1].as_i64().unwrap() + 41);
-                ctx.update(t, 7, rec)
-            }))
+            .execute_txn_on(
+                PartitionId(0),
+                Arc::new(move |ctx| {
+                    let mut rec = ctx.read_for_update(t, 7)?;
+                    rec[1] = Value::Int64(rec[1].as_i64().unwrap() + 41);
+                    ctx.update(t, 7, rec)
+                }),
+            )
             .unwrap();
         caldera.refresh_snapshot().unwrap();
         assert_eq!(caldera.stats().plan_cache, after_second, "a refresh drops nothing and derives nothing");
@@ -1273,24 +1262,54 @@ mod tests {
     }
 
     #[test]
-    fn cpu_queries_see_migrated_cores() {
-        // Start with 2 OLAP CPU cores, then migrate 6 more from the (8-core)
-        // task-parallel archipelago: the same CPU query must get faster.
-        let mut config = CalderaConfig::with_workers(8);
-        config.olap_cpu_cores = 2;
-        config.snapshot_policy = SnapshotPolicy::EveryN { queries: 100 };
-        let (caldera, t) = engine_with_config(config, 50_000);
-        let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 1]));
-        let before = caldera.run_olap_on(t, &q, OlapTarget::Cpu).unwrap();
-        for core in 0..6 {
-            caldera
-                .scheduler()
-                .migrate_core(core, ArchipelagoKind::TaskParallel, ArchipelagoKind::DataParallel)
-                .unwrap();
-        }
-        let after = caldera.run_olap_on(t, &q, OlapTarget::Cpu).unwrap();
-        assert_eq!(before.value, after.value);
-        assert!(after.time < before.time, "8 cores {} should beat 2 cores {}", after.time, before.time);
+    fn cpu_queries_see_the_core_grant() {
+        // The same CPU query on engines granted 2 and 8 OLAP CPU cores: the
+        // same answer, less simulated time on more cores.
+        let run_on_cores = |cores: usize| {
+            let mut config = CalderaConfig::with_workers(2);
+            config.olap_cpu_cores = cores;
+            let (caldera, t) = engine_with_config(config, 50_000);
+            let q = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 1]));
+            let out = caldera.run_olap_on(t, &q, OlapTarget::Cpu).unwrap();
+            caldera.shutdown();
+            out
+        };
+        let (two, eight) = (run_on_cores(2), run_on_cores(8));
+        assert_eq!(two.value, eight.value);
+        assert!(eight.time < two.time, "8 cores {} should beat 2 cores {}", eight.time, two.time);
+    }
+
+    #[test]
+    fn a_zero_core_grant_keeps_placement_off_a_one_core_cpu_site() {
+        // The default grant is 0 OLAP CPU cores: placement must not see the
+        // CPU as eligible, yet the CPU site exists (one core) for forced
+        // runs and fallbacks.
+        let config = CalderaConfig::with_workers(2);
+        assert_eq!(config.olap_cpu_cores, 0);
+        // Host-resident data: with even one core granted, the 40-row scan
+        // below would route to the CPU (the GPU's dispatch overhead
+        // dominates), and with 8 the join would too, on several threads.
+        let (caldera, fact, dim) = engine_with_join_tables(config, 150_000);
+        assert!(caldera.snap.read().capabilities().contains(&SiteCapability::Cpu { cores: 1 }));
+        let plan = class_revenue_plan();
+        let tiny = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));
+        assert_eq!(caldera.run_olap(dim, &tiny).unwrap().site, OlapTarget::Gpu);
+        let placed = caldera.run_olap_plan(fact, Some(dim), &plan).unwrap();
+        assert_eq!(placed.site, OlapTarget::Gpu);
+        let cpu = caldera.run_olap_plan_on(fact, Some(dim), &plan, OlapTarget::Cpu).unwrap();
+        assert_eq!(cpu.threads_used, 1);
+        let bits = |out: &PlanOutcome| -> Vec<(u64, u64, Vec<u64>)> {
+            out.groups.iter().map(|g| (g.key, g.rows, g.values.iter().map(|v| v.to_bits()).collect())).collect()
+        };
+        assert_eq!(bits(&cpu), bits(&placed));
+        let stats = caldera.shutdown();
+        assert_eq!(stats.olap_queries_on(OlapTarget::Cpu), 1, "only the forced run");
+        assert_eq!(stats.olap_queries_on(OlapTarget::Gpu), 2);
+
+        let mut config = CalderaConfig::with_workers(2);
+        config.olap_cpu_cores = 3;
+        let (caldera, _, _) = engine_with_join_tables(config, 10);
+        assert!(caldera.snap.read().capabilities().contains(&SiteCapability::Cpu { cores: 3 }));
         caldera.shutdown();
     }
 
@@ -1305,7 +1324,7 @@ mod tests {
         let mut builder = Caldera::builder(CalderaConfig::with_workers(0));
         builder.create_table("t", Schema::homogeneous("c", 2, AttrType::Int64), Layout::Dsm).unwrap();
         // The runtime refuses to start (there is nowhere to route
-        // transactions) instead of panicking later in `execute_txn`.
+        // transactions) instead of panicking later in `execute_txn_on`.
         assert!(matches!(builder.start(), Err(H2Error::Config(_))));
     }
 
@@ -1317,11 +1336,14 @@ mod tests {
         let held = caldera.current_snapshot().expect("a query ran, so a snapshot exists");
         let base = caldera.database().telemetry();
         caldera
-            .execute_txn(Arc::new(move |ctx| {
-                let mut rec = ctx.read_for_update(t, 0)?;
-                rec[1] = Value::Int64(5);
-                ctx.update(t, 0, rec)
-            }))
+            .execute_txn_on(
+                PartitionId(0),
+                Arc::new(move |ctx| {
+                    let mut rec = ctx.read_for_update(t, 0)?;
+                    rec[1] = Value::Int64(5);
+                    ctx.update(t, 0, rec)
+                }),
+            )
             .unwrap();
         caldera.refresh_snapshot().unwrap();
         assert_eq!(caldera.run_olap(t, &q).unwrap().value, 14.0);

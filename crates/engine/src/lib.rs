@@ -3,7 +3,7 @@
 //! This crate is the public face of the workspace: it wires the
 //! shared-memory database (`h2tap-storage`), the message-passing OLTP
 //! archipelago (`h2tap-oltp`), the GPU OLAP archipelago (`h2tap-olap` over
-//! `h2tap-gpu-sim`) and the archipelago scheduler (`h2tap-scheduler`)
+//! `h2tap-gpu-sim`) and the placement scheduler (`h2tap-scheduler`)
 //! together behind one API:
 //!
 //! ```no_run

@@ -14,7 +14,9 @@
 //! path ran, not a cache artefact.
 
 use caldera::{Caldera, CalderaConfig, OlapPlan, SnapshotPolicy};
-use h2tap_common::{AggExpr, AttrType, JoinSpec, PlanColumn, Predicate, ScanAggQuery, Schema, TableId, Value};
+use h2tap_common::{
+    AggExpr, AttrType, JoinSpec, PartitionId, PlanColumn, Predicate, ScanAggQuery, Schema, TableId, Value,
+};
 use h2tap_storage::Layout;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -87,16 +89,20 @@ fn concurrent_clients_and_a_writer_never_change_an_answer() {
         let barrier = Arc::clone(&barrier);
         std::thread::spawn(move || {
             barrier.wait();
+            let workers = caldera.oltp().workers() as u64;
             let mut txns = 0u64;
             let mut refreshes = 0u64;
             while !stop.load(Ordering::SeqCst) {
                 let key = (txns % 1_000) as i64;
                 caldera
-                    .execute_txn(Arc::new(move |ctx| {
-                        let mut rec = ctx.read_for_update(churn, key)?;
-                        rec[1] = Value::Int64(rec[1].as_i64().unwrap() + 1);
-                        ctx.update(churn, key, rec)
-                    }))
+                    .execute_txn_on(
+                        PartitionId((txns % workers) as u32),
+                        Arc::new(move |ctx| {
+                            let mut rec = ctx.read_for_update(churn, key)?;
+                            rec[1] = Value::Int64(rec[1].as_i64().unwrap() + 1);
+                            ctx.update(churn, key, rec)
+                        }),
+                    )
                     .unwrap();
                 txns += 1;
                 if txns.is_multiple_of(5) {

@@ -548,12 +548,6 @@ impl PlanDataCache {
         let inner = self.shared.inner.lock();
         inner.columns.entries.len() + inner.hashes.entries.len()
     }
-
-    /// Bytes held by the cached entries — how much host memory the cache
-    /// trades for the re-derivation work. Never exceeds the budget.
-    pub fn cached_bytes(&self) -> u64 {
-        self.shared.inner.lock().occupancy()
-    }
 }
 
 #[cfg(test)]
@@ -588,7 +582,7 @@ mod tests {
         let c = cache.materialized(frozen, vec![0]).unwrap();
         assert!(!StdArc::ptr_eq(&a, &c));
         assert_eq!(cache.stats().column_misses, 2);
-        assert!(cache.cached_bytes() > 0);
+        assert!(cache.stats().occupancy_bytes > 0);
     }
 
     #[test]
@@ -697,7 +691,7 @@ mod tests {
         assert_eq!(stats.chunks_rebuilt, 8 + 2, "the first build gathers everything, the second one chunk per column");
         assert_eq!(stats.chunks_reused, 6);
         assert_eq!((stats.invalidations, cache.entries()), (1, 1), "the base was replaced, not kept alongside");
-        assert_eq!(cache.cached_bytes(), fresh.cell_bytes());
+        assert_eq!(cache.stats().occupancy_bytes, fresh.cell_bytes());
     }
 
     #[test]
@@ -906,7 +900,10 @@ mod tests {
                 let got = unbounded.materialized(snapshot.table(t).unwrap(), ALL.to_vec()).unwrap();
                 got.assert_same_bytes(scratch, &label("revisited", index));
             }
-            assert!(caches[1].cached_bytes() == 0 && caches[2].cached_bytes() <= 4_096, "case {case}: budgets hold");
+            assert!(
+                caches[1].stats().occupancy_bytes == 0 && caches[2].stats().occupancy_bytes <= 4_096,
+                "case {case}: budgets hold"
+            );
         }
     }
 
@@ -956,7 +953,7 @@ mod tests {
         assert_eq!(stats.evictions, 0, "nothing was cached, so nothing was evicted");
         assert_eq!(stats.budget_bytes, Some(0));
         assert_eq!(cache.entries(), 0);
-        assert_eq!(cache.cached_bytes(), 0);
+        assert_eq!(cache.stats().occupancy_bytes, 0);
     }
 
     #[test]
@@ -974,7 +971,7 @@ mod tests {
         let big = cache.materialized(snap.table(wide).unwrap(), vec![0, 1]).unwrap();
         assert_eq!(big.rows(), 1_000);
         assert_eq!(cache.stats().evictions, 0, "an unfittable entry must not flush the cache");
-        assert_eq!(cache.cached_bytes(), 80, "only the small entry is resident");
+        assert_eq!(cache.stats().occupancy_bytes, 80, "only the small entry is resident");
         let again = cache.materialized(snap.table(ids[0]).unwrap(), vec![0]).unwrap();
         assert!(StdArc::ptr_eq(&small, &again), "the small entry survived");
     }
@@ -997,7 +994,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.column_misses, 4);
         assert_eq!(s.evictions, 2);
-        assert!(cache.cached_bytes() <= 1_600);
+        assert!(cache.stats().occupancy_bytes <= 1_600);
     }
 
     #[test]
@@ -1009,7 +1006,7 @@ mod tests {
         let pinned = cache.materialized(snap.table(ids[0]).unwrap(), vec![0]).unwrap();
         for &t in &ids[1..4] {
             let _ = cache.materialized(snap.table(t).unwrap(), vec![0]).unwrap();
-            assert!(cache.cached_bytes() <= 1_600, "occupancy must never exceed the budget");
+            assert!(cache.stats().occupancy_bytes <= 1_600, "occupancy must never exceed the budget");
         }
         // Despite being the least recently used entry throughout, t0 was
         // never the victim — the stream evicted around it.
@@ -1023,7 +1020,7 @@ mod tests {
         let _ = cache.materialized(snap.table(ids[4]).unwrap(), vec![0]).unwrap();
         let _ = cache.materialized(snap.table(ids[1]).unwrap(), vec![0]).unwrap();
         assert!(cache.stats().evictions >= 4, "unpinned t0 became evictable");
-        assert!(cache.cached_bytes() <= 1_600);
+        assert!(cache.stats().occupancy_bytes <= 1_600);
     }
 
     #[test]
@@ -1034,7 +1031,6 @@ mod tests {
         for _ in 0..2 {
             for &t in &ids {
                 let _ = cache.materialized(snap.table(t).unwrap(), vec![0]).unwrap();
-                assert!(cache.cached_bytes() <= 2_000);
                 let s = cache.stats();
                 assert!(s.occupancy_bytes <= 2_000);
                 assert_eq!(s.budget_bytes, Some(2_000));

@@ -13,11 +13,11 @@
 //! Execution model: accessed columns are materialised into fixed
 //! [`h2tap_common::PLAN_CHUNK_ROWS`] chunks (column-at-a-time vectorised
 //! execution) that the site's one answer path evaluates **on a scoped thread
-//! pool sized by the archipelago's current core count**; per-chunk min/max
-//! zonemaps skip chunks that cannot satisfy the probe predicates, and the
-//! analytical time model treats the work as memory-bandwidth bound with
-//! per-tuple work spread over the cores the archipelago currently owns — so
-//! core migration changes both the simulated and the wall-clock query times.
+//! pool sized by the site's core count**; per-chunk min/max zonemaps skip
+//! chunks that cannot satisfy the probe predicates, and the analytical time
+//! model treats the work as memory-bandwidth bound with per-tuple work spread
+//! over those cores — so a site granted more cores is faster in both the
+//! simulated and the wall-clock query times.
 //! Chunk boundaries and the ascending merge order are part of the IR
 //! contract ([`h2tap_common::plan`]), which is why the thread schedule cannot
 //! perturb a single bit of the f64 results.
@@ -27,7 +27,6 @@ use crate::site::Price;
 use h2tap_common::{ExecBreakdown, OlapPlan, Result, SimDuration};
 use h2tap_scheduler::{overlap_secs, CPU_CACHE_LINE_BYTES};
 use h2tap_storage::SnapshotTable;
-use parking_lot::Mutex;
 
 /// Per-tuple cost of one hash-table probe (hash, compare, branch) on top of
 /// the base scan work, in nanoseconds.
@@ -91,44 +90,30 @@ impl CpuSpec {
     }
 }
 
-/// The CPU arm of a site's charge: the archipelago's cores under one
-/// execution profile, priced by a closed-form time model. It registers
-/// nothing — the CPU streams straight out of the shared-memory snapshot.
-///
-/// Concurrent: the migratable core count sits behind its own short-lived
-/// lock, and a plan only *copies the spec out* before computing, so
-/// simultaneous calls from many client threads never serialise on the site.
+/// The CPU arm of a site's charge: the site's cores under one execution
+/// profile, priced by a closed-form time model. It registers nothing — the
+/// CPU streams straight out of the shared-memory snapshot. The spec is fixed
+/// at construction, so concurrent plans share it without a lock.
 pub(crate) struct CpuCharge {
     profile: CpuScanProfile,
-    /// Current hardware spec; mutated by core migration while queries run.
-    spec: Mutex<CpuSpec>,
-    /// Per-core bandwidth fixed at construction so [`CpuCharge::set_cores`]
-    /// scales aggregate bandwidth with the core count.
-    per_core_bandwidth_gbps: f64,
+    spec: CpuSpec,
 }
 
 impl CpuCharge {
     pub(crate) fn new(spec: CpuSpec, profile: CpuScanProfile) -> Self {
-        Self { profile, spec: Mutex::new(spec), per_core_bandwidth_gbps: spec.per_core_bandwidth_gbps() }
+        Self { profile, spec }
     }
 
-    /// The cores the site currently runs on.
+    /// The cores the site runs on.
     pub(crate) fn cores(&self) -> u32 {
-        self.spec.lock().cores
-    }
-
-    pub(crate) fn set_cores(&self, cores: u32) {
-        let cores = cores.max(1);
-        let mut spec = self.spec.lock();
-        spec.cores = cores;
-        spec.mem_bandwidth_gbps = self.per_core_bandwidth_gbps * f64::from(cores);
+        self.spec.cores
     }
 
     /// Evaluates the plan through `answer` on a scoped thread pool **sized
-    /// by the site's current core count**, so wall-clock time scales with
-    /// migrated cores and not only the simulated cost, skipping the chunks
-    /// whose zonemap rules out the probe predicates when the profile says
-    /// so, and prices the evaluation. Neither the parallel schedule nor the
+    /// by the site's core count**, so wall-clock time scales with the cores
+    /// and not only the simulated cost, skipping the chunks whose zonemap
+    /// rules out the probe predicates when the profile says so, and prices
+    /// the evaluation. Neither the parallel schedule nor the
     /// skipping can perturb the f64 aggregates: every chunk's partial is
     /// deterministic, a skipped chunk's would be empty, and partials merge in
     /// ascending chunk order regardless of which thread produced them.
@@ -139,10 +124,7 @@ impl CpuCharge {
         plan: &OlapPlan,
         answer: impl FnOnce(usize, bool) -> Result<PlanEvaluation>,
     ) -> Result<(PlanEvaluation, Price)> {
-        // Copy the spec out: core migration may change it mid-plan, and the
-        // whole plan must be costed against one consistent spec.
-        let spec = *self.spec.lock();
-        let eval = answer(spec.cores as usize, self.profile.use_zonemaps)?;
+        let eval = answer(self.spec.cores as usize, self.profile.use_zonemaps)?;
         let (totals, rows_scanned, rows) = (eval.totals, eval.rows_scanned, probe_table.row_count());
 
         // Analytical time model: streamed column bytes (zonemap skipping
@@ -164,8 +146,8 @@ impl CpuCharge {
             bytes_moved += totals.joined * CPU_CACHE_LINE_BYTES;
             tuple_ns += totals.joined as f64 * GROUP_UPDATE_NS;
         }
-        let bandwidth_time = bytes_moved as f64 / (spec.mem_bandwidth_gbps * 1e9);
-        let cpu_time = tuple_ns * 1e-9 / f64::from(spec.cores.max(1));
+        let bandwidth_time = bytes_moved as f64 / (self.spec.mem_bandwidth_gbps * 1e9);
+        let cpu_time = tuple_ns * 1e-9 / f64::from(self.spec.cores.max(1));
         let price = Price {
             time: SimDuration::from_secs_f64(overlap_secs(bandwidth_time, cpu_time)),
             breakdown: ExecBreakdown::new(bandwidth_time, cpu_time, 0.0),
@@ -254,13 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn core_migration_speeds_up_the_cpu_site() {
+    fn more_cores_speed_up_the_cpu_site() {
         let t = table(500_000);
         let query = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 1]));
-        let site = Site::archipelago_default(2);
-        let slow = scan(&site, &t, &query).time;
-        site.set_cores(16);
-        let fast = scan(&site, &t, &query).time;
+        let slow = scan(&Site::archipelago_default(2), &t, &query).time;
+        let fast = scan(&Site::archipelago_default(16), &t, &query).time;
         assert!(fast < slow, "16 cores {fast} should beat 2 cores {slow}");
     }
 
@@ -389,14 +369,12 @@ mod tests {
     #[test]
     fn plan_wall_clock_benefits_from_more_threads() {
         // Not a timing assertion (CI noise): just check the pool is sized by
-        // set_cores.
+        // the site's core count.
         let fact = fact_table(400_000);
         let dim = dim_table(50);
-        let site = Site::archipelago_default(2);
         let plan = class_plan();
-        let two = site.execute(&fact, Some(&dim), &plan).unwrap();
-        site.set_cores(16);
-        let sixteen = site.execute(&fact, Some(&dim), &plan).unwrap();
+        let two = Site::archipelago_default(2).execute(&fact, Some(&dim), &plan).unwrap();
+        let sixteen = Site::archipelago_default(16).execute(&fact, Some(&dim), &plan).unwrap();
         assert_eq!(two.threads_used, 2);
         assert!(sixteen.threads_used > two.threads_used);
         assert_eq!(two.groups, sixteen.groups);

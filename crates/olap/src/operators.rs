@@ -247,10 +247,9 @@ impl MaterializedColumns {
     /// Materialises without building zonemap statistics, single-threaded —
     /// used where the statistics would be pure waste (the build side of a
     /// hash join is consumed exactly once, at build time) and as the plain
-    /// serial copy the `hostperf` reference path and the materialisation
-    /// oracle test pay. [`scan_chunk_can_qualify`] transparently falls back
+    /// serial copy the materialisation oracle test pays. [`scan_chunk_can_qualify`] transparently falls back
     /// to the O(chunk) recomputation on such an instance.
-    pub fn new_without_zonemaps(table: &SnapshotTable, cols: Vec<usize>) -> Result<Self> {
+    pub(crate) fn new_without_zonemaps(table: &SnapshotTable, cols: Vec<usize>) -> Result<Self> {
         Self::derive(table, cols, &[], false)
     }
 

@@ -88,7 +88,7 @@ impl Site {
 
     /// The data-parallel archipelago's CPU site: vectorised profile, the
     /// paper's per-core bandwidth, and `cores` CPU cores (the archipelago's
-    /// current allotment; updated on migration via [`Site::set_cores`]).
+    /// fixed grant; 0 builds a one-core site).
     pub fn archipelago_default(cores: u32) -> Self {
         let cores = cores.max(1);
         let per_core = CpuSpec::default().per_core_bandwidth_gbps();
@@ -186,14 +186,6 @@ impl Site {
     pub fn reset_tables(&self) {
         if let Charge::Gpu(gpu) = &self.charge {
             gpu.reset_tables();
-        }
-    }
-
-    /// Reacts to archipelago core migration: the CPU site runs and prices
-    /// its next plans on `cores` cores. The GPU site ignores it.
-    pub fn set_cores(&self, cores: u32) {
-        if let Charge::Cpu(cpu) = &self.charge {
-            cpu.set_cores(cores);
         }
     }
 

@@ -1,12 +1,13 @@
-//! The archipelago scheduler.
+//! The OLAP placement scheduler.
 //!
 //! "Archipelagos are resource containers defined by a set of processor cores
-//! and a target workload." The scheduler owns core–archipelago membership,
-//! supports on-the-fly migration of CPU cores between the task-parallel
-//! (OLTP) and data-parallel (OLAP) archipelagos, and decides where an
-//! analytical query should run (CPU cores of the data-parallel archipelago
-//! or the GPU) from a simple locality- and size-aware cost heuristic — the
-//! role Figure 2 assigns to the scheduler box.
+//! and a target workload." The containers are fixed at engine start: the
+//! OLTP workers on one side, the CPU cores granted to the OLAP CPU site and
+//! the GPUs on the other. This crate decides where an analytical query runs
+//! (the CPU site or the GPU) from a locality- and size-aware cost heuristic
+//! over the sites' enumerated capabilities, and keeps that heuristic
+//! calibrated against measured site times — the role Figure 2 assigns to the
+//! scheduler box.
 
 #![forbid(unsafe_code)]
 // Serving-path lints (one header, byte-identical in engine, olap, scheduler
@@ -14,11 +15,9 @@
 // under CI's `-D warnings` unless it carries `#[expect(.., reason = "..")]`.
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::let_underscore_must_use)]
 
-pub mod archipelago;
 pub mod calibration;
 pub mod placement;
 
-pub use archipelago::{Archipelago, ArchipelagoKind, Scheduler};
 pub use calibration::{
     CalibrationReport, CostCalibrator, CostModel, PlacementExplanation, PlacementObservation, RegretSummary,
     SiteCalibration, SiteSecsEstimate, RECENT_PLACEMENTS_CAP,

@@ -473,11 +473,14 @@ fn per_query_snapshots_never_see_stale_cached_data() {
         let out = caldera.run_olap(t, &q).unwrap();
         assert_eq!(out.value, expected, "step {step}: a stale cached column must never be served");
         caldera
-            .execute_txn(Arc::new(move |ctx| {
-                let mut rec = ctx.read_for_update(t, step)?;
-                rec[1] = Value::Int64(rec[1].as_i64().unwrap() + 10);
-                ctx.update(t, step, rec)
-            }))
+            .execute_txn_on(
+                PartitionId((step % 2) as u32),
+                Arc::new(move |ctx| {
+                    let mut rec = ctx.read_for_update(t, step)?;
+                    rec[1] = Value::Int64(rec[1].as_i64().unwrap() + 10);
+                    ctx.update(t, step, rec)
+                }),
+            )
             .unwrap();
         expected += 10.0;
     }
