@@ -286,7 +286,10 @@ fn int_value(literal: &str) -> Option<u64> {
     let end = literal.find(|c: char| !c.is_ascii_digit() && c != '_').unwrap_or(literal.len());
     let (digits, suffix) = literal.split_at(end);
     let is_int = suffix.is_empty() || suffix.starts_with(['u', 'i']);
-    is_int.then(|| digits.replace('_', "").parse().ok()).flatten()
+    match digits.replace('_', "").parse() {
+        Ok(value) if is_int => Some(value),
+        _ => None,
+    }
 }
 
 /// Parses `h2tap:` annotations out of a line comment. The annotation must

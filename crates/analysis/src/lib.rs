@@ -165,8 +165,8 @@ pub fn analyze(root: &Path) -> io::Result<Analysis> {
     let mut files: Vec<(PathBuf, String, String)> = Vec::new(); // (abs, rel, crate)
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
-        let mut crate_dirs: Vec<PathBuf> =
-            fs::read_dir(&crates_dir)?.filter_map(|e| e.ok()).map(|e| e.path()).filter(|p| p.is_dir()).collect();
+        let mut crate_dirs = dir_entries(&crates_dir)?;
+        crate_dirs.retain(|p| p.is_dir());
         crate_dirs.sort();
         for dir in crate_dirs {
             let crate_name = dir.file_name().and_then(|n| n.to_str()).unwrap_or_default().to_string();
@@ -247,13 +247,18 @@ pub fn analyze(root: &Path) -> io::Result<Analysis> {
     Ok(analysis)
 }
 
+/// The paths of `dir`'s entries; an entry that cannot be read is an error.
+fn dir_entries(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    fs::read_dir(dir)?.map(|entry| entry.map(|e| e.path())).collect()
+}
+
 /// Recursively collects `.rs` files under `dir` (skipping `target/` and
 /// fixture-irrelevant noise) as (abs, root-relative, crate) triples.
 fn collect_rs(dir: &Path, root: &Path, crate_name: &str, out: &mut Vec<(PathBuf, String, String)>) -> io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
     }
-    let mut entries: Vec<PathBuf> = fs::read_dir(dir)?.filter_map(|e| e.ok()).map(|e| e.path()).collect();
+    let mut entries = dir_entries(dir)?;
     entries.sort();
     for path in entries {
         if path.is_dir() {

@@ -106,8 +106,10 @@ fn workspace_has_no_unannotated_findings() {
     // The "no new suppression, no new knob" ratchet. These constants only
     // ever go down: a PR that removes a suppression (`h2tap: allow` comment
     // or `#[expect]` attribute) or a config field lowers them, and a PR that
-    // needs one more has to remove another first.
-    assert!(a.size.suppressions <= 15, "suppressions went up: {}", a.size.suppressions);
+    // needs one more has to remove another first. Suppressions are pinned
+    // exactly, so removing one fails here until the constant (and the
+    // README / ROADMAP scoreboard that quotes it) comes down with it.
+    assert_eq!(a.size.suppressions, 7, "suppressions changed: lower the ratchet with the code");
     assert!(a.size.config_fields <= 11, "config knobs went up: {} fields", a.size.config_fields);
 }
 

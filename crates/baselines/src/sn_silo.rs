@@ -45,11 +45,11 @@ pub struct SnSilo {
 }
 
 impl SnSilo {
-    /// Creates `partitions` independent Silo instances, each served by its
-    /// own participant thread.
-    pub fn new(partitions: usize) -> Self {
+    /// Creates `partitions` independent Silo instances, each holding
+    /// `tables` and served by its own participant thread.
+    pub fn new(partitions: usize, tables: &[TableId]) -> Self {
         assert!(partitions > 0);
-        let instances: Vec<Arc<SiloDb>> = (0..partitions).map(|_| SiloDb::new()).collect();
+        let instances: Vec<Arc<SiloDb>> = (0..partitions).map(|_| SiloDb::new(tables)).collect();
         let mut senders = Vec::with_capacity(partitions);
         let mut handles = Vec::with_capacity(partitions);
         for instance in &instances {
@@ -87,13 +87,6 @@ impl SnSilo {
     /// The local instance of `partition`.
     pub fn instance(&self, partition: usize) -> &Arc<SiloDb> {
         &self.instances[partition]
-    }
-
-    /// Creates `table` in every instance.
-    pub fn create_table(&self, table: TableId) {
-        for db in &self.instances {
-            db.create_table(table);
-        }
     }
 
     /// Bulk-loads a record into the instance owning `partition`.
@@ -242,8 +235,7 @@ mod tests {
     const T: TableId = TableId(0);
 
     fn loaded(partitions: usize, rows_per_partition: i64) -> SnSilo {
-        let sn = SnSilo::new(partitions);
-        sn.create_table(T);
+        let sn = SnSilo::new(partitions, &[T]);
         for p in 0..partitions {
             for k in 0..rows_per_partition {
                 let key = p as i64 * 1_000_000 + k;

@@ -8,7 +8,7 @@
 use caldera::{
     Caldera, CalderaConfig, DataPlacement, DeviceLossPoint, FaultPlan, OlapDeviceConfig, OlapTarget, SnapshotPolicy,
 };
-use h2tap_baselines::{SiloDb, SiloRuntime, SnSilo};
+use h2tap_baselines::SiloRuntime;
 use h2tap_common::rng::SplitMixRng;
 use h2tap_common::stats::Histogram;
 use h2tap_common::{OlapPlan, PartitionId, Predicate, ScanAggQuery, SimDuration, TableId};
@@ -751,9 +751,8 @@ pub fn fig8(core_counts: &[usize], window: Duration) -> Vec<OltpComparisonRow> {
         caldera.shutdown();
 
         // Silo.
-        let silo = SiloDb::new();
         let silo_tables = standalone_tables();
-        load_tpcc_silo(&silo, silo_tables, cores, cfg).unwrap();
+        let silo = load_tpcc_silo(silo_tables, cores, cfg).unwrap();
         let runtime = SiloRuntime::new(Arc::clone(&silo), cores);
         let silo_window = runtime.run_for(Arc::new(SiloNewOrderGenerator::new(silo_tables, cfg, cores)), window);
         out.push(OltpComparisonRow { x: cores as u32, system: "Silo".into(), tps: silo_window.throughput_tps });
@@ -795,17 +794,15 @@ pub fn fig9(
         caldera.shutdown();
 
         // Silo (single shared instance).
-        let silo = SiloDb::new();
         let table_id = TableId(0);
-        load_multisite_silo(&silo, table_id, rows_per_partition, partitions).unwrap();
+        let silo = load_multisite_silo(table_id, rows_per_partition, partitions).unwrap();
         let silo_cfg = MultisiteConfig::paper(table_id, rows_per_partition, partitions, pct);
         let runtime = SiloRuntime::new(Arc::clone(&silo), partitions);
         let sw = runtime.run_for(Arc::new(SiloMultisiteGenerator::new(silo_cfg)), window);
         out.push(OltpComparisonRow { x: pct, system: "Silo".into(), tps: sw.throughput_tps });
 
         // SN-Silo (instance per core + 2PC).
-        let sn = SnSilo::new(partitions);
-        load_multisite_sn(&sn, table_id, rows_per_partition).unwrap();
+        let sn = load_multisite_sn(partitions, table_id, rows_per_partition).unwrap();
         let sn_cfg = MultisiteConfig::paper(table_id, rows_per_partition, partitions, pct);
         let snw =
             h2tap_baselines::run_sn_silo_benchmark(&sn, Arc::new(SnSiloMultisiteGenerator::new(sn_cfg)), window, 0xF19);
@@ -1039,10 +1036,11 @@ impl SnapshotRow {
 }
 
 /// One point of hostperf's `kernel` leg: three compilations of the chunk
-/// kernel — the row-at-a-time `process_chunk_reference`, the vectorized body
-/// built for the baseline ISA (`process_chunk_portable`) and the same body
-/// dispatched to the widest ISA the host has (`process_chunk`) — timed in
-/// alternation over one warm materialisation, in one process.
+/// kernel (`operators::KERNEL_COMPILATIONS`) — the row-at-a-time
+/// `process_chunk_reference`, the vectorized body built for the baseline ISA
+/// and the same body dispatched to the widest ISA the host has
+/// (`process_chunk`) — timed in alternation over one warm materialisation,
+/// in one process.
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelRow {
     /// Plan label ("q6", "pass-10%", "dense", "brand-join", "sparse-join", ...).
@@ -1130,19 +1128,22 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
     let mut cols: Vec<usize> = kernel_plans.iter().flat_map(|(_, plan, _)| plan.probe_columns_accessed()).collect();
     cols.sort_unstable();
     cols.dedup();
-    let mat = ops::MaterializedColumns::new(fact, cols).unwrap();
-    let kernels = [ops::process_chunk_reference, ops::process_chunk_portable, ops::process_chunk];
+    let mat = Arc::new(ops::MaterializedColumns::new(fact, cols).unwrap());
+    let kernels = ops::KERNEL_COMPILATIONS;
     let kernel = kernel_plans
         .into_iter()
         .map(|(label, plan, build)| {
             let group_col = ops::check_plan(&plan, build.is_some()).unwrap();
-            let hash = build.map(|b| ops::build_hash_table(b, plan.join.as_ref().unwrap(), group_col).unwrap());
+            let hash =
+                build.map(|b| Arc::new(ops::build_hash_table(b, plan.join.as_ref().unwrap(), group_col).unwrap()));
+            // Bound once, outside the timed loop: only the kernels are timed.
+            let data = ops::PlanData { mat: Arc::clone(&mat), hash };
+            let bound = data.bind(&plan).unwrap();
             // Each compilation's answer over every chunk, bit for bit (f64
             // `==` would miss a -0.0/+0.0 drift): the only thing the three
             // may differ in is time.
             let answers = kernels.map(|kernel| {
-                let partials =
-                    (0..mat.chunk_count()).map(|i| kernel(&mat, &plan, hash.as_ref(), mat.chunk_range(i))).collect();
+                let partials = (0..mat.chunk_count()).map(|i| kernel(&bound, mat.chunk_range(i))).collect();
                 let (groups, totals) = ops::merge_partials(&plan, partials);
                 let bits = |g: &GroupRow| (g.key, g.rows, g.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
                 (totals.joined, groups.iter().map(bits).collect::<Vec<_>>())
@@ -1155,7 +1156,7 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
                 for (best, kernel) in ns_per_row.iter_mut().zip(kernels) {
                     let started = Instant::now();
                     for i in 0..mat.chunk_count() {
-                        std::hint::black_box(kernel(&mat, &plan, hash.as_ref(), mat.chunk_range(i)));
+                        std::hint::black_box(kernel(&bound, mat.chunk_range(i)));
                     }
                     *best = best.min(started.elapsed().as_secs_f64() * 1e9 / lineitem_rows as f64);
                 }

@@ -189,7 +189,7 @@ impl OlapPlan {
 }
 
 fn column_bytes(cols: &[usize], schema: &Schema, rows: u64) -> u64 {
-    cols.iter().filter_map(|&c| schema.attr(c).ok()).map(|attr| rows * attr.ty.width() as u64).sum()
+    cols.iter().filter_map(|&c| schema.attributes().get(c)).map(|attr| rows * attr.ty.width() as u64).sum()
 }
 
 /// One group of a plan result: the raw 64-bit cell of the group key (0 for

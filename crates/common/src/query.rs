@@ -89,7 +89,7 @@ impl ScanAggQuery {
     pub fn scan_bytes(&self, schema: &Schema, rows: u64) -> u64 {
         self.columns_accessed()
             .iter()
-            .filter_map(|&c| schema.attr(c).ok())
+            .filter_map(|&c| schema.attributes().get(c))
             .map(|attr| rows * attr.ty.width() as u64)
             .sum()
     }

@@ -1078,8 +1078,9 @@ mod tests {
             hash: Some(Arc::new(operators::build_hash_table(build, plan.join.as_ref().unwrap(), Some(1)).unwrap())),
         };
         let run = |data: &PlanData| {
+            let bound = data.bind(&plan).unwrap();
             let partials: Vec<_> = (0..data.mat.chunk_count())
-                .map(|i| operators::process_chunk(&data.mat, &plan, data.hash.as_deref(), data.mat.chunk_range(i)))
+                .map(|i| operators::process_chunk(&bound, data.mat.chunk_range(i)))
                 .collect();
             operators::merge_partials(&plan, partials)
         };

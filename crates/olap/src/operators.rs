@@ -29,7 +29,7 @@
 //! check, for AVX2 (`simd::with_widest_isa`) — so a host with wider
 //! vectors streams the columns at the speed of the memory they sit in, and
 //! a host without them runs the same Rust, narrower
-//! ([`process_chunk_portable`] is that compilation, callable by name).
+//! ([`KERNEL_COMPILATIONS`] holds that compilation beside the other two).
 //! Every f64 *accumulation* stays sequential in ascending row order. None of
 //! this changes a single bit of the results: a selection vector only *skips*
 //! rows a predicate rejected (exactly the rows the row-at-a-time loop
@@ -42,7 +42,10 @@
 //! A [`ScanAggQuery`] is the degenerate plan [`OlapPlan::scan`] — no join,
 //! no group-by, one aggregate — and runs through exactly this path;
 //! [`evaluate_plan`] is the one "evaluate chunks in order, merge in order"
-//! routine every execution site calls.
+//! routine every execution site calls. Every kernel takes a [`BoundPlan`],
+//! which [`PlanData::bind`] resolves once per query: a join plan without its
+//! hash table, or a column that was not materialised, is an error there and
+//! never reaches a chunk.
 //!
 //! # Zonemap statistics and parallel materialisation
 //!
@@ -296,15 +299,22 @@ impl MaterializedColumns {
                 .then(|| &base.blocks[base_pos][chunk])
         };
 
-        // One task per gathered (column, chunk), in (column, chunk) order.
-        let tasks: Vec<(usize, usize)> = (0..cols.len())
-            .flat_map(|pos| (0..chunks).map(move |chunk| (pos, chunk)))
-            .filter(|&(pos, chunk)| shared(pos, chunk).is_none())
+        // Every slot starts as its shared block or as the placeholder, and
+        // each placeholder slot is one gather task that overwrites it.
+        let placeholder = Arc::new(ColumnBlock { cells: Vec::new(), min: f64::INFINITY, max: f64::NEG_INFINITY });
+        let mut blocks: Vec<Vec<Arc<ColumnBlock>>> = (0..cols.len())
+            .map(|pos| (0..chunks).map(|chunk| Arc::clone(shared(pos, chunk).unwrap_or(&placeholder))).collect())
+            .collect();
+        let tasks: Vec<(usize, usize, &mut Arc<ColumnBlock>)> = blocks
+            .iter_mut()
+            .enumerate()
+            .flat_map(|(pos, col)| col.iter_mut().enumerate().map(move |(chunk, slot)| (pos, chunk, slot)))
+            .filter(|(_, _, slot)| Arc::ptr_eq(slot, &placeholder))
             .collect();
         let chunks_rebuilt = tasks.len() as u64;
-        let bytes_gathered = tasks.iter().map(|&(_, chunk)| chunk_rows(chunk).len() as u64 * 8).sum();
+        let bytes_gathered = tasks.iter().map(|&(_, chunk, _)| chunk_rows(chunk).len() as u64 * 8).sum();
         let threads = if zonemapped { pool::host_threads(tasks.len()) } else { 1 };
-        let mut gathered = pool::run_tasks(tasks, threads, |(pos, chunk)| {
+        pool::run_tasks(tasks, threads, |(pos, chunk, slot)| {
             let range = chunk_rows(chunk);
             let mut cells = vec![0u64; range.len()];
             table.column_into(cols[pos], range, &mut cells);
@@ -316,23 +326,8 @@ impl MaterializedColumns {
             } else {
                 (f64::INFINITY, f64::NEG_INFINITY)
             };
-            Arc::new(ColumnBlock { cells, min, max })
-        })
-        .into_iter();
-        let blocks: Vec<Vec<Arc<ColumnBlock>>> = (0..cols.len())
-            .map(|pos| {
-                (0..chunks)
-                    .map(|chunk| match shared(pos, chunk) {
-                        Some(block) => Arc::clone(block),
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "`gathered` holds exactly one block per task, and the tasks are the unshared (column, chunk) pairs in the order this loop visits them."
-                        )]
-                        None => gathered.next().expect("one gathered block per unshared chunk"),
-                    })
-                    .collect()
-            })
-            .collect();
+            *slot = Arc::new(ColumnBlock { cells, min, max });
+        });
 
         let work =
             BuildWork { chunks_reused: (cols.len() * chunks) as u64 - chunks_rebuilt, chunks_rebuilt, bytes_gathered };
@@ -367,12 +362,12 @@ impl MaterializedColumns {
         chunk_rows(idx, self.rows)
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "every accessed column is validated by check_plan_tables / MaterializedColumns::new before chunk work starts; a miss here is a caller bug on the per-cell hot path, not a runtime condition."
-    )]
-    fn pos(&self, col: usize) -> usize {
-        self.cols.iter().position(|&c| c == col).expect("column was materialised")
+    /// Position of attribute `col` among the materialised columns.
+    fn pos(&self, col: usize) -> Result<usize> {
+        self.cols
+            .iter()
+            .position(|&c| c == col)
+            .ok_or_else(|| H2Error::InvalidKernel(format!("column {col} was not materialised")))
     }
 
     /// The blocks of the chunk `rows` lies in, and `rows` renumbered from
@@ -627,9 +622,9 @@ pub fn build_hash_table(build: &SnapshotTable, join: &JoinSpec, group_col: Optio
     // No zonemaps: the build side is consumed exactly once, right here —
     // per-chunk statistics would be computed and never read.
     let mat = MaterializedColumns::new_without_zonemaps(build, cols)?;
-    let key_pos = mat.pos(join.build_key);
-    let pred_pos: Vec<usize> = join.build_predicates.iter().map(|p| mat.pos(p.column)).collect();
-    let group_pos = group_col.map(|c| mat.pos(c));
+    let key_pos = mat.pos(join.build_key)?;
+    let pred_pos: Vec<usize> = join.build_predicates.iter().map(|p| mat.pos(p.column)).collect::<Result<_>>()?;
+    let group_pos = group_col.map(|c| mat.pos(c)).transpose()?;
     let mut pairs: Vec<(u64, u32)> = Vec::new();
     let mut payloads: Vec<u64> = Vec::new();
     let mut payload_ids: LookupMap<u32> = LookupMap::default();
@@ -765,6 +760,7 @@ fn stage_rows(chunk: &ChunkView<'_>, agg: &AggExpr, pos: &[usize], rows: &BatchR
 }
 
 /// How the rows of a batch map onto group accumulators.
+#[derive(Debug, Clone, Copy)]
 enum GroupMode<'a> {
     /// No `group_by`: one global accumulator (key 0).
     Global,
@@ -867,7 +863,7 @@ fn probe_compact(sel: &mut Vec<u32>, key_bits: &[u64], ids: &mut Vec<u32>, slot:
     ids.truncate(kept);
 }
 
-/// Evaluates `plan` over `rows` of the materialised probe columns —
+/// Evaluates the bound plan over `rows` of its materialised probe columns —
 /// vectorized: per [`VECTOR_BATCH_ROWS`] batch, column-at-a-time predicate
 /// bit words fill a selection vector, the optional join probe stages its key
 /// decodes and compacts, and per-aggregate staging kernels feed
@@ -878,52 +874,33 @@ fn probe_compact(sel: &mut Vec<u32>, key_bits: &[u64], ids: &mut Vec<u32>, slot:
 /// [`process_chunk_reference`], so chunks can be evaluated on any thread in
 /// any order. `rows` must lie within one chunk
 /// ([`MaterializedColumns::chunk_range`] or a part of it).
-pub fn process_chunk(
-    probe: &MaterializedColumns,
-    plan: &OlapPlan,
-    hash: Option<&JoinHashTable>,
-    rows: Range<usize>,
-) -> ChunkPartial {
+pub fn process_chunk(bound: &BoundPlan<'_>, rows: Range<usize>) -> ChunkPartial {
     with_widest_isa(
         #[inline(always)]
-        || process_chunk_body(probe, plan, hash, rows),
+        || process_chunk_body(bound, rows),
     )
 }
 
 /// [`process_chunk`] as compiled for the build's baseline ISA: what a host
-/// without AVX2 executes. On an AVX2 host nothing in production calls it; it
-/// is public so that tests and `hostperf`'s in-process kernel A/B can run
-/// both compilations of the one body side by side.
-pub fn process_chunk_portable(
-    probe: &MaterializedColumns,
-    plan: &OlapPlan,
-    hash: Option<&JoinHashTable>,
-    rows: Range<usize>,
-) -> ChunkPartial {
-    process_chunk_body(probe, plan, hash, rows)
+/// without AVX2 executes. On an AVX2 host nothing in production calls it;
+/// tests and `hostperf`'s in-process kernel A/B reach it through
+/// [`KERNEL_COMPILATIONS`].
+pub(crate) fn process_chunk_portable(bound: &BoundPlan<'_>, rows: Range<usize>) -> ChunkPartial {
+    process_chunk_body(bound, rows)
 }
 
+/// The chunk kernel's three compilations, `[reference, baseline,
+/// dispatched]`: [`process_chunk_reference`], [`process_chunk`]'s body as
+/// compiled for the baseline ISA, and [`process_chunk`]. Only for running
+/// them side by side in one process (the bit-identity tests and `hostperf`'s
+/// kernel leg); production calls [`process_chunk`].
+#[doc(hidden)]
+pub const KERNEL_COMPILATIONS: [fn(&BoundPlan<'_>, Range<usize>) -> ChunkPartial; 3] =
+    [process_chunk_reference, process_chunk_portable, process_chunk];
+
 #[inline(always)]
-fn process_chunk_body(
-    probe: &MaterializedColumns,
-    plan: &OlapPlan,
-    hash: Option<&JoinHashTable>,
-    rows: Range<usize>,
-) -> ChunkPartial {
-    let pred_pos: Vec<usize> = plan.predicates.iter().map(|p| probe.pos(p.column)).collect();
-    #[expect(
-        clippy::expect_used,
-        reason = "prepare_plan populates `hash` exactly when the plan has a join, and the probe key is derived from that same join; the two cannot disagree."
-    )]
-    let join = plan.join.as_ref().map(|j| (probe.pos(j.probe_column), hash.expect("join plans carry a hash table")));
-    let mode = match plan.group_by {
-        None => GroupMode::Global,
-        Some(PlanColumn::Probe(c)) => GroupMode::Probe(probe.pos(c)),
-        Some(PlanColumn::Build(_)) => GroupMode::Build(join.map_or(&[][..], |(_, table)| &table.payloads[..])),
-    };
-    // Aggregate inputs resolved to materialised positions once per chunk.
-    let agg_pos: Vec<Vec<usize>> =
-        plan.aggregates.iter().map(|a| a.columns().iter().map(|&c| probe.pos(c)).collect()).collect();
+fn process_chunk_body(bound: &BoundPlan<'_>, rows: Range<usize>) -> ChunkPartial {
+    let BoundPlan { plan, mat: probe, ref pred_pos, join, group: mode, ref agg_pos } = *bound;
 
     // From here on rows are numbered from the chunk's first row: that is how
     // the chunk's blocks are indexed, and selection vectors never leave this
@@ -963,7 +940,7 @@ fn process_chunk_body(
             BatchRows::All(batch)
         } else {
             // 1. Predicate selection.
-            let words = predicate_words(&chunk, &plan.predicates, &pred_pos, batch.clone(), &mut word_buf);
+            let words = predicate_words(&chunk, &plan.predicates, pred_pos, batch.clone(), &mut word_buf);
             let passed: usize = words.iter().map(|w| w.count_ones() as usize).sum();
             partial.selected += passed as u64;
             if passed == 0 {
@@ -1009,7 +986,7 @@ fn process_chunk_body(
             // representable batch total are the same f64.)
             GroupMode::Global => {
                 global.rows += rows.len() as u64;
-                for (acc, (agg, pos)) in global.values.iter_mut().zip(plan.aggregates.iter().zip(&agg_pos)) {
+                for (acc, (agg, pos)) in global.values.iter_mut().zip(plan.aggregates.iter().zip(agg_pos)) {
                     if matches!(agg, AggExpr::Count) {
                         *acc += rows.len() as f64;
                         continue;
@@ -1026,7 +1003,7 @@ fn process_chunk_body(
             }
             GroupMode::Build(payloads) => arena.resolve_ids(&ids, payloads, &mut slots),
         }
-        accumulate_grouped(&chunk, plan, &agg_pos, &rows, &slots, &mut scratch, &mut arena);
+        accumulate_grouped(&chunk, plan, agg_pos, &rows, &slots, &mut scratch, &mut arena);
     }
 
     partial.groups = arena.into_groups();
@@ -1070,36 +1047,23 @@ fn accumulate_grouped(
 /// reference oracle the vectorized path is property-tested bit-identical
 /// against (scans included, as [`OlapPlan::scan`]), and the
 /// "pre-vectorization" code path of the `hostperf` benchmark.
-pub fn process_chunk_reference(
-    probe: &MaterializedColumns,
-    plan: &OlapPlan,
-    hash: Option<&JoinHashTable>,
-    rows: Range<usize>,
-) -> ChunkPartial {
-    let pred_pos: Vec<usize> = plan.predicates.iter().map(|p| probe.pos(p.column)).collect();
-    let probe_key_pos = plan.join.as_ref().map(|j| probe.pos(j.probe_column));
-    let group_probe_pos = match plan.group_by {
-        Some(PlanColumn::Probe(c)) => Some(probe.pos(c)),
+pub fn process_chunk_reference(bound: &BoundPlan<'_>, rows: Range<usize>) -> ChunkPartial {
+    let BoundPlan { plan, mat: probe, ref pred_pos, join, group, ref agg_pos } = *bound;
+    let group_probe_pos = match group {
+        GroupMode::Probe(pos) => Some(pos),
         _ => None,
     };
-    let agg_pos: Vec<Vec<usize>> =
-        plan.aggregates.iter().map(|a| a.columns().iter().map(|&c| probe.pos(c)).collect()).collect();
 
     let mut partial = ChunkPartial::default();
     for row in rows {
-        if plan.predicates.iter().zip(&pred_pos).any(|(p, &pos)| !p.matches(probe.value(pos, row))) {
+        if plan.predicates.iter().zip(pred_pos).any(|(p, &pos)| !p.matches(probe.value(pos, row))) {
             continue;
         }
         partial.selected += 1;
         let mut group_key = group_probe_pos.map_or(0, |pos| probe.raw(pos, row));
-        if let Some(key_pos) = probe_key_pos {
-            #[expect(
-                clippy::expect_used,
-                reason = "prepare_plan populates `hash` exactly when the plan has a join (same invariant as the batch path above)."
-            )]
-            let table = hash.expect("join plans carry a hash table");
+        if let Some((key_pos, table)) = join {
             let Some(payload) = table.get(probe.value(key_pos, row).to_bits()) else { continue };
-            if matches!(plan.group_by, Some(PlanColumn::Build(_))) {
+            if matches!(group, GroupMode::Build(_)) {
                 group_key = payload;
             }
         }
@@ -1109,7 +1073,7 @@ pub fn process_chunk_reference(
             .entry(group_key)
             .or_insert_with(|| GroupAcc { values: vec![0.0; plan.aggregates.len()], rows: 0 });
         acc.rows += 1;
-        for (slot, (agg, pos)) in plan.aggregates.iter().zip(&agg_pos).enumerate() {
+        for (slot, (agg, pos)) in plan.aggregates.iter().zip(agg_pos).enumerate() {
             acc.values[slot] += match agg {
                 AggExpr::SumProduct(..) => probe.value(pos[0], row) * probe.value(pos[1], row),
                 AggExpr::SumColumns(_) => pos.iter().map(|&p| probe.value(p, row)).sum(),
@@ -1163,20 +1127,21 @@ pub struct ScanChunkPartial {
     pub qualifying: u64,
 }
 
-/// Whether any row of chunk `chunk` *could* satisfy the predicates, judged
-/// from the zonemap statistics [`MaterializedColumns::new`] built at
-/// materialisation time — O(#predicates), no data scan. `true` is always
-/// safe; `false` guarantees the chunk holds no qualifying row, so skipping
-/// it cannot change the aggregate (the chunk's partial would be exactly
-/// zero).
-pub fn scan_chunk_can_qualify(mat: &MaterializedColumns, predicates: &[Predicate], chunk: usize) -> bool {
+/// Whether any row of chunk `chunk` *could* satisfy the bound plan's probe
+/// predicates, judged from the zonemap statistics [`MaterializedColumns::new`]
+/// built at materialisation time — O(#predicates), no data scan. `true` is
+/// always safe; `false` guarantees the chunk holds no qualifying row, so
+/// skipping it cannot change the aggregate (the chunk's partial would be
+/// exactly zero).
+pub fn scan_chunk_can_qualify(bound: &BoundPlan<'_>, chunk: usize) -> bool {
+    let mat = bound.mat;
     if !mat.zonemapped {
         // Materialised without statistics (the retained pre-PR baseline):
         // fall back to recomputing from the data.
-        return scan_chunk_can_qualify_reference(mat, predicates, mat.chunk_range(chunk));
+        return scan_chunk_can_qualify_reference(bound, mat.chunk_range(chunk));
     }
-    for pred in predicates {
-        let (min, max) = mat.zonemap(mat.pos(pred.column), chunk);
+    for (pred, &pos) in bound.plan.predicates.iter().zip(&bound.pred_pos) {
+        let (min, max) = mat.zonemap(pos, chunk);
         if max < pred.lo || min > pred.hi {
             return false;
         }
@@ -1188,13 +1153,9 @@ pub fn scan_chunk_can_qualify(mat: &MaterializedColumns, predicates: &[Predicate
 /// predicate column's min/max with a full O(chunk) scan on every call. Kept
 /// as the oracle for [`scan_chunk_can_qualify`] and as the
 /// "pre-optimisation" code path of the `hostperf` benchmark.
-pub fn scan_chunk_can_qualify_reference(
-    mat: &MaterializedColumns,
-    predicates: &[Predicate],
-    rows: Range<usize>,
-) -> bool {
-    for pred in predicates {
-        let pos = mat.pos(pred.column);
+pub fn scan_chunk_can_qualify_reference(bound: &BoundPlan<'_>, rows: Range<usize>) -> bool {
+    let mat = bound.mat;
+    for (pred, &pos) in bound.plan.predicates.iter().zip(&bound.pred_pos) {
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         for row in rows.clone() {
             let v = mat.value(pos, row);
@@ -1210,9 +1171,16 @@ pub fn scan_chunk_can_qualify_reference(
 
 /// [`process_chunk`] over [`OlapPlan::scan`], reshaped to a scalar partial.
 /// Kept only because the frozen `benchmark/` package calls it; the engine
-/// itself evaluates scans as plans.
+/// itself evaluates scans as plans. Panics if `mat` lacks a column the
+/// query reads.
+#[expect(
+    clippy::expect_used,
+    reason = "the frozen benchmark's signature has no error path; it always passes the query's own columns, and ROADMAP 11(e) deletes this adapter."
+)]
 pub fn scan_chunk(mat: &MaterializedColumns, query: &ScanAggQuery, rows: Range<usize>) -> ScanChunkPartial {
-    let partial = process_chunk(mat, &OlapPlan::scan(query), None, rows);
+    let plan = OlapPlan::scan(query);
+    let bound = BoundPlan::new(mat, None, &plan).expect("the query's columns are materialised");
+    let partial = process_chunk(&bound, rows);
     ScanChunkPartial { value: partial.groups.get(&0).map_or(0.0, |g| g.values[0]), qualifying: partial.joined }
 }
 
@@ -1234,6 +1202,63 @@ pub struct PlanData {
     pub mat: Arc<MaterializedColumns>,
     /// The join hash table (present exactly when the plan joins).
     pub hash: Option<Arc<JoinHashTable>>,
+}
+
+impl PlanData {
+    /// Binds `plan` to this data once per query: see [`BoundPlan`]. Fails if
+    /// the plan joins and there is no hash table, if there is a hash table
+    /// and the plan does not join, or if the plan reads a probe column that
+    /// was not materialised.
+    pub fn bind<'a>(&'a self, plan: &'a OlapPlan) -> Result<BoundPlan<'a>> {
+        BoundPlan::new(&self.mat, self.hash.as_deref(), plan)
+    }
+}
+
+/// A plan resolved against the data it runs over: every predicate,
+/// aggregate and group column as its position among the materialised probe
+/// columns, and the join's probe position paired with its hash table. The
+/// chunk kernels take only this, so a join plan without a hash table, or a
+/// column nobody materialised, is an error at [`PlanData::bind`] and cannot
+/// reach them.
+#[derive(Debug)]
+pub struct BoundPlan<'a> {
+    plan: &'a OlapPlan,
+    mat: &'a MaterializedColumns,
+    pred_pos: Vec<usize>,
+    join: Option<(usize, &'a JoinHashTable)>,
+    group: GroupMode<'a>,
+    /// Per aggregate, the positions of its input columns.
+    agg_pos: Vec<Vec<usize>>,
+}
+
+impl<'a> BoundPlan<'a> {
+    pub(crate) fn new(
+        mat: &'a MaterializedColumns,
+        hash: Option<&'a JoinHashTable>,
+        plan: &'a OlapPlan,
+    ) -> Result<Self> {
+        let join = match (&plan.join, hash) {
+            (Some(join), Some(table)) => Some((mat.pos(join.probe_column)?, table)),
+            (None, None) => None,
+            (Some(_), None) => return Err(H2Error::Config("join plan bound without a hash table".into())),
+            (None, Some(_)) => return Err(H2Error::Config("hash table bound to a plan without a join".into())),
+        };
+        let group = match (plan.group_by, join) {
+            (None, _) => GroupMode::Global,
+            (Some(PlanColumn::Probe(col)), _) => GroupMode::Probe(mat.pos(col)?),
+            (Some(PlanColumn::Build(_)), Some((_, table))) => GroupMode::Build(&table.payloads),
+            (Some(PlanColumn::Build(_)), None) => {
+                return Err(H2Error::Config("group-by on the build side requires a join".into()))
+            }
+        };
+        let pred_pos = plan.predicates.iter().map(|p| mat.pos(p.column)).collect::<Result<_>>()?;
+        let agg_pos = plan
+            .aggregates
+            .iter()
+            .map(|a| a.columns().iter().map(|&c| mat.pos(c)).collect::<Result<_>>())
+            .collect::<Result<_>>()?;
+        Ok(Self { plan, mat, pred_pos, join, group, agg_pos })
+    }
 }
 
 /// Validates a plan against the tables it is about to run over: checks the
@@ -1295,7 +1320,7 @@ pub(crate) struct PlanEvaluation {
 
 /// The one "evaluate chunks in order, merge in order" routine behind every
 /// execution site: runs [`process_chunk`] over each fixed chunk of the
-/// prepared probe columns on up to `threads` scoped workers and merges the
+/// bound probe columns on up to `threads` scoped workers and merges the
 /// partials in ascending chunk order, so the groups are byte-identical for
 /// any thread count. With `skip_by_zonemap`, a chunk whose zonemap proves no
 /// row can satisfy the probe predicates is not evaluated; its partial would
@@ -1303,23 +1328,22 @@ pub(crate) struct PlanEvaluation {
 /// wall-clock [`SpanKind::Compute`] span of `site`, carrying the cell bytes
 /// of the evaluated chunks.
 pub(crate) fn evaluate_plan(
-    data: &PlanData,
-    plan: &OlapPlan,
+    bound: &BoundPlan<'_>,
     threads: usize,
     skip_by_zonemap: bool,
     tracer: &Tracer,
     site: OlapTarget,
 ) -> PlanEvaluation {
     let computing = tracer.start();
-    let PlanData { mat, hash } = data;
+    let BoundPlan { plan, mat, .. } = *bound;
     let chunks = mat.chunk_count();
     let threads_used = threads.clamp(1, pool::MAX_PLAN_THREADS).min(chunks);
     let skip = skip_by_zonemap && !plan.predicates.is_empty();
     let evaluated: Vec<Option<ChunkPartial>> = pool::run_chunked(chunks, threads_used, |i| {
-        if skip && !scan_chunk_can_qualify(mat, &plan.predicates, i) {
+        if skip && !scan_chunk_can_qualify(bound, i) {
             return None;
         }
-        Some(process_chunk(mat, plan, hash.as_deref(), mat.chunk_range(i)))
+        Some(process_chunk(bound, mat.chunk_range(i)))
     });
     let mut rows_scanned = 0u64;
     let mut chunks_skipped = 0u64;
@@ -1363,7 +1387,8 @@ impl MaterializedColumns {
     /// Whether chunk `chunk` of column `col` is the very block `other` holds
     /// for that column and chunk (shared, not copied).
     pub(crate) fn shares_block(&self, other: &Self, col: usize, chunk: usize) -> bool {
-        Arc::ptr_eq(&self.blocks[self.pos(col)][chunk], &other.blocks[other.pos(col)][chunk])
+        let (mine, theirs) = (self.pos(col).unwrap(), other.pos(col).unwrap());
+        Arc::ptr_eq(&self.blocks[mine][chunk], &other.blocks[theirs][chunk])
     }
 }
 
@@ -1528,8 +1553,9 @@ mod tests {
         let plan = join_plan();
         let hash = build_hash_table(&build, plan.join.as_ref().unwrap(), Some(2)).unwrap();
         let mat = MaterializedColumns::new(&probe, plan.probe_columns_accessed()).unwrap();
+        let bound = BoundPlan::new(&mat, Some(&hash), &plan).unwrap();
         let partials: Vec<ChunkPartial> =
-            (0..mat.chunk_count()).map(|i| process_chunk(&mat, &plan, Some(&hash), mat.chunk_range(i))).collect();
+            (0..mat.chunk_count()).map(|i| process_chunk(&bound, mat.chunk_range(i))).collect();
         let (groups, totals) = merge_partials(&plan, partials);
         // fk = i % 100 joins when it hits one of the 25 surviving build keys
         // (fk < 50 and fk % 10 <= 4), each fk value occurring 10 times.
@@ -1581,9 +1607,10 @@ mod tests {
                 None => None,
             };
             let mat = MaterializedColumns::new(&probe, plan.probe_columns_accessed()).unwrap();
+            let bound = BoundPlan::new(&mat, hash.as_ref(), &plan).unwrap();
             for i in 0..mat.chunk_count() {
-                let fast = process_chunk(&mat, &plan, hash.as_ref(), mat.chunk_range(i));
-                let slow = process_chunk_reference(&mat, &plan, hash.as_ref(), mat.chunk_range(i));
+                let fast = process_chunk(&bound, mat.chunk_range(i));
+                let slow = process_chunk_reference(&bound, mat.chunk_range(i));
                 assert_eq!(fast.selected, slow.selected);
                 assert_eq!(fast.joined, slow.joined);
                 assert_eq!(fast.groups.len(), slow.groups.len());
@@ -1605,8 +1632,9 @@ mod tests {
             OlapPlan { predicates: vec![], join: None, group_by: None, aggregates: vec![AggExpr::SumColumns(vec![2])] };
         let mat = MaterializedColumns::new(&probe, plan.probe_columns_accessed()).unwrap();
         assert!(mat.chunk_count() > 1, "test needs several chunks");
+        let bound = BoundPlan::new(&mat, None, &plan).unwrap();
         let partials: Vec<ChunkPartial> =
-            (0..mat.chunk_count()).map(|i| process_chunk(&mat, &plan, None, mat.chunk_range(i))).collect();
+            (0..mat.chunk_count()).map(|i| process_chunk(&bound, mat.chunk_range(i))).collect();
         let (a, _) = merge_partials(&plan, partials.clone());
         let (b, _) = merge_partials(&plan, partials);
         // Bit-equal on repeat evaluation: the contract the sites rely on.
@@ -1626,7 +1654,7 @@ mod tests {
             aggregates: vec![AggExpr::SumColumns(vec![2]), AggExpr::Count],
         };
         let mat = MaterializedColumns::new(&probe, plan.probe_columns_accessed()).unwrap();
-        let partials = vec![process_chunk(&mat, &plan, None, mat.chunk_range(0))];
+        let partials = vec![process_chunk(&BoundPlan::new(&mat, None, &plan).unwrap(), mat.chunk_range(0))];
         let (groups, totals) = merge_partials(&plan, partials);
         assert_eq!(totals.joined, 0);
         assert_eq!(groups, vec![GroupRow { key: 0, values: vec![0.0, 0.0], rows: 0 }]);
@@ -1634,7 +1662,7 @@ mod tests {
         // groups.
         let grouped = OlapPlan { group_by: Some(PlanColumn::Probe(0)), ..plan.clone() };
         let mat = MaterializedColumns::new(&probe, grouped.probe_columns_accessed()).unwrap();
-        let partials = vec![process_chunk(&mat, &grouped, None, mat.chunk_range(0))];
+        let partials = vec![process_chunk(&BoundPlan::new(&mat, None, &grouped).unwrap(), mat.chunk_range(0))];
         let (groups, _) = merge_partials(&grouped, partials);
         assert!(groups.is_empty());
     }
@@ -1697,14 +1725,16 @@ mod tests {
         let (probe, _) = tables(200_000);
         let query = ScanAggQuery { predicates: vec![Predicate::between(0, 0.0, 999.0)], aggregate: AggExpr::Count };
         let mat = MaterializedColumns::new(&probe, query.columns_accessed()).unwrap();
+        let plan = OlapPlan::scan(&query);
+        let bound = BoundPlan::new(&mat, None, &plan).unwrap();
         let mut skipped = 0usize;
         let mut kept = Vec::new();
         for i in 0..mat.chunk_count() {
             let range = mat.chunk_range(i);
-            let can = scan_chunk_can_qualify(&mat, &query.predicates, i);
+            let can = scan_chunk_can_qualify(&bound, i);
             // The O(#preds) stats answer must agree with the O(chunk)
             // recomputation it replaced.
-            assert_eq!(can, scan_chunk_can_qualify_reference(&mat, &query.predicates, range.clone()));
+            assert_eq!(can, scan_chunk_can_qualify_reference(&bound, range.clone()));
             if can {
                 kept.push(scan_chunk(&mat, &query, range));
             } else {
@@ -1727,5 +1757,24 @@ mod tests {
         let scan = OlapPlan { predicates: vec![], join: None, group_by: None, aggregates: vec![AggExpr::Count] };
         assert_eq!(check_plan(&scan, false).unwrap(), None);
         assert!(check_plan(&scan, true).is_err());
+
+        // Binding enforces the same pairing against the data itself, and
+        // that the probe columns the plan reads were materialised.
+        let (probe, build) = tables(100);
+        let hash = Arc::new(build_hash_table(&build, plan.join.as_ref().unwrap(), Some(2)).unwrap());
+        let mat = Arc::new(MaterializedColumns::new(&probe, plan.probe_columns_accessed()).unwrap());
+        let joined = PlanData { mat: Arc::clone(&mat), hash: Some(hash) };
+        let bare = PlanData { mat, hash: None };
+        assert!(joined.bind(&plan).is_ok());
+        assert!(bare.bind(&scan).is_ok());
+        let no_hash = bare.bind(&plan).unwrap_err();
+        assert!(matches!(no_hash, H2Error::Config(_)), "join plan without a hash table: {no_hash}");
+        let stray_hash = joined.bind(&scan).unwrap_err();
+        assert!(matches!(stray_hash, H2Error::Config(_)), "hash table for a plan without a join: {stray_hash}");
+        // The join plan reads probe columns 1 and 2; column 0 exists but was
+        // not materialised.
+        let unread = OlapPlan { aggregates: vec![AggExpr::SumColumns(vec![0])], ..plan.clone() };
+        let missing = joined.bind(&unread).unwrap_err();
+        assert!(matches!(missing, H2Error::InvalidKernel(_)), "column the materialisation lacks: {missing}");
     }
 }

@@ -141,7 +141,7 @@ impl Site {
         operators::check_plan_tables(probe, build, plan)?;
         let answer = |threads: usize, zonemaps: bool| -> Result<PlanEvaluation> {
             let data = self.cache.prepare_plan(probe, build, plan)?;
-            Ok(operators::evaluate_plan(&data, plan, threads, zonemaps, &self.tracer, self.target))
+            Ok(operators::evaluate_plan(&data.bind(plan)?, threads, zonemaps, &self.tracer, self.target))
         };
         let (eval, price) = match &self.charge {
             Charge::Cpu(cpu) => cpu.run(probe, build, plan, answer)?,

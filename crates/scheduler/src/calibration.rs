@@ -407,7 +407,6 @@ impl CostCalibrator {
     /// Call after [`CostCalibrator::observe_sites`] for the same dispatch.
     /// The explanation is retained (ring of [`RECENT_PLACEMENTS_CAP`]) for
     /// `HtapStats::placements`.
-    #[expect(clippy::expect_used, reason = "back() directly after push_back on a non-empty deque cannot be None.")]
     pub fn explain_dispatch(
         &mut self,
         sites: &[SiteCapability],
@@ -438,8 +437,7 @@ impl CostCalibrator {
         if self.recent.len() == RECENT_PLACEMENTS_CAP {
             self.recent.pop_front();
         }
-        self.recent.push_back(explanation);
-        self.recent.back().expect("just pushed")
+        self.recent.push_back_mut(explanation)
     }
 
     /// The retained placement explanations, oldest first (bounded at

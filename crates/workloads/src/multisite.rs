@@ -82,28 +82,30 @@ pub fn load_multisite_caldera(
     Ok(table)
 }
 
-/// Loads the same records into a single shared Silo instance.
-pub fn load_multisite_silo(db: &Arc<SiloDb>, table: TableId, rows_per_partition: u64, partitions: usize) -> Result<()> {
-    db.create_table(table);
+/// Loads the same records into a new single shared Silo instance holding
+/// `table`.
+pub fn load_multisite_silo(table: TableId, rows_per_partition: u64, partitions: usize) -> Result<Arc<SiloDb>> {
+    let db = SiloDb::new(&[table]);
     for p in 0..partitions {
         for row in 0..rows_per_partition {
             let key = p as i64 * PARTITION_STRIDE + row as i64;
             db.load(table, key, vec![Value::Int64(key), Value::Int64(row as i64)])?;
         }
     }
-    Ok(())
+    Ok(db)
 }
 
-/// Loads the records into an SN-Silo deployment (one instance per partition).
-pub fn load_multisite_sn(sn: &SnSilo, table: TableId, rows_per_partition: u64) -> Result<()> {
-    sn.create_table(table);
-    for p in 0..sn.partitions() {
+/// Loads the records into a new SN-Silo deployment of `partitions`
+/// instances (one per partition) holding `table`.
+pub fn load_multisite_sn(partitions: usize, table: TableId, rows_per_partition: u64) -> Result<SnSilo> {
+    let sn = SnSilo::new(partitions, &[table]);
+    for p in 0..partitions {
         for row in 0..rows_per_partition {
             let key = p as i64 * PARTITION_STRIDE + row as i64;
             sn.load(p, table, key, vec![Value::Int64(key), Value::Int64(row as i64)])?;
         }
     }
-    Ok(())
+    Ok(sn)
 }
 
 /// Draws one transaction's key set: `(local keys, remote keys)`.

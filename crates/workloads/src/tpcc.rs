@@ -273,10 +273,10 @@ impl TxnGenerator for NewOrderGenerator {
     }
 }
 
-/// Loads the same TPC-C population into a Silo database (single shared
-/// instance, as in the paper's default Silo deployment).
-pub fn load_tpcc_silo(db: &Arc<SiloDb>, tables: TpccTables, warehouses: usize, cfg: TpccConfig) -> Result<()> {
-    for t in [
+/// Loads the same TPC-C population into a new Silo database (single shared
+/// instance, as in the paper's default Silo deployment) holding `tables`.
+pub fn load_tpcc_silo(tables: TpccTables, warehouses: usize, cfg: TpccConfig) -> Result<Arc<SiloDb>> {
+    let db = SiloDb::new(&[
         tables.warehouse,
         tables.district,
         tables.customer,
@@ -285,9 +285,7 @@ pub fn load_tpcc_silo(db: &Arc<SiloDb>, tables: TpccTables, warehouses: usize, c
         tables.orders,
         tables.new_order,
         tables.order_line,
-    ] {
-        db.create_table(t);
-    }
+    ]);
     let mut rng = SplitMixRng::new(0x79cc_u64);
     for w in 0..warehouses as i64 {
         db.load(tables.warehouse, keys::warehouse(w), vec![Value::Int64(w), Value::Float64(0.0)])?;
@@ -315,7 +313,7 @@ pub fn load_tpcc_silo(db: &Arc<SiloDb>, tables: TpccTables, warehouses: usize, c
             )?;
         }
     }
-    Ok(())
+    Ok(db)
 }
 
 /// Allocates fresh table ids for a standalone (Silo-only) TPC-C load.

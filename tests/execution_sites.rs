@@ -356,10 +356,11 @@ fn sites_and_the_reference_agree_bit_for_bit_after_writes_and_a_refresh() {
             for (plan, build) in [(&scan, None), (&join, Some(build))] {
                 let group_col = ops::check_plan(plan, build.is_some()).unwrap();
                 let hash = plan.join.as_ref().zip(build).map(|(j, b)| ops::build_hash_table(b, j, group_col).unwrap());
-                let mat = ops::MaterializedColumns::new(frozen, plan.probe_columns_accessed()).unwrap();
-                let partials = (0..mat.chunk_count())
-                    .map(|i| ops::process_chunk_reference(&mat, plan, hash.as_ref(), mat.chunk_range(i)))
-                    .collect();
+                let mat = Arc::new(ops::MaterializedColumns::new(frozen, plan.probe_columns_accessed()).unwrap());
+                let data = ops::PlanData { mat: Arc::clone(&mat), hash: hash.map(Arc::new) };
+                let bound = data.bind(plan).unwrap();
+                let partials =
+                    (0..mat.chunk_count()).map(|i| ops::process_chunk_reference(&bound, mat.chunk_range(i))).collect();
                 let (reference, _) = ops::merge_partials(plan, partials);
                 for site in sites {
                     let got = caldera.run_olap_plan_on(lineitem, build.map(|_| part), plan, site).unwrap().groups;

@@ -122,16 +122,24 @@ fn boundary_row_counts() -> Vec<u64> {
     ]
 }
 
+/// One plan's materialised probe columns and optional join hash table, as a
+/// site holds them.
+fn plan_data(mat: ops::MaterializedColumns, hash: Option<ops::JoinHashTable>) -> ops::PlanData {
+    ops::PlanData { mat: Arc::new(mat), hash: hash.map(Arc::new) }
+}
+
 /// A scan is the degenerate plan `OlapPlan::scan`: the `scan_chunk` adapter,
 /// the plan kernel's global group and the row-at-a-time reference must agree
 /// bit for bit on every chunk.
-fn assert_scan_bit_identical(mat: &ops::MaterializedColumns, query: &ScanAggQuery, label: &str) {
+fn assert_scan_bit_identical(data: &ops::PlanData, query: &ScanAggQuery, label: &str) {
     let plan = OlapPlan::scan(query);
+    let bound = data.bind(&plan).unwrap();
+    let mat = &data.mat;
     for i in 0..mat.chunk_count() {
         let range = mat.chunk_range(i);
         let fast = ops::scan_chunk(mat, query, range.clone());
-        let planned = ops::process_chunk(mat, &plan, None, range.clone());
-        let slow = ops::process_chunk_reference(mat, &plan, None, range.clone());
+        let planned = ops::process_chunk(&bound, range.clone());
+        let slow = ops::process_chunk_reference(&bound, range.clone());
         let slow_value = slow.groups.get(&0).map_or(0.0, |g| g.values[0]);
         assert_eq!(fast.qualifying, slow.joined, "{label} chunk {i}");
         assert_eq!(fast.value.to_bits(), slow_value.to_bits(), "{label} chunk {i}: {} vs {slow_value}", fast.value);
@@ -141,8 +149,8 @@ fn assert_scan_bit_identical(mat: &ops::MaterializedColumns, query: &ScanAggQuer
         assert_eq!(fast.value.to_bits(), planned_value.to_bits(), "{label} chunk {i}: adapter vs plan kernel");
         // The zonemap-stats answer must agree with the O(chunk) recompute,
         // and a skip must truly be a zero partial.
-        let can = ops::scan_chunk_can_qualify(mat, &query.predicates, i);
-        assert_eq!(can, ops::scan_chunk_can_qualify_reference(mat, &query.predicates, range), "{label} chunk {i}");
+        let can = ops::scan_chunk_can_qualify(&bound, i);
+        assert_eq!(can, ops::scan_chunk_can_qualify_reference(&bound, range), "{label} chunk {i}");
         if !can {
             assert_eq!(fast, ops::ScanChunkPartial::default(), "{label} chunk {i}: skipped chunk must be zero");
             assert_eq!(planned, ops::ChunkPartial::default(), "{label} chunk {i}: skipped chunk must be empty");
@@ -163,14 +171,10 @@ fn partial_bits(p: &ops::ChunkPartial) -> Vec<u64> {
 /// baseline ISA (what a host without AVX2 executes — on an AVX2 host nothing
 /// else runs it) and the row-at-a-time reference agree bit for bit on every
 /// chunk.
-fn assert_plan_bit_identical(
-    mat: &ops::MaterializedColumns,
-    plan: &OlapPlan,
-    hash: Option<&ops::JoinHashTable>,
-    label: &str,
-) {
-    let [fast, portable, slow] = [ops::process_chunk, ops::process_chunk_portable, ops::process_chunk_reference]
-        .map(|kernel| (0..mat.chunk_count()).map(|i| kernel(mat, plan, hash, mat.chunk_range(i))).collect::<Vec<_>>());
+fn assert_plan_bit_identical(data: &ops::PlanData, plan: &OlapPlan, label: &str) {
+    let (bound, mat) = (data.bind(plan).unwrap(), &data.mat);
+    let [slow, portable, fast] = ops::KERNEL_COMPILATIONS
+        .map(|kernel| (0..mat.chunk_count()).map(|i| kernel(&bound, mat.chunk_range(i))).collect::<Vec<_>>());
     for (i, ((f, p), s)) in fast.iter().zip(&portable).zip(&slow).enumerate() {
         assert_eq!(partial_bits(f), partial_bits(s), "{label} chunk {i}: dispatched kernel vs reference");
         assert_eq!(partial_bits(p), partial_bits(s), "{label} chunk {i}: baseline kernel vs reference");
@@ -214,7 +218,7 @@ fn property_vectorized_scans_match_the_reference_bitwise() {
             };
             let query = ScanAggQuery { predicates, aggregate };
             let mat = ops::MaterializedColumns::new(&table, query.columns_accessed()).unwrap();
-            assert_scan_bit_identical(&mat, &query, &format!("{layout:?}/{rows} rows/query {q}"));
+            assert_scan_bit_identical(&plan_data(mat, None), &query, &format!("{layout:?}/{rows} rows/query {q}"));
         }
     }
 }
@@ -233,8 +237,8 @@ fn property_dense_plans_match_the_reference_bitwise() {
         for n in 1..=aggregates.len() {
             let plan =
                 OlapPlan { predicates: vec![], join: None, group_by: None, aggregates: aggregates[..n].to_vec() };
-            let mat = ops::MaterializedColumns::new(&table, plan.probe_columns_accessed()).unwrap();
-            assert_plan_bit_identical(&mat, &plan, None, &format!("{layout:?}/{rows} rows/{n} dense aggregates"));
+            let data = plan_data(ops::MaterializedColumns::new(&table, plan.probe_columns_accessed()).unwrap(), None);
+            assert_plan_bit_identical(&data, &plan, &format!("{layout:?}/{rows} rows/{n} dense aggregates"));
             // A predicate on `k = i` that every row passes, and one that
             // passes half of them: a batch whose rows all pass streams like
             // the dense plan, and a batch with a failing row does not.
@@ -242,12 +246,12 @@ fn property_dense_plans_match_the_reference_bitwise() {
                 let filtered = OlapPlan { predicates: vec![Predicate::between(0, 0.0, hi)], ..plan.clone() };
                 let mat = ops::MaterializedColumns::new(&table, filtered.probe_columns_accessed()).unwrap();
                 let label = format!("{layout:?}/{rows} rows/{n} aggregates, k <= {hi}");
-                assert_plan_bit_identical(&mat, &filtered, None, &label);
+                assert_plan_bit_identical(&plan_data(mat, None), &filtered, &label);
             }
             // One aggregate is exactly a predicate-free scan.
             if n == 1 {
                 let query = ScanAggQuery::aggregate_only(aggregates[0].clone());
-                assert_scan_bit_identical(&mat, &query, &format!("{layout:?}/{rows} rows/dense scan"));
+                assert_scan_bit_identical(&data, &query, &format!("{layout:?}/{rows} rows/dense scan"));
             }
         }
     }
@@ -297,7 +301,7 @@ fn property_vectorized_plans_match_the_reference_bitwise() {
                 ops::build_hash_table(&build, plan.join.as_ref().unwrap(), group_col).unwrap()
             });
             let mat = ops::MaterializedColumns::new(&probe, plan.probe_columns_accessed()).unwrap();
-            assert_plan_bit_identical(&mat, plan, hash.as_ref(), &format!("{layout:?}/{rows} rows/plan {p}"));
+            assert_plan_bit_identical(&plan_data(mat, hash), plan, &format!("{layout:?}/{rows} rows/plan {p}"));
         }
     }
 }
@@ -355,9 +359,8 @@ fn random_plans_match_in_both_compilations(build: &SnapshotTable, dim: &str) {
                 });
                 let mat = ops::MaterializedColumns::new(&probe, plan.probe_columns_accessed()).unwrap();
                 assert_plan_bit_identical(
-                    &mat,
+                    &plan_data(mat, hash),
                     &plan,
-                    hash.as_ref(),
                     &format!("{dim} dim/{layout:?}/{rows} rows/plan {p}: {plan:?}"),
                 );
             }
@@ -384,9 +387,10 @@ fn nan_bit_patterns_are_distinct_group_keys() {
         group_by: Some(PlanColumn::Probe(0)),
         aggregates: vec![AggExpr::SumColumns(vec![1]), AggExpr::Count],
     };
-    let mat = ops::MaterializedColumns::new(&table, plan.probe_columns_accessed()).unwrap();
-    let fast = ops::process_chunk(&mat, &plan, None, mat.chunk_range(0));
-    let slow = ops::process_chunk_reference(&mat, &plan, None, mat.chunk_range(0));
+    let data = plan_data(ops::MaterializedColumns::new(&table, plan.probe_columns_accessed()).unwrap(), None);
+    let bound = data.bind(&plan).unwrap();
+    let fast = ops::process_chunk(&bound, data.mat.chunk_range(0));
+    let slow = ops::process_chunk_reference(&bound, data.mat.chunk_range(0));
     assert_eq!(fast, slow);
     assert_eq!(fast.groups.len(), 5, "two NaN payloads, +0.0, -0.0 and 1.5 are five raw-bit groups");
     assert_eq!(fast.groups.values().map(|g| g.rows).sum::<u64>(), 50);
