@@ -17,8 +17,9 @@ use h2tap_common::rng::SplitMixRng;
 use h2tap_common::stats::throughput;
 use h2tap_common::{H2Error, Result, TableId, Value};
 use parking_lot::RwLock;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,8 +34,8 @@ pub struct SiloRecord {
 }
 
 impl SiloRecord {
-    fn new(data: Vec<Value>) -> Self {
-        Self { tid: AtomicU64::new(0), data: RwLock::new(data) }
+    fn new(tid: u64, data: Vec<Value>) -> Self {
+        Self { tid: AtomicU64::new(tid), data: RwLock::new(data) }
     }
 
     /// Reads a consistent (version, value) pair by re-checking the TID word.
@@ -104,7 +105,7 @@ impl SiloDb {
 
     /// Loads a record outside of any transaction (bulk loading).
     pub fn load(&self, table: TableId, key: i64, values: Vec<Value>) -> Result<()> {
-        self.table(table)?.index.write().insert(key, Arc::new(SiloRecord::new(values)));
+        self.table(table)?.index.write().insert(key, Arc::new(SiloRecord::new(0, values)));
         Ok(())
     }
 
@@ -122,16 +123,6 @@ impl SiloDb {
     fn record(&self, table: TableId, key: i64) -> Result<Arc<SiloRecord>> {
         let record = self.table(table)?.index.read().get(&key).cloned();
         record.ok_or_else(|| H2Error::UnknownRecord(format!("key {key} in {table}")))
-    }
-
-    fn insert_record(&self, table: TableId, key: i64, values: Vec<Value>) -> Result<Arc<SiloRecord>> {
-        let mut index = self.table(table)?.index.write();
-        if index.contains_key(&key) {
-            return Err(H2Error::TxnAborted(format!("duplicate key {key}")));
-        }
-        let rec = Arc::new(SiloRecord::new(values));
-        index.insert(key, Arc::clone(&rec));
-        Ok(rec)
     }
 }
 
@@ -175,20 +166,23 @@ impl SiloTxn {
     }
 
     /// Runs Silo's commit protocol: lock write set in canonical order,
-    /// validate the read set, install writes with a fresh TID.
+    /// validate the read set, reserve the insert keys, install writes with a
+    /// fresh TID. It is all or nothing: a transaction that fails any phase
+    /// returns `Err` with none of its writes or inserts visible.
     pub fn commit(mut self) -> Result<()> {
         // Phase 1: lock the write set in address order to avoid deadlock.
         self.write_set.sort_by_key(|(rec, _)| Arc::as_ptr(rec) as usize);
         let mut locked: Vec<(Arc<SiloRecord>, u64)> = Vec::with_capacity(self.write_set.len());
+        let fail = |locked: &[(Arc<SiloRecord>, u64)], err: H2Error| {
+            for (r, _) in locked {
+                r.unlock(None);
+            }
+            Err(err)
+        };
         for (rec, _) in &self.write_set {
             match rec.try_lock() {
                 Some(tid) => locked.push((Arc::clone(rec), tid)),
-                None => {
-                    for (r, _) in &locked {
-                        r.unlock(None);
-                    }
-                    return Err(H2Error::TxnAborted("write-set lock conflict".into()));
-                }
+                None => return fail(&locked, H2Error::TxnAborted("write-set lock conflict".into())),
             }
         }
         // Phase 2: validate the read set.
@@ -197,13 +191,45 @@ impl SiloTxn {
             let locked_by_us = locked.iter().any(|(r, _)| Arc::ptr_eq(r, rec));
             let locked_by_other = current & LOCK_BIT != 0 && !locked_by_us;
             if (current & !LOCK_BIT) != *seen_tid || locked_by_other {
-                for (r, _) in &locked {
-                    r.unlock(None);
-                }
-                return Err(H2Error::TxnAborted("read-set validation failed".into()));
+                return fail(&locked, H2Error::TxnAborted("read-set validation failed".into()));
             }
         }
-        // Phase 3: install writes with a new TID in the current epoch.
+        // Phase 3: reserve the insert set (simplified from Silo's node-set
+        // validation). Each record is made locked before any index is taken:
+        // a reader that finds it waits for phase 4. Under the index of every
+        // table the set inserts into, taken in table order, each key goes in
+        // only if it is new; on a duplicate the keys put in so far come out
+        // again before any index is released, so no one sees them. Nothing
+        // after this phase fails.
+        let inserted: Vec<(TableId, i64, Arc<SiloRecord>)> = self
+            .inserts
+            .drain(..)
+            .map(|(table, key, values)| (table, key, Arc::new(SiloRecord::new(LOCK_BIT, values))))
+            .collect();
+        let mut tables: Vec<TableId> = inserted.iter().map(|(table, _, _)| *table).collect();
+        tables.sort_unstable();
+        tables.dedup();
+        let mut indexes = Vec::with_capacity(tables.len());
+        for &table in &tables {
+            match self.db.table(table) {
+                Ok(t) => indexes.push(t.index.write()),
+                Err(err) => return fail(&locked, err),
+            }
+        }
+        let index_of = |table: TableId| tables.binary_search(&table).expect("every insert's table is in `tables`");
+        for (i, (table, key, rec)) in inserted.iter().enumerate() {
+            if let Entry::Vacant(slot) = indexes[index_of(*table)].entry(*key) {
+                slot.insert(Arc::clone(rec));
+                continue;
+            }
+            for (table, key, _) in &inserted[..i] {
+                indexes[index_of(*table)].remove(key);
+            }
+            return fail(&locked, H2Error::TxnAborted(format!("duplicate key {key} in {table}")));
+        }
+        drop(indexes);
+        // Phase 4: install writes and unlock the inserts with a new TID in
+        // the current epoch.
         let epoch = self.db.global_epoch.load(Ordering::Acquire);
         let max_seen = locked.iter().map(|(_, tid)| *tid).max().unwrap_or(0);
         let new_tid = ((epoch << 32) | ((max_seen & 0xFFFF_FFFF) + 1)) & !LOCK_BIT;
@@ -211,10 +237,8 @@ impl SiloTxn {
             *rec.data.write() = values;
             rec.unlock(Some(new_tid));
         }
-        // Inserts are installed at commit (simplified from Silo's node-set
-        // validation; the paper's workloads never conflict on inserts).
-        for (table, key, values) in self.inserts.drain(..) {
-            self.db.insert_record(table, key, values)?;
+        for (_, _, rec) in inserted {
+            rec.unlock(Some(new_tid));
         }
         Ok(())
     }
@@ -262,55 +286,45 @@ impl SiloRuntime {
         &self.db
     }
 
-    /// Runs `generator` on all workers for `window` and reports throughput.
+    /// Runs `generator` on all workers until `window` has passed and reports
+    /// throughput. Each worker stops at the deadline by itself.
     pub fn run_for(&self, generator: Arc<dyn SiloGenerator>, window: Duration) -> SiloWindow {
-        let stop = Arc::new(AtomicBool::new(false));
-        let committed = Arc::new(AtomicU64::new(0));
-        let aborted = Arc::new(AtomicU64::new(0));
         let start = Instant::now();
-        std::thread::scope(|scope| {
-            for w in 0..self.workers {
-                let db = Arc::clone(&self.db);
-                let generator = Arc::clone(&generator);
-                let stop = Arc::clone(&stop);
-                let committed = Arc::clone(&committed);
-                let aborted = Arc::clone(&aborted);
-                let mut rng = SplitMixRng::new(self.seed ^ (w as u64).wrapping_mul(0x9E37_79B9));
-                let max_retries = self.max_retries;
-                scope.spawn(move || {
-                    let mut seq = 0u64;
-                    while !stop.load(Ordering::Acquire) {
-                        let mut attempts = 0;
-                        loop {
-                            match generator.run_one(&db, w, seq, &mut rng) {
-                                Ok(()) => {
-                                    committed.fetch_add(1, Ordering::Relaxed);
-                                    break;
+        let deadline = start + window;
+        let (committed, aborted) = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..self.workers)
+                .map(|w| {
+                    let (db, generator) = (&self.db, &generator);
+                    let mut rng = SplitMixRng::new(self.seed ^ (w as u64).wrapping_mul(0x9E37_79B9));
+                    scope.spawn(move || {
+                        let (mut committed, mut aborted) = (0u64, 0u64);
+                        let mut seq = 0u64;
+                        while Instant::now() < deadline {
+                            let mut attempts = 0;
+                            loop {
+                                match generator.run_one(db, w, seq, &mut rng) {
+                                    Ok(()) => committed += 1,
+                                    Err(H2Error::TxnAborted(_)) if attempts < self.max_retries => {
+                                        attempts += 1;
+                                        continue;
+                                    }
+                                    Err(_) => aborted += 1,
                                 }
-                                Err(H2Error::TxnAborted(_)) if attempts < max_retries => {
-                                    attempts += 1;
-                                }
-                                Err(_) => {
-                                    aborted.fetch_add(1, Ordering::Relaxed);
-                                    break;
-                                }
+                                break;
                             }
+                            seq += 1;
                         }
-                        seq += 1;
-                    }
-                });
-            }
-            std::thread::sleep(window);
-            stop.store(true, Ordering::Release);
+                        (committed, aborted)
+                    })
+                })
+                .collect();
+            workers.into_iter().fold((0, 0), |(c, a), worker| {
+                let (wc, wa) = worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                (c + wc, a + wa)
+            })
         });
         let elapsed = start.elapsed();
-        let committed = committed.load(Ordering::Relaxed);
-        SiloWindow {
-            committed,
-            aborted: aborted.load(Ordering::Relaxed),
-            elapsed,
-            throughput_tps: throughput(committed, elapsed),
-        }
+        SiloWindow { committed, aborted, elapsed, throughput_tps: throughput(committed, elapsed) }
     }
 }
 
@@ -366,6 +380,29 @@ mod tests {
         t2.write(T, 1, vec![Value::Int64(1), Value::Int64(2)]).unwrap();
         t1.commit().unwrap();
         t2.commit().unwrap();
+    }
+
+    /// A transaction whose insert collides writes nothing: its update of key
+    /// 1 is not installed when the duplicate insert of key 0 aborts it.
+    #[test]
+    fn a_duplicate_insert_aborts_the_whole_transaction() {
+        let db = db_with_rows(2);
+        let mut txn = SiloTxn::begin(Arc::clone(&db));
+        txn.write(T, 1, vec![Value::Int64(1), Value::Int64(999)]).unwrap();
+        txn.insert(T, 0, vec![Value::Int64(0), Value::Int64(0)]);
+        assert!(matches!(txn.commit(), Err(H2Error::TxnAborted(_))));
+        let mut check = SiloTxn::begin(Arc::clone(&db));
+        assert_eq!(check.read(T, 1).unwrap()[1], Value::Int64(100));
+        // The aborted transaction left key 1 unlocked: a later write commits.
+        let mut again = SiloTxn::begin(Arc::clone(&db));
+        again.write(T, 1, vec![Value::Int64(1), Value::Int64(7)]).unwrap();
+        again.commit().unwrap();
+        // Two inserts of one new key in one transaction collide as well.
+        let mut twice = SiloTxn::begin(Arc::clone(&db));
+        twice.insert(T, 5, vec![]);
+        twice.insert(T, 5, vec![]);
+        assert!(twice.commit().is_err());
+        assert_eq!(db.table_len(T), 2);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crossbeam_channel::{bounded, Receiver, Sender};
 use h2tap_common::rng::SplitMixRng;
 use h2tap_common::stats::throughput;
 use h2tap_common::{H2Error, Result, TableId, Value};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -185,47 +184,42 @@ pub struct SnSiloWindow {
     pub throughput_tps: f64,
 }
 
-/// Runs `generator` with one coordinator thread per partition for `window`.
+/// Runs `generator` with one coordinator thread per partition until
+/// `window` has passed. Each coordinator stops at the deadline by itself.
 pub fn run_sn_silo_benchmark(
     sn: &SnSilo,
     generator: Arc<dyn SnSiloGenerator>,
     window: Duration,
     seed: u64,
 ) -> SnSiloWindow {
-    let stop = Arc::new(AtomicBool::new(false));
-    let committed = Arc::new(AtomicU64::new(0));
-    let aborted = Arc::new(AtomicU64::new(0));
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for w in 0..sn.partitions() {
-            let generator = Arc::clone(&generator);
-            let stop = Arc::clone(&stop);
-            let committed = Arc::clone(&committed);
-            let aborted = Arc::clone(&aborted);
-            let mut rng = SplitMixRng::new(seed ^ (w as u64).wrapping_mul(0x517C_C1B7));
-            let sn_ref = &*sn;
-            scope.spawn(move || {
-                let mut seq = 0u64;
-                while !stop.load(Ordering::Acquire) {
-                    match generator.run_one(sn_ref, w, seq, &mut rng) {
-                        Ok(()) => committed.fetch_add(1, Ordering::Relaxed),
-                        Err(_) => aborted.fetch_add(1, Ordering::Relaxed),
-                    };
-                    seq += 1;
-                }
-            });
-        }
-        std::thread::sleep(window);
-        stop.store(true, Ordering::Release);
+    let deadline = start + window;
+    let (committed, aborted) = std::thread::scope(|scope| {
+        let coordinators: Vec<_> = (0..sn.partitions())
+            .map(|w| {
+                let generator = &generator;
+                let mut rng = SplitMixRng::new(seed ^ (w as u64).wrapping_mul(0x517C_C1B7));
+                scope.spawn(move || {
+                    let (mut committed, mut aborted) = (0u64, 0u64);
+                    let mut seq = 0u64;
+                    while Instant::now() < deadline {
+                        match generator.run_one(sn, w, seq, &mut rng) {
+                            Ok(()) => committed += 1,
+                            Err(_) => aborted += 1,
+                        }
+                        seq += 1;
+                    }
+                    (committed, aborted)
+                })
+            })
+            .collect();
+        coordinators.into_iter().fold((0, 0), |(c, a), coordinator| {
+            let (wc, wa) = coordinator.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (c + wc, a + wa)
+        })
     });
     let elapsed = start.elapsed();
-    let committed = committed.load(Ordering::Relaxed);
-    SnSiloWindow {
-        committed,
-        aborted: aborted.load(Ordering::Relaxed),
-        elapsed,
-        throughput_tps: throughput(committed, elapsed),
-    }
+    SnSiloWindow { committed, aborted, elapsed, throughput_tps: throughput(committed, elapsed) }
 }
 
 #[cfg(test)]

@@ -1627,7 +1627,8 @@ mod tests {
             let (point, fields) = line.split_once("\": {")?;
             let counts = fields.strip_suffix('}')?.split(", ").map(|field| {
                 let (counter, value) = field.strip_prefix('"')?.split_once("\": ")?;
-                Some(((point.to_string(), counter.to_string()), value.parse().ok()?))
+                let Ok(count) = value.parse() else { return None };
+                Some(((point.to_string(), counter.to_string()), count))
             });
             counts.collect::<Option<Vec<_>>>()
         };

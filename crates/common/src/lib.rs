@@ -17,6 +17,10 @@
 //! * [`error`] — the shared error type.
 
 #![forbid(unsafe_code)]
+// Result-crate lint (engine, olap, scheduler, storage, common, workloads):
+// std `HashMap`/`HashSet` iterate in a per-process random order, so the
+// crates whose output must be bit-identical run by run do not use them.
+#![warn(clippy::disallowed_types)]
 
 pub mod breakdown;
 pub mod epoch;

@@ -56,6 +56,7 @@ impl fmt::Display for RecordId {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "these tests exist to check that record ids hash")]
 mod tests {
     use super::*;
     use std::collections::HashSet;

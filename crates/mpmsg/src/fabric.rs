@@ -119,6 +119,10 @@ impl<M> Mailbox<M> {
     }
 
     /// Blocking receive with a timeout; `Ok(None)` on timeout.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a wait for one reply bounded by its deadline (the OLTP remote-lock timeout, the benchmark's round-trip probe), not an idle poll"
+    )]
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope<M>>> {
         match self.receiver.recv_timeout(timeout) {
             Ok(env) => Ok(Some(self.delivered(env))),

@@ -345,6 +345,7 @@ impl Tracer {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "a wall-clock span test needs wall time to pass")]
 mod tests {
     use super::*;
 

@@ -551,6 +551,10 @@ impl PlanDataCache {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "`eventually` naps between polls of another thread's progress, for two seconds at most"
+)]
 mod tests {
     use super::*;
     use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, Schema, Value};

@@ -78,7 +78,7 @@ use h2tap_common::{
 use h2tap_obs::{SpanEvent, SpanKind, Tracer};
 use h2tap_scheduler::OlapTarget;
 use h2tap_storage::{decode_cell_f64, SnapshotTable, SnapshotTableId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
@@ -436,15 +436,23 @@ impl Hasher for MulShiftHasher {
     }
 }
 
+/// The one std hash map of the result crates: [`LookupMap`] wraps it so that
+/// it can be looked up and grown but never iterated.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a LookupMap never iterates its map, so its bucket order reaches no result; a BTreeMap would slow every join probe and group lookup"
+)]
+type U64HashMap<V> = std::collections::HashMap<u64, V, BuildHasherDefault<MulShiftHasher>>;
+
 /// A u64-keyed hash map that can be looked up and grown but never iterated:
 /// whatever the data path builds from it follows the order of its inputs,
 /// never the map's bucket order.
 #[derive(Debug, Clone, Default)]
-struct LookupMap<V>(HashMap<u64, V, BuildHasherDefault<MulShiftHasher>>);
+struct LookupMap<V>(U64HashMap<V>);
 
 impl<V: Copy> LookupMap<V> {
     fn with_capacity(capacity: usize) -> Self {
-        Self(HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()))
+        Self(U64HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()))
     }
 
     #[inline]
@@ -1540,7 +1548,7 @@ mod tests {
         // f64 bit patterns of consecutive integers differ only in a few
         // high mantissa bits; the finaliser must spread them across the low
         // bits the hash map buckets on.
-        let mut low_bits = std::collections::HashSet::new();
+        let mut low_bits = std::collections::BTreeSet::new();
         for i in 0..64u64 {
             low_bits.insert(hash((i as f64).to_bits()) & 0x3f);
         }

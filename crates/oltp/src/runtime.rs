@@ -389,6 +389,10 @@ impl OltpRuntime {
     /// # Errors
     /// Returns an error if the runtime was started without a generator — the
     /// workers would simply idle and report zero throughput.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the measurement window is a span of wall time while the workers generate on their own threads, and so is the fixed drain after it"
+    )]
     pub fn run_for(&self, window: Duration) -> Result<BenchmarkWindow> {
         let before = self.stats();
         let start = Instant::now();

@@ -8,9 +8,11 @@
 //! runtime takes [`Snapshot`]s and never touches the live store; dropping
 //! the last `Arc` of one releases it and frees the pages only it still held.
 //!
-//! Lock order: the live-state lock before a partition's, never the reverse.
-//! `commit` and `snapshot` nest them; everything else takes one at a time,
-//! and dropping a snapshot takes neither.
+//! Lock order is a matter of types: the partitions live inside the
+//! live-state lock, so a partition lock is reached only through a guard of
+//! it. `commit` nests a partition's lock inside the shared side; `snapshot`
+//! holds the exclusive side and reads the partitions through `get_mut`,
+//! taking no partition lock at all; dropping a snapshot takes neither.
 
 use crate::codec::{decode_record, encode_into};
 use crate::layout::Layout;
@@ -36,18 +38,29 @@ pub struct TableMeta {
     pub layout: Layout,
 }
 
-/// What a write and a snapshot must agree on: the catalog and the write
-/// epoch. Commits hold it shared and snapshots exclusively, so holding it is
-/// the only way to learn the epoch a write stamps its pages with.
-#[derive(Debug, Default)]
+/// What a write and a snapshot must agree on: the catalog, the write epoch
+/// and the partitions. Commits hold it shared and snapshots exclusively, so
+/// holding it is the only way to learn the epoch a write stamps its pages
+/// with, and the only way to reach a partition.
+#[derive(Debug)]
 struct Live {
     epoch: Epoch,
     /// Indexed by `TableId`: a new table's id is the catalog's length.
     tables: Vec<TableMeta>,
     names: BTreeMap<String, TableId>,
+    partitions: Vec<RwLock<PartitionStore>>,
 }
 
 impl Live {
+    fn store(&self, p: PartitionId) -> Result<&RwLock<PartitionStore>> {
+        self.partitions.get(p.0 as usize).ok_or_else(|| H2Error::Config(format!("partition {p} out of range")))
+    }
+
+    /// Records of `table` in one partition.
+    fn rows_in(&self, partition: PartitionId, table: TableId) -> Result<u64> {
+        Ok(self.store(partition)?.read().fragment(table).map_or(0, |f| f.row_count()))
+    }
+
     fn meta(&self, table: TableId) -> Result<&TableMeta> {
         self.tables.get(table.0 as usize).ok_or_else(|| H2Error::UnknownTable(table.to_string()))
     }
@@ -59,7 +72,6 @@ pub struct Database {
     /// Process-unique instance id, part of every snapshot table's cache
     /// identity so frozen images from different databases never alias.
     instance: u64,
-    partitions: Vec<RwLock<PartitionStore>>,
     live: RwLock<Live>,
     telemetry: Arc<CowTelemetry>,
 }
@@ -73,21 +85,13 @@ impl Database {
         let partitions = (0..partition_count)
             .map(|i| RwLock::new(PartitionStore::new(PartitionId(i as u32), Arc::clone(&telemetry))))
             .collect();
-        Arc::new(Self {
-            instance: crate::snapshot::next_source_id(),
-            partitions,
-            live: RwLock::new(Live::default()),
-            telemetry,
-        })
+        let live = Live { epoch: Epoch::ZERO, tables: Vec::new(), names: BTreeMap::new(), partitions };
+        Arc::new(Self { instance: crate::snapshot::next_source_id(), live: RwLock::new(live), telemetry })
     }
 
     /// Number of horizontal partitions.
     pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
-    fn store(&self, p: PartitionId) -> Result<&RwLock<PartitionStore>> {
-        self.partitions.get(p.0 as usize).ok_or_else(|| H2Error::Config(format!("partition {p} out of range")))
+        self.live.read().partitions.len()
     }
 
     /// Copy-on-write telemetry counters.
@@ -127,13 +131,9 @@ impl Database {
 
     /// Total records of `table` across all partitions.
     pub fn row_count(&self, table: TableId) -> Result<u64> {
-        self.live.read().meta(table)?;
-        (0..self.partitions.len()).map(|p| self.rows_in(PartitionId(p as u32), table)).sum()
-    }
-
-    /// Records of `table` in one partition.
-    fn rows_in(&self, partition: PartitionId, table: TableId) -> Result<u64> {
-        Ok(self.store(partition)?.read().fragment(table).map_or(0, |f| f.row_count()))
+        let live = self.live.read();
+        live.meta(table)?;
+        (0..live.partitions.len()).map(|p| live.rows_in(PartitionId(p as u32), table)).sum()
     }
 
     /// Applies one transaction's writes as a unit: `updates` overwrite
@@ -157,24 +157,22 @@ impl Database {
             .chain(inserts.iter().map(|(partition, table, values)| (*partition, *table, None, *values)));
         let live = self.live.read();
         // 1. Check and encode, every record's cells one after the other.
-        //    `rows_in` nests a partition's read lock the way step 2 nests its
-        //    write lock. Row counts only grow, so a row checked in range
-        //    stays in range.
+        //    Row counts only grow, so a row checked in range stays in range.
         let mut cells = Vec::with_capacity(writes.clone().map(|w| w.3.len()).sum());
         for (partition, table, row, values) in writes.clone() {
             encode_into(&live.meta(table)?.schema, values, &mut cells)?;
             if let Some(row) = row {
-                if row >= self.rows_in(partition, table)? {
+                if row >= live.rows_in(partition, table)? {
                     return Err(H2Error::UnknownRecord(format!("row {row} of {table} beyond partition {partition}")));
                 }
             } else {
-                self.store(partition)?;
+                live.store(partition)?;
             }
         }
         // 2. Apply, partition by partition with one write lock at a time.
         //    Nothing below can fail on a write that passed step 1.
         let mut rids = vec![RecordId::new(PartitionId(0), TableId(0), 0); inserts.len()];
-        for (p, store) in self.partitions.iter().enumerate() {
+        for (p, store) in live.partitions.iter().enumerate() {
             let here = PartitionId(p as u32);
             let mut guard = None;
             let mut rest = cells.as_slice();
@@ -185,7 +183,6 @@ impl Database {
                     continue;
                 }
                 let meta = live.meta(table)?;
-                // h2tap: allow(lock_order) — ordering rule: the live-state lock before a partition's, never the reverse (see the module doc); no partition guard is held across a live-state acquisition.
                 let fragment = guard.get_or_insert_with(|| store.write()).register_table(meta);
                 match row {
                     Some(row) => fragment.update_record(row, record, live.epoch)?,
@@ -204,9 +201,10 @@ impl Database {
 
     /// Reads a record as logical values.
     pub fn read(&self, rid: RecordId) -> Result<Vec<Value>> {
-        let schema = Arc::clone(&self.live.read().meta(rid.table)?.schema);
-        let cells = self.store(rid.partition)?.read().fragment(rid.table)?.read_record(rid.row)?;
-        decode_record(&schema, &cells)
+        let live = self.live.read();
+        let schema = &live.meta(rid.table)?.schema;
+        let cells = live.store(rid.partition)?.read().fragment(rid.table)?.read_record(rid.row)?;
+        decode_record(schema, &cells)
     }
 
     /// Overwrites a record with new logical values, shadow-copying the
@@ -224,19 +222,20 @@ impl Database {
     /// count, not the page count. All of it happens under the exclusive side
     /// of the live-state lock, so no commit is half applied and every later
     /// write stamps its pages past this snapshot's epoch (see
-    /// [`crate::Page::epoch`]).
+    /// [`crate::Page::epoch`]); that side owns the partitions outright, so
+    /// reading them takes no partition lock.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        let mut live = self.live.write();
+        let mut guard = self.live.write();
+        let live = &mut *guard;
         let snapshot_epoch = live.epoch;
         live.epoch = snapshot_epoch.next();
         let mut tables = BTreeMap::new();
         for meta in &live.tables {
-            let mut per_partition = Vec::with_capacity(self.partitions.len());
-            for p in &self.partitions {
-                // h2tap: allow(lock_order) — ordering rule: the live-state lock before a partition's, never the reverse (see the module doc); no partition guard is held across a live-state acquisition.
-                let guard = p.read();
-                per_partition.push(guard.fragment(meta.id).map(TableFragment::image).unwrap_or_default());
-            }
+            let per_partition = live
+                .partitions
+                .iter_mut()
+                .map(|p| p.get_mut().fragment(meta.id).map(TableFragment::image).unwrap_or_default())
+                .collect();
             tables.insert(
                 meta.id,
                 SnapshotTable::new(
@@ -247,7 +246,7 @@ impl Database {
                 ),
             );
         }
-        drop(live); // counting the snapshot needs no consistency with writes
+        drop(guard); // counting the snapshot needs no consistency with writes
         Arc::new(Snapshot::new(snapshot_epoch, tables, Arc::clone(&self.telemetry)))
     }
 
@@ -360,7 +359,7 @@ mod tests {
         let snap = db.snapshot();
         // Shallow copy: the snapshot references the same segment objects.
         let frozen = snap.table(t).unwrap();
-        let live = db.partitions[0].read().fragment(t).unwrap().image();
+        let live = db.live.read().partitions[0].read().fragment(t).unwrap().image();
         assert!(Arc::ptr_eq(&frozen.partitions()[0].segments[0], &live.segments[0]));
     }
 
@@ -478,7 +477,7 @@ mod tests {
             }
             let d = db.telemetry().delta_since(&base);
             assert_eq!((d.segments_copied, d.pages_copied), (3, 3), "segment 0 and the tail segment");
-            let live = db.partitions[0].read().fragment(t).unwrap().image();
+            let live = db.live.read().partitions[0].read().fragment(t).unwrap().image();
             assert_eq!(live.segments.len(), 4, "the last insert opened a fourth segment");
             assert_eq!(live.segments[3].pages().count(), 1);
             // Each snapshot still reads its own cut.

@@ -27,6 +27,10 @@
 // and storage): a panic path or a discarded `#[must_use]` value is an error
 // under CI's `-D warnings` unless it carries `#[expect(.., reason = "..")]`.
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::let_underscore_must_use)]
+// Result-crate lint (engine, olap, scheduler, storage, common, workloads):
+// std `HashMap`/`HashSet` iterate in a per-process random order, so the
+// crates whose output must be bit-identical run by run do not use them.
+#![warn(clippy::disallowed_types)]
 
 pub mod codec;
 pub mod database;

@@ -15,6 +15,10 @@
 //! reproducible run to run.
 
 #![forbid(unsafe_code)]
+// Result-crate lint (engine, olap, scheduler, storage, common, workloads):
+// std `HashMap`/`HashSet` iterate in a per-process random order, so the
+// crates whose output must be bit-identical run by run do not use them.
+#![warn(clippy::disallowed_types)]
 
 pub mod layoutbench;
 pub mod multisite;

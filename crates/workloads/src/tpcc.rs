@@ -397,13 +397,13 @@ mod tests {
 
     #[test]
     fn keys_do_not_collide_within_a_table() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for w in 0..3 {
             for d in 1..=10 {
                 assert!(seen.insert(keys::district(w, d)));
             }
         }
-        let mut ol = std::collections::HashSet::new();
+        let mut ol = std::collections::BTreeSet::new();
         for d in 1..=10 {
             for o in 1..1000 {
                 for line in 0..16 {

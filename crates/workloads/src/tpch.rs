@@ -220,16 +220,15 @@ pub fn brand_revenue_reference(
     by_partkey: bool,
 ) -> Vec<GroupRow> {
     let mut part_rng = SplitMixRng::new(part_seed);
-    // partkey -> group key (brand or partkey) for parts in the size range.
-    let mut surviving: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    for key in 0..parts {
-        let row = part_row(key, &mut part_rng);
-        let size = row[part_columns::SIZE].as_i64().unwrap();
-        if size <= i64::from(max_size) {
-            let group = if by_partkey { key } else { key % PART_BRANDS };
-            surviving.insert(key, group);
-        }
-    }
+    // Indexed by partkey: the group key (brand or partkey) of a part in the
+    // size range, `None` for the others.
+    let surviving: Vec<Option<u64>> = (0..parts)
+        .map(|key| {
+            let row = part_row(key, &mut part_rng);
+            let size = row[part_columns::SIZE].as_i64().unwrap();
+            (size <= i64::from(max_size)).then_some(if by_partkey { key } else { key % PART_BRANDS })
+        })
+        .collect();
     let mut groups: std::collections::BTreeMap<u64, (f64, u64)> = std::collections::BTreeMap::new();
     let mut rng = SplitMixRng::new(lineitem_seed);
     for key in 0..lineitem_rows {
@@ -239,7 +238,7 @@ pub fn brand_revenue_reference(
             continue;
         }
         let partkey = row[columns::PARTKEY].as_i64().unwrap() as u64;
-        let Some(&group) = surviving.get(&partkey) else { continue };
+        let Some(&Some(group)) = surviving.get(partkey as usize) else { continue };
         let revenue = row[columns::EXTENDEDPRICE].as_f64().unwrap() * row[columns::DISCOUNT].as_f64().unwrap();
         let e = groups.entry(group).or_insert((0.0, 0));
         e.0 += revenue;

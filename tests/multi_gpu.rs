@@ -49,7 +49,8 @@ fn gpu_site(gpus: Vec<GpuSpec>, placement: DataPlacement) -> Site {
 /// when the site rejected the query (empty tables must be rejected by every
 /// site identically).
 fn scan_bits(site: &Site, table: &SnapshotTable, query: &ScanAggQuery) -> Option<(u64, u64)> {
-    let out = site.execute(table, None, &OlapPlan::scan(query)).ok()?.into_scan_outcome();
+    let Ok(outcome) = site.execute(table, None, &OlapPlan::scan(query)) else { return None };
+    let out = outcome.into_scan_outcome();
     Some((out.value.to_bits(), out.qualifying_rows))
 }
 

@@ -120,8 +120,8 @@ fn lock_table_compatibility_invariants() {
     for _ in 0..CASES {
         let mut table = LockTable::new();
         // holders[record] = (exclusive_owner, shared_holders)
-        let mut model: std::collections::HashMap<u64, (Option<u32>, std::collections::HashSet<u32>)> =
-            std::collections::HashMap::new();
+        let mut model: std::collections::BTreeMap<u64, (Option<u32>, std::collections::BTreeSet<u32>)> =
+            std::collections::BTreeMap::new();
         for _ in 0..1 + rng.next_below(199) {
             let txn_id = rng.next_below(4) as u32;
             let record = rng.next_below(8);
