@@ -114,12 +114,6 @@ impl SiloDb {
         self.tables.get(&table).map_or(0, |t| t.index.read().len())
     }
 
-    /// Advances the global epoch (Silo does this on a timer thread; the
-    /// benchmark driver calls it between windows).
-    pub fn advance_epoch(&self) {
-        self.global_epoch.fetch_add(1, Ordering::AcqRel);
-    }
-
     fn record(&self, table: TableId, key: i64) -> Result<Arc<SiloRecord>> {
         let record = self.table(table)?.index.read().get(&key).cloned();
         record.ok_or_else(|| H2Error::UnknownRecord(format!("key {key} in {table}")))

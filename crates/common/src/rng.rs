@@ -53,12 +53,6 @@ impl SplitMixRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform value in the inclusive range `[lo, hi]`.
-    pub fn next_in_range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.next_below(hi - lo + 1)
-    }
-
     /// Fisher-Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -154,8 +148,6 @@ mod tests {
         let mut r = SplitMixRng::new(7);
         for _ in 0..10_000 {
             assert!(r.next_below(10) < 10);
-            let v = r.next_in_range(5, 9);
-            assert!((5..=9).contains(&v));
         }
     }
 

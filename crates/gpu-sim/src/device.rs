@@ -299,15 +299,6 @@ impl GpuDevice {
     pub fn kernel_log(&self) -> &[KernelMetrics] {
         &self.kernel_log
     }
-
-    /// Clears accumulated totals and the kernel log (buffer registrations are
-    /// kept).
-    pub fn reset_metrics(&mut self) {
-        self.total_time = SimDuration::ZERO;
-        self.total_interconnect_bytes = 0;
-        self.kernels_launched = 0;
-        self.kernel_log.clear();
-    }
 }
 
 #[cfg(test)]
@@ -490,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_accumulate_and_reset() {
+    fn metrics_accumulate() {
         let mut dev = GpuDevice::new(GpuSpec::gtx_980());
         let buf = dev.register_buffer("col", GIB, AccessMode::Uva).unwrap();
         dev.account(&scan_desc(buf, GIB)).unwrap();
@@ -498,9 +489,5 @@ mod tests {
         assert!(dev.total_time() > SimDuration::ZERO);
         assert!(dev.total_interconnect_bytes() >= GIB);
         assert_eq!(dev.kernel_log().len(), 1);
-        dev.reset_metrics();
-        assert_eq!(dev.total_time(), SimDuration::ZERO);
-        assert_eq!(dev.kernels_launched(), 0);
-        assert!(dev.kernel_log().is_empty());
     }
 }

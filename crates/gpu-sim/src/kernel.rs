@@ -67,11 +67,6 @@ impl KernelDesc {
         self.write_bytes = bytes;
         self
     }
-
-    /// Total useful input bytes across all reads.
-    pub fn total_useful_bytes(&self) -> u64 {
-        self.reads.iter().map(|r| r.useful_bytes).sum()
-    }
 }
 
 /// What one kernel launch cost, as accounted by the device model.
@@ -114,7 +109,6 @@ mod tests {
             .read(BufferId(1), 8000, AccessPattern::Sequential)
             .write(100);
         assert_eq!(d.reads.len(), 2);
-        assert_eq!(d.total_useful_bytes(), 12_000);
         assert_eq!(d.write_bytes, 100);
         assert_eq!(d.flops_per_element, 2.0);
     }

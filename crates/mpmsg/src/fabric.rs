@@ -12,7 +12,6 @@
 use crate::CoreId;
 use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use h2tap_common::{H2Error, Result};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,43 +26,17 @@ pub struct Envelope<M> {
     pub payload: M,
 }
 
-/// Shared counters for fabric traffic, used by experiments to report message
-/// overhead.
-#[derive(Debug, Default)]
-pub struct FabricStats {
-    sent: AtomicU64,
-    delivered: AtomicU64,
-}
-
-impl FabricStats {
-    /// Messages handed to the fabric.
-    pub fn sent(&self) -> u64 {
-        self.sent.load(Ordering::Relaxed)
-    }
-
-    /// Messages pulled out of mailboxes.
-    pub fn delivered(&self) -> u64 {
-        self.delivered.load(Ordering::Relaxed)
-    }
-}
-
 /// The sending half owned by each worker: can address any core.
 #[derive(Debug, Clone)]
 pub struct Postbox<M> {
     core: CoreId,
     senders: Arc<Vec<Sender<Envelope<M>>>>,
-    stats: Arc<FabricStats>,
 }
 
 impl<M> Postbox<M> {
     /// The core this postbox belongs to.
     pub fn core(&self) -> CoreId {
         self.core
-    }
-
-    /// Number of cores in the fabric.
-    pub fn fanout(&self) -> usize {
-        self.senders.len()
     }
 
     /// Sends `payload` to `to`. Blocks if the destination mailbox is full,
@@ -73,9 +46,7 @@ impl<M> Postbox<M> {
             self.senders.get(to.0 as usize).ok_or_else(|| H2Error::ChannelClosed(format!("no such core {to:?}")))?;
         sender
             .send(Envelope { from: self.core, to, payload })
-            .map_err(|_| H2Error::ChannelClosed(format!("mailbox of {to:?} closed")))?;
-        self.stats.sent.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+            .map_err(|_| H2Error::ChannelClosed(format!("mailbox of {to:?} closed")))
     }
 }
 
@@ -84,19 +55,12 @@ impl<M> Postbox<M> {
 pub struct Mailbox<M> {
     core: CoreId,
     receiver: Receiver<Envelope<M>>,
-    stats: Arc<FabricStats>,
 }
 
 impl<M> Mailbox<M> {
     /// The core this mailbox belongs to.
     pub fn core(&self) -> CoreId {
         self.core
-    }
-
-    /// Counts a message pulled out of the mailbox.
-    fn delivered(&self, env: Envelope<M>) -> Envelope<M> {
-        self.stats.delivered.fetch_add(1, Ordering::Relaxed);
-        env
     }
 
     fn closed(&self) -> H2Error {
@@ -106,7 +70,7 @@ impl<M> Mailbox<M> {
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<Option<Envelope<M>>> {
         match self.receiver.try_recv() {
-            Ok(env) => Ok(Some(self.delivered(env))),
+            Ok(env) => Ok(Some(env)),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(self.closed()),
         }
@@ -115,7 +79,7 @@ impl<M> Mailbox<M> {
     /// Blocks until a message arrives: the wait of an owner with nothing
     /// else to do, which costs no wake-up while the mailbox stays empty.
     pub fn recv(&self) -> Result<Envelope<M>> {
-        self.receiver.recv().map(|env| self.delivered(env)).map_err(|_| self.closed())
+        self.receiver.recv().map_err(|_| self.closed())
     }
 
     /// Blocking receive with a timeout; `Ok(None)` on timeout.
@@ -125,7 +89,7 @@ impl<M> Mailbox<M> {
     )]
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope<M>>> {
         match self.receiver.recv_timeout(timeout) {
-            Ok(env) => Ok(Some(self.delivered(env))),
+            Ok(env) => Ok(Some(env)),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(self.closed()),
         }
@@ -133,7 +97,9 @@ impl<M> Mailbox<M> {
 }
 
 /// Builds the fabric for `cores` workers and returns one (postbox, mailbox)
-/// pair per core, in core order.
+/// pair per core, in core order. The third slot is empty: the fabric keeps
+/// no traffic counters, and the slot stays only while the benchmark's
+/// round-trip probe destructures a triple.
 ///
 /// `mailbox_capacity` bounds each mailbox, and a sender to a full one
 /// blocks. Two owners that fill each other's mailboxes while both are
@@ -143,9 +109,8 @@ impl<M> Mailbox<M> {
 /// only inbox, client submissions are held to 256 per worker at
 /// `OltpRuntime::submit`, and the lock traffic beside them is at most a few
 /// messages per running transaction.
-pub fn build_fabric<M>(cores: usize, mailbox_capacity: usize) -> (Vec<Postbox<M>>, Vec<Mailbox<M>>, Arc<FabricStats>) {
+pub fn build_fabric<M>(cores: usize, mailbox_capacity: usize) -> (Vec<Postbox<M>>, Vec<Mailbox<M>>, ()) {
     assert!(cores > 0, "fabric needs at least one core");
-    let stats = Arc::new(FabricStats::default());
     let mut senders = Vec::with_capacity(cores);
     let mut receivers = Vec::with_capacity(cores);
     for _ in 0..cores {
@@ -154,15 +119,10 @@ pub fn build_fabric<M>(cores: usize, mailbox_capacity: usize) -> (Vec<Postbox<M>
         receivers.push(rx);
     }
     let senders = Arc::new(senders);
-    let postboxes = (0..cores)
-        .map(|i| Postbox { core: CoreId(i as u32), senders: Arc::clone(&senders), stats: Arc::clone(&stats) })
-        .collect();
-    let mailboxes = receivers
-        .into_iter()
-        .enumerate()
-        .map(|(i, receiver)| Mailbox { core: CoreId(i as u32), receiver, stats: Arc::clone(&stats) })
-        .collect();
-    (postboxes, mailboxes, stats)
+    let postboxes = (0..cores).map(|i| Postbox { core: CoreId(i as u32), senders: Arc::clone(&senders) }).collect();
+    let mailboxes =
+        receivers.into_iter().enumerate().map(|(i, receiver)| Mailbox { core: CoreId(i as u32), receiver }).collect();
+    (postboxes, mailboxes, ())
 }
 
 #[cfg(test)]
@@ -172,15 +132,13 @@ mod tests {
 
     #[test]
     fn point_to_point_delivery() {
-        let (post, mail, stats) = build_fabric::<u32>(3, 8);
+        let (post, mail, ()) = build_fabric::<u32>(3, 8);
         post[0].send(CoreId(2), 99).unwrap();
         let env = mail[2].try_recv().unwrap().unwrap();
         assert_eq!(env.from, CoreId(0));
         assert_eq!(env.to, CoreId(2));
         assert_eq!(env.payload, 99);
         assert!(mail[1].try_recv().unwrap().is_none());
-        assert_eq!(stats.sent(), 1);
-        assert_eq!(stats.delivered(), 1);
     }
 
     #[test]
@@ -198,7 +156,7 @@ mod tests {
 
     #[test]
     fn recv_blocks_until_a_message_is_sent() {
-        let (post, mut mail, stats) = build_fabric::<u32>(1, 8);
+        let (post, mut mail, ()) = build_fabric::<u32>(1, 8);
         let mailbox = mail.remove(0);
         let (ready_tx, ready_rx) = crossbeam_channel::bounded(1);
         let owner = thread::spawn(move || {
@@ -208,7 +166,6 @@ mod tests {
         ready_rx.recv().unwrap();
         post[0].send(CoreId(0), 7).unwrap();
         assert_eq!(owner.join().unwrap(), 7);
-        assert_eq!(stats.delivered(), 1);
     }
 
     #[test]
@@ -230,9 +187,8 @@ mod tests {
     }
 
     #[test]
-    fn fanout_reports_core_count() {
-        let (post, _mail, _) = build_fabric::<u8>(4, 2);
-        assert_eq!(post[0].fanout(), 4);
+    fn postboxes_are_numbered_in_core_order() {
+        let (post, _mail, ()) = build_fabric::<u8>(4, 2);
         assert_eq!(post[3].core(), CoreId(3));
     }
 

@@ -17,7 +17,7 @@
 
 pub mod fabric;
 
-pub use fabric::{build_fabric, Envelope, FabricStats, Mailbox, Postbox};
+pub use fabric::{build_fabric, Envelope, Mailbox, Postbox};
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -387,8 +387,39 @@ mod tests {
         }
     }
 
+    /// [`LocalRmw`], except that worker `on`'s `at`-th transaction first
+    /// holds its worker for `hold`, and then takes it down if `dies`.
+    struct Stalling {
+        rmw: LocalRmw,
+        on: PartitionId,
+        at: u64,
+        hold: Duration,
+        dies: bool,
+    }
+
+    impl TxnGenerator for Stalling {
+        fn next_txn(&self, home: PartitionId, seq: u64, rng: &mut h2tap_common::rng::SplitMixRng) -> TxnProc {
+            let txn = self.rmw.next_txn(home, seq, rng);
+            if (home, seq) != (self.on, self.at) {
+                return txn;
+            }
+            let (hold, dies) = (self.hold, self.dies);
+            Arc::new(move |ctx| {
+                std::thread::sleep(hold);
+                assert!(!dies, "a generated transaction that takes its worker down");
+                txn(ctx)
+            })
+        }
+    }
+
     /// Two workers over 64 rows each, with a [`LocalRmw`] generator.
     fn generating_runtime() -> OltpRuntime {
+        generating_runtime_with(|rmw| Arc::new(rmw))
+    }
+
+    /// Two workers over 64 rows each, with the generator `wrap` makes of a
+    /// [`LocalRmw`] over them.
+    fn generating_runtime_with(wrap: impl FnOnce(LocalRmw) -> Arc<dyn TxnGenerator>) -> OltpRuntime {
         let workers = 2;
         let (db, table, indexes) = setup(workers, 64);
         OltpRuntime::start(
@@ -396,7 +427,7 @@ mod tests {
             OltpConfig::with_workers(workers),
             Arc::new(ModuloPartitioner::new(workers)),
             indexes,
-            Some(Arc::new(LocalRmw { table, workers: workers as u64, rows: 64 })),
+            Some(wrap(LocalRmw { table, workers: workers as u64, rows: 64 })),
         )
         .unwrap()
     }
@@ -441,12 +472,45 @@ mod tests {
         let rt = generating_runtime();
         let window = rt.run_for(Duration::from_millis(50)).unwrap();
         assert!(window.stats.committed > 0, "the start of the window reached workers blocked on an empty inbox");
-        // The start found each worker idle; the end found it between two
-        // transactions, which is not a wake-up.
+        // The start found each worker idle; the end is each worker's own
+        // deadline, which is not a wake-up.
         assert_eq!(window.stats.idle_wakeups, 2);
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(rt.stats().idle_wakeups, 2, "the window is over and nobody wakes");
         rt.shutdown();
+    }
+
+    /// A transaction that is still running at the window's deadline belongs
+    /// to the window: `run_for` returns after it, with it counted, and
+    /// nothing lands in the counters afterwards.
+    #[test]
+    fn a_window_counts_exactly_the_transactions_it_ran() {
+        let hold = Duration::from_millis(100);
+        let mut rt =
+            generating_runtime_with(|rmw| Arc::new(Stalling { rmw, on: PartitionId(0), at: 0, hold, dies: false }));
+        let window = rt.run_for(Duration::from_millis(40)).unwrap();
+        let read = rt.stats();
+        // The shutdown message wakes each idle worker once more; nothing else
+        // may move.
+        let stopped = OltpStats { idle_wakeups: read.idle_wakeups, ..rt.stop() };
+        assert_eq!(read, stopped, "a transaction of the window landed after it");
+        assert_eq!(window.stats, read, "the window is the runtime's whole history");
+        assert!(window.elapsed >= hold, "the window ends when the held transaction does: {:?}", window.elapsed);
+    }
+
+    /// A worker that dies with its window open fails the window instead of
+    /// leaving its share out of it, and the caller is not left waiting.
+    #[test]
+    fn a_worker_that_dies_in_a_window_fails_it() {
+        let rt = generating_runtime_with(|rmw| {
+            Arc::new(Stalling { rmw, on: PartitionId(1), at: 3, hold: Duration::from_millis(100), dies: true })
+        });
+        let (tx, rx) = crossbeam_channel::bounded(1);
+        let caller =
+            std::thread::spawn(move || tx.send(rt.run_for(Duration::from_millis(40)).map(|w| w.stats.committed)));
+        let got = rx.recv_timeout(Duration::from_secs(10)).expect("run_for returned");
+        assert!(matches!(got, Err(h2tap_common::H2Error::ChannelClosed(_))), "{got:?}");
+        caller.join().expect("the caller").expect("the test listens");
     }
 
     /// A submission that reaches a worker while its transaction waits for a
@@ -647,7 +711,7 @@ mod tests {
             counters: Arc::new(WorkerCounters::default()),
             remote_timeout: Duration::from_secs(1),
             backlog: std::collections::VecDeque::new(),
-            generating: false,
+            window: None,
             shutdown: false,
         };
         let rid = |key: i64| RecordId::new(PartitionId(0), table, state.index.lookup(table, key).unwrap());

@@ -10,12 +10,15 @@
 //! acquired.
 //!
 //! A worker's mailbox is its only inbox, so what the runtime asks of a
-//! worker travels the same way: a submitted transaction, the start and end
-//! of a generator window, and shutdown are messages too, delivered in send
-//! order with the lock traffic.
+//! worker travels the same way: a submitted transaction, a generator window
+//! (one message carrying its deadline; the worker ends it on its own clock)
+//! and shutdown are messages too, delivered in send order with the lock
+//! traffic.
 
 use crate::runtime::Job;
+use crossbeam_channel::Sender;
 use h2tap_common::{RecordId, TableId};
+use std::time::Instant;
 
 /// Identifies a transaction for lock bookkeeping: the worker hosting it plus
 /// a worker-local sequence number.
@@ -91,9 +94,15 @@ pub enum OltpMsg {
     },
     /// A transaction a client submitted to this worker.
     Submit(Job),
-    /// Starts (`true`) or ends (`false`) a window in which the worker runs
-    /// its generator's transactions back to back.
-    Generate(bool),
+    /// Opens a window in which the worker runs its generator's transactions
+    /// back to back until `until`. It then sends the instant it stopped on
+    /// `done`, once, and generates no more.
+    Window {
+        /// Deadline: no transaction of the window starts at or after it.
+        until: Instant,
+        /// Where the worker reports the instant it stopped.
+        done: Sender<Instant>,
+    },
     /// Orderly shutdown request from the runtime: the worker exits once it
     /// has run every submission delivered before this message.
     Shutdown,

@@ -14,8 +14,10 @@
 //!   caller beyond that: clients can fill a quarter of a mailbox, never all
 //!   of it.
 //! * **Benchmark mode** — every worker generates transactions back-to-back
-//!   from a [`TxnGenerator`] for a fixed wall-clock window
-//!   ([`OltpRuntime::run_for`]). Used by the Figure 5-9 experiments.
+//!   from a [`TxnGenerator`] until a deadline and then reports when it
+//!   stopped ([`OltpRuntime::run_for`]). The window is one message per
+//!   worker carrying that deadline, and the runtime waits for one reply per
+//!   worker, not for a span of time. Used by the Figure 5-9 experiments.
 
 use crate::index::PartitionIndex;
 use crate::messages::OltpMsg;
@@ -188,7 +190,8 @@ impl OltpStats {
 /// Result of one benchmark window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchmarkWindow {
-    /// Wall-clock duration of the window.
+    /// Wall-clock time from the window's start to the instant the last
+    /// worker stopped generating.
     pub elapsed: Duration,
     /// Counter deltas over the window.
     pub stats: OltpStats,
@@ -288,7 +291,7 @@ impl OltpRuntime {
         }
         indexes.resize_with(config.workers, PartitionIndex::new);
 
-        let (postboxes, mailboxes, _fabric_stats) = build_fabric::<OltpMsg>(config.workers, MAILBOX_CAPACITY);
+        let (postboxes, mailboxes, ()) = build_fabric::<OltpMsg>(config.workers, MAILBOX_CAPACITY);
         let mut slots = Vec::with_capacity(config.workers);
         let mut counters = Vec::with_capacity(config.workers);
         let mut handles = Vec::with_capacity(config.workers);
@@ -309,7 +312,7 @@ impl OltpRuntime {
                 counters: worker_counters,
                 remote_timeout: config.remote_timeout,
                 backlog: VecDeque::new(),
-                generating: false,
+                window: None,
                 shutdown: false,
             };
             let worker = Worker {
@@ -378,31 +381,42 @@ impl OltpRuntime {
         self.counters.iter().fold(OltpStats::default(), |sum, c| sum.combine(&c.stats(), |a, b| a + b))
     }
 
-    /// Per-worker committed counts (for scalability plots).
-    pub fn per_worker_committed(&self) -> Vec<u64> {
+    /// Per-worker committed counts.
+    #[cfg(test)]
+    pub(crate) fn per_worker_committed(&self) -> Vec<u64> {
         self.counters.iter().map(|c| c.committed.load(Ordering::Relaxed)).collect()
     }
 
-    /// Runs the benchmark-mode generator on every worker for `window` and
-    /// returns the counter deltas and throughput.
+    /// Runs the benchmark-mode generator on every worker for `window` from
+    /// now and returns the counter deltas and throughput.
+    ///
+    /// Each worker starts no generated transaction after the deadline,
+    /// finishes the one in hand and replies once with the instant it
+    /// stopped; the window ends at the last of those, and the counters are
+    /// read after every reply, so `committed`, `aborted` and `retries` are
+    /// exactly the window's. Only lock traffic can trail it: the `Release`
+    /// of a worker's last transaction may still be in flight, so `messages`
+    /// may count it after this returns.
     ///
     /// # Errors
     /// Returns an error if the runtime was started without a generator — the
-    /// workers would simply idle and report zero throughput.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the measurement window is a span of wall time while the workers generate on their own threads, and so is the fixed drain after it"
-    )]
+    /// workers would simply idle and report zero throughput — and
+    /// [`H2Error::ChannelClosed`] if a worker is gone or dies in the window.
     pub fn run_for(&self, window: Duration) -> Result<BenchmarkWindow> {
         let before = self.stats();
         let start = Instant::now();
+        let (done, stopped) = bounded(self.config.workers);
         // The message is also what wakes a worker blocked on an empty inbox.
-        self.broadcast(&OltpMsg::Generate(true))?;
-        std::thread::sleep(window);
-        self.broadcast(&OltpMsg::Generate(false))?;
-        // Let in-flight transactions drain before sampling counters.
-        std::thread::sleep(Duration::from_millis(10));
-        let elapsed = start.elapsed();
+        // Its `done` is dropped with it, so the workers hold the only
+        // senders, and one that dies with its window open ends the wait.
+        self.broadcast(&OltpMsg::Window { until: start + window, done })?;
+        let mut end = start;
+        for _ in 0..self.config.workers {
+            let stop =
+                stopped.recv().map_err(|_| H2Error::ChannelClosed("a worker died in a benchmark window".into()))?;
+            end = end.max(stop);
+        }
+        let elapsed = end - start;
         let stats = self.stats().delta_since(&before);
         if stats.committed == 0 && stats.aborted == 0 {
             return Err(H2Error::Config(

@@ -17,19 +17,26 @@
 //! a submission read there is only moved to the worker's private backlog, so
 //! it can never sit in front of the grant or release another transaction is
 //! waiting for.
+//!
+//! A generator window is the one thing that ends on the clock: its message
+//! carries the deadline, the worker checks it before each generated
+//! transaction, and at the deadline it reports its stop instant once and
+//! goes back to its mailbox, where it keeps serving the lock traffic of
+//! workers whose windows are still open.
 
 use crate::index::PartitionIndex;
 use crate::locktable::LockTable;
 use crate::messages::{OltpMsg, TxnToken};
 use crate::runtime::{count, Job, Partitioner, TxnGenerator, WorkerCounters, MAX_RETRIES};
 use crate::txn::TxnCtx;
+use crossbeam_channel::Sender;
 use h2tap_common::rng::SplitMixRng;
 use h2tap_common::{H2Error, PartitionId, Result};
 use h2tap_mpmsg::{CoreId, Envelope, Mailbox, Postbox};
 use h2tap_storage::Database;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Everything a transaction needs mutable access to while it executes on its
 /// host worker, which includes what reading the mailbox on its behalf may
@@ -57,8 +64,9 @@ pub struct WorkerState {
     /// Submitted transactions read from the mailbox and not yet run, oldest
     /// first.
     pub backlog: VecDeque<Job>,
-    /// Whether a generator window is open.
-    pub generating: bool,
+    /// The open generator window, if any: its deadline and where to report
+    /// the instant the worker stopped.
+    pub window: Option<(Instant, Sender<Instant>)>,
     /// Whether the shutdown message has been read.
     pub shutdown: bool,
 }
@@ -110,9 +118,9 @@ impl WorkerState {
                 return (waiting_for == Some(txn)).then_some(msg);
             }
             OltpMsg::Submit(job) => self.backlog.push_back(job),
-            OltpMsg::Generate(on) => self.generating = on,
-            // Whatever window was open is over as well.
-            OltpMsg::Shutdown => (self.shutdown, self.generating) = (true, false),
+            OltpMsg::Window { until, done } => self.window = Some((until, done)),
+            // Whatever window was open is over as well, unreported.
+            OltpMsg::Shutdown => (self.shutdown, self.window) = (true, None),
         }
         None
     }
@@ -207,8 +215,7 @@ impl Worker {
             //    comes after every submission accepted before it, and those
             //    have run — else block until the next message. This is the
             //    loop's only wait, and it has no timeout.
-            let generating = self.state.generating && self.generator.is_some();
-            if self.state.backlog.is_empty() && !generating {
+            if self.state.backlog.is_empty() && self.state.window.is_none() {
                 if self.state.shutdown {
                     break;
                 }
@@ -234,11 +241,24 @@ impl Worker {
                 continue;
             }
 
-            // 4. Benchmark mode: generate and run the next transaction.
-            if let Some(generator) = self.generator.as_ref().filter(|_| self.state.generating) {
-                let proc = generator.next_txn(self.state.home(), generated, &mut self.rng);
-                generated += 1;
-                execute_transaction(&mut self.state, &proc, &mut seq);
+            // 4. Benchmark mode: before the window's deadline, generate and
+            //    run the next transaction; at it (or at once, with no
+            //    generator), report the stop instant and close the window.
+            if let Some(&(until, _)) = self.state.window.as_ref() {
+                let now = Instant::now();
+                match self.generator.as_ref().filter(|_| now < until) {
+                    Some(generator) => {
+                        let proc = generator.next_txn(self.state.home(), generated, &mut self.rng);
+                        generated += 1;
+                        execute_transaction(&mut self.state, &proc, &mut seq);
+                    }
+                    None => {
+                        // The runtime may have stopped listening; that is its business.
+                        if let Some((_, done)) = self.state.window.take() {
+                            let _ = done.send(now);
+                        }
+                    }
+                }
             }
         }
     }

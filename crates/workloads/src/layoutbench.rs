@@ -38,25 +38,25 @@ pub fn sum_query(n: usize) -> ScanAggQuery {
     ScanAggQuery::aggregate_only(AggExpr::SumColumns((0..n).collect()))
 }
 
-/// Scalar reference result for [`sum_query`] over the table produced by
-/// [`build_layout_table`] with the same `rows` and `seed`.
-pub fn reference_sum(rows: u64, n: usize, seed: u64) -> f64 {
-    let mut rng = SplitMixRng::new(seed);
-    let mut sum = 0.0;
-    for _ in 0..rows {
-        for attr in 0..ATTRIBUTES {
-            let v = rng.next_below(100) as f64;
-            if attr < n {
-                sum += v;
-            }
-        }
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Scalar reference result for [`sum_query`] over the table produced by
+    /// [`build_layout_table`] with the same `rows` and `seed`.
+    fn reference_sum(rows: u64, n: usize, seed: u64) -> f64 {
+        let mut rng = SplitMixRng::new(seed);
+        let mut sum = 0.0;
+        for _ in 0..rows {
+            for attr in 0..ATTRIBUTES {
+                let v = rng.next_below(100) as f64;
+                if attr < n {
+                    sum += v;
+                }
+            }
+        }
+        sum
+    }
 
     #[test]
     fn schema_is_sixteen_four_byte_integers() {

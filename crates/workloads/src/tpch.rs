@@ -276,21 +276,6 @@ pub fn load_lineitem_named(
     Ok(table)
 }
 
-/// Like [`load_lineitem_named`] but sized to exactly `chunks` execution
-/// chunks ([`h2tap_common::PLAN_CHUNK_ROWS`] rows each) — the boundary case
-/// of the chunk-shard contract (a row count that is an exact chunk multiple
-/// leaves no partial tail chunk), which the multi-site byte-identity tests
-/// pin explicitly.
-pub fn load_lineitem_chunks(
-    builder: &mut CalderaBuilder,
-    name: &str,
-    layout: Layout,
-    chunks: u64,
-    seed: u64,
-) -> Result<TableId> {
-    load_lineitem_named(builder, name, layout, chunks * h2tap_common::PLAN_CHUNK_ROWS as u64, seed)
-}
-
 /// Reference (scalar) evaluation of Q6 over freshly generated rows — used by
 /// tests to check that every engine agrees with a straightforward
 /// implementation.

@@ -207,7 +207,8 @@ fn exact_chunk_multiple_tables_agree_through_dispatch() {
     config.snapshot_policy = SnapshotPolicy::Manual;
     config.olap_device.gpus = table1_mix(3);
     let mut builder = Caldera::builder(config);
-    let table = tpch::load_lineitem_chunks(&mut builder, "lineitem", Layout::Dsm, 2, 7).unwrap();
+    let rows = 2 * PLAN_CHUNK_ROWS as u64;
+    let table = tpch::load_lineitem_named(&mut builder, "lineitem", Layout::Dsm, rows, 7).unwrap();
     let caldera = builder.start().unwrap();
     let cpu = caldera.run_olap_on(table, &q6(), OlapTarget::Cpu).unwrap();
     let gpu = caldera.run_olap_on(table, &q6(), OlapTarget::Gpu).unwrap();
