@@ -1100,7 +1100,7 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
     let mut far_row = tpch::part_row(far, &mut rng);
     far_row[tpch::part_columns::SIZE] = Value::Int32(1);
     builder.load(sparse_part, far as i64, &far_row).unwrap();
-    let snap = builder.database().snapshot();
+    let snap = builder.database().unwrap().snapshot();
     let fact = snap.table(lineitem).unwrap();
     let dim = snap.table(part).unwrap();
     let sparse_dim = snap.table(sparse_part).unwrap();
@@ -1177,7 +1177,7 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
     // scratch. A fresh snapshot per timing, as a real refresh takes. Dirty
     // pages stay dirty relative to the base, so the legs run in ascending
     // order on the one database.
-    let db = builder.database();
+    let db = builder.database().unwrap();
     let cols = q6().columns_accessed();
     let base_snap = db.snapshot();
     let base = ops::MaterializedColumns::new(base_snap.table(lineitem).unwrap(), cols.clone()).unwrap();

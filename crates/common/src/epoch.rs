@@ -27,7 +27,8 @@ impl Epoch {
     /// Whether a node stamped with `self` is visible to a snapshot taken at
     /// `snapshot`: nodes are visible when they were created at or before the
     /// snapshot epoch.
-    pub fn visible_to(self, snapshot: Epoch) -> bool {
+    #[cfg(test)]
+    pub(crate) fn visible_to(self, snapshot: Epoch) -> bool {
         self.0 <= snapshot.0
     }
 }

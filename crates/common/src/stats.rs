@@ -55,7 +55,8 @@ impl Summary {
     }
 
     /// Population standard deviation, or `None` when empty.
-    pub fn std_dev(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn std_dev(&self) -> Option<f64> {
         self.mean().map(|m| {
             let var = (self.sum_sq / self.count as f64 - m * m).max(0.0);
             var.sqrt()

@@ -47,7 +47,8 @@ impl Value {
     }
 
     /// The width in bytes this value occupies in a fixed-width columnar page.
-    pub fn fixed_width(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn fixed_width(&self) -> usize {
         match self {
             Value::Int32(_) | Value::Date(_) => 4,
             Value::Int64(_) | Value::Float64(_) => 8,

@@ -410,11 +410,9 @@ impl PlanDataCache {
             drop(inner);
             let finish = FinishBuild { shared: &self.shared, slot: &slot, project, key: &key };
             let derived = derive(tracer, &key.0, bases)?;
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "single-flight slot: set only fails if a racing builder already published the identical build, which is the value we want."
-            )]
-            let _ = slot.set(Some(Arc::clone(&derived.value)));
+            // Set once: a racing builder that published first published
+            // the identical build.
+            slot.get_or_init(|| Some(Arc::clone(&derived.value)));
             let mut inner = self.shared.inner.lock();
             inner.stats.chunks_reused += derived.chunks_reused;
             inner.stats.chunks_rebuilt += derived.chunks_rebuilt;

@@ -189,7 +189,8 @@ impl PartitionIndex {
     }
 
     /// Number of keys indexed for `table`.
-    pub fn key_count(&self, table: TableId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn key_count(&self, table: TableId) -> usize {
         self.tables.get(table.0 as usize).map_or(0, TableKeys::len)
     }
 }

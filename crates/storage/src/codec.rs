@@ -46,20 +46,13 @@ fn fits(ty: AttrType, value: &Value) -> bool {
     )
 }
 
-/// Encodes a full record according to `schema`.
+/// Appends the cells of one record, encoded according to `schema`, to
+/// `cells`, which is left as it was on an error.
 ///
 /// # Errors
 /// Fails when the record arity does not match the schema, or a value does
 /// not match its attribute's type.
-pub fn encode_record(schema: &Schema, values: &[Value]) -> Result<Vec<u64>> {
-    let mut cells = Vec::with_capacity(values.len());
-    encode_into(schema, values, &mut cells)?;
-    Ok(cells)
-}
-
-/// Appends the cells of one record to `cells`, which is left as it was on
-/// an error (see [`encode_record`]).
-pub(crate) fn encode_into(schema: &Schema, values: &[Value], cells: &mut Vec<u64>) -> Result<()> {
+pub fn encode_into(schema: &Schema, values: &[Value], cells: &mut Vec<u64>) -> Result<()> {
     if values.len() != schema.arity() {
         return Err(H2Error::Config(format!(
             "record has {} values but schema has {} attributes",
@@ -87,6 +80,11 @@ mod tests {
     use super::*;
     use h2tap_common::Attribute;
 
+    fn encode(schema: &Schema, values: &[Value]) -> Result<Vec<u64>> {
+        let mut cells = Vec::new();
+        encode_into(schema, values, &mut cells).map(|()| cells)
+    }
+
     fn schema() -> Schema {
         Schema::new(vec![
             Attribute::new("id", AttrType::Int64),
@@ -101,7 +99,7 @@ mod tests {
     fn record_roundtrip() {
         let s = schema();
         let rec = vec![Value::Int64(-5), Value::Int32(7), Value::Float64(2.5), Value::Date(1000)];
-        let cells = encode_record(&s, &rec).unwrap();
+        let cells = encode(&s, &rec).unwrap();
         let back = decode_record(&s, &cells).unwrap();
         assert_eq!(back, rec);
     }
@@ -115,17 +113,17 @@ mod tests {
     #[test]
     fn type_mismatch_rejected() {
         let s = schema();
-        assert!(encode_record(&s, &[Value::Int64(1), Value::Int64(7), Value::Float64(2.5), Value::Date(0)]).is_err());
+        assert!(encode(&s, &[Value::Int64(1), Value::Int64(7), Value::Float64(2.5), Value::Date(0)]).is_err());
         let strings = Schema::new(vec![Attribute::new("name", AttrType::Str)]).unwrap();
-        let cells = encode_record(&strings, &[Value::Str("ada".into())]).unwrap();
+        let cells = encode(&strings, &[Value::Str("ada".into())]).unwrap();
         let back = decode_record(&strings, &cells).unwrap();
-        assert_eq!(encode_record(&strings, &back).unwrap(), cells, "a decoded string code writes back");
+        assert_eq!(encode(&strings, &back).unwrap(), cells, "a decoded string code writes back");
     }
 
     #[test]
     fn arity_mismatch_rejected() {
         let s = schema();
-        assert!(encode_record(&s, &[Value::Int64(1)]).is_err());
+        assert!(encode(&s, &[Value::Int64(1)]).is_err());
         assert!(decode_record(&s, &[1, 2]).is_err());
     }
 }

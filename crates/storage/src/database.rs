@@ -3,8 +3,10 @@
 //! [`Database`] owns the hierarchical partition → table → page organization
 //! and the snapshot clock. Every row change goes through
 //! [`Database::commit`], which applies a whole transaction under the shared
-//! side of one live-state lock; [`Database::snapshot`] takes the exclusive
-//! side, so a snapshot sees every write of a transaction or none. The OLAP
+//! side of one live-state lock, or through bulk loading's
+//! [`Database::append`], which writes a run of records the same way;
+//! [`Database::snapshot`] takes the exclusive side, so a snapshot sees every
+//! write of a transaction or run or none. The OLAP
 //! runtime takes [`Snapshot`]s and never touches the live store; dropping
 //! the last `Arc` of one releases it and frees the pages only it still held.
 //!
@@ -197,6 +199,19 @@ impl Database {
     /// a one-row [`Database::commit`].
     pub fn insert(&self, partition: PartitionId, table: TableId, values: &[Value]) -> Result<RecordId> {
         Ok(self.commit(&[], &[(partition, table, values)])?[0])
+    }
+
+    /// Appends records to `table` in `partition`, given as their cells one
+    /// after another as [`encode_into`] writes them, and returns the row
+    /// index of the first. The tail page is filled before a new one opens
+    /// and each page is written once, all under one hold of the live-state
+    /// lock and the partition's lock. Bulk loading's path: it checks only
+    /// that the cells are whole records, so they must come from the codec.
+    pub fn append(&self, partition: PartitionId, table: TableId, cells: &[u64]) -> Result<u64> {
+        let live = self.live.read();
+        let meta = live.meta(table)?;
+        let mut store = live.store(partition)?.write();
+        store.register_table(meta).insert(cells, live.epoch)
     }
 
     /// Reads a record as logical values.

@@ -14,10 +14,11 @@
 //!    superseded versions only it still held ([`snapshot`], [`database`],
 //!    [`telemetry`]).
 //!
-//! Rows change only through [`Database::commit`]: one transaction's writes,
+//! Rows change only through [`Database::commit`] — one transaction's writes,
 //! checked before any is applied and applied under one live-state lock that
 //! snapshots take exclusively, so a snapshot is a transactionally consistent
-//! cut. The OLTP runtime (`h2tap-oltp`) calls it at commit with every lock
+//! cut — or through bulk loading's [`Database::append`], which writes a run
+//! of encoded records a page at a time under the same lock. The OLTP runtime (`h2tap-oltp`) calls it at commit with every lock
 //! held, writing remote rows directly through shared memory — only lock
 //! metadata crosses cores — and the OLAP runtime (`h2tap-olap`) only ever
 //! reads snapshots. Partitions and table fragments are internal.
@@ -41,7 +42,7 @@ pub mod snapshot;
 mod table;
 pub mod telemetry;
 
-pub use codec::{decode_cell, decode_cell_f64, decode_record, encode_record, encode_value};
+pub use codec::{decode_cell, decode_cell_f64, decode_record, encode_into, encode_value};
 pub use database::{Database, TableMeta};
 pub use layout::{Layout, ScanProfile};
 pub use page::Page;

@@ -109,28 +109,34 @@ impl Page {
         }
     }
 
-    /// Appends a record; returns its row slot within the page.
+    /// Appends records, given as their cells one after another; returns the
+    /// row slot of the first.
     ///
     /// # Errors
-    /// Fails when the page is full or the record has the wrong arity.
-    pub fn push(&mut self, record: &[u64]) -> Result<usize> {
-        if record.len() != self.arity {
-            return Err(H2Error::Config(format!(
-                "record arity {} does not match page arity {}",
-                record.len(),
-                self.arity
-            )));
-        }
-        if self.is_full() {
+    /// Fails, writing nothing, when the cells are not whole records or the
+    /// records do not fit in the page.
+    pub fn push(&mut self, records: &[u64]) -> Result<usize> {
+        let rows = records.len().checked_div(self.arity).filter(|rows| rows * self.arity == records.len());
+        let Some(rows) = rows else {
+            return Err(H2Error::Config(format!("{} cells are not records of arity {}", records.len(), self.arity)));
+        };
+        if rows > self.capacity - self.len {
             return Err(H2Error::Config("page is full".into()));
         }
-        let row = self.len;
-        for (attr, cell) in record.iter().enumerate() {
-            let i = self.idx(row, attr);
-            self.cells[i] = *cell;
+        let first = self.len;
+        self.len += rows;
+        self.write(first, records);
+        Ok(first)
+    }
+
+    /// Writes whole records from row `first` on.
+    fn write(&mut self, first: usize, records: &[u64]) {
+        for (row, record) in (first..).zip(records.chunks_exact(self.arity)) {
+            for (attr, cell) in record.iter().enumerate() {
+                let i = self.idx(row, attr);
+                self.cells[i] = *cell;
+            }
         }
-        self.len += 1;
-        Ok(row)
     }
 
     /// Reads one cell.
@@ -165,10 +171,7 @@ impl Page {
             return Err(H2Error::Config("record arity mismatch".into()));
         }
         self.check(row, 0)?;
-        for (attr, cell) in record.iter().enumerate() {
-            let i = self.idx(row, attr);
-            self.cells[i] = *cell;
-        }
+        self.write(row, record);
         Ok(())
     }
 
@@ -233,6 +236,20 @@ mod tests {
         p.push(&[1, 2]).unwrap();
         assert!(p.is_full());
         assert!(p.push(&[3, 4]).is_err());
+    }
+
+    #[test]
+    fn push_appends_runs_of_records_or_nothing() {
+        for layout in [Layout::Nsm, Layout::Dsm] {
+            let mut p = Page::new(layout, 2, 4, Epoch::ZERO);
+            assert_eq!(p.push(&[1, 10, 2, 20]).unwrap(), 0);
+            assert_eq!(p.push(&[3, 30]).unwrap(), 2);
+            assert!(p.push(&[4, 40, 5, 50]).is_err(), "two records, one free slot");
+            assert!(p.push(&[4, 40, 5]).is_err(), "not whole records");
+            assert_eq!(p.len(), 3);
+            assert_eq!(p.push(&[]).unwrap(), 3);
+            assert_eq!((p.record(1).unwrap(), p.record(2).unwrap()), (vec![2, 20], vec![3, 30]));
+        }
     }
 
     #[test]

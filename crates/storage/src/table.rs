@@ -156,25 +156,27 @@ impl TableFragment {
         }
     }
 
-    /// Returns a mutable reference to page `page_idx`, shadow-copying it
-    /// first if it is still visible to a snapshot (epoch older than
-    /// `live_epoch`).
-    fn writable_page(&mut self, page_idx: usize, live_epoch: Epoch) -> Result<&mut Page> {
+    /// Returns a mutable reference to page `page_idx` for `writes` row
+    /// writes, shadow-copying it first if it is still visible to a snapshot
+    /// (epoch older than `live_epoch`). The first write into a copied page
+    /// counts as its copy, every other one as in place.
+    fn writable_page(&mut self, page_idx: usize, live_epoch: Epoch, writes: u64) -> Result<&mut Page> {
         let segment = self.segments.get_mut(page_idx / SEGMENT_PAGES);
         let segment = segment.map(|slot| Segment::writable(slot, &self.telemetry, live_epoch));
         let Some(page) = segment.and_then(|s| s.slots.get_mut(page_idx % SEGMENT_PAGES)).and_then(Option::as_mut)
         else {
             return Err(H2Error::UnknownRecord(format!("page {page_idx} beyond fragment")));
         };
+        let mut in_place = writes;
         if page.epoch() < live_epoch {
             // Shared with a snapshot: shadow copy.
             let mut copy = Page::clone(page);
             copy.set_epoch(live_epoch);
             self.telemetry.record_copy(copy.byte_size());
             *page = Arc::new(copy);
-        } else {
-            self.telemetry.record_in_place();
+            in_place = writes.saturating_sub(1);
         }
+        self.telemetry.record_in_place(in_place);
         // A page stamped with the live epoch is in no snapshot: every
         // snapshot bumps the epoch under the lock this write holds, so it
         // took its segments before this epoch began, and the first write
@@ -183,25 +185,37 @@ impl TableFragment {
         Ok(Arc::make_mut(page))
     }
 
-    /// Appends a record (encoded as cells) and returns its row index.
+    /// Appends records, given as their cells one after another, and returns
+    /// the row index of the first. The tail page is filled before a new one
+    /// opens, so every page but the last stays full, and each page is made
+    /// writable once for all the records it takes. Cells that are not
+    /// whole records are rejected with nothing written.
     pub(crate) fn insert(&mut self, cells: &[u64], live_epoch: Epoch) -> Result<u64> {
-        if cells.len() != self.schema.arity() {
+        let arity = self.schema.arity();
+        if cells.len().checked_rem(arity) != Some(0) {
             return Err(H2Error::Config("record arity does not match schema".into()));
         }
-        if self.last_page().is_none_or(|last| last.is_full()) {
-            let page = Arc::new(Page::new(self.layout, self.schema.arity(), self.rows_per_page, live_epoch));
-            match self.segments.last_mut() {
-                Some(tail) if tail.len < SEGMENT_PAGES => {
-                    let tail = Segment::writable(tail, &self.telemetry, live_epoch);
-                    tail.slots[tail.len] = Some(page);
-                    tail.len += 1;
+        let first = self.row_count();
+        let mut rest = cells;
+        while !rest.is_empty() {
+            if self.last_page().is_none_or(|last| last.is_full()) {
+                let page = Arc::new(Page::new(self.layout, arity, self.rows_per_page, live_epoch));
+                match self.segments.last_mut() {
+                    Some(tail) if tail.len < SEGMENT_PAGES => {
+                        let tail = Segment::writable(tail, &self.telemetry, live_epoch);
+                        tail.slots[tail.len] = Some(page);
+                        tail.len += 1;
+                    }
+                    _ => self.segments.push(Arc::new(Segment::new(page, live_epoch))),
                 }
-                _ => self.segments.push(Arc::new(Segment::new(page, live_epoch))),
             }
+            let page_idx = self.page_count() - 1;
+            let free = self.rows_per_page - self.last_page().map_or(0, |last| last.len());
+            let (run, tail) = rest.split_at(rest.len().min(free * arity));
+            self.writable_page(page_idx, live_epoch, (run.len() / arity) as u64)?.push(run)?;
+            rest = tail;
         }
-        let page_idx = self.page_count() - 1;
-        let slot = self.writable_page(page_idx, live_epoch)?.push(cells)?;
-        Ok((page_idx * self.rows_per_page + slot) as u64)
+        Ok(first)
     }
 
     /// Reads a whole record.
@@ -213,7 +227,7 @@ impl TableFragment {
     /// Overwrites a whole record, shadow-copying the backing page if needed.
     pub(crate) fn update_record(&mut self, row: u64, cells: &[u64], live_epoch: Epoch) -> Result<()> {
         let (page_idx, _, slot) = self.locate(row)?;
-        self.writable_page(page_idx, live_epoch)?.set_record(slot, cells)
+        self.writable_page(page_idx, live_epoch, 1)?.set_record(slot, cells)
     }
 }
 
@@ -307,5 +321,34 @@ mod tests {
     fn arity_mismatch_on_insert_is_rejected() {
         let mut f = fragment(Layout::Dsm);
         assert!(f.insert(&[1, 2], Epoch::ZERO).is_err());
+        assert!(f.insert(&[1, 2, 3, 4, 5, 6], Epoch::ZERO).is_err(), "one record and a half");
+        assert_eq!(f.row_count(), 0);
+    }
+
+    /// Runs of records fill the same pages, with the same stamps and
+    /// counters, as the records one at a time, also when each run starts on
+    /// a tail page that a snapshot shares.
+    #[test]
+    fn runs_fill_the_same_pages_as_single_records() {
+        for layout in [Layout::Nsm, Layout::PAPER_PAX] {
+            let (mut runs, mut singles) = (fragment(layout), fragment(layout));
+            let cap = runs.rows_per_page;
+            let mut held = Vec::new();
+            let mut next = 0u64;
+            for (epoch, len) in [1, cap - 1, 3, 2 * cap + 1, cap, 0].into_iter().enumerate() {
+                let epoch = Epoch(epoch as u64);
+                held.push((runs.image(), singles.image()));
+                let cells: Vec<u64> = (next..next + len as u64).flat_map(|v| [v, v + 1, v + 2, v + 3]).collect();
+                assert_eq!(runs.insert(&cells, epoch).unwrap(), next);
+                for record in cells.chunks(4) {
+                    singles.insert(record, epoch).unwrap();
+                }
+                next += len as u64;
+            }
+            let pages = |f: &TableFragment| f.image().pages().cloned().collect::<Vec<_>>();
+            assert_eq!(pages(&runs), pages(&singles), "{layout:?}");
+            assert_eq!(runs.telemetry.snapshot(), singles.telemetry.snapshot(), "{layout:?}");
+            assert!(runs.telemetry.snapshot().pages_copied >= 3, "{layout:?}: runs started on shared pages");
+        }
     }
 }

@@ -41,9 +41,9 @@ impl CowTelemetry {
         self.segments_copied.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records an update that did not need a shadow copy.
-    pub(crate) fn record_in_place(&self) {
-        self.in_place_updates.fetch_add(1, Ordering::Relaxed);
+    /// Records `writes` row writes that did not need a shadow copy.
+    pub(crate) fn record_in_place(&self, writes: u64) {
+        self.in_place_updates.fetch_add(writes, Ordering::Relaxed);
     }
 
     /// Records a new live snapshot.
@@ -86,7 +86,9 @@ pub struct CowStats {
     /// Segment pointer arrays copied: at most one per segment written in
     /// an epoch, and none while no snapshot shares the segment.
     pub segments_copied: u64,
-    /// Updates applied in place.
+    /// Row writes that needed no shadow copy: updates applied in place and
+    /// inserted rows, bulk-loaded ones included. A write that copies its
+    /// page counts in `pages_copied` instead.
     pub in_place_updates: u64,
     /// Superseded pages freed by snapshot drops. A page counts once, when
     /// the last snapshot that held it drops.
@@ -120,7 +122,7 @@ mod tests {
         t.record_copy(4096);
         t.record_copy(4096);
         t.record_segment_copy();
-        t.record_in_place();
+        t.record_in_place(1);
         t.record_snapshot_taken();
         assert_eq!(t.live_snapshots(), 1);
         t.record_snapshot_released(3, 12288);
@@ -141,7 +143,7 @@ mod tests {
         let before = t.snapshot();
         t.record_copy(50);
         t.record_segment_copy();
-        t.record_in_place();
+        t.record_in_place(1);
         let after = t.snapshot();
         let d = after.delta_since(&before);
         assert_eq!(d.pages_copied, 1);

@@ -129,6 +129,44 @@ pub fn tpcc_partitioner(warehouses: usize) -> StridePartitioner {
     StridePartitioner::new(WAREHOUSE_STRIDE, warehouses)
 }
 
+/// Hands every row of the TPC-C population to `load`, warehouse by
+/// warehouse: the one population both the Caldera and the Silo loader load.
+fn populate(
+    tables: &TpccTables,
+    warehouses: usize,
+    cfg: TpccConfig,
+    mut load: impl FnMut(TableId, i64, Vec<Value>) -> Result<()>,
+) -> Result<()> {
+    let mut rng = SplitMixRng::new(0x79cc_u64);
+    for w in 0..warehouses as i64 {
+        load(tables.warehouse, keys::warehouse(w), vec![Value::Int64(w), Value::Float64(0.0)])?;
+        for d in 1..=cfg.districts {
+            load(
+                tables.district,
+                keys::district(w, d),
+                vec![Value::Int64(d), Value::Int64(w), Value::Int64(1), Value::Float64(0.0)],
+            )?;
+            for c in 1..=cfg.customers_per_district {
+                load(
+                    tables.customer,
+                    keys::customer(w, d, c),
+                    vec![Value::Int64(c), Value::Int64(d), Value::Int64(w), Value::Float64(10.0)],
+                )?;
+            }
+        }
+        for i in 1..=cfg.items {
+            let price = 1.0 + rng.next_f64() * 100.0;
+            load(tables.item, keys::item(w, i), vec![Value::Int64(i), Value::Float64(price)])?;
+            load(
+                tables.stock,
+                keys::stock(w, i),
+                vec![Value::Int64(i), Value::Int64(w), Value::Int64(10_000), Value::Float64(0.0)],
+            )?;
+        }
+    }
+    Ok(())
+}
+
 /// Creates and loads the TPC-C tables into a Caldera builder with one
 /// warehouse per partition. The builder's partitioner must already be
 /// [`tpcc_partitioner`].
@@ -144,33 +182,7 @@ pub fn load_tpcc(builder: &mut CalderaBuilder, warehouses: usize, cfg: TpccConfi
         new_order: builder.create_table("new_order", two_col("no"), layout)?,
         order_line: builder.create_table("order_line", four_col("ol"), layout)?,
     };
-    let mut rng = SplitMixRng::new(0x79cc_u64);
-    for w in 0..warehouses as i64 {
-        builder.load(tables.warehouse, keys::warehouse(w), &[Value::Int64(w), Value::Float64(0.0)])?;
-        for d in 1..=cfg.districts {
-            builder.load(
-                tables.district,
-                keys::district(w, d),
-                &[Value::Int64(d), Value::Int64(w), Value::Int64(1), Value::Float64(0.0)],
-            )?;
-            for c in 1..=cfg.customers_per_district {
-                builder.load(
-                    tables.customer,
-                    keys::customer(w, d, c),
-                    &[Value::Int64(c), Value::Int64(d), Value::Int64(w), Value::Float64(10.0)],
-                )?;
-            }
-        }
-        for i in 1..=cfg.items {
-            let price = 1.0 + rng.next_f64() * 100.0;
-            builder.load(tables.item, keys::item(w, i), &[Value::Int64(i), Value::Float64(price)])?;
-            builder.load(
-                tables.stock,
-                keys::stock(w, i),
-                &[Value::Int64(i), Value::Int64(w), Value::Int64(10_000), Value::Float64(0.0)],
-            )?;
-        }
-    }
+    populate(&tables, warehouses, cfg, |table, key, row| builder.load(table, key, &row).map(drop))?;
     Ok(tables)
 }
 
@@ -286,33 +298,7 @@ pub fn load_tpcc_silo(tables: TpccTables, warehouses: usize, cfg: TpccConfig) ->
         tables.new_order,
         tables.order_line,
     ]);
-    let mut rng = SplitMixRng::new(0x79cc_u64);
-    for w in 0..warehouses as i64 {
-        db.load(tables.warehouse, keys::warehouse(w), vec![Value::Int64(w), Value::Float64(0.0)])?;
-        for d in 1..=cfg.districts {
-            db.load(
-                tables.district,
-                keys::district(w, d),
-                vec![Value::Int64(d), Value::Int64(w), Value::Int64(1), Value::Float64(0.0)],
-            )?;
-            for c in 1..=cfg.customers_per_district {
-                db.load(
-                    tables.customer,
-                    keys::customer(w, d, c),
-                    vec![Value::Int64(c), Value::Int64(d), Value::Int64(w), Value::Float64(10.0)],
-                )?;
-            }
-        }
-        for i in 1..=cfg.items {
-            let price = 1.0 + rng.next_f64() * 100.0;
-            db.load(tables.item, keys::item(w, i), vec![Value::Int64(i), Value::Float64(price)])?;
-            db.load(
-                tables.stock,
-                keys::stock(w, i),
-                vec![Value::Int64(i), Value::Int64(w), Value::Int64(10_000), Value::Float64(0.0)],
-            )?;
-        }
-    }
+    populate(&tables, warehouses, cfg, |table, key, row| db.load(table, key, row))?;
     Ok(db)
 }
 

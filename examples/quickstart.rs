@@ -55,6 +55,9 @@ fn main() {
     let query =
         ScanAggQuery { predicates: vec![Predicate::between(1, 0.0, 9.0)], aggregate: AggExpr::SumColumns(vec![2]) };
     let outcome = caldera.run_olap(accounts, &query).unwrap();
+    // Every loaded row counts, the partial tail pages of all four
+    // partitions included, and the transfer moved money within the regions.
+    assert_eq!((outcome.qualifying_rows, outcome.value), (20_000, 2_000_000.0), "the load lost or misplaced rows");
     println!(
         "regions 0-9 hold {:.2} across {} accounts (GPU time {}, {} kernels)",
         outcome.value,

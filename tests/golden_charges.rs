@@ -105,7 +105,7 @@ fn kernel_names(out: &PlanOutcome) -> Vec<&str> {
 fn snapshot_of(load: impl FnOnce(&mut caldera::CalderaBuilder) -> h2tap_common::TableId) -> SnapshotTable {
     let mut builder = Caldera::builder(CalderaConfig::with_workers(1));
     let id = load(&mut builder);
-    builder.database().snapshot().table(id).unwrap().clone()
+    builder.database().unwrap().snapshot().table(id).unwrap().clone()
 }
 
 fn lineitem(layout: Layout) -> SnapshotTable {

@@ -11,7 +11,7 @@ use h2tap_common::{chunk_shard, AttrType, Epoch, PartitionId, Schema, TableId, V
 use h2tap_gpu_sim::{coalescing_efficiency, AccessPattern};
 use h2tap_olap::{merge_scan_partials, shard_chunk_indexes, shard_rows, ScanChunkPartial};
 use h2tap_oltp::{LockMode, LockTable, TxnToken};
-use h2tap_storage::{decode_record, encode_record, Database, Layout};
+use h2tap_storage::{decode_record, encode_into, Database, Layout};
 
 const CASES: usize = 64;
 
@@ -46,7 +46,8 @@ fn record_codec_roundtrips() {
             values.push(Value::Float64(rand_f64(&mut rng)));
         }
         let schema = Schema::new(attrs).unwrap();
-        let cells = encode_record(&schema, &values).unwrap();
+        let mut cells = Vec::new();
+        encode_into(&schema, &values, &mut cells).unwrap();
         let back = decode_record(&schema, &cells).unwrap();
         assert_eq!(back, values);
     }
